@@ -129,17 +129,17 @@ int main(int argc, char** argv) {
     bcast_cfg.broadcast_join = true;
     const auto bcast = systems::run_spatial_spark(taxi, edges, query, exec, bcast_cfg);
 
-    point.part_ok = part.success;
-    point.bcast_ok = bcast.success;
-    if (part.success) point.part_seconds = part.total_seconds;
-    if (bcast.success) point.bcast_seconds = bcast.total_seconds;
+    point.part_ok = part.status.ok();
+    point.bcast_ok = bcast.status.ok();
+    if (part.status.ok()) point.part_seconds = part.total_seconds;
+    if (bcast.status.ok()) point.bcast_seconds = bcast.total_seconds;
     point.bcast_peak_bytes = bcast.peak_memory_bytes;
 
     point.actual = "-";
-    if (part.success && bcast.success) {
+    if (part.status.ok() && bcast.status.ok()) {
       point.actual =
           bcast.total_seconds < part.total_seconds ? "broadcast" : "partitioned";
-    } else if (part.success) {
+    } else if (part.status.ok()) {
       // Broadcast died (the paper's Spark OOM): the partitioned join is the
       // realized winner and the model must have predicted it via the
       // feasibility gate.
@@ -148,13 +148,14 @@ int main(int argc, char** argv) {
     point.graded = point.actual != "-";
     point.correct = point.graded && point.actual == point.predicted;
 
-    const std::string part_s = part.success ? format_seconds(part.total_seconds) : "-";
+    const std::string part_s =
+        part.status.ok() ? format_seconds(part.total_seconds) : "-";
     const std::string bcast_s =
-        bcast.success ? format_seconds(bcast.total_seconds) : "OOM";
+        bcast.status.ok() ? format_seconds(bcast.total_seconds) : "OOM";
     table.add_row({format_seconds(static_cast<double>(edges.size())), part_s, bcast_s,
                    format_bytes(bcast.peak_memory_bytes), point.actual,
                    point.predicted + (point.correct ? "" : " (miss)")});
-    if (part.success && bcast.success && part.result_hash != bcast.result_hash) {
+    if (part.status.ok() && bcast.status.ok() && part.result_hash != bcast.result_hash) {
       std::printf("WARNING: result mismatch at fraction %g!\n", fraction);
     }
     sweep.push_back(point);
@@ -204,7 +205,7 @@ int main(int argc, char** argv) {
       plan::phase_skew_ratio(trace::skew_summary(on_run.trace), "local-join");
   const double tail_reduction =
       ratio_off > 0.0 ? (ratio_off - ratio_on) / ratio_off : std::nan("");
-  const bool pairs_identical = off_run.success && on_run.success &&
+  const bool pairs_identical = off_run.status.ok() && on_run.status.ok() &&
                                off_run.result_count == on_run.result_count &&
                                off_run.result_hash == on_run.result_hash;
 

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     const auto truth = systems::run_under_plan(core::SystemKind::kSpatialHadoopSim,
                                                left, right, query, exec,
                                                cluster::FaultPlan{});
-    if (!truth.success) {
+    if (!truth.status.ok()) {
       std::printf("ground truth failed for %s: %s\n", def.id.c_str(),
                   truth.status.to_string().c_str());
       return 1;
@@ -84,9 +84,9 @@ int main(int argc, char** argv) {
         const auto plan = systems::random_fault_plan(rng, exec.cluster.node_count);
         const auto report =
             systems::run_under_plan(system, left, right, query, exec, plan);
-        report.success ? ++ok : ++failed;
+        report.status.ok() ? ++ok : ++failed;
         if (report.recovered) ++recovered;
-        if (!report.success) ++failure_codes[status_code_name(report.status.code())];
+        if (!report.status.ok()) ++failure_codes[status_code_name(report.status.code())];
         retries += report.counters.get("budget.retries_used");
         rejects += report.metrics.total_commits_rejected();
         nodes_q += report.metrics.total_nodes_quarantined();

@@ -41,8 +41,8 @@ int main() {
       hg_cfg.engine = engine;
       const auto hg = systems::run_hadoop_gis(left, right, query, exec, hg_cfg);
       table.add_row({def.id, "HadoopGIS-sim", geom::engine_kind_name(engine),
-                     hg.success ? format_seconds(hg.join_seconds) : "-",
-                     hg.success ? format_seconds(hg.total_seconds) : "-"});
+                     hg.status.ok() ? format_seconds(hg.join_seconds) : "-",
+                     hg.status.ok() ? format_seconds(hg.total_seconds) : "-"});
 
       systems::SpatialHadoopConfig sh_cfg;
       sh_cfg.engine = engine;

@@ -39,7 +39,7 @@ int main() {
         core::SystemKind::kSpatialSparkSim}) {
     const auto report = core::run_spatial_join(system, taxi, nycb, query, exec);
     std::printf("---- %s (%s) ----\n", core::system_kind_name(system),
-                report.success ? "success" : report.failure_reason.c_str());
+                report.status.ok() ? "success" : report.status.to_string().c_str());
     std::fputs(report.metrics.to_string().c_str(), stdout);
 
     // DFS interaction summary: the crux of Fig. 1's comparison.

@@ -48,7 +48,7 @@ int main() {
       exec.cluster = cl;
       exec.data_scale = 1.0 / scale;
       const auto report = systems::run_hadoop_gis(subset, nycb, query, exec);
-      row.push_back(report.success ? format_seconds(report.total_seconds) : "PIPE");
+      row.push_back(report.status.ok() ? format_seconds(report.total_seconds) : "PIPE");
     }
     table.add_row(std::move(row));
   }

@@ -56,9 +56,9 @@ int main() {
   {
     const auto cold = systems::run_hadoop_gis(taxi, nycb, query, exec);
     const std::string cold_s =
-        cold.success ? format_seconds(cold.total_seconds) : "-";
+        cold.status.ok() ? format_seconds(cold.total_seconds) : "-";
     const std::string total_s =
-        cold.success ? format_seconds(4.0 * cold.total_seconds) : "-";
+        cold.status.ok() ? format_seconds(4.0 * cold.total_seconds) : "-";
     table.add_row({"HadoopGIS-sim", cold_s, cold_s + " (no reuse)", total_s, "1.0x"});
   }
 

@@ -1,25 +1,20 @@
-// Head-to-head of the Prepared engine's two refinement paths on the Table 2
-// experiments: the per-pair BoundPredicate path (bind once per right
-// geometry, scalar predicate per candidate — the pre-BatchRefiner
-// configuration, kept intact as the baseline) vs the batched SoA path
-// (geom::BatchRefiner: packed linework, inner/outer approximations, batched
-// point-in-polygon over whole candidate groups).
+// Refinement verification and SIMD kernel bench on the Table 2 experiments.
 //
-// The bench is self-verifying: before timing anything it runs
-// core::run_local_join in both modes on both experiments and requires
-// bit-identical pair lists (same pairs, same order) plus consistent
-// refinement accounting (exact_tests + early_accepts + early_rejects ==
-// refine.candidates in both modes, identical candidate counts). Any
-// mismatch exits 1 — the timing numbers are only meaningful for equivalent
-// code paths.
+// The bench is self-verifying: every available SIMD dispatch path must give
+// bit-identical results and refinement accounting to the scalar path, both
+// on the batched local join (core::run_local_join with the Prepared engine,
+// i.e. geom::BatchRefiner: packed linework, inner/outer approximations,
+// batched point-in-polygon over whole candidate groups) and end to end
+// across all three system analogs. The scalar run must also keep the
+// accounting invariants exact_tests + early_accepts + early_rejects ==
+// refine.candidates and exact_fastpath + exact_slowpath == exact_tests. Any
+// mismatch exits 1.
 //
-// Timing isolates the refinement stage: the MBR filter, candidate grouping
-// and per-right bind/build are done once outside the timed region (their
-// one-off costs are reported separately as bind_ns / refiner_build_ns), and
-// the timed loops replay only the per-candidate exact tests. Results go to
-// BENCH_refine.json (see util/bench_io.hpp). Pass --min-speedup=X to make
-// the bench exit 1 when any experiment's refinement speedup falls below X
-// (the CI non-regression guard).
+// It then times the three SoA kernels (point-in-polygon run, segment run,
+// envelope sweep) per dispatch path on synthesized inputs. Results go to
+// BENCH_refine.json (see util/bench_io.hpp). Pass --min-simd-speedup=X to
+// make the bench exit 1 when the best SIMD kernel's speedup over scalar
+// falls below X (the CI non-regression guard; skipped without a SIMD path).
 //
 // Set SJC_SCALE to change the workload scale (default 1e-3).
 #include <algorithm>
@@ -30,14 +25,11 @@
 #include <cstring>
 #include <iterator>
 #include <map>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/experiments.hpp"
 #include "core/local_join.hpp"
-#include "geom/batch_refine.hpp"
 #include "geom/simd_dispatch.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "util/bench_io.hpp"
@@ -52,7 +44,7 @@ using namespace sjc;
 volatile std::uint64_t g_sink = 0;
 
 /// Median-free ns/call: self-scales the iteration count so each measurement
-/// runs at least ~20 ms (same scheme as bench_localjoin's head-to-head).
+/// runs at least ~20 ms.
 template <typename Fn>
 double time_ns_per_call(Fn&& fn) {
   using clock = std::chrono::steady_clock;
@@ -68,126 +60,6 @@ double time_ns_per_call(Fn&& fn) {
     if (ns >= 20e6) return ns / static_cast<double>(iters);
     iters *= 4;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Verification pass: both run_local_join modes must agree bit-for-bit.
-// ---------------------------------------------------------------------------
-
-struct ModeResult {
-  std::vector<core::JoinPair> pairs;
-  std::map<std::string, std::uint64_t> counters;
-};
-
-ModeResult run_mode(std::span<const geom::Feature> left,
-                    std::span<const geom::Feature> right,
-                    core::JoinPredicate predicate, bool batch_refine) {
-  cluster::Counters counters;
-  core::LocalJoinSpec spec;
-  spec.algorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
-  spec.engine = &geom::GeometryEngine::prepared();
-  spec.predicate = predicate;
-  spec.batch_refine = batch_refine;
-  spec.refine_counters = &counters;
-  core::LocalJoinScratch scratch;
-  ModeResult result;
-  core::run_local_join(left, right, spec, core::AcceptAllPairs{}, scratch,
-                       result.pairs);
-  result.counters = counters.snapshot();
-  return result;
-}
-
-std::uint64_t counter(const ModeResult& r, const char* name) {
-  const auto it = r.counters.find(name);
-  return it == r.counters.end() ? 0 : it->second;
-}
-
-/// Runs both modes and dies unless pair lists are identical (order
-/// included) and the counter accounting is consistent. Returns the verified
-/// counter splits for the JSON report.
-struct VerifyResult {
-  std::uint64_t candidates = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t exact_tests = 0;
-  std::uint64_t early_accepts = 0;
-  std::uint64_t early_rejects = 0;
-};
-
-VerifyResult verify_experiment(const std::string& id,
-                               std::span<const geom::Feature> left,
-                               std::span<const geom::Feature> right,
-                               core::JoinPredicate predicate) {
-  const ModeResult per_pair = run_mode(left, right, predicate, false);
-  const ModeResult batched = run_mode(left, right, predicate, true);
-
-  if (per_pair.pairs != batched.pairs) {
-    std::fprintf(stderr,
-                 "%s: result mismatch: per-pair %zu pairs vs batched %zu pairs\n",
-                 id.c_str(), per_pair.pairs.size(), batched.pairs.size());
-    // Report set-level symmetric difference to aid debugging.
-    auto a = per_pair.pairs;
-    auto b = batched.pairs;
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    std::vector<core::JoinPair> only_a;
-    std::vector<core::JoinPair> only_b;
-    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(only_a));
-    std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
-                        std::back_inserter(only_b));
-    for (std::size_t i = 0; i < only_a.size() && i < 10; ++i) {
-      std::fprintf(stderr, "  only per-pair: (%llu, %llu)\n",
-                   static_cast<unsigned long long>(only_a[i].left_id),
-                   static_cast<unsigned long long>(only_a[i].right_id));
-    }
-    for (std::size_t i = 0; i < only_b.size() && i < 10; ++i) {
-      std::fprintf(stderr, "  only batched:  (%llu, %llu)\n",
-                   static_cast<unsigned long long>(only_b[i].left_id),
-                   static_cast<unsigned long long>(only_b[i].right_id));
-    }
-    if (only_a.empty() && only_b.empty()) {
-      std::fprintf(stderr, "  (same pair sets, different order)\n");
-    }
-    std::exit(1);
-  }
-
-  const std::uint64_t cand_pp = counter(per_pair, "refine.candidates");
-  const std::uint64_t cand_b = counter(batched, "refine.candidates");
-  const std::uint64_t exact_pp = counter(per_pair, "refine.exact_tests");
-  const std::uint64_t exact_b = counter(batched, "refine.exact_tests");
-  const std::uint64_t acc_b = counter(batched, "refine.early_accepts");
-  const std::uint64_t rej_b = counter(batched, "refine.early_rejects");
-  bool ok = true;
-  if (cand_pp != cand_b) {
-    std::fprintf(stderr, "%s: candidate-count mismatch: per-pair %llu vs batched %llu\n",
-                 id.c_str(), static_cast<unsigned long long>(cand_pp),
-                 static_cast<unsigned long long>(cand_b));
-    ok = false;
-  }
-  if (exact_pp != cand_pp || counter(per_pair, "refine.early_accepts") != 0 ||
-      counter(per_pair, "refine.early_rejects") != 0) {
-    std::fprintf(stderr, "%s: per-pair accounting broken: every candidate must be an exact test\n",
-                 id.c_str());
-    ok = false;
-  }
-  if (exact_b + acc_b + rej_b != cand_b) {
-    std::fprintf(stderr,
-                 "%s: batched accounting broken: %llu exact + %llu accepts + %llu rejects != %llu candidates\n",
-                 id.c_str(), static_cast<unsigned long long>(exact_b),
-                 static_cast<unsigned long long>(acc_b),
-                 static_cast<unsigned long long>(rej_b),
-                 static_cast<unsigned long long>(cand_b));
-    ok = false;
-  }
-  if (!ok) std::exit(1);
-
-  std::printf(
-      "verify %-18s OK: %zu pairs bit-identical; %llu candidates -> exact %llu, "
-      "early-accept %llu, early-reject %llu\n",
-      id.c_str(), per_pair.pairs.size(), static_cast<unsigned long long>(cand_b),
-      static_cast<unsigned long long>(exact_b), static_cast<unsigned long long>(acc_b),
-      static_cast<unsigned long long>(rej_b));
-  return {cand_b, per_pair.pairs.size(), exact_b, acc_b, rej_b};
 }
 
 // ---------------------------------------------------------------------------
@@ -213,10 +85,16 @@ DispatchResult run_dispatch(const workload::Dataset& left,
                             const workload::Dataset& right,
                             core::JoinPredicate predicate) {
   DispatchResult out;
-  const ModeResult batched =
-      run_mode(left.features(), right.features(), predicate, true);
-  out.pairs = batched.pairs;
-  out.counters = batched.counters;
+  cluster::Counters counters;
+  core::LocalJoinSpec spec;
+  spec.algorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
+  spec.engine = &geom::GeometryEngine::prepared();
+  spec.predicate = predicate;
+  spec.refine_counters = &counters;
+  core::LocalJoinScratch scratch;
+  core::run_local_join(left.features(), right.features(), spec, core::AcceptAllPairs{},
+                       scratch, out.pairs);
+  out.counters = counters.snapshot();
   for (const core::SystemKind system : kSystems) {
     core::JoinQueryConfig query;
     query.predicate = predicate;
@@ -232,9 +110,9 @@ DispatchResult run_dispatch(const workload::Dataset& left,
     } else {
       report = core::run_spatial_join(system, left, right, query, exec);
     }
-    if (!report.success) {
+    if (!report.status.ok()) {
       std::fprintf(stderr, "cross-dispatch: %s run failed: %s\n",
-                   core::system_kind_name(system), report.failure_reason.c_str());
+                   core::system_kind_name(system), report.status.to_string().c_str());
       std::exit(1);
     }
     out.system_hashes.push_back(report.result_hash);
@@ -250,17 +128,28 @@ std::uint64_t map_value(const std::map<std::string, std::uint64_t>& m,
   return it == m.end() ? 0 : it->second;
 }
 
-void verify_dispatch_paths(const std::string& id, const workload::Dataset& left,
-                           const workload::Dataset& right,
-                           core::JoinPredicate predicate) {
+/// Verifies every dispatch path against scalar and returns the scalar run
+/// (its pairs and refine.* split feed the JSON report).
+DispatchResult verify_dispatch_paths(const std::string& id,
+                                     const workload::Dataset& left,
+                                     const workload::Dataset& right,
+                                     core::JoinPredicate predicate) {
   static const char* kRefineKeys[] = {
       "refine.candidates",    "refine.exact_tests",    "refine.early_accepts",
       "refine.early_rejects", "refine.exact_fastpath", "refine.exact_slowpath"};
   const auto paths = geom::simd::available_paths();
   geom::simd::force_path(geom::simd::Path::kScalar);
   const DispatchResult baseline = run_dispatch(left, right, predicate);
-  // Exact-test split invariant on the scalar baseline (batched + systems).
+  // Accounting invariants on the scalar baseline.
   bool ok = true;
+  if (map_value(baseline.counters, "refine.exact_tests") +
+          map_value(baseline.counters, "refine.early_accepts") +
+          map_value(baseline.counters, "refine.early_rejects") !=
+      map_value(baseline.counters, "refine.candidates")) {
+    std::fprintf(stderr, "%s: scalar exact + accepts + rejects != candidates\n",
+                 id.c_str());
+    ok = false;
+  }
   if (map_value(baseline.counters, "refine.exact_fastpath") +
           map_value(baseline.counters, "refine.exact_slowpath") !=
       map_value(baseline.counters, "refine.exact_tests")) {
@@ -307,8 +196,9 @@ void verify_dispatch_paths(const std::string& id, const workload::Dataset& left,
   geom::simd::reset_from_env();
   if (!ok) std::exit(1);
   std::printf("verify %-18s dispatch OK: %zu path(s) bit-identical across batched "
-              "join + 3 systems\n",
-              id.c_str(), paths.size());
+              "join + 3 systems (%zu pairs)\n",
+              id.c_str(), paths.size(), baseline.pairs.size());
+  return baseline;
 }
 
 // ---------------------------------------------------------------------------
@@ -521,190 +411,13 @@ std::vector<KernelBench> bench_kernels() {
   return results;
 }
 
-// ---------------------------------------------------------------------------
-// Timing pass: isolated refinement loops over pre-grouped candidates.
-// ---------------------------------------------------------------------------
-
-/// Candidate groups of one experiment: for each right feature with at least
-/// one MBR candidate, the left feature indices probing it.
-struct GroupedCandidates {
-  std::vector<std::uint32_t> right_ids;     // per group: right feature index
-  std::vector<std::uint32_t> group_begin;   // CSR offsets into left_ids
-  std::vector<std::uint32_t> left_ids;
-  std::size_t candidates() const { return left_ids.size(); }
-};
-
-GroupedCandidates build_groups(std::span<const geom::Feature> left,
-                               std::span<const geom::Feature> right) {
-  std::vector<index::IndexEntry> le;
-  std::vector<index::IndexEntry> re;
-  le.reserve(left.size());
-  re.reserve(right.size());
-  for (std::uint32_t i = 0; i < left.size(); ++i) {
-    le.push_back({left[i].geometry.envelope(), i});
-  }
-  for (std::uint32_t i = 0; i < right.size(); ++i) {
-    re.push_back({right[i].geometry.envelope(), i});
-  }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> cands;  // (right, left)
-  index::local_mbr_join(index::LocalJoinAlgorithm::kIndexedNestedLoop, le, re,
-                        [&cands](std::uint32_t l, std::uint32_t r) {
-                          cands.emplace_back(r, l);
-                        });
-  std::stable_sort(cands.begin(), cands.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  GroupedCandidates g;
-  g.left_ids.reserve(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (i == 0 || cands[i].first != cands[i - 1].first) {
-      g.right_ids.push_back(cands[i].first);
-      g.group_begin.push_back(static_cast<std::uint32_t>(i));
-    }
-    g.left_ids.push_back(cands[i].second);
-  }
-  g.group_begin.push_back(static_cast<std::uint32_t>(cands.size()));
-  return g;
-}
-
-struct TimedExperiment {
-  std::uint64_t candidates = 0;
-  std::uint64_t hits = 0;
-  double bind_ns = 0;           // one-off: engine.bind of every probed right
-  double refiner_build_ns = 0;  // one-off: BatchRefiner build of the same
-  double per_pair_ns = 0;       // refinement stage, per-pair BoundPredicate
-  double batched_ns = 0;        // refinement stage, batched SoA
-  double speedup = 0;
-};
-
-TimedExperiment time_experiment(const std::string& id,
-                                std::span<const geom::Feature> left,
-                                std::span<const geom::Feature> right,
-                                core::JoinPredicate predicate) {
-  using clock = std::chrono::steady_clock;
-  const GroupedCandidates g = build_groups(left, right);
-  TimedExperiment timed;
-  timed.candidates = g.candidates();
-
-  const geom::GeometryEngine& engine = geom::GeometryEngine::prepared();
-  std::vector<std::unique_ptr<geom::BoundPredicate>> bounds;
-  bounds.reserve(g.right_ids.size());
-  const auto bind_t0 = clock::now();
-  for (const std::uint32_t r : g.right_ids) {
-    bounds.push_back(engine.bind(right[r].geometry));
-  }
-  timed.bind_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - bind_t0)
-          .count());
-
-  std::vector<std::unique_ptr<geom::BatchRefiner>> refiners;
-  refiners.reserve(g.right_ids.size());
-  const auto build_t0 = clock::now();
-  for (const std::uint32_t r : g.right_ids) {
-    refiners.push_back(std::make_unique<geom::BatchRefiner>(right[r].geometry));
-  }
-  timed.refiner_build_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - build_t0)
-          .count());
-
-  // Baseline: the per-pair path of run_local_join with bind() hoisted out —
-  // exactly the work the refinement stage does per candidate.
-  std::uint64_t per_pair_hits = 0;
-  timed.per_pair_ns = time_ns_per_call([&] {
-    std::uint64_t hits = 0;
-    for (std::size_t gi = 0; gi < g.right_ids.size(); ++gi) {
-      const geom::BoundPredicate& bound = *bounds[gi];
-      for (std::uint32_t c = g.group_begin[gi]; c < g.group_begin[gi + 1]; ++c) {
-        const geom::Geometry& probe = left[g.left_ids[c]].geometry;
-        bool hit = false;
-        switch (predicate) {
-          case core::JoinPredicate::kIntersects:
-            hit = bound.intersects(probe);
-            break;
-          case core::JoinPredicate::kWithin:
-            hit = bound.contains(probe);
-            break;
-          case core::JoinPredicate::kWithinDistance:
-            hit = bound.within_distance(probe, 0.0);
-            break;
-        }
-        hits += hit ? 1 : 0;
-      }
-    }
-    per_pair_hits = hits;
-    g_sink = hits;
-  });
-
-  // Batched: the group loop of run_local_join's batch path (gather point
-  // probes, one covers_points pass, scalar approximation-gated calls for
-  // the rest).
-  std::uint64_t batched_hits = 0;
-  std::vector<geom::Coord> pts;
-  std::vector<std::uint8_t> covered;
-  timed.batched_ns = time_ns_per_call([&] {
-    geom::RefineStats stats;
-    std::uint64_t hits = 0;
-    for (std::size_t gi = 0; gi < g.right_ids.size(); ++gi) {
-      const geom::BatchRefiner& rf = *refiners[gi];
-      const bool point_batch = rf.has_areal() &&
-                               (predicate == core::JoinPredicate::kIntersects ||
-                                predicate == core::JoinPredicate::kWithin);
-      const std::uint32_t begin = g.group_begin[gi];
-      const std::uint32_t end = g.group_begin[gi + 1];
-      pts.clear();
-      if (point_batch) {
-        for (std::uint32_t c = begin; c < end; ++c) {
-          const geom::Geometry& probe = left[g.left_ids[c]].geometry;
-          if (probe.type() == geom::GeomType::kPoint) pts.push_back(probe.as_point());
-        }
-      }
-      if (!pts.empty()) rf.covers_points(pts, covered, stats);
-      std::size_t cursor = 0;
-      for (std::uint32_t c = begin; c < end; ++c) {
-        const geom::Geometry& probe = left[g.left_ids[c]].geometry;
-        bool hit = false;
-        if (point_batch && probe.type() == geom::GeomType::kPoint) {
-          hit = covered[cursor++] != 0;
-        } else {
-          switch (predicate) {
-            case core::JoinPredicate::kIntersects:
-              hit = rf.intersects(probe, stats);
-              break;
-            case core::JoinPredicate::kWithin:
-              hit = rf.contains(probe, stats);
-              break;
-            case core::JoinPredicate::kWithinDistance:
-              hit = rf.within_distance(probe, 0.0, stats);
-              break;
-          }
-        }
-        hits += hit ? 1 : 0;
-      }
-    }
-    batched_hits = hits;
-    g_sink = hits;
-  });
-
-  if (per_pair_hits != batched_hits) {
-    std::fprintf(stderr, "%s: timed-loop hit mismatch: per-pair %llu vs batched %llu\n",
-                 id.c_str(), static_cast<unsigned long long>(per_pair_hits),
-                 static_cast<unsigned long long>(batched_hits));
-    std::exit(1);
-  }
-  timed.hits = batched_hits;
-  timed.speedup = timed.per_pair_ns / timed.batched_ns;
-  return timed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace sjc;
-  double min_speedup = 0.0;
   double min_simd_speedup = 0.0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      min_speedup = std::atof(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--min-simd-speedup=", 19) == 0) {
+    if (std::strncmp(argv[i], "--min-simd-speedup=", 19) == 0) {
       min_simd_speedup = std::atof(argv[i] + 19);
     }
   }
@@ -712,8 +425,9 @@ int main(int argc, char** argv) {
   workload::WorkloadConfig wc;
   wc.scale = scale;
 
-  std::printf("== Refinement head-to-head: per-pair prepared vs batched SoA (scale %g) ==\n\n",
-              scale);
+  std::printf(
+      "== Batched refinement: dispatch verification + SIMD kernels (scale %g) ==\n\n",
+      scale);
 
   JsonWriter json;
   json.begin_object();
@@ -721,40 +435,25 @@ int main(int argc, char** argv) {
   json.field("scale", scale);
   json.begin_array("experiments");
 
-  double worst_speedup = 1e300;
   for (const auto& def : core::full_experiments()) {
     const auto left = workload::generate(def.left, wc);
     const auto right = workload::generate(def.right, wc);
-    const std::span<const geom::Feature> lf = left.features();
-    const std::span<const geom::Feature> rf = right.features();
-
-    const VerifyResult v = verify_experiment(def.id, lf, rf, def.predicate);
-    verify_dispatch_paths(def.id, left, right, def.predicate);
-    const TimedExperiment t = time_experiment(def.id, lf, rf, def.predicate);
-    worst_speedup = std::min(worst_speedup, t.speedup);
-
-    std::printf(
-        "timing %-18s per-pair %11.0f ns  batched %11.0f ns  speedup %.2fx  "
-        "(bind %0.1f ms, refiner build %0.1f ms, %llu candidates, %llu hits)\n\n",
-        def.id.c_str(), t.per_pair_ns, t.batched_ns, t.speedup, t.bind_ns / 1e6,
-        t.refiner_build_ns / 1e6, static_cast<unsigned long long>(t.candidates),
-        static_cast<unsigned long long>(t.hits));
+    const DispatchResult scalar =
+        verify_dispatch_paths(def.id, left, right, def.predicate);
+    const auto get = [&scalar](const char* name) {
+      return map_value(scalar.counters, name);
+    };
 
     json.begin_element();
     json.field("experiment", def.id);
     json.field("predicate", core::join_predicate_name(def.predicate));
-    json.field("n_left", static_cast<std::uint64_t>(lf.size()));
-    json.field("n_right", static_cast<std::uint64_t>(rf.size()));
-    json.field("candidates", v.candidates);
-    json.field("hits", v.hits);
-    json.field("exact_tests", v.exact_tests);
-    json.field("early_accepts", v.early_accepts);
-    json.field("early_rejects", v.early_rejects);
-    json.field("bind_ns", t.bind_ns);
-    json.field("refiner_build_ns", t.refiner_build_ns);
-    json.field("per_pair_ns", t.per_pair_ns);
-    json.field("batched_ns", t.batched_ns);
-    json.field("speedup", t.speedup);
+    json.field("n_left", static_cast<std::uint64_t>(left.size()));
+    json.field("n_right", static_cast<std::uint64_t>(right.size()));
+    json.field("candidates", get("refine.candidates"));
+    json.field("hits", static_cast<std::uint64_t>(scalar.pairs.size()));
+    json.field("exact_tests", get("refine.exact_tests"));
+    json.field("early_accepts", get("refine.early_accepts"));
+    json.field("early_rejects", get("refine.early_rejects"));
     json.end_object();
   }
   json.end_array();
@@ -786,7 +485,6 @@ int main(int argc, char** argv) {
   json.end_array();
   std::printf("\n");
 
-  json.field("min_speedup_required", min_speedup);
   json.field("min_simd_speedup_required", min_simd_speedup);
   json.field("simd_active", geom::simd::active_path_name());
   json.field("best_simd_kernel_speedup", best_simd_speedup);
@@ -796,11 +494,6 @@ int main(int argc, char** argv) {
   std::printf("json written to %s\n", path.c_str());
 
   int rc = 0;
-  if (min_speedup > 0.0 && worst_speedup < min_speedup) {
-    std::fprintf(stderr, "refinement speedup regression: worst %.2fx < required %.2fx\n",
-                 worst_speedup, min_speedup);
-    rc = 1;
-  }
   // The SIMD gate asks for the floor on the *best* kernel (ISSUE: >= 1.3x on
   // at least one kernel); skipped when no SIMD path is compiled in/available.
   if (min_simd_speedup > 0.0) {

@@ -39,8 +39,8 @@ int main() {
   systems::HadoopGisConfig probe;
   probe.pipe_capacity_fraction = 0.0;
   const auto clean = systems::run_hadoop_gis(taxi, nycb, query, exec, probe);
-  if (!clean.success) {
-    std::printf("probe run failed: %s\n", clean.failure_reason.c_str());
+  if (!clean.status.ok()) {
+    std::printf("probe run failed: %s\n", clean.status.to_string().c_str());
     return 1;
   }
   const double peak = static_cast<double>(clean.metrics.max_task_pipe_bytes());
@@ -71,7 +71,7 @@ int main() {
                                       static_cast<double>(node.memory_bytes);
       config.faults.max_attempts = m;
       const auto report = systems::run_hadoop_gis(taxi, nycb, query, exec, config);
-      if (!report.success) {
+      if (!report.status.ok()) {
         row.push_back("PIPE");
       } else {
         const std::uint64_t retries = report.attempts_used - clean.attempts_used;
@@ -120,7 +120,7 @@ int main() {
       config.faults.node_blacklist_threshold = t;
       const auto report =
           systems::run_spatial_hadoop(taxi, nycb, query, ec2, config);
-      if (!report.success) {
+      if (!report.status.ok()) {
         row.push_back(report.status.to_string());
       } else {
         row.push_back(format_seconds(report.total_seconds) + " (" +

@@ -57,8 +57,8 @@ int main() {
     char repl_s[16];
     std::snprintf(repl_s, sizeof(repl_s), "%.3f", stats.replication_factor);
     table.add_row({rate_s, std::to_string(stats.cell_count), skew_s, repl_s,
-                   sh.success ? format_seconds(sh.total_seconds) : "-",
-                   ss.success ? format_seconds(ss.total_seconds) : "-"});
+                   sh.status.ok() ? format_seconds(sh.total_seconds) : "-",
+                   ss.status.ok() ? format_seconds(ss.total_seconds) : "-"});
   }
   table.print();
   std::printf(

@@ -40,7 +40,7 @@ int main() {
         exec.cluster = cluster::ClusterSpec::ec2(nodes);
         exec.data_scale = 1.0 / scale;
         const auto report = core::run_spatial_join(system, left, right, query, exec);
-        row.push_back(report.success ? format_seconds(report.total_seconds) : "-");
+        row.push_back(report.status.ok() ? format_seconds(report.total_seconds) : "-");
       }
       table.add_row(std::move(row));
     }

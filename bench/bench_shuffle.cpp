@@ -1,41 +1,14 @@
-// Seed copying data plane vs zero-copy data plane, head to head.
+// Map-side shuffle filter (sFilter analog) off vs on, all three systems on
+// both Table-2 experiments (EC2-10): modeled shuffle bytes, filtered-record
+// counters and the duplicated-records reduction under virtual time (measured
+// CPU pinned to 0, so modeled quantities are pure cost-model outputs), plus
+// best-of-N wall-clock. Survivor pair sets must stay bit-identical whenever
+// both runs complete, and a run that succeeds unfiltered must also succeed
+// filtered; either violation exits non-zero.
+// --min-shuffle-reduction=<frac> turns the best observed byte reduction into
+// a CI gate.
 //
-// The zero-copy plane (PR: "zero-copy partition data plane") replaces deep
-// geom::Feature copies in partition blocks and shuffle buckets with 8-byte
-// references resolved through stable Dataset spans, backs map-side shuffle
-// buckets with chunked arena buffers, inlines the MR user functors via
-// typed specs, and assigns partition ids through the non-allocating
-// assign_into/min_assigned walks. Every *modeled* quantity — shuffle bytes,
-// memory charges, phase makespans, join cardinalities — must be
-// bit-identical to the seed plane; only harness wall-clock and resident
-// memory may change.
-//
-// Four parts:
-//  1. wall-clock: best-of-N in-process runs per system per plane;
-//  2. peak RSS: each (system, plane) pair re-executes this binary with
-//     --child=... so every measurement gets a fresh process (ru_maxrss is
-//     monotone over a process lifetime, so in-process comparisons would be
-//     polluted by whichever plane ran first). The child reports its RSS
-//     right after dataset generation (the shared baseline both planes must
-//     hold) and at exit; the difference is the data plane's working set;
-//  3. verification: under virtual time (measured CPU pinned to 0 so modeled
-//     seconds become pure cost-model outputs) run both planes on both
-//     Table-2 experiments and require bit-identical reports — any mismatch
-//     exits non-zero, failing the bench;
-//  4. micro: the map-side bucket container alone, seed vector-of-vectors
-//     (inlined verbatim below) vs ShuffleArena, pair-verified drain totals;
-//  5. map-side shuffle filter (sFilter analog) off vs on, all three systems
-//     on both Table-2 experiments: modeled shuffle bytes, filtered-record
-//     counters and duplicated-records reduction under virtual time, plus
-//     wall-clock, with survivor pair sets required to stay bit-identical.
-//     --min-shuffle-reduction=<frac> turns the best observed byte reduction
-//     into a CI gate.
-//
-// Parts 1-3 pin the shuffle filter *off* on every run: they isolate the
-// data-plane comparison, and the filter's own head-to-head is part 5.
-//
-// Emits BENCH_shuffle.json (wall-clock, peak-RSS and filter columns) for
-// regression tracking.
+// Emits BENCH_shuffle.json (filter columns) for regression tracking.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -46,7 +19,6 @@
 #include <vector>
 
 #include "core/experiments.hpp"
-#include "mapreduce/shuffle_arena.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
@@ -71,254 +43,6 @@ std::string fmt3(double v) {
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
 }
-
-// ---------------------------------------------------------------------------
-// Part 4 micro bench: the seed map-side bucket container, kept verbatim as
-// the baseline. One fresh vector per (map task, reduce bucket), grown
-// push_back by push_back and torn down after every job — exactly what
-// map_reduce.hpp / streaming.cpp did before the arena.
-namespace legacy {
-
-struct VectorBuckets {
-  std::vector<std::vector<std::string>> buckets;
-
-  void reset(std::size_t bucket_count) { buckets.assign(bucket_count, {}); }
-  void push(std::size_t bucket, std::string line) {
-    buckets[bucket].push_back(std::move(line));
-  }
-  template <typename Fn>
-  void consume(std::size_t bucket, Fn&& fn) {
-    for (auto& line : buckets[bucket]) fn(line);
-    buckets[bucket].clear();
-    buckets[bucket].shrink_to_fit();
-  }
-};
-
-}  // namespace legacy
-
-struct MicroResult {
-  double seed_seconds = 0.0;
-  double arena_seconds = 0.0;
-  std::uint64_t drained_bytes = 0;
-};
-
-/// Simulates `jobs` map tasks, each scattering `items` shuffle lines thinly
-/// across `bucket_count` reduce buckets (the realistic shape: hundreds of
-/// reducers, a handful of pairs per bucket per mapper) and then draining
-/// every bucket (the reduce-side fetch). Byte totals must match exactly.
-template <typename Container>
-double run_micro_container(std::size_t jobs, std::size_t bucket_count,
-                           std::size_t items, std::uint64_t* drained_bytes) {
-  Container buckets;
-  std::uint64_t total = 0;
-  const double start = wall_now();
-  for (std::size_t job = 0; job < jobs; ++job) {
-    buckets.reset(bucket_count);
-    for (std::size_t i = 0; i < items; ++i) {
-      // Key-prefixed shuffle line, the streaming plane's wire shape.
-      std::string line = "p" + std::to_string(i % 97) + "\t" +
-                         std::to_string(job * items + i) + "\tPOINT(1.5 2.5)";
-      buckets.push((i * 769 + job) % bucket_count, std::move(line));
-    }
-    for (std::size_t b = 0; b < bucket_count; ++b) {
-      buckets.consume(b, [&total](std::string& line) { total += line.size() + 1; });
-    }
-  }
-  const double elapsed = wall_now() - start;
-  *drained_bytes = total;
-  return elapsed;
-}
-
-MicroResult run_micro(std::size_t jobs, std::size_t bucket_count, std::size_t items) {
-  MicroResult r;
-  std::uint64_t seed_bytes = 0;
-  std::uint64_t arena_bytes = 0;
-  r.seed_seconds = run_micro_container<legacy::VectorBuckets>(jobs, bucket_count,
-                                                              items, &seed_bytes);
-  r.arena_seconds = run_micro_container<mapreduce::ShuffleArena<std::string>>(
-      jobs, bucket_count, items, &arena_bytes);
-  if (seed_bytes != arena_bytes) {
-    std::fprintf(stderr,
-                 "MICRO MISMATCH: seed drained %llu bytes, arena %llu bytes\n",
-                 static_cast<unsigned long long>(seed_bytes),
-                 static_cast<unsigned long long>(arena_bytes));
-    std::exit(1);
-  }
-  r.drained_bytes = seed_bytes;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Part 3 verification: bit-identical modeled quantities across planes.
-
-bool double_identical(double a, double b) {
-  return (std::isnan(a) && std::isnan(b)) || a == b;
-}
-
-bool check(bool ok, const std::string& what, bool* all_ok) {
-  if (!ok) {
-    std::fprintf(stderr, "MODEL MISMATCH: %s\n", what.c_str());
-    *all_ok = false;
-  }
-  return ok;
-}
-
-/// Requires the seed-plane and zero-copy-plane reports to agree on every
-/// modeled quantity: outcome, cardinality, hash, all four time columns,
-/// every phase (name, makespan, byte volumes, task shape), every counter,
-/// and the peak memory charge. Prints each divergence.
-bool reports_identical(const core::RunReport& seed, const core::RunReport& zc,
-                       const std::string& tag) {
-  bool ok = true;
-  check(seed.success == zc.success, tag + ": success flag", &ok);
-  check(seed.failure_reason == zc.failure_reason, tag + ": failure reason", &ok);
-  check(seed.result_count == zc.result_count, tag + ": result_count", &ok);
-  check(seed.result_hash == zc.result_hash, tag + ": result_hash", &ok);
-  check(double_identical(seed.index_a_seconds, zc.index_a_seconds),
-        tag + ": index_a_seconds", &ok);
-  check(double_identical(seed.index_b_seconds, zc.index_b_seconds),
-        tag + ": index_b_seconds", &ok);
-  check(double_identical(seed.join_seconds, zc.join_seconds),
-        tag + ": join_seconds", &ok);
-  check(double_identical(seed.total_seconds, zc.total_seconds),
-        tag + ": total_seconds", &ok);
-  check(seed.peak_memory_bytes == zc.peak_memory_bytes,
-        tag + ": peak_memory_bytes", &ok);
-  check(seed.attempts_used == zc.attempts_used, tag + ": attempts_used", &ok);
-
-  const auto& sp = seed.metrics.phases();
-  const auto& zp = zc.metrics.phases();
-  if (check(sp.size() == zp.size(), tag + ": phase count", &ok)) {
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-      const auto& a = sp[i];
-      const auto& b = zp[i];
-      const std::string p = tag + " phase '" + a.name + "'";
-      check(a.name == b.name, p + " vs '" + b.name + "': name", &ok);
-      check(double_identical(a.sim_seconds, b.sim_seconds), p + ": sim_seconds", &ok);
-      check(a.bytes_read == b.bytes_read, p + ": bytes_read", &ok);
-      check(a.bytes_written == b.bytes_written, p + ": bytes_written", &ok);
-      check(a.bytes_shuffled == b.bytes_shuffled, p + ": bytes_shuffled", &ok);
-      check(a.task_count == b.task_count, p + ": task_count", &ok);
-      check(a.max_task_pipe_bytes == b.max_task_pipe_bytes,
-            p + ": max_task_pipe_bytes", &ok);
-      check(a.task_attempts == b.task_attempts, p + ": task_attempts", &ok);
-    }
-  }
-
-  const auto sc = seed.counters.snapshot();
-  const auto zcc = zc.counters.snapshot();
-  for (const auto& [name, value] : sc) {
-    const auto it = zcc.find(name);
-    check(it != zcc.end() && it->second == value,
-          tag + ": counter " + name + " (seed " + std::to_string(value) + ")", &ok);
-  }
-  for (const auto& [name, value] : zcc) {
-    check(sc.find(name) != sc.end(),
-          tag + ": counter " + name + " only in zero-copy plane", &ok);
-  }
-  return ok;
-}
-
-// ---------------------------------------------------------------------------
-// System runners.
-
-core::RunReport run_hadoop(const workload::Dataset& left,
-                           const workload::Dataset& right,
-                           const core::JoinQueryConfig& query,
-                           const core::ExecutionConfig& exec, bool zero_copy) {
-  systems::SpatialHadoopConfig config;
-  config.zero_copy_plane = zero_copy;
-  config.policy.shuffle_filter = false;  // parts 1-3 isolate the plane; part 5 has the filter
-  return systems::run_spatial_hadoop(left, right, query, exec, config);
-}
-
-core::RunReport run_spark(const workload::Dataset& left,
-                          const workload::Dataset& right,
-                          const core::JoinQueryConfig& query,
-                          const core::ExecutionConfig& exec, bool zero_copy) {
-  systems::SpatialSparkConfig config;
-  config.zero_copy_plane = zero_copy;
-  config.policy.shuffle_filter = false;  // parts 1-3 isolate the plane; part 5 has the filter
-  return systems::run_spatial_spark(left, right, query, exec, config);
-}
-
-using RunFn = core::RunReport (*)(const workload::Dataset&, const workload::Dataset&,
-                                  const core::JoinQueryConfig&,
-                                  const core::ExecutionConfig&, bool);
-
-struct SystemDef {
-  const char* name;
-  const char* key;  // --child spec token
-  RunFn run;
-};
-
-constexpr SystemDef kSystems[] = {
-    {"spatialhadoop-sim", "hadoop", &run_hadoop},
-    {"spatialspark-sim", "spark", &run_spark},
-};
-constexpr std::size_t kSystemCount = sizeof(kSystems) / sizeof(kSystems[0]);
-
-/// The timing workload: the paper's taxi x nycb row at bench scale, EC2-10.
-struct TimingSetup {
-  workload::Dataset left;
-  workload::Dataset right;
-  core::JoinQueryConfig query;
-  core::ExecutionConfig exec;
-  std::string experiment_id;
-};
-
-TimingSetup make_timing_setup() {
-  const auto& def = core::full_experiments().front();
-  workload::WorkloadConfig wc;
-  wc.scale = core::bench_scale();
-  TimingSetup s{workload::generate(def.left, wc), workload::generate(def.right, wc),
-                {}, {}, def.id};
-  s.query.predicate = def.predicate;
-  s.exec.cluster = cluster::ClusterSpec::ec2(10);
-  s.exec.data_scale = 1.0 / wc.scale;
-  return s;
-}
-
-double best_wall_seconds(const SystemDef& sys, int reps, const TimingSetup& s,
-                         bool zero_copy) {
-  double best = std::nan("");
-  for (int r = 0; r < reps; ++r) {
-    const double start = wall_now();
-    const auto report = sys.run(s.left, s.right, s.query, s.exec, zero_copy);
-    const double elapsed = wall_now() - start;
-    if (!report.success) {
-      std::fprintf(stderr, "%s (%s plane) failed: %s\n", sys.name,
-                   zero_copy ? "zero-copy" : "seed", report.failure_reason.c_str());
-      return std::nan("");
-    }
-    if (std::isnan(best) || elapsed < best) best = elapsed;
-  }
-  return best;
-}
-
-/// Partition+shuffle stage in isolation: spatial_hadoop_build_index runs
-/// exactly the sample job + the full partition MR job (map assignment,
-/// shuffle grouping, reduce-side block build) and nothing else — the stages
-/// the zero-copy plane rewrites. Times one build of each input per rep.
-double best_partition_shuffle_seconds(int reps, const TimingSetup& s,
-                                      bool zero_copy) {
-  systems::SpatialHadoopConfig config;
-  config.zero_copy_plane = zero_copy;
-  config.policy.shuffle_filter = false;
-  double best = std::nan("");
-  for (int r = 0; r < reps; ++r) {
-    const double start = wall_now();
-    const auto ia = systems::spatial_hadoop_build_index(s.left, s.query, s.exec, config);
-    const auto ib = systems::spatial_hadoop_build_index(s.right, s.query, s.exec, config);
-    const double elapsed = wall_now() - start;
-    if (ia.partition_count() == 0 || ib.partition_count() == 0) return std::nan("");
-    if (std::isnan(best) || elapsed < best) best = elapsed;
-  }
-  return best;
-}
-
-// ---------------------------------------------------------------------------
-// Part 5: map-side shuffle filter (sFilter analog) off vs on.
 
 core::RunReport run_gis_filter(const workload::Dataset& left,
                                const workload::Dataset& right,
@@ -349,10 +73,19 @@ core::RunReport run_spark_filter(const workload::Dataset& left,
   return systems::run_spatial_spark(left, right, query, exec, config);
 }
 
+using RunFn = core::RunReport (*)(const workload::Dataset&, const workload::Dataset&,
+                                  const core::JoinQueryConfig&,
+                                  const core::ExecutionConfig&, bool);
+
+struct SystemDef {
+  const char* name;
+  RunFn run;
+};
+
 constexpr SystemDef kFilterSystems[] = {
-    {"hadoopgis-sim", "gis", &run_gis_filter},
-    {"spatialhadoop-sim", "hadoop", &run_hadoop_filter},
-    {"spatialspark-sim", "spark", &run_spark_filter},
+    {"hadoopgis-sim", &run_gis_filter},
+    {"spatialhadoop-sim", &run_hadoop_filter},
+    {"spatialspark-sim", &run_spark_filter},
 };
 
 std::uint64_t total_shuffle_bytes(const core::RunReport& report) {
@@ -399,68 +132,6 @@ struct FilterRow {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Part 2 child protocol: "--child=<system>,<plane>" runs one (system, plane)
-// pair in a fresh process and prints one machine-readable line.
-
-int run_child(const std::string& spec) {
-  const auto comma = spec.find(',');
-  const std::string sys_key = spec.substr(0, comma);
-  const bool zero_copy = spec.substr(comma + 1) == "zc";
-  const SystemDef* sys = nullptr;
-  for (const auto& s : kSystems) {
-    if (sys_key == s.key) sys = &s;
-  }
-  if (sys == nullptr || comma == std::string::npos) {
-    std::fprintf(stderr, "bad --child spec: %s\n", spec.c_str());
-    return 2;
-  }
-  const TimingSetup s = make_timing_setup();
-  // Baseline: the datasets both planes must hold, plus process fixed costs.
-  const std::uint64_t baseline = peak_rss_bytes();
-  const double start = wall_now();
-  const auto report = sys->run(s.left, s.right, s.query, s.exec, zero_copy);
-  const double wall = wall_now() - start;
-  std::printf("child baseline_bytes=%llu peak_bytes=%llu wall_s=%.6f success=%d\n",
-              static_cast<unsigned long long>(baseline),
-              static_cast<unsigned long long>(peak_rss_bytes()), wall,
-              report.success ? 1 : 0);
-  return report.success ? 0 : 1;
-}
-
-struct ChildStats {
-  bool ok = false;
-  std::uint64_t baseline_bytes = 0;
-  std::uint64_t peak_bytes = 0;
-  double wall_s = std::nan("");
-  std::uint64_t working_bytes() const { return peak_bytes - baseline_bytes; }
-};
-
-ChildStats spawn_child(const std::string& argv0, const char* sys_key,
-                       bool zero_copy) {
-  ChildStats stats;
-  const std::string cmd = "\"" + argv0 + "\" --child=" + sys_key + "," +
-                          (zero_copy ? "zc" : "seed");
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return stats;
-  char line[512];
-  while (std::fgets(line, sizeof(line), pipe) != nullptr) {
-    unsigned long long baseline = 0;
-    unsigned long long peak = 0;
-    double wall = 0.0;
-    int success = 0;
-    if (std::sscanf(line, "child baseline_bytes=%llu peak_bytes=%llu wall_s=%lf success=%d",
-                    &baseline, &peak, &wall, &success) == 4) {
-      stats.ok = success == 1;
-      stats.baseline_bytes = baseline;
-      stats.peak_bytes = peak;
-      stats.wall_s = wall;
-    }
-  }
-  if (pclose(pipe) != 0) stats.ok = false;
-  return stats;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -472,140 +143,20 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--min-shuffle-reduction=", 24) == 0) {
       min_shuffle_reduction = std::atof(argv[i] + 24);
     }
-    if (std::strncmp(argv[i], "--child=", 8) == 0) return run_child(argv[i] + 8);
   }
   if (reps < 1) reps = 1;
 
   const double scale = core::bench_scale();
-  std::printf(
-      "== Shuffle/partition data plane: seed copies vs zero-copy (scale %g, "
-      "%d reps) ==\n\n",
-      scale, reps);
-
-  const TimingSetup setup = make_timing_setup();
-
-  // ---- Part 1: in-process wall-clock, best of N. ----------------------------
-  // One untimed warm-up per plane first: the very first run pays one-time
-  // costs (heap growth, page faults, lazy caches) that would otherwise be
-  // billed to whichever plane runs first. Timed reps then interleave the
-  // planes so slow drift (thermal, background load) hits both equally.
-  double zc_wall[kSystemCount];
-  double seed_wall[kSystemCount];
-  for (std::size_t s = 0; s < kSystemCount; ++s) {
-    best_wall_seconds(kSystems[s], 1, setup, true);
-    best_wall_seconds(kSystems[s], 1, setup, false);
-    zc_wall[s] = std::nan("");
-    seed_wall[s] = std::nan("");
-    for (int r = 0; r < reps; ++r) {
-      const double zc = best_wall_seconds(kSystems[s], 1, setup, true);
-      const double sd = best_wall_seconds(kSystems[s], 1, setup, false);
-      if (std::isnan(zc_wall[s]) || zc < zc_wall[s]) zc_wall[s] = zc;
-      if (std::isnan(seed_wall[s]) || sd < seed_wall[s]) seed_wall[s] = sd;
-    }
-  }
-
-  // Partition+shuffle stage alone (the rewritten stages), interleaved with
-  // more reps since each build is short.
-  const int ps_reps = reps * 3;
-  best_partition_shuffle_seconds(1, setup, true);
-  best_partition_shuffle_seconds(1, setup, false);
-  double ps_zc = std::nan("");
-  double ps_seed = std::nan("");
-  for (int r = 0; r < ps_reps; ++r) {
-    const double zc = best_partition_shuffle_seconds(1, setup, true);
-    const double sd = best_partition_shuffle_seconds(1, setup, false);
-    if (std::isnan(ps_zc) || zc < ps_zc) ps_zc = zc;
-    if (std::isnan(ps_seed) || sd < ps_seed) ps_seed = sd;
-  }
-
-  // ---- Part 2: per-(system, plane) peak RSS in fresh child processes. -------
-  ChildStats zc_rss[kSystemCount];
-  ChildStats seed_rss[kSystemCount];
-  for (std::size_t s = 0; s < kSystemCount; ++s) {
-    zc_rss[s] = spawn_child(argv[0], kSystems[s].key, /*zero_copy=*/true);
-    seed_rss[s] = spawn_child(argv[0], kSystems[s].key, /*zero_copy=*/false);
-  }
-
-  TablePrinter table({"system", "seed s", "zero-copy s", "speedup", "seed RSS",
-                      "zc RSS", "RSS over baseline", "reduction"});
-  for (std::size_t s = 0; s < kSystemCount; ++s) {
-    std::string speedup = "-";
-    if (!std::isnan(seed_wall[s]) && !std::isnan(zc_wall[s])) {
-      speedup = fmt3(seed_wall[s] / zc_wall[s]) + "x";
-    }
-    std::string over_baseline = "-";
-    std::string reduction = "-";
-    if (seed_rss[s].ok && zc_rss[s].ok && zc_rss[s].working_bytes() > 0) {
-      over_baseline = format_bytes(seed_rss[s].working_bytes()) + " vs " +
-                      format_bytes(zc_rss[s].working_bytes());
-      reduction = fmt3(static_cast<double>(seed_rss[s].working_bytes()) /
-                       static_cast<double>(zc_rss[s].working_bytes())) +
-                  "x";
-    }
-    table.add_row({kSystems[s].name,
-                   std::isnan(seed_wall[s]) ? "-" : fmt3(seed_wall[s]),
-                   std::isnan(zc_wall[s]) ? "-" : fmt3(zc_wall[s]), speedup,
-                   seed_rss[s].ok ? format_bytes(seed_rss[s].peak_bytes) : "-",
-                   zc_rss[s].ok ? format_bytes(zc_rss[s].peak_bytes) : "-",
-                   over_baseline, reduction});
-  }
-  table.print();
-  if (!std::isnan(ps_seed) && !std::isnan(ps_zc)) {
-    std::printf(
-        "partition+shuffle stage alone (sample + partition MR, both inputs, "
-        "best of %d): seed %.3fs, zero-copy %.3fs (%.3fx)\n",
-        ps_reps, ps_seed, ps_zc, ps_seed / ps_zc);
-  }
-  std::printf(
-      "(\"over baseline\" subtracts each child's RSS right after dataset\n"
-      " generation — the input both planes must hold — isolating the data\n"
-      " plane's own working set.)\n\n");
-
-  // ---- Part 3: modeled-quantity verification under virtual time. ------------
-  std::printf("verifying modeled quantities are bit-identical across planes...\n");
-  bool all_identical = true;
   workload::WorkloadConfig wc;
   wc.scale = scale;
-  {
-    const VirtualTimeGuard vt;  // scoped: restored even on early exit
-    for (const auto& def : core::full_experiments()) {
-      const auto vleft = workload::generate(def.left, wc);
-      const auto vright = workload::generate(def.right, wc);
-      core::JoinQueryConfig vquery;
-      vquery.predicate = def.predicate;
-      for (const auto& sys : kSystems) {
-        const auto seed_report = sys.run(vleft, vright, vquery, setup.exec, false);
-        const auto zc_report = sys.run(vleft, vright, vquery, setup.exec, true);
-        const std::string tag = std::string(sys.name) + "/" + def.id;
-        if (reports_identical(seed_report, zc_report, tag)) {
-          std::printf("  %-40s identical (%zu pairs, %zu phases)\n", tag.c_str(),
-                      seed_report.result_count,
-                      seed_report.metrics.phases().size());
-        } else {
-          all_identical = false;
-        }
-      }
-    }
-  }
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "zero-copy plane diverges from the seed plane on modeled "
-                 "quantities — failing the bench\n");
-    return 1;
-  }
+  core::ExecutionConfig exec;
+  exec.cluster = cluster::ClusterSpec::ec2(10);
+  exec.data_scale = 1.0 / scale;
 
-  // ---- Part 4: bucket-container micro head-to-head. -------------------------
-  const MicroResult micro = run_micro(/*jobs=*/200, /*bucket_count=*/256,
-                                      /*items=*/4000);
   std::printf(
-      "\nmap-side buckets, 200 jobs x 4000 lines x 256 buckets: "
-      "vector-of-vectors %.3fs, arena %.3fs (%.2fx), %s drained by both\n",
-      micro.seed_seconds, micro.arena_seconds,
-      micro.seed_seconds / micro.arena_seconds,
-      format_bytes(micro.drained_bytes).c_str());
-
-  // ---- Part 5: map-side shuffle filter off vs on. ---------------------------
-  std::printf("\n== Map-side shuffle filter (sFilter analog): off vs on ==\n");
+      "== Map-side shuffle filter (sFilter analog): off vs on (scale %g, %d "
+      "reps) ==\n",
+      scale, reps);
   std::vector<FilterRow> filter_rows;
   bool filter_pairs_ok = true;
   for (const auto& def : core::full_experiments()) {
@@ -622,17 +173,17 @@ int main(int argc, char** argv) {
       core::RunReport off, on;
       {
         const VirtualTimeGuard vt;
-        off = sys.run(fleft, fright, fquery, setup.exec, false);
-        on = sys.run(fleft, fright, fquery, setup.exec, true);
+        off = sys.run(fleft, fright, fquery, exec, false);
+        on = sys.run(fleft, fright, fquery, exec, true);
       }
-      row.off_ok = off.success;
-      row.on_ok = on.success;
-      if (off.success && !on.success) {
+      row.off_ok = off.status.ok();
+      row.on_ok = on.status.ok();
+      if (row.off_ok && !row.on_ok) {
         std::fprintf(stderr, "FILTER REGRESSION: %s fails with the filter on: %s\n",
-                     tag.c_str(), on.failure_reason.c_str());
+                     tag.c_str(), on.status.to_string().c_str());
         filter_pairs_ok = false;
       }
-      if (off.success && on.success &&
+      if (row.off_ok && row.on_ok &&
           (off.result_count != on.result_count ||
            off.result_hash != on.result_hash)) {
         std::fprintf(stderr,
@@ -655,7 +206,7 @@ int main(int argc, char** argv) {
       for (int r = 0; r < reps; ++r) {
         if (row.off_ok) {
           const double start = wall_now();
-          sys.run(fleft, fright, fquery, setup.exec, false);
+          sys.run(fleft, fright, fquery, exec, false);
           const double elapsed = wall_now() - start;
           if (std::isnan(row.off_wall) || elapsed < row.off_wall) {
             row.off_wall = elapsed;
@@ -663,7 +214,7 @@ int main(int argc, char** argv) {
         }
         if (row.on_ok) {
           const double start = wall_now();
-          sys.run(fleft, fright, fquery, setup.exec, true);
+          sys.run(fleft, fright, fquery, exec, true);
           const double elapsed = wall_now() - start;
           if (std::isnan(row.on_wall) || elapsed < row.on_wall) {
             row.on_wall = elapsed;
@@ -717,39 +268,6 @@ int main(int argc, char** argv) {
   json.field("bench", "shuffle");
   json.field("scale", scale);
   json.field("reps", static_cast<std::uint64_t>(reps));
-  json.field("experiment", setup.experiment_id);
-  json.field("modeled_quantities_identical", all_identical);
-  json.begin_array("systems");
-  for (std::size_t s = 0; s < kSystemCount; ++s) {
-    json.begin_element();
-    json.field("system", kSystems[s].name);
-    json.field("seed_wall_seconds", seed_wall[s]);
-    json.field("zero_copy_wall_seconds", zc_wall[s]);
-    if (!std::isnan(seed_wall[s]) && !std::isnan(zc_wall[s])) {
-      json.field("speedup", seed_wall[s] / zc_wall[s]);
-    }
-    if (seed_rss[s].ok && zc_rss[s].ok) {
-      json.field("seed_peak_rss_bytes", seed_rss[s].peak_bytes);
-      json.field("zero_copy_peak_rss_bytes", zc_rss[s].peak_bytes);
-      json.field("seed_rss_over_baseline_bytes", seed_rss[s].working_bytes());
-      json.field("zero_copy_rss_over_baseline_bytes", zc_rss[s].working_bytes());
-      if (zc_rss[s].working_bytes() > 0) {
-        json.field("rss_reduction_over_baseline",
-                   static_cast<double>(seed_rss[s].working_bytes()) /
-                       static_cast<double>(zc_rss[s].working_bytes()));
-      }
-    }
-    json.end_object();
-  }
-  json.end_array();
-  json.field("partition_shuffle_seed_seconds", ps_seed);
-  json.field("partition_shuffle_zero_copy_seconds", ps_zc);
-  if (!std::isnan(ps_seed) && !std::isnan(ps_zc)) {
-    json.field("partition_shuffle_speedup", ps_seed / ps_zc);
-  }
-  json.field("micro_seed_seconds", micro.seed_seconds);
-  json.field("micro_arena_seconds", micro.arena_seconds);
-  json.field("micro_speedup", micro.seed_seconds / micro.arena_seconds);
   json.begin_array("filter");
   for (const auto& row : filter_rows) {
     json.begin_element();

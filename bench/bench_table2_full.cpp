@@ -124,17 +124,17 @@ int main(int argc, char** argv) {
                       trace::format_skew_table(report.trace, report.counters.snapshot()).c_str());
         }
         const std::string measured =
-            report.success ? format_seconds(report.total_seconds) : "-";
+            report.status.ok() ? format_seconds(report.total_seconds) : "-";
         row.push_back(measured + " | " + paper_value(def.id, system, c.name));
         csv.add_row({def.id, core::system_kind_name(system), c.name,
-                     report.success ? format_double(report.total_seconds) : "",
-                     report.success ? "1" : "0"});
+                     report.status.ok() ? format_double(report.total_seconds) : "",
+                     report.status.ok() ? "1" : "0"});
         json.begin_element();
         json.field("experiment", def.id);
         json.field("system", core::system_kind_name(system));
         json.field("cluster", c.name);
-        json.field("success", report.success);
-        if (report.success) json.field("sim_seconds", report.total_seconds);
+        json.field("success", report.status.ok());
+        if (report.status.ok()) json.field("sim_seconds", report.total_seconds);
         json.field("real_wall_seconds", wall_seconds);
         json.field("prepared_cache_hits",
                    report.counters.get("join.prepared_cache_hits"));

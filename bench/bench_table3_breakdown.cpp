@@ -117,18 +117,19 @@ int main(int argc, char** argv) {
                       trace::format_skew_table(report.trace, report.counters.snapshot()).c_str());
         }
         const PaperRow paper = paper_row(def.id, system, c.name);
+        const bool ok = report.status.ok();
         table.add_row({def.id, c.name, core::system_kind_name(system),
-                       fmt(report.index_a_seconds, report.success) + " | " + paper.ia,
-                       fmt(report.index_b_seconds, report.success) + " | " + paper.ib,
-                       fmt(report.join_seconds, report.success) + " | " + paper.dj,
-                       fmt(report.total_seconds, report.success) + " | " + paper.tot});
+                       fmt(report.index_a_seconds, ok) + " | " + paper.ia,
+                       fmt(report.index_b_seconds, ok) + " | " + paper.ib,
+                       fmt(report.join_seconds, ok) + " | " + paper.dj,
+                       fmt(report.total_seconds, ok) + " | " + paper.tot});
         const auto num = [&](double v) {
-          return report.success && !std::isnan(v) ? format_double(v) : std::string();
+          return ok && !std::isnan(v) ? format_double(v) : std::string();
         };
         csv.add_row({def.id, c.name, core::system_kind_name(system),
                      num(report.index_a_seconds), num(report.index_b_seconds),
                      num(report.join_seconds), num(report.total_seconds),
-                     report.success ? "1" : "0"});
+                     ok ? "1" : "0"});
       }
     }
     table.add_separator();

@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
          {core::SystemKind::kSpatialHadoopSim, core::SystemKind::kSpatialSparkSim,
           core::SystemKind::kHadoopGisSim}) {
       const auto report = core::run_spatial_join(system, taxi, nycb, query, exec);
-      if (report.success) {
+      if (report.status.ok()) {
         row.push_back(format_seconds(report.total_seconds) + " s");
-      } else if (report.failure_reason.find("memory") != std::string::npos) {
+      } else if (report.status.code() == StatusCode::kOutOfMemory) {
         row.push_back("OOM");
       } else {
         row.push_back("broken pipe");

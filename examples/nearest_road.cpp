@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   exec.data_scale = 1.0 / wc.scale;
   const auto report = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, taxi,
                                              roads, query, exec);
-  if (report.success) {
+  if (report.status.ok()) {
     std::printf(
         "distributed within-100m join (SpatialSpark analog): %zu pairs —\n"
         "%.2f candidate roads per pickup vs exactly 1 from the NN join.\n",

@@ -40,13 +40,13 @@ int main(int argc, char** argv) {
        {core::SystemKind::kHadoopGisSim, core::SystemKind::kSpatialHadoopSim,
         core::SystemKind::kSpatialSparkSim}) {
     const auto report = core::run_spatial_join(system, taxi, nycb, query, exec);
-    if (report.success) {
+    if (report.status.ok()) {
       std::printf("%-18s OK   %9zu pairs   total %8s sim-seconds\n",
                   core::system_kind_name(system), report.result_count,
                   format_seconds(report.total_seconds).c_str());
     } else {
       std::printf("%-18s FAIL (%s)\n", core::system_kind_name(system),
-                  report.failure_reason.c_str());
+                  report.status.to_string().c_str());
     }
   }
   return 0;

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
 
   const auto report = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, taxi,
                                              nycb, query, exec);
-  if (!report.success) {
-    std::printf("join failed: %s\n", report.failure_reason.c_str());
+  if (!report.status.ok()) {
+    std::printf("join failed: %s\n", report.status.to_string().c_str());
     return 1;
   }
   std::printf("matched %zu pickups in %s simulated seconds (EC2-10)\n\n",

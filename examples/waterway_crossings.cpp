@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
         core::SystemKind::kSpatialSparkSim}) {
     const auto report = core::run_spatial_join(system, edges, water, query, exec);
     std::printf("%-18s %-8s %-10zu %s\n", core::system_kind_name(system),
-                report.success ? "ok" : "FAIL", report.result_count,
-                report.success ? format_seconds(report.total_seconds).c_str() : "-");
-    if (report.success) best = std::move(report);
+                report.status.ok() ? "ok" : "FAIL", report.result_count,
+                report.status.ok() ? format_seconds(report.total_seconds).c_str() : "-");
+    if (report.status.ok()) best = std::move(report);
   }
 
   if (best.pairs.empty()) {

@@ -5,9 +5,11 @@
 // algorithm (plane sweep / synchronized R-tree traversal / indexed nested
 // loop) and in the geometry engine used for refinement (Simple vs
 // Prepared). run_local_join factors the common shape: MBR-join the two
-// feature lists, group candidates by the right-side feature, bind that
-// feature once on the engine (the JTS PreparedGeometry access pattern) and
-// evaluate the exact predicate per candidate.
+// feature lists, group candidates by the right-side feature, prepare that
+// feature once and refine its whole candidate group against it. The
+// Prepared (JTS-analog) engine refines each group through a
+// geom::BatchRefiner; the Simple (GEOS-analog) engine binds the feature and
+// evaluates its from-scratch predicate per candidate.
 //
 // The hot path is the templated run_local_join overload: the MBR-join sink
 // and the accept filter inline into the kernel loops, candidate grouping is
@@ -15,11 +17,10 @@
 // sort, expanded envelopes are computed once per feature, and a caller-owned
 // LocalJoinScratch keeps entry buffers and per-task index trees warm across
 // partition pairs. When LocalJoinSpec::prepared_cache is set and the engine
-// is the Prepared (JTS-analog) one, bind() results are shared across
-// partitions through a PreparedCache — each overlap-duplicated right
-// geometry is prepared once per run instead of once per partition. The
-// Simple (GEOS-analog) engine never touches the cache: its from-scratch
-// per-call work is the model being measured.
+// is the Prepared one, batch refiners are shared across partitions through
+// a PreparedCache — each overlap-duplicated right geometry is prepared once
+// per run instead of once per partition. The Simple engine never touches
+// the cache: its from-scratch per-call work is the model being measured.
 //
 // Duplicate avoidance: partitions overlap-assign features, so the same
 // (left, right) pair can meet in several partition pairs. The caller
@@ -50,24 +51,15 @@ struct LocalJoinSpec {
   JoinPredicate predicate = JoinPredicate::kIntersects;
   double within_distance = 0.0;
 
-  /// Optional run-scoped cache of bind() results, shared across partition
+  /// Optional run-scoped cache of batch refiners, shared across partition
   /// pairs (and tasks — it is thread-safe). Consulted only when `engine` is
   /// the Prepared one; the Simple engine's per-call work is the model.
   geom::PreparedCache* prepared_cache = nullptr;
 
-  /// Refinement strategy for the Prepared engine. When true (the default)
-  /// whole candidate groups are refined through geom::BatchRefiner (packed
-  /// SoA linework, inner/outer approximations, batched point-in-polygon);
-  /// when false every pair goes through the per-pair BoundPredicate path —
-  /// kept intact as the bench_refine baseline. Answers are bit-identical
-  /// either way. The Simple engine always refines per pair: its per-call
-  /// cost is the model being measured.
-  bool batch_refine = true;
-
   /// Optional sink for refinement accounting. Per run_local_join call, adds
   /// `refine.candidates` (accept-filtered candidates refined), the
   /// `refine.exact_tests` / `refine.early_accepts` / `refine.early_rejects`
-  /// split (the three always sum to refine.candidates; the per-pair path
+  /// split (the three always sum to refine.candidates; the Simple engine
   /// counts every candidate as an exact test), and the
   /// `refine.exact_fastpath` / `refine.exact_slowpath` split of exact tests
   /// by whether the adaptive exact predicate escalated past its float
@@ -232,10 +224,6 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
 
   const geom::GeometryEngine& engine = *spec.engine;
   const bool prepared_engine = engine.kind() == geom::EngineKind::kPrepared;
-  geom::PreparedCache* cache =
-      (spec.prepared_cache != nullptr && prepared_engine) ? spec.prepared_cache
-                                                         : nullptr;
-  const bool batched = spec.batch_refine && prepared_engine;
 
   geom::RefineStats stats;
   std::uint64_t refined = 0;
@@ -248,18 +236,18 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
     const auto& right_feature = right[r];
     const geom::Envelope& right_env = right_entries[r].env;
 
-    if (batched) {
+    if (prepared_engine) {
       // Batched group refinement: one BatchRefiner per right geometry,
       // whole candidate group refined against it (point probes batched
       // through the SoA point-in-polygon pass, everything else through the
       // approximation-gated scalar predicates). Results and output order
-      // are bit-identical to the per-pair path below.
+      // are bit-identical to the Simple engine's per-pair path below.
       std::shared_ptr<const geom::BatchRefiner> shared_refiner;
       std::unique_ptr<geom::BatchRefiner> owned_refiner;
       const geom::BatchRefiner* refiner;
-      if (cache != nullptr) {
-        shared_refiner =
-            cache->acquire_refiner(right_feature.id, right_feature.geometry);
+      if (spec.prepared_cache != nullptr) {
+        shared_refiner = spec.prepared_cache->acquire_refiner(right_feature.id,
+                                                              right_feature.geometry);
         refiner = shared_refiner.get();
       } else {
         owned_refiner = std::make_unique<geom::BatchRefiner>(right_feature.geometry);
@@ -316,17 +304,10 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
       continue;
     }
 
-    std::shared_ptr<const geom::BoundPredicate> shared_bound;
-    std::unique_ptr<geom::BoundPredicate> owned_bound;
-    const geom::BoundPredicate* bound;
-    if (cache != nullptr) {
-      shared_bound = cache->acquire(engine, right_feature.id, right_feature.geometry);
-      bound = shared_bound.get();
-    } else {
-      owned_bound = engine.bind(right_feature.geometry);
-      bound = owned_bound.get();
-    }
-
+    // Simple engine: bind per right geometry, from-scratch predicate per
+    // candidate (the GEOS-analog model; never cached).
+    const std::unique_ptr<geom::BoundPredicate> bound =
+        engine.bind(right_feature.geometry);
     for (std::size_t c = begin; c < end; ++c) {
       const std::uint32_t l = grouped[c];
       // The accept filter sees the same (expanded) envelopes used for

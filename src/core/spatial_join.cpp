@@ -43,7 +43,7 @@ void annotate_recovery(RunReport& report) {
   for (const auto& p : report.metrics.phases()) task_count += p.task_count;
   report.attempts_used = report.metrics.total_task_attempts();
   report.recovered =
-      report.success &&
+      report.status.ok() &&
       (report.attempts_used > task_count ||
        report.metrics.total_speculative_clones() > 0 ||
        report.metrics.total_recomputed_partitions() > 0 ||

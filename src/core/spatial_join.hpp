@@ -4,7 +4,7 @@
 // Usage:
 //   auto report = sjc::core::run_spatial_join(
 //       sjc::core::SystemKind::kSpatialSparkSim, left, right, query, exec);
-//   if (report.success) { ... report.join_seconds ... }
+//   if (report.status.ok()) { ... report.join_seconds ... }
 //
 // The three SystemKind values correspond to the paper's three systems; each
 // executes the full three-stage pipeline (preprocess / global join / local
@@ -99,14 +99,13 @@ struct ExecutionConfig {
 };
 
 struct RunReport {
-  bool success = false;
-  std::string failure_reason;  // e.g. "broken pipe ...", "out of memory ..."
-  /// Structured failure class: Ok on success, else the Status mapped from
-  /// the SimFailure/SjcError that killed the run (status_from_exception).
-  /// Harnesses branch on status.code() instead of string-matching
-  /// failure_reason; bench binaries print status.to_string() as the
-  /// one-line diagnosis.
-  sjc::Status status;
+  /// Outcome of the run: Ok on success, else the Status mapped from the
+  /// SimFailure/SjcError that killed it (status_from_exception). Harnesses
+  /// branch on status.code(); status.message() carries the failure text
+  /// (e.g. "broken pipe ...", "out of memory ...") and bench binaries print
+  /// status.to_string() as the one-line diagnosis. A default-constructed
+  /// report has not run yet: the drivers set the status on every path.
+  sjc::Status status{StatusCode::kInternal, "not run"};
 
   /// Total task attempts launched across all phases (retries and
   /// speculative clones included); equals the task count on a clean run.

@@ -1,11 +1,10 @@
 // BatchRefiner: batched, SoA refinement engine for the local-join
 // refinement step.
 //
-// The per-pair Prepared path answers one `BoundPredicate` call per
-// candidate. BatchRefiner instead refines a whole candidate *group* (all
-// candidates of one indexed geometry, as produced by run_local_join's
-// counting-sort group-by) against acceleration structures laid out for
-// that access pattern:
+// A `BoundPredicate` answers one call per candidate. BatchRefiner instead
+// refines a whole candidate *group* (all candidates of one indexed geometry,
+// as produced by run_local_join's counting-sort group-by) against
+// acceleration structures laid out for that access pattern:
 //
 //  1. Packed linework — ring edges flattened into contiguous x[]/y[]
 //     arrays in y-bucket CSR order, so batched point-in-polygon runs a

@@ -1,5 +1,6 @@
 #include "geom/prepared_cache.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "geom/batch_refine.hpp"
@@ -31,74 +32,50 @@ void PreparedCache::touch_and_evict_locked(Entry& entry, std::uint64_t keep_id) 
   ++evictions_;
 }
 
-std::shared_ptr<const BoundPredicate> PreparedCache::acquire(
-    const GeometryEngine& engine, std::uint64_t id, const Geometry& geometry) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++lookups_;
-    const auto it = entries_.find(id);
-    // An entry populated only by acquire_refiner() carries no bound
-    // predicate; that is a miss for this slot, not a null handle.
-    if (it != entries_.end() && it->second.bound != nullptr) {
-      ++hits_;
-      it->second.last_used = ++tick_;
-      return {it->second.bound, it->second.bound->bound.get()};
-    }
-    ++misses_;
-  }
-
-  // Bind outside the lock: preparation is the expensive part and other
-  // tasks must not serialize behind it. A concurrent miss on the same id
-  // binds twice; the loser's work is discarded below.
-  auto holder = std::make_shared<BoundHolder>();
-  holder->geometry = geometry;
-  holder->bound = engine.bind(holder->geometry);
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = entries_.try_emplace(id);
-  if (!inserted && it->second.bound != nullptr) {
-    // Another thread won the race; share its handle.
-    it->second.last_used = ++tick_;
-    return {it->second.bound, it->second.bound->bound.get()};
-  }
-  // Fresh entry, or a refiner-only entry gaining its bound slot; the
-  // refiner slot (if any) is left untouched.
-  it->second.bound = std::move(holder);
-  touch_and_evict_locked(it->second, id);
-  return {it->second.bound, it->second.bound->bound.get()};
-}
-
 std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
     std::uint64_t id, const Geometry& geometry) {
+  std::shared_future<Handle> pending;
+  std::optional<std::promise<Handle>> promise;  // set on a miss only
+  std::uint64_t build = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++lookups_;
-    const auto it = entries_.find(id);
-    if (it != entries_.end() && it->second.refiner != nullptr) {
+    const auto [it, inserted] = entries_.try_emplace(id);
+    if (!inserted) {
+      // Built or in flight: either way a hit; wait outside the lock.
       ++hits_;
       it->second.last_used = ++tick_;
-      return {it->second.refiner, it->second.refiner->refiner.get()};
+      pending = it->second.refiner;
+    } else {
+      ++misses_;
+      build = ++builds_;
+      it->second.refiner = promise.emplace().get_future().share();
+      it->second.build = build;
+      touch_and_evict_locked(it->second, id);
     }
-    ++misses_;
   }
+  if (pending.valid()) return pending.get();
 
-  // Build outside the lock (same reasoning as acquire): the loser of a
-  // concurrent miss race discards its work below.
-  auto holder = std::make_shared<RefinerHolder>();
-  holder->geometry = geometry;
-  holder->refiner = std::make_unique<BatchRefiner>(holder->geometry);
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = entries_.try_emplace(id);
-  if (!inserted && it->second.refiner != nullptr) {
-    it->second.last_used = ++tick_;
-    return {it->second.refiner, it->second.refiner->refiner.get()};
+  // Build outside the lock: preparation is the expensive part and lookups
+  // of other ids must not serialize behind it.
+  try {
+    auto holder = std::make_shared<RefinerHolder>();
+    holder->geometry = geometry;
+    holder->refiner = std::make_unique<BatchRefiner>(holder->geometry);
+    Handle handle(holder, holder->refiner.get());
+    promise->set_value(handle);
+    return handle;
+  } catch (...) {
+    {
+      // Drop the failed entry (unless it was already evicted and rebuilt)
+      // so the next lookup retries instead of rethrowing forever.
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = entries_.find(id);
+      if (it != entries_.end() && it->second.build == build) entries_.erase(it);
+    }
+    promise->set_exception(std::current_exception());
+    throw;
   }
-  // Fresh entry, or an acquire()-only entry gaining its refiner slot; the
-  // bound slot (if any) is left untouched.
-  it->second.refiner = std::move(holder);
-  touch_and_evict_locked(it->second, id);
-  return {it->second.refiner, it->second.refiner->refiner.get()};
 }
 
 std::size_t PreparedCache::size() const {

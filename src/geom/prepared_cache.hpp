@@ -1,6 +1,6 @@
-// PreparedCache: a cache of bind() results (PreparedGeometry handles)
-// keyed by feature id, scoped to a run or — in serving mode — shared
-// across every query that touches the same resident dataset pair.
+// PreparedCache: a cache of BatchRefiner handles keyed by feature id, scoped
+// to a run or — in serving mode — shared across every query that touches the
+// same resident dataset pair.
 //
 // Partition-based joins (the paper's §II design choice shared by all three
 // systems) overlap-assign features, so the same right-side geometry appears
@@ -8,21 +8,20 @@
 // partition pair it meets. LocationSpark (PAPERS.md) demonstrates the win
 // from keeping query-side index/prepared structures alive across
 // partitions; PreparedCache brings that to the shared local-join kernel: a
-// thread-safe, capacity-bounded (LRU) map from feature id to a bound
-// predicate, shared by all tasks of a join wave (and, via
+// thread-safe, capacity-bounded (LRU) map from feature id to a batch
+// refiner, shared by all tasks of a join wave (and, via
 // serving::ResidentCatalog, by all queries against one resident entry).
 //
-// Each slot owns a private copy of the geometry it was bound against, so a
+// Misses are single-flight: the first lookup of an id installs a pending
+// entry and builds the refiner outside the lock; concurrent lookups of that
+// id wait for the build and count as hits. So whenever nothing is evicted,
+// misses() equals the number of distinct ids looked up, independent of
+// thread scheduling.
+//
+// Each entry owns a private copy of the geometry it was built against, so a
 // cached handle stays valid even when the source partition block (or a
 // streaming reducer's transient feature vector) is gone. Eviction never
 // invalidates handles already handed out — they share ownership.
-//
-// An entry carries two independent slots: the per-pair BoundPredicate
-// (acquire) and the batched BatchRefiner (acquire_refiner). The slots are
-// populated lazily and independently, so queries with different
-// `batch_refine` settings can share one cache: a refiner-only entry never
-// satisfies an acquire() lookup (and vice versa), and populating one slot
-// never discards the other.
 //
 // Fidelity note: the cache models reuse of *prepared* structures only. The
 // Simple (GEOS-analog) engine's from-scratch per-call evaluation is the
@@ -32,11 +31,12 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
-#include "geom/engine.hpp"
+#include "geom/geometry.hpp"
 
 namespace sjc::geom {
 
@@ -48,27 +48,19 @@ class PreparedCache {
 
   explicit PreparedCache(std::size_t capacity = kDefaultCapacity);
 
-  /// Returns the bound predicate for feature `id`, binding `geometry` on
-  /// `engine` (against an internally owned copy) on a miss. Two features
-  /// with the same id must carry equal geometry — true for the
-  /// partition-duplicated datasets this serves.
-  std::shared_ptr<const BoundPredicate> acquire(const GeometryEngine& engine,
-                                                std::uint64_t id,
-                                                const Geometry& geometry);
-
-  /// Like acquire(), but for the batched refinement engine: returns the
-  /// BatchRefiner for feature `id`, building one (against an internally
-  /// owned copy of `geometry`) on a miss. An entry whose bound-predicate
-  /// slot was populated by acquire() keeps it; the refiner slot is filled
-  /// alongside. Handles already handed out stay valid through shared
-  /// ownership.
+  /// Returns the BatchRefiner for feature `id`, building one (against an
+  /// internally owned copy of `geometry`) on a miss. Two features with the
+  /// same id must carry equal geometry — true for the partition-duplicated
+  /// datasets this serves. A lookup that finds the id's build in flight
+  /// waits for it. If a build throws, every lookup waiting on it rethrows
+  /// and the id is dropped, so the next lookup builds again.
   std::shared_ptr<const BatchRefiner> acquire_refiner(std::uint64_t id,
                                                       const Geometry& geometry);
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const;
-  /// Total acquire()/acquire_refiner() calls. Invariant (checked by
-  /// tests, including under TSan): hits() + misses() == lookups().
+  /// Total acquire_refiner() calls. Invariant (checked by tests, including
+  /// under TSan): hits() + misses() == lookups().
   std::uint64_t lookups() const;
   std::uint64_t hits() const;
   std::uint64_t misses() const;
@@ -79,18 +71,15 @@ class PreparedCache {
   void clear();
 
  private:
-  struct BoundHolder {
-    Geometry geometry;  // owned copy; `bound` references it
-    std::unique_ptr<BoundPredicate> bound;
-  };
+  using Handle = std::shared_ptr<const BatchRefiner>;
   struct RefinerHolder {
     Geometry geometry;  // owned copy; `refiner` references it
     std::unique_ptr<BatchRefiner> refiner;
     ~RefinerHolder();  // out-of-line: BatchRefiner is incomplete here
   };
   struct Entry {
-    std::shared_ptr<BoundHolder> bound;      // populated by acquire()
-    std::shared_ptr<RefinerHolder> refiner;  // populated by acquire_refiner()
+    std::shared_future<Handle> refiner;  // pending until the build finishes
+    std::uint64_t build = 0;             // identifies the build that owns it
     std::uint64_t last_used = 0;
   };
 
@@ -102,6 +91,7 @@ class PreparedCache {
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::uint64_t tick_ = 0;
+  std::uint64_t builds_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -7,26 +7,16 @@
 // context's cost model. Header-only because it is templated over the record
 // types.
 //
-// Two spec flavors share one engine (run_map_reduce / run_map_only are
-// duck-typed over the spec):
-//  * MapReduceSpec — std::function members, per-(task, bucket) std::vector
-//    shuffle buckets. This is the seed data plane, kept verbatim as the
-//    baseline bench_shuffle measures against (and for call sites that want
-//    type-erased composition).
-//  * TypedMapReduceSpec — templated on the user functor types so map/emit/
-//    key_less/pair_bytes inline into the engine loops, with map-side
-//    buckets backed by a chunked ShuffleArena instead of per-pair vector
-//    growth. Modeled bytes and phase shapes are identical by construction;
-//    only harness overhead (std::function dispatch, bucket reallocation)
-//    differs.
+// Specs are templated on the user functor types (build them with
+// make_typed_spec / make_typed_map_only_spec), so map/emit/key_less/
+// pair_bytes inline into the engine loops, and map-side buckets are backed
+// by a chunked ShuffleArena instead of per-pair vector growth.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "mapreduce/mr_context.hpp"
@@ -37,65 +27,18 @@
 
 namespace sjc::mapreduce {
 
-template <typename In, typename K, typename V, typename Out>
-struct MapReduceSpec {
-  using InType = In;
-  using KeyType = K;
-  using ValueType = V;
-  using OutType = Out;
-  /// Marks the type-erased flavor: callbacks may be unset (validated at run
-  /// time) and the engine uses the seed vector-of-vectors shuffle buckets.
-  static constexpr bool kDynamic = true;
-
-  std::string name;
-
-  /// map(record, emit): called once per input record.
-  std::function<void(const In&, const std::function<void(K, V)>&)> map;
-
-  /// reduce(key, values, out): called once per distinct key; values arrive
-  /// in map-emission order within a key (Hadoop makes no cross-mapper
-  /// ordering promise and neither do we).
-  std::function<void(const K&, std::vector<V>&, std::vector<Out>&)> reduce;
-
-  /// Optional combiner, run on each map task's output before the shuffle:
-  /// combine(key, values, combined) replaces that key's values with
-  /// `combined`. Must be associative/commutative in the usual Hadoop sense;
-  /// cuts shuffle volume (and is charged accordingly).
-  std::function<void(const K&, std::vector<V>&, std::vector<V>&)> combine;
-
-  /// Byte sizers (scaled magnitude) for cost accounting.
-  std::function<std::uint64_t(const In&)> input_bytes;
-  std::function<std::uint64_t(const K&, const V&)> pair_bytes;
-  std::function<std::uint64_t(const Out&)> output_bytes;
-
-  /// Key ordering (for sort-based grouping) and hashing (for the reduce
-  /// partitioner).
-  std::function<bool(const K&, const K&)> key_less;
-  std::function<std::size_t(const K&)> key_hash;
-
-  MrConfig config;
-};
-
-/// Sentinel combiner type for TypedMapReduceSpec: "no combiner". The no-op
-/// call operator keeps the (never-taken) combine branch compilable.
-struct NoCombine {
-  template <typename K, typename V>
-  void operator()(const K&, std::vector<V>&, std::vector<V>&) const {}
-};
-
 /// Functor-typed spec: map/reduce/sizers/key functions are concrete callable
 /// types, so they inline into the engine loops; the engine backs its map-side
 /// shuffle buckets with a ShuffleArena. Build via make_typed_spec.
 template <typename In, typename K, typename V, typename Out, typename MapFn,
           typename ReduceFn, typename InBytesFn, typename PairBytesFn,
           typename OutBytesFn, typename KeyLessFn = std::less<K>,
-          typename KeyHashFn = std::hash<K>, typename CombineFn = NoCombine>
+          typename KeyHashFn = std::hash<K>>
 struct TypedMapReduceSpec {
   using InType = In;
   using KeyType = K;
   using ValueType = V;
   using OutType = Out;
-  static constexpr bool kHasCombine = !std::is_same_v<CombineFn, NoCombine>;
 
   std::string name;
   MapFn map;
@@ -105,7 +48,6 @@ struct TypedMapReduceSpec {
   OutBytesFn output_bytes;
   KeyLessFn key_less{};
   KeyHashFn key_hash{};
-  CombineFn combine{};
   MrConfig config{};
 };
 
@@ -128,8 +70,7 @@ auto make_typed_spec(std::string name, MapFn map, ReduceFn reduce,
 }
 
 /// Runs the job over `splits` (one map task per split). Returns all reduce
-/// outputs, ordered by (reduce task, key). Duck-typed over the spec flavor;
-/// modeled costs are identical across flavors by construction.
+/// outputs, ordered by (reduce task, key).
 template <typename Spec>
 std::vector<typename Spec::OutType> run_map_reduce(
     MrContext& ctx, const Spec& spec,
@@ -138,14 +79,9 @@ std::vector<typename Spec::OutType> run_map_reduce(
   using V = typename Spec::ValueType;
   using Out = typename Spec::OutType;
   using PairT = std::pair<K, V>;
-  constexpr bool kDynamic = requires { Spec::kDynamic; };
 
   require(ctx.cluster != nullptr && ctx.dfs != nullptr && ctx.metrics != nullptr,
           "run_map_reduce: incomplete context");
-  if constexpr (kDynamic) {
-    require(static_cast<bool>(spec.map) && static_cast<bool>(spec.reduce),
-            "run_map_reduce: map and reduce must be set");
-  }
 
   const std::uint32_t reduce_tasks = spec.config.reduce_tasks != 0
                                          ? spec.config.reduce_tasks
@@ -153,9 +89,7 @@ std::vector<typename Spec::OutType> run_map_reduce(
 
   // ---- Map phase -----------------------------------------------------------
   struct MapResult {
-    // Pairs pre-bucketed by reduce task: per-bucket vectors on the dynamic
-    // (seed) plane, one chunked arena per map task on the typed plane.
-    std::vector<std::vector<PairT>> buckets;
+    // Pairs pre-bucketed by reduce task in one chunked arena per map task.
     ShuffleArena<PairT> arena;
     cluster::SimTask task;
   };
@@ -163,75 +97,18 @@ std::vector<typename Spec::OutType> run_map_reduce(
 
   ThreadPool::shared().parallel_for(splits.size(), [&](std::size_t s) {
     MapResult& result = map_results[s];
-    if constexpr (kDynamic) {
-      result.buckets.resize(reduce_tasks);
-    } else {
-      result.arena.reset(reduce_tasks);
-    }
+    result.arena.reset(reduce_tasks);
     CpuStopwatch cpu;
     std::uint64_t in_bytes = 0;
     std::uint64_t out_bytes = 0;
     const auto emit = [&](K key, V value) {
       out_bytes += spec.pair_bytes(key, value);
       const std::size_t bucket = spec.key_hash(key) % reduce_tasks;
-      if constexpr (kDynamic) {
-        result.buckets[bucket].emplace_back(std::move(key), std::move(value));
-      } else {
-        result.arena.push(bucket, PairT(std::move(key), std::move(value)));
-      }
+      result.arena.push(bucket, PairT(std::move(key), std::move(value)));
     };
     for (const auto& record : splits[s]) {
       in_bytes += spec.input_bytes(record);
       spec.map(record, emit);
-    }
-    bool do_combine = false;
-    if constexpr (kDynamic) {
-      do_combine = static_cast<bool>(spec.combine);
-    } else {
-      do_combine = Spec::kHasCombine;
-    }
-    if (do_combine) {
-      // Map-side combine: group each bucket by key, fold values, recompute
-      // the spill volume.
-      out_bytes = 0;
-      for (std::uint32_t b = 0; b < reduce_tasks; ++b) {
-        std::vector<PairT> bucket;
-        if constexpr (kDynamic) {
-          bucket = std::move(result.buckets[b]);
-        } else {
-          bucket = result.arena.take_bucket(b);
-        }
-        std::stable_sort(bucket.begin(), bucket.end(),
-                         [&](const auto& a, const auto& b2) {
-                           return spec.key_less(a.first, b2.first);
-                         });
-        std::vector<PairT> combined_bucket;
-        std::size_t i = 0;
-        while (i < bucket.size()) {
-          std::size_t j = i + 1;
-          while (j < bucket.size() && !spec.key_less(bucket[i].first, bucket[j].first) &&
-                 !spec.key_less(bucket[j].first, bucket[i].first)) {
-            ++j;
-          }
-          std::vector<V> values;
-          values.reserve(j - i);
-          for (std::size_t k = i; k < j; ++k) {
-            values.push_back(std::move(bucket[k].second));
-          }
-          std::vector<V> combined;
-          spec.combine(bucket[i].first, values, combined);
-          for (auto& v : combined) {
-            out_bytes += spec.pair_bytes(bucket[i].first, v);
-            combined_bucket.emplace_back(bucket[i].first, std::move(v));
-          }
-          i = j;
-        }
-        if constexpr (kDynamic) {
-          result.buckets[b] = std::move(combined_bucket);
-        } else {
-          result.arena.refill(b, std::move(combined_bucket));
-        }
-      }
     }
     result.task.cpu_seconds = cpu.seconds() / spec.config.cpu_efficiency;
     const auto rc = ctx.dfs->read_cost(in_bytes);
@@ -271,18 +148,10 @@ std::vector<typename Spec::OutType> run_map_reduce(
     std::vector<PairT> pairs;
     std::uint64_t shuffle_bytes = 0;
     for (auto& mr : map_results) {
-      if constexpr (kDynamic) {
-        for (auto& kv : mr.buckets[r]) {
-          shuffle_bytes += spec.pair_bytes(kv.first, kv.second);
-          pairs.push_back(std::move(kv));
-        }
-        mr.buckets[r].clear();
-      } else {
-        mr.arena.consume(r, [&](PairT& kv) {
-          shuffle_bytes += spec.pair_bytes(kv.first, kv.second);
-          pairs.push_back(std::move(kv));
-        });
-      }
+      mr.arena.consume(r, [&](PairT& kv) {
+        shuffle_bytes += spec.pair_bytes(kv.first, kv.second);
+        pairs.push_back(std::move(kv));
+      });
     }
     // Sort-based grouping (what Hadoop's merge sort does).
     std::stable_sort(pairs.begin(), pairs.end(),
@@ -348,24 +217,11 @@ std::vector<typename Spec::OutType> run_map_reduce(
   return all;
 }
 
-/// Runs a map-only job (SpatialHadoop's distributed-join pattern: the
-/// global join happens in getSplits on the master, then one map task per
-/// partition pair does the local join; no shuffle, no reduce). The caller
-/// provides the splits; per-split input bytes come from `split_bytes`.
-template <typename Split, typename Out>
-struct MapOnlySpec {
-  using SplitType = Split;
-  using OutType = Out;
-  static constexpr bool kDynamic = true;
-
-  std::string name;
-  std::function<void(const Split&, std::vector<Out>&)> map;
-  std::function<std::uint64_t(const Split&)> split_bytes;
-  std::function<std::uint64_t(const Out&)> output_bytes;
-  MrConfig config;
-};
-
-/// Functor-typed map-only spec; build via make_typed_map_only_spec.
+/// Map-only job spec (SpatialHadoop's distributed-join pattern: the global
+/// join happens in getSplits on the master, then one map task per partition
+/// pair does the local join; no shuffle, no reduce). The caller provides the
+/// splits; per-split input bytes come from `split_bytes`. Build via
+/// make_typed_map_only_spec.
 template <typename Split, typename Out, typename MapFn, typename SplitBytesFn,
           typename OutBytesFn>
 struct TypedMapOnlySpec {

@@ -71,7 +71,7 @@ class ResidentEntry {
   /// The full RunReport of the cold batch run that built this entry.
   const core::RunReport& build_report() const;
 
-  /// The entry's shared cross-query bind() cache (thread-safe). Exposed so
+  /// The entry's shared cross-query refiner cache (thread-safe). Exposed so
   /// harnesses can assert hit rates; queries use it implicitly.
   geom::PreparedCache& prepared_cache() const { return prepared_cache_; }
 

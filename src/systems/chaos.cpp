@@ -86,17 +86,13 @@ std::vector<std::string> chaos_violations(const core::RunReport& report,
   std::vector<std::string> out;
   const auto fail = [&out](std::string what) { out.push_back(std::move(what)); };
 
-  // 1. Exactly one terminal state, and it is structured.
-  if (report.success != report.status.ok()) {
-    fail("success flag disagrees with status: success=" +
-         std::to_string(report.success) + " status=" + report.status.to_string());
-  }
-  if (!report.success && report.failure_reason.empty()) {
-    fail("failed run carries no failure_reason");
+  // 1. A failed run's terminal state is structured: it says what killed it.
+  if (!report.status.ok() && report.status.message().empty()) {
+    fail("failed run carries no status message");
   }
 
   // 2. Survivors are bit-identical to the fault-free ground truth.
-  if (report.success) {
+  if (report.status.ok()) {
     if (report.result_hash != truth.result_hash) {
       fail("surviving run's pair-set hash differs from fault-free truth");
     }
@@ -119,7 +115,7 @@ std::vector<std::string> chaos_violations(const core::RunReport& report,
            std::to_string(accounted) + " accounted");
     }
     // A completed phase publishes exactly one output per task.
-    if (report.success && phase.task_count > 0 &&
+    if (report.status.ok() && phase.task_count > 0 &&
         phase.commits_published != phase.task_count) {
       fail("phase '" + phase.name + "' published " +
            std::to_string(phase.commits_published) + " outputs for " +
@@ -137,7 +133,7 @@ std::vector<std::string> chaos_violations(const core::RunReport& report,
   }
 
   // 5. A surviving run respected its retry budget.
-  if (report.success && plan.job_retry_budget > 0 &&
+  if (report.status.ok() && plan.job_retry_budget > 0 &&
       report.counters.get("budget.retries_used") > plan.job_retry_budget) {
     fail("surviving run spent " +
          std::to_string(report.counters.get("budget.retries_used")) +
@@ -148,7 +144,7 @@ std::vector<std::string> chaos_violations(const core::RunReport& report,
   //    fatal. (Systems without a raw-text ingest path inject nothing, so
   //    the injected counter gates the check.)
   const std::uint64_t injected = report.counters.get("input.malformed_rows_injected");
-  if (report.success && injected > 0 &&
+  if (report.status.ok() && injected > 0 &&
       report.counters.get("input.quarantined_rows") < injected) {
     fail("only " + std::to_string(report.counters.get("input.quarantined_rows")) +
          " of " + std::to_string(injected) + " injected junk rows were quarantined");

@@ -290,7 +290,7 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
   local_spec.engine = &geom::GeometryEngine::get(config.engine);
   local_spec.predicate = query.predicate;
   local_spec.within_distance = query.within_distance;
-  // Run-scoped bind() cache (or the caller's resident cache); inert under
+  // Run-scoped refiner cache (or the caller's resident cache); inert under
   // the default Simple (GEOS-analog) engine — run_local_join consults it
   // only for the Prepared engine, so the system's measured per-call
   // refinement cost is unchanged. A resident cache carries hit/miss history
@@ -679,7 +679,6 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
                      filt_b, filter_on, splits_a, n_a, join_quarantine,
                      /*shared_cache=*/nullptr, report);
 
-    report.success = true;
     report.status = Status::Ok();
     report.result_count = pairs.size();
     report.result_hash = core::hash_pairs_unordered(pairs);
@@ -690,8 +689,6 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // of an input lost), DeadlineExceeded / RetryBudgetExhausted (lifecycle
     // enforcement), InvalidArgument (a bad fault plan): every library error
     // becomes a structured Status — nothing escapes the driver.
-    report.success = false;
-    report.failure_reason = e.what();
     report.status = status_from_exception(e);
   }
 
@@ -735,9 +732,9 @@ HadoopGisResident hadoop_gis_build_resident(const workload::Dataset& left,
   auto impl = std::make_shared<HadoopGisResident::Impl>();
   impl->build_report =
       run_hadoop_gis_impl(left, right, query, exec, config, impl.get());
-  require(impl->build_report.success,
+  require(impl->build_report.status.ok(),
           "hadoop_gis_build_resident: build run failed: " +
-              impl->build_report.failure_reason);
+              impl->build_report.status.message());
   HadoopGisResident resident;
   resident.impl_ = std::move(impl);
   return resident;
@@ -783,14 +780,11 @@ core::RunReport run_hadoop_gis_resident(const HadoopGisResident& resident,
         impl.sfilter_a.get(), impl.sfilter_b.get(), impl.filter_on, impl.splits,
         impl.n_a, join_quarantine, shared_cache, report);
 
-    report.success = true;
     report.status = Status::Ok();
     report.result_count = pairs.size();
     report.result_hash = core::hash_pairs_unordered(pairs);
     if (exec.collect_pairs) report.pairs = std::move(pairs);
   } catch (const SjcError& e) {
-    report.success = false;
-    report.failure_reason = e.what();
     report.status = status_from_exception(e);
   }
 

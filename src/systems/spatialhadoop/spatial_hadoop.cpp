@@ -19,15 +19,12 @@ namespace {
 using core::JoinPair;
 
 /// One partition block file: the records shuffled into a partition plus the
-/// STR index packed at the head of the block. Two storage modes share the
-/// struct: the seed copying plane materializes `features`; the zero-copy
-/// plane stores `indices` into the source dataset's stable feature span
-/// (`base`). `text_bytes` — the modeled on-disk size — is identical either
-/// way.
+/// STR index packed at the head of the block. The block stores `indices`
+/// into the source dataset's stable feature span (`base`) instead of feature
+/// copies; `text_bytes` is the modeled on-disk size.
 struct PartBlock {
-  std::vector<geom::Feature> features;        // seed-copy plane
-  std::span<const geom::Feature> base;        // zero-copy plane
-  std::vector<std::uint32_t> indices;         // zero-copy plane
+  std::span<const geom::Feature> base;
+  std::vector<std::uint32_t> indices;
   std::uint64_t text_bytes = 0;
 
   core::FeatureIndexSpan view() const { return {base, indices}; }
@@ -112,21 +109,11 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   const auto sample_output_bytes = [](const geom::Envelope&) -> std::uint64_t {
     return 32;
   };
-  std::vector<geom::Envelope> sample;
-  if (config.zero_copy_plane) {
-    auto sample_spec = mapreduce::make_typed_map_only_spec<SampleSplit, geom::Envelope>(
-        tag + "/sample", sample_map, sample_split_bytes, sample_output_bytes);
-    sample_spec.config = config.mr;
-    sample = mapreduce::run_map_only(ctx, sample_spec, sample_splits);
-  } else {
-    mapreduce::MapOnlySpec<SampleSplit, geom::Envelope> sample_spec;
-    sample_spec.name = tag + "/sample";
-    sample_spec.config = config.mr;
-    sample_spec.map = sample_map;
-    sample_spec.split_bytes = sample_split_bytes;
-    sample_spec.output_bytes = sample_output_bytes;
-    sample = mapreduce::run_map_only(ctx, sample_spec, sample_splits);
-  }
+  auto sample_spec = mapreduce::make_typed_map_only_spec<SampleSplit, geom::Envelope>(
+      tag + "/sample", sample_map, sample_split_bytes, sample_output_bytes);
+  sample_spec.config = config.mr;
+  const std::vector<geom::Envelope> sample =
+      mapreduce::run_map_only(ctx, sample_spec, sample_splits);
 
   // Central scheme derivation (the SpatialHadoop master writes the _master
   // file that subsequent jobs read via HDFS).
@@ -195,14 +182,9 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
       if (block == nullptr) continue;
       src_bytes += block->text_bytes;
       out.scheme.assign_into(src.scheme.cells()[pb], cells_scratch);
-      const auto mark_env = [&](const geom::Envelope& raw) {
-        const geom::Envelope env = raw.expanded_by(expand);
+      for (const auto src_idx : block->indices) {
+        const geom::Envelope env = src_envs[src_idx].expanded_by(expand);
         for (const auto ca : cells_scratch) sfilter->mark(ca, env);
-      };
-      if (!block->indices.empty()) {
-        for (const auto src_idx : block->indices) mark_env(src_envs[src_idx]);
-      } else {
-        for (const auto& f : block->features) mark_env(f.geometry.envelope());
       }
     }
     const std::uint64_t filter_bytes = sfilter->size_bytes();
@@ -223,19 +205,13 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
 
   out.blocks.assign(out.scheme.cell_count(), nullptr);
 
-  // Shared job logic (both planes): the map assigns a record to every cell
-  // its expanded envelope touches; the reduce materializes one block per
-  // cell and packs its STR index. Only the block storage differs — the
-  // zero-copy plane keeps indices into the dataset's stable feature span
-  // instead of deep feature copies; `text_bytes` (the modeled block size)
-  // is computed from the same per-record sizes either way.
-  const bool zero_copy = config.zero_copy_plane;
+  // The map assigns a record to every cell its expanded envelope touches;
+  // the reduce materializes one block per cell (indices into the dataset's
+  // stable feature span) and packs its STR index.
   const geom::OccupancyFilter* filt = sfilter.get();
-  const auto part_map = [&data, &out, expand, &ctx, zero_copy, filt,
+  const auto part_map = [&data, &out, expand, &ctx, filt,
                          count_shuffle](const std::uint32_t& idx, const auto& emit) {
-    // Per-thread scratch keeps the zero-copy plane's assignment free of
-    // per-record allocation; the seed plane keeps the verbatim allocating
-    // path. Same ids, same order, same counters either way.
+    // Per-thread scratch keeps the assignment free of per-record allocation.
     static thread_local std::vector<std::uint32_t> pids_scratch;
     const geom::Envelope env = data.envelopes()[idx].expanded_by(expand);
     std::uint32_t dropped = 0;
@@ -243,10 +219,8 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
       // Filtered assignment: true negatives never reach the emit (never
       // buffered, never shuffled); a fully filtered record vanishes here.
       dropped = out.scheme.assign_into(env, *filt, pids_scratch);
-    } else if (zero_copy) {
-      out.scheme.assign_into(env, pids_scratch);
     } else {
-      pids_scratch = out.scheme.assign(env);
+      out.scheme.assign_into(env, pids_scratch);
     }
     const auto& pids = pids_scratch;
     for (const auto pid : pids) emit(pid, idx);
@@ -266,9 +240,9 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
       }
     }
   };
-  const auto part_reduce = [&data, &out, zero_copy](const std::uint32_t& pid,
-                                                    std::vector<std::uint32_t>& idxs,
-                                                    std::vector<std::uint32_t>& outv) {
+  const auto part_reduce = [&data, &out](const std::uint32_t& pid,
+                                         std::vector<std::uint32_t>& idxs,
+                                         std::vector<std::uint32_t>& outv) {
     auto block = std::make_shared<PartBlock>();
     // Pack an STR index into the block head (built while writing: "virtually
     // for free" in disk terms, but its CPU cost is real and measured here).
@@ -279,13 +253,8 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
       block->text_bytes += data.record_text_bytes(idxs[i]);
       entries.push_back({envs[idxs[i]], i});
     }
-    if (zero_copy) {
-      block->base = std::span<const geom::Feature>(data.features());
-      block->indices = std::move(idxs);
-    } else {
-      block->features.reserve(idxs.size());
-      for (const auto idx : idxs) block->features.push_back(data.features()[idx]);
-    }
+    block->base = std::span<const geom::Feature>(data.features());
+    block->indices = std::move(idxs);
     const index::StrTree tree(std::move(entries));
     block->text_bytes += tree.size_bytes() / 4;  // serialized index is compact
     out.blocks[pid] = block;
@@ -300,27 +269,13 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   const auto part_output_bytes = [&out](const std::uint32_t& pid) {
     return out.blocks[pid] != nullptr ? out.blocks[pid]->text_bytes : 0;
   };
-  if (zero_copy) {
-    auto part_spec = mapreduce::make_typed_spec<std::uint32_t, std::uint32_t,
-                                                std::uint32_t, std::uint32_t>(
-        tag + "/partition", part_map, part_reduce, part_input_bytes, part_pair_bytes,
-        part_output_bytes);
-    part_spec.config = config.mr;
-    mapreduce::run_map_reduce(ctx, part_spec, idx_splits);
-  } else {
-    mapreduce::MapReduceSpec<std::uint32_t, std::uint32_t, std::uint32_t, std::uint32_t>
-        part_spec;
-    part_spec.name = tag + "/partition";
-    part_spec.config = config.mr;
-    part_spec.map = part_map;
-    part_spec.reduce = part_reduce;
-    part_spec.input_bytes = part_input_bytes;
-    part_spec.pair_bytes = part_pair_bytes;
-    part_spec.output_bytes = part_output_bytes;
-    part_spec.key_less = std::less<std::uint32_t>();
-    part_spec.key_hash = std::hash<std::uint32_t>();
-    mapreduce::run_map_reduce(ctx, part_spec, idx_splits);
-  }
+  auto part_spec =
+      mapreduce::make_typed_spec<std::uint32_t, std::uint32_t, std::uint32_t,
+                                 std::uint32_t>(tag + "/partition", part_map, part_reduce,
+                                                part_input_bytes, part_pair_bytes,
+                                                part_output_bytes);
+  part_spec.config = config.mr;
+  mapreduce::run_map_reduce(ctx, part_spec, idx_splits);
 
   // Record the block files in the DFS catalog.
   for (std::uint32_t pid = 0; pid < out.blocks.size(); ++pid) {
@@ -411,14 +366,12 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   // run_local_join flushes once per call, not per pair.
   local_spec.refine_counters = ctx.counters;
 
-  const bool zero_copy = config.zero_copy_plane;
   // Query-owned scratch pool instead of a `static thread_local` scratch:
   // index trees and candidate buffers stay warm across the partition pairs
   // of this join wave but die with the query, so nothing survives onto the
   // pool threads a serving process keeps around (see core::ScratchPool).
   core::ScratchPool scratch_pool;
-  const auto join_map = [&, zero_copy](const JoinSplit& split,
-                                       std::vector<JoinPair>& out_pairs) {
+  const auto join_map = [&](const JoinSplit& split, std::vector<JoinPair>& out_pairs) {
     const PartBlock& block_a = *ia.blocks[split.pa];
     const PartBlock& block_b = *ib.blocks[split.pb];
     // Reference-point duplicate avoidance: emit only in the canonical
@@ -426,47 +379,21 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
     const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
       const geom::Coord p = core::reference_point(le, re);
       const geom::Envelope pe = geom::Envelope::of_point(p.x, p.y);
-      if (zero_copy) {
-        // min_assigned scans the grid cell directory and skips the id-list
-        // materialization; same canonical cell as the seed path below.
-        return ia.scheme.min_assigned(pe) == split.pa &&
-               ib.scheme.min_assigned(pe) == split.pb;
-      }
-      const auto cells_a = ia.scheme.assign(pe);
-      const auto cells_b = ib.scheme.assign(pe);
-      const std::uint32_t canon_a = *std::min_element(cells_a.begin(), cells_a.end());
-      const std::uint32_t canon_b = *std::min_element(cells_b.begin(), cells_b.end());
-      return canon_a == split.pa && canon_b == split.pb;
+      return ia.scheme.min_assigned(pe) == split.pa &&
+             ib.scheme.min_assigned(pe) == split.pb;
     };
     auto scratch = scratch_pool.acquire();
-    if (zero_copy) {
-      core::run_local_join(block_a.view(), block_b.view(), local_spec, accept,
-                           *scratch, out_pairs);
-    } else {
-      core::run_local_join(std::span<const geom::Feature>(block_a.features),
-                           std::span<const geom::Feature>(block_b.features),
-                           local_spec, accept, *scratch, out_pairs);
-    }
+    core::run_local_join(block_a.view(), block_b.view(), local_spec, accept, *scratch,
+                         out_pairs);
   };
   const auto join_split_bytes = [&](const JoinSplit& split) {
     return ia.blocks[split.pa]->text_bytes + ib.blocks[split.pb]->text_bytes;
   };
   const auto join_output_bytes = [](const JoinPair&) -> std::uint64_t { return 16; };
-  std::vector<JoinPair> pairs;
-  if (zero_copy) {
-    auto join_spec = mapreduce::make_typed_map_only_spec<JoinSplit, JoinPair>(
-        "join/local", join_map, join_split_bytes, join_output_bytes);
-    join_spec.config = config.mr;
-    pairs = mapreduce::run_map_only(ctx, join_spec, join_splits);
-  } else {
-    mapreduce::MapOnlySpec<JoinSplit, JoinPair> join_spec;
-    join_spec.name = "join/local";
-    join_spec.config = config.mr;
-    join_spec.map = join_map;
-    join_spec.split_bytes = join_split_bytes;
-    join_spec.output_bytes = join_output_bytes;
-    pairs = mapreduce::run_map_only(ctx, join_spec, join_splits);
-  }
+  auto join_spec = mapreduce::make_typed_map_only_spec<JoinSplit, JoinPair>(
+      "join/local", join_map, join_split_bytes, join_output_bytes);
+  join_spec.config = config.mr;
+  std::vector<JoinPair> pairs = mapreduce::run_map_only(ctx, join_spec, join_splits);
   if (ctx.counters != nullptr) {
     ctx.counters->add("join.partition_pairs", join_splits.size());
     ctx.counters->add("join.result_pairs", pairs.size());
@@ -480,7 +407,6 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
 
 void finalize_report(core::RunReport& report, std::vector<JoinPair> pairs,
                      const core::ExecutionConfig& exec) {
-  report.success = true;
   report.status = Status::Ok();
   report.result_count = pairs.size();
   report.result_hash = core::hash_pairs_unordered(pairs);
@@ -539,12 +465,10 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     if (exec.trace) ctx.trace = &collector;
 
     // ---- Preprocessing: index both inputs (IA, IB) -------------------------
-    // With the shuffle filter on, the resident (right) side is indexed first
-    // so its partition blocks can seed the occupancy bitmap that prunes the
-    // streamed (left) side's shuffle. The knob defaults to the data-plane
-    // default: on for the reworked zero-copy plane, off for the seed
-    // baseline plane.
-    const bool filter_on = config.policy.shuffle_filter.value_or(config.zero_copy_plane);
+    // With the shuffle filter on (the default), the resident (right) side is
+    // indexed first so its partition blocks can seed the occupancy bitmap
+    // that prunes the streamed (left) side's shuffle.
+    const bool filter_on = config.policy.shuffle_filter.value_or(true);
     IndexedDataset ia;
     IndexedDataset ib;
     if (filter_on) {
@@ -574,8 +498,6 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     // SpatialHadoop has no intrinsic failure modes; injected faults
     // (TaskFailed past the retry budget, BlockUnavailable, lifecycle kills)
     // and invalid fault plans land here as a structured Status.
-    report.success = false;
-    report.failure_reason = e.what();
     report.status = status_from_exception(e);
     report.total_seconds = report.metrics.total_seconds();
     core::annotate_recovery(report);
@@ -622,9 +544,9 @@ SpatialHadoopResident spatial_hadoop_build_resident(const workload::Dataset& lef
   impl->right = right;
   impl->build_report =
       run_spatial_hadoop_impl(impl->left, impl->right, query, exec, config, impl.get());
-  require(impl->build_report.success,
+  require(impl->build_report.status.ok(),
           "spatial_hadoop_build_resident: build failed: " +
-              impl->build_report.failure_reason);
+              impl->build_report.status.message());
   SpatialHadoopResident resident;
   resident.impl_ = std::move(impl);
   return resident;
@@ -665,8 +587,6 @@ core::RunReport run_spatial_hadoop_resident(const SpatialHadoopResident& residen
     report.index_a_seconds = 0.0;
     report.index_b_seconds = 0.0;
   } catch (const SjcError& e) {
-    report.success = false;
-    report.failure_reason = e.what();
     report.status = status_from_exception(e);
     report.total_seconds = report.metrics.total_seconds();
     core::annotate_recovery(report);

@@ -50,22 +50,12 @@ struct SpatialHadoopConfig {
   /// has no intrinsic failure modes, so only injected faults (crashes past
   /// max_attempts, losing every replica of a block) can make it fail.
   cluster::FaultPlan faults;
-  /// Data-plane selection. The zero-copy plane (default) stores partition
-  /// blocks as index vectors into the source dataset's feature array and
-  /// uses the typed MR specs (inlined functors + arena shuffle buckets);
-  /// every modeled quantity — shuffle bytes, block text_bytes, phase task
-  /// shapes, join cardinality — is identical to the seed copying plane,
-  /// which is kept as the bench_shuffle baseline. Zero-copy blocks borrow
-  /// the dataset's features, so the source Dataset must outlive any
-  /// SpatialHadoopIndex built from it.
-  bool zero_copy_plane = true;
   /// Adaptive-execution knobs (see plan/exec_policy.hpp):
   ///  - policy.shuffle_filter: index the resident (right) dataset first,
   ///    build a per-cell occupancy bitmap from its partition blocks, and
   ///    drop streamed (left) record copies that provably match nothing in
   ///    the target cell before they are shuffled (sFilter analog). Unset
-  ///    resolves to the data-plane default: on for the zero-copy plane, off
-  ///    for the seed baseline plane. The pre-indexed join path
+  ///    resolves to on. The pre-indexed join path
   ///    (run_spatial_hadoop_indexed) never filters — both inputs are
   ///    partitioned before the join pairing is known.
   ///  - policy.repartition: probe per-cell load after the sample job derives
@@ -81,7 +71,9 @@ core::RunReport run_spatial_hadoop(const workload::Dataset& left,
                                    const SpatialHadoopConfig& config = {});
 
 /// A persisted SpatialHadoop index: the partition scheme plus the written
-/// block files, reusable across joins. The paper notes "SpatialHadoop can
+/// block files, reusable across joins. Blocks hold indices into the indexed
+/// dataset's feature array, so the source Dataset must outlive the index.
+/// The paper notes "SpatialHadoop can
 /// run faster when re-partitioning can be skipped" — i.e. when both inputs
 /// are already indexed, the distributed join starts directly at getSplits.
 /// (HadoopGIS cannot do this: its preprocessing partition ids are invisible

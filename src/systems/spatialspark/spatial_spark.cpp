@@ -65,7 +65,50 @@ rdd::Sizer<FeatureRef> make_ref_sizer(std::uint64_t rec_overhead) {
   };
 }
 
-/// Stages 3-5 of the partitioned zero-copy join (assign -> groupByKey x2 ->
+rdd::Sizer<JoinPair> make_pair_sizer(std::uint64_t rec_overhead) {
+  return [rec_overhead](const JoinPair&) { return 16 + rec_overhead; };
+}
+
+/// Marks the run successful and records its result. Results are counted and
+/// digested distributively (SpatialSpark writes its result RDD out / counts
+/// it; it never funnels every pair through the driver) under the
+/// `aggregate_stage` name; only when the caller wants the pairs is a real
+/// collect paid.
+void record_result(rdd::SparkRuntime& rt, const core::ExecutionConfig& exec,
+                   const rdd::Rdd<JoinPair>& pairs_rdd,
+                   const std::string& aggregate_stage, core::RunReport& report) {
+  report.status = Status::Ok();
+  if (exec.collect_pairs) {
+    std::vector<JoinPair> pairs = pairs_rdd.collect();
+    report.result_count = pairs.size();
+    report.result_hash = core::hash_pairs_unordered(pairs);
+    report.pairs = std::move(pairs);
+  } else {
+    CpuStopwatch agg_cpu;
+    for (const auto& part : pairs_rdd.partitions()) {
+      report.result_count += part.size();
+      report.result_hash += core::hash_pairs_unordered(part);
+    }
+    rt.record_narrow_stage(aggregate_stage, {agg_cpu.seconds()});
+    rt.record_collect("result.aggregate", 16 * pairs_rdd.num_partitions());
+  }
+}
+
+/// Report epilogue shared by every entry point, success or failure: peak
+/// executor memory (when the runtime got constructed), the end-to-end total,
+/// the trace and the recovery summary. The paper reports only end-to-end
+/// times for SpatialSpark (stages cannot be attributed cleanly under
+/// asynchronous execution), so IA/IB/DJ stay NaN.
+void finish_report(core::RunReport& report, std::optional<rdd::SparkRuntime>& rt,
+                   const core::ExecutionConfig& exec,
+                   const trace::TraceCollector& collector) {
+  if (rt) report.peak_memory_bytes = rt->memory().peak_paper_bytes();
+  report.total_seconds = report.metrics.total_seconds();
+  if (exec.trace) report.trace = collector.merged();
+  core::annotate_recovery(report);
+}
+
+/// Stages 3-5 of the partitioned join (assign -> groupByKey x2 ->
 /// join -> local-join), shared verbatim by the cold batch path and the
 /// resident serving path: given the same inputs (feature refs, scheme,
 /// filters) both produce bit-identical pair sets and identical shuffle.* /
@@ -93,9 +136,6 @@ void run_spark_join_tail(
         }
         return bytes;
       };
-  const rdd::Sizer<JoinPair> pair_sizer = [rec_overhead](const JoinPair&) {
-    return 16 + rec_overhead;
-  };
   const double expand = local_spec.envelope_expansion();
 
   // A shared resident cache carries hit/miss history from earlier queries;
@@ -123,9 +163,9 @@ void run_spark_join_tail(
                const FeatureRef& f,
                std::vector<std::pair<std::uint32_t, FeatureRef>>& out) {
       // assign_into reuses a per-thread scratch and queries the grid cell
-      // directory — same id set as the seed plane's assign(). The scratch is
-      // cleared and refilled on every call, so nothing leaks across queries
-      // even though the pool thread outlives this one.
+      // directory. The scratch is cleared and refilled on every call, so
+      // nothing leaks across queries even though the pool thread outlives
+      // this one.
       static thread_local std::vector<std::uint32_t> pids_scratch;
       const geom::Envelope env = f.get().geometry.envelope().expanded_by(expand);
       if (filt == nullptr) {
@@ -226,8 +266,7 @@ void run_spark_join_tail(
         const std::uint32_t pid = std::get<0>(t);
         const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
           const geom::Coord p = core::reference_point(le, re);
-          // Same canonical cell as the seed plane's assign() + min_element,
-          // without materializing the id list.
+          // The canonical (lowest-id) cell, without materializing the id list.
           return scheme_bc.value().min_assigned(
                      geom::Envelope::of_point(p.x, p.y)) == pid;
         };
@@ -236,28 +275,12 @@ void run_spark_join_tail(
                              core::FeatureRefSpan(std::get<2>(t)), local_spec,
                              accept, *scratch, out);
       },
-      pair_sizer);
+      make_pair_sizer(rec_overhead));
   report.counters.add("join.prepared_cache_hits",
                       prepared_cache.hits() - cache_hits0);
   report.counters.add("join.prepared_cache_misses",
                       prepared_cache.misses() - cache_misses0);
-
-  report.success = true;
-  report.status = Status::Ok();
-  if (exec.collect_pairs) {
-    std::vector<JoinPair> pairs = pairs_rdd.collect();
-    report.result_count = pairs.size();
-    report.result_hash = core::hash_pairs_unordered(pairs);
-    report.pairs = std::move(pairs);
-  } else {
-    CpuStopwatch agg_cpu;
-    for (const auto& part : pairs_rdd.partitions()) {
-      report.result_count += part.size();
-      report.result_hash += core::hash_pairs_unordered(part);
-    }
-    rt.record_narrow_stage("local-join.aggregate", {agg_cpu.seconds()});
-    rt.record_collect("result.aggregate", 16 * pairs_rdd.num_partitions());
-  }
+  record_result(rt, exec, pairs_rdd, "local-join.aggregate", report);
 }
 
 }  // namespace
@@ -284,36 +307,41 @@ struct SpatialSparkResident::Impl {
 
 namespace {
 
-/// Zero-copy partitioned join: the same stage sequence as the seed plane
-/// (parse -> sample -> assign -> groupByKey x2 -> join -> local-join) with
-/// one difference — each input is parsed once into a run-scoped feature
-/// store and every downstream RDD ships 8-byte FeatureRef handles instead
-/// of deep Feature copies. All sizers charge the referenced record's full
-/// modeled bytes, so RDD memory registrations, shuffle charges, the OOM
-/// gate and stage names are identical to the seed plane; only the
-/// harness-side copying disappears.
-///
-/// When `capture` is non-null the preprocessing products (feature store,
-/// parsed chunks, scheme, filters) are additionally copied into it for
-/// resident reuse; the run itself is unaffected.
-void run_partitioned_join_zero_copy(
-    const workload::Dataset& left, const workload::Dataset& right,
-    const core::JoinQueryConfig& query, const core::ExecutionConfig& exec,
-    const SpatialSparkConfig& config, rdd::SparkRuntime& rt, dfs::SimDfs& dfs,
-    const core::LocalJoinSpec& local_spec, geom::PreparedCache& prepared_cache,
-    std::uint32_t parallelism, workload::RowQuarantine& quarantine,
-    core::RunReport& report, SpatialSparkResident::Impl* capture = nullptr) {
-  const std::uint64_t rec_overhead = config.record_overhead_bytes;
-  const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer(rec_overhead);
+/// What stages 1-2 hand to either physical plan. Every RDD ships 8-byte
+/// FeatureRef handles into `store`, a run-scoped feature store filled by the
+/// parse stage and kept alive (harness-side only) until the run returns —
+/// or, under capture, until the resident catalog entry is dropped. All
+/// sizers charge the referenced record's full modeled bytes, so memory
+/// registrations, shuffle charges and the OOM gate are those of shipping
+/// the records themselves. `sample` stays registered for the whole run.
+struct SparkInputs {
+  std::shared_ptr<std::vector<std::vector<Feature>>> store;
+  rdd::Rdd<FeatureRef> left;
+  rdd::Rdd<FeatureRef> right;
+  rdd::Rdd<FeatureRef> sample;
+  partition::PartitionScheme scheme;
+};
+
+/// Stages 1-2, shared by both plans: textFile(...).map(parse) for both
+/// inputs — the text scan is the run's one DFS read, and the parse really
+/// executes on the "executors" (a narrow, slot-scaled CPU stage) — then
+/// sample the right side and derive the partition scheme on the driver.
+SparkInputs read_and_partition(const workload::Dataset& left,
+                               const workload::Dataset& right,
+                               const core::JoinQueryConfig& query,
+                               const core::ExecutionConfig& exec,
+                               const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
+                               dfs::SimDfs& dfs, std::uint32_t parallelism,
+                               workload::RowQuarantine& quarantine,
+                               core::RunReport& report) {
+  const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer(config.record_overhead_bytes);
   const rdd::Sizer<std::string> line_sizer = [](const std::string& l) {
     return static_cast<std::uint64_t>(l.size()) + 48;  // JVM string header
   };
 
-  // Run-scoped feature store: one slot per line partition, filled by the
-  // parse stage and kept alive (harness-side only) until the run returns —
-  // or, under capture, until the resident catalog entry is dropped.
-  // Dropping an Rdd<FeatureRef> handle releases its *modeled* bytes on the
-  // seed schedule while the backing features stay valid for later refs.
+  // One store slot per line partition. Dropping an Rdd<FeatureRef> handle
+  // releases its *modeled* bytes while the backing features stay valid for
+  // later refs.
   auto store = std::make_shared<std::vector<std::vector<Feature>>>();
   workload::RowQuarantine* qsink = &quarantine;
   const auto read_and_parse = [&](const workload::Dataset& data,
@@ -326,6 +354,8 @@ void run_partitioned_join_zero_copy(
         line_sizer, tag + ".text");
     rt.record_input_read(tag + ".read", data.text_bytes(),
                          dfs.block_count(tag + ".raw"));
+    // A malformed line emits nothing and lands in the quarantine instead of
+    // throwing mid-stage.
     const std::size_t base = store->size();
     store->resize(base + lines.num_partitions());
     return lines.map_partitions_indexed<FeatureRef>(
@@ -350,10 +380,10 @@ void run_partitioned_join_zero_copy(
   auto left_rdd = read_and_parse(left, "A");
   auto right_rdd = read_and_parse(right, "B");
 
-  // ---- 2. Sample the right side, derive partitions, broadcast --------------
-  const double sample_rate = core::effective_sample_rate(
-      query.sample_rate, right.size(),
-      core::effective_target_partitions(query, exec.cluster));
+  const std::uint32_t target_cells =
+      core::effective_target_partitions(query, exec.cluster);
+  const double sample_rate =
+      core::effective_sample_rate(query.sample_rate, right.size(), target_cells);
   auto sample_rdd = right_rdd.sample("sample", sample_rate, query.seed);
   const std::vector<FeatureRef> sample = sample_rdd.collect();
 
@@ -363,12 +393,29 @@ void run_partitioned_join_zero_copy(
   for (const auto& r : sample) sample_envs.push_back(r.get().geometry.envelope());
   geom::Envelope joint_extent = left.extent();
   joint_extent.expand_to_include(right.extent());
-  const std::uint32_t target_cells =
-      core::effective_target_partitions(query, exec.cluster);
   partition::PartitionScheme scheme = partition::make_partitions(
       query.partitioner, sample_envs, joint_extent, target_cells);
   rt.record_narrow_stage("driver.partition", {driver_cpu.seconds()});
+  return SparkInputs{std::move(store), std::move(left_rdd), std::move(right_rdd),
+                     std::move(sample_rdd), std::move(scheme)};
+}
 
+/// The partition-based plan (the paper's SpatialSpark): optional skew-aware
+/// refinement, scheme broadcast, optional shuffle filter, then the shared
+/// assign -> groupByKey -> join -> local-join tail.
+///
+/// When `capture` is non-null the preprocessing products (feature store,
+/// parsed chunks, scheme, filters) are additionally copied into it for
+/// resident reuse; the run itself is unaffected.
+void run_partitioned_join(SparkInputs& in, const workload::Dataset& left,
+                          const workload::Dataset& right,
+                          const core::JoinQueryConfig& query,
+                          const core::ExecutionConfig& exec,
+                          const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
+                          const core::LocalJoinSpec& local_spec,
+                          geom::PreparedCache& prepared_cache, std::uint32_t parallelism,
+                          core::RunReport& report, SpatialSparkResident::Impl* capture) {
+  const std::uint64_t rec_overhead = config.record_overhead_bytes;
   const double expand = local_spec.envelope_expansion();
 
   // ---- 2a. Optional skew-aware hotspot refinement (driver-side) ------------
@@ -400,29 +447,28 @@ void run_partitioned_join_zero_copy(
           }
         }
       };
-      tally(left_rdd);
-      tally(right_rdd);
+      tally(in.left);
+      tally(in.right);
       return loads;
     };
-    plan::RefineResult refined = refiner.refine(scheme, probe);
+    plan::RefineResult refined = refiner.refine(in.scheme, probe);
     rt.record_narrow_stage("driver.skew-refine", {skew_cpu.seconds()});
     plan::record_repartition_counters(refined, report.counters);
-    scheme = std::move(refined.scheme);
+    in.scheme = std::move(refined.scheme);
   }
 
   if (capture != nullptr) {
-    capture->store = store;
-    capture->left_chunks.assign(left_rdd.partitions().begin(),
-                                left_rdd.partitions().end());
-    capture->right_chunks.assign(right_rdd.partitions().begin(),
-                                 right_rdd.partitions().end());
+    capture->store = in.store;
+    capture->left_chunks.assign(in.left.partitions().begin(), in.left.partitions().end());
+    capture->right_chunks.assign(in.right.partitions().begin(),
+                                 in.right.partitions().end());
     capture->left_count = left.size();
     capture->right_count = right.size();
-    capture->scheme.emplace(scheme);
+    capture->scheme.emplace(in.scheme);
   }
 
-  const std::uint64_t scheme_bytes = scheme.size_bytes() * 2;  // cells + index
-  rdd::Broadcast<partition::PartitionScheme> scheme_bc(rt, std::move(scheme),
+  const std::uint64_t scheme_bytes = in.scheme.size_bytes() * 2;  // cells + index
+  rdd::Broadcast<partition::PartitionScheme> scheme_bc(rt, std::move(in.scheme),
                                                        scheme_bytes, "scheme");
 
   // ---- 2b. Optional map-side shuffle filter (LocationSpark's sFilter) ------
@@ -433,8 +479,6 @@ void run_partitioned_join_zero_copy(
   // same cell with intersecting expanded envelopes, so each side's copy in a
   // cell provably without partners can be dropped. Both bitmaps are
   // broadcast next to the scheme; the assign stages consult them below.
-  // The seed copying plane is the unfiltered bench baseline and never takes
-  // this path; the broadcast join shuffles nothing to filter.
   const bool filter_on = config.policy.shuffle_filter.value_or(true);
   std::optional<rdd::Broadcast<geom::OccupancyFilter>> right_occ_bc;  // filters A
   std::optional<rdd::Broadcast<geom::OccupancyFilter>> left_occ_bc;   // filters B
@@ -453,8 +497,8 @@ void run_partitioned_join_zero_copy(
       }
       return filter;
     };
-    geom::OccupancyFilter right_occ = build_occupancy(right_rdd);
-    geom::OccupancyFilter left_occ = build_occupancy(left_rdd);
+    geom::OccupancyFilter right_occ = build_occupancy(in.right);
+    geom::OccupancyFilter left_occ = build_occupancy(in.left);
     rt.record_narrow_stage("filter.build", {filter_cpu.seconds()});
     if (capture != nullptr) {
       capture->right_occ = std::make_unique<geom::OccupancyFilter>(right_occ);
@@ -474,10 +518,64 @@ void run_partitioned_join_zero_copy(
   const geom::OccupancyFilter* right_filt =
       left_occ_bc.has_value() ? &left_occ_bc->value() : nullptr;
 
-  run_spark_join_tail(rt, exec, std::move(left_rdd), std::move(right_rdd),
-                      left.size(), right.size(), scheme_bc, left_filt, right_filt,
-                      filter_on, local_spec, prepared_cache, parallelism,
-                      rec_overhead, report);
+  run_spark_join_tail(rt, exec, std::move(in.left), std::move(in.right), left.size(),
+                      right.size(), scheme_bc, left_filt, right_filt, filter_on,
+                      local_spec, prepared_cache, parallelism, rec_overhead, report);
+}
+
+/// The broadcast-based plan (the paper's earlier design, left for
+/// future-work comparison): the entire right side plus its STR index is
+/// broadcast and the left side probes it directly — no shuffle at all, but
+/// memory cost scales with |right| x nodes. The sampled scheme is broadcast
+/// too, exactly as the shared prefix produced it.
+void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
+                        const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
+                        const core::LocalJoinSpec& local_spec, core::RunReport& report) {
+  const std::uint64_t rec_overhead = config.record_overhead_bytes;
+  const std::uint64_t scheme_bytes = in.scheme.size_bytes() * 2;  // cells + index
+  const rdd::Broadcast<partition::PartitionScheme> scheme_bc(rt, std::move(in.scheme),
+                                                             scheme_bytes, "scheme");
+
+  struct RightIndex {
+    std::vector<FeatureRef> features;
+    std::unique_ptr<index::StrTree> tree;
+  };
+  CpuStopwatch build_cpu;
+  auto right_all = in.right.collect();
+  std::vector<index::IndexEntry> entries;
+  entries.reserve(right_all.size());
+  for (std::uint32_t i = 0; i < right_all.size(); ++i) {
+    entries.push_back({right_all[i].get().geometry.envelope(), i});
+  }
+  RightIndex rindex{std::move(right_all),
+                    std::make_unique<index::StrTree>(std::move(entries))};
+  rt.record_narrow_stage("driver.build-right-index", {build_cpu.seconds()});
+  std::uint64_t rindex_bytes = rindex.tree->size_bytes();
+  for (const auto& r : rindex.features) {
+    rindex_bytes += r.get().geometry.size_bytes() + rec_overhead;
+  }
+  const rdd::Broadcast<RightIndex> right_bc(rt, std::move(rindex), rindex_bytes,
+                                            "right-index");
+
+  auto pairs_rdd = in.left.flat_map<JoinPair>(
+      "broadcast-join",
+      [&](const FeatureRef& ref, std::vector<JoinPair>& out) {
+        const Feature& f = ref.get();
+        const RightIndex& ri = right_bc.value();
+        std::vector<std::uint32_t> candidates = ri.tree->query_ids(
+            f.geometry.envelope().expanded_by(local_spec.within_distance));
+        std::sort(candidates.begin(), candidates.end());
+        for (const auto rid : candidates) {
+          const Feature& rf = ri.features[rid].get();
+          if (core::evaluate_predicate(*local_spec.engine, local_spec.predicate,
+                                       local_spec.within_distance, f.geometry,
+                                       rf.geometry)) {
+            out.push_back({f.id, rf.id});
+          }
+        }
+      },
+      make_pair_sizer(rec_overhead));
+  record_result(rt, exec, pairs_rdd, "broadcast-join.aggregate", report);
 }
 
 dfs::DfsConfig spark_dfs_config(const core::JoinQueryConfig& query,
@@ -523,25 +621,6 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
 
-  const std::uint64_t rec_overhead = config.record_overhead_bytes;
-  const rdd::Sizer<Feature> feature_sizer = [rec_overhead](const Feature& f) {
-    return static_cast<std::uint64_t>(f.geometry.size_bytes()) + rec_overhead;
-  };
-  const rdd::Sizer<std::pair<std::uint32_t, Feature>> pid_feature_sizer =
-      [rec_overhead](const std::pair<std::uint32_t, Feature>& kv) {
-        return 4 + static_cast<std::uint64_t>(kv.second.geometry.size_bytes()) +
-               rec_overhead;
-      };
-  const rdd::Sizer<std::pair<std::uint32_t, std::vector<Feature>>> grouped_sizer =
-      [rec_overhead](const std::pair<std::uint32_t, std::vector<Feature>>& kv) {
-        std::uint64_t bytes = 4 + rec_overhead;
-        for (const auto& f : kv.second) bytes += f.geometry.size_bytes() + rec_overhead;
-        return bytes;
-      };
-  const rdd::Sizer<JoinPair> pair_sizer = [rec_overhead](const JoinPair&) {
-    return 16 + rec_overhead;
-  };
-
   // One prepared-geometry cache per run, shared by all local-join tasks:
   // overlap-duplicated right-side geometries are bound once, not once per
   // partition.
@@ -550,251 +629,22 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
       make_local_spec(query, config, &prepared_cache, &report.counters);
 
   try {
+    require(capture == nullptr || !config.broadcast_join,
+            "spatial_spark_build_resident: resident mode requires the "
+            "partition-based join (not broadcast_join)");
     dfs.emplace(spark_dfs_config(query, exec));
     rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.spark);
     rt->set_counters(&report.counters);
     if (exec.trace) rt->set_trace(&collector);
 
     const std::uint32_t parallelism = rt->default_parallelism() * 2;
-
-    if (config.zero_copy_plane && !config.broadcast_join) {
-      run_partitioned_join_zero_copy(left, right, query, exec, config, *rt, *dfs,
-                                     local_spec, prepared_cache, parallelism,
-                                     quarantine, report, capture);
-      quarantine.flush_counters(report.counters);
-      report.peak_memory_bytes = rt->memory().peak_paper_bytes();
-      report.total_seconds = report.metrics.total_seconds();
-      if (exec.trace) report.trace = collector.merged();
-      core::annotate_recovery(report);
-      return report;
-    }
-    require(capture == nullptr,
-            "spatial_spark_build_resident: resident mode requires the "
-            "zero-copy partitioned join (not broadcast / seed plane)");
-
-    // ---- 1. Read both inputs from HDFS (the only DFS touch) and parse ------
-    // textFile(...).map(parseWkt): the text scan is the run's one DFS read,
-    // and the WKT parse really executes on the "executors" — a narrow,
-    // slot-scaled CPU stage, visible on the 16-slot workstation and cheap on
-    // 80 EC2 slots.
-    const rdd::Sizer<std::string> line_sizer = [](const std::string& l) {
-      return static_cast<std::uint64_t>(l.size()) + 48;  // JVM string header
-    };
-    workload::RowQuarantine* qsink = &quarantine;
-    const auto read_and_parse = [&](const workload::Dataset& data,
-                                    const std::string& tag) {
-      dfs->put(tag + ".raw", std::any(), data.text_bytes());
-      auto lines = rdd::Rdd<std::string>::create(
-          *rt,
-          chunk_lines(input_lines(data, tag, config.spark.faults, report.counters),
-                      parallelism),
-          line_sizer, tag + ".text");
-      rt->record_input_read(tag + ".read", data.text_bytes(),
-                            dfs->block_count(tag + ".raw"));
-      // flat_map rather than map: a malformed line emits nothing and lands
-      // in the quarantine instead of throwing mid-stage. Same stage name,
-      // same per-record accounting for every surviving feature.
-      return lines.flat_map<Feature>(
-          "parse",
-          [qsink](const std::string& line, std::vector<Feature>& out) {
-            std::string error;
-            if (auto f = workload::try_feature_from_tsv(line, &error)) {
-              out.push_back(std::move(*f));
-            } else {
-              qsink->divert("spark/parse", line, error);
-            }
-          },
-          feature_sizer);
-    };
-    auto left_rdd = read_and_parse(left, "A");
-    auto right_rdd = read_and_parse(right, "B");
-
-    // ---- 2. Sample the right side, derive partitions, broadcast ------------
-    const double sample_rate = core::effective_sample_rate(
-        query.sample_rate, right.size(),
-        core::effective_target_partitions(query, exec.cluster));
-    auto sample_rdd = right_rdd.sample("sample", sample_rate, query.seed);
-    const std::vector<Feature> sample = sample_rdd.collect();
-
-    CpuStopwatch driver_cpu;
-    std::vector<geom::Envelope> sample_envs;
-    sample_envs.reserve(sample.size());
-    for (const auto& f : sample) sample_envs.push_back(f.geometry.envelope());
-    geom::Envelope joint_extent = left.extent();
-    joint_extent.expand_to_include(right.extent());
-    const std::uint32_t target_cells =
-        core::effective_target_partitions(query, exec.cluster);
-    partition::PartitionScheme scheme = partition::make_partitions(
-        query.partitioner, sample_envs, joint_extent, target_cells);
-    rt->record_narrow_stage("driver.partition", {driver_cpu.seconds()});
-
-    const std::uint64_t scheme_bytes = scheme.size_bytes() * 2;  // cells + index
-    rdd::Broadcast<partition::PartitionScheme> scheme_bc(*rt, std::move(scheme),
-                                                         scheme_bytes, "scheme");
-
+    SparkInputs in = read_and_partition(left, right, query, exec, config, *rt, *dfs,
+                                        parallelism, quarantine, report);
     if (config.broadcast_join) {
-      // ---- Broadcast-based join (paper's future-work comparison) -----------
-      // The entire right side plus its STR index is broadcast; the left side
-      // probes it directly — no shuffle at all, but memory cost scales with
-      // |right| x nodes.
-      struct RightIndex {
-        std::vector<Feature> features;
-        std::unique_ptr<index::StrTree> tree;
-      };
-      CpuStopwatch build_cpu;
-      auto right_all = right_rdd.collect();
-      std::vector<index::IndexEntry> entries;
-      entries.reserve(right_all.size());
-      for (std::uint32_t i = 0; i < right_all.size(); ++i) {
-        entries.push_back({right_all[i].geometry.envelope(), i});
-      }
-      RightIndex rindex{std::move(right_all),
-                        std::make_unique<index::StrTree>(std::move(entries))};
-      rt->record_narrow_stage("driver.build-right-index", {build_cpu.seconds()});
-      std::uint64_t rindex_bytes = rindex.tree->size_bytes();
-      for (const auto& f : rindex.features) {
-        rindex_bytes += f.geometry.size_bytes() + rec_overhead;
-      }
-      rdd::Broadcast<RightIndex> right_bc(*rt, std::move(rindex), rindex_bytes,
-                                          "right-index");
-
-      auto pairs_rdd = left_rdd.flat_map<JoinPair>(
-          "broadcast-join",
-          [&](const Feature& f, std::vector<JoinPair>& out) {
-            const RightIndex& ri = right_bc.value();
-            std::vector<std::uint32_t> candidates = ri.tree->query_ids(
-                f.geometry.envelope().expanded_by(local_spec.within_distance));
-            std::sort(candidates.begin(), candidates.end());
-            for (const auto rid : candidates) {
-              const Feature& rf = ri.features[rid];
-              if (core::evaluate_predicate(*local_spec.engine, local_spec.predicate,
-                                           local_spec.within_distance, f.geometry,
-                                           rf.geometry)) {
-                out.push_back({f.id, rf.id});
-              }
-            }
-          },
-          pair_sizer);
-      report.success = true;
-      report.status = Status::Ok();
-      if (exec.collect_pairs) {
-        std::vector<JoinPair> pairs = pairs_rdd.collect();
-        report.result_count = pairs.size();
-        report.result_hash = core::hash_pairs_unordered(pairs);
-        report.pairs = std::move(pairs);
-      } else {
-        CpuStopwatch agg_cpu;
-        for (const auto& part : pairs_rdd.partitions()) {
-          report.result_count += part.size();
-          report.result_hash += core::hash_pairs_unordered(part);
-        }
-        rt->record_narrow_stage("broadcast-join.aggregate", {agg_cpu.seconds()});
-        rt->record_collect("result.aggregate", 16 * pairs_rdd.num_partitions());
-      }
-      quarantine.flush_counters(report.counters);
-      report.peak_memory_bytes = rt->memory().peak_paper_bytes();
-      report.total_seconds = report.metrics.total_seconds();
-      if (exec.trace) report.trace = collector.merged();
-      core::annotate_recovery(report);
-      return report;
-    }
-
-    // ---- 3. Assign partition ids to both sides -----------------------------
-    const double expand = local_spec.envelope_expansion();
-    const auto assign_fn = [&scheme_bc, expand](
-                               const Feature& f,
-                               std::vector<std::pair<std::uint32_t, Feature>>& out) {
-      for (const auto pid :
-           scheme_bc.value().assign(f.geometry.envelope().expanded_by(expand))) {
-        out.emplace_back(pid, f);
-      }
-    };
-    auto left_pids = left_rdd.flat_map<std::pair<std::uint32_t, Feature>>(
-        "assign", assign_fn, pid_feature_sizer);
-    auto right_pids = right_rdd.flat_map<std::pair<std::uint32_t, Feature>>(
-        "assign", assign_fn, pid_feature_sizer);
-    const auto count_records = [](const auto& rdd) {
-      std::size_t n = 0;
-      for (const auto& part : rdd.partitions()) n += part.size();
-      return n;
-    };
-    const std::size_t left_assigned = count_records(left_pids);
-    const std::size_t right_assigned = count_records(right_pids);
-    report.counters.add("assign.left_assignments", left_assigned);
-    report.counters.add("assign.right_assignments", right_assigned);
-    report.counters.add("partition.duplicated_records",
-                        left_assigned - left.size() + right_assigned - right.size());
-    // The un-cached textFile lineage is not retained once consumed.
-    left_rdd = {};
-    right_rdd = {};
-
-    // ---- 4. groupByKey both sides, join on partition id --------------------
-    // Consumed intermediates are dropped as soon as the next stage has
-    // materialized (Spark frees un-cached shuffle inputs the same way); the
-    // cached inputs stay resident for the whole run.
-    auto left_grouped = rdd::group_by_key<std::uint32_t, Feature>(
-        left_pids, parallelism, grouped_sizer);
-    left_pids = {};
-    auto right_grouped = rdd::group_by_key<std::uint32_t, Feature>(
-        right_pids, parallelism, grouped_sizer);
-    right_pids = {};
-
-    const rdd::Sizer<std::tuple<std::uint32_t, std::vector<Feature>, std::vector<Feature>>>
-        joined_sizer = [rec_overhead](const auto& t) {
-          std::uint64_t bytes = 4 + rec_overhead;
-          for (const auto& f : std::get<1>(t)) bytes += f.geometry.size_bytes() + rec_overhead;
-          for (const auto& f : std::get<2>(t)) bytes += f.geometry.size_bytes() + rec_overhead;
-          return bytes;
-        };
-    auto joined = rdd::join_by_key<std::uint32_t, std::vector<Feature>,
-                                   std::vector<Feature>>(left_grouped, right_grouped,
-                                                         parallelism, joined_sizer);
-    left_grouped = {};
-    right_grouped = {};
-
-    // ---- 5. Local join per partition pair -----------------------------------
-    // Query-owned scratch pool (see run_spark_join_tail): warm buffers
-    // within the run, nothing left behind on the pool threads afterwards.
-    core::ScratchPool scratch_pool;
-    auto pairs_rdd = joined.flat_map<JoinPair>(
-        "local-join",
-        [&](const std::tuple<std::uint32_t, std::vector<Feature>, std::vector<Feature>>& t,
-            std::vector<JoinPair>& out) {
-          const std::uint32_t pid = std::get<0>(t);
-          const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
-            const geom::Coord p = core::reference_point(le, re);
-            const auto cells =
-                scheme_bc.value().assign(geom::Envelope::of_point(p.x, p.y));
-            return *std::min_element(cells.begin(), cells.end()) == pid;
-          };
-          auto scratch = scratch_pool.acquire();
-          core::run_local_join(std::span<const Feature>(std::get<1>(t)),
-                               std::span<const Feature>(std::get<2>(t)), local_spec,
-                               accept, *scratch, out);
-        },
-        pair_sizer);
-    report.counters.add("join.prepared_cache_hits", prepared_cache.hits());
-    report.counters.add("join.prepared_cache_misses", prepared_cache.misses());
-
-    // Results are counted/digested distributively (SpatialSpark writes its
-    // result RDD out / counts it; it never funnels every pair through the
-    // driver). Only when the caller wants the pairs do we pay a real
-    // collect.
-    report.success = true;
-    report.status = Status::Ok();
-    if (exec.collect_pairs) {
-      std::vector<JoinPair> pairs = pairs_rdd.collect();
-      report.result_count = pairs.size();
-      report.result_hash = core::hash_pairs_unordered(pairs);
-      report.pairs = std::move(pairs);
+      run_broadcast_join(in, exec, config, *rt, local_spec, report);
     } else {
-      CpuStopwatch agg_cpu;
-      for (const auto& part : pairs_rdd.partitions()) {
-        report.result_count += part.size();
-        report.result_hash += core::hash_pairs_unordered(part);
-      }
-      rt->record_narrow_stage("local-join.aggregate", {agg_cpu.seconds()});
-      rt->record_collect("result.aggregate", 16 * pairs_rdd.num_partitions());
+      run_partitioned_join(in, left, right, query, exec, config, *rt, local_spec,
+                           prepared_cache, parallelism, report, capture);
     }
   } catch (const SjcError& e) {
     // SimOutOfMemory (the paper's EC2-8/EC2-6 failure) plus injected
@@ -803,18 +653,10 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
     // a lost executor's datanode took the last replica of an input block,
     // and invalid fault plans rejected at runtime construction. The
     // structured Status lets harnesses branch without string-matching.
-    report.success = false;
-    report.failure_reason = e.what();
     report.status = status_from_exception(e);
   }
   quarantine.flush_counters(report.counters);
-
-  // The paper reports only end-to-end times for SpatialSpark (stages cannot
-  // be attributed cleanly under asynchronous execution); IA/IB/DJ stay NaN.
-  if (rt) report.peak_memory_bytes = rt->memory().peak_paper_bytes();
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
+  finish_report(report, rt, exec, collector);
   return report;
 }
 
@@ -875,9 +717,9 @@ SpatialSparkResident spatial_spark_build_resident(const workload::Dataset& left,
   auto impl = std::make_shared<SpatialSparkResident::Impl>();
   impl->build_report =
       run_spatial_spark_impl(left, right, query, exec, config, impl.get());
-  require(impl->build_report.success,
+  require(impl->build_report.status.ok(),
           "spatial_spark_build_resident: build failed: " +
-              impl->build_report.failure_reason);
+              impl->build_report.status.message());
   SpatialSparkResident resident;
   resident.impl_ = std::move(impl);
   return resident;
@@ -897,7 +739,7 @@ core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
   std::optional<rdd::SparkRuntime> rt;
 
   // Per-query fallback cache when the caller shares none; the serving layer
-  // passes the catalog entry's cache so bind() results survive queries.
+  // passes the catalog entry's cache so prepared refiners survive queries.
   geom::PreparedCache fallback_cache;
   geom::PreparedCache& cache = shared_cache != nullptr ? *shared_cache : fallback_cache;
   const core::LocalJoinSpec local_spec =
@@ -951,15 +793,9 @@ core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
                         right_filt, impl.filter_on, local_spec, cache, parallelism,
                         rec_overhead, report);
   } catch (const SjcError& e) {
-    report.success = false;
-    report.failure_reason = e.what();
     report.status = status_from_exception(e);
   }
-
-  if (rt) report.peak_memory_bytes = rt->memory().peak_paper_bytes();
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
+  finish_report(report, rt, exec, collector);
   return report;
 }
 

@@ -98,7 +98,7 @@ TEST(ChaosSweep, RandomizedFaultPlansUpholdLifecycleContract) {
   Rng rng(env_u64("SJC_CHAOS_SEED", 20260808));
 
   for (const auto& e : b.experiments) {
-    ASSERT_TRUE(e.truth.success) << e.truth.failure_reason;
+    ASSERT_TRUE(e.truth.status.ok()) << e.truth.status.to_string();
   }
 
   std::uint64_t runs = 0;
@@ -132,7 +132,7 @@ TEST(ChaosSweep, RandomizedFaultPlansUpholdLifecycleContract) {
           }
         }
         ++runs;
-        report.success ? ++survived : ++failed_clean;
+        report.status.ok() ? ++survived : ++failed_clean;
       }
     }
   }
@@ -195,7 +195,7 @@ TEST(ChaosSweep, RepartitionedRunsUpholdLifecycleContract) {
                           << cluster::describe(plan);
           }
         }
-        if (report.success && report.counters.get("repartition.rounds") > 0) {
+        if (report.status.ok() && report.counters.get("repartition.rounds") > 0) {
           ++repartitioned_survivors;
         }
       }
@@ -221,14 +221,12 @@ TEST(ChaosSweep, TrivialPlanMatchesDirectRunOnAllSystems) {
       const auto report = systems::run_under_plan(system, e.left, e.right,
                                                   e.query, b.exec,
                                                   cluster::FaultPlan{});
-      EXPECT_EQ(direct.success, report.success) << e.id;
-      EXPECT_EQ(report.success, report.status.ok()) << report.status.to_string();
-      if (report.success) {
+      EXPECT_EQ(direct.status.code(), report.status.code()) << e.id;
+      if (report.status.ok()) {
         EXPECT_EQ(e.truth.result_hash, report.result_hash) << e.id;
         EXPECT_EQ(e.truth.result_count, report.result_count) << e.id;
       } else {
-        EXPECT_EQ(direct.failure_reason, report.failure_reason) << e.id;
-        EXPECT_FALSE(report.status.to_string().empty());
+        EXPECT_EQ(direct.status.message(), report.status.message()) << e.id;
       }
     }
   }

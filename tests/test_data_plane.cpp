@@ -1,8 +1,7 @@
-// Zero-copy data plane tests: the grid cell directory must agree with the
-// STR tree, the duplicated-records counter must report the exact
-// multi-assignment overhead on a pinned grid, repeated runs must be
-// bit-identical with the thread pool active, and the zero-copy plane must
-// charge exactly the same modeled quantities as the seed copying plane.
+// Data plane tests: the grid cell directory must agree with the STR tree,
+// the duplicated-records counter must report the exact multi-assignment
+// overhead on a pinned grid, and repeated (and traced) runs must be
+// bit-identical with the thread pool active.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,8 +35,8 @@ bool double_identical(double a, double b) {
 /// Requires two reports to agree on every modeled quantity, bit for bit.
 void expect_reports_identical(const core::RunReport& a, const core::RunReport& b,
                               const std::string& tag) {
-  EXPECT_EQ(a.success, b.success) << tag;
-  EXPECT_EQ(a.failure_reason, b.failure_reason) << tag;
+  EXPECT_EQ(a.status.code(), b.status.code()) << tag;
+  EXPECT_EQ(a.status.message(), b.status.message()) << tag;
   EXPECT_EQ(a.result_count, b.result_count) << tag;
   EXPECT_EQ(a.result_hash, b.result_hash) << tag;
   EXPECT_TRUE(double_identical(a.index_a_seconds, b.index_a_seconds)) << tag;
@@ -184,12 +183,12 @@ TEST(DataPlane, DuplicatedRecordsCounterOnPinnedGrid) {
   // shuffle filter is forced off; the companion run below checks the
   // filter-on counter only shrinks and the shuffle invariant holds.
   const auto check = [&](const core::RunReport& report, const char* tag) {
-    ASSERT_TRUE(report.success) << tag << ": " << report.failure_reason;
+    ASSERT_TRUE(report.status.ok()) << tag << ": " << report.status.to_string();
     EXPECT_EQ(report.counters.get("partition.duplicated_records"), expected_dups)
         << tag;
   };
   const auto check_filtered = [&](const core::RunReport& report, const char* tag) {
-    ASSERT_TRUE(report.success) << tag << ": " << report.failure_reason;
+    ASSERT_TRUE(report.status.ok()) << tag << ": " << report.status.to_string();
     EXPECT_LE(report.counters.get("partition.duplicated_records"), expected_dups)
         << tag;
     EXPECT_EQ(report.counters.get("shuffle.assigned_records"),
@@ -226,7 +225,7 @@ TEST(DataPlane, DuplicatedRecordsCounterOnPinnedGrid) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism and plane invariance under virtual time
+// Determinism under virtual time
 // ---------------------------------------------------------------------------
 
 struct PlaneBench {
@@ -256,8 +255,8 @@ struct PlaneBench {
 TEST(DataPlane, RepeatedRunsBitIdenticalUnderVirtualTime) {
   // With measured CPU pinned to zero, two runs of the same Table-2 config —
   // thread pool active, arena shuffle buckets, prepared-geometry cache —
-  // must produce byte-identical reports: no scheduling-dependent modeled
-  // quantity may exist in the zero-copy plane.
+  // must produce byte-identical reports, counters included: no
+  // scheduling-dependent modeled quantity may exist in the data plane.
   const VirtualTimeGuard vt;
   const PlaneBench b = PlaneBench::make();
   for (const auto kind :
@@ -265,7 +264,7 @@ TEST(DataPlane, RepeatedRunsBitIdenticalUnderVirtualTime) {
         core::SystemKind::kSpatialSparkSim}) {
     const auto first = core::run_spatial_join(kind, b.left, b.right, b.query, b.exec);
     const auto second = core::run_spatial_join(kind, b.left, b.right, b.query, b.exec);
-    ASSERT_TRUE(first.success) << first.failure_reason;
+    ASSERT_TRUE(first.status.ok()) << first.status.to_string();
     expect_reports_identical(first, second,
                              std::string("repeat/") + core::system_kind_name(kind));
   }
@@ -294,7 +293,7 @@ TEST(DataPlane, VirtualTimeStateDoesNotLeakBetweenRuns) {
                                     b.right, b.query, b.exec);
     virt_b = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, b.left,
                                     b.right, b.query, b.exec);
-    ASSERT_TRUE(virt_a.success) << virt_a.failure_reason;
+    ASSERT_TRUE(virt_a.status.ok()) << virt_a.status.to_string();
     expect_reports_identical(virt_a, virt_b, "virtual-time back-to-back");
   }
   ASSERT_FALSE(virtual_time_enabled());
@@ -304,7 +303,7 @@ TEST(DataPlane, VirtualTimeStateDoesNotLeakBetweenRuns) {
   // schedule-independent quantity still matches the virtual-time runs.
   const auto real = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, b.left,
                                            b.right, b.query, b.exec);
-  ASSERT_TRUE(real.success) << real.failure_reason;
+  ASSERT_TRUE(real.status.ok()) << real.status.to_string();
   EXPECT_EQ(real.result_count, virt_a.result_count);
   EXPECT_EQ(real.result_hash, virt_a.result_hash);
   EXPECT_EQ(real.counters.snapshot(), virt_a.counters.snapshot());
@@ -378,39 +377,6 @@ TEST(DataPlane, TracedRunReportsBitIdenticalToUntraced) {
       EXPECT_TRUE(untraced.trace.empty()) << tag;
       expect_timeline_sane(traced, tag);
     }
-  }
-}
-
-TEST(DataPlane, ZeroCopyPlaneChargesIdenticalModeledQuantities) {
-  // The accounting-invariance contract: flipping zero_copy_plane changes
-  // how the harness holds records, never what the simulator charges.
-  const VirtualTimeGuard vt;
-  const PlaneBench b = PlaneBench::make();
-  {
-    systems::SpatialHadoopConfig seed_cfg;
-    seed_cfg.zero_copy_plane = false;
-    seed_cfg.policy.shuffle_filter = false;  // isolate the plane; filter has its own tests
-    systems::SpatialHadoopConfig zc_cfg;
-    zc_cfg.zero_copy_plane = true;
-    zc_cfg.policy.shuffle_filter = false;
-    const auto seed =
-        systems::run_spatial_hadoop(b.left, b.right, b.query, b.exec, seed_cfg);
-    const auto zc = systems::run_spatial_hadoop(b.left, b.right, b.query, b.exec, zc_cfg);
-    ASSERT_TRUE(seed.success) << seed.failure_reason;
-    expect_reports_identical(seed, zc, "spatialhadoop seed-vs-zero-copy");
-  }
-  {
-    systems::SpatialSparkConfig seed_cfg;
-    seed_cfg.zero_copy_plane = false;
-    seed_cfg.policy.shuffle_filter = false;  // isolate the plane; filter has its own tests
-    systems::SpatialSparkConfig zc_cfg;
-    zc_cfg.zero_copy_plane = true;
-    zc_cfg.policy.shuffle_filter = false;
-    const auto seed =
-        systems::run_spatial_spark(b.left, b.right, b.query, b.exec, seed_cfg);
-    const auto zc = systems::run_spatial_spark(b.left, b.right, b.query, b.exec, zc_cfg);
-    ASSERT_TRUE(seed.success) << seed.failure_reason;
-    expect_reports_identical(seed, zc, "spatialspark seed-vs-zero-copy");
   }
 }
 

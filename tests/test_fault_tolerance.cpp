@@ -449,7 +449,7 @@ TEST(SystemRecovery, HadoopGisRetriesRecoverPipeOverflow) {
   systems::HadoopGisConfig probe;
   probe.pipe_capacity_fraction = 0.0;
   const auto clean = systems::run_hadoop_gis(b.points, b.polys, b.query, b.exec, probe);
-  ASSERT_TRUE(clean.success) << clean.failure_reason;
+  ASSERT_TRUE(clean.status.ok()) << clean.status.to_string();
   const std::uint64_t peak = clean.metrics.max_task_pipe_bytes();
   ASSERT_GT(peak, 0u);
 
@@ -462,12 +462,11 @@ TEST(SystemRecovery, HadoopGisRetriesRecoverPipeOverflow) {
 
   faulty.faults.max_attempts = 1;
   const auto dead = systems::run_hadoop_gis(b.points, b.polys, b.query, b.exec, faulty);
-  EXPECT_FALSE(dead.success);
-  EXPECT_NE(std::string::npos, dead.failure_reason.find("pipe")) << dead.failure_reason;
+  EXPECT_EQ(StatusCode::kBrokenPipe, dead.status.code()) << dead.status.to_string();
 
   faulty.faults.max_attempts = 4;
   const auto retried = systems::run_hadoop_gis(b.points, b.polys, b.query, b.exec, faulty);
-  ASSERT_TRUE(retried.success) << retried.failure_reason;
+  ASSERT_TRUE(retried.status.ok()) << retried.status.to_string();
   EXPECT_TRUE(retried.recovered);
   EXPECT_GT(retried.attempts_used, clean.attempts_used);
   EXPECT_GT(retried.metrics.total_wasted_seconds(), 0.0);
@@ -481,7 +480,7 @@ TEST(SystemRecovery, SpatialHadoopSurvivesInjectedCrashesDeterministically) {
 
   const auto clean =
       systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec);
-  ASSERT_TRUE(clean.success) << clean.failure_reason;
+  ASSERT_TRUE(clean.status.ok()) << clean.status.to_string();
   EXPECT_FALSE(clean.recovered);
 
   systems::SpatialHadoopConfig faulty;
@@ -489,7 +488,7 @@ TEST(SystemRecovery, SpatialHadoopSurvivesInjectedCrashesDeterministically) {
   faulty.faults.task_crash_probability = 0.2;
   faulty.faults.max_attempts = 8;
   const auto a = systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
-  ASSERT_TRUE(a.success) << a.failure_reason;
+  ASSERT_TRUE(a.status.ok()) << a.status.to_string();
   EXPECT_TRUE(a.recovered);
   EXPECT_GT(a.attempts_used, clean.attempts_used);
   EXPECT_EQ(clean.result_hash, a.result_hash);
@@ -498,7 +497,7 @@ TEST(SystemRecovery, SpatialHadoopSurvivesInjectedCrashesDeterministically) {
   // fault decisions.
   const auto rerun =
       systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
-  ASSERT_TRUE(rerun.success) << rerun.failure_reason;
+  ASSERT_TRUE(rerun.status.ok()) << rerun.status.to_string();
   EXPECT_EQ(a.attempts_used, rerun.attempts_used);
   ASSERT_EQ(a.metrics.phases().size(), rerun.metrics.phases().size());
   for (std::size_t i = 0; i < a.metrics.phases().size(); ++i) {
@@ -515,9 +514,8 @@ TEST(SystemRecovery, SpatialHadoopCrashWithoutRetryBudgetIsFatal) {
   faulty.faults.max_attempts = 1;
   const auto report =
       systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
-  EXPECT_FALSE(report.success);
-  EXPECT_NE(std::string::npos, report.failure_reason.find("crashed"))
-      << report.failure_reason;
+  EXPECT_EQ(StatusCode::kTaskFailed, report.status.code())
+      << report.status.to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -695,11 +693,8 @@ TEST(SystemRecovery, PhaseTimeoutKillsJobWithStructuredStatus) {
   faulty.faults.phase_timeout_s = 1e-6;  // no phase can fit
   const auto report =
       systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
-  EXPECT_FALSE(report.success);
   EXPECT_EQ(StatusCode::kDeadlineExceeded, report.status.code())
       << report.status.to_string();
-  EXPECT_NE(std::string::npos, report.failure_reason.find("deadline"))
-      << report.failure_reason;
   EXPECT_GT(report.counters.get("budget.phase_timeouts"), 0u);
   // The killed phase charged exactly the timeout, not its full makespan.
   ASSERT_FALSE(report.metrics.phases().empty());
@@ -718,7 +713,7 @@ TEST(SystemRecovery, RetryBudgetExhaustionIsStructured) {
   // retries the run actually needed.
   const auto unlimited =
       systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
-  ASSERT_TRUE(unlimited.success) << unlimited.failure_reason;
+  ASSERT_TRUE(unlimited.status.ok()) << unlimited.status.to_string();
   const std::uint64_t needed = unlimited.counters.get("budget.retries_used");
   ASSERT_GT(needed, 1u);
 
@@ -726,7 +721,7 @@ TEST(SystemRecovery, RetryBudgetExhaustionIsStructured) {
   faulty.faults.job_retry_budget = needed - 1;
   const auto exhausted =
       systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
-  EXPECT_FALSE(exhausted.success);
+  EXPECT_FALSE(exhausted.status.ok());
   EXPECT_EQ(StatusCode::kRetryBudgetExhausted, exhausted.status.code())
       << exhausted.status.to_string();
 
@@ -734,20 +729,20 @@ TEST(SystemRecovery, RetryBudgetExhaustionIsStructured) {
   faulty.faults.job_retry_budget = needed;
   const auto tight =
       systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
-  ASSERT_TRUE(tight.success) << tight.failure_reason;
+  ASSERT_TRUE(tight.status.ok()) << tight.status.to_string();
   EXPECT_EQ(unlimited.result_hash, tight.result_hash);
 }
 
 TEST(SystemRecovery, MalformedRowsAreQuarantinedNotFatal) {
   const auto& b = FaultBench::instance();
   const auto clean = systems::run_hadoop_gis(b.points, b.polys, b.query, b.exec);
-  ASSERT_TRUE(clean.success) << clean.failure_reason;
+  ASSERT_TRUE(clean.status.ok()) << clean.status.to_string();
 
   systems::HadoopGisConfig faulty;
   faulty.faults.malformed_rows = 3;
   const auto gis =
       systems::run_hadoop_gis(b.points, b.polys, b.query, b.exec, faulty);
-  ASSERT_TRUE(gis.success) << gis.failure_reason;
+  ASSERT_TRUE(gis.status.ok()) << gis.status.to_string();
   EXPECT_GT(gis.counters.get("input.malformed_rows_injected"), 0u);
   EXPECT_GE(gis.counters.get("input.quarantined_rows"),
             gis.counters.get("input.malformed_rows_injected"));
@@ -759,7 +754,7 @@ TEST(SystemRecovery, MalformedRowsAreQuarantinedNotFatal) {
   spark_faulty.spark.faults.malformed_rows = 3;
   const auto spark = systems::run_spatial_spark(b.points, b.polys, b.query,
                                                 b.exec, spark_faulty);
-  ASSERT_TRUE(spark.success) << spark.failure_reason;
+  ASSERT_TRUE(spark.status.ok()) << spark.status.to_string();
   EXPECT_EQ(spark.counters.get("input.malformed_rows_injected"),
             spark.counters.get("input.quarantined_rows"));
   EXPECT_EQ(clean.result_hash, spark.result_hash);
@@ -785,12 +780,12 @@ TEST(SystemRecovery, SparkExecutorLossTriggersLineageRecompute) {
   exec.cluster = cluster::ClusterSpec::ec2(6);
 
   const auto clean = systems::run_spatial_spark(b.points, b.polys, b.query, exec);
-  ASSERT_TRUE(clean.success) << clean.failure_reason;
+  ASSERT_TRUE(clean.status.ok()) << clean.status.to_string();
 
   systems::SpatialSparkConfig faulty;
   faulty.spark.faults.datanode_losses = {{1.0, 2}};
   const auto lost = systems::run_spatial_spark(b.points, b.polys, b.query, exec, faulty);
-  ASSERT_TRUE(lost.success) << lost.failure_reason;
+  ASSERT_TRUE(lost.status.ok()) << lost.status.to_string();
   EXPECT_TRUE(lost.recovered);
   EXPECT_GT(lost.metrics.total_recomputed_partitions(), 0u);
   EXPECT_EQ(clean.result_hash, lost.result_hash);

@@ -1,17 +1,17 @@
-// Tests for the spatial index structures (STR tree, dynamic R-tree, grid,
-// quadtree): unit cases plus a shared property harness checking every index
-// against brute force on randomized workloads.
+// Tests for the spatial index structures (STR tree, dynamic R-tree): unit
+// cases plus a shared property harness checking every index against brute
+// force on randomized workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 
-#include "index/grid_index.hpp"
-#include "util/status.hpp"
-#include "index/quadtree.hpp"
 #include "index/rtree_dynamic.hpp"
 #include "index/str_tree.hpp"
 #include "util/rng.hpp"
+#include "util/status.hpp"
 
 namespace sjc::index {
 namespace {
@@ -120,63 +120,6 @@ TEST(DynamicRTree, RejectsTinyNodeCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// Grid index unit tests
-// ---------------------------------------------------------------------------
-
-TEST(GridIndex, DeduplicatesSpanningEntries) {
-  // One big envelope covering many cells must be reported once.
-  std::vector<IndexEntry> entries = {{geom::Envelope(0, 0, 99, 99), 0}};
-  for (std::uint32_t i = 1; i < 50; ++i) {
-    entries.push_back({geom::Envelope(i, i, i + 0.5, i + 0.5), i});
-  }
-  const GridIndex grid(entries, 8, 8);
-  int count = 0;
-  grid.query(geom::Envelope(0, 0, 99, 99), [&](std::uint32_t) { ++count; });
-  EXPECT_EQ(count, 50);
-}
-
-TEST(GridIndex, TargetOccupancyPicksReasonableGrid) {
-  Rng rng(4);
-  const GridIndex grid =
-      GridIndex::with_target_occupancy(random_entries(rng, 640, 100, 1), 10.0);
-  EXPECT_GE(grid.cols() * grid.rows(), 32u);
-}
-
-TEST(GridIndex, RejectsZeroDimensions) {
-  EXPECT_THROW(GridIndex({}, 0, 4), InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Quadtree unit tests
-// ---------------------------------------------------------------------------
-
-TEST(Quadtree, EmptyTree) {
-  const Quadtree tree({}, geom::Envelope(0, 0, 1, 1));
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.query_ids(geom::Envelope(0, 0, 1, 1)).empty());
-}
-
-TEST(Quadtree, SubdividesUnderLoad) {
-  Rng rng(5);
-  const Quadtree tree(random_entries(rng, 2000, 100, 0.5), geom::Envelope(0, 0, 100, 100),
-                      8);
-  EXPECT_GT(tree.node_count(), 5u);
-  EXPECT_EQ(tree.size(), 2000u);
-}
-
-TEST(Quadtree, StraddlingEntriesPinnedNotLost) {
-  std::vector<IndexEntry> entries;
-  // Entry crossing the root center line can never sink into a child.
-  entries.push_back({geom::Envelope(49, 49, 51, 51), 0});
-  for (std::uint32_t i = 1; i < 100; ++i) {
-    entries.push_back({geom::Envelope(i * 0.5, 1, i * 0.5 + 0.2, 1.2), i});
-  }
-  const Quadtree tree(entries, geom::Envelope(0, 0, 100, 100), 4);
-  const auto hits = tree.query_ids(geom::Envelope(50, 50, 50.5, 50.5));
-  EXPECT_EQ(hits, std::vector<std::uint32_t>{0});
-}
-
-// ---------------------------------------------------------------------------
 // Property: every index answers exactly like brute force.
 // ---------------------------------------------------------------------------
 
@@ -245,20 +188,6 @@ INSTANTIATE_TEST_SUITE_P(
                     auto tree = std::make_unique<DynamicRTree>(8);
                     for (const auto& entry : e) tree->insert(entry.env, entry.id);
                     return tree;
-                  }},
-        IndexCase{"grid",
-                  [](std::vector<IndexEntry> e) -> std::unique_ptr<SpatialIndex> {
-                    return std::make_unique<GridIndex>(std::move(e), 16, 16);
-                  }},
-        IndexCase{"grid_occupancy",
-                  [](std::vector<IndexEntry> e) -> std::unique_ptr<SpatialIndex> {
-                    return std::make_unique<GridIndex>(
-                        GridIndex::with_target_occupancy(std::move(e)));
-                  }},
-        IndexCase{"quadtree",
-                  [](std::vector<IndexEntry> e) -> std::unique_ptr<SpatialIndex> {
-                    return std::make_unique<Quadtree>(std::move(e),
-                                                      geom::Envelope(0, 0, 100, 100));
                   }}),
     [](const auto& info) { return std::string(info.param.name); });
 

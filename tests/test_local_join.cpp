@@ -186,9 +186,10 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
   }
 }
 
-// Batched vs per-pair refinement: spec.batch_refine must not change a
-// single emitted pair — not even their order — across predicates and cache
-// configurations, and the refine.* counters must account every candidate.
+// Batched vs per-pair refinement: the Prepared engine's batched path must
+// emit exactly the pairs of the Simple engine's per-pair path — not even
+// their order may differ — across predicates and cache configurations, and
+// the refine.* counters must account every candidate.
 TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
   for (const std::uint64_t seed : {5u, 17u}) {
     Rng rng(seed);
@@ -216,12 +217,13 @@ TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
       for (const bool use_cache : {false, true}) {
         geom::PreparedCache cache;
         LocalJoinScratch scratch;
-        const auto run = [&](bool batch) {
+        const auto run = [&](geom::EngineKind engine) {
           cluster::Counters counters;
           LocalJoinSpec spec;
+          spec.engine = &geom::GeometryEngine::get(engine);
           spec.predicate = predicate;
           spec.within_distance = predicate == JoinPredicate::kWithinDistance ? 1.5 : 0.0;
-          spec.batch_refine = batch;
+          // Consulted by the Prepared engine only.
           spec.prepared_cache = use_cache ? &cache : nullptr;
           spec.refine_counters = &counters;
           std::vector<JoinPair> out;
@@ -230,8 +232,8 @@ TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
                          scratch, out);
           return std::pair(std::move(out), counters.snapshot());
         };
-        const auto [pairs_off, counters_off] = run(false);
-        const auto [pairs_on, counters_on] = run(true);
+        const auto [pairs_off, counters_off] = run(geom::EngineKind::kSimple);
+        const auto [pairs_on, counters_on] = run(geom::EngineKind::kPrepared);
         // Bit-identical including emission order.
         EXPECT_EQ(pairs_on, pairs_off)
             << "seed " << seed << " predicate " << static_cast<int>(predicate);
@@ -244,16 +246,16 @@ TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
         const std::uint64_t cand = get(counters_off, "refine.candidates");
         EXPECT_EQ(get(counters_on, "refine.candidates"), cand);
         EXPECT_GT(cand, 0u);
-        // Per-pair mode: every candidate is an exact test.
+        // Per-pair (Simple) path: every candidate is an exact test.
         EXPECT_EQ(get(counters_off, "refine.exact_tests"), cand);
         EXPECT_EQ(get(counters_off, "refine.early_accepts"), 0u);
         EXPECT_EQ(get(counters_off, "refine.early_rejects"), 0u);
-        // Batched mode: the three buckets partition the candidates.
+        // Batched (Prepared) path: the three buckets partition the candidates.
         EXPECT_EQ(get(counters_on, "refine.exact_tests") +
                       get(counters_on, "refine.early_accepts") +
                       get(counters_on, "refine.early_rejects"),
                   cand);
-        // Both modes: every exact test is classified fastpath or slowpath
+        // Both paths: every exact test is classified fastpath or slowpath
         // by the adaptive exact predicate.
         EXPECT_EQ(get(counters_off, "refine.exact_fastpath") +
                       get(counters_off, "refine.exact_slowpath"),

@@ -409,11 +409,11 @@ void expect_repartition_neutral(const core::RunReport& off,
                                 const core::RunReport& on,
                                 const std::string& tag) {
   EXPECT_EQ(off.counters.get("repartition.rounds"), 0u) << tag;
-  ASSERT_EQ(off.success, on.success) << tag << ": " << on.failure_reason;
+  ASSERT_EQ(off.status.ok(), on.status.ok()) << tag << ": " << on.status.to_string();
   // A run that dies before the refinement step (HadoopGIS overflows its
   // streaming pipes on the line-join ingest regardless of the scheme) has
   // nothing to report; the neutrality claim below still binds.
-  if (!off.success) return;
+  if (!off.status.ok()) return;
   EXPECT_GE(on.counters.get("repartition.rounds"), 1u) << tag;
   EXPECT_GE(on.counters.get("repartition.cells"), 1u) << tag;
 
@@ -506,7 +506,7 @@ TEST(RepartitionSystems, SkewedGridActuallySplits) {
   cfg.policy.skew = eager_policy();
   const auto report =
       systems::run_spatial_spark(bench.left, bench.right, bench.query, bench.exec, cfg);
-  ASSERT_TRUE(report.success) << report.failure_reason;
+  ASSERT_TRUE(report.status.ok()) << report.status.to_string();
   EXPECT_GE(report.counters.get("repartition.rounds"), 1u);
   EXPECT_GT(report.counters.get("repartition.splits"), 0u);
   EXPECT_GT(report.counters.get("repartition.migrated_records"), 0u);
@@ -530,13 +530,13 @@ TEST(RepartitionSystems, ResidentPathCarriesTheRefinedScheme) {
 
   const auto cold = systems::run_spatial_spark(bench.left, bench.right, bench.query,
                                                bench.exec, config.spatial_spark);
-  ASSERT_TRUE(cold.success) << cold.failure_reason;
+  ASSERT_TRUE(cold.status.ok()) << cold.status.to_string();
   EXPECT_GT(cold.counters.get("repartition.splits"), 0u);
 
   serving::ResidentCatalog catalog;
   const auto entry = catalog.install("taxi", bench.left, bench.right, config);
   const auto resident = entry->run_join(bench.query);
-  ASSERT_TRUE(resident.success) << resident.failure_reason;
+  ASSERT_TRUE(resident.status.ok()) << resident.status.to_string();
   EXPECT_EQ(cold.result_count, resident.result_count);
   EXPECT_EQ(cold.result_hash, resident.result_hash);
 }

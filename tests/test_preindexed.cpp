@@ -34,12 +34,12 @@ struct Fixture {
 TEST(PreIndexed, SameResultAsEndToEnd) {
   Fixture f;
   const auto end_to_end = systems::run_spatial_hadoop(f.points, f.polys, f.query, f.exec);
-  ASSERT_TRUE(end_to_end.success);
+  ASSERT_TRUE(end_to_end.status.ok());
 
   const auto ia = systems::spatial_hadoop_build_index(f.points, f.query, f.exec);
   const auto ib = systems::spatial_hadoop_build_index(f.polys, f.query, f.exec);
   const auto joined = systems::run_spatial_hadoop_indexed(ia, ib, f.query, f.exec);
-  ASSERT_TRUE(joined.success);
+  ASSERT_TRUE(joined.status.ok());
 
   EXPECT_EQ(joined.result_count, end_to_end.result_count);
   EXPECT_EQ(joined.result_hash, end_to_end.result_hash);
@@ -151,7 +151,7 @@ TEST(QuadtreePartitioner, SystemsStillAgreeWithIt) {
                                          f.polys, f.query, f.exec);
   const auto ss = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, f.points,
                                          f.polys, f.query, f.exec);
-  ASSERT_TRUE(sh.success && ss.success);
+  ASSERT_TRUE(sh.status.ok() && ss.status.ok());
   EXPECT_EQ(sh.result_hash, ss.result_hash);
   EXPECT_GT(sh.result_count, 0u);
 }

@@ -96,12 +96,12 @@ void expect_parity(core::SystemKind system, const workload::Dataset& left,
                    const workload::Dataset& right, core::JoinPredicate predicate) {
   const auto config = entry_config(system, predicate);
   const core::RunReport cold = run_cold(system, left, right, config);
-  ASSERT_TRUE(cold.success) << cold.failure_reason;
+  ASSERT_TRUE(cold.status.ok()) << cold.status.to_string();
 
   serving::ResidentCatalog catalog;
   const auto entry = catalog.install("pair", left, right, config);
   const core::RunReport resident = entry->run_join(config.build_query);
-  ASSERT_TRUE(resident.success) << resident.failure_reason;
+  ASSERT_TRUE(resident.status.ok()) << resident.status.to_string();
 
   // Bit-identical survivor pair sets.
   EXPECT_EQ(cold.result_count, resident.result_count);
@@ -162,11 +162,11 @@ TEST(ResidentCache, SecondQueryHitsSharedPreparedCache) {
   const auto entry = catalog.install("taxi-nycb", w.points, w.polys, config);
 
   const auto first = entry->run_join(config.build_query);
-  ASSERT_TRUE(first.success) << first.failure_reason;
+  ASSERT_TRUE(first.status.ok()) << first.status.to_string();
   const std::uint64_t hits_after_first = entry->prepared_cache().hits();
 
   const auto second = entry->run_join(config.build_query);
-  ASSERT_TRUE(second.success) << second.failure_reason;
+  ASSERT_TRUE(second.status.ok()) << second.status.to_string();
   EXPECT_EQ(first.result_hash, second.result_hash);
 
   // The second query's bind() lookups land on handles the first one
@@ -255,7 +255,7 @@ TEST(QueryServiceAdmission, BoundedQueueRejectsWithResourceExhausted) {
   for (auto& f : accepted) {
     const auto result = f.get();
     EXPECT_TRUE(result.status.ok()) << result.status.to_string();
-    EXPECT_TRUE(result.report.success);
+    EXPECT_TRUE(result.report.status.ok());
   }
 
   service.drain();
@@ -379,8 +379,8 @@ TEST(QueryServiceInterleaving, TwoTenantsOnOnePoolMatchSerialRuns) {
   // Serial reference: one resident run per entry, no concurrency.
   const auto serial1 = e1->run_join(within_config.build_query);
   const auto serial2 = e2->run_join(intersects_config.build_query);
-  ASSERT_TRUE(serial1.success);
-  ASSERT_TRUE(serial2.success);
+  ASSERT_TRUE(serial1.status.ok());
+  ASSERT_TRUE(serial2.status.ok());
 
   serving::QueryServiceConfig sc;
   sc.workers = 2;  // both tenants' queries genuinely overlap on the pool
@@ -406,13 +406,13 @@ TEST(QueryServiceInterleaving, TwoTenantsOnOnePoolMatchSerialRuns) {
   }
   for (auto& f : f1) {
     const auto r = f.get();
-    ASSERT_TRUE(r.report.success) << r.report.failure_reason;
+    ASSERT_TRUE(r.report.status.ok()) << r.report.status.to_string();
     EXPECT_EQ(sorted_pairs(r.report), sorted_pairs(serial1));
     EXPECT_EQ(r.report.result_hash, serial1.result_hash);
   }
   for (auto& f : f2) {
     const auto r = f.get();
-    ASSERT_TRUE(r.report.success) << r.report.failure_reason;
+    ASSERT_TRUE(r.report.status.ok()) << r.report.status.to_string();
     EXPECT_EQ(sorted_pairs(r.report), sorted_pairs(serial2));
     EXPECT_EQ(r.report.result_hash, serial2.result_hash);
   }
@@ -431,13 +431,13 @@ TEST(ResidentCatalogLifecycle, InstallFindEraseReplace) {
   EXPECT_EQ(catalog.size(), 1u);
   EXPECT_EQ(catalog.find("e"), entry);
   EXPECT_EQ(catalog.find("missing"), nullptr);
-  EXPECT_TRUE(entry->build_report().success);
+  EXPECT_TRUE(entry->build_report().status.ok());
 
   // Replace: a held shared_ptr keeps answering from the old state.
   const auto replacement = catalog.install("e", w.points, w.polys, config);
   EXPECT_NE(catalog.find("e"), entry);
   const auto old_report = entry->run_join(config.build_query);
-  EXPECT_TRUE(old_report.success);
+  EXPECT_TRUE(old_report.status.ok());
 
   EXPECT_TRUE(catalog.erase("e"));
   EXPECT_FALSE(catalog.erase("e"));

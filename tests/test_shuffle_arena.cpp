@@ -1,5 +1,5 @@
 // ShuffleArena unit tests: chunk-chain bookkeeping, insertion order,
-// take/refill round trips, reset reuse, move-only payloads, and the
+// reset reuse, move-only payloads, and the
 // concurrency contract (fill single-threaded, drain distinct buckets from
 // many threads). The concurrent tests double as the TSan smoke target.
 #include <gtest/gtest.h>
@@ -51,22 +51,6 @@ TEST(ShuffleArena, ConsumeLeavesBucketEmptyAndReusable) {
   std::vector<std::string> got;
   arena.consume(0, [&got](std::string& s) { got.push_back(std::move(s)); });
   EXPECT_EQ(got, std::vector<std::string>({"d"}));
-}
-
-TEST(ShuffleArena, TakeAndRefillRoundTrip) {
-  ShuffleArena<int> arena(8);
-  arena.reset(2);
-  for (int i = 0; i < 50; ++i) arena.push(1, i);
-  std::vector<int> taken = arena.take_bucket(1);
-  ASSERT_EQ(taken.size(), 50u);
-  EXPECT_EQ(arena.bucket_size(1), 0u);
-  std::sort(taken.rbegin(), taken.rend());
-  arena.refill(1, std::move(taken));
-  EXPECT_EQ(arena.bucket_size(1), 50u);
-  std::vector<int> got;
-  arena.consume(1, [&got](int& v) { got.push_back(v); });
-  EXPECT_EQ(got.front(), 49);
-  EXPECT_EQ(got.back(), 0);
 }
 
 TEST(ShuffleArena, ResetDropsAllState) {

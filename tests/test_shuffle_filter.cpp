@@ -224,20 +224,22 @@ void expect_filter_neutral(const core::RunReport& off, const core::RunReport& on
   const std::uint64_t shuffled = on.counters.get("shuffle.records");
   const std::uint64_t filtered = on.counters.get("shuffle.filtered_records");
   EXPECT_EQ(assigned, shuffled + filtered) << tag;
-  if (on.success) EXPECT_GT(assigned, 0u) << tag;
+  if (on.status.ok()) {
+    EXPECT_GT(assigned, 0u) << tag;
+  }
   if (filtered == 0) {
     EXPECT_EQ(on.counters.get("shuffle.filtered_bytes"), 0u) << tag;
   } else {
     EXPECT_GT(on.counters.get("shuffle.filtered_bytes"), 0u) << tag;
   }
-  if (!off.success) {
+  if (!off.status.ok()) {
     // The filter only *removes* modeled load, so it may legitimately rescue
     // a run that overflows a memory or pipe gate unfiltered (that is the
     // point of sFilter) — but there is no pair set to compare against.
     return;
   }
-  ASSERT_TRUE(on.success) << tag << " filter broke a succeeding run: "
-                          << on.failure_reason;
+  ASSERT_TRUE(on.status.ok()) << tag << " filter broke a succeeding run: "
+                              << on.status.to_string();
   EXPECT_EQ(off.result_count, on.result_count) << tag;
   EXPECT_EQ(off.result_hash, on.result_hash) << tag;
   // The stronger invariant: a dropped copy would have produced zero

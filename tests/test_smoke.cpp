@@ -29,18 +29,18 @@ TEST_P(SmokeTest, SystemsAgreeOnResult) {
 
   const auto sh = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, left,
                                          right, query, exec);
-  ASSERT_TRUE(sh.success) << sh.failure_reason;
+  ASSERT_TRUE(sh.status.ok()) << sh.status.to_string();
   EXPECT_GT(sh.result_count, 0u);
 
   const auto ss = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, left,
                                          right, query, exec);
-  ASSERT_TRUE(ss.success) << ss.failure_reason;
+  ASSERT_TRUE(ss.status.ok()) << ss.status.to_string();
   EXPECT_EQ(ss.result_count, sh.result_count);
   EXPECT_EQ(ss.result_hash, sh.result_hash);
 
   const auto hg = core::run_spatial_join(core::SystemKind::kHadoopGisSim, left, right,
                                          query, exec);
-  ASSERT_TRUE(hg.success) << hg.failure_reason;
+  ASSERT_TRUE(hg.status.ok()) << hg.status.to_string();
   EXPECT_EQ(hg.result_count, sh.result_count);
   EXPECT_EQ(hg.result_hash, sh.result_hash);
 }

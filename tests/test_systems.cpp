@@ -11,6 +11,7 @@
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
+#include "util/stopwatch.hpp"
 #include "workload/generators.hpp"
 
 namespace sjc {
@@ -79,16 +80,16 @@ TEST_P(SystemsAgree, PointInPolygonJoin) {
 
   const auto sh = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, w.points,
                                          w.polys, query, w.exec);
-  ASSERT_TRUE(sh.success) << sh.failure_reason;
+  ASSERT_TRUE(sh.status.ok()) << sh.status.to_string();
   EXPECT_GT(sh.result_count, 0u);
   // Every point lies in at most one block, so pairs <= points.
   EXPECT_LE(sh.result_count, w.points.size());
 
   const auto ss = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, w.points,
                                          w.polys, query, w.exec);
-  ASSERT_TRUE(ss.success) << ss.failure_reason;
+  ASSERT_TRUE(ss.status.ok()) << ss.status.to_string();
   const auto hg = run_hadoop_gis_ungated(w.points, w.polys, query, w.exec);
-  ASSERT_TRUE(hg.success) << hg.failure_reason;
+  ASSERT_TRUE(hg.status.ok()) << hg.status.to_string();
 
   EXPECT_EQ(sorted_pairs(sh), sorted_pairs(ss));
   EXPECT_EQ(sorted_pairs(sh), sorted_pairs(hg));
@@ -101,13 +102,13 @@ TEST_P(SystemsAgree, PolylineIntersectionJoin) {
 
   const auto sh = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, w.lines_a,
                                          w.lines_b, query, w.exec);
-  ASSERT_TRUE(sh.success) << sh.failure_reason;
+  ASSERT_TRUE(sh.status.ok()) << sh.status.to_string();
   EXPECT_GT(sh.result_count, 0u);
   const auto ss = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, w.lines_a,
                                          w.lines_b, query, w.exec);
-  ASSERT_TRUE(ss.success) << ss.failure_reason;
+  ASSERT_TRUE(ss.status.ok()) << ss.status.to_string();
   const auto hg = run_hadoop_gis_ungated(w.lines_a, w.lines_b, query, w.exec);
-  ASSERT_TRUE(hg.success) << hg.failure_reason;
+  ASSERT_TRUE(hg.status.ok()) << hg.status.to_string();
 
   EXPECT_EQ(sorted_pairs(sh), sorted_pairs(ss));
   EXPECT_EQ(sorted_pairs(sh), sorted_pairs(hg));
@@ -188,7 +189,7 @@ TEST(Systems, SpatialHadoopResultIndependentOfCluster) {
   exec.cluster = cluster::ClusterSpec::ec2(6);
   const auto ec2 = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, w.points,
                                           w.polys, query, exec);
-  ASSERT_TRUE(ws.success && ec2.success);
+  ASSERT_TRUE(ws.status.ok() && ec2.status.ok());
   EXPECT_EQ(sorted_pairs(ws), sorted_pairs(ec2));
 }
 
@@ -205,10 +206,53 @@ TEST(Systems, BroadcastJoinAgreesWithPartitionJoin) {
   broadcast_cfg.broadcast_join = true;
   const auto bc = systems::run_spatial_spark(w.points, w.polys, query, w.exec,
                                              broadcast_cfg);
-  ASSERT_TRUE(bc.success) << bc.failure_reason;
+  ASSERT_TRUE(bc.status.ok()) << bc.status.to_string();
   const auto pt = systems::run_spatial_spark(w.points, w.polys, query, w.exec);
-  ASSERT_TRUE(pt.success) << pt.failure_reason;
+  ASSERT_TRUE(pt.status.ok()) << pt.status.to_string();
   EXPECT_EQ(sorted_pairs(bc), sorted_pairs(pt));
+
+  // Under virtual time the broadcast plan is deterministic: two runs give
+  // bit-identical reports.
+  {
+    const VirtualTimeGuard vt;
+    const auto a = systems::run_spatial_spark(w.points, w.polys, query, w.exec,
+                                              broadcast_cfg);
+    const auto b = systems::run_spatial_spark(w.points, w.polys, query, w.exec,
+                                              broadcast_cfg);
+    ASSERT_TRUE(a.status.ok()) << a.status.to_string();
+    EXPECT_EQ(a.status.code(), b.status.code());
+    EXPECT_EQ(a.result_count, b.result_count);
+    EXPECT_EQ(a.result_hash, b.result_hash);
+    EXPECT_EQ(a.pairs, b.pairs);
+    EXPECT_EQ(a.total_seconds, b.total_seconds);
+    EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
+    EXPECT_EQ(a.counters.snapshot(), b.counters.snapshot());
+    ASSERT_EQ(a.metrics.phases().size(), b.metrics.phases().size());
+    for (std::size_t i = 0; i < a.metrics.phases().size(); ++i) {
+      const auto& pa = a.metrics.phases()[i];
+      const auto& pb = b.metrics.phases()[i];
+      EXPECT_EQ(pa.name, pb.name);
+      EXPECT_EQ(pa.sim_seconds, pb.sim_seconds) << pa.name;
+      EXPECT_EQ(pa.bytes_read, pb.bytes_read) << pa.name;
+      EXPECT_EQ(pa.bytes_written, pb.bytes_written) << pa.name;
+      EXPECT_EQ(pa.bytes_shuffled, pb.bytes_shuffled) << pa.name;
+      EXPECT_EQ(pa.task_count, pb.task_count) << pa.name;
+      EXPECT_EQ(pa.task_attempts, pb.task_attempts) << pa.name;
+    }
+  }
+
+  // Junk input rows are quarantined by the shared parse stage: the
+  // broadcast plan diverts every injected row and still finds exactly the
+  // partitioned plan's pairs.
+  systems::SpatialSparkConfig malformed_cfg = broadcast_cfg;
+  malformed_cfg.spark.faults.malformed_rows = 3;
+  const auto junk = systems::run_spatial_spark(w.points, w.polys, query, w.exec,
+                                               malformed_cfg);
+  ASSERT_TRUE(junk.status.ok()) << junk.status.to_string();
+  EXPECT_GT(junk.counters.get("input.malformed_rows_injected"), 0u);
+  EXPECT_EQ(junk.counters.get("input.quarantined_rows"),
+            junk.counters.get("input.malformed_rows_injected"));
+  EXPECT_EQ(sorted_pairs(junk), sorted_pairs(pt));
 }
 
 // ---------------------------------------------------------------------------
@@ -226,8 +270,7 @@ TEST(Systems, HadoopGisBreaksPipesOnFullWorkload) {
   exec.data_scale = 1.0 / wc.scale;
   const auto report =
       core::run_spatial_join(core::SystemKind::kHadoopGisSim, taxi, nycb, query, exec);
-  EXPECT_FALSE(report.success);
-  EXPECT_NE(report.failure_reason.find("pipe"), std::string::npos);
+  EXPECT_EQ(report.status.code(), StatusCode::kBrokenPipe) << report.status.to_string();
   // Failed runs still report what they measured up to the failure.
   EXPECT_FALSE(report.metrics.phases().empty());
 }
@@ -244,8 +287,7 @@ TEST(Systems, SpatialSparkOomsOnSmallCluster) {
   exec.cluster = cluster::ClusterSpec::ec2(6);
   const auto report =
       core::run_spatial_join(core::SystemKind::kSpatialSparkSim, taxi, nycb, query, exec);
-  EXPECT_FALSE(report.success);
-  EXPECT_NE(report.failure_reason.find("memory"), std::string::npos);
+  EXPECT_EQ(report.status.code(), StatusCode::kOutOfMemory) << report.status.to_string();
   EXPECT_GT(report.peak_memory_bytes, 0u);
 }
 
@@ -262,7 +304,7 @@ TEST(Systems, SpatialHadoopNeverFails) {
   exec.cluster = cluster::ClusterSpec::ec2(6);
   const auto report =
       core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, taxi, nycb, query, exec);
-  EXPECT_TRUE(report.success) << report.failure_reason;
+  EXPECT_TRUE(report.status.ok()) << report.status.to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +318,7 @@ TEST(Systems, BreakdownSumsToTotal) {
   for (const auto kind :
        {core::SystemKind::kHadoopGisSim, core::SystemKind::kSpatialHadoopSim}) {
     const auto r = core::run_spatial_join(kind, w.points, w.polys, query, w.exec);
-    ASSERT_TRUE(r.success);
+    ASSERT_TRUE(r.status.ok());
     EXPECT_NEAR(r.index_a_seconds + r.index_b_seconds + r.join_seconds, r.total_seconds,
                 1e-6)
         << core::system_kind_name(kind);
@@ -293,7 +335,7 @@ TEST(Systems, SparkReportsOnlyTotals) {
   query.predicate = core::JoinPredicate::kWithin;
   const auto r = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, w.points,
                                         w.polys, query, w.exec);
-  ASSERT_TRUE(r.success);
+  ASSERT_TRUE(r.status.ok());
   EXPECT_TRUE(std::isnan(r.index_a_seconds));
   EXPECT_TRUE(std::isnan(r.join_seconds));
   EXPECT_GT(r.total_seconds, 0.0);
@@ -305,7 +347,7 @@ TEST(Systems, HashMatchesPairsWhenCollected) {
   query.predicate = core::JoinPredicate::kWithin;
   const auto r = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, w.points,
                                         w.polys, query, w.exec);
-  ASSERT_TRUE(r.success);
+  ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.result_hash, core::hash_pairs_unordered(r.pairs));
   EXPECT_EQ(r.result_count, r.pairs.size());
 }
@@ -320,7 +362,7 @@ TEST(Systems, CollectPairsOffStillCountsAndHashes) {
                                            w.polys, query, w.exec);
   const auto without = core::run_spatial_join(core::SystemKind::kSpatialSparkSim,
                                               w.points, w.polys, query, exec);
-  ASSERT_TRUE(with.success && without.success);
+  ASSERT_TRUE(with.status.ok() && without.status.ok());
   EXPECT_EQ(with.result_count, without.result_count);
   EXPECT_EQ(with.result_hash, without.result_hash);
   EXPECT_TRUE(without.pairs.empty());
@@ -334,11 +376,11 @@ TEST(Systems, WithinDistanceJoinRunsEndToEnd) {
   query.within_distance = 250.0;  // meters
   const auto sh = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, w.points,
                                          w.lines_a, query, w.exec);
-  ASSERT_TRUE(sh.success) << sh.failure_reason;
+  ASSERT_TRUE(sh.status.ok()) << sh.status.to_string();
   EXPECT_GT(sh.result_count, 0u);
   const auto ss = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, w.points,
                                          w.lines_a, query, w.exec);
-  ASSERT_TRUE(ss.success);
+  ASSERT_TRUE(ss.status.ok());
   EXPECT_EQ(sh.result_hash, ss.result_hash);
 }
 
@@ -352,7 +394,7 @@ TEST(Systems, CountersArePopulated) {
   query.predicate = core::JoinPredicate::kWithin;
   const auto sh = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim, w.points,
                                          w.polys, query, w.exec);
-  ASSERT_TRUE(sh.success);
+  ASSERT_TRUE(sh.status.ok());
   // Both datasets assigned; result pairs counted.
   EXPECT_EQ(sh.counters.get("partition.records"), w.points.size() + w.polys.size());
   EXPECT_GE(sh.counters.get("partition.assignments"),
@@ -372,7 +414,7 @@ TEST(Systems, CountersArePopulated) {
 
   const auto ss = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, w.points,
                                          w.polys, query, w.exec);
-  ASSERT_TRUE(ss.success);
+  ASSERT_TRUE(ss.status.ok());
   EXPECT_GT(ss.counters.get("join.prepared_cache_hits"), 0u);
   EXPECT_GT(ss.counters.get("refine.exact_tests"), 0u);
   EXPECT_EQ(ss.counters.get("refine.exact_fastpath") +
@@ -380,7 +422,7 @@ TEST(Systems, CountersArePopulated) {
             ss.counters.get("refine.exact_tests"));
 
   const auto hg = run_hadoop_gis_ungated(w.points, w.polys, query, w.exec);
-  ASSERT_TRUE(hg.success);
+  ASSERT_TRUE(hg.status.ok());
   // The sort-unique dedup can only shrink the pair lines.
   EXPECT_GE(hg.counters.get("join.pair_lines_before_dedup"),
             hg.counters.get("join.pair_lines_after_dedup"));
@@ -418,7 +460,7 @@ TEST(Systems, ResultsDeterministicAcrossRepeatedRuns) {
         core::SystemKind::kSpatialSparkSim}) {
     const auto a = core::run_spatial_join(kind, w.points, w.polys, query, w.exec);
     const auto b = core::run_spatial_join(kind, w.points, w.polys, query, w.exec);
-    ASSERT_TRUE(a.success && b.success) << core::system_kind_name(kind);
+    ASSERT_TRUE(a.status.ok() && b.status.ok()) << core::system_kind_name(kind);
     EXPECT_EQ(a.result_hash, b.result_hash);
     EXPECT_EQ(a.result_count, b.result_count);
     // The executed phase structure is identical too (timings may differ by
@@ -473,7 +515,7 @@ TEST(Systems, WithinDistanceMatchesBruteForce) {
 
   const auto report = core::run_spatial_join(core::SystemKind::kSpatialHadoopSim,
                                              points, roads, query, exec);
-  ASSERT_TRUE(report.success);
+  ASSERT_TRUE(report.status.ok());
 
   std::set<core::JoinPair> got(report.pairs.begin(), report.pairs.end());
   std::set<core::JoinPair> expected;
@@ -506,7 +548,7 @@ TEST(Systems, PointInPolygonMatchesBruteForce) {
 
   const auto report = core::run_spatial_join(core::SystemKind::kSpatialSparkSim,
                                              points, blocks, query, exec);
-  ASSERT_TRUE(report.success);
+  ASSERT_TRUE(report.status.ok());
 
   std::set<core::JoinPair> got(report.pairs.begin(), report.pairs.end());
   std::set<core::JoinPair> expected;
