@@ -4,8 +4,7 @@
 // and HadoopGIS's insert-built R-tree probe. Measures the MBR filter phase
 // on workload shapes matching the paper's partitions.
 //
-// Each algorithm is measured three ways:
-//   * fn_sink   — the std::function (PairSink) compatibility path;
+// Each algorithm is measured two ways:
 //   * templated — the templated-sink kernel, fresh scratch per call;
 //   * scratch   — the templated kernel with a reused MbrJoinScratch, the
 //                 configuration the systems' task loops run.
@@ -42,23 +41,7 @@ std::pair<std::vector<IndexEntry>, std::vector<IndexEntry>> make_partition(
   return {std::move(left), std::move(right)};
 }
 
-/// std::function dispatch per pair, no reusable state (the pre-templating
-/// configuration and the PairSink compatibility path).
-void BM_LocalMbrJoinFn(benchmark::State& state, LocalJoinAlgorithm algo) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto [left, right] = make_partition(n, 0.1);
-  std::size_t pairs = 0;
-  const index::PairSink sink = [&pairs](std::uint32_t, std::uint32_t) { ++pairs; };
-  for (auto _ : state) {
-    pairs = 0;
-    index::local_mbr_join(algo, left, right, sink);
-    benchmark::DoNotOptimize(pairs);
-  }
-  state.counters["pairs"] = static_cast<double>(pairs);
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-/// Templated sink, fresh scratch per call (isolates the inlining win).
+/// Templated sink, fresh scratch per call.
 void BM_LocalMbrJoin(benchmark::State& state, LocalJoinAlgorithm algo) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto [left, right] = make_partition(n, 0.1);
@@ -90,10 +73,9 @@ void BM_LocalMbrJoinScratch(benchmark::State& state, LocalJoinAlgorithm algo) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-#define SJC_BENCH_ALGO(name, algo)                                          \
-  BENCHMARK_CAPTURE(BM_LocalMbrJoinFn, name, algo)->Arg(1000)->Arg(10000);  \
-  BENCHMARK_CAPTURE(BM_LocalMbrJoin, name, algo)->Arg(1000)->Arg(10000);    \
-  BENCHMARK_CAPTURE(BM_LocalMbrJoinScratch, name, algo)                     \
+#define SJC_BENCH_ALGO(name, algo)                                        \
+  BENCHMARK_CAPTURE(BM_LocalMbrJoin, name, algo)->Arg(1000)->Arg(10000);  \
+  BENCHMARK_CAPTURE(BM_LocalMbrJoinScratch, name, algo)                   \
       ->Arg(1000)->Arg(10000)->Arg(50000)
 
 SJC_BENCH_ALGO(plane_sweep, LocalJoinAlgorithm::kPlaneSweep);

@@ -24,22 +24,4 @@ bool evaluate_predicate(const geom::GeometryEngine& engine, JoinPredicate predic
   throw InvalidArgument("evaluate_predicate: unknown predicate");
 }
 
-void run_local_join(
-    std::span<const geom::Feature> left, std::span<const geom::Feature> right,
-    const LocalJoinSpec& spec,
-    const std::function<bool(const geom::Envelope&, const geom::Envelope&)>& accept,
-    std::vector<JoinPair>& out) {
-  LocalJoinScratch scratch;
-  if (accept) {
-    run_local_join(
-        left, right, spec,
-        [&accept](const geom::Envelope& a, const geom::Envelope& b) {
-          return accept(a, b);
-        },
-        scratch, out);
-  } else {
-    run_local_join(left, right, spec, AcceptAllPairs{}, scratch, out);
-  }
-}
-
 }  // namespace sjc::core

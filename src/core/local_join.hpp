@@ -11,10 +11,10 @@
 // geom::BatchRefiner; the Simple (GEOS-analog) engine binds the feature and
 // evaluates its from-scratch predicate per candidate.
 //
-// The hot path is the templated run_local_join overload: the MBR-join sink
-// and the accept filter inline into the kernel loops, candidate grouping is
-// a counting-sort scatter (right ids are dense) instead of a comparison
-// sort, expanded envelopes are computed once per feature, and a caller-owned
+// run_local_join is templated end to end: the MBR-join sink and the accept
+// filter inline into the kernel loops, candidate grouping is a
+// counting-sort scatter (right ids are dense) instead of a comparison sort,
+// expanded envelopes are computed once per feature, and a caller-owned
 // LocalJoinScratch keeps entry buffers and per-task index trees warm across
 // partition pairs. When LocalJoinSpec::prepared_cache is set and the engine
 // is the Prepared one, batch refiners are shared across partitions through
@@ -26,10 +26,10 @@
 // (left, right) pair can meet in several partition pairs. The caller
 // supplies an `accept` filter — typically the reference-point test
 // (`reference_point` below + "is this cell the canonical cell"), or
-// nullptr to keep everything and deduplicate globally (HadoopGIS-style).
+// AcceptAllPairs to keep everything and deduplicate globally
+// (HadoopGIS-style).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -66,12 +66,9 @@ struct LocalJoinSpec {
   /// filter (the two always sum to refine.exact_tests).
   cluster::Counters* refine_counters = nullptr;
 
-  /// Envelope expansion applied to BOTH sides throughout the pipeline
-  /// (partition assignment, MBR filter, reference point) for epsilon
-  /// (within-distance) joins: expanding each side by d/2 guarantees that
-  /// any pair within distance d has intersecting expanded envelopes.
+  /// The query's envelope expansion (core::envelope_expansion).
   double envelope_expansion() const {
-    return predicate == JoinPredicate::kWithinDistance ? within_distance / 2.0 : 0.0;
+    return core::envelope_expansion(predicate, within_distance);
   }
 };
 
@@ -147,7 +144,7 @@ class ScratchPool {
   std::vector<std::unique_ptr<LocalJoinScratch>> free_;
 };
 
-/// Accept filter that keeps every pair (the `accept == nullptr` fast path).
+/// Accept filter that keeps every pair.
 struct AcceptAllPairs {
   bool operator()(const geom::Envelope&, const geom::Envelope&) const { return true; }
 };
@@ -344,13 +341,5 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
     spec.refine_counters->add("refine.exact_slowpath", stats.exact_slowpath);
   }
 }
-
-/// std::function compatibility overload: `accept` may be empty (keep all).
-/// Allocates a fresh scratch per call; hot callers use the template above.
-void run_local_join(
-    std::span<const geom::Feature> left, std::span<const geom::Feature> right,
-    const LocalJoinSpec& spec,
-    const std::function<bool(const geom::Envelope&, const geom::Envelope&)>& accept,
-    std::vector<JoinPair>& out);
 
 }  // namespace sjc::core

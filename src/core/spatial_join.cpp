@@ -38,6 +38,10 @@ double effective_sample_rate(double configured_rate, std::size_t dataset_size,
   return std::max(configured_rate, floor_rate);
 }
 
+double envelope_expansion(JoinPredicate predicate, double within_distance) {
+  return predicate == JoinPredicate::kWithinDistance ? within_distance / 2.0 : 0.0;
+}
+
 void annotate_recovery(RunReport& report) {
   std::uint64_t task_count = 0;
   for (const auto& p : report.metrics.phases()) task_count += p.task_count;

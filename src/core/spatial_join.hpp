@@ -157,6 +157,12 @@ std::uint32_t effective_target_partitions(const JoinQueryConfig& query,
 double effective_sample_rate(double configured_rate, std::size_t dataset_size,
                              std::uint32_t target_cells);
 
+/// Envelope expansion applied to both sides of a join (partition
+/// assignment, MBR filter, reference point): d/2 for within-distance joins,
+/// which guarantees that any pair within distance d has intersecting
+/// expanded envelopes; 0 otherwise.
+double envelope_expansion(JoinPredicate predicate, double within_distance);
+
 /// Fills a report's recovery summary (`attempts_used`, `recovered`) from
 /// its accumulated phase metrics. Called by every system driver after the
 /// run; idempotent.

@@ -44,42 +44,4 @@ void SweepList::load(const std::vector<IndexEntry>& entries) {
   }
 }
 
-namespace {
-
-/// Adapts a PairSink for the templated kernels (one std::function dispatch
-/// per pair, as before; the kernel itself no longer pays for it elsewhere).
-struct FunctionSink {
-  const PairSink* fn;
-  void operator()(std::uint32_t l, std::uint32_t r) const { (*fn)(l, r); }
-};
-
-}  // namespace
-
-void plane_sweep_join(const std::vector<IndexEntry>& left,
-                      const std::vector<IndexEntry>& right, const PairSink& sink) {
-  plane_sweep_join(left, right, FunctionSink{&sink});
-}
-
-void sync_traversal_join(const StrTree& left, const StrTree& right,
-                         const PairSink& sink) {
-  sync_traversal_join(left, right, FunctionSink{&sink});
-}
-
-void indexed_nested_loop_join(const std::vector<IndexEntry>& left,
-                              const SpatialIndex& right_index, const PairSink& sink) {
-  for (const auto& le : left) {
-    right_index.query(le.env, [&](std::uint32_t rid) { sink(le.id, rid); });
-  }
-}
-
-void nested_loop_join(const std::vector<IndexEntry>& left,
-                      const std::vector<IndexEntry>& right, const PairSink& sink) {
-  nested_loop_join(left, right, FunctionSink{&sink});
-}
-
-void local_mbr_join(LocalJoinAlgorithm algo, const std::vector<IndexEntry>& left,
-                    const std::vector<IndexEntry>& right, const PairSink& sink) {
-  local_mbr_join(algo, left, right, FunctionSink{&sink});
-}
-
 }  // namespace sjc::index

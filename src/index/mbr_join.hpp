@@ -7,18 +7,13 @@
 // so the systems and bench_localjoin can mix and match. Every algorithm
 // emits exactly the set of pairs whose envelopes intersect; order differs.
 //
-// Each algorithm has two entry points:
-//  * a templated kernel, generic over the sink type, so the per-pair
-//    callback inlines into the innermost loop (the zero-overhead path the
-//    local-join hot loop uses), optionally fed an MbrJoinScratch whose
-//    trees and sort buffers are reused across calls;
-//  * a std::function (PairSink) overload kept as a thin wrapper for
-//    polymorphic callers and existing tests.
+// Each algorithm is a templated kernel, generic over the sink type, so the
+// per-pair callback inlines into the innermost loop, optionally fed an
+// MbrJoinScratch whose trees and sort buffers are reused across calls.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "index/rtree_dynamic.hpp"
@@ -27,9 +22,6 @@
 #include "util/status.hpp"
 
 namespace sjc::index {
-
-/// Callback receives (left id, right id) for each intersecting MBR pair.
-using PairSink = std::function<void(std::uint32_t, std::uint32_t)>;
 
 enum class LocalJoinAlgorithm {
   kPlaneSweep = 0,
@@ -263,30 +255,5 @@ void local_mbr_join(LocalJoinAlgorithm algo, const std::vector<IndexEntry>& left
   MbrJoinScratch scratch;
   local_mbr_join(algo, left, right, scratch, sink);
 }
-
-// ---------------------------------------------------------------------------
-// std::function (PairSink) wrappers — ABI/test compatibility
-// ---------------------------------------------------------------------------
-
-/// Sort-both-sides plane sweep along x (the classic serial spatial join).
-void plane_sweep_join(const std::vector<IndexEntry>& left,
-                      const std::vector<IndexEntry>& right, const PairSink& sink);
-
-/// Synchronized descent of two STR trees.
-void sync_traversal_join(const StrTree& left, const StrTree& right,
-                         const PairSink& sink);
-
-/// Probes `index` (built over the right side) with every left entry through
-/// the virtual SpatialIndex interface.
-void indexed_nested_loop_join(const std::vector<IndexEntry>& left,
-                              const SpatialIndex& right_index, const PairSink& sink);
-
-/// O(n*m) reference implementation.
-void nested_loop_join(const std::vector<IndexEntry>& left,
-                      const std::vector<IndexEntry>& right, const PairSink& sink);
-
-/// Dispatches on `algo`, building whatever index the algorithm needs.
-void local_mbr_join(LocalJoinAlgorithm algo, const std::vector<IndexEntry>& left,
-                    const std::vector<IndexEntry>& right, const PairSink& sink);
 
 }  // namespace sjc::index

@@ -174,11 +174,6 @@ void DynamicRTree::clear() {
   size_ = 0;
 }
 
-void DynamicRTree::query(const geom::Envelope& query,
-                         const std::function<void(std::uint32_t)>& fn) const {
-  for_each_intersecting(query, fn);
-}
-
 std::size_t DynamicRTree::size_bytes() const {
   std::size_t bytes = sizeof(*this) + nodes_.capacity() * sizeof(Node);
   for (const auto& node : nodes_) bytes += node.slots.capacity() * sizeof(Slot);

@@ -14,7 +14,7 @@
 
 namespace sjc::index {
 
-class DynamicRTree final : public SpatialIndex {
+class DynamicRTree {
  public:
   /// `max_entries` per node (min is max/2, Guttman's recommendation).
   explicit DynamicRTree(std::uint32_t max_entries = 16);
@@ -27,11 +27,17 @@ class DynamicRTree final : public SpatialIndex {
   /// allocator).
   void clear();
 
-  void query(const geom::Envelope& query,
-             const std::function<void(std::uint32_t)>& fn) const override;
-  std::size_t size() const override { return size_; }
-  std::size_t size_bytes() const override;
-  const geom::Envelope& bounds() const override;
+  /// Ids of the entries whose envelope intersects `query`.
+  std::vector<std::uint32_t> query_ids(const geom::Envelope& query) const {
+    std::vector<std::uint32_t> out;
+    for_each_intersecting(query, [&out](std::uint32_t id) { out.push_back(id); });
+    return out;
+  }
+  std::size_t size() const { return size_; }
+  /// Approximate memory footprint.
+  std::size_t size_bytes() const;
+  /// Envelope of all entries (empty envelope when size() == 0).
+  const geom::Envelope& bounds() const;
 
   std::uint32_t height() const { return height_; }
 

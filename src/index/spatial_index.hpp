@@ -1,15 +1,14 @@
-// Common interface for the MBR indexes used in the filter phases.
+// The (envelope, id) entry every MBR index and MBR-join kernel works on.
 //
-// Every index stores (Envelope, id) entries and answers "which entry ids
-// have an MBR intersecting this query envelope?". Indexes are used in three
-// places mirroring the paper: per-mapper partition lookup (HadoopGIS),
-// per-block local-join indexes (SpatialHadoop), and the broadcast partition
-// index (SpatialSpark).
+// Indexes are used in three places mirroring the paper: per-mapper
+// partition lookup (HadoopGIS), per-block local-join indexes
+// (SpatialHadoop), and the broadcast right-side index (SpatialSpark). Each
+// index (StrTree, DynamicRTree) answers "which entry ids have an MBR
+// intersecting this query envelope?" through a templated
+// for_each_intersecting, plus a query_ids convenience.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "geom/envelope.hpp"
 
@@ -18,32 +17,6 @@ namespace sjc::index {
 struct IndexEntry {
   geom::Envelope env;
   std::uint32_t id = 0;
-};
-
-class SpatialIndex {
- public:
-  virtual ~SpatialIndex() = default;
-
-  /// Invokes `fn(id)` for every entry whose envelope intersects `query`.
-  virtual void query(const geom::Envelope& query,
-                     const std::function<void(std::uint32_t)>& fn) const = 0;
-
-  /// Number of indexed entries.
-  virtual std::size_t size() const = 0;
-
-  /// Approximate memory footprint (RDD memory accounting, DFS block
-  /// headers).
-  virtual std::size_t size_bytes() const = 0;
-
-  /// Envelope of all entries (empty envelope when size() == 0).
-  virtual const geom::Envelope& bounds() const = 0;
-
-  /// Convenience: collect matching ids into a vector.
-  std::vector<std::uint32_t> query_ids(const geom::Envelope& q) const {
-    std::vector<std::uint32_t> out;
-    query(q, [&out](std::uint32_t id) { out.push_back(id); });
-    return out;
-  }
 };
 
 }  // namespace sjc::index

@@ -119,13 +119,10 @@ void StrTree::build() {
   }
 }
 
-void StrTree::query(const geom::Envelope& query,
-                    const std::function<void(std::uint32_t)>& fn) const {
-  for_each_intersecting(query, fn);
-}
-
 std::size_t StrTree::size_bytes() const {
-  return sizeof(*this) + entries_.size() * sizeof(IndexEntry) +
+  // The tree object plus one pointer-sized word: the figure the modeled
+  // block and broadcast sizes were calibrated with.
+  return sizeof(*this) + sizeof(void*) + entries_.size() * sizeof(IndexEntry) +
          nodes_.size() * sizeof(Node) +
          entries_.size() * (4 * sizeof(double) + sizeof(std::uint32_t)) +
          nodes_.size() * 4 * sizeof(double);

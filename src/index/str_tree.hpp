@@ -7,9 +7,8 @@
 // so traversal is pointer-chase-free — important because local joins probe
 // the tree millions of times.
 //
-// Two access paths exist: the virtual SpatialIndex::query (std::function
-// callback, for polymorphic callers) and the templated for_each_intersecting
-// (callback inlined into the traversal, for the hot local-join kernels).
+// Queries go through the templated for_each_intersecting (callback inlined
+// into the traversal, for the hot local-join kernels) or query_ids.
 // rebuild() re-packs the tree in place, reusing entry/node storage, so a
 // task processing many partition pairs pays zero allocations once warm.
 //
@@ -29,7 +28,7 @@
 
 namespace sjc::index {
 
-class StrTree final : public SpatialIndex {
+class StrTree {
  public:
   /// Builds a packed tree over `entries`. `fanout` is the max children per
   /// node (default 16, a good trade-off for in-memory trees). An empty
@@ -41,11 +40,17 @@ class StrTree final : public SpatialIndex {
   /// reused, so repeated rebuilds allocate nothing once capacity is warm.
   void rebuild(const std::vector<IndexEntry>& entries);
 
-  void query(const geom::Envelope& query,
-             const std::function<void(std::uint32_t)>& fn) const override;
-  std::size_t size() const override { return entries_.size(); }
-  std::size_t size_bytes() const override;
-  const geom::Envelope& bounds() const override { return bounds_; }
+  /// Ids of the entries whose envelope intersects `query`.
+  std::vector<std::uint32_t> query_ids(const geom::Envelope& query) const {
+    std::vector<std::uint32_t> out;
+    for_each_intersecting(query, [&out](std::uint32_t id) { out.push_back(id); });
+    return out;
+  }
+  std::size_t size() const { return entries_.size(); }
+  /// Modeled memory footprint (block headers, broadcast charges).
+  std::size_t size_bytes() const;
+  /// Envelope of all entries (empty envelope when size() == 0).
+  const geom::Envelope& bounds() const { return bounds_; }
 
   /// Tree height (0 for an empty tree, 1 for a single leaf level).
   std::uint32_t height() const { return height_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "plan/cost_model.hpp"
-
 namespace sjc::serving {
 
 namespace {
@@ -56,34 +54,21 @@ core::RunReport ResidentEntry::run_join(const core::JoinQueryConfig& query) cons
       // it the entry executes a cold broadcast run over its own retained
       // datasets; either way the decision and the realized cost land in the
       // report's plan.* counters for the service's per-tenant stats.
-      const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
-          .left_records = left_.size(),
-          .right_records = right_.size(),
-          .left_bytes = left_.text_bytes(),
-          .right_bytes = right_.text_bytes(),
-          .record_overhead_bytes = config_.spatial_spark.record_overhead_bytes,
-          .replication_factor = std::nullopt,
-          .filter_selectivity = std::nullopt,
-          .cluster = config_.exec.cluster,
-          .data_scale = config_.exec.data_scale,
-          .resident = true,
-      });
-      core::RunReport report;
-      if (decision.chosen == plan::PlanKind::kBroadcastJoin) {
-        systems::SpatialSparkConfig broadcast_cfg = config_.spatial_spark;
-        broadcast_cfg.broadcast_join = true;
-        broadcast_cfg.policy.cost_based_plan = false;
-        report = systems::run_spatial_spark(left_, right_, query, config_.exec,
-                                            broadcast_cfg);
-      } else {
-        report = systems::run_spatial_spark_resident(*spatial_spark_, query,
-                                                     config_.exec,
-                                                     config_.spatial_spark,
-                                                     &prepared_cache_);
-      }
-      plan::record_plan_counters(decision, report.counters);
-      plan::record_plan_actual(report.total_seconds, report.counters);
-      return report;
+      return systems::run_spatial_spark_cost_based(
+          left_, right_, config_.exec, config_.spatial_spark, /*resident=*/true,
+          [&](bool broadcast) {
+            if (!broadcast) {
+              return systems::run_spatial_spark_resident(*spatial_spark_, query,
+                                                         config_.exec,
+                                                         config_.spatial_spark,
+                                                         &prepared_cache_);
+            }
+            systems::SpatialSparkConfig broadcast_cfg = config_.spatial_spark;
+            broadcast_cfg.broadcast_join = true;
+            broadcast_cfg.policy.cost_based_plan = false;
+            return systems::run_spatial_spark(left_, right_, query, config_.exec,
+                                              broadcast_cfg);
+          });
     }
   }
   throw InvalidArgument("ResidentEntry: unknown system kind");

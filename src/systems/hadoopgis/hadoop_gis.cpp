@@ -1,14 +1,11 @@
 #include "systems/hadoopgis/hadoop_gis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 
-#include "core/local_join.hpp"
+#include "core/partition_plane.hpp"
 #include "geom/wkt.hpp"
 #include "index/rtree_dynamic.hpp"
-#include "partition/partitioner.hpp"
-#include "plan/partition_refiner.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -19,25 +16,9 @@ namespace sjc::systems {
 
 namespace {
 
+using core::chunk_lines;
 using core::JoinPair;
 using mapreduce::StreamingSpec;
-
-/// Splits `lines` into `n` contiguous chunks (HDFS block splits).
-std::vector<std::vector<std::string>> chunk_lines(std::vector<std::string> lines,
-                                                  std::size_t n) {
-  std::vector<std::vector<std::string>> out;
-  const std::size_t total = lines.size();
-  const std::size_t per = (total + n - 1) / std::max<std::size_t>(n, 1);
-  std::size_t i = 0;
-  while (i < total) {
-    const std::size_t end = std::min(i + per, total);
-    out.emplace_back(std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(i)),
-                     std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(end)));
-    i = end;
-  }
-  if (out.empty()) out.emplace_back();
-  return out;
-}
 
 std::uint64_t lines_bytes(const std::vector<std::string>& lines) {
   std::uint64_t total = 0;
@@ -74,6 +55,7 @@ struct GisContext {
   const core::JoinQueryConfig* query;
   const core::ExecutionConfig* exec;
   const HadoopGisConfig* config;
+  const core::PartitionPlane* plane;
   /// Sink for malformed records on every streaming reparse path; the
   /// hardened parse sites divert bad rows here instead of dying mid-phase.
   workload::RowQuarantine* quarantine;
@@ -91,17 +73,8 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   // Raw input as it lands in HDFS, plus any junk rows the fault plan
   // injects (extra lines, never corrupted real ones — so a run that
   // quarantines them all joins bit-identically to the fault-free run).
-  auto raw_lines = workload::dataset_to_tsv(data, /*include_pad=*/true);
-  if (gis.config->faults.malformed_rows > 0) {
-    workload::inject_malformed_rows(
-        raw_lines, gis.config->faults.malformed_rows,
-        gis.config->faults.seed ^ std::hash<std::string>{}(tag));
-    if (ctx.counters != nullptr) {
-      ctx.counters->add("input.malformed_rows_injected",
-                        gis.config->faults.malformed_rows);
-    }
-  }
-  auto raw_splits = chunk_lines(std::move(raw_lines), split_count);
+  auto raw_splits = chunk_lines(
+      core::input_lines(data, tag, gis.config->faults, ctx.counters), split_count);
   {
     std::uint64_t raw_bytes = 0;
     for (const auto& s : raw_splits) raw_bytes += lines_bytes(s);
@@ -126,9 +99,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   StreamingSpec sample;
   sample.name = tag + "/2-sample";
   sample.config = gis.streaming;
-  const double sample_rate = core::effective_sample_rate(
-      gis.query->sample_rate, data.size(),
-      core::effective_target_partitions(*gis.query, gis.exec->cluster));
+  const double sample_rate = gis.plane->sample_rate(data.size());
   workload::RowQuarantine* quarantine = gis.quarantine;
   const std::string sample_site = sample.name;
   sample.make_mapper = [&, quarantine, sample_site](std::size_t task)
@@ -200,10 +171,8 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
                                extent.min_y() + n.max_y() * h);
     }
   }
-  const std::uint32_t target_cells =
-      core::effective_target_partitions(*gis.query, gis.exec->cluster);
-  const partition::PartitionScheme scheme = partition::make_partitions(
-      gis.query->partitioner, out.samples, data.extent(), target_cells);
+  const partition::PartitionScheme scheme =
+      gis.plane->make_scheme(out.samples, data.extent());
   ctx.dfs->put(tag + ".partitions", std::any(), scheme.size_bytes());
   mapreduce::charge_master_step(ctx, tag + "/5-local-partition", master_cpu.seconds(),
                                 /*read=*/lines_bytes(norm_lines),
@@ -213,12 +182,12 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   StreamingSpec assign;
   assign.name = tag + "/6-assign";
   assign.config = gis.streaming;
-  // Shared across mapper tasks: records replicated to >1 cell by the
-  // multi-assignment (boundary-straddling MBRs) — the same quantity the
-  // other two systems report as partition.duplicated_records.
-  auto dup_records = std::make_shared<std::atomic<std::uint64_t>>(0);
+  // Records replicated to >1 cell by the multi-assignment (boundary-
+  // straddling MBRs): the same quantity the other two systems report as
+  // partition.duplicated_records.
+  core::ShuffleTally tally(ctx.counters, {.duplicates = true});
   const std::string assign_site = assign.name;
-  assign.make_mapper = [&scheme, dup_records, quarantine,
+  assign.make_mapper = [&scheme, &tally, quarantine,
                         assign_site](std::size_t) -> mapreduce::StreamingMapFn {
     // Every mapper rebuilds the partition index (insert-built R-tree on the
     // broadcast partition file) — a HadoopGIS design cost the paper calls
@@ -228,7 +197,8 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
       tree->insert(scheme.cells()[pid], pid);
     }
     const auto* scheme_ptr = &scheme;
-    return [tree, scheme_ptr, dup_records, quarantine,
+    auto* tally_ptr = &tally;
+    return [tree, scheme_ptr, tally_ptr, quarantine,
             assign_site](const std::string& line, std::vector<std::string>& emit) {
       std::string error;
       const auto f = workload::try_feature_from_tsv(line, &error);
@@ -238,9 +208,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
       }
       std::vector<std::uint32_t> pids = tree->query_ids(f->geometry.envelope());
       if (pids.empty()) pids = scheme_ptr->assign(f->geometry.envelope());
-      if (!pids.empty()) {
-        dup_records->fetch_add(pids.size() - 1, std::memory_order_relaxed);
-      }
+      tally_ptr->add(pids.size());
       for (const auto pid : pids) {
         emit.push_back("p" + std::to_string(pid) + "\t" + line);
       }
@@ -254,84 +222,60 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
     }
   };
   out.partitioned_lines = mapreduce::run_streaming(ctx, assign, converted);
-  if (ctx.counters != nullptr) {
-    ctx.counters->add("partition.duplicated_records",
-                      dup_records->load(std::memory_order_relaxed));
-  }
   return out;
 }
+
+/// What the join jobs (b) and (c) read: the partitioned line files of both
+/// inputs chunked into the join job's splits (A chunks, then B chunks — the
+/// chunking depends only on the cluster's slot count), the joint partition
+/// scheme, both occupancy bitmaps when the shuffle filter is on, and the
+/// envelope expansion the bitmaps were built with.
+struct JoinInputs {
+  std::vector<std::vector<std::string>> splits;
+  std::size_t n_a = 0;
+  std::optional<partition::PartitionScheme> joint_scheme;
+  std::optional<geom::OccupancyFilter> occupancy_a;  // filters B
+  std::optional<geom::OccupancyFilter> occupancy_b;  // filters A
+  double expand = 0.0;
+};
 
 /// Steps (b) and (c) of the HadoopGIS join — the big distributed-join
 /// streaming job and the sort-unique dedup job — shared verbatim by the
 /// cold batch driver and the resident serving path: given the same inputs
-/// (partitioned line splits, joint scheme, occupancy bitmaps) both produce
-/// bit-identical pair sets and identical shuffle.* / refine.* / join.*
-/// counters. `shared_cache`, when non-null, is a cross-query
+/// both produce bit-identical pair sets and identical shuffle.* / refine.* /
+/// join.* counters. `shared_cache`, when non-null, is a cross-query
 /// geom::PreparedCache owned by the caller (the serving catalog); the
-/// cache-hit counters always record only this run's delta.
+/// Simple (GEOS-analog) engine never consults it.
 std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
                                    const mapreduce::StreamingConfig& streaming,
                                    const core::JoinQueryConfig& query,
                                    const core::ExecutionConfig& exec,
-                                   const HadoopGisConfig& config,
-                                   const partition::PartitionScheme& joint_scheme,
-                                   const geom::OccupancyFilter* filt_a,
-                                   const geom::OccupancyFilter* filt_b,
-                                   bool filter_on,
-                                   const std::vector<std::vector<std::string>>& splits,
-                                   std::size_t n_a,
+                                   const HadoopGisConfig& config, const JoinInputs& in,
                                    workload::RowQuarantine& quarantine_sink,
                                    geom::PreparedCache* shared_cache,
                                    core::RunReport& report) {
-  const std::size_t slots = exec.cluster.total_slots();
-
-  core::LocalJoinSpec local_spec;
-  local_spec.algorithm = query.local_algorithm.value_or(config.local_algorithm);
-  local_spec.engine = &geom::GeometryEngine::get(config.engine);
-  local_spec.predicate = query.predicate;
-  local_spec.within_distance = query.within_distance;
-  // Run-scoped refiner cache (or the caller's resident cache); inert under
-  // the default Simple (GEOS-analog) engine — run_local_join consults it
-  // only for the Prepared engine, so the system's measured per-call
-  // refinement cost is unchanged. A resident cache carries hit/miss history
-  // from earlier queries, so snapshot and report only this run's delta.
-  geom::PreparedCache local_cache;
-  geom::PreparedCache& prepared_cache =
-      shared_cache != nullptr ? *shared_cache : local_cache;
-  const std::uint64_t cache_hits0 = prepared_cache.hits();
-  const std::uint64_t cache_misses0 = prepared_cache.misses();
-  local_spec.prepared_cache = &prepared_cache;
-  // refine.* accounting (thread-safe; flushed once per run_local_join
-  // call). Under the default Simple engine every refined candidate counts
-  // as an exact test — the approximations are a Prepared-path feature.
-  local_spec.refine_counters = &report.counters;
-
-  const double expand = local_spec.envelope_expansion();
-
-  // Shared across map tasks; run_streaming executes user code exactly once
-  // per task, so retries never double-count (same pattern as dup_records).
-  auto shuffle_assigned = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto shuffle_emitted = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto filtered_line_bytes = std::make_shared<std::atomic<std::uint64_t>>(0);
+  core::LocalJoinStage stage(query, config.local_algorithm, config.engine,
+                             &report.counters, shared_cache);
+  core::ShuffleTally tally(&report.counters, {.shuffle = in.occupancy_a.has_value()});
 
   StreamingSpec join_job;
   join_job.name = "join/b-distributed-join";
   join_job.config = streaming;
   workload::RowQuarantine* quarantine = &quarantine_sink;
-  join_job.make_mapper = [&joint_scheme, n_a, expand, quarantine, filt_a,
-                          filt_b, shuffle_assigned, shuffle_emitted,
-                          filtered_line_bytes](std::size_t task)
+  join_job.make_mapper = [&in, &tally, quarantine](std::size_t task)
       -> mapreduce::StreamingMapFn {
-    const char side = task < n_a ? 'A' : 'B';
+    const char side = task < in.n_a ? 'A' : 'B';
     // Each side drops against the *other* side's occupancy bitmap.
-    const geom::OccupancyFilter* filt = side == 'A' ? filt_b : filt_a;
+    const auto& occupancy = side == 'A' ? in.occupancy_b : in.occupancy_a;
+    const geom::OccupancyFilter* filt = occupancy ? &*occupancy : nullptr;
     auto tree = std::make_shared<index::DynamicRTree>();
-    for (std::uint32_t pid = 0; pid < joint_scheme.cell_count(); ++pid) {
-      tree->insert(joint_scheme.cells()[pid], pid);
+    for (std::uint32_t pid = 0; pid < in.joint_scheme->cell_count(); ++pid) {
+      tree->insert(in.joint_scheme->cells()[pid], pid);
     }
-    const auto* scheme_ptr = &joint_scheme;
-    return [tree, scheme_ptr, side, expand, quarantine, filt, shuffle_assigned,
-            shuffle_emitted, filtered_line_bytes](
+    const partition::PartitionScheme* scheme_ptr = &*in.joint_scheme;
+    core::ShuffleTally* tally_ptr = &tally;
+    const double expand = in.expand;
+    return [tree, scheme_ptr, side, expand, quarantine, filt, tally_ptr](
                const std::string& line, std::vector<std::string>& emit) {
       // Input lines look like "p<pid>\t<id>\t<wkt>[\t<pad>]": the stale
       // pid is skipped, the record re-parsed, the joint index queried.
@@ -341,35 +285,18 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
         quarantine->divert("join/b-distributed-join.map", line, error);
         return;
       }
-      const geom::Feature& f = *parsed;
       // View, not substr: the emitted line is assembled below without an
       // intermediate copy of the record tail.
       const std::string_view rest = std::string_view(line).substr(line.find('\t') + 1);
-      const geom::Envelope env = f.geometry.envelope().expanded_by(expand);
+      const geom::Envelope env = parsed->geometry.envelope().expanded_by(expand);
       std::vector<std::uint32_t> pids = tree->query_ids(env);
       if (pids.empty()) pids = scheme_ptr->assign(env);
-      if (filt != nullptr) {
-        shuffle_assigned->fetch_add(pids.size(), std::memory_order_relaxed);
-        // Drop tile copies with no occupied slot under the envelope: the
-        // line is never built, never buffered, never crosses the pipe.
-        std::size_t kept = 0;
-        std::uint64_t dropped_bytes = 0;
-        for (const auto pid : pids) {
-          if (filt->may_match(pid, env)) {
-            pids[kept++] = pid;
-          } else {
-            // Size of the "j<pid>\t<side>\t<rest>" line (+1 for the
-            // newline the pipe accounting charges per emitted line).
-            dropped_bytes += rest.size() + std::to_string(pid).size() + 5;
-          }
-        }
-        if (dropped_bytes > 0) {
-          filtered_line_bytes->fetch_add(dropped_bytes,
-                                         std::memory_order_relaxed);
-        }
-        pids.resize(kept);
-        shuffle_emitted->fetch_add(pids.size(), std::memory_order_relaxed);
-      }
+      // Filtered tile copies are never built, buffered or piped. A copy is
+      // the "j<pid>\t<side>\t<rest>" line plus the newline the pipe
+      // accounting charges.
+      tally_ptr->keep_matching(pids, env, filt, [&rest](std::uint32_t pid) {
+        return rest.size() + std::to_string(pid).size() + 5;
+      });
       for (const auto pid : pids) {
         std::string out;
         out.reserve(rest.size() + 16);
@@ -383,14 +310,8 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
       }
     };
   };
-  // Query-owned scratch pool instead of a `static thread_local` scratch:
-  // index trees and candidate buffers stay warm across the cells a reducer
-  // thread processes but die with the query, so nothing survives onto the
-  // pool threads a serving process keeps around (see core::ScratchPool).
-  core::ScratchPool scratch_pool;
-  join_job.reduce = [&local_spec, &scratch_pool, quarantine](
-                        const std::vector<std::string>& lines,
-                        std::vector<std::string>& emit) {
+  join_job.reduce = [&stage, quarantine](const std::vector<std::string>& lines,
+                                         std::vector<std::string>& emit) {
     // Lines arrive sorted, so partitions are contiguous and, within one,
     // side A sorts before side B.
     std::size_t i = 0;
@@ -413,30 +334,17 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
         ++i;
       }
       std::vector<JoinPair> pairs;
-      auto scratch = scratch_pool.acquire();
-      core::run_local_join(std::span<const geom::Feature>(left_features),
-                           std::span<const geom::Feature>(right_features), local_spec,
-                           core::AcceptAllPairs{}, *scratch, pairs);
+      stage.run(std::span<const geom::Feature>(left_features),
+                std::span<const geom::Feature>(right_features), core::AcceptAllPairs{},
+                pairs);
       for (const auto& p : pairs) {
         emit.push_back(std::to_string(p.left_id) + "\t" + std::to_string(p.right_id));
       }
     }
   };
-  const auto pair_lines = mapreduce::run_streaming(ctx, join_job, splits);
-  if (filter_on) {
-    const std::uint64_t assigned = shuffle_assigned->load(std::memory_order_relaxed);
-    const std::uint64_t emitted = shuffle_emitted->load(std::memory_order_relaxed);
-    report.counters.add("shuffle.assigned_records", assigned);
-    report.counters.add("shuffle.records", emitted);
-    report.counters.add("shuffle.filtered_records", assigned - emitted);
-    report.counters.add("shuffle.filtered_bytes",
-                        filtered_line_bytes->load(std::memory_order_relaxed));
-  }
+  const auto pair_lines = mapreduce::run_streaming(ctx, join_job, in.splits);
   report.counters.add("join.pair_lines_before_dedup", pair_lines.size());
-  report.counters.add("join.prepared_cache_hits",
-                      prepared_cache.hits() - cache_hits0);
-  report.counters.add("join.prepared_cache_misses",
-                      prepared_cache.misses() - cache_misses0);
+  stage.record_cache_counters(report.counters);
 
   // ---- Step (c): sort-unique dedup job ------------------------------------
   StreamingSpec dedup;
@@ -451,8 +359,8 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
       if (i == 0 || lines[i] != lines[i - 1]) emit.push_back(lines[i]);
     }
   };
-  const auto final_lines =
-      mapreduce::run_streaming(ctx, dedup, chunk_lines(pair_lines, slots));
+  const auto final_lines = mapreduce::run_streaming(
+      ctx, dedup, chunk_lines(pair_lines, exec.cluster.total_slots()));
 
   report.counters.add("join.pair_lines_after_dedup", final_lines.size());
   std::vector<JoinPair> pairs;
@@ -477,34 +385,27 @@ mapreduce::StreamingConfig make_streaming_config(const core::ExecutionConfig& ex
   return streaming;
 }
 
-dfs::DfsConfig gis_dfs_config(const core::JoinQueryConfig& query,
-                              const core::ExecutionConfig& exec) {
-  return dfs::DfsConfig{
-      .block_size = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(64.0 * 1024 * 1024 / exec.data_scale)),
-      .replication = 3,
-      .datanode_count = exec.cluster.node_count,
-      .seed = query.seed,
-  };
+/// Report epilogue shared by the cold and resident paths, success or
+/// failure: the IA/IB/DJ breakdown (IA and IB are 0 when no preprocessing
+/// phase ran), the total, the trace and the recovery summary.
+void finish_report(core::RunReport& report, const core::ExecutionConfig& exec,
+                   const trace::TraceCollector& collector) {
+  report.index_a_seconds = report.metrics.seconds_with_prefix("A/");
+  report.index_b_seconds = report.metrics.seconds_with_prefix("B/");
+  report.join_seconds = report.metrics.seconds_with_prefix("join/");
+  report.total_seconds = report.metrics.total_seconds();
+  if (exec.trace) report.trace = collector.merged();
+  core::annotate_recovery(report);
 }
 
 }  // namespace
 
 /// Everything the serving layer keeps resident between queries for one
-/// dataset pair: the partitioned line files both preprocessing pipelines
-/// produced (already chunked into the join job's splits — the chunking
-/// depends only on the cluster's slot count, which is fixed per catalog
-/// entry), the joint partition scheme, the occupancy bitmaps, and the
-/// ingest-time counters — replayed into every resident query's report so
-/// the full counter set matches a cold batch run exactly.
+/// dataset pair: the join jobs' inputs both preprocessing pipelines
+/// produced and the ingest-time counters — replayed into every resident
+/// query's report so the full counter set matches a cold batch run exactly.
 struct HadoopGisResident::Impl {
-  std::vector<std::vector<std::string>> splits;  // A chunks then B chunks
-  std::size_t n_a = 0;
-  std::optional<partition::PartitionScheme> joint_scheme;
-  std::unique_ptr<geom::OccupancyFilter> sfilter_a;  // A occupancy, filters B
-  std::unique_ptr<geom::OccupancyFilter> sfilter_b;  // B occupancy, filters A
-  bool filter_on = false;
-  double expand = 0.0;
+  JoinInputs inputs;
   cluster::Counters ingest_counters;
   core::RunReport build_report;
 };
@@ -534,15 +435,15 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // Fault-plan validation (FaultInjector's constructor) and DFS setup can
     // throw on a bad plan: inside the try so a chaos-generated invalid plan
     // reports a structured Status instead of escaping the driver.
-    dfs::SimDfs dfs(gis_dfs_config(query, exec));
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
     const cluster::FaultInjector faults(config.faults);
     mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &ingest_counters, &faults};
     if (exec.trace) ctx.trace = &collector;
 
     const mapreduce::StreamingConfig streaming = make_streaming_config(exec, config);
-
-    GisContext gis{&ctx, streaming, &query, &exec, &config, &build_quarantine};
+    const core::PartitionPlane plane(query, exec.cluster, config.policy);
+    GisContext gis{&ctx, streaming, &query, &exec, &config, &plane, &build_quarantine};
 
     // ---- Preprocessing (IA, IB) --------------------------------------------
     PreprocessedDataset pa = preprocess(gis, left, "A");
@@ -552,15 +453,15 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // The per-dataset partition ids cannot be reused (invisible through
     // streaming), so the samples are concatenated and re-partitioned on the
     // master — with the HDFS copy round-trips charged.
+    JoinInputs in;
+    in.expand = plane.expand();
     CpuStopwatch master_cpu;
     std::vector<geom::Envelope> joint_samples = pa.samples;
     joint_samples.insert(joint_samples.end(), pb.samples.begin(), pb.samples.end());
     geom::Envelope joint_extent = left.extent();
     joint_extent.expand_to_include(right.extent());
-    const std::uint32_t target_cells =
-        core::effective_target_partitions(query, exec.cluster);
-    partition::PartitionScheme joint_scheme = partition::make_partitions(
-        query.partitioner, joint_samples, joint_extent, target_cells);
+    partition::PartitionScheme& joint_scheme =
+        in.joint_scheme.emplace(plane.make_scheme(joint_samples, joint_extent));
     dfs.put("join.partitions", std::any(), joint_scheme.size_bytes());
     mapreduce::charge_master_step(ctx, "join/a-joint-partition", master_cpu.seconds(),
                                   pa.sample_text_bytes + pb.sample_text_bytes,
@@ -568,50 +469,23 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
 
     // ---- Global+local join step (b) inputs ---------------------------------
     const std::size_t slots = exec.cluster.total_slots();
-    auto splits_a = chunk_lines(std::move(pa.partitioned_lines), slots);
-    const std::size_t n_a = splits_a.size();
-    {
-      auto splits_b = chunk_lines(std::move(pb.partitioned_lines), slots);
-      for (auto& s : splits_b) splits_a.push_back(std::move(s));
+    in.splits = chunk_lines(std::move(pa.partitioned_lines), slots);
+    in.n_a = in.splits.size();
+    for (auto& s : chunk_lines(std::move(pb.partitioned_lines), slots)) {
+      in.splits.push_back(std::move(s));
     }
-
-    const double expand = query.predicate == core::JoinPredicate::kWithinDistance
-                              ? query.within_distance / 2.0
-                              : 0.0;
 
     // ---- Global join step (a1): optional skew-aware tile refinement ---------
     // Probe the per-tile load the join mappers below would push through the
-    // streaming pipes (the same expanded-envelope assignment over both
-    // datasets, tallied instead of emitted), split hotspot tiles on the
-    // master, and rewrite the partition file — the filter bitmaps and the
-    // join job then see the refined tile set.
-    if (config.policy.repartition.value_or(false)) {
+    // streaming pipes (both datasets), split hotspot tiles on the master, and
+    // rewrite the partition file — the filter bitmaps and the join job then
+    // see the refined tile set.
+    if (plane.repartition()) {
       CpuStopwatch skew_cpu;
-      const plan::PartitionRefiner refiner(query.partitioner, config.policy.skew);
-      const auto probe = [&](const partition::PartitionScheme& s) {
-        std::vector<plan::CellLoad> loads(s.cell_count());
-        std::vector<std::uint32_t> pids;
-        const auto tally = [&](const workload::Dataset& data) {
-          const auto envs = data.envelopes();
-          for (std::size_t i = 0; i < envs.size(); ++i) {
-            s.assign_into(envs[i].expanded_by(expand), pids);
-            const std::uint64_t bytes = 4 + data.record_text_bytes(i);
-            for (const auto pid : pids) {
-              ++loads[pid].records;
-              loads[pid].bytes += bytes;
-            }
-          }
-        };
-        tally(left);
-        tally(right);
-        return loads;
-      };
-      plan::RefineResult refined = refiner.refine(joint_scheme, probe);
-      if (ctx.counters != nullptr) {
-        plan::record_repartition_counters(refined, *ctx.counters);
-      }
       const std::uint64_t before_bytes = joint_scheme.size_bytes();
-      joint_scheme = std::move(refined.scheme);
+      joint_scheme = plane.refine(joint_scheme, ctx.counters, core::text_side(left),
+                                  core::text_side(right))
+                         .scheme;
       dfs.put("join.partitions", std::any(), joint_scheme.size_bytes());
       mapreduce::charge_master_step(ctx, "join/a1-skew-refine", skew_cpu.seconds(),
                                     before_bytes, joint_scheme.size_bytes());
@@ -619,39 +493,23 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
 
     // ---- Global join step (a2): optional shuffle filter ---------------------
     // LocationSpark's sFilter analog: a master-side pass over each dataset
-    // replays the join mapper's assignment (query + nearest-cell fallback)
-    // and marks each record's expanded envelope into its tiles' occupancy
+    // marks each record's expanded envelope into its tiles' occupancy
     // bitmaps. The scheme is joint, so filtering is symmetric: A-side
     // mappers drop tile line copies the B bitmap proves can match no B
     // geometry in that tile, and B-side mappers drop against the A bitmap —
     // before the line is pushed through the streaming pipe. Both bitmaps
     // ship to every mapper via the distributed cache.
-    const bool filter_on = config.policy.shuffle_filter.value_or(true);
-    std::unique_ptr<geom::OccupancyFilter> sfilter_b;  // B occupancy, filters A
-    std::unique_ptr<geom::OccupancyFilter> sfilter_a;  // A occupancy, filters B
-    if (filter_on) {
+    if (plane.filter_on()) {
       CpuStopwatch filter_cpu;
-      const auto build_occupancy = [&](const workload::Dataset& data) {
-        auto filter = std::make_unique<geom::OccupancyFilter>(joint_scheme.cells());
-        const auto envs = data.envelopes();
-        std::vector<std::uint32_t> mark_pids;
-        for (std::size_t i = 0; i < envs.size(); ++i) {
-          const geom::Envelope env = envs[i].expanded_by(expand);
-          joint_scheme.assign_into(env, mark_pids);
-          for (const auto pid : mark_pids) filter->mark(pid, env);
-        }
-        return filter;
-      };
-      sfilter_b = build_occupancy(right);
-      sfilter_a = build_occupancy(left);
-      dfs.put("join.sfilter", std::any(),
-              sfilter_a->size_bytes() + sfilter_b->size_bytes());
+      const auto& occupancy_b =
+          in.occupancy_b.emplace(plane.build_occupancy(joint_scheme, core::text_side(right)));
+      const auto& occupancy_a =
+          in.occupancy_a.emplace(plane.build_occupancy(joint_scheme, core::text_side(left)));
+      const std::uint64_t filter_bytes = occupancy_a.size_bytes() + occupancy_b.size_bytes();
+      dfs.put("join.sfilter", std::any(), filter_bytes);
       mapreduce::charge_master_step(ctx, "join/a2-filter-build", filter_cpu.seconds(),
-                                    left.text_bytes() + right.text_bytes(),
-                                    sfilter_a->size_bytes() + sfilter_b->size_bytes());
+                                    left.text_bytes() + right.text_bytes(), filter_bytes);
     }
-    const geom::OccupancyFilter* filt_b = sfilter_b.get();
-    const geom::OccupancyFilter* filt_a = sfilter_a.get();
 
     // Preprocessing is done: fold its counters (including its quarantined
     // rows) into the run and point the context at the run's counters for
@@ -662,27 +520,14 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     ctx.counters = &report.counters;
 
     if (capture != nullptr) {
-      capture->splits = splits_a;
-      capture->n_a = n_a;
-      capture->joint_scheme.emplace(joint_scheme);
-      if (sfilter_a != nullptr) {
-        capture->sfilter_a = std::make_unique<geom::OccupancyFilter>(*sfilter_a);
-        capture->sfilter_b = std::make_unique<geom::OccupancyFilter>(*sfilter_b);
-      }
-      capture->filter_on = filter_on;
-      capture->expand = expand;
+      capture->inputs = in;
       capture->ingest_counters = ingest_counters;
     }
     // ---- Steps (b) + (c): join + dedup streaming jobs -----------------------
-    std::vector<JoinPair> pairs =
-        run_gis_join(ctx, streaming, query, exec, config, joint_scheme, filt_a,
-                     filt_b, filter_on, splits_a, n_a, join_quarantine,
-                     /*shared_cache=*/nullptr, report);
-
-    report.status = Status::Ok();
-    report.result_count = pairs.size();
-    report.result_hash = core::hash_pairs_unordered(pairs);
-    if (exec.collect_pairs) report.pairs = std::move(pairs);
+    core::record_result(report,
+                        run_gis_join(ctx, streaming, query, exec, config, in,
+                                     join_quarantine, /*shared_cache=*/nullptr, report),
+                        exec);
   } catch (const SjcError& e) {
     // BrokenPipe (pipe overflow past the retry budget), TaskFailed
     // (injected crash exhausting attempts), BlockUnavailable (all replicas
@@ -700,12 +545,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     report.counters.merge(ingest_counters);
   }
   join_quarantine.flush_counters(report.counters);
-  report.index_a_seconds = report.metrics.seconds_with_prefix("A/");
-  report.index_b_seconds = report.metrics.seconds_with_prefix("B/");
-  report.join_seconds = report.metrics.seconds_with_prefix("join/");
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
+  finish_report(report, exec, collector);
   return report;
 }
 
@@ -752,49 +592,32 @@ core::RunReport run_hadoop_gis_resident(const HadoopGisResident& resident,
   try {
     require(resident.impl_ != nullptr, "run_hadoop_gis_resident: not built");
     const HadoopGisResident::Impl& impl = *resident.impl_;
-    {
-      core::LocalJoinSpec probe;
-      probe.predicate = query.predicate;
-      probe.within_distance = query.within_distance;
-      require(probe.envelope_expansion() == impl.expand,
-              "run_hadoop_gis_resident: query envelope expansion does not "
-              "match the resident build");
-    }
+    const core::PartitionPlane plane(query, exec.cluster, config.policy);
+    plane.require_build_expansion(impl.inputs.expand, "run_hadoop_gis_resident");
 
     // Fresh runtime per query — a serving process answers each query on its
     // own simulated job, like the indexed SpatialHadoop path. The
     // preprocessing products (partition scheme, bitmaps, partitioned lines)
     // come from the catalog; no A/ or B/ phase runs, so IA/IB report as 0.
-    dfs::SimDfs dfs(gis_dfs_config(query, exec));
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
     mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &report.counters};
     if (exec.trace) ctx.trace = &collector;
-    const mapreduce::StreamingConfig streaming = make_streaming_config(exec, config);
 
     // Replay the ingest-time counters so the resident report's counter set
     // (partition.*, quarantine.*, ...) matches a cold batch run exactly.
     report.counters.merge(impl.ingest_counters);
-
-    std::vector<JoinPair> pairs = run_gis_join(
-        ctx, streaming, query, exec, config, *impl.joint_scheme,
-        impl.sfilter_a.get(), impl.sfilter_b.get(), impl.filter_on, impl.splits,
-        impl.n_a, join_quarantine, shared_cache, report);
-
-    report.status = Status::Ok();
-    report.result_count = pairs.size();
-    report.result_hash = core::hash_pairs_unordered(pairs);
-    if (exec.collect_pairs) report.pairs = std::move(pairs);
+    core::record_result(report,
+                        run_gis_join(ctx, make_streaming_config(exec, config), query, exec,
+                                     config, impl.inputs, join_quarantine, shared_cache,
+                                     report),
+                        exec);
   } catch (const SjcError& e) {
     report.status = status_from_exception(e);
   }
 
   join_quarantine.flush_counters(report.counters);
-  report.index_a_seconds = 0.0;
-  report.index_b_seconds = 0.0;
-  report.join_seconds = report.metrics.seconds_with_prefix("join/");
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
+  finish_report(report, exec, collector);
   return report;
 }
 

@@ -3,12 +3,9 @@
 #include <memory>
 
 #include "core/feature_view.hpp"
-#include "core/local_join.hpp"
+#include "core/partition_plane.hpp"
 #include "index/str_tree.hpp"
 #include "mapreduce/map_reduce.hpp"
-#include "partition/partitioner.hpp"
-#include "partition/sampler.hpp"
-#include "plan/partition_refiner.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -35,12 +32,10 @@ struct IndexedDataset {
                                     geom::Envelope(0, 0, 1, 1)};
   std::vector<std::shared_ptr<PartBlock>> blocks;  // by partition id
   std::string dfs_prefix;
+  /// Envelope expansion the records were assigned with; a join over the
+  /// blocks must use the same one.
+  double expand = 0.0;
 };
-
-std::uint32_t default_partitions(const core::JoinQueryConfig& query,
-                                 const core::ExecutionConfig& exec) {
-  return core::effective_target_partitions(query, exec.cluster);
-}
 
 /// What the shuffle filter is built from: the already-indexed resident
 /// (right) dataset. The streamed side marks every resident block's expanded
@@ -56,19 +51,18 @@ struct FilterSource {
 /// paper's Table 3 breakdown). When `filter_source` is non-null a per-cell
 /// occupancy bitmap is derived from it on the master (a third, cheap
 /// master-side step) and the partition job drops record copies the bitmap
-/// proves can match nothing in their target cell. `count_shuffle` turns on
-/// the shuffle.assigned_records / shuffle.records / shuffle.filtered_*
-/// accounting for the partition job (both datasets' jobs count when the
-/// filter knob is on, so assigned == shuffled + filtered holds globally).
+/// proves can match nothing in their target cell. With the filter knob on,
+/// both datasets' partition jobs report shuffle.* (so assigned == shuffled +
+/// filtered holds globally).
 IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset& data,
-                             const std::string& tag, const core::JoinQueryConfig& query,
+                             const std::string& tag, const core::PartitionPlane& plane,
+                             const core::JoinQueryConfig& query,
                              const core::ExecutionConfig& exec,
                              const SpatialHadoopConfig& config,
-                             const FilterSource* filter_source = nullptr,
-                             bool count_shuffle = false) {
+                             const FilterSource* filter_source = nullptr) {
   IndexedDataset out;
   out.dfs_prefix = tag + ".part/";
-  const std::uint32_t target_cells = default_partitions(query, exec);
+  out.expand = plane.expand();
 
   // Raw input sits in HDFS.
   ctx.dfs->put(tag + ".raw", std::any(), data.text_bytes());
@@ -89,8 +83,7 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
     sample_splits.push_back({ranges[s].first, ranges[s].second, sample_rng.fork(s)});
   }
 
-  const double sample_rate =
-      core::effective_sample_rate(query.sample_rate, data.size(), target_cells);
+  const double sample_rate = plane.sample_rate(data.size());
   const auto sample_map = [&data, sample_rate](const SampleSplit& split,
                                                std::vector<geom::Envelope>& out_envs) {
     const auto envs = data.envelopes();
@@ -118,44 +111,21 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // Central scheme derivation (the SpatialHadoop master writes the _master
   // file that subsequent jobs read via HDFS).
   CpuStopwatch master_cpu;
-  out.scheme = partition::make_partitions(query.partitioner, sample, data.extent(),
-                                          target_cells);
+  out.scheme = plane.make_scheme(sample, data.extent());
   const std::uint64_t master_bytes = out.scheme.size_bytes();
   ctx.dfs->put(tag + "._master", std::any(), master_bytes);
   mapreduce::charge_master_step(ctx, tag + "/master-partition", master_cpu.seconds(),
                                 /*read=*/sample.size() * 32, /*write=*/master_bytes);
 
-  const double expand = query.predicate == core::JoinPredicate::kWithinDistance
-                            ? query.within_distance / 2.0
-                            : 0.0;
+  const double expand = out.expand;
 
   // ---- Optional master step: skew-aware hotspot refinement ----------------
-  // Probe the per-cell load the partition job below would shuffle (the same
-  // expanded-envelope assignment, tallied instead of emitted), split hotspot
-  // cells on the master, and rewrite the _master file — so Job 2, the
-  // shuffle filter and getSplits all see the refined cell set.
-  if (config.policy.repartition.value_or(false)) {
+  // Probe the per-cell load the partition job below would shuffle, split
+  // hotspot cells on the master, and rewrite the _master file — so Job 2,
+  // the shuffle filter and getSplits all see the refined cell set.
+  if (plane.repartition()) {
     CpuStopwatch skew_cpu;
-    const plan::PartitionRefiner refiner(query.partitioner, config.policy.skew);
-    const auto envs = data.envelopes();
-    const auto probe = [&](const partition::PartitionScheme& s) {
-      std::vector<plan::CellLoad> loads(s.cell_count());
-      std::vector<std::uint32_t> pids;
-      for (std::size_t i = 0; i < envs.size(); ++i) {
-        s.assign_into(envs[i].expanded_by(expand), pids);
-        const std::uint64_t bytes = 4 + data.record_text_bytes(i);
-        for (const auto pid : pids) {
-          ++loads[pid].records;
-          loads[pid].bytes += bytes;
-        }
-      }
-      return loads;
-    };
-    plan::RefineResult refined = refiner.refine(out.scheme, probe);
-    if (ctx.counters != nullptr) {
-      plan::record_repartition_counters(refined, *ctx.counters);
-    }
-    out.scheme = std::move(refined.scheme);
+    out.scheme = plane.refine(out.scheme, ctx.counters, core::text_side(data)).scheme;
     const std::uint64_t refined_bytes = out.scheme.size_bytes();
     ctx.dfs->put(tag + "._master", std::any(), refined_bytes);
     mapreduce::charge_master_step(ctx, tag + "/skew-refine", skew_cpu.seconds(),
@@ -209,36 +179,19 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // the reduce materializes one block per cell (indices into the dataset's
   // stable feature span) and packs its STR index.
   const geom::OccupancyFilter* filt = sfilter.get();
-  const auto part_map = [&data, &out, expand, &ctx, filt,
-                         count_shuffle](const std::uint32_t& idx, const auto& emit) {
+  core::ShuffleTally tally(ctx.counters, {.assignments = true,
+                                          .duplicates = true,
+                                          .shuffle = plane.filter_on(),
+                                          .filtered_only_if_any = true});
+  const auto part_map = [&data, &out, expand, filt, &tally](const std::uint32_t& idx,
+                                                            const auto& emit) {
     // Per-thread scratch keeps the assignment free of per-record allocation.
-    static thread_local std::vector<std::uint32_t> pids_scratch;
-    const geom::Envelope env = data.envelopes()[idx].expanded_by(expand);
-    std::uint32_t dropped = 0;
-    if (filt != nullptr) {
-      // Filtered assignment: true negatives never reach the emit (never
-      // buffered, never shuffled); a fully filtered record vanishes here.
-      dropped = out.scheme.assign_into(env, *filt, pids_scratch);
-    } else {
-      out.scheme.assign_into(env, pids_scratch);
-    }
-    const auto& pids = pids_scratch;
+    // With the filter, true negatives never reach the emit (never buffered,
+    // never shuffled); a fully filtered record vanishes here.
+    static thread_local std::vector<std::uint32_t> pids;
+    tally.assign(out.scheme, data.envelopes()[idx].expanded_by(expand), filt,
+                 4 + data.record_text_bytes(idx), pids);
     for (const auto pid : pids) emit(pid, idx);
-    if (ctx.counters != nullptr) {
-      ctx.counters->add("partition.assignments", pids.size());
-      ctx.counters->add("partition.records", 1);
-      ctx.counters->add("partition.duplicated_records",
-                        pids.empty() ? 0 : pids.size() - 1);
-      if (count_shuffle) {
-        ctx.counters->add("shuffle.assigned_records", pids.size() + dropped);
-        ctx.counters->add("shuffle.records", pids.size());
-        if (dropped > 0) {
-          ctx.counters->add("shuffle.filtered_records", dropped);
-          ctx.counters->add("shuffle.filtered_bytes",
-                            dropped * (4 + data.record_text_bytes(idx)));
-        }
-      }
-    }
   };
   const auto part_reduce = [&data, &out](const std::uint32_t& pid,
                                          std::vector<std::uint32_t>& idxs,
@@ -287,32 +240,10 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   return out;
 }
 
-}  // namespace
-
-core::RunReport run_spatial_hadoop(const workload::Dataset& left,
-                                   const workload::Dataset& right,
-                                   const core::JoinQueryConfig& query,
-                                   const core::ExecutionConfig& exec,
-                                   const SpatialHadoopConfig& config);
-
-namespace {
-
-dfs::DfsConfig dfs_config(const core::JoinQueryConfig& query,
-                          const core::ExecutionConfig& exec) {
-  return dfs::DfsConfig{
-      .block_size = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(64.0 * 1024 * 1024 / exec.data_scale)),
-      .replication = 3,
-      .datanode_count = exec.cluster.node_count,
-      .seed = query.seed,
-  };
-}
-
 /// The distributed-join stage shared by the end-to-end, pre-indexed and
 /// resident entry points: getSplits on the master, then a map-only
 /// local-join job. `shared_cache`, when non-null, is a cross-query
-/// geom::PreparedCache owned by the caller (the serving catalog); the
-/// join's cache-hit counters always record only this run's delta.
+/// geom::PreparedCache owned by the caller (the serving catalog).
 std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
                                            const IndexedDataset& ia,
                                            const IndexedDataset& ib,
@@ -344,36 +275,11 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
       /*read=*/ia.scheme.size_bytes() + ib.scheme.size_bytes(), /*write=*/0);
 
   // ---- Local join: map-only job, one task per partition pair ---------------
-  // One prepared-geometry cache per join wave (or the caller's resident
-  // cache): overlap-duplicated B-side geometries are bound once and shared
-  // across partition pairs (and across the concurrently running map tasks —
-  // the cache is thread-safe). A resident cache carries hit/miss history
-  // from earlier queries, so snapshot and report only this run's delta;
-  // for the run-scoped cache the delta equals the totals.
-  geom::PreparedCache local_cache;
-  geom::PreparedCache& prepared_cache =
-      shared_cache != nullptr ? *shared_cache : local_cache;
-  const std::uint64_t cache_hits0 = prepared_cache.hits();
-  const std::uint64_t cache_misses0 = prepared_cache.misses();
-  core::LocalJoinSpec local_spec;
-  local_spec.algorithm = query.local_algorithm.value_or(config.local_algorithm);
-  local_spec.engine = &geom::GeometryEngine::get(config.engine);
-  local_spec.predicate = query.predicate;
-  local_spec.within_distance = query.within_distance;
-  local_spec.prepared_cache = &prepared_cache;
-  // Surface the refine.* accounting (exact tests vs approximation early
-  // accepts/rejects) in this run's counters; Counters is thread-safe and
-  // run_local_join flushes once per call, not per pair.
-  local_spec.refine_counters = ctx.counters;
-
-  // Query-owned scratch pool instead of a `static thread_local` scratch:
-  // index trees and candidate buffers stay warm across the partition pairs
-  // of this join wave but die with the query, so nothing survives onto the
-  // pool threads a serving process keeps around (see core::ScratchPool).
-  core::ScratchPool scratch_pool;
+  // Overlap-duplicated B-side geometries are bound once in the stage's
+  // prepared-geometry cache and shared across partition pairs and tasks.
+  core::LocalJoinStage stage(query, config.local_algorithm, config.engine, ctx.counters,
+                             shared_cache);
   const auto join_map = [&](const JoinSplit& split, std::vector<JoinPair>& out_pairs) {
-    const PartBlock& block_a = *ia.blocks[split.pa];
-    const PartBlock& block_b = *ib.blocks[split.pb];
     // Reference-point duplicate avoidance: emit only in the canonical
     // (lowest-id) cell pair containing the reference point.
     const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
@@ -382,9 +288,7 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
       return ia.scheme.min_assigned(pe) == split.pa &&
              ib.scheme.min_assigned(pe) == split.pb;
     };
-    auto scratch = scratch_pool.acquire();
-    core::run_local_join(block_a.view(), block_b.view(), local_spec, accept, *scratch,
-                         out_pairs);
+    stage.run(ia.blocks[split.pa]->view(), ib.blocks[split.pb]->view(), accept, out_pairs);
   };
   const auto join_split_bytes = [&](const JoinSplit& split) {
     return ia.blocks[split.pa]->text_bytes + ib.blocks[split.pb]->text_bytes;
@@ -397,25 +301,62 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   if (ctx.counters != nullptr) {
     ctx.counters->add("join.partition_pairs", join_splits.size());
     ctx.counters->add("join.result_pairs", pairs.size());
-    ctx.counters->add("join.prepared_cache_hits",
-                      prepared_cache.hits() - cache_hits0);
-    ctx.counters->add("join.prepared_cache_misses",
-                      prepared_cache.misses() - cache_misses0);
+    stage.record_cache_counters(*ctx.counters);
   }
   return pairs;
 }
 
 void finalize_report(core::RunReport& report, std::vector<JoinPair> pairs,
                      const core::ExecutionConfig& exec) {
-  report.status = Status::Ok();
-  report.result_count = pairs.size();
-  report.result_hash = core::hash_pairs_unordered(pairs);
-  if (exec.collect_pairs) report.pairs = std::move(pairs);
+  core::record_result(report, std::move(pairs), exec);
   report.index_a_seconds = report.metrics.seconds_with_prefix("A/");
   report.index_b_seconds = report.metrics.seconds_with_prefix("B/");
   report.join_seconds = report.metrics.seconds_with_prefix("join/");
   report.total_seconds = report.metrics.total_seconds();
   core::annotate_recovery(report);
+}
+
+/// SpatialHadoop has no intrinsic failure modes; injected faults (TaskFailed
+/// past the retry budget, BlockUnavailable, lifecycle kills), invalid fault
+/// plans and mismatched builds land here as a structured Status. IA/IB/DJ
+/// stay NaN.
+void fail_report(core::RunReport& report, const SjcError& e) {
+  report.status = status_from_exception(e);
+  report.total_seconds = report.metrics.total_seconds();
+  core::annotate_recovery(report);
+}
+
+/// Joins two already-indexed datasets on a fresh runtime — getSplits plus
+/// the local join, re-partitioning skipped, so IA/IB are 0 — after checking
+/// that the query's envelope expansion is the one both were indexed with.
+/// `ingest`, when non-null, is replayed into the report's counters first.
+core::RunReport join_indexed(const IndexedDataset& ia, const IndexedDataset& ib,
+                             const core::JoinQueryConfig& query,
+                             const core::ExecutionConfig& exec,
+                             const SpatialHadoopConfig& config, const std::string& who,
+                             const cluster::Counters* ingest,
+                             geom::PreparedCache* shared_cache) {
+  core::RunReport report;
+  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
+  try {
+    const core::PartitionPlane plane(query, exec.cluster, config.policy);
+    plane.require_build_expansion(ia.expand, who);
+    plane.require_build_expansion(ib.expand, who);
+    // The block files were persisted by the build; nothing is re-put here.
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
+    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
+                             &report.counters};
+    if (exec.trace) ctx.trace = &collector;
+    if (ingest != nullptr) report.counters.merge(*ingest);
+    finalize_report(report, run_distributed_join(ctx, ia, ib, query, config, shared_cache),
+                    exec);
+    report.index_a_seconds = 0.0;
+    report.index_b_seconds = 0.0;
+  } catch (const SjcError& e) {
+    fail_report(report, e);
+  }
+  if (exec.trace) report.trace = collector.merged();
+  return report;
 }
 
 }  // namespace
@@ -433,7 +374,6 @@ struct SpatialHadoopResident::Impl {
   IndexedDataset ia;
   IndexedDataset ib;
   cluster::Counters ingest_counters;
-  double expand = 0.0;
   core::RunReport build_report;
 };
 
@@ -458,28 +398,26 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
   try {
     // Fault-plan validation and DFS setup inside the try: a chaos-generated
     // invalid plan reports a structured Status instead of escaping.
-    dfs::SimDfs dfs(dfs_config(query, exec));
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
     const cluster::FaultInjector faults(config.faults);
     mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &ingest_counters, &faults};
     if (exec.trace) ctx.trace = &collector;
+    const core::PartitionPlane plane(query, exec.cluster, config.policy);
 
     // ---- Preprocessing: index both inputs (IA, IB) -------------------------
     // With the shuffle filter on (the default), the resident (right) side is
     // indexed first so its partition blocks can seed the occupancy bitmap
     // that prunes the streamed (left) side's shuffle.
-    const bool filter_on = config.policy.shuffle_filter.value_or(true);
     IndexedDataset ia;
     IndexedDataset ib;
-    if (filter_on) {
-      ib = index_dataset(ctx, right, "B", query, exec, config, nullptr,
-                         /*count_shuffle=*/true);
+    if (plane.filter_on()) {
+      ib = index_dataset(ctx, right, "B", plane, query, exec, config);
       const FilterSource source{&ib, &right};
-      ia = index_dataset(ctx, left, "A", query, exec, config, &source,
-                         /*count_shuffle=*/true);
+      ia = index_dataset(ctx, left, "A", plane, query, exec, config, &source);
     } else {
-      ia = index_dataset(ctx, left, "A", query, exec, config);
-      ib = index_dataset(ctx, right, "B", query, exec, config);
+      ia = index_dataset(ctx, left, "A", plane, query, exec, config);
+      ib = index_dataset(ctx, right, "B", plane, query, exec, config);
     }
     report.counters.merge(ingest_counters);
     ingest_merged = true;
@@ -488,19 +426,11 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
       capture->ia = ia;
       capture->ib = ib;
       capture->ingest_counters = ingest_counters;
-      capture->expand = query.predicate == core::JoinPredicate::kWithinDistance
-                            ? query.within_distance / 2.0
-                            : 0.0;
     }
 
     finalize_report(report, run_distributed_join(ctx, ia, ib, query, config), exec);
   } catch (const SjcError& e) {
-    // SpatialHadoop has no intrinsic failure modes; injected faults
-    // (TaskFailed past the retry budget, BlockUnavailable, lifecycle kills)
-    // and invalid fault plans land here as a structured Status.
-    report.status = status_from_exception(e);
-    report.total_seconds = report.metrics.total_seconds();
-    core::annotate_recovery(report);
+    fail_report(report, e);
   }
   if (!ingest_merged) report.counters.merge(ingest_counters);
   if (exec.trace) report.trace = collector.merged();
@@ -560,39 +490,11 @@ core::RunReport run_spatial_hadoop_resident(const SpatialHadoopResident& residen
   require(resident.impl_ != nullptr,
           "run_spatial_hadoop_resident: resident state must be built first");
   const SpatialHadoopResident::Impl& impl = *resident.impl_;
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  try {
-    const double expand = query.predicate == core::JoinPredicate::kWithinDistance
-                              ? query.within_distance / 2.0
-                              : 0.0;
-    require(expand == impl.expand,
-            "run_spatial_hadoop_resident: query envelope expansion differs "
-            "from the resident build (rebuild the catalog entry)");
-    // Fresh DFS + context per query, like the pre-indexed path: the block
-    // files were persisted by the build run; nothing is re-put here.
-    dfs::SimDfs dfs(dfs_config(query, exec));
-    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &report.counters};
-    if (exec.trace) ctx.trace = &collector;
-    // Replay the ingest-time counters (partition.*, shuffle.*) captured at
-    // build time: the resident parity tests compare the full counter set
-    // against a cold batch run.
-    report.counters.merge(impl.ingest_counters);
-    finalize_report(
-        report,
-        run_distributed_join(ctx, impl.ia, impl.ib, query, config, shared_cache),
-        exec);
-    // With re-partitioning skipped the query has no indexing phases.
-    report.index_a_seconds = 0.0;
-    report.index_b_seconds = 0.0;
-  } catch (const SjcError& e) {
-    report.status = status_from_exception(e);
-    report.total_seconds = report.metrics.total_seconds();
-    core::annotate_recovery(report);
-  }
-  if (exec.trace) report.trace = collector.merged();
-  return report;
+  // Replay the ingest-time counters (partition.*, shuffle.*) captured at
+  // build time: the resident parity tests compare the full counter set
+  // against a cold batch run.
+  return join_indexed(impl.ia, impl.ib, query, exec, config, "run_spatial_hadoop_resident",
+                      &impl.ingest_counters, shared_cache);
 }
 
 // ---------------------------------------------------------------------------
@@ -619,11 +521,12 @@ SpatialHadoopIndex spatial_hadoop_build_index(const workload::Dataset& data,
                                               const SpatialHadoopConfig& config) {
   SpatialHadoopIndex index;
   index.name_ = data.name();
-  dfs::SimDfs dfs(dfs_config(query, exec));
+  dfs::SimDfs dfs(core::dfs_config(query, exec));
   mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &index.metrics_,
                            nullptr};
+  const core::PartitionPlane plane(query, exec.cluster, config.policy);
   auto impl = std::make_shared<SpatialHadoopIndex::Impl>();
-  impl->data = index_dataset(ctx, data, data.name(), query, exec, config);
+  impl->data = index_dataset(ctx, data, data.name(), plane, query, exec, config);
   index.impl_ = std::move(impl);
   return index;
 }
@@ -635,20 +538,8 @@ core::RunReport run_spatial_hadoop_indexed(const SpatialHadoopIndex& left,
                                            const SpatialHadoopConfig& config) {
   require(left.impl_ != nullptr && right.impl_ != nullptr,
           "run_spatial_hadoop_indexed: indexes must be built first");
-  core::RunReport report;
-  dfs::SimDfs dfs(dfs_config(query, exec));
-  mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                           &report.counters};
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  if (exec.trace) ctx.trace = &collector;
-  finalize_report(
-      report, run_distributed_join(ctx, left.impl_->data, right.impl_->data, query, config),
-      exec);
-  // With re-partitioning skipped the run has no indexing phases.
-  report.index_a_seconds = 0.0;
-  report.index_b_seconds = 0.0;
-  if (exec.trace) report.trace = collector.merged();
-  return report;
+  return join_indexed(left.impl_->data, right.impl_->data, query, exec, config,
+                      "run_spatial_hadoop_indexed", nullptr, nullptr);
 }
 
 }  // namespace sjc::systems

@@ -111,6 +111,9 @@ SpatialHadoopIndex spatial_hadoop_build_index(const workload::Dataset& data,
 
 /// Joins two pre-indexed datasets: getSplits + the map-only local join,
 /// skipping both indexing phases. The report's IA/IB are 0 and DJ == TOT.
+/// The query must use the envelope expansion both indexes were built with
+/// (same predicate family and distance); a mismatch yields a
+/// kInvalidArgument report. Throws InvalidArgument for an unbuilt index.
 core::RunReport run_spatial_hadoop_indexed(const SpatialHadoopIndex& left,
                                            const SpatialHadoopIndex& right,
                                            const core::JoinQueryConfig& query,

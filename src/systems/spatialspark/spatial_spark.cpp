@@ -1,17 +1,13 @@
 #include "systems/spatialspark/spatial_spark.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 
 #include "core/feature_view.hpp"
-#include "core/local_join.hpp"
+#include "core/partition_plane.hpp"
 #include "index/str_tree.hpp"
-#include "partition/partitioner.hpp"
 #include "plan/cost_model.hpp"
-#include "plan/partition_refiner.hpp"
 #include "rdd/rdd.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/quarantine.hpp"
@@ -24,40 +20,6 @@ namespace {
 using core::FeatureRef;
 using core::JoinPair;
 using geom::Feature;
-
-std::vector<std::vector<std::string>> chunk_lines(std::vector<std::string> lines,
-                                                  std::size_t n) {
-  std::vector<std::vector<std::string>> out;
-  const std::size_t total = lines.size();
-  const std::size_t per = (total + n - 1) / std::max<std::size_t>(n, 1);
-  std::size_t i = 0;
-  while (i < total) {
-    const std::size_t end = std::min(i + per, total);
-    out.emplace_back(
-        std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(i)),
-        std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(end)));
-    i = end;
-  }
-  if (out.empty()) out.emplace_back();
-  return out;
-}
-
-/// TSV lines for one input, with the fault plan's malformed rows injected at
-/// deterministic positions (seed x tag). Junk lines are always *extra*
-/// records — real rows are never corrupted — so a quarantining parse yields
-/// exactly the fault-free feature set.
-std::vector<std::string> input_lines(const workload::Dataset& data,
-                                     const std::string& tag,
-                                     const cluster::FaultPlan& plan,
-                                     cluster::Counters& counters) {
-  auto lines = workload::dataset_to_tsv(data, /*include_pad=*/true);
-  if (plan.malformed_rows > 0) {
-    workload::inject_malformed_rows(lines, plan.malformed_rows,
-                                    plan.seed ^ std::hash<std::string>{}(tag));
-    counters.add("input.malformed_rows_injected", plan.malformed_rows);
-  }
-  return lines;
-}
 
 rdd::Sizer<FeatureRef> make_ref_sizer(std::uint64_t rec_overhead) {
   return [rec_overhead](const FeatureRef& r) {
@@ -108,25 +70,53 @@ void finish_report(core::RunReport& report, std::optional<rdd::SparkRuntime>& rt
   core::annotate_recovery(report);
 }
 
-/// Stages 3-5 of the partitioned join (assign -> groupByKey x2 ->
-/// join -> local-join), shared verbatim by the cold batch path and the
-/// resident serving path: given the same inputs (feature refs, scheme,
-/// filters) both produce bit-identical pair sets and identical shuffle.* /
-/// partition.* / refine.* counters — the resident-parity tests depend on
-/// this being one function, not two copies.
-void run_spark_join_tail(
-    rdd::SparkRuntime& rt, const core::ExecutionConfig& exec,
-    rdd::Rdd<FeatureRef> left_rdd, rdd::Rdd<FeatureRef> right_rdd,
-    std::size_t left_count, std::size_t right_count,
-    const rdd::Broadcast<partition::PartitionScheme>& scheme_bc,
-    const geom::OccupancyFilter* left_filt, const geom::OccupancyFilter* right_filt,
-    bool filter_on, const core::LocalJoinSpec& local_spec,
-    geom::PreparedCache& prepared_cache, std::uint32_t parallelism,
-    std::uint64_t rec_overhead, core::RunReport& report) {
+/// Bytes one shuffled copy of a record costs: a 4-byte partition key plus
+/// the record's modeled size.
+std::uint64_t copy_bytes(const FeatureRef& r, std::uint64_t rec_overhead) {
+  return 4 + static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + rec_overhead;
+}
+
+/// One parsed input as a plane side (see core/partition_plane.hpp).
+auto rdd_side(const rdd::Rdd<FeatureRef>& side, std::uint64_t rec_overhead) {
+  return [&side, rec_overhead](auto&& visit) {
+    for (const auto& part : side.partitions()) {
+      for (const auto& r : part) visit(r.get().geometry.envelope(), copy_bytes(r, rec_overhead));
+    }
+  };
+}
+
+/// Stages 3-5 of the partitioned join (broadcast the occupancy filters ->
+/// assign -> groupByKey x2 -> join -> local-join), shared verbatim by the
+/// cold batch path and the resident serving path: given the same inputs
+/// (feature refs, scheme, filters) both produce bit-identical pair sets and
+/// identical shuffle.* / partition.* / refine.* counters — the
+/// resident-parity tests depend on this being one function, not two copies.
+/// `occupancy_b` (filters the A side) and `occupancy_a` (filters the B side)
+/// are both set when the shuffle filter is on.
+void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exec,
+                         rdd::Rdd<FeatureRef> left_rdd, rdd::Rdd<FeatureRef> right_rdd,
+                         const rdd::Broadcast<partition::PartitionScheme>& scheme_bc,
+                         std::optional<geom::OccupancyFilter> occupancy_b,
+                         std::optional<geom::OccupancyFilter> occupancy_a,
+                         core::LocalJoinStage& stage, std::uint32_t parallelism,
+                         std::uint64_t rec_overhead, core::RunReport& report) {
+  // Both bitmaps ship to the executors next to the scheme.
+  std::optional<rdd::Broadcast<geom::OccupancyFilter>> right_occ_bc;  // filters A
+  std::optional<rdd::Broadcast<geom::OccupancyFilter>> left_occ_bc;   // filters B
+  if (occupancy_b && occupancy_a) {
+    const std::uint64_t right_bytes = occupancy_b->size_bytes();
+    const std::uint64_t left_bytes = occupancy_a->size_bytes();
+    right_occ_bc.emplace(rt, std::move(*occupancy_b), right_bytes, "sfilter.B");
+    left_occ_bc.emplace(rt, std::move(*occupancy_a), left_bytes, "sfilter.A");
+  }
+  const geom::OccupancyFilter* left_filt =
+      right_occ_bc.has_value() ? &right_occ_bc->value() : nullptr;
+  const geom::OccupancyFilter* right_filt =
+      left_occ_bc.has_value() ? &left_occ_bc->value() : nullptr;
+
   const rdd::Sizer<std::pair<std::uint32_t, FeatureRef>> pid_ref_sizer =
       [rec_overhead](const std::pair<std::uint32_t, FeatureRef>& kv) {
-        return 4 + static_cast<std::uint64_t>(kv.second.get().geometry.size_bytes()) +
-               rec_overhead;
+        return copy_bytes(kv.second, rec_overhead);
       };
   const rdd::Sizer<std::pair<std::uint32_t, std::vector<FeatureRef>>> grouped_sizer =
       [rec_overhead](const std::pair<std::uint32_t, std::vector<FeatureRef>>& kv) {
@@ -136,91 +126,30 @@ void run_spark_join_tail(
         }
         return bytes;
       };
-  const double expand = local_spec.envelope_expansion();
-
-  // A shared resident cache carries hit/miss history from earlier queries;
-  // snapshot so this run's counters record only its own delta (for the
-  // run-scoped cold-path cache the delta equals the totals).
-  const std::uint64_t cache_hits0 = prepared_cache.hits();
-  const std::uint64_t cache_misses0 = prepared_cache.misses();
+  const double expand = stage.spec().envelope_expansion();
 
   // ---- 3. Assign partition ids to both sides -------------------------------
-  // Shared accumulators for the filtered path, per side: the pre-filter
-  // assignment count, the modeled bytes the dropped copies would have
-  // shuffled, and the explicit per-record duplicate count (`assigned -
-  // size()` would underflow once whole records are filtered away).
-  struct FilterStats {
-    std::atomic<std::uint64_t> pre_assigned{0};
-    std::atomic<std::uint64_t> filtered_bytes{0};
-    std::atomic<std::uint64_t> dups{0};
-  };
-  auto left_stats = std::make_shared<FilterStats>();
-  auto right_stats = std::make_shared<FilterStats>();
-  const auto make_assign_fn = [&scheme_bc, expand, rec_overhead](
-                                  const geom::OccupancyFilter* filt,
-                                  std::shared_ptr<FilterStats> stats) {
-    return [&scheme_bc, expand, rec_overhead, filt, stats = std::move(stats)](
-               const FeatureRef& f,
-               std::vector<std::pair<std::uint32_t, FeatureRef>>& out) {
-      // assign_into reuses a per-thread scratch and queries the grid cell
-      // directory. The scratch is cleared and refilled on every call, so
-      // nothing leaks across queries even though the pool thread outlives
-      // this one.
-      static thread_local std::vector<std::uint32_t> pids_scratch;
-      const geom::Envelope env = f.get().geometry.envelope().expanded_by(expand);
-      if (filt == nullptr) {
-        scheme_bc.value().assign_into(env, pids_scratch);
-      } else {
-        const std::uint32_t dropped =
-            scheme_bc.value().assign_into(env, *filt, pids_scratch);
-        stats->pre_assigned.fetch_add(pids_scratch.size() + dropped,
-                                      std::memory_order_relaxed);
-        if (!pids_scratch.empty()) {
-          stats->dups.fetch_add(pids_scratch.size() - 1,
-                                std::memory_order_relaxed);
-        }
-        if (dropped > 0) {
-          const std::uint64_t copy_bytes =
-              4 + static_cast<std::uint64_t>(f.get().geometry.size_bytes()) +
-              rec_overhead;
-          stats->filtered_bytes.fetch_add(dropped * copy_bytes,
-                                          std::memory_order_relaxed);
-        }
-      }
-      for (const auto pid : pids_scratch) out.emplace_back(pid, f);
+  // Both assign stages feed groupByKey, so the whole-run invariant
+  // assigned == shuffled + filtered is also the per-phase one.
+  core::ShuffleTally tally(&report.counters,
+                           {.duplicates = true, .shuffle = left_filt != nullptr, .sides = true});
+  const auto make_assign_fn = [&](const geom::OccupancyFilter* filt,
+                                  core::ShuffleTally::Side side) {
+    return [&scheme_bc, &tally, expand, rec_overhead, filt, side](
+               const FeatureRef& f, std::vector<std::pair<std::uint32_t, FeatureRef>>& out) {
+      // assign_into reuses a per-thread scratch, cleared and refilled on
+      // every call, so nothing leaks across queries even though the pool
+      // thread outlives this one.
+      static thread_local std::vector<std::uint32_t> pids;
+      tally.assign(scheme_bc.value(), f.get().geometry.envelope().expanded_by(expand), filt,
+                   copy_bytes(f, rec_overhead), pids, side);
+      for (const auto pid : pids) out.emplace_back(pid, f);
     };
   };
   auto left_pids = left_rdd.flat_map<std::pair<std::uint32_t, FeatureRef>>(
-      "assign", make_assign_fn(left_filt, left_stats), pid_ref_sizer);
+      "assign", make_assign_fn(left_filt, core::ShuffleTally::kLeft), pid_ref_sizer);
   auto right_pids = right_rdd.flat_map<std::pair<std::uint32_t, FeatureRef>>(
-      "assign", make_assign_fn(right_filt, right_stats), pid_ref_sizer);
-  const auto count_records = [](const auto& rdd) {
-    std::size_t n = 0;
-    for (const auto& part : rdd.partitions()) n += part.size();
-    return n;
-  };
-  const std::size_t left_assigned = count_records(left_pids);
-  const std::size_t right_assigned = count_records(right_pids);
-  report.counters.add("assign.left_assignments", left_assigned);
-  report.counters.add("assign.right_assignments", right_assigned);
-  if (!filter_on) {
-    report.counters.add("partition.duplicated_records",
-                        left_assigned - left_count + right_assigned - right_count);
-  } else {
-    const std::uint64_t pre =
-        left_stats->pre_assigned.load() + right_stats->pre_assigned.load();
-    report.counters.add("partition.duplicated_records",
-                        left_stats->dups.load() + right_stats->dups.load());
-    // Both assign stages feed groupByKey, so the whole-run invariant
-    // assigned == shuffled + filtered is also the per-phase one.
-    report.counters.add("shuffle.assigned_records", pre);
-    report.counters.add("shuffle.records", left_assigned + right_assigned);
-    report.counters.add("shuffle.filtered_records",
-                        pre - left_assigned - right_assigned);
-    report.counters.add("shuffle.filtered_bytes",
-                        left_stats->filtered_bytes.load() +
-                            right_stats->filtered_bytes.load());
-  }
+      "assign", make_assign_fn(right_filt, core::ShuffleTally::kRight), pid_ref_sizer);
   // The input lineage is not retained once consumed (a resident query drops
   // only its per-query handles; the catalog keeps the backing features).
   left_rdd = {};
@@ -253,11 +182,6 @@ void run_spark_join_tail(
   right_grouped = {};
 
   // ---- 5. Local join per partition pair ------------------------------------
-  // Query-owned scratch pool instead of a `static thread_local` scratch:
-  // buffers stay warm across the partition pairs of this wave but die with
-  // the query, so nothing survives onto the pool threads a serving process
-  // keeps around (see core::ScratchPool).
-  core::ScratchPool scratch_pool;
   auto pairs_rdd = joined.flat_map<JoinPair>(
       "local-join",
       [&](const std::tuple<std::uint32_t, std::vector<FeatureRef>,
@@ -270,16 +194,11 @@ void run_spark_join_tail(
           return scheme_bc.value().min_assigned(
                      geom::Envelope::of_point(p.x, p.y)) == pid;
         };
-        auto scratch = scratch_pool.acquire();
-        core::run_local_join(core::FeatureRefSpan(std::get<1>(t)),
-                             core::FeatureRefSpan(std::get<2>(t)), local_spec,
-                             accept, *scratch, out);
+        stage.run(core::FeatureRefSpan(std::get<1>(t)), core::FeatureRefSpan(std::get<2>(t)),
+                  accept, out);
       },
       make_pair_sizer(rec_overhead));
-  report.counters.add("join.prepared_cache_hits",
-                      prepared_cache.hits() - cache_hits0);
-  report.counters.add("join.prepared_cache_misses",
-                      prepared_cache.misses() - cache_misses0);
+  stage.record_cache_counters(report.counters);
   record_result(rt, exec, pairs_rdd, "local-join.aggregate", report);
 }
 
@@ -298,9 +217,8 @@ struct SpatialSparkResident::Impl {
   std::size_t left_count = 0;
   std::size_t right_count = 0;
   std::optional<partition::PartitionScheme> scheme;
-  std::unique_ptr<geom::OccupancyFilter> right_occ;  // filters the A side
-  std::unique_ptr<geom::OccupancyFilter> left_occ;   // filters the B side
-  bool filter_on = false;
+  std::optional<geom::OccupancyFilter> right_occ;  // filters the A side
+  std::optional<geom::OccupancyFilter> left_occ;   // filters the B side
   double expand = 0.0;
   core::RunReport build_report;
 };
@@ -329,7 +247,7 @@ struct SparkInputs {
 SparkInputs read_and_partition(const workload::Dataset& left,
                                const workload::Dataset& right,
                                const core::JoinQueryConfig& query,
-                               const core::ExecutionConfig& exec,
+                               const core::PartitionPlane& plane,
                                const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
                                dfs::SimDfs& dfs, std::uint32_t parallelism,
                                workload::RowQuarantine& quarantine,
@@ -349,8 +267,9 @@ SparkInputs read_and_partition(const workload::Dataset& left,
     dfs.put(tag + ".raw", std::any(), data.text_bytes());
     auto lines = rdd::Rdd<std::string>::create(
         rt,
-        chunk_lines(input_lines(data, tag, config.spark.faults, report.counters),
-                    parallelism),
+        core::chunk_lines(
+            core::input_lines(data, tag, config.spark.faults, &report.counters),
+            parallelism),
         line_sizer, tag + ".text");
     rt.record_input_read(tag + ".read", data.text_bytes(),
                          dfs.block_count(tag + ".raw"));
@@ -380,11 +299,7 @@ SparkInputs read_and_partition(const workload::Dataset& left,
   auto left_rdd = read_and_parse(left, "A");
   auto right_rdd = read_and_parse(right, "B");
 
-  const std::uint32_t target_cells =
-      core::effective_target_partitions(query, exec.cluster);
-  const double sample_rate =
-      core::effective_sample_rate(query.sample_rate, right.size(), target_cells);
-  auto sample_rdd = right_rdd.sample("sample", sample_rate, query.seed);
+  auto sample_rdd = right_rdd.sample("sample", plane.sample_rate(right.size()), query.seed);
   const std::vector<FeatureRef> sample = sample_rdd.collect();
 
   CpuStopwatch driver_cpu;
@@ -393,8 +308,7 @@ SparkInputs read_and_partition(const workload::Dataset& left,
   for (const auto& r : sample) sample_envs.push_back(r.get().geometry.envelope());
   geom::Envelope joint_extent = left.extent();
   joint_extent.expand_to_include(right.extent());
-  partition::PartitionScheme scheme = partition::make_partitions(
-      query.partitioner, sample_envs, joint_extent, target_cells);
+  partition::PartitionScheme scheme = plane.make_scheme(sample_envs, joint_extent);
   rt.record_narrow_stage("driver.partition", {driver_cpu.seconds()});
   return SparkInputs{std::move(store), std::move(left_rdd), std::move(right_rdd),
                      std::move(sample_rdd), std::move(scheme)};
@@ -402,59 +316,30 @@ SparkInputs read_and_partition(const workload::Dataset& left,
 
 /// The partition-based plan (the paper's SpatialSpark): optional skew-aware
 /// refinement, scheme broadcast, optional shuffle filter, then the shared
-/// assign -> groupByKey -> join -> local-join tail.
+/// filter-broadcast -> assign -> groupByKey -> join -> local-join tail.
 ///
 /// When `capture` is non-null the preprocessing products (feature store,
 /// parsed chunks, scheme, filters) are additionally copied into it for
 /// resident reuse; the run itself is unaffected.
-void run_partitioned_join(SparkInputs& in, const workload::Dataset& left,
-                          const workload::Dataset& right,
-                          const core::JoinQueryConfig& query,
-                          const core::ExecutionConfig& exec,
+void run_partitioned_join(SparkInputs& in, const core::ExecutionConfig& exec,
+                          const core::PartitionPlane& plane,
                           const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
-                          const core::LocalJoinSpec& local_spec,
-                          geom::PreparedCache& prepared_cache, std::uint32_t parallelism,
+                          core::LocalJoinStage& stage, std::uint32_t parallelism,
                           core::RunReport& report, SpatialSparkResident::Impl* capture) {
   const std::uint64_t rec_overhead = config.record_overhead_bytes;
-  const double expand = local_spec.envelope_expansion();
 
   // ---- 2a. Optional skew-aware hotspot refinement (driver-side) ------------
-  // Probe the shuffle load each cell of the sampled scheme would receive
-  // (the exact assignment the assign stages perform below, tallied instead
-  // of emitted), split hotspot cells, and only then broadcast/capture the
-  // scheme — so the resident path and every downstream stage see the
-  // refined cell set. Runs before the occupancy filter on purpose: the
-  // probe must see unfiltered load, and the bitmaps must be built against
-  // the final cells.
-  if (config.policy.repartition.value_or(false)) {
+  // Probe the shuffle load each cell of the sampled scheme would receive,
+  // split hotspot cells, and only then broadcast/capture the scheme — so the
+  // resident path and every downstream stage see the refined cell set. Runs
+  // before the occupancy filter on purpose: the probe must see unfiltered
+  // load, and the bitmaps must be built against the final cells.
+  if (plane.repartition()) {
     CpuStopwatch skew_cpu;
-    const plan::PartitionRefiner refiner(query.partitioner, config.policy.skew);
-    const auto probe = [&](const partition::PartitionScheme& s) {
-      std::vector<plan::CellLoad> loads(s.cell_count());
-      std::vector<std::uint32_t> pids;
-      const auto tally = [&](const rdd::Rdd<FeatureRef>& side) {
-        for (const auto& part : side.partitions()) {
-          for (const auto& r : part) {
-            const Feature& f = r.get();
-            s.assign_into(f.geometry.envelope().expanded_by(expand), pids);
-            const std::uint64_t bytes =
-                4 + static_cast<std::uint64_t>(f.geometry.size_bytes()) +
-                rec_overhead;
-            for (const auto pid : pids) {
-              ++loads[pid].records;
-              loads[pid].bytes += bytes;
-            }
-          }
-        }
-      };
-      tally(in.left);
-      tally(in.right);
-      return loads;
-    };
-    plan::RefineResult refined = refiner.refine(in.scheme, probe);
+    in.scheme = plane.refine(in.scheme, &report.counters, rdd_side(in.left, rec_overhead),
+                             rdd_side(in.right, rec_overhead))
+                    .scheme;
     rt.record_narrow_stage("driver.skew-refine", {skew_cpu.seconds()});
-    plan::record_repartition_counters(refined, report.counters);
-    in.scheme = std::move(refined.scheme);
   }
 
   if (capture != nullptr) {
@@ -462,9 +347,8 @@ void run_partitioned_join(SparkInputs& in, const workload::Dataset& left,
     capture->left_chunks.assign(in.left.partitions().begin(), in.left.partitions().end());
     capture->right_chunks.assign(in.right.partitions().begin(),
                                  in.right.partitions().end());
-    capture->left_count = left.size();
-    capture->right_count = right.size();
     capture->scheme.emplace(in.scheme);
+    capture->expand = plane.expand();
   }
 
   const std::uint64_t scheme_bytes = in.scheme.size_bytes() * 2;  // cells + index
@@ -477,50 +361,23 @@ void run_partitioned_join(SparkInputs& in, const workload::Dataset& left,
   // cells' occupancy bitmaps. Because the scheme is *joint*, filtering is
   // symmetric and stays sound both ways: a pair needs both records in the
   // same cell with intersecting expanded envelopes, so each side's copy in a
-  // cell provably without partners can be dropped. Both bitmaps are
-  // broadcast next to the scheme; the assign stages consult them below.
-  const bool filter_on = config.policy.shuffle_filter.value_or(true);
-  std::optional<rdd::Broadcast<geom::OccupancyFilter>> right_occ_bc;  // filters A
-  std::optional<rdd::Broadcast<geom::OccupancyFilter>> left_occ_bc;   // filters B
-  if (filter_on) {
+  // cell provably without partners can be dropped.
+  std::optional<geom::OccupancyFilter> right_occ;  // filters A
+  std::optional<geom::OccupancyFilter> left_occ;   // filters B
+  if (plane.filter_on()) {
     CpuStopwatch filter_cpu;
-    const auto build_occupancy = [&](const rdd::Rdd<FeatureRef>& side) {
-      geom::OccupancyFilter filter(scheme_bc.value().cells());
-      std::vector<std::uint32_t> mark_pids;
-      for (const auto& part : side.partitions()) {
-        for (const auto& r : part) {
-          const geom::Envelope env =
-              r.get().geometry.envelope().expanded_by(expand);
-          scheme_bc.value().assign_into(env, mark_pids);
-          for (const auto pid : mark_pids) filter.mark(pid, env);
-        }
-      }
-      return filter;
-    };
-    geom::OccupancyFilter right_occ = build_occupancy(in.right);
-    geom::OccupancyFilter left_occ = build_occupancy(in.left);
+    right_occ.emplace(plane.build_occupancy(scheme_bc.value(), rdd_side(in.right, rec_overhead)));
+    left_occ.emplace(plane.build_occupancy(scheme_bc.value(), rdd_side(in.left, rec_overhead)));
     rt.record_narrow_stage("filter.build", {filter_cpu.seconds()});
     if (capture != nullptr) {
-      capture->right_occ = std::make_unique<geom::OccupancyFilter>(right_occ);
-      capture->left_occ = std::make_unique<geom::OccupancyFilter>(left_occ);
+      capture->right_occ = right_occ;
+      capture->left_occ = left_occ;
     }
-    const std::uint64_t right_bytes = right_occ.size_bytes();
-    const std::uint64_t left_bytes = left_occ.size_bytes();
-    right_occ_bc.emplace(rt, std::move(right_occ), right_bytes, "sfilter.B");
-    left_occ_bc.emplace(rt, std::move(left_occ), left_bytes, "sfilter.A");
   }
-  if (capture != nullptr) {
-    capture->filter_on = filter_on;
-    capture->expand = expand;
-  }
-  const geom::OccupancyFilter* left_filt =
-      right_occ_bc.has_value() ? &right_occ_bc->value() : nullptr;
-  const geom::OccupancyFilter* right_filt =
-      left_occ_bc.has_value() ? &left_occ_bc->value() : nullptr;
 
-  run_spark_join_tail(rt, exec, std::move(in.left), std::move(in.right), left.size(),
-                      right.size(), scheme_bc, left_filt, right_filt, filter_on,
-                      local_spec, prepared_cache, parallelism, rec_overhead, report);
+  run_spark_join_tail(rt, exec, std::move(in.left), std::move(in.right), scheme_bc,
+                      std::move(right_occ), std::move(left_occ), stage, parallelism,
+                      rec_overhead, report);
 }
 
 /// The broadcast-based plan (the paper's earlier design, left for
@@ -578,31 +435,22 @@ void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
   record_result(rt, exec, pairs_rdd, "broadcast-join.aggregate", report);
 }
 
-dfs::DfsConfig spark_dfs_config(const core::JoinQueryConfig& query,
-                                const core::ExecutionConfig& exec) {
-  return dfs::DfsConfig{
-      .block_size = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(64.0 * 1024 * 1024 / exec.data_scale)),
-      .replication = 3,
-      .datanode_count = exec.cluster.node_count,
-      .seed = query.seed,
-  };
-}
-
-core::LocalJoinSpec make_local_spec(const core::JoinQueryConfig& query,
-                                    const SpatialSparkConfig& config,
-                                    geom::PreparedCache* cache,
-                                    cluster::Counters* counters) {
-  return core::LocalJoinSpec{
-      .algorithm = query.local_algorithm.value_or(config.local_algorithm),
-      .engine = &geom::GeometryEngine::get(config.engine),
-      .predicate = query.predicate,
-      .within_distance = query.within_distance,
-      .prepared_cache = cache,
-      // refine.* accounting; Counters is thread-safe and run_local_join
-      // flushes once per call.
-      .refine_counters = counters,
-  };
+/// Emplaces the run's DFS and Spark runtime and returns the shuffle
+/// parallelism. Constructing the runtime validates the fault plan, so
+/// callers run this inside their try: an invalid plan must surface as a
+/// structured Status. The optionals outlive the try so the epilogue can
+/// still read peak memory from a partially-run job.
+std::uint32_t start_runtime(std::optional<dfs::SimDfs>& dfs,
+                            std::optional<rdd::SparkRuntime>& rt,
+                            const core::JoinQueryConfig& query,
+                            const core::ExecutionConfig& exec,
+                            const SpatialSparkConfig& config, core::RunReport& report,
+                            trace::TraceCollector& collector) {
+  dfs.emplace(core::dfs_config(query, exec));
+  rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.spark);
+  rt->set_counters(&report.counters);
+  if (exec.trace) rt->set_trace(&collector);
+  return rt->default_parallelism() * 2;
 }
 
 core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
@@ -614,37 +462,31 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   core::RunReport report;
   trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   workload::RowQuarantine quarantine;
-  // Emplaced inside the try: constructing the runtime validates the fault
-  // plan, and an invalid plan must surface as a structured Status, not an
-  // escaped exception. The optionals outlive the catch so the epilogue can
-  // still read peak memory from a partially-run job.
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
-
   // One prepared-geometry cache per run, shared by all local-join tasks:
   // overlap-duplicated right-side geometries are bound once, not once per
   // partition.
-  geom::PreparedCache prepared_cache;
-  const core::LocalJoinSpec local_spec =
-      make_local_spec(query, config, &prepared_cache, &report.counters);
+  core::LocalJoinStage stage(query, config.local_algorithm, config.engine, &report.counters);
 
   try {
     require(capture == nullptr || !config.broadcast_join,
             "spatial_spark_build_resident: resident mode requires the "
             "partition-based join (not broadcast_join)");
-    dfs.emplace(spark_dfs_config(query, exec));
-    rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.spark);
-    rt->set_counters(&report.counters);
-    if (exec.trace) rt->set_trace(&collector);
-
-    const std::uint32_t parallelism = rt->default_parallelism() * 2;
-    SparkInputs in = read_and_partition(left, right, query, exec, config, *rt, *dfs,
+    const std::uint32_t parallelism =
+        start_runtime(dfs, rt, query, exec, config, report, collector);
+    const core::PartitionPlane plane(query, exec.cluster, config.policy);
+    SparkInputs in = read_and_partition(left, right, query, plane, config, *rt, *dfs,
                                         parallelism, quarantine, report);
     if (config.broadcast_join) {
-      run_broadcast_join(in, exec, config, *rt, local_spec, report);
+      run_broadcast_join(in, exec, config, *rt, stage.spec(), report);
     } else {
-      run_partitioned_join(in, left, right, query, exec, config, *rt, local_spec,
-                           prepared_cache, parallelism, report, capture);
+      if (capture != nullptr) {
+        capture->left_count = left.size();
+        capture->right_count = right.size();
+      }
+      run_partitioned_join(in, exec, plane, config, *rt, stage, parallelism, report,
+                           capture);
     }
   } catch (const SjcError& e) {
     // SimOutOfMemory (the paper's EC2-8/EC2-6 failure) plus injected
@@ -670,9 +512,19 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
   if (!config.policy.cost_based_plan) {
     return run_spatial_spark_impl(left, right, query, exec, config, nullptr);
   }
-  // Cost-based physical-plan choice: predict both plans from the dataset
-  // sizes and the cluster spec, run the cheaper feasible one, and leave the
-  // prediction next to the realized wall clock in the plan.* counters.
+  return run_spatial_spark_cost_based(left, right, exec, config, /*resident=*/false,
+                                      [&](bool broadcast) {
+                                        SpatialSparkConfig chosen = config;
+                                        chosen.broadcast_join = broadcast;
+                                        return run_spatial_spark_impl(
+                                            left, right, query, exec, chosen, nullptr);
+                                      });
+}
+
+core::RunReport run_spatial_spark_cost_based(
+    const workload::Dataset& left, const workload::Dataset& right,
+    const core::ExecutionConfig& exec, const SpatialSparkConfig& config, bool resident,
+    const std::function<core::RunReport(bool broadcast)>& run) {
   const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
       .left_records = left.size(),
       .right_records = right.size(),
@@ -683,12 +535,9 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
       .filter_selectivity = std::nullopt,
       .cluster = exec.cluster,
       .data_scale = exec.data_scale,
-      .resident = false,
+      .resident = resident,
   });
-  SpatialSparkConfig chosen = config;
-  chosen.broadcast_join = decision.chosen == plan::PlanKind::kBroadcastJoin;
-  core::RunReport report =
-      run_spatial_spark_impl(left, right, query, exec, chosen, nullptr);
+  core::RunReport report = run(decision.chosen == plan::PlanKind::kBroadcastJoin);
   plan::record_plan_counters(decision, report.counters);
   plan::record_plan_actual(report.total_seconds, report.counters);
   return report;
@@ -737,23 +586,14 @@ core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
   trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
-
-  // Per-query fallback cache when the caller shares none; the serving layer
-  // passes the catalog entry's cache so prepared refiners survive queries.
-  geom::PreparedCache fallback_cache;
-  geom::PreparedCache& cache = shared_cache != nullptr ? *shared_cache : fallback_cache;
-  const core::LocalJoinSpec local_spec =
-      make_local_spec(query, config, &cache, &report.counters);
+  core::LocalJoinStage stage(query, config.local_algorithm, config.engine, &report.counters,
+                             shared_cache);
 
   try {
-    require(local_spec.envelope_expansion() == impl.expand,
-            "run_spatial_spark_resident: query envelope expansion differs "
-            "from the resident build (rebuild the catalog entry)");
-    dfs.emplace(spark_dfs_config(query, exec));
-    rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.spark);
-    rt->set_counters(&report.counters);
-    if (exec.trace) rt->set_trace(&collector);
-    const std::uint32_t parallelism = rt->default_parallelism() * 2;
+    const core::PartitionPlane plane(query, exec.cluster, config.policy);
+    plane.require_build_expansion(impl.expand, "run_spatial_spark_resident");
+    const std::uint32_t parallelism =
+        start_runtime(dfs, rt, query, exec, config, report, collector);
     const std::uint64_t rec_overhead = config.record_overhead_bytes;
 
     // Re-materialize the resident inputs as cached RDDs: the per-chunk
@@ -773,25 +613,9 @@ core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
     const std::uint64_t scheme_bytes = scheme.size_bytes() * 2;
     rdd::Broadcast<partition::PartitionScheme> scheme_bc(*rt, std::move(scheme),
                                                          scheme_bytes, "scheme");
-    std::optional<rdd::Broadcast<geom::OccupancyFilter>> right_occ_bc;
-    std::optional<rdd::Broadcast<geom::OccupancyFilter>> left_occ_bc;
-    if (impl.filter_on) {
-      geom::OccupancyFilter right_occ = *impl.right_occ;
-      geom::OccupancyFilter left_occ = *impl.left_occ;
-      const std::uint64_t right_bytes = right_occ.size_bytes();
-      const std::uint64_t left_bytes = left_occ.size_bytes();
-      right_occ_bc.emplace(*rt, std::move(right_occ), right_bytes, "sfilter.B");
-      left_occ_bc.emplace(*rt, std::move(left_occ), left_bytes, "sfilter.A");
-    }
-    const geom::OccupancyFilter* left_filt =
-        right_occ_bc.has_value() ? &right_occ_bc->value() : nullptr;
-    const geom::OccupancyFilter* right_filt =
-        left_occ_bc.has_value() ? &left_occ_bc->value() : nullptr;
-
-    run_spark_join_tail(*rt, exec, std::move(left_rdd), std::move(right_rdd),
-                        impl.left_count, impl.right_count, scheme_bc, left_filt,
-                        right_filt, impl.filter_on, local_spec, cache, parallelism,
-                        rec_overhead, report);
+    run_spark_join_tail(*rt, exec, std::move(left_rdd), std::move(right_rdd), scheme_bc,
+                        impl.right_occ, impl.left_occ, stage, parallelism, rec_overhead,
+                        report);
   } catch (const SjcError& e) {
     report.status = status_from_exception(e);
   }

@@ -28,6 +28,8 @@
 // record's full modeled bytes.
 #pragma once
 
+#include <functional>
+
 #include "core/spatial_join.hpp"
 #include "plan/exec_policy.hpp"
 #include "rdd/spark_runtime.hpp"
@@ -71,6 +73,17 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
                                   const core::JoinQueryConfig& query,
                                   const core::ExecutionConfig& exec,
                                   const SpatialSparkConfig& config = {});
+
+/// Cost-based plan choice for one SpatialSpark join: predicts both plans
+/// from the dataset sizes and the cluster spec, calls `run(broadcast)` with
+/// the cheaper feasible one, and records the prediction next to the
+/// realized cost in the report's plan.* counters. `resident` (both inputs
+/// already in executor memory) drops the read and partition steps from the
+/// prediction.
+core::RunReport run_spatial_spark_cost_based(
+    const workload::Dataset& left, const workload::Dataset& right,
+    const core::ExecutionConfig& exec, const SpatialSparkConfig& config, bool resident,
+    const std::function<core::RunReport(bool broadcast)>& run);
 
 /// Resident (serving-mode) state for the partition-based join:
 /// the parsed feature store, the per-chunk FeatureRef views, the partition

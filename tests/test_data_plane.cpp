@@ -1,4 +1,5 @@
-// Data plane tests: the grid cell directory must agree with the STR tree,
+// Data plane tests: the partition plane's decisions and shuffle tally, the
+// grid cell directory must agree with the STR tree,
 // the duplicated-records counter must report the exact multi-assignment
 // overhead on a pinned grid, and repeated (and traced) runs must be
 // bit-identical with the thread pool active.
@@ -11,13 +12,16 @@
 #include <set>
 
 #include "core/experiments.hpp"
+#include "core/partition_plane.hpp"
 #include "core/spatial_join.hpp"
 #include "index/str_tree.hpp"
 #include "partition/partitioner.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
+#include "util/status.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generators.hpp"
 
 namespace sjc {
@@ -61,6 +65,83 @@ void expect_reports_identical(const core::RunReport& a, const core::RunReport& b
     EXPECT_EQ(pa.task_attempts, pb.task_attempts) << tag << " phase " << pa.name;
   }
   EXPECT_EQ(a.counters.snapshot(), b.counters.snapshot()) << tag;
+}
+
+// ---------------------------------------------------------------------------
+// PartitionPlane decisions and the shuffle tally
+// ---------------------------------------------------------------------------
+
+TEST(PartitionPlane, PolicyDefaultsAndEnvelopeExpansion) {
+  const auto cluster = cluster::ClusterSpec::ec2(10);
+  core::JoinQueryConfig query;
+  const core::PartitionPlane intersects(query, cluster, plan::ExecPolicy{});
+  EXPECT_TRUE(intersects.filter_on());
+  EXPECT_FALSE(intersects.repartition());
+  EXPECT_EQ(intersects.expand(), 0.0);
+  EXPECT_EQ(intersects.sample_rate(1000),
+            core::effective_sample_rate(query.sample_rate, 1000,
+                                        core::effective_target_partitions(query, cluster)));
+
+  query.predicate = core::JoinPredicate::kWithinDistance;
+  query.within_distance = 100.0;
+  plan::ExecPolicy policy;
+  policy.shuffle_filter = false;
+  policy.repartition = true;
+  const core::PartitionPlane within(query, cluster, policy);
+  EXPECT_FALSE(within.filter_on());
+  EXPECT_TRUE(within.repartition());
+  EXPECT_EQ(within.expand(), 50.0);
+  EXPECT_NO_THROW(within.require_build_expansion(50.0, "test"));
+  EXPECT_THROW(within.require_build_expansion(0.0, "test"), InvalidArgument);
+}
+
+// The tally is written once, when its scope ends — also when the job inside
+// it throws — and its totals do not depend on which threads added what.
+TEST(ShuffleTally, FlushesOnceOnScopeExitWhateverTheInterleaving) {
+  cluster::Counters counters;
+  try {
+    core::ShuffleTally tally(&counters, {.duplicates = true, .shuffle = true, .sides = true});
+    ThreadPool::shared().parallel_for(1000, [&](std::size_t i) {
+      const auto side = i % 2 == 0 ? core::ShuffleTally::kLeft : core::ShuffleTally::kRight;
+      tally.add(/*kept=*/i % 4, /*dropped=*/i % 3 == 0 ? 1 : 0, /*dropped_bytes=*/10, side);
+    });
+    EXPECT_TRUE(counters.snapshot().empty());
+    throw TaskFailed("job killed after its tasks ran");
+  } catch (const TaskFailed&) {
+  }
+  std::uint64_t kept[2] = {0, 0};
+  std::uint64_t duplicates = 0;
+  std::uint64_t dropped = 0;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    kept[i % 2] += i % 4;
+    duplicates += i % 4 > 1 ? i % 4 - 1 : 0;
+    dropped += i % 3 == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(counters.get("assign.left_assignments"), kept[0]);
+  EXPECT_EQ(counters.get("assign.right_assignments"), kept[1]);
+  EXPECT_EQ(counters.get("partition.duplicated_records"), duplicates);
+  EXPECT_EQ(counters.get("shuffle.records"), kept[0] + kept[1]);
+  EXPECT_EQ(counters.get("shuffle.filtered_records"), dropped);
+  EXPECT_EQ(counters.get("shuffle.filtered_bytes"), 10 * dropped);
+  EXPECT_EQ(counters.get("shuffle.assigned_records"), kept[0] + kept[1] + dropped);
+  EXPECT_EQ(counters.snapshot().count("partition.records"), 0u);
+}
+
+TEST(ShuffleTally, FilteredCountersOnlyIfAnyWhenAsked) {
+  cluster::Counters sparse;
+  cluster::Counters dense;
+  {
+    core::ShuffleTally a(&sparse, {.assignments = true, .shuffle = true,
+                                   .filtered_only_if_any = true});
+    core::ShuffleTally b(&dense, {.assignments = true, .shuffle = true});
+    a.add(3);
+    b.add(3);
+  }
+  EXPECT_EQ(sparse.get("partition.records"), 1u);
+  EXPECT_EQ(sparse.get("partition.assignments"), 3u);
+  EXPECT_EQ(sparse.snapshot().count("shuffle.filtered_records"), 0u);
+  EXPECT_EQ(dense.snapshot().count("shuffle.filtered_records"), 1u);
+  EXPECT_EQ(dense.get("shuffle.filtered_records"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 // re-replication, and end-to-end recovery on the simulated systems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cluster/fault_injector.hpp"
@@ -14,6 +15,7 @@
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
 #include "util/status.hpp"
+#include "util/stopwatch.hpp"
 #include "workload/generators.hpp"
 
 namespace sjc {
@@ -516,6 +518,59 @@ TEST(SystemRecovery, SpatialHadoopCrashWithoutRetryBudgetIsFatal) {
       systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
   EXPECT_EQ(StatusCode::kTaskFailed, report.status.code())
       << report.status.to_string();
+}
+
+// A failed run keeps the counters of every job whose tasks ran. Kill
+// SpatialHadoop inside A/partition/map with a phase timeout only that phase
+// exceeds (under virtual time, so phase times are pure cost-model output):
+// both partition jobs' map tasks ran, so their shuffle tally must be in the
+// report, balanced.
+TEST(SystemRecovery, FailedRunKeepsPartitionCountersOfTasksThatRan) {
+  const auto& b = FaultBench::instance();
+  const VirtualTimeGuard virtual_time;
+  const auto clean = systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec);
+  ASSERT_TRUE(clean.status.ok()) << clean.status.to_string();
+  double earlier = 0.0;
+  double target = 0.0;
+  for (const auto& phase : clean.metrics.phases()) {
+    if (phase.name == "A/partition/map") {
+      target = phase.sim_seconds;
+      break;
+    }
+    earlier = std::max(earlier, phase.sim_seconds);
+  }
+  ASSERT_GT(target, earlier) << "no timeout kills only A/partition/map";
+
+  systems::SpatialHadoopConfig faulty;
+  faulty.faults.phase_timeout_s = (earlier + target) / 2.0;
+  const auto killed =
+      systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
+  ASSERT_EQ(StatusCode::kDeadlineExceeded, killed.status.code())
+      << killed.status.to_string();
+  EXPECT_EQ(killed.metrics.phases().back().name, "A/partition/map");
+  EXPECT_EQ(killed.counters.get("partition.records"), b.points.size() + b.polys.size());
+  EXPECT_GT(killed.counters.get("shuffle.assigned_records"), 0u);
+  EXPECT_EQ(killed.counters.get("shuffle.assigned_records"),
+            killed.counters.get("shuffle.records") +
+                killed.counters.get("shuffle.filtered_records"));
+}
+
+// HadoopGIS on edges x linearwater dies of a broken pipe in A's step-6
+// reduce; the step-6 map tasks ran, so the boundary duplicates they counted
+// stay in the failed report.
+TEST(SystemRecovery, HadoopGisPipeFailureKeepsAssignDuplicates) {
+  workload::WorkloadConfig wc;
+  wc.scale = 2e-4;
+  const auto edges = workload::generate(workload::DatasetId::kEdges, wc);
+  const auto water = workload::generate(workload::DatasetId::kLinearwater, wc);
+  core::ExecutionConfig exec;
+  exec.cluster = cluster::ClusterSpec::workstation();
+  exec.data_scale = 1.0 / wc.scale;
+  const auto report = systems::run_hadoop_gis(edges, water, core::JoinQueryConfig{}, exec);
+  ASSERT_EQ(StatusCode::kBrokenPipe, report.status.code()) << report.status.to_string();
+  ASSERT_NE(report.status.message().find("A/6-assign/reduce"), std::string::npos)
+      << report.status.to_string();
+  EXPECT_GT(report.counters.get("partition.duplicated_records"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <string>
+#include <type_traits>
 
 #include "index/rtree_dynamic.hpp"
 #include "index/str_tree.hpp"
@@ -123,73 +122,75 @@ TEST(DynamicRTree, RejectsTinyNodeCapacity) {
 // Property: every index answers exactly like brute force.
 // ---------------------------------------------------------------------------
 
-struct IndexCase {
-  const char* name;
-  std::function<std::unique_ptr<SpatialIndex>(std::vector<IndexEntry>)> build;
+// Index configurations under test: each builds its tree from an entry list.
+struct StrDefault {
+  static StrTree build(std::vector<IndexEntry> e) { return StrTree(std::move(e)); }
+};
+struct StrFanout4 {
+  static StrTree build(std::vector<IndexEntry> e) { return StrTree(std::move(e), 4); }
+};
+template <std::uint32_t kMaxEntries>
+struct Dynamic {
+  static DynamicRTree build(const std::vector<IndexEntry>& e) {
+    DynamicRTree tree(kMaxEntries);
+    for (const auto& entry : e) tree.insert(entry.env, entry.id);
+    return tree;
+  }
 };
 
-class IndexEquivalence : public ::testing::TestWithParam<IndexCase> {};
+template <typename Config>
+class IndexEquivalence : public ::testing::Test {};
 
-TEST_P(IndexEquivalence, MatchesBruteForceOnRandomWorkloads) {
+using IndexConfigs = ::testing::Types<StrDefault, StrFanout4, Dynamic<16>, Dynamic<8>>;
+
+class IndexConfigNames {
+ public:
+  template <typename Config>
+  static std::string GetName(int) {
+    if (std::is_same_v<Config, StrDefault>) return "str";
+    if (std::is_same_v<Config, StrFanout4>) return "str_fanout4";
+    if (std::is_same_v<Config, Dynamic<16>>) return "dynamic_rtree";
+    return "dynamic_rtree_cap8";
+  }
+};
+
+TYPED_TEST_SUITE(IndexEquivalence, IndexConfigs, IndexConfigNames);
+
+TYPED_TEST(IndexEquivalence, MatchesBruteForceOnRandomWorkloads) {
   Rng rng(0xfeed);
   for (const std::size_t n : {0ULL, 1ULL, 7ULL, 100ULL, 2000ULL}) {
     const auto entries = random_entries(rng, n, 100, 4);
-    const auto idx = GetParam().build(entries);
-    EXPECT_EQ(idx->size(), n);
+    const auto idx = TypeParam::build(entries);
+    EXPECT_EQ(idx.size(), n);
     for (int q = 0; q < 100; ++q) {
       const double x = rng.uniform(-10, 110);
       const double y = rng.uniform(-10, 110);
       const geom::Envelope query(x, y, x + rng.uniform(0, 30), y + rng.uniform(0, 30));
-      auto got = idx->query_ids(query);
+      auto got = idx.query_ids(query);
       std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, brute_force(entries, query)) << GetParam().name << " n=" << n;
+      EXPECT_EQ(got, brute_force(entries, query)) << "n=" << n;
     }
   }
 }
 
-TEST_P(IndexEquivalence, PointQueries) {
+TYPED_TEST(IndexEquivalence, PointQueries) {
   Rng rng(0xbeef);
   const auto entries = random_entries(rng, 500, 50, 3);
-  const auto idx = GetParam().build(entries);
+  const auto idx = TypeParam::build(entries);
   for (int q = 0; q < 200; ++q) {
     const geom::Envelope query =
         geom::Envelope::of_point(rng.uniform(0, 55), rng.uniform(0, 55));
-    auto got = idx->query_ids(query);
+    auto got = idx.query_ids(query);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, brute_force(entries, query));
   }
 }
 
-TEST_P(IndexEquivalence, ReportsPositiveSizeBytes) {
+TYPED_TEST(IndexEquivalence, ReportsPositiveSizeBytes) {
   Rng rng(7);
-  const auto idx = GetParam().build(random_entries(rng, 100, 10, 1));
-  EXPECT_GT(idx->size_bytes(), 0u);
+  const auto idx = TypeParam::build(random_entries(rng, 100, 10, 1));
+  EXPECT_GT(idx.size_bytes(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllIndexes, IndexEquivalence,
-    ::testing::Values(
-        IndexCase{"str",
-                  [](std::vector<IndexEntry> e) -> std::unique_ptr<SpatialIndex> {
-                    return std::make_unique<StrTree>(std::move(e));
-                  }},
-        IndexCase{"str_fanout4",
-                  [](std::vector<IndexEntry> e) -> std::unique_ptr<SpatialIndex> {
-                    return std::make_unique<StrTree>(std::move(e), 4);
-                  }},
-        IndexCase{"dynamic_rtree",
-                  [](std::vector<IndexEntry> e) -> std::unique_ptr<SpatialIndex> {
-                    auto tree = std::make_unique<DynamicRTree>();
-                    for (const auto& entry : e) tree->insert(entry.env, entry.id);
-                    return tree;
-                  }},
-        IndexCase{"dynamic_rtree_cap8",
-                  [](std::vector<IndexEntry> e) -> std::unique_ptr<SpatialIndex> {
-                    auto tree = std::make_unique<DynamicRTree>(8);
-                    for (const auto& entry : e) tree->insert(entry.env, entry.id);
-                    return tree;
-                  }}),
-    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace sjc::index

@@ -10,6 +10,18 @@
 namespace sjc::core {
 namespace {
 
+/// run_local_join over whole feature vectors with a fresh scratch.
+template <typename AcceptFn = AcceptAllPairs>
+std::vector<JoinPair> local_join(const std::vector<geom::Feature>& left,
+                                 const std::vector<geom::Feature>& right,
+                                 const LocalJoinSpec& spec, AcceptFn accept = {}) {
+  LocalJoinScratch scratch;
+  std::vector<JoinPair> out;
+  run_local_join(std::span<const geom::Feature>(left), std::span<const geom::Feature>(right),
+                 spec, accept, scratch, out);
+  return out;
+}
+
 std::vector<geom::Feature> point_features(const std::vector<geom::Coord>& coords,
                                           std::uint64_t base_id = 0) {
   std::vector<geom::Feature> out;
@@ -48,9 +60,7 @@ TEST(EvaluatePredicate, AllThreePredicates) {
 
 TEST(LocalJoin, EmptySidesProduceNothing) {
   LocalJoinSpec spec;
-  std::vector<JoinPair> out;
-  run_local_join({}, {}, spec, nullptr, out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(local_join({}, {}, spec).empty());
 }
 
 TEST(LocalJoin, PointInPolygonPairs) {
@@ -59,8 +69,7 @@ TEST(LocalJoin, PointInPolygonPairs) {
       {100, geom::Geometry::polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}})}};
   LocalJoinSpec spec;
   spec.predicate = JoinPredicate::kWithin;
-  std::vector<JoinPair> out;
-  run_local_join(left, right, spec, nullptr, out);
+  const std::vector<JoinPair> out = local_join(left, right, spec);
   std::set<JoinPair> got(out.begin(), out.end());
   EXPECT_EQ(got, (std::set<JoinPair>{{0, 100}, {2, 100}}));
 }
@@ -82,8 +91,7 @@ TEST(LocalJoin, EnginesProduceIdenticalPairs) {
     LocalJoinSpec spec;
     spec.engine = &engine;
     spec.predicate = JoinPredicate::kWithin;
-    std::vector<JoinPair> out;
-    run_local_join(left, right, spec, nullptr, out);
+    std::vector<JoinPair> out = local_join(left, right, spec);
     std::sort(out.begin(), out.end());
     return out;
   };
@@ -111,8 +119,7 @@ TEST(LocalJoin, AllAlgorithmsProduceIdenticalPairs) {
         index::LocalJoinAlgorithm::kNestedLoop}) {
     LocalJoinSpec spec;
     spec.algorithm = algo;
-    std::vector<JoinPair> out;
-    run_local_join(left, right, spec, nullptr, out);
+    std::vector<JoinPair> out = local_join(left, right, spec);
     std::sort(out.begin(), out.end());
     results.push_back(std::move(out));
   }
@@ -122,10 +129,10 @@ TEST(LocalJoin, AllAlgorithmsProduceIdenticalPairs) {
   EXPECT_GT(results[0].size(), 0u);
 }
 
-// Cross-algorithm x cross-path equivalence: every MBR-join algorithm,
-// through both the std::function compatibility overload and the templated
-// scratch-reusing hot path (with and without a PreparedCache), must produce
-// the same pair multiset on seeded random workloads.
+// Cross-algorithm x cross-path equivalence: every MBR-join algorithm, with a
+// fresh scratch and with a scratch reused across calls (with and without a
+// PreparedCache), must produce the same pair multiset on seeded random
+// workloads.
 TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
   for (const std::uint64_t seed : {11u, 23u, 37u}) {
     Rng rng(seed);
@@ -156,10 +163,9 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
       LocalJoinSpec spec;
       spec.algorithm = algo;
 
-      std::vector<JoinPair> via_function;
-      run_local_join(left, right, spec, nullptr, via_function);
-      std::sort(via_function.begin(), via_function.end());
-      results.push_back(std::move(via_function));
+      std::vector<JoinPair> fresh = local_join(left, right, spec);
+      std::sort(fresh.begin(), fresh.end());
+      results.push_back(std::move(fresh));
 
       std::vector<JoinPair> via_template;
       run_local_join(std::span<const geom::Feature>(left),
@@ -274,12 +280,10 @@ TEST(LocalJoin, AcceptFilterDropsPairs) {
       {9, geom::Geometry::polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}})}};
   LocalJoinSpec spec;
   spec.predicate = JoinPredicate::kWithin;
-  std::vector<JoinPair> out;
-  run_local_join(left, right, spec,
-                 [](const geom::Envelope& le, const geom::Envelope&) {
-                   return le.min_x() > 1.5;  // keep only the (2,2) point
-                 },
-                 out);
+  const std::vector<JoinPair> out =
+      local_join(left, right, spec, [](const geom::Envelope& le, const geom::Envelope&) {
+        return le.min_x() > 1.5;  // keep only the (2,2) point
+      });
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].left_id, 1u);
 }
@@ -291,8 +295,7 @@ TEST(LocalJoin, WithinDistancePredicate) {
   LocalJoinSpec spec;
   spec.predicate = JoinPredicate::kWithinDistance;
   spec.within_distance = 4.0;
-  std::vector<JoinPair> out;
-  run_local_join(left, right, spec, nullptr, out);
+  const std::vector<JoinPair> out = local_join(left, right, spec);
   // (0,0) is 3 away from the line; (0,10) is ~5.8 away.
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].left_id, 0u);

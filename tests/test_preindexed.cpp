@@ -84,6 +84,52 @@ TEST(PreIndexed, IndexReusableAcrossJoins) {
               first.total_seconds * 0.25);
 }
 
+// An index keeps the envelope expansion its records were assigned with. A
+// query that expands differently would pair blocks built for another
+// expansion and silently drop pairs, so it is rejected — whether the query
+// differs from both builds or the two builds differ from each other.
+TEST(PreIndexed, ExpansionMismatchRejected) {
+  workload::WorkloadConfig wc;
+  wc.scale = 2e-4;
+  const auto taxi = workload::generate(workload::DatasetId::kTaxi1m, wc);
+  const auto edges = workload::generate(workload::DatasetId::kEdges, wc);
+  core::ExecutionConfig exec;
+  exec.cluster = cluster::ClusterSpec::ec2(10);
+  exec.data_scale = 1.0 / wc.scale;
+  const core::JoinQueryConfig intersects;
+  const core::JoinQueryConfig within = [] {
+    core::JoinQueryConfig q;
+    q.predicate = core::JoinPredicate::kWithinDistance;
+    q.within_distance = 100.0;
+    return q;
+  }();
+
+  const auto taxi_i = systems::spatial_hadoop_build_index(taxi, intersects, exec);
+  const auto edges_i = systems::spatial_hadoop_build_index(edges, intersects, exec);
+  const auto mismatched = systems::run_spatial_hadoop_indexed(taxi_i, edges_i, within, exec);
+  EXPECT_EQ(mismatched.status.code(), StatusCode::kInvalidArgument)
+      << mismatched.status.to_string();
+  EXPECT_EQ(mismatched.result_count, 0u);
+
+  const auto taxi_w = systems::spatial_hadoop_build_index(taxi, within, exec);
+  const auto edges_w = systems::spatial_hadoop_build_index(edges, within, exec);
+  for (const auto* query : {&intersects, &within}) {
+    EXPECT_EQ(systems::run_spatial_hadoop_indexed(taxi_i, edges_w, *query, exec).status.code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(systems::run_spatial_hadoop_indexed(taxi_w, edges_i, *query, exec).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  // Builds that match the query answer exactly like the cold run.
+  const auto joined = systems::run_spatial_hadoop_indexed(taxi_w, edges_w, within, exec);
+  const auto cold = systems::run_spatial_hadoop(taxi, edges, within, exec);
+  ASSERT_TRUE(joined.status.ok()) << joined.status.to_string();
+  ASSERT_TRUE(cold.status.ok()) << cold.status.to_string();
+  EXPECT_GT(cold.result_count, 0u);
+  EXPECT_EQ(joined.result_count, cold.result_count);
+  EXPECT_EQ(joined.result_hash, cold.result_hash);
+}
+
 TEST(PreIndexed, UnbuiltIndexRejected) {
   Fixture f;
   systems::SpatialHadoopIndex empty_a;
