@@ -21,6 +21,9 @@
 //  * SpatialHadoop under crashes (probability 0.2 and 0.01, max_attempts = 1)
 //    for fault seeds 1-8.
 //
+// Every report is also checked with core::check_invariants; violations go to
+// stderr and make the exit status non-zero, leaving stdout unchanged.
+//
 // Usage: SJC_SCALE=1e-3 ./bench_parity_dump > parity.txt
 #include <cstdio>
 #include <string>
@@ -36,7 +39,13 @@ namespace {
 
 using namespace sjc;
 
+std::size_t g_violations = 0;
+
 void dump(const std::string& label, const core::RunReport& r) {
+  for (const auto& violation : core::check_invariants(r)) {
+    std::fprintf(stderr, "invariant violated in %s: %s\n", label.c_str(), violation.c_str());
+    ++g_violations;
+  }
   std::printf("== %s\n", label.c_str());
   std::printf("status %s | %s\n", status_code_name(r.status.code()),
               r.status.message().c_str());
@@ -249,5 +258,5 @@ int main() {
            systems::run_spatial_spark(taxi, edges, query, exec, bcast));
     }
   }
-  return 0;
+  return g_violations == 0 ? 0 : 1;
 }

@@ -18,15 +18,19 @@
 //    and scratch pool;
 //  * result recording and the DFS / text-input set-up every run repeats.
 //
-// A "side" below is any callable `side(visit)` that calls
-// `visit(envelope, shuffle_bytes)` once per record of one input, with the
-// record's unexpanded envelope and the bytes one shuffled copy of it costs
-// in the system's model. text_side() is the MapReduce systems' side.
+// A "side" below is one input of `side.records()` records cut into
+// `side.units()` units (records, or RDD partitions) that can be visited
+// independently: `side(begin, end, visit)` calls `visit(envelope,
+// shuffle_bytes)` once per record of units [begin, end), with the record's
+// unexpanded envelope and the bytes one shuffled copy of it costs in the
+// system's model. TextSide is the MapReduce systems' side.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,9 +43,66 @@
 #include "partition/partitioner.hpp"
 #include "plan/exec_policy.hpp"
 #include "plan/partition_refiner.hpp"
+#include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/dataset.hpp"
 
 namespace sjc::core {
+
+/// An occupancy filter and the CPU its build is charged as one task.
+struct OccupancyBuild {
+  geom::OccupancyFilter filter;
+  /// The partials' summed thread CPU plus the calling thread's own (the
+  /// empty filter and the merge): what one serial build would take, give or
+  /// take the merge. Each chunk is timed on the thread that runs it and the
+  /// caller's time excludes the chunk loop, so a chunk the pool runs inline
+  /// on the calling thread counts once.
+  double cpu_seconds = 0.0;
+};
+
+/// Fewest records one chunk of a parallel occupancy build marks: below it a
+/// chunk's fixed cost (a woken worker, a partial copy, a merge) outweighs
+/// its work, and the extra charged CPU shows in small builds' phases.
+inline constexpr std::size_t kMinOccupancyChunkRecords = 2048;
+
+/// Builds the occupancy filter over `cells` from `units` independent units
+/// holding `records` records: `mark(partial, begin, end)` marks units
+/// [begin, end) into one partial filter. With enough records the units are
+/// split into chunks on the shared pool and the partials merged in unit
+/// order; otherwise one call marks them all on the calling thread. Either
+/// way the filter equals the one a single serial pass would build.
+template <typename Mark>
+OccupancyBuild build_occupancy_parallel(const std::vector<geom::Envelope>& cells,
+                                        std::size_t units, std::size_t records,
+                                        const Mark& mark) {
+  CpuStopwatch own;
+  OccupancyBuild out{geom::OccupancyFilter(cells)};
+  ThreadPool& pool = ThreadPool::shared();
+  const auto ranges =
+      even_ranges(units, std::min(pool.thread_count(), records / kMinOccupancyChunkRecords));
+  if (ranges.size() <= 1) {
+    mark(out.filter, 0, units);
+    out.cpu_seconds = own.seconds();
+    return out;
+  }
+  std::vector<std::optional<geom::OccupancyFilter>> partials(ranges.size());
+  std::vector<double> chunk_cpu(ranges.size(), 0.0);
+  out.cpu_seconds = own.seconds();
+  pool.parallel_for(ranges.size(), [&](std::size_t c) {
+    CpuStopwatch watch;
+    // Marked on this thread's stack: the partials' headers (and the mark
+    // count every mark() bumps) would share cache lines inside `partials`.
+    geom::OccupancyFilter partial = out.filter;
+    mark(partial, ranges[c].first, ranges[c].second);
+    partials[c].emplace(std::move(partial));
+    chunk_cpu[c] = watch.seconds();
+  });
+  own.reset();
+  for (const auto& partial : partials) out.filter.merge(*partial);
+  out.cpu_seconds += own.seconds();
+  for (const double cpu : chunk_cpu) out.cpu_seconds += cpu;
+  return out;
+}
 
 class PartitionPlane {
  public:
@@ -83,7 +144,7 @@ class PartitionPlane {
           loads[pid].bytes += bytes;
         }
       };
-      (sides(tally), ...);
+      (sides(0, sides.units(), tally), ...);
       return loads;
     });
     if (counters != nullptr) plan::record_repartition_counters(refined, *counters);
@@ -92,18 +153,20 @@ class PartitionPlane {
 
   /// Occupancy bitmap of one side under `scheme`: each record's expanded
   /// envelope marked into every cell it is assigned to (the assignment the
-  /// side's own assign step performs).
+  /// side's own assign step performs), built in parallel chunks of units.
   template <typename Side>
-  geom::OccupancyFilter build_occupancy(const partition::PartitionScheme& scheme,
-                                        const Side& side) const {
-    geom::OccupancyFilter filter(scheme.cells());
-    std::vector<std::uint32_t> pids;
-    side([&](const geom::Envelope& env, std::uint64_t) {
-      const geom::Envelope expanded = env.expanded_by(expand_);
-      scheme.assign_into(expanded, pids);
-      for (const auto pid : pids) filter.mark(pid, expanded);
-    });
-    return filter;
+  OccupancyBuild build_occupancy(const partition::PartitionScheme& scheme,
+                                 const Side& side) const {
+    return build_occupancy_parallel(
+        scheme.cells(), side.units(), side.records(),
+        [&](geom::OccupancyFilter& partial, std::size_t begin, std::size_t end) {
+          std::vector<std::uint32_t> pids;
+          side(begin, end, [&](const geom::Envelope& env, std::uint64_t) {
+            const geom::Envelope expanded = env.expanded_by(expand_);
+            scheme.assign_into(expanded, pids);
+            for (const auto pid : pids) partial.mark(pid, expanded);
+          });
+        });
   }
 
  private:
@@ -116,14 +179,19 @@ class PartitionPlane {
   std::uint32_t target_cells_;
 };
 
-/// A Dataset as a side of the MapReduce systems: one shuffled copy is a
-/// 4-byte partition key plus the record's text.
-inline auto text_side(const workload::Dataset& data) {
-  return [&data](auto&& visit) {
+/// A Dataset as a side of the MapReduce systems, one unit per record: one
+/// shuffled copy is a 4-byte partition key plus the record's text.
+struct TextSide {
+  const workload::Dataset& data;
+
+  std::size_t units() const { return data.size(); }
+  std::size_t records() const { return data.size(); }
+  template <typename Visit>
+  void operator()(std::size_t begin, std::size_t end, Visit&& visit) const {
     const auto envs = data.envelopes();
-    for (std::size_t i = 0; i < envs.size(); ++i) visit(envs[i], 4 + data.record_text_bytes(i));
-  };
-}
+    for (std::size_t i = begin; i < end; ++i) visit(envs[i], 4 + data.record_text_bytes(i));
+  }
+};
 
 /// Counts one job's partition assignments and writes them to `sink` once,
 /// when the tally is destroyed. Scope it around the job: it then flushes

@@ -1,5 +1,7 @@
 #include "core/spatial_join.hpp"
+
 #include <algorithm>
+#include <initializer_list>
 
 #include "util/rng.hpp"
 
@@ -52,6 +54,43 @@ void annotate_recovery(RunReport& report) {
        report.metrics.total_speculative_clones() > 0 ||
        report.metrics.total_recomputed_partitions() > 0 ||
        report.metrics.total_rereplicated_bytes() > 0);
+}
+
+std::vector<std::string> check_invariants(const RunReport& report) {
+  std::vector<std::string> out;
+  const auto sum_equals = [&](std::initializer_list<const char*> parts, const char* total) {
+    const auto value = [&](const char* name) { return report.counters.get(name); };
+    std::uint64_t sum = 0;
+    for (const char* part : parts) sum += value(part);
+    if (sum == value(total)) return;
+    std::string line;
+    for (const char* part : parts) {
+      line += (line.empty() ? "" : " + ") + std::string(part) + "=" + std::to_string(value(part));
+    }
+    out.push_back(line + " != " + total + "=" + std::to_string(value(total)));
+  };
+  sum_equals({"shuffle.records", "shuffle.filtered_records"}, "shuffle.assigned_records");
+  sum_equals({"refine.exact_fastpath", "refine.exact_slowpath"}, "refine.exact_tests");
+  sum_equals({"refine.exact_tests", "refine.early_accepts", "refine.early_rejects"},
+             "refine.candidates");
+
+  for (const auto& phase : report.metrics.phases()) {
+    if (phase.task_attempts == 0) continue;
+    const std::uint64_t accounted =
+        phase.commits_published + phase.commits_rejected + phase.attempts_aborted;
+    if (phase.task_attempts != accounted) {
+      out.push_back("commit ledger unbalanced in phase '" + phase.name + "': " +
+                    std::to_string(phase.task_attempts) + " attempts vs " +
+                    std::to_string(accounted) + " accounted");
+    }
+    if (report.status.ok() && phase.task_count > 0 &&
+        phase.commits_published != phase.task_count) {
+      out.push_back("phase '" + phase.name + "' published " +
+                    std::to_string(phase.commits_published) + " outputs for " +
+                    std::to_string(phase.task_count) + " tasks");
+    }
+  }
+  return out;
 }
 
 std::uint64_t hash_pairs_unordered(const std::vector<JoinPair>& pairs) {

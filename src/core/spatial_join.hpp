@@ -168,6 +168,17 @@ double envelope_expansion(JoinPredicate predicate, double within_distance);
 /// run; idempotent.
 void annotate_recovery(RunReport& report);
 
+/// Every accounting invariant `report` violates, one line each; empty when
+/// it holds them all. A counter the report lacks counts as 0.
+///  * shuffle.assigned_records == shuffle.records + shuffle.filtered_records;
+///  * refine.exact_fastpath + refine.exact_slowpath == refine.exact_tests;
+///  * refine.exact_tests + refine.early_accepts + refine.early_rejects ==
+///    refine.candidates;
+///  * the commit ledger of every phase: each task attempt published, was
+///    rejected or aborted, and on a successful run a phase with tasks
+///    published one output per task.
+std::vector<std::string> check_invariants(const RunReport& report);
+
 /// Runs one distributed spatial join on the chosen system. Simulated
 /// failures (BrokenPipe, TaskFailed, BlockUnavailable, SimOutOfMemory) are
 /// captured in the report; other exceptions (bugs, bad arguments)

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "util/status.hpp"
+
 namespace sjc::geom {
 
 namespace {
@@ -94,6 +96,20 @@ void OccupancyFilter::mark(std::uint32_t cell, const Envelope& env) {
   for (std::uint32_t y = r.y0; y <= r.y1; ++y) {
     words_[c.word_offset + y] |= row_mask;
   }
+}
+
+void OccupancyFilter::merge(const OccupancyFilter& other) {
+  require(other.cells_.size() == cells_.size() && other.words_.size() == words_.size(),
+          "OccupancyFilter::merge: filters over different cells");
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    Cell& c = cells_[i];
+    const Cell& o = other.cells_[i];
+    c.domain.expand_to_include(o.domain);
+    c.coarse |= o.coarse;
+    c.marked += o.marked;
+  }
+  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
+  marked_ += other.marked_;
 }
 
 bool OccupancyFilter::may_match(std::uint32_t cell, const Envelope& env) const {

@@ -55,8 +55,19 @@ class OccupancyFilter {
   OccupancyFilter(const std::vector<Envelope>& cells, const Config& config);
 
   // Records that the resident side has a geometry with envelope `env`
-  // assigned to partition `cell`.  Not thread-safe; build single-threaded.
+  // assigned to partition `cell`.  Not thread-safe: a parallel build marks
+  // into one partial per thread and merges them.
   void mark(std::uint32_t cell, const Envelope& env);
+
+  // Adds every mark of `other`, a filter over the same cells and config:
+  // fine rows and coarse words are OR'd, domains unioned, marks summed.  The
+  // result equals one filter marked with both filters' envelopes, whatever
+  // the order of marks and merges.  Throws InvalidArgument on a different
+  // cell layout.
+  void merge(const OccupancyFilter& other);
+
+  // Cell by cell: box, domain, coarse word, fine rows and mark count.
+  friend bool operator==(const OccupancyFilter&, const OccupancyFilter&) = default;
 
   // True unless `env` provably intersects no envelope marked into `cell`.
   // Thread-safe once building is done (read-only).
@@ -84,6 +95,8 @@ class OccupancyFilter {
     std::uint64_t marked = 0;   // envelopes marked into this cell
     double inv_w = 0.0;         // side / width(box)  (0 for degenerate)
     double inv_h = 0.0;         // side / height(box)
+
+    friend bool operator==(const Cell&, const Cell&) = default;
   };
 
   struct SlotRange {

@@ -12,24 +12,14 @@ namespace sjc::geom {
 // complete (the header only forward-declares it).
 PreparedCache::RefinerHolder::~RefinerHolder() = default;
 
-PreparedCache::PreparedCache(std::size_t capacity) : capacity_(capacity) {
+PreparedCache::PreparedCache(std::size_t capacity, MakeRefiner make_refiner)
+    : capacity_(capacity), make_refiner_(std::move(make_refiner)) {
   require(capacity > 0, "PreparedCache: capacity must be > 0");
 }
 
-void PreparedCache::touch_and_evict_locked(Entry& entry, std::uint64_t keep_id) {
-  entry.last_used = ++tick_;
-  if (entries_.size() <= capacity_) return;
-  // Evict the least-recently-used entry other than the one just touched
-  // (size > capacity >= 1 guarantees one exists).
-  auto victim = entries_.end();
-  for (auto cur = entries_.begin(); cur != entries_.end(); ++cur) {
-    if (cur->first == keep_id) continue;
-    if (victim == entries_.end() || cur->second.last_used < victim->second.last_used) {
-      victim = cur;
-    }
-  }
-  entries_.erase(victim);
-  ++evictions_;
+void PreparedCache::erase_locked(std::unordered_map<std::uint64_t, Entry>::iterator it) {
+  recency_.erase(it->second.recency);
+  entries_.erase(it);
 }
 
 std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
@@ -44,14 +34,20 @@ std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
     if (!inserted) {
       // Built or in flight: either way a hit; wait outside the lock.
       ++hits_;
-      it->second.last_used = ++tick_;
+      recency_.splice(recency_.begin(), recency_, it->second.recency);
       pending = it->second.refiner;
     } else {
       ++misses_;
       build = ++builds_;
       it->second.refiner = promise.emplace().get_future().share();
       it->second.build = build;
-      touch_and_evict_locked(it->second, id);
+      it->second.recency = recency_.insert(recency_.begin(), id);
+      if (entries_.size() > capacity_) {
+        // The least recently used entry; never the one just inserted, which
+        // is at the front (size > capacity >= 1 puts another behind it).
+        erase_locked(entries_.find(recency_.back()));
+        ++evictions_;
+      }
     }
   }
   if (pending.valid()) return pending.get();
@@ -61,7 +57,8 @@ std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
   try {
     auto holder = std::make_shared<RefinerHolder>();
     holder->geometry = geometry;
-    holder->refiner = std::make_unique<BatchRefiner>(holder->geometry);
+    holder->refiner = make_refiner_ ? make_refiner_(holder->geometry)
+                               : std::make_unique<BatchRefiner>(holder->geometry);
     Handle handle(holder, holder->refiner.get());
     promise->set_value(handle);
     return handle;
@@ -71,7 +68,7 @@ std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
       // so the next lookup retries instead of rethrowing forever.
       std::lock_guard<std::mutex> lock(mutex_);
       const auto it = entries_.find(id);
-      if (it != entries_.end() && it->second.build == build) entries_.erase(it);
+      if (it != entries_.end() && it->second.build == build) erase_locked(it);
     }
     promise->set_exception(std::current_exception());
     throw;
@@ -111,7 +108,7 @@ double PreparedCache::hit_rate() const {
 void PreparedCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
-  tick_ = 0;
+  recency_.clear();
 }
 
 }  // namespace sjc::geom

@@ -31,7 +31,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -46,7 +48,13 @@ class PreparedCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 8192;
 
-  explicit PreparedCache(std::size_t capacity = kDefaultCapacity);
+  /// Builds an entry's refiner against the entry's own geometry copy. The
+  /// default prepares a BatchRefiner; tests pass one that throws to drive
+  /// the failed-build path.
+  using MakeRefiner = std::function<std::unique_ptr<BatchRefiner>(const Geometry&)>;
+
+  explicit PreparedCache(std::size_t capacity = kDefaultCapacity,
+                         MakeRefiner make_refiner = {});
 
   /// Returns the BatchRefiner for feature `id`, building one (against an
   /// internally owned copy of `geometry`) on a miss. Two features with the
@@ -80,17 +88,19 @@ class PreparedCache {
   struct Entry {
     std::shared_future<Handle> refiner;  // pending until the build finishes
     std::uint64_t build = 0;             // identifies the build that owns it
-    std::uint64_t last_used = 0;
+    std::list<std::uint64_t>::iterator recency;  // this id's node in recency_
   };
 
-  /// Bumps last_used and, when over capacity, evicts the LRU entry other
-  /// than `keep_id`. Caller holds mutex_.
-  void touch_and_evict_locked(Entry& entry, std::uint64_t keep_id);
+  /// Erases `it` and its recency node. Caller holds mutex_.
+  void erase_locked(std::unordered_map<std::uint64_t, Entry>::iterator it);
 
   const std::size_t capacity_;
+  const MakeRefiner make_refiner_;
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::uint64_t tick_ = 0;
+  /// Entry ids by last use, most recent first: a hit splices its id to the
+  /// front, eviction takes the back. O(1) under the mutex.
+  std::list<std::uint64_t> recency_;
   std::uint64_t builds_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;

@@ -3,16 +3,21 @@
 #include <charconv>
 
 #include "util/status.hpp"
-#include "util/strings.hpp"
 
 namespace sjc::geom {
 
 namespace {
 
+void append_number(std::string& out, double value) {
+  // Cannot overflow: the longest shortest-round-trip double is 24 chars.
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 void append_coord(std::string& out, const Coord& c) {
-  out += format_double(c.x);
+  append_number(out, c.x);
   out.push_back(' ');
-  out += format_double(c.y);
+  append_number(out, c.y);
 }
 
 void append_coord_list(std::string& out, const std::vector<Coord>& coords) {
@@ -167,7 +172,13 @@ class WktParser {
 }  // namespace
 
 std::string to_wkt(const Geometry& geometry) {
-  std::string out = geom_type_name(geometry.type());
+  std::string out;
+  append_wkt(out, geometry);
+  return out;
+}
+
+void append_wkt(std::string& out, const Geometry& geometry) {
+  out += geom_type_name(geometry.type());
   out.push_back(' ');
   switch (geometry.type()) {
     case GeomType::kPoint: {
@@ -203,7 +214,6 @@ std::string to_wkt(const Geometry& geometry) {
       break;
     }
   }
-  return out;
 }
 
 Geometry from_wkt(std::string_view wkt) { return WktParser(wkt).parse(); }

@@ -16,8 +16,14 @@
 namespace sjc::geom {
 
 /// Serializes a geometry as canonical WKT, e.g.
-/// "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))".
+/// "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))". Coordinates are written in
+/// the shortest form that round-trips (std::to_chars).
 std::string to_wkt(const Geometry& geometry);
+
+/// Appends to_wkt(geometry) to `out`, formatting each coordinate straight
+/// into the buffer, so a caller that reuses or pre-sizes `out` allocates
+/// nothing per coordinate.
+void append_wkt(std::string& out, const Geometry& geometry);
 
 /// Parses WKT for the five supported types. Throws ParseError on malformed
 /// input (unknown tag, unbalanced parens, bad numbers, unclosed rings, ...).

@@ -47,9 +47,15 @@ struct RddStorage {
              std::string rdd_name)
       : runtime(rt), partitions(std::move(parts)), sizer(std::move(sz)),
         name(std::move(rdd_name)) {
-    for (const auto& p : partitions) {
-      for (const auto& item : p) bytes += sizer(item);
-    }
+    // Sized one partition per pool task; the total is an integer sum, so it
+    // does not depend on the schedule. Sizers are pure functions of an item.
+    std::vector<std::uint64_t> partition_bytes(partitions.size(), 0);
+    ThreadPool::shared().parallel_for(partitions.size(), [&](std::size_t p) {
+      std::uint64_t sum = 0;
+      for (const auto& item : partitions[p]) sum += sizer(item);
+      partition_bytes[p] = sum;
+    });
+    for (const std::uint64_t b : partition_bytes) bytes += b;
     runtime->memory().allocate(bytes, "rdd:" + name);
   }
 

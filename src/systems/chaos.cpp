@@ -102,26 +102,9 @@ std::vector<std::string> chaos_violations(const core::RunReport& report,
     }
   }
 
-  // 3. The commit ledger balances phase by phase: every attempt published,
-  //    was rejected, or aborted. (Master-side serial phases have
-  //    task_attempts == commits_published == 1 and balance trivially.)
-  for (const auto& phase : report.metrics.phases()) {
-    if (phase.task_attempts == 0) continue;
-    const std::uint64_t accounted =
-        phase.commits_published + phase.commits_rejected + phase.attempts_aborted;
-    if (phase.task_attempts != accounted) {
-      fail("commit ledger unbalanced in phase '" + phase.name + "': " +
-           std::to_string(phase.task_attempts) + " attempts vs " +
-           std::to_string(accounted) + " accounted");
-    }
-    // A completed phase publishes exactly one output per task.
-    if (report.status.ok() && phase.task_count > 0 &&
-        phase.commits_published != phase.task_count) {
-      fail("phase '" + phase.name + "' published " +
-           std::to_string(phase.commits_published) + " outputs for " +
-           std::to_string(phase.task_count) + " tasks");
-    }
-  }
+  // 3. The report's accounting invariants hold, the commit ledger among
+  //    them: every attempt published, was rejected, or aborted.
+  for (auto& violation : core::check_invariants(report)) fail(std::move(violation));
 
   // 4. Rejected commits only ever come from losing speculative clones.
   if (report.metrics.total_commits_rejected() >

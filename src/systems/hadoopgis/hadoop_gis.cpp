@@ -483,8 +483,8 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     if (plane.repartition()) {
       CpuStopwatch skew_cpu;
       const std::uint64_t before_bytes = joint_scheme.size_bytes();
-      joint_scheme = plane.refine(joint_scheme, ctx.counters, core::text_side(left),
-                                  core::text_side(right))
+      joint_scheme = plane.refine(joint_scheme, ctx.counters, core::TextSide{left},
+                                  core::TextSide{right})
                          .scheme;
       dfs.put("join.partitions", std::any(), joint_scheme.size_bytes());
       mapreduce::charge_master_step(ctx, "join/a1-skew-refine", skew_cpu.seconds(),
@@ -500,14 +500,14 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // before the line is pushed through the streaming pipe. Both bitmaps
     // ship to every mapper via the distributed cache.
     if (plane.filter_on()) {
-      CpuStopwatch filter_cpu;
-      const auto& occupancy_b =
-          in.occupancy_b.emplace(plane.build_occupancy(joint_scheme, core::text_side(right)));
-      const auto& occupancy_a =
-          in.occupancy_a.emplace(plane.build_occupancy(joint_scheme, core::text_side(left)));
+      core::OccupancyBuild built_b = plane.build_occupancy(joint_scheme, core::TextSide{right});
+      core::OccupancyBuild built_a = plane.build_occupancy(joint_scheme, core::TextSide{left});
+      const auto& occupancy_b = in.occupancy_b.emplace(std::move(built_b.filter));
+      const auto& occupancy_a = in.occupancy_a.emplace(std::move(built_a.filter));
       const std::uint64_t filter_bytes = occupancy_a.size_bytes() + occupancy_b.size_bytes();
       dfs.put("join.sfilter", std::any(), filter_bytes);
-      mapreduce::charge_master_step(ctx, "join/a2-filter-build", filter_cpu.seconds(),
+      mapreduce::charge_master_step(ctx, "join/a2-filter-build",
+                                    built_a.cpu_seconds + built_b.cpu_seconds,
                                     left.text_bytes() + right.text_bytes(), filter_bytes);
     }
 

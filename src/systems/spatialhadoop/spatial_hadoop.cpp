@@ -125,7 +125,7 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // the shuffle filter and getSplits all see the refined cell set.
   if (plane.repartition()) {
     CpuStopwatch skew_cpu;
-    out.scheme = plane.refine(out.scheme, ctx.counters, core::text_side(data)).scheme;
+    out.scheme = plane.refine(out.scheme, ctx.counters, core::TextSide{data}).scheme;
     const std::uint64_t refined_bytes = out.scheme.size_bytes();
     ctx.dfs->put(tag + "._master", std::any(), refined_bytes);
     mapreduce::charge_master_step(ctx, tag + "/skew-refine", skew_cpu.seconds(),
@@ -141,25 +141,34 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // distributed cache next to the _master file.
   std::unique_ptr<geom::OccupancyFilter> sfilter;
   if (filter_source != nullptr) {
-    CpuStopwatch filter_cpu;
-    sfilter = std::make_unique<geom::OccupancyFilter>(out.scheme.cells());
     const auto src_envs = filter_source->data->envelopes();
     const IndexedDataset& src = *filter_source->indexed;
-    std::vector<std::uint32_t> cells_scratch;
     std::uint64_t src_bytes = 0;
-    for (std::uint32_t pb = 0; pb < src.blocks.size(); ++pb) {
-      const auto& block = src.blocks[pb];
+    std::size_t src_records = 0;
+    for (const auto& block : src.blocks) {
       if (block == nullptr) continue;
       src_bytes += block->text_bytes;
-      out.scheme.assign_into(src.scheme.cells()[pb], cells_scratch);
-      for (const auto src_idx : block->indices) {
-        const geom::Envelope env = src_envs[src_idx].expanded_by(expand);
-        for (const auto ca : cells_scratch) sfilter->mark(ca, env);
-      }
+      src_records += block->indices.size();
     }
+    // One unit per resident block, marked in parallel chunks of blocks.
+    core::OccupancyBuild built = core::build_occupancy_parallel(
+        out.scheme.cells(), src.blocks.size(), src_records,
+        [&](geom::OccupancyFilter& partial, std::size_t begin, std::size_t end) {
+          std::vector<std::uint32_t> cells_scratch;
+          for (std::size_t pb = begin; pb < end; ++pb) {
+            const auto& block = src.blocks[pb];
+            if (block == nullptr) continue;
+            out.scheme.assign_into(src.scheme.cells()[pb], cells_scratch);
+            for (const auto src_idx : block->indices) {
+              const geom::Envelope env = src_envs[src_idx].expanded_by(expand);
+              for (const auto ca : cells_scratch) partial.mark(ca, env);
+            }
+          }
+        });
+    sfilter = std::make_unique<geom::OccupancyFilter>(std::move(built.filter));
     const std::uint64_t filter_bytes = sfilter->size_bytes();
     ctx.dfs->put(tag + "._sfilter", std::any(), filter_bytes);
-    mapreduce::charge_master_step(ctx, tag + "/filter-build", filter_cpu.seconds(),
+    mapreduce::charge_master_step(ctx, tag + "/filter-build", built.cpu_seconds,
                                   /*read=*/src_bytes, /*write=*/filter_bytes);
   }
 

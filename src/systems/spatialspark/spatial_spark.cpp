@@ -76,14 +76,27 @@ std::uint64_t copy_bytes(const FeatureRef& r, std::uint64_t rec_overhead) {
   return 4 + static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + rec_overhead;
 }
 
-/// One parsed input as a plane side (see core/partition_plane.hpp).
-auto rdd_side(const rdd::Rdd<FeatureRef>& side, std::uint64_t rec_overhead) {
-  return [&side, rec_overhead](auto&& visit) {
-    for (const auto& part : side.partitions()) {
-      for (const auto& r : part) visit(r.get().geometry.envelope(), copy_bytes(r, rec_overhead));
+/// One parsed input as a plane side, one unit per RDD partition (see
+/// core/partition_plane.hpp).
+struct RddSide {
+  const rdd::Rdd<FeatureRef>& rdd;
+  std::uint64_t rec_overhead;
+
+  std::size_t units() const { return rdd.num_partitions(); }
+  std::size_t records() const {
+    std::size_t n = 0;
+    for (const auto& part : rdd.partitions()) n += part.size();
+    return n;
+  }
+  template <typename Visit>
+  void operator()(std::size_t begin, std::size_t end, Visit&& visit) const {
+    for (std::size_t p = begin; p < end; ++p) {
+      for (const auto& r : rdd.partitions()[p]) {
+        visit(r.get().geometry.envelope(), copy_bytes(r, rec_overhead));
+      }
     }
-  };
-}
+  }
+};
 
 /// Stages 3-5 of the partitioned join (broadcast the occupancy filters ->
 /// assign -> groupByKey x2 -> join -> local-join), shared verbatim by the
@@ -336,8 +349,8 @@ void run_partitioned_join(SparkInputs& in, const core::ExecutionConfig& exec,
   // load, and the bitmaps must be built against the final cells.
   if (plane.repartition()) {
     CpuStopwatch skew_cpu;
-    in.scheme = plane.refine(in.scheme, &report.counters, rdd_side(in.left, rec_overhead),
-                             rdd_side(in.right, rec_overhead))
+    in.scheme = plane.refine(in.scheme, &report.counters, RddSide{in.left, rec_overhead},
+                             RddSide{in.right, rec_overhead})
                     .scheme;
     rt.record_narrow_stage("driver.skew-refine", {skew_cpu.seconds()});
   }
@@ -365,10 +378,13 @@ void run_partitioned_join(SparkInputs& in, const core::ExecutionConfig& exec,
   std::optional<geom::OccupancyFilter> right_occ;  // filters A
   std::optional<geom::OccupancyFilter> left_occ;   // filters B
   if (plane.filter_on()) {
-    CpuStopwatch filter_cpu;
-    right_occ.emplace(plane.build_occupancy(scheme_bc.value(), rdd_side(in.right, rec_overhead)));
-    left_occ.emplace(plane.build_occupancy(scheme_bc.value(), rdd_side(in.left, rec_overhead)));
-    rt.record_narrow_stage("filter.build", {filter_cpu.seconds()});
+    core::OccupancyBuild built_right =
+        plane.build_occupancy(scheme_bc.value(), RddSide{in.right, rec_overhead});
+    core::OccupancyBuild built_left =
+        plane.build_occupancy(scheme_bc.value(), RddSide{in.left, rec_overhead});
+    right_occ.emplace(std::move(built_right.filter));
+    left_occ.emplace(std::move(built_left.filter));
+    rt.record_narrow_stage("filter.build", {built_right.cpu_seconds + built_left.cpu_seconds});
     if (capture != nullptr) {
       capture->right_occ = right_occ;
       capture->left_occ = left_occ;

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 namespace sjc {
@@ -110,6 +111,20 @@ void ThreadPool::parallel_for(std::size_t count,
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool;
   return pool;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> even_ranges(std::size_t count,
+                                                             std::size_t max_chunks) {
+  const std::size_t chunks = std::min(count, std::max<std::size_t>(max_chunks, 1));
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  out.reserve(chunks);
+  std::size_t begin = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t end = begin + count / chunks + (c < count % chunks ? 1 : 0);
+    out.emplace_back(begin, end);
+    begin = end;
+  }
+  return out;
 }
 
 }  // namespace sjc

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace sjc {
@@ -46,5 +47,12 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// Splits [0, count) into min(count, max_chunks) contiguous ranges, in
+/// order, whose sizes differ by at most one; no ranges when count is 0.
+/// Callers that build per-chunk partials on the pool and combine them in
+/// range order get the result one serial pass would.
+std::vector<std::pair<std::size_t, std::size_t>> even_ranges(std::size_t count,
+                                                             std::size_t max_chunks);
 
 }  // namespace sjc

@@ -10,9 +10,11 @@ Dataset::Dataset(std::string name, std::vector<geom::Feature> features,
     : name_(std::move(name)), features_(std::move(features)), attr_pad_(attr_pad_bytes) {
   wkt_sizes_.reserve(features_.size());
   envelopes_.reserve(features_.size());
+  std::string wkt;  // one buffer reused for every record's WKT length
   for (const auto& f : features_) {
-    // WKT length without materializing all strings permanently.
-    const auto len = static_cast<std::uint32_t>(geom::to_wkt(f.geometry).size());
+    wkt.clear();
+    geom::append_wkt(wkt, f.geometry);
+    const auto len = static_cast<std::uint32_t>(wkt.size());
     wkt_sizes_.push_back(len);
     const std::uint64_t record = 12 + len + attr_pad_;  // "<id>\t" + wkt + attrs + '\n'
     text_bytes_ += record;

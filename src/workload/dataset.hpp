@@ -46,6 +46,9 @@ class Dataset {
     return 12 + wkt_sizes_[i] + attr_pad_;
   }
 
+  /// Length of record i's WKT text.
+  std::uint32_t wkt_bytes(std::size_t i) const { return wkt_sizes_[i]; }
+
   /// Envelopes of all features, in feature order. Built once at
   /// construction; the span stays valid for the dataset's lifetime.
   std::span<const geom::Envelope> envelopes() const { return envelopes_; }

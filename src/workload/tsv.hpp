@@ -38,9 +38,10 @@ std::optional<geom::Feature> try_feature_from_tsv_at(std::string_view line,
                                                      std::size_t field_offset,
                                                      std::string* error = nullptr);
 
-/// Serializes a whole dataset (used to seed the streaming pipeline).
-/// When `include_pad` is set every line carries the dataset's attribute
-/// padding.
+/// Serializes a whole dataset (used to seed the streaming pipeline), line i
+/// being feature_to_tsv(feature i). When `include_pad` is set every line
+/// carries the dataset's attribute padding. Chunks of lines are written in
+/// parallel on the shared pool.
 std::vector<std::string> dataset_to_tsv(const Dataset& dataset, bool include_pad = false);
 
 }  // namespace sjc::workload

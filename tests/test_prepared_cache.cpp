@@ -96,6 +96,48 @@ TEST(PreparedCache, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(covers(*held, 10.5, 0.5));
 }
 
+// A build that throws rethrows to its caller and drops its entry (and its
+// place in the recency order): the cache neither keeps a poisoned id nor
+// lets a stale recency node steer a later eviction.
+TEST(PreparedCache, FailedBuildDropsEntryAndKeepsLruOrder) {
+  bool fail_builds = false;
+  PreparedCache cache(/*capacity=*/2, [&fail_builds](const Geometry& g) {
+    if (fail_builds) throw SjcError("injected build failure");
+    return std::make_unique<BatchRefiner>(g);
+  });
+  const auto g0 = square(0, 0);
+  const auto g1 = square(10, 0);
+  const auto g2 = square(20, 0);
+  const auto g3 = square(30, 0);
+  const auto g4 = square(40, 0);
+
+  cache.acquire_refiner(0, g0);
+  cache.acquire_refiner(1, g1);  // recency: 1, 0
+  fail_builds = true;
+  EXPECT_THROW(cache.acquire_refiner(2, g2), SjcError);  // evicts 0, then fails
+  fail_builds = false;
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.evictions(), 1u);
+
+  cache.acquire_refiner(3, g3);  // recency: 3, 1
+  cache.acquire_refiner(1, g1);  // hit; recency: 1, 3
+  cache.acquire_refiner(4, g4);  // evicts 3, the least recently used
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 2u);
+
+  const auto h = cache.hits();
+  const auto m = cache.misses();
+  cache.acquire_refiner(1, g1);
+  cache.acquire_refiner(4, g4);
+  EXPECT_EQ(cache.hits(), h + 2);
+  EXPECT_EQ(cache.misses(), m);
+  // The failed id builds afresh on its next lookup.
+  const auto rebuilt = cache.acquire_refiner(2, g2);
+  EXPECT_EQ(cache.misses(), m + 1);
+  EXPECT_TRUE(covers(*rebuilt, 20.5, 0.5));
+  EXPECT_EQ(cache.hits() + cache.misses(), cache.lookups());
+}
+
 TEST(PreparedCache, RejectsZeroCapacity) {
   EXPECT_THROW(PreparedCache(0), InvalidArgument);
 }

@@ -17,12 +17,14 @@
 #include <vector>
 
 #include "core/experiments.hpp"
+#include "core/partition_plane.hpp"
 #include "core/spatial_join.hpp"
 #include "geom/occupancy.hpp"
 #include "partition/partitioner.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
+#include "util/status.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/generators.hpp"
 
@@ -186,6 +188,125 @@ TEST(ShuffleFilter, FilteredAssignDropsOnlyProvableNegatives) {
     }
     EXPECT_GT(total_dropped, 0u) << tag << " filter never pruned anything";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel builds: merged partials equal the serial build
+// ---------------------------------------------------------------------------
+
+/// Envelopes marked the way the systems do: each into every cell of
+/// `scheme` it is assigned to.
+void mark_assigned(geom::OccupancyFilter& filter, const partition::PartitionScheme& scheme,
+                   const geom::Envelope& env) {
+  std::vector<std::uint32_t> pids;
+  scheme.assign_into(env, pids);
+  for (const std::uint32_t pid : pids) filter.mark(pid, env);
+}
+
+/// Equal cell by cell (operator== compares every cell's box, domain, coarse
+/// word, fine rows and mark count), and may_match agrees on `probes`.
+void expect_same_filter(const geom::OccupancyFilter& got, const geom::OccupancyFilter& want,
+                        const std::vector<geom::Envelope>& probes, const std::string& tag) {
+  EXPECT_TRUE(got == want) << tag;
+  EXPECT_EQ(got.marked_envelopes(), want.marked_envelopes()) << tag;
+  EXPECT_EQ(got.occupied_cells(), want.occupied_cells()) << tag;
+  for (std::uint32_t cell = 0; cell < want.cell_count(); ++cell) {
+    for (const auto& q : probes) {
+      ASSERT_EQ(got.may_match(cell, q), want.may_match(cell, q)) << tag << " cell " << cell;
+    }
+  }
+}
+
+struct MergeCase {
+  partition::PartitionerKind kind;
+  partition::PartitionScheme scheme;
+  std::vector<geom::Envelope> marks;
+  std::vector<geom::Envelope> probes;
+};
+
+/// Grid and STR schemes over a clustered sample (so STR cells differ in
+/// area and some count as large), plus the envelopes to mark and probe.
+std::vector<MergeCase> merge_cases() {
+  std::mt19937 rng(31);
+  const geom::Envelope extent(0.0, 0.0, 1000.0, 1000.0);
+  std::vector<geom::Envelope> sample;
+  for (int i = 0; i < 300; ++i) sample.push_back(random_env(rng, 0, 300, 10));
+  for (int i = 0; i < 60; ++i) sample.push_back(random_env(rng, 0, 990, 10));
+  std::vector<MergeCase> out;
+  for (const auto kind :
+       {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr}) {
+    MergeCase c{kind, partition::make_partitions(kind, sample, extent, 29), {}, {}};
+    for (int i = 0; i < 600; ++i) c.marks.push_back(random_env(rng, -20, 1020, 40));
+    for (int i = 0; i < 200; ++i) c.probes.push_back(random_env(rng, -40, 1040, 30));
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+TEST(ShuffleFilterMerge, PartialsEqualSerialBuild) {
+  // The default sides; 64-wide fine rows for cells above 2x the median
+  // area (a mix on the STR scheme); 64-wide rows for every cell.
+  const geom::OccupancyFilter::Config configs[] = {{}, {16, 64, 2.0}, {16, 64, 0.0}};
+  for (const MergeCase& mc : merge_cases()) {
+    const auto& cells = mc.scheme.cells();
+    for (std::size_t ci = 0; ci < std::size(configs); ++ci) {
+      geom::OccupancyFilter serial(cells, configs[ci]);
+      for (const auto& env : mc.marks) mark_assigned(serial, mc.scheme, env);
+      // Per cell: domain and coarse word, then one word per fine row.
+      const auto bytes_at = [&](std::size_t side) { return cells.size() * (5 + side) * 8; };
+      if (ci == 1 && mc.kind == partition::PartitionerKind::kStr) {
+        EXPECT_GT(serial.size_bytes(), bytes_at(16));
+        EXPECT_LT(serial.size_bytes(), bytes_at(64));
+      }
+      if (ci == 2) {
+        EXPECT_EQ(serial.size_bytes(), bytes_at(64));
+      }
+      for (const std::size_t k : {1, 2, 3, 16}) {
+        // Marks go round-robin to the even partials only, so every odd
+        // partial stays empty; merging runs in reverse partial order.
+        const geom::OccupancyFilter empty(cells, configs[ci]);
+        std::vector<geom::OccupancyFilter> partials(k, empty);
+        const std::size_t used = std::max<std::size_t>(1, k / 2);
+        for (std::size_t i = 0; i < mc.marks.size(); ++i) {
+          mark_assigned(partials[(i % used) * 2 % k], mc.scheme, mc.marks[i]);
+        }
+        geom::OccupancyFilter merged = empty;
+        for (auto it = partials.rbegin(); it != partials.rend(); ++it) merged.merge(*it);
+        expect_same_filter(merged, serial, mc.probes,
+                           "config " + std::to_string(ci) + " k=" + std::to_string(k));
+      }
+    }
+  }
+}
+
+TEST(ShuffleFilterMerge, ParallelBuildEqualsSerialBuild) {
+  // core::build_occupancy_parallel: no records, too few to split (marked on
+  // the calling thread), and enough for several chunks marked concurrently
+  // on the shared pool, then merged.
+  std::mt19937 rng(37);
+  for (const MergeCase& mc : merge_cases()) {
+    for (const std::size_t n : {std::size_t{0}, mc.marks.size(),
+                                4 * core::kMinOccupancyChunkRecords + 5}) {
+      std::vector<geom::Envelope> marks = mc.marks;
+      marks.resize(std::min(n, marks.size()));
+      while (marks.size() < n) marks.push_back(random_env(rng, -20, 1020, 40));
+      geom::OccupancyFilter serial(mc.scheme.cells());
+      for (const auto& env : marks) mark_assigned(serial, mc.scheme, env);
+      const core::OccupancyBuild built = core::build_occupancy_parallel(
+          mc.scheme.cells(), marks.size(), marks.size(),
+          [&](geom::OccupancyFilter& partial, std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) mark_assigned(partial, mc.scheme, marks[i]);
+          });
+      expect_same_filter(built.filter, serial, mc.probes, "parallel n=" + std::to_string(n));
+      EXPECT_GE(built.cpu_seconds, 0.0);
+    }
+  }
+}
+
+TEST(ShuffleFilterMerge, RejectsDifferentCells) {
+  geom::OccupancyFilter a({geom::Envelope(0, 0, 1, 1)});
+  const geom::OccupancyFilter b({geom::Envelope(0, 0, 1, 1), geom::Envelope(1, 0, 2, 1)});
+  EXPECT_THROW(a.merge(b), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -406,20 +406,17 @@ TEST(Systems, CountersArePopulated) {
   // across partition pairs) have served hits.
   EXPECT_GT(sh.counters.get("join.prepared_cache_hits"), 0u);
   EXPECT_GT(sh.counters.get("join.prepared_cache_misses"), 0u);
-  // Every exact test is classified by the adaptive predicate's outcome.
+  // Every exact test is classified by the adaptive predicate's outcome
+  // (refine.* sums), and the shuffle and commit accounting balances.
   EXPECT_GT(sh.counters.get("refine.exact_tests"), 0u);
-  EXPECT_EQ(sh.counters.get("refine.exact_fastpath") +
-                sh.counters.get("refine.exact_slowpath"),
-            sh.counters.get("refine.exact_tests"));
+  EXPECT_EQ(core::check_invariants(sh), std::vector<std::string>{});
 
   const auto ss = core::run_spatial_join(core::SystemKind::kSpatialSparkSim, w.points,
                                          w.polys, query, w.exec);
   ASSERT_TRUE(ss.status.ok());
   EXPECT_GT(ss.counters.get("join.prepared_cache_hits"), 0u);
   EXPECT_GT(ss.counters.get("refine.exact_tests"), 0u);
-  EXPECT_EQ(ss.counters.get("refine.exact_fastpath") +
-                ss.counters.get("refine.exact_slowpath"),
-            ss.counters.get("refine.exact_tests"));
+  EXPECT_EQ(core::check_invariants(ss), std::vector<std::string>{});
 
   const auto hg = run_hadoop_gis_ungated(w.points, w.polys, query, w.exec);
   ASSERT_TRUE(hg.status.ok());
@@ -432,9 +429,7 @@ TEST(Systems, CountersArePopulated) {
   EXPECT_EQ(hg.counters.get("join.prepared_cache_hits"), 0u);
   EXPECT_EQ(hg.counters.get("join.prepared_cache_misses"), 0u);
   EXPECT_GT(hg.counters.get("refine.exact_tests"), 0u);
-  EXPECT_EQ(hg.counters.get("refine.exact_fastpath") +
-                hg.counters.get("refine.exact_slowpath"),
-            hg.counters.get("refine.exact_tests"));
+  EXPECT_EQ(core::check_invariants(hg), std::vector<std::string>{});
 }
 
 TEST(Experiments, RegistryShape) {

@@ -4,10 +4,14 @@
 // block interior-wise).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cluster/counters.hpp"
 #include "geom/predicates.hpp"
+#include "geom/wkt.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
+#include "util/strings.hpp"
 #include "workload/generators.hpp"
 #include "workload/dataset_io.hpp"
 #include "workload/tsv.hpp"
@@ -212,6 +216,136 @@ TEST(Tsv, DatasetToTsvMatchesSize) {
   EXPECT_EQ(lines.size(), nycb.size());
   const auto padded = dataset_to_tsv(nycb, /*include_pad=*/true);
   EXPECT_GT(padded[0].size(), lines[0].size());
+}
+
+// The serializer dataset_to_tsv replaced, copied verbatim as the reference:
+// the format_double-based to_wkt plus feature_to_tsv.
+namespace reference {
+
+using geom::Coord;
+using geom::GeomType;
+using geom::Geometry;
+using geom::Polygon;
+
+void append_coord(std::string& out, const Coord& c) {
+  out += format_double(c.x);
+  out.push_back(' ');
+  out += format_double(c.y);
+}
+
+void append_coord_list(std::string& out, const std::vector<Coord>& coords) {
+  out.push_back('(');
+  for (std::size_t i = 0; i < coords.size(); ++i) {
+    if (i > 0) out += ", ";
+    append_coord(out, coords[i]);
+  }
+  out.push_back(')');
+}
+
+void append_polygon_body(std::string& out, const Polygon& poly) {
+  out.push_back('(');
+  append_coord_list(out, poly.shell);
+  for (const auto& hole : poly.holes) {
+    out += ", ";
+    append_coord_list(out, hole);
+  }
+  out.push_back(')');
+}
+
+std::string to_wkt(const Geometry& geometry) {
+  std::string out = geom_type_name(geometry.type());
+  out.push_back(' ');
+  switch (geometry.type()) {
+    case GeomType::kPoint: {
+      out.push_back('(');
+      append_coord(out, geometry.as_point());
+      out.push_back(')');
+      break;
+    }
+    case GeomType::kLineString:
+      append_coord_list(out, geometry.as_line_string().coords);
+      break;
+    case GeomType::kPolygon:
+      append_polygon_body(out, geometry.as_polygon());
+      break;
+    case GeomType::kMultiLineString: {
+      out.push_back('(');
+      const auto& parts = geometry.as_multi_line_string().parts;
+      for (std::size_t i = 0; i < parts.size(); ++i) {
+        if (i > 0) out += ", ";
+        append_coord_list(out, parts[i].coords);
+      }
+      out.push_back(')');
+      break;
+    }
+    case GeomType::kMultiPolygon: {
+      out.push_back('(');
+      const auto& parts = geometry.as_multi_polygon().parts;
+      for (std::size_t i = 0; i < parts.size(); ++i) {
+        if (i > 0) out += ", ";
+        append_polygon_body(out, parts[i]);
+      }
+      out.push_back(')');
+      break;
+    }
+  }
+  return out;
+}
+
+std::string feature_to_tsv(const geom::Feature& feature, std::size_t pad_bytes) {
+  std::string line = std::to_string(feature.id) + "\t" + reference::to_wkt(feature.geometry);
+  if (pad_bytes > 0) {
+    line.push_back('\t');
+    line.append(pad_bytes, 'a');
+  }
+  return line;
+}
+
+}  // namespace reference
+
+/// dataset_to_tsv, feature_to_tsv, to_wkt and the cached WKT lengths all
+/// agree with the reference serializer, with and without padding.
+void expect_reference_tsv(const Dataset& data) {
+  for (const bool include_pad : {false, true}) {
+    const std::size_t pad = include_pad ? data.attr_pad_bytes() : 0;
+    const auto lines = dataset_to_tsv(data, include_pad);
+    ASSERT_EQ(lines.size(), data.size()) << data.name();
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const geom::Feature& f = data.features()[i];
+      const std::string expected = reference::feature_to_tsv(f, pad);
+      ASSERT_EQ(lines[i], expected) << data.name() << " line " << i << " pad " << pad;
+      ASSERT_EQ(feature_to_tsv(f, pad), expected) << data.name() << " line " << i;
+      ASSERT_EQ(geom::to_wkt(f.geometry), reference::to_wkt(f.geometry)) << data.name();
+      ASSERT_EQ(data.wkt_bytes(i), reference::to_wkt(f.geometry).size()) << data.name();
+    }
+  }
+}
+
+TEST(Tsv, DatasetToTsvMatchesReferenceSerializer) {
+  for (const auto id : {DatasetId::kTaxi, DatasetId::kNycb, DatasetId::kEdges,
+                        DatasetId::kLinearwater}) {
+    expect_reference_tsv(generate(id, tiny()));
+  }
+  expect_reference_tsv(Dataset("empty", {}, 40));
+
+  // Holes, multipolygons, signed zeros, exponent-formatted and subnormal
+  // coordinates, and an id with all 20 digits.
+  using geom::Geometry;
+  const geom::Ring shell = {
+      {-0.0, 0.0}, {1e21, -0.0}, {1e21, 2.5e-7}, {0.0, 2.5e-7}, {-0.0, 0.0}};
+  const geom::Ring hole = {{1e3, 1e-8}, {2e3, 1e-8}, {2e3, 2e-8}, {1e3, 1e-8}};
+  const geom::Ring sliver = {
+      {-1.5e300, -2.0}, {-1.0e300, -2.0}, {-1.0e300, 3.0}, {-1.5e300, -2.0}};
+  std::vector<geom::Feature> corpus = {
+      {0, Geometry::point(-0.0, 5e-324)},
+      {std::numeric_limits<std::uint64_t>::max(), Geometry::point(1.7976931348623157e308, -0.1)},
+      {7, Geometry::line_string({{0.1, 0.2}, {1e-5, 123456789.125}, {-3e22, 4.0}})},
+      {8, Geometry::polygon(shell, {hole})},
+      {9, Geometry::multi_line_string({geom::LineString{{{-0.0, 1.0}, {2.0, -0.0}}},
+                                       geom::LineString{{{1e-300, 1e300}, {5.0, 6.0}}}})},
+      {10, Geometry::multi_polygon({geom::Polygon{shell, {hole}}, geom::Polygon{sliver, {}}})},
+  };
+  expect_reference_tsv(Dataset("corpus", std::move(corpus), 3));
 }
 
 }  // namespace
