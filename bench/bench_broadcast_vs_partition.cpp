@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
         .filter_selectivity = std::nullopt,
         .cluster = exec.cluster,
         .data_scale = exec.data_scale,
-        .resident = false,
     });
     point.predicted = std::string(plan::plan_kind_name(decision.chosen));
     point.predicted_broadcast_s = decision.broadcast_seconds;

@@ -16,8 +16,9 @@
 //  * policy variants on both sample experiments (EC2-10): filter off,
 //    repartition on, SpatialSpark's cost-based plan, malformed_rows = 3 and
 //    the other geometry engine;
-//  * SpatialHadoop's pre-indexed join and the three resident paths
-//    (HadoopGIS's on WS, where its build run survives);
+//  * SpatialHadoop's pre-indexed join and one resident entry per system,
+//    installed through serving::ResidentCatalog (HadoopGIS's on WS, where
+//    its build run survives);
 //  * SpatialHadoop under crashes (probability 0.2 and 0.01, max_attempts = 1)
 //    for fault seeds 1-8.
 //
@@ -27,9 +28,9 @@
 // Usage: SJC_SCALE=1e-3 ./bench_parity_dump > parity.txt
 #include <cstdio>
 #include <string>
-#include <utility>
 
 #include "core/experiments.hpp"
+#include "serving/resident_catalog.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
@@ -71,19 +72,6 @@ void dump(const std::string& label, const core::RunReport& r) {
   }
 }
 
-/// Dumps a resident build report and one query answered from it; a build
-/// that fails (the resident builders throw) is printed as such.
-template <typename BuildAndQuery>
-void dump_resident(const std::string& label, BuildAndQuery build_and_query) {
-  try {
-    const auto [build, query] = build_and_query();
-    dump("resident-build " + label, build);
-    dump("resident " + label, query);
-  } catch (const SjcError& e) {
-    std::printf("== resident %s\nbuild failed: %s\n", label.c_str(), e.what());
-  }
-}
-
 std::string cluster_label(const cluster::ClusterSpec& c) {
   return c.node_count == 1 ? "WS" : "EC2-" + std::to_string(c.node_count);
 }
@@ -100,6 +88,25 @@ Experiment load_experiment(const core::ExperimentDef& def,
   Experiment p{def.id, workload::generate(def.left, wc), workload::generate(def.right, wc), {}};
   p.query.predicate = def.predicate;
   return p;
+}
+
+/// Installs one resident entry through the serving catalog, then dumps its
+/// build report and one join answered from it; a build that fails (install
+/// throws) is printed as such.
+void dump_resident(const std::string& label, core::SystemKind system, const Experiment& p,
+                   const core::ExecutionConfig& exec) {
+  serving::ResidentEntryConfig config;
+  config.system = system;
+  config.build_query = p.query;
+  config.exec = exec;
+  try {
+    serving::ResidentCatalog catalog;
+    const auto entry = catalog.install(label, p.left, p.right, config);
+    dump("resident-build " + label, entry->build_report());
+    dump("resident " + label, entry->run_join(p.query));
+  } catch (const SjcError& e) {
+    std::printf("== resident %s\nbuild failed: %s\n", label.c_str(), e.what());
+  }
 }
 
 }  // namespace
@@ -202,28 +209,13 @@ int main() {
       dump("indexed SpatialHadoop" + at,
            systems::run_spatial_hadoop_indexed(ia, ib, p.query, exec));
     }
-    {
-      // HadoopGIS dies of a broken pipe on every EC2 cluster, so its
-      // resident state is built on the workstation.
-      core::ExecutionConfig ws = exec;
-      ws.cluster = cluster::ClusterSpec::workstation();
-      dump_resident("HadoopGIS " + p.id + " WS", [&] {
-        const auto r = systems::hadoop_gis_build_resident(p.left, p.right, p.query, ws);
-        return std::pair(r.build_report(), systems::run_hadoop_gis_resident(r, p.query, ws));
-      });
-      dump_resident("SpatialHadoop" + at, [&] {
-        const auto r =
-            systems::spatial_hadoop_build_resident(p.left, p.right, p.query, exec);
-        return std::pair(r.build_report(),
-                         systems::run_spatial_hadoop_resident(r, p.query, exec));
-      });
-      dump_resident("SpatialSpark" + at, [&] {
-        const auto r =
-            systems::spatial_spark_build_resident(p.left, p.right, p.query, exec);
-        return std::pair(r.build_report(),
-                         systems::run_spatial_spark_resident(r, p.query, exec));
-      });
-    }
+    // HadoopGIS dies of a broken pipe on every EC2 cluster, so its resident
+    // state is built on the workstation.
+    core::ExecutionConfig ws = exec;
+    ws.cluster = cluster::ClusterSpec::workstation();
+    dump_resident("HadoopGIS " + p.id + " WS", core::SystemKind::kHadoopGisSim, p, ws);
+    dump_resident("SpatialHadoop" + at, core::SystemKind::kSpatialHadoopSim, p, exec);
+    dump_resident("SpatialSpark" + at, core::SystemKind::kSpatialSparkSim, p, exec);
     // 0.2 kills the first job; 0.01 lets some runs die in later phases.
     for (const double crash : {0.2, 0.01}) {
       for (std::uint64_t seed = 1; seed <= 8; ++seed) {

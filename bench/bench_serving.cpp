@@ -74,13 +74,14 @@ struct QueryMix {
   // remainder: range queries
 };
 
-/// Draws one query of the configured mix against `entry`.
+/// Draws one query of the configured mix against `entry`; range and k-NN
+/// windows fall inside `extent`, the right dataset's.
 serving::Query draw_query(Rng& rng, const serving::ResidentEntry& entry,
-                          const std::string& entry_name, const QueryMix& mix) {
+                          const std::string& entry_name, const geom::Envelope& extent,
+                          const QueryMix& mix) {
   serving::Query q;
   q.entry = entry_name;
   const double roll = rng.next_double();
-  const geom::Envelope extent = entry.right().extent();
   const double cx = rng.uniform(extent.min_x(), extent.max_x());
   const double cy = rng.uniform(extent.min_y(), extent.max_y());
   if (roll < mix.join_share) {
@@ -127,6 +128,7 @@ struct LoadPoint {
 /// multiplexed round-robin over tenants and entries.
 LoadPoint run_point(const serving::ResidentCatalog& catalog,
                     const std::vector<std::string>& entry_names,
+                    const geom::Envelope& extent,
                     const serving::QueryServiceConfig& service_config,
                     std::size_t tenants, std::size_t queries, double offered_qps,
                     const QueryMix& mix, std::uint64_t seed) {
@@ -152,7 +154,7 @@ LoadPoint run_point(const serving::ResidentCatalog& catalog,
     const std::string& entry_name = entry_names[(i / tenants) % entry_names.size()];
     const auto entry = catalog.find(entry_name);
     auto submission =
-        service.submit(tenant, draw_query(rng, *entry, entry_name, mix));
+        service.submit(tenant, draw_query(rng, *entry, entry_name, extent, mix));
     ++point.submitted;
     if (submission.status.ok()) {
       futures.push_back(std::move(submission.result));
@@ -263,7 +265,7 @@ int main(int argc, char** argv) {
       const std::string& entry_name = entry_names[i % entry_names.size()];
       const auto entry = catalog.find(entry_name);
       auto submission = calib.submit(
-          "calibration", draw_query(rng, *entry, entry_name, mix));
+          "calibration", draw_query(rng, *entry, entry_name, right.extent(), mix));
       if (!submission.status.ok()) continue;
       service_total += submission.result.get().service_seconds;
     }
@@ -282,8 +284,8 @@ int main(int argc, char** argv) {
                         "mean ms", "rejected", "failed"});
     for (const double f : fractions) {
       const double offered = capacity_qps * f;
-      LoadPoint point = run_point(catalog, entry_names, service_config, tenants,
-                                  queries, offered, mix, seed + 1);
+      LoadPoint point = run_point(catalog, entry_names, right.extent(), service_config,
+                                  tenants, queries, offered, mix, seed + 1);
       table.add_row({fmt(point.offered_qps, 1), fmt(point.achieved_qps, 1),
                      fmt(point.p50_s * 1e3, 2), fmt(point.p99_s * 1e3, 2),
                      fmt(point.mean_s * 1e3, 2), std::to_string(point.rejected),

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +28,10 @@
 #include "index/mbr_join.hpp"
 #include "partition/partitioner.hpp"
 #include "workload/dataset.hpp"
+
+namespace sjc::geom {
+class PreparedCache;
+}
 
 namespace sjc::core {
 
@@ -139,6 +144,27 @@ struct RunReport {
   /// Hadoop-style named counters accumulated by the run (records assigned,
   /// duplicates removed, candidate vs refined pairs, ...).
   cluster::Counters counters;
+};
+
+/// Resident (serving-mode) join state for one dataset pair on one system,
+/// built by systems::hadoop_gis_resident, spatial_hadoop_resident or
+/// spatial_spark_resident: the report of the cold run that built it, and a
+/// runner over the preprocessing products that run captured
+/// (capture-on-build). A resident query re-executes only the system's join
+/// stages on a fresh runtime. Its pair set and counters match the cold
+/// batch run's: the MapReduce systems replay their ingest counters, and
+/// SpatialSpark, which runs fewer stages, differs only in commit.published.
+/// Copies share the captured state, which is immutable, so `run` may be
+/// called concurrently.
+struct ResidentJoin {
+  RunReport build_report;
+  /// Answers one join query. `shared_cache`, when non-null, is a cross-query
+  /// geom::PreparedCache owned by the caller (the serving catalog). A query
+  /// whose envelope expansion differs from the build's yields a
+  /// kInvalidArgument report; simulated failures come back as failed
+  /// reports, never exceptions.
+  std::function<RunReport(const JoinQueryConfig& query, geom::PreparedCache* shared_cache)>
+      run;
 };
 
 /// Partition-cell count actually used for a query: the explicit target, or

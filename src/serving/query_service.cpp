@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "plan/cost_model.hpp"
-
 namespace sjc::serving {
 
 namespace {
@@ -233,18 +231,6 @@ void QueryService::execute(Pending task, std::uint32_t slot) {
     }
     stats.queue_seconds += result.queue_seconds;
     stats.service_seconds += result.service_seconds;
-    if (task.query.kind == QueryKind::kSpatialJoin) {
-      switch (result.report.counters.get("plan.chosen")) {
-        case static_cast<std::uint64_t>(plan::PlanKind::kBroadcastJoin):
-          ++stats.plan_broadcast;
-          break;
-        case static_cast<std::uint64_t>(plan::PlanKind::kPartitionedJoin):
-          ++stats.plan_partitioned;
-          break;
-        default:  // 0: static plan, no cost-based decision recorded
-          break;
-      }
-    }
   }
 
   task.promise.set_value(std::move(result));

@@ -122,12 +122,6 @@ struct TenantStats {
   std::uint64_t rejected = 0;   // admission rejections (quota/queue/draining)
   std::uint64_t completed = 0;  // executed, status OK
   std::uint64_t failed = 0;     // executed, non-OK status
-  /// Cost-based physical plans chosen for this tenant's joins (from the
-  /// report's plan.chosen counter; both 0 when the entry runs a static
-  /// plan). Mispredictions stay diagnosable per query via the report's
-  /// plan.predicted_cost / plan.actual_cost counters.
-  std::uint64_t plan_broadcast = 0;
-  std::uint64_t plan_partitioned = 0;
   double queue_seconds = 0.0;
   double service_seconds = 0.0;
 };

@@ -19,61 +19,6 @@ std::unique_ptr<index::StrTree> build_envelope_tree(const workload::Dataset& dat
 
 }  // namespace
 
-const core::RunReport& ResidentEntry::build_report() const {
-  switch (config_.system) {
-    case core::SystemKind::kHadoopGisSim:
-      return gis_->build_report();
-    case core::SystemKind::kSpatialHadoopSim:
-      return spatial_hadoop_->build_report();
-    case core::SystemKind::kSpatialSparkSim:
-      return spatial_spark_->build_report();
-  }
-  throw InvalidArgument("ResidentEntry: unknown system kind");
-}
-
-core::RunReport ResidentEntry::run_join(const core::JoinQueryConfig& query) const {
-  switch (config_.system) {
-    case core::SystemKind::kHadoopGisSim:
-      return systems::run_hadoop_gis_resident(*gis_, query, config_.exec,
-                                              config_.hadoop_gis, &prepared_cache_);
-    case core::SystemKind::kSpatialHadoopSim:
-      return systems::run_spatial_hadoop_resident(*spatial_hadoop_, query, config_.exec,
-                                                  config_.spatial_hadoop,
-                                                  &prepared_cache_);
-    case core::SystemKind::kSpatialSparkSim: {
-      if (!config_.spatial_spark.policy.cost_based_plan) {
-        return systems::run_spatial_spark_resident(*spatial_spark_, query,
-                                                   config_.exec,
-                                                   config_.spatial_spark,
-                                                   &prepared_cache_);
-      }
-      // Per-query cost-based plan choice: the resident partitioned tail is
-      // the fast path, but a heavily filtered / small-right query can be
-      // cheaper as a broadcast probe. The broadcast plan has no resident
-      // tail (it shuffles nothing worth capturing), so when the model picks
-      // it the entry executes a cold broadcast run over its own retained
-      // datasets; either way the decision and the realized cost land in the
-      // report's plan.* counters for the service's per-tenant stats.
-      return systems::run_spatial_spark_cost_based(
-          left_, right_, config_.exec, config_.spatial_spark, /*resident=*/true,
-          [&](bool broadcast) {
-            if (!broadcast) {
-              return systems::run_spatial_spark_resident(*spatial_spark_, query,
-                                                         config_.exec,
-                                                         config_.spatial_spark,
-                                                         &prepared_cache_);
-            }
-            systems::SpatialSparkConfig broadcast_cfg = config_.spatial_spark;
-            broadcast_cfg.broadcast_join = true;
-            broadcast_cfg.policy.cost_based_plan = false;
-            return systems::run_spatial_spark(left_, right_, query, config_.exec,
-                                              broadcast_cfg);
-          });
-    }
-  }
-  throw InvalidArgument("ResidentEntry: unknown system kind");
-}
-
 std::vector<std::uint32_t> ResidentEntry::run_range(const geom::Envelope& window,
                                                     bool left_side) const {
   const index::StrTree& tree = left_side ? *left_tree_ : *right_tree_;
@@ -97,27 +42,24 @@ std::shared_ptr<const ResidentEntry> ResidentCatalog::install(
   auto entry = std::shared_ptr<ResidentEntry>(new ResidentEntry());
   entry->name_ = name;
   entry->config_ = std::move(config);
-  entry->left_ = left;
-  entry->right_ = right;
-  switch (entry->config_.system) {
+  const ResidentEntryConfig& c = entry->config_;
+  switch (c.system) {
     case core::SystemKind::kHadoopGisSim:
-      entry->gis_.emplace(systems::hadoop_gis_build_resident(
-          entry->left_, entry->right_, entry->config_.build_query,
-          entry->config_.exec, entry->config_.hadoop_gis));
+      entry->join_ =
+          systems::hadoop_gis_resident(left, right, c.build_query, c.exec, c.hadoop_gis);
       break;
     case core::SystemKind::kSpatialHadoopSim:
-      entry->spatial_hadoop_.emplace(systems::spatial_hadoop_build_resident(
-          entry->left_, entry->right_, entry->config_.build_query,
-          entry->config_.exec, entry->config_.spatial_hadoop));
+      entry->join_ = systems::spatial_hadoop_resident(left, right, c.build_query, c.exec,
+                                                      c.spatial_hadoop);
       break;
     case core::SystemKind::kSpatialSparkSim:
-      entry->spatial_spark_.emplace(systems::spatial_spark_build_resident(
-          entry->left_, entry->right_, entry->config_.build_query,
-          entry->config_.exec, entry->config_.spatial_spark));
+      entry->join_ = systems::spatial_spark_resident(left, right, c.build_query, c.exec,
+                                                     c.spatial_spark);
       break;
   }
-  entry->left_tree_ = build_envelope_tree(entry->left_);
-  entry->right_tree_ = build_envelope_tree(entry->right_);
+  require(entry->join_.run != nullptr, "ResidentCatalog::install: unknown system kind");
+  entry->left_tree_ = build_envelope_tree(left);
+  entry->right_tree_ = build_envelope_tree(right);
 
   std::lock_guard<std::mutex> lock(mutex_);
   entries_[name] = entry;  // replace: old entry drains via its shared_ptr

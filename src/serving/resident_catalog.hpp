@@ -5,17 +5,16 @@
 // deployment of the same systems amortizes the preprocessing instead — the
 // partition directories, the indexed block files, the occupancy bitmaps
 // and the prepared-geometry handles survive between queries. The catalog
-// holds exactly that: one ResidentEntry per (system, dataset pair),
-// built once via the systems' capture-on-build resident constructors
-// (spatial_hadoop_build_resident & friends) so that every resident query
-// is bit-identical to the cold batch path (test-enforced by
-// tests/test_serving.cpp).
+// holds exactly that: one ResidentEntry per (system, dataset pair).
 //
 // Each entry owns:
-//  * the system-specific resident state (partitioned splits + joint scheme
-//    + sFilter bitmaps for HadoopGIS; both indexed partition directories
-//    for SpatialHadoop; the parsed feature store + chunk views + broadcast
-//    scheme/filters for SpatialSpark);
+//  * one core::ResidentJoin, built by the system's resident builder
+//    (hadoop_gis_resident, spatial_hadoop_resident, spatial_spark_resident)
+//    from one cold end-to-end run whose preprocessing products it captures,
+//    so every resident query is bit-identical to the cold batch path
+//    (test-enforced by tests/test_serving.cpp). Only SpatialHadoop's state
+//    copies the datasets, because its partition blocks index into them;
+//    the entry itself keeps no dataset;
 //  * STR trees over both datasets' envelopes, answering range and k-NN
 //    queries without touching the join machinery;
 //  * a shared thread-safe geom::PreparedCache, passed into every resident
@@ -65,21 +64,21 @@ class ResidentEntry {
   const std::string& name() const { return name_; }
   core::SystemKind system() const { return config_.system; }
   const ResidentEntryConfig& config() const { return config_; }
-  const workload::Dataset& left() const { return left_; }
-  const workload::Dataset& right() const { return right_; }
 
   /// The full RunReport of the cold batch run that built this entry.
-  const core::RunReport& build_report() const;
+  const core::RunReport& build_report() const { return join_.build_report; }
 
   /// The entry's shared cross-query refiner cache (thread-safe). Exposed so
   /// harnesses can assert hit rates; queries use it implicitly.
   geom::PreparedCache& prepared_cache() const { return prepared_cache_; }
 
   /// Answers one spatial-join query from resident state on the entry's
-  /// system. Thread-safe; bit-identical pairs and refine.*/shuffle.*
-  /// counters vs the cold batch path. Simulated failures come back as a
-  /// failed RunReport, never an exception.
-  core::RunReport run_join(const core::JoinQueryConfig& query) const;
+  /// system. Thread-safe; bit-identical pairs and counters vs the cold batch
+  /// path. Simulated failures come back as a failed RunReport, never an
+  /// exception.
+  core::RunReport run_join(const core::JoinQueryConfig& query) const {
+    return join_.run(query, &prepared_cache_);
+  }
 
   /// MBR range query over one side's envelopes (the filter-step semantics
   /// every system's global join uses): record indexes, ascending.
@@ -98,12 +97,7 @@ class ResidentEntry {
 
   std::string name_;
   ResidentEntryConfig config_;
-  workload::Dataset left_;
-  workload::Dataset right_;
-  // Exactly one is engaged, matching config_.system.
-  std::optional<systems::HadoopGisResident> gis_;
-  std::optional<systems::SpatialHadoopResident> spatial_hadoop_;
-  std::optional<systems::SpatialSparkResident> spatial_spark_;
+  core::ResidentJoin join_;
   std::unique_ptr<index::StrTree> left_tree_;
   std::unique_ptr<index::StrTree> right_tree_;
   // Thread-safe; mutable because cache population is not logical mutation
@@ -118,11 +112,12 @@ class ResidentCatalog {
   ResidentCatalog& operator=(const ResidentCatalog&) = delete;
 
   /// Builds resident state for (left, right) on config.system — one cold
-  /// end-to-end run via the system's capture-on-build constructor — plus
-  /// the STR trees, and installs the entry under `name` (replacing any
-  /// previous entry with that name; in-flight queries against the old
-  /// entry finish safely on their shared_ptr). Throws SjcError when the
-  /// build run fails.
+  /// end-to-end run via the system's resident builder — plus the STR trees,
+  /// and installs the entry under `name` (replacing any previous entry with
+  /// that name; in-flight queries against the old entry finish safely on
+  /// their shared_ptr). The entry does not refer to `left` or `right` once
+  /// install returns. Throws SjcError when the build run fails; the catalog
+  /// is then unchanged.
   std::shared_ptr<const ResidentEntry> install(const std::string& name,
                                                const workload::Dataset& left,
                                                const workload::Dataset& right,

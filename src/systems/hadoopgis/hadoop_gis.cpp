@@ -398,38 +398,25 @@ void finish_report(core::RunReport& report, const core::ExecutionConfig& exec,
   core::annotate_recovery(report);
 }
 
-}  // namespace
-
-/// Everything the serving layer keeps resident between queries for one
-/// dataset pair: the join jobs' inputs both preprocessing pipelines
-/// produced and the ingest-time counters — replayed into every resident
-/// query's report so the full counter set matches a cold batch run exactly.
-struct HadoopGisResident::Impl {
+/// What a resident HadoopGIS entry keeps between queries: the join jobs'
+/// inputs and the counters preprocessing emitted, which every resident
+/// report replays so its counter set matches a cold batch run's.
+struct ResidentState {
   JoinInputs inputs;
   cluster::Counters ingest_counters;
-  core::RunReport build_report;
 };
 
-namespace {
-
+/// The cold end-to-end run. When `capture` is non-null the join jobs' inputs
+/// are built in it, and the ingest counters are copied into it when
+/// preprocessing ends; the run itself is unaffected.
 core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
                                     const workload::Dataset& right,
                                     const core::JoinQueryConfig& query,
                                     const core::ExecutionConfig& exec,
-                                    const HadoopGisConfig& config,
-                                    HadoopGisResident::Impl* capture) {
+                                    const HadoopGisConfig& config, ResidentState* capture) {
   core::RunReport report;
   trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  // Two sinks so the ingest share of the quarantine counters can be captured
-  // for resident replay; a cold run's totals are the sum of both, identical
-  // to the seed single-sink accounting.
-  workload::RowQuarantine build_quarantine;
-  workload::RowQuarantine join_quarantine;
-  // Ingest counters accumulate separately and are merged into the run's
-  // counters once preprocessing is done — totals are unchanged for a cold
-  // run, and a resident build keeps the ingest share for replay.
-  cluster::Counters ingest_counters;
-  bool ingest_merged = false;
+  workload::RowQuarantine quarantine;
 
   try {
     // Fault-plan validation (FaultInjector's constructor) and DFS setup can
@@ -438,12 +425,12 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     dfs::SimDfs dfs(core::dfs_config(query, exec));
     const cluster::FaultInjector faults(config.faults);
     mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &ingest_counters, &faults};
+                             &report.counters, &faults};
     if (exec.trace) ctx.trace = &collector;
 
     const mapreduce::StreamingConfig streaming = make_streaming_config(exec, config);
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
-    GisContext gis{&ctx, streaming, &query, &exec, &config, &plane, &build_quarantine};
+    GisContext gis{&ctx, streaming, &query, &exec, &config, &plane, &quarantine};
 
     // ---- Preprocessing (IA, IB) --------------------------------------------
     PreprocessedDataset pa = preprocess(gis, left, "A");
@@ -453,7 +440,10 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // The per-dataset partition ids cannot be reused (invisible through
     // streaming), so the samples are concatenated and re-partitioned on the
     // master — with the HDFS copy round-trips charged.
-    JoinInputs in;
+    // A resident build fills its state's inputs in place, so the partitioned
+    // lines exist once.
+    JoinInputs cold_inputs;
+    JoinInputs& in = capture != nullptr ? capture->inputs : cold_inputs;
     in.expand = plane.expand();
     CpuStopwatch master_cpu;
     std::vector<geom::Envelope> joint_samples = pa.samples;
@@ -511,22 +501,16 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
                                     left.text_bytes() + right.text_bytes(), filter_bytes);
     }
 
-    // Preprocessing is done: fold its counters (including its quarantined
-    // rows) into the run and point the context at the run's counters for
-    // the join jobs.
-    build_quarantine.flush_counters(ingest_counters);
-    report.counters.merge(ingest_counters);
-    ingest_merged = true;
-    ctx.counters = &report.counters;
-
+    // Preprocessing is done: a resident build keeps its counters, including
+    // the rows quarantined so far, for replay.
     if (capture != nullptr) {
-      capture->inputs = in;
-      capture->ingest_counters = ingest_counters;
+      capture->ingest_counters = report.counters;
+      quarantine.flush_counters(capture->ingest_counters);
     }
     // ---- Steps (b) + (c): join + dedup streaming jobs -----------------------
     core::record_result(report,
-                        run_gis_join(ctx, streaming, query, exec, config, in,
-                                     join_quarantine, /*shared_cache=*/nullptr, report),
+                        run_gis_join(ctx, streaming, query, exec, config, in, quarantine,
+                                     /*shared_cache=*/nullptr, report),
                         exec);
   } catch (const SjcError& e) {
     // BrokenPipe (pipe overflow past the retry budget), TaskFailed
@@ -537,14 +521,40 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     report.status = status_from_exception(e);
   }
 
-  // A failure mid-preprocessing leaves the ingest share unmerged: fold it in
-  // here so failed runs report the same counters as the seed single-counter
-  // accounting did.
-  if (!ingest_merged) {
-    build_quarantine.flush_counters(ingest_counters);
-    report.counters.merge(ingest_counters);
+  quarantine.flush_counters(report.counters);
+  finish_report(report, exec, collector);
+  return report;
+}
+
+/// One resident query: the distributed-join and dedup streaming jobs on a
+/// fresh runtime over the captured inputs. No A/ or B/ phase runs, so IA/IB
+/// report as 0.
+core::RunReport run_resident_query(const ResidentState& state,
+                                   const core::JoinQueryConfig& query,
+                                   const core::ExecutionConfig& exec,
+                                   const HadoopGisConfig& config,
+                                   geom::PreparedCache* shared_cache) {
+  core::RunReport report;
+  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
+  workload::RowQuarantine quarantine;
+
+  try {
+    const core::PartitionPlane plane(query, exec.cluster, config.policy);
+    plane.require_build_expansion(state.inputs.expand, "hadoop_gis_resident");
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
+    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
+                             &report.counters};
+    if (exec.trace) ctx.trace = &collector;
+    report.counters.merge(state.ingest_counters);
+    core::record_result(report,
+                        run_gis_join(ctx, make_streaming_config(exec, config), query, exec,
+                                     config, state.inputs, quarantine, shared_cache, report),
+                        exec);
+  } catch (const SjcError& e) {
+    report.status = status_from_exception(e);
   }
-  join_quarantine.flush_counters(report.counters);
+
+  quarantine.flush_counters(report.counters);
   finish_report(report, exec, collector);
   return report;
 }
@@ -559,66 +569,19 @@ core::RunReport run_hadoop_gis(const workload::Dataset& left,
   return run_hadoop_gis_impl(left, right, query, exec, config, /*capture=*/nullptr);
 }
 
-const core::RunReport& HadoopGisResident::build_report() const {
-  require(impl_ != nullptr, "HadoopGisResident: not built");
-  return impl_->build_report;
-}
-
-HadoopGisResident hadoop_gis_build_resident(const workload::Dataset& left,
-                                            const workload::Dataset& right,
-                                            const core::JoinQueryConfig& query,
-                                            const core::ExecutionConfig& exec,
-                                            const HadoopGisConfig& config) {
-  auto impl = std::make_shared<HadoopGisResident::Impl>();
-  impl->build_report =
-      run_hadoop_gis_impl(left, right, query, exec, config, impl.get());
-  require(impl->build_report.status.ok(),
-          "hadoop_gis_build_resident: build run failed: " +
-              impl->build_report.status.message());
-  HadoopGisResident resident;
-  resident.impl_ = std::move(impl);
-  return resident;
-}
-
-core::RunReport run_hadoop_gis_resident(const HadoopGisResident& resident,
-                                        const core::JoinQueryConfig& query,
-                                        const core::ExecutionConfig& exec,
-                                        const HadoopGisConfig& config,
-                                        geom::PreparedCache* shared_cache) {
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  workload::RowQuarantine join_quarantine;
-
-  try {
-    require(resident.impl_ != nullptr, "run_hadoop_gis_resident: not built");
-    const HadoopGisResident::Impl& impl = *resident.impl_;
-    const core::PartitionPlane plane(query, exec.cluster, config.policy);
-    plane.require_build_expansion(impl.inputs.expand, "run_hadoop_gis_resident");
-
-    // Fresh runtime per query — a serving process answers each query on its
-    // own simulated job, like the indexed SpatialHadoop path. The
-    // preprocessing products (partition scheme, bitmaps, partitioned lines)
-    // come from the catalog; no A/ or B/ phase runs, so IA/IB report as 0.
-    dfs::SimDfs dfs(core::dfs_config(query, exec));
-    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &report.counters};
-    if (exec.trace) ctx.trace = &collector;
-
-    // Replay the ingest-time counters so the resident report's counter set
-    // (partition.*, quarantine.*, ...) matches a cold batch run exactly.
-    report.counters.merge(impl.ingest_counters);
-    core::record_result(report,
-                        run_gis_join(ctx, make_streaming_config(exec, config), query, exec,
-                                     config, impl.inputs, join_quarantine, shared_cache,
-                                     report),
-                        exec);
-  } catch (const SjcError& e) {
-    report.status = status_from_exception(e);
-  }
-
-  join_quarantine.flush_counters(report.counters);
-  finish_report(report, exec, collector);
-  return report;
+core::ResidentJoin hadoop_gis_resident(const workload::Dataset& left,
+                                       const workload::Dataset& right,
+                                       const core::JoinQueryConfig& query,
+                                       const core::ExecutionConfig& exec,
+                                       const HadoopGisConfig& config) {
+  auto state = std::make_shared<ResidentState>();
+  core::RunReport build = run_hadoop_gis_impl(left, right, query, exec, config, state.get());
+  require(build.status.ok(), "hadoop_gis_resident: build run failed: " + build.status.message());
+  return {std::move(build),
+          [state = std::shared_ptr<const ResidentState>(std::move(state)), exec, config](
+              const core::JoinQueryConfig& q, geom::PreparedCache* shared_cache) {
+            return run_resident_query(*state, q, exec, config, shared_cache);
+          }};
 }
 
 }  // namespace sjc::systems

@@ -32,10 +32,6 @@
 #include "mapreduce/streaming.hpp"
 #include "plan/exec_policy.hpp"
 
-namespace sjc::geom {
-class PreparedCache;
-}
-
 namespace sjc::systems {
 
 struct HadoopGisConfig {
@@ -86,60 +82,18 @@ core::RunReport run_hadoop_gis(const workload::Dataset& left,
                                const core::ExecutionConfig& exec,
                                const HadoopGisConfig& config = {});
 
-/// Resident (serving-mode) state for one dataset pair: the partitioned
-/// line files the six preprocessing steps produced for both inputs
-/// (pre-chunked into the join job's splits), the joint partition scheme,
-/// and the occupancy bitmaps — all captured from one cold run
-/// (capture-on-build). A resident query re-executes only the big
-/// distributed-join streaming job and the sort-unique dedup job; the
-/// ingest-time counters are replayed into its report so the full counter
-/// set matches a cold batch run exactly. Cheap to copy (shared immutable
-/// state).
-class HadoopGisResident {
- public:
-  HadoopGisResident() = default;
-
-  /// The full RunReport of the cold run that built this state (ingest cost).
-  const core::RunReport& build_report() const;
-
-  struct Impl;
-
- private:
-  friend HadoopGisResident hadoop_gis_build_resident(const workload::Dataset& left,
-                                                     const workload::Dataset& right,
-                                                     const core::JoinQueryConfig& query,
-                                                     const core::ExecutionConfig& exec,
-                                                     const HadoopGisConfig& config);
-  friend core::RunReport run_hadoop_gis_resident(const HadoopGisResident& resident,
-                                                 const core::JoinQueryConfig& query,
-                                                 const core::ExecutionConfig& exec,
-                                                 const HadoopGisConfig& config,
-                                                 geom::PreparedCache* shared_cache);
-
-  std::shared_ptr<const Impl> impl_;
-};
-
-/// Runs one cold end-to-end HadoopGIS join (identical to run_hadoop_gis)
-/// and captures the preprocessing products for resident reuse. Throws
-/// SjcError when the build run fails.
-HadoopGisResident hadoop_gis_build_resident(const workload::Dataset& left,
-                                            const workload::Dataset& right,
-                                            const core::JoinQueryConfig& query,
-                                            const core::ExecutionConfig& exec,
-                                            const HadoopGisConfig& config = {});
-
-/// Answers one join query from resident state: the distributed-join and
-/// dedup streaming jobs on a fresh runtime, with IA/IB reported as 0 and
-/// ingest counters replayed for parity with the cold path. `shared_cache`,
-/// when non-null, is a cross-query geom::PreparedCache owned by the caller
-/// (the serving catalog); it is consulted only under the Prepared engine,
-/// exactly like the cold path's run-scoped cache. The query must use the
-/// same envelope expansion as the build; a mismatch yields a
-/// kInvalidArgument report.
-core::RunReport run_hadoop_gis_resident(const HadoopGisResident& resident,
-                                        const core::JoinQueryConfig& query,
-                                        const core::ExecutionConfig& exec,
-                                        const HadoopGisConfig& config = {},
-                                        geom::PreparedCache* shared_cache = nullptr);
+/// Runs one cold end-to-end join (identical to run_hadoop_gis) and keeps
+/// what its preprocessing produced for resident queries: both inputs'
+/// partitioned line files, pre-chunked into the join job's splits, the joint
+/// partition scheme, the occupancy bitmaps and the ingest counters. A
+/// resident query re-executes only the distributed-join and sort-unique
+/// dedup streaming jobs, with IA/IB reported as 0; the shared cache is
+/// consulted only under the Prepared engine, like the cold path's run-scoped
+/// cache. Throws SjcError when the build run fails.
+core::ResidentJoin hadoop_gis_resident(const workload::Dataset& left,
+                                       const workload::Dataset& right,
+                                       const core::JoinQueryConfig& query,
+                                       const core::ExecutionConfig& exec,
+                                       const HadoopGisConfig& config = {});
 
 }  // namespace sjc::systems

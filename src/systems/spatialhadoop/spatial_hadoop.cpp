@@ -368,41 +368,29 @@ core::RunReport join_indexed(const IndexedDataset& ia, const IndexedDataset& ib,
   return report;
 }
 
-}  // namespace
-
-/// Everything the serving layer keeps resident between queries for one
-/// dataset pair: owned copies of both datasets (zero-copy partition blocks
-/// span the indexed dataset's feature array, so the resident state must
-/// index its own copies) plus the indexed partition directories the cold
-/// driver's own preprocessing built over them, and the ingest-time counters
-/// those jobs emitted — replayed into every resident query's report so the
-/// full counter set matches a cold batch run exactly.
-struct SpatialHadoopResident::Impl {
+/// What a resident SpatialHadoop entry keeps between queries: the datasets
+/// its partition blocks index into, both indexed partition directories and
+/// the counters preprocessing emitted, which every resident report replays
+/// so its counter set matches a cold batch run's.
+struct ResidentState {
   workload::Dataset left;
   workload::Dataset right;
   IndexedDataset ia;
   IndexedDataset ib;
   cluster::Counters ingest_counters;
-  core::RunReport build_report;
 };
 
-namespace {
-
+/// The cold end-to-end run. When `capture` is non-null both indexed
+/// datasets and the ingest counters are copied into it once preprocessing
+/// ends; the run itself is unaffected.
 core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
                                         const workload::Dataset& right,
                                         const core::JoinQueryConfig& query,
                                         const core::ExecutionConfig& exec,
                                         const SpatialHadoopConfig& config,
-                                        SpatialHadoopResident::Impl* capture) {
+                                        ResidentState* capture) {
   core::RunReport report;
   trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  // Indexing counters accumulate separately and are merged into the run's
-  // counters below — totals are unchanged for a cold run, and a resident
-  // build keeps the ingest share to replay into resident query reports.
-  // Declared outside the try so a failure mid-preprocessing (phase timeout,
-  // crash past the budget) still surfaces its counters in the report.
-  cluster::Counters ingest_counters;
-  bool ingest_merged = false;
 
   try {
     // Fault-plan validation and DFS setup inside the try: a chaos-generated
@@ -410,7 +398,7 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     dfs::SimDfs dfs(core::dfs_config(query, exec));
     const cluster::FaultInjector faults(config.faults);
     mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &ingest_counters, &faults};
+                             &report.counters, &faults};
     if (exec.trace) ctx.trace = &collector;
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
 
@@ -428,20 +416,16 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
       ia = index_dataset(ctx, left, "A", plane, query, exec, config);
       ib = index_dataset(ctx, right, "B", plane, query, exec, config);
     }
-    report.counters.merge(ingest_counters);
-    ingest_merged = true;
-    ctx.counters = &report.counters;
     if (capture != nullptr) {
       capture->ia = ia;
       capture->ib = ib;
-      capture->ingest_counters = ingest_counters;
+      capture->ingest_counters = report.counters;
     }
 
     finalize_report(report, run_distributed_join(ctx, ia, ib, query, config), exec);
   } catch (const SjcError& e) {
     fail_report(report, e);
   }
-  if (!ingest_merged) report.counters.merge(ingest_counters);
   if (exec.trace) report.trace = collector.merged();
   return report;
 }
@@ -456,54 +440,27 @@ core::RunReport run_spatial_hadoop(const workload::Dataset& left,
   return run_spatial_hadoop_impl(left, right, query, exec, config, nullptr);
 }
 
-const core::RunReport& SpatialHadoopResident::build_report() const {
-  require(impl_ != nullptr, "SpatialHadoopResident: not built");
-  return impl_->build_report;
-}
-
-std::size_t SpatialHadoopResident::left_size() const {
-  require(impl_ != nullptr, "SpatialHadoopResident: not built");
-  return impl_->left.size();
-}
-
-std::size_t SpatialHadoopResident::right_size() const {
-  require(impl_ != nullptr, "SpatialHadoopResident: not built");
-  return impl_->right.size();
-}
-
-SpatialHadoopResident spatial_hadoop_build_resident(const workload::Dataset& left,
-                                                    const workload::Dataset& right,
-                                                    const core::JoinQueryConfig& query,
-                                                    const core::ExecutionConfig& exec,
-                                                    const SpatialHadoopConfig& config) {
-  auto impl = std::make_shared<SpatialHadoopResident::Impl>();
-  // Copy the datasets first and index the copies: zero-copy blocks borrow
-  // the indexed dataset's feature span, which must outlive the catalog entry.
-  impl->left = left;
-  impl->right = right;
-  impl->build_report =
-      run_spatial_hadoop_impl(impl->left, impl->right, query, exec, config, impl.get());
-  require(impl->build_report.status.ok(),
-          "spatial_hadoop_build_resident: build failed: " +
-              impl->build_report.status.message());
-  SpatialHadoopResident resident;
-  resident.impl_ = std::move(impl);
-  return resident;
-}
-
-core::RunReport run_spatial_hadoop_resident(const SpatialHadoopResident& resident,
-                                            const core::JoinQueryConfig& query,
-                                            const core::ExecutionConfig& exec,
-                                            const SpatialHadoopConfig& config,
-                                            geom::PreparedCache* shared_cache) {
-  require(resident.impl_ != nullptr,
-          "run_spatial_hadoop_resident: resident state must be built first");
-  const SpatialHadoopResident::Impl& impl = *resident.impl_;
-  // Replay the ingest-time counters (partition.*, shuffle.*) captured at
-  // build time: the resident parity tests compare the full counter set
-  // against a cold batch run.
-  return join_indexed(impl.ia, impl.ib, query, exec, config, "run_spatial_hadoop_resident",
-                      &impl.ingest_counters, shared_cache);
+core::ResidentJoin spatial_hadoop_resident(const workload::Dataset& left,
+                                           const workload::Dataset& right,
+                                           const core::JoinQueryConfig& query,
+                                           const core::ExecutionConfig& exec,
+                                           const SpatialHadoopConfig& config) {
+  auto state = std::make_shared<ResidentState>();
+  // Index the state's own copies: the blocks borrow the indexed dataset's
+  // feature span, which must live as long as the state.
+  state->left = left;
+  state->right = right;
+  core::RunReport build = run_spatial_hadoop_impl(state->left, state->right, query, exec,
+                                                  config, state.get());
+  require(build.status.ok(),
+          "spatial_hadoop_resident: build failed: " + build.status.message());
+  return {std::move(build),
+          [state = std::shared_ptr<const ResidentState>(std::move(state)), exec, config](
+              const core::JoinQueryConfig& q, geom::PreparedCache* shared_cache) {
+            return join_indexed(state->ia, state->ib, q, exec, config,
+                                "spatial_hadoop_resident", &state->ingest_counters,
+                                shared_cache);
+          }};
 }
 
 // ---------------------------------------------------------------------------

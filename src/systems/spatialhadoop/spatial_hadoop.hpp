@@ -32,10 +32,6 @@
 #include "mapreduce/mr_context.hpp"
 #include "plan/exec_policy.hpp"
 
-namespace sjc::geom {
-class PreparedCache;
-}
-
 namespace sjc::systems {
 
 struct SpatialHadoopConfig {
@@ -120,56 +116,18 @@ core::RunReport run_spatial_hadoop_indexed(const SpatialHadoopIndex& left,
                                            const core::ExecutionConfig& exec,
                                            const SpatialHadoopConfig& config = {});
 
-/// Resident (serving-mode) state for one dataset pair: owned copies of both
-/// datasets plus the two indexed partition directories the cold driver's own
-/// preprocessing built over them (capture-on-build), including the shuffle
-/// filter when the cold path would use one. A resident query re-executes
-/// only getSplits + the map-only local join; the ingest-time counters
-/// (partition.*, shuffle.*) are replayed into the query's report so the
-/// full counter set matches a cold batch run exactly. Cheap to copy
-/// (shared immutable state).
-class SpatialHadoopResident {
- public:
-  SpatialHadoopResident() = default;
-
-  /// The full RunReport of the cold run that built this state (ingest cost).
-  const core::RunReport& build_report() const;
-  std::size_t left_size() const;
-  std::size_t right_size() const;
-
-  struct Impl;
-
- private:
-  friend SpatialHadoopResident spatial_hadoop_build_resident(
-      const workload::Dataset& left, const workload::Dataset& right,
-      const core::JoinQueryConfig& query, const core::ExecutionConfig& exec,
-      const SpatialHadoopConfig& config);
-  friend core::RunReport run_spatial_hadoop_resident(
-      const SpatialHadoopResident& resident, const core::JoinQueryConfig& query,
-      const core::ExecutionConfig& exec, const SpatialHadoopConfig& config,
-      geom::PreparedCache* shared_cache);
-
-  std::shared_ptr<const Impl> impl_;
-};
-
 /// Runs one cold end-to-end join (identical to run_spatial_hadoop, including
-/// the filtered indexing order) and captures both indexed datasets for
-/// resident reuse. Throws SjcError when the build run fails.
-SpatialHadoopResident spatial_hadoop_build_resident(
-    const workload::Dataset& left, const workload::Dataset& right,
-    const core::JoinQueryConfig& query, const core::ExecutionConfig& exec,
-    const SpatialHadoopConfig& config = {});
-
-/// Answers one join query from resident state: getSplits + map-only local
-/// join on a fresh runtime, with IA/IB reported as 0 (like the pre-indexed
-/// path) and ingest counters replayed for parity with the cold path.
-/// `shared_cache`, when non-null, is a cross-query geom::PreparedCache owned
-/// by the caller (the serving catalog). The query must use the same envelope
-/// expansion as the build; a mismatch yields a kInvalidArgument report.
-core::RunReport run_spatial_hadoop_resident(const SpatialHadoopResident& resident,
-                                            const core::JoinQueryConfig& query,
-                                            const core::ExecutionConfig& exec,
-                                            const SpatialHadoopConfig& config = {},
-                                            geom::PreparedCache* shared_cache = nullptr);
+/// the filtered indexing order) and keeps what its preprocessing produced for
+/// resident queries: copies of both datasets, which the partition blocks
+/// index into, the two indexed partition directories (built over the copies,
+/// so the caller's datasets need not outlive the result) and the ingest
+/// counters. A resident query re-executes only getSplits and the map-only
+/// local join, with IA/IB reported as 0 like the pre-indexed path. Throws
+/// SjcError when the build run fails.
+core::ResidentJoin spatial_hadoop_resident(const workload::Dataset& left,
+                                           const workload::Dataset& right,
+                                           const core::JoinQueryConfig& query,
+                                           const core::ExecutionConfig& exec,
+                                           const SpatialHadoopConfig& config = {});
 
 }  // namespace sjc::systems

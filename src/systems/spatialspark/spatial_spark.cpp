@@ -215,28 +215,20 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
   record_result(rt, exec, pairs_rdd, "local-join.aggregate", report);
 }
 
-}  // namespace
-
-/// Everything the serving layer keeps resident between queries for one
-/// dataset pair: the parsed feature store, the per-chunk FeatureRef views
-/// the parse stage produced, the partition scheme and the occupancy
-/// filters. All of it is produced by the cold path's own preprocessing code
-/// (capture-on-build), which is what makes resident queries bit-identical
-/// to cold ones.
-struct SpatialSparkResident::Impl {
+/// What a resident SpatialSpark entry keeps between queries: the parsed
+/// feature store, the per-chunk FeatureRef views the parse stage produced,
+/// the partition scheme and the occupancy filters. All of it is produced by
+/// the cold path's own preprocessing code (capture-on-build), which is what
+/// makes resident queries bit-identical to cold ones.
+struct ResidentState {
   std::shared_ptr<std::vector<std::vector<Feature>>> store;
   std::vector<std::vector<FeatureRef>> left_chunks;
   std::vector<std::vector<FeatureRef>> right_chunks;
-  std::size_t left_count = 0;
-  std::size_t right_count = 0;
   std::optional<partition::PartitionScheme> scheme;
   std::optional<geom::OccupancyFilter> right_occ;  // filters the A side
   std::optional<geom::OccupancyFilter> left_occ;   // filters the B side
   double expand = 0.0;
-  core::RunReport build_report;
 };
-
-namespace {
 
 /// What stages 1-2 hand to either physical plan. Every RDD ships 8-byte
 /// FeatureRef handles into `store`, a run-scoped feature store filled by the
@@ -338,7 +330,7 @@ void run_partitioned_join(SparkInputs& in, const core::ExecutionConfig& exec,
                           const core::PartitionPlane& plane,
                           const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
                           core::LocalJoinStage& stage, std::uint32_t parallelism,
-                          core::RunReport& report, SpatialSparkResident::Impl* capture) {
+                          core::RunReport& report, ResidentState* capture) {
   const std::uint64_t rec_overhead = config.record_overhead_bytes;
 
   // ---- 2a. Optional skew-aware hotspot refinement (driver-side) ------------
@@ -474,7 +466,7 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
                                        const core::JoinQueryConfig& query,
                                        const core::ExecutionConfig& exec,
                                        const SpatialSparkConfig& config,
-                                       SpatialSparkResident::Impl* capture) {
+                                       ResidentState* capture) {
   core::RunReport report;
   trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   workload::RowQuarantine quarantine;
@@ -486,9 +478,6 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   core::LocalJoinStage stage(query, config.local_algorithm, config.engine, &report.counters);
 
   try {
-    require(capture == nullptr || !config.broadcast_join,
-            "spatial_spark_build_resident: resident mode requires the "
-            "partition-based join (not broadcast_join)");
     const std::uint32_t parallelism =
         start_runtime(dfs, rt, query, exec, config, report, collector);
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
@@ -497,10 +486,6 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
     if (config.broadcast_join) {
       run_broadcast_join(in, exec, config, *rt, stage.spec(), report);
     } else {
-      if (capture != nullptr) {
-        capture->left_count = left.size();
-        capture->right_count = right.size();
-      }
       run_partitioned_join(in, exec, plane, config, *rt, stage, parallelism, report,
                            capture);
     }
@@ -518,86 +503,13 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   return report;
 }
 
-}  // namespace
-
-core::RunReport run_spatial_spark(const workload::Dataset& left,
-                                  const workload::Dataset& right,
-                                  const core::JoinQueryConfig& query,
-                                  const core::ExecutionConfig& exec,
-                                  const SpatialSparkConfig& config) {
-  if (!config.policy.cost_based_plan) {
-    return run_spatial_spark_impl(left, right, query, exec, config, nullptr);
-  }
-  return run_spatial_spark_cost_based(left, right, exec, config, /*resident=*/false,
-                                      [&](bool broadcast) {
-                                        SpatialSparkConfig chosen = config;
-                                        chosen.broadcast_join = broadcast;
-                                        return run_spatial_spark_impl(
-                                            left, right, query, exec, chosen, nullptr);
-                                      });
-}
-
-core::RunReport run_spatial_spark_cost_based(
-    const workload::Dataset& left, const workload::Dataset& right,
-    const core::ExecutionConfig& exec, const SpatialSparkConfig& config, bool resident,
-    const std::function<core::RunReport(bool broadcast)>& run) {
-  const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
-      .left_records = left.size(),
-      .right_records = right.size(),
-      .left_bytes = left.text_bytes(),
-      .right_bytes = right.text_bytes(),
-      .record_overhead_bytes = config.record_overhead_bytes,
-      .replication_factor = std::nullopt,
-      .filter_selectivity = std::nullopt,
-      .cluster = exec.cluster,
-      .data_scale = exec.data_scale,
-      .resident = resident,
-  });
-  core::RunReport report = run(decision.chosen == plan::PlanKind::kBroadcastJoin);
-  plan::record_plan_counters(decision, report.counters);
-  plan::record_plan_actual(report.total_seconds, report.counters);
-  return report;
-}
-
-const core::RunReport& SpatialSparkResident::build_report() const {
-  require(impl_ != nullptr, "SpatialSparkResident: not built");
-  return impl_->build_report;
-}
-
-std::size_t SpatialSparkResident::left_size() const {
-  require(impl_ != nullptr, "SpatialSparkResident: not built");
-  return impl_->left_count;
-}
-
-std::size_t SpatialSparkResident::right_size() const {
-  require(impl_ != nullptr, "SpatialSparkResident: not built");
-  return impl_->right_count;
-}
-
-SpatialSparkResident spatial_spark_build_resident(const workload::Dataset& left,
-                                                  const workload::Dataset& right,
-                                                  const core::JoinQueryConfig& query,
-                                                  const core::ExecutionConfig& exec,
-                                                  const SpatialSparkConfig& config) {
-  auto impl = std::make_shared<SpatialSparkResident::Impl>();
-  impl->build_report =
-      run_spatial_spark_impl(left, right, query, exec, config, impl.get());
-  require(impl->build_report.status.ok(),
-          "spatial_spark_build_resident: build failed: " +
-              impl->build_report.status.message());
-  SpatialSparkResident resident;
-  resident.impl_ = std::move(impl);
-  return resident;
-}
-
-core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
-                                           const core::JoinQueryConfig& query,
-                                           const core::ExecutionConfig& exec,
-                                           const SpatialSparkConfig& config,
-                                           geom::PreparedCache* shared_cache) {
-  require(resident.impl_ != nullptr,
-          "run_spatial_spark_resident: resident state must be built first");
-  const SpatialSparkResident::Impl& impl = *resident.impl_;
+/// One resident query: a fresh runtime and report, with the captured
+/// inputs re-materialized as cached RDDs and the cold path's own join tail.
+core::RunReport run_resident_query(const ResidentState& state,
+                                   const core::JoinQueryConfig& query,
+                                   const core::ExecutionConfig& exec,
+                                   const SpatialSparkConfig& config,
+                                   geom::PreparedCache* shared_cache) {
   core::RunReport report;
   trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   std::optional<dfs::SimDfs> dfs;
@@ -607,7 +519,7 @@ core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
 
   try {
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
-    plane.require_build_expansion(impl.expand, "run_spatial_spark_resident");
+    plane.require_build_expansion(state.expand, "spatial_spark_resident");
     const std::uint32_t parallelism =
         start_runtime(dfs, rt, query, exec, config, report, collector);
     const std::uint64_t rec_overhead = config.record_overhead_bytes;
@@ -618,25 +530,75 @@ core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
     // parse, no sample, no driver.partition, no filter.build — that is the
     // serving win; everything downstream is the cold path's own code.
     const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer(rec_overhead);
-    auto left_rdd = rdd::Rdd<FeatureRef>::create(*rt, impl.left_chunks, ref_sizer,
+    auto left_rdd = rdd::Rdd<FeatureRef>::create(*rt, state.left_chunks, ref_sizer,
                                                  "A.resident");
-    auto right_rdd = rdd::Rdd<FeatureRef>::create(*rt, impl.right_chunks, ref_sizer,
+    auto right_rdd = rdd::Rdd<FeatureRef>::create(*rt, state.right_chunks, ref_sizer,
                                                   "B.resident");
 
     // The scheme and filters still ship to the executors each query
     // (distributed-cache refresh), so broadcast charges stay in the model.
-    partition::PartitionScheme scheme = *impl.scheme;
+    partition::PartitionScheme scheme = *state.scheme;
     const std::uint64_t scheme_bytes = scheme.size_bytes() * 2;
     rdd::Broadcast<partition::PartitionScheme> scheme_bc(*rt, std::move(scheme),
                                                          scheme_bytes, "scheme");
     run_spark_join_tail(*rt, exec, std::move(left_rdd), std::move(right_rdd), scheme_bc,
-                        impl.right_occ, impl.left_occ, stage, parallelism, rec_overhead,
+                        state.right_occ, state.left_occ, stage, parallelism, rec_overhead,
                         report);
   } catch (const SjcError& e) {
     report.status = status_from_exception(e);
   }
   finish_report(report, rt, exec, collector);
   return report;
+}
+
+}  // namespace
+
+core::RunReport run_spatial_spark(const workload::Dataset& left,
+                                  const workload::Dataset& right,
+                                  const core::JoinQueryConfig& query,
+                                  const core::ExecutionConfig& exec,
+                                  const SpatialSparkConfig& config) {
+  if (!config.policy.cost_based_plan) {
+    return run_spatial_spark_impl(left, right, query, exec, config, nullptr);
+  }
+  // Cost-based plan choice: predict both plans from the dataset sizes and
+  // the cluster spec, run the cheaper feasible one, and record the
+  // prediction next to the realized cost in the plan.* counters.
+  const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
+      .left_records = left.size(),
+      .right_records = right.size(),
+      .left_bytes = left.text_bytes(),
+      .right_bytes = right.text_bytes(),
+      .record_overhead_bytes = config.record_overhead_bytes,
+      .replication_factor = std::nullopt,
+      .filter_selectivity = std::nullopt,
+      .cluster = exec.cluster,
+      .data_scale = exec.data_scale,
+  });
+  SpatialSparkConfig chosen = config;
+  chosen.broadcast_join = decision.chosen == plan::PlanKind::kBroadcastJoin;
+  core::RunReport report = run_spatial_spark_impl(left, right, query, exec, chosen, nullptr);
+  plan::record_plan_counters(decision, report.counters);
+  plan::record_plan_actual(report.total_seconds, report.counters);
+  return report;
+}
+
+core::ResidentJoin spatial_spark_resident(const workload::Dataset& left,
+                                          const workload::Dataset& right,
+                                          const core::JoinQueryConfig& query,
+                                          const core::ExecutionConfig& exec,
+                                          const SpatialSparkConfig& config) {
+  require(!config.broadcast_join && !config.policy.cost_based_plan,
+          "spatial_spark_resident: resident mode requires the partition-based join "
+          "(neither broadcast_join nor policy.cost_based_plan)");
+  auto state = std::make_shared<ResidentState>();
+  core::RunReport build = run_spatial_spark_impl(left, right, query, exec, config, state.get());
+  require(build.status.ok(), "spatial_spark_resident: build failed: " + build.status.message());
+  return {std::move(build),
+          [state = std::shared_ptr<const ResidentState>(std::move(state)), exec, config](
+              const core::JoinQueryConfig& q, geom::PreparedCache* shared_cache) {
+            return run_resident_query(*state, q, exec, config, shared_cache);
+          }};
 }
 
 }  // namespace sjc::systems

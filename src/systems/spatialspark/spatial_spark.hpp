@@ -28,15 +28,9 @@
 // record's full modeled bytes.
 #pragma once
 
-#include <functional>
-
 #include "core/spatial_join.hpp"
 #include "plan/exec_policy.hpp"
 #include "rdd/spark_runtime.hpp"
-
-namespace sjc::geom {
-class PreparedCache;
-}
 
 namespace sjc::systems {
 
@@ -74,67 +68,17 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
                                   const core::ExecutionConfig& exec,
                                   const SpatialSparkConfig& config = {});
 
-/// Cost-based plan choice for one SpatialSpark join: predicts both plans
-/// from the dataset sizes and the cluster spec, calls `run(broadcast)` with
-/// the cheaper feasible one, and records the prediction next to the
-/// realized cost in the report's plan.* counters. `resident` (both inputs
-/// already in executor memory) drops the read and partition steps from the
-/// prediction.
-core::RunReport run_spatial_spark_cost_based(
-    const workload::Dataset& left, const workload::Dataset& right,
-    const core::ExecutionConfig& exec, const SpatialSparkConfig& config, bool resident,
-    const std::function<core::RunReport(bool broadcast)>& run);
-
-/// Resident (serving-mode) state for the partition-based join:
-/// the parsed feature store, the per-chunk FeatureRef views, the partition
-/// scheme and the occupancy filters, all captured from one cold build run
-/// (capture-on-build). Queries answered from this state re-execute only the
-/// assign -> groupByKey -> join -> local-join tail and are bit-identical to
-/// the cold batch path. Cheap to copy (shared immutable state).
-class SpatialSparkResident {
- public:
-  SpatialSparkResident() = default;
-
-  /// The full RunReport of the cold run that built this state (ingest cost).
-  const core::RunReport& build_report() const;
-  std::size_t left_size() const;
-  std::size_t right_size() const;
-
-  struct Impl;
-
- private:
-  friend SpatialSparkResident spatial_spark_build_resident(
-      const workload::Dataset& left, const workload::Dataset& right,
-      const core::JoinQueryConfig& query, const core::ExecutionConfig& exec,
-      const SpatialSparkConfig& config);
-  friend core::RunReport run_spatial_spark_resident(
-      const SpatialSparkResident& resident, const core::JoinQueryConfig& query,
-      const core::ExecutionConfig& exec, const SpatialSparkConfig& config,
-      geom::PreparedCache* shared_cache);
-
-  std::shared_ptr<const Impl> impl_;
-};
-
-/// Runs one cold partition-based join and captures its preprocessing
-/// products for resident reuse. Requires the partition-based plan (not
-/// broadcast_join); throws SjcError when the build run fails.
-SpatialSparkResident spatial_spark_build_resident(
-    const workload::Dataset& left, const workload::Dataset& right,
-    const core::JoinQueryConfig& query, const core::ExecutionConfig& exec,
-    const SpatialSparkConfig& config = {});
-
-/// Answers one join query from resident state: fresh runtime + report per
-/// query, but the read/parse/sample/partition/filter-build stages are
-/// skipped — their products come from the catalog. `shared_cache`, when
-/// non-null, is a cross-query geom::PreparedCache owned by the caller (the
-/// serving catalog); pair sets and refine.*/shuffle.* counters are
-/// bit-identical to the cold path either way. The query must use the same
-/// envelope expansion as the build (same predicate family); a mismatch
-/// yields a kInvalidArgument report.
-core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
-                                           const core::JoinQueryConfig& query,
-                                           const core::ExecutionConfig& exec,
-                                           const SpatialSparkConfig& config = {},
-                                           geom::PreparedCache* shared_cache = nullptr);
+/// Runs one cold partition-based join and keeps what its preprocessing
+/// produced for resident queries: the parsed feature store, the per-chunk
+/// FeatureRef views, the partition scheme and the occupancy filters. A
+/// resident query re-executes only the assign -> groupByKey -> join ->
+/// local-join tail; no dataset is copied. Rejects broadcast_join and
+/// policy.cost_based_plan with InvalidArgument, because the broadcast plan
+/// has no resident tail. Throws SjcError when the build run fails.
+core::ResidentJoin spatial_spark_resident(const workload::Dataset& left,
+                                          const workload::Dataset& right,
+                                          const core::JoinQueryConfig& query,
+                                          const core::ExecutionConfig& exec,
+                                          const SpatialSparkConfig& config = {});
 
 }  // namespace sjc::systems

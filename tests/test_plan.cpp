@@ -8,8 +8,8 @@
 // (the accept filter runs before refinement counting in run_local_join)
 // and the shuffle.assigned == records + filtered invariant intact. The
 // suite checks the monitor/refiner units, the cost model's shape, both
-// Table-2 experiments across all three systems, and the serving-layer
-// per-tenant plan choice.
+// Table-2 experiments across all three systems, and that a resident
+// SpatialSpark entry refuses the broadcast plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "plan/cost_model.hpp"
 #include "plan/partition_refiner.hpp"
 #include "plan/skew_monitor.hpp"
-#include "serving/query_service.hpp"
 #include "serving/resident_catalog.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
@@ -542,57 +541,30 @@ TEST(RepartitionSystems, ResidentPathCarriesTheRefinedScheme) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving: per-tenant cost-based plan choice
+// Serving: resident SpatialSpark entries run the partitioned plan only
 // ---------------------------------------------------------------------------
 
-TEST(PlanServing, CostBasedPlanPerTenant) {
+TEST(PlanServing, ResidentSpatialSparkRejectsBroadcastPlans) {
+  // The broadcast plan has no resident tail, so an entry that could pick it
+  // (statically or by cost) must fail to install rather than build state a
+  // query could not use.
   Bench bench = make_bench(workload::DatasetId::kTaxi1m, workload::DatasetId::kNycb,
                            2e-4, core::JoinPredicate::kWithin, "taxi-serving");
-  serving::ResidentEntryConfig config;
-  config.system = core::SystemKind::kSpatialSparkSim;
-  config.build_query = bench.query;
-  config.exec = bench.exec;
-  config.spatial_spark.policy.cost_based_plan = true;
+  serving::ResidentEntryConfig cost_based;
+  cost_based.system = core::SystemKind::kSpatialSparkSim;
+  cost_based.build_query = bench.query;
+  cost_based.exec = bench.exec;
+  cost_based.spatial_spark.policy.cost_based_plan = true;
+  serving::ResidentEntryConfig broadcast = cost_based;
+  broadcast.spatial_spark.policy.cost_based_plan = false;
+  broadcast.spatial_spark.broadcast_join = true;
 
   serving::ResidentCatalog catalog;
-  catalog.install("taxi-nycb", bench.left, bench.right, config);
-  serving::QueryServiceConfig sc;
-  sc.workers = 1;
-  serving::QueryService service(catalog, sc);
-
-  serving::Query query;
-  query.kind = serving::QueryKind::kSpatialJoin;
-  query.entry = "taxi-nycb";
-  query.join = bench.query;
-
-  std::vector<std::future<serving::QueryResult>> futures;
-  for (int i = 0; i < 3; ++i) {
-    auto sub = service.submit("t0", query);
-    ASSERT_TRUE(sub.status.ok()) << sub.status.to_string();
-    futures.push_back(std::move(sub.result));
-  }
-  std::uint64_t chosen = 0;
-  for (auto& f : futures) {
-    const auto result = f.get();
-    ASSERT_TRUE(result.status.ok()) << result.status.to_string();
-    chosen = result.report.counters.get("plan.chosen");
-    // A decision was recorded, predictions accompany it, and the realized
-    // cost is measured for misprediction visibility.
-    EXPECT_TRUE(chosen == 1 || chosen == 2) << chosen;
-    EXPECT_GT(result.report.counters.get("plan.predicted_partitioned"), 0u);
-    EXPECT_EQ(result.report.counters.get("plan.fallback"), 0u);
-  }
-  service.drain();
-
-  const auto stats = service.tenant_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].completed, 3u);
-  // Every completed join contributed its plan to the per-tenant tally.
-  EXPECT_EQ(stats[0].plan_broadcast + stats[0].plan_partitioned, 3u);
-  if (chosen == 2) {
-    EXPECT_EQ(stats[0].plan_broadcast, 3u);
-  } else {
-    EXPECT_EQ(stats[0].plan_partitioned, 3u);
+  for (const auto& config : {cost_based, broadcast}) {
+    EXPECT_THROW(catalog.install("taxi-nycb", bench.left, bench.right, config),
+                 InvalidArgument);
+    EXPECT_EQ(catalog.size(), 0u);
+    EXPECT_EQ(catalog.find("taxi-nycb"), nullptr);
   }
 }
 

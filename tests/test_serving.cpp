@@ -1,12 +1,16 @@
 // Serving-layer tests: resident-vs-cold parity for all three systems on
-// both Table-2 experiment shapes, cross-query PreparedCache reuse,
-// admission control, DRR fairness, and interleaved multi-tenant
-// bit-identity against serial execution.
+// both Table-2 experiment shapes (every counter, entries installed from
+// temporaries), the build-expansion check, HadoopGIS's replayed ingest
+// quarantine, cross-query PreparedCache reuse, admission control, DRR
+// fairness, and interleaved multi-tenant bit-identity against serial
+// execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <future>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "serving/query_service.hpp"
@@ -46,13 +50,11 @@ std::vector<core::JoinPair> sorted_pairs(core::RunReport report) {
   return report.pairs;
 }
 
-/// Counters under `prefix` from a report (refine.*, shuffle.*, ...).
-std::map<std::string, std::uint64_t> counters_with_prefix(const core::RunReport& r,
-                                                          const std::string& prefix) {
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, value] : r.counters.snapshot()) {
-    if (name.compare(0, prefix.size(), prefix) == 0) out[name] = value;
-  }
+/// Every counter of a report except `skip`.
+std::map<std::string, std::uint64_t> counters_except(const core::RunReport& r,
+                                                     const std::string& skip) {
+  auto out = r.counters.snapshot();
+  out.erase(skip);
   return out;
 }
 
@@ -92,14 +94,18 @@ core::RunReport run_cold(core::SystemKind system, const workload::Dataset& left,
 
 class ResidentParity : public ::testing::TestWithParam<core::SystemKind> {};
 
-void expect_parity(core::SystemKind system, const workload::Dataset& left,
-                   const workload::Dataset& right, core::JoinPredicate predicate) {
-  const auto config = entry_config(system, predicate);
-  const core::RunReport cold = run_cold(system, left, right, config);
+/// Builds `config`'s entry and checks one resident query against a cold
+/// batch run; `resident_out`, when set, receives the resident report.
+void expect_parity(const serving::ResidentEntryConfig& config, const workload::Dataset& left,
+                   const workload::Dataset& right, core::RunReport* resident_out = nullptr) {
+  const core::RunReport cold = run_cold(config.system, left, right, config);
   ASSERT_TRUE(cold.status.ok()) << cold.status.to_string();
 
+  // Installed from temporaries: once install returns the entry must not
+  // refer to the caller's datasets (the sanitizer job catches it if it does).
   serving::ResidentCatalog catalog;
-  const auto entry = catalog.install("pair", left, right, config);
+  const auto entry =
+      catalog.install("pair", workload::Dataset(left), workload::Dataset(right), config);
   const core::RunReport resident = entry->run_join(config.build_query);
   ASSERT_TRUE(resident.status.ok()) << resident.status.to_string();
 
@@ -108,30 +114,51 @@ void expect_parity(core::SystemKind system, const workload::Dataset& left,
   EXPECT_EQ(cold.result_hash, resident.result_hash);
   EXPECT_EQ(sorted_pairs(cold), sorted_pairs(resident));
 
-  // Identical refinement and shuffle accounting: the resident path must
-  // re-execute (or replay) exactly the work the cold path did.
-  EXPECT_EQ(counters_with_prefix(cold, "refine."),
-            counters_with_prefix(resident, "refine."));
-  EXPECT_EQ(counters_with_prefix(cold, "shuffle."),
-            counters_with_prefix(resident, "shuffle."));
+  // Identical accounting: the resident path re-executes or replays exactly
+  // the work the cold path did. A resident SpatialSpark query runs fewer
+  // stages (no read, parse, sample or filter build), so only its commit
+  // count differs.
+  const std::string skip =
+      config.system == core::SystemKind::kSpatialSparkSim ? "commit.published" : "";
+  EXPECT_EQ(counters_except(cold, skip), counters_except(resident, skip));
 
   // Ingest is amortized: a resident query reports zero indexing time.
   // (SpatialSpark reports NaN on both paths — the paper's note that Spark
   // stages cannot be attributed — so only TOT is comparable there.)
-  if (system != core::SystemKind::kSpatialSparkSim) {
+  if (config.system != core::SystemKind::kSpatialSparkSim) {
     EXPECT_EQ(resident.index_a_seconds, 0.0);
     EXPECT_EQ(resident.index_b_seconds, 0.0);
   }
+  if (resident_out != nullptr) *resident_out = resident;
 }
 
 TEST_P(ResidentParity, PointInPolygonJoin) {
   const auto& w = Workbench::instance();
-  expect_parity(GetParam(), w.points, w.polys, core::JoinPredicate::kWithin);
+  expect_parity(entry_config(GetParam(), core::JoinPredicate::kWithin), w.points, w.polys);
 }
 
 TEST_P(ResidentParity, PolylineIntersectionJoin) {
   const auto& w = Workbench::instance();
-  expect_parity(GetParam(), w.lines_a, w.lines_b, core::JoinPredicate::kIntersects);
+  expect_parity(entry_config(GetParam(), core::JoinPredicate::kIntersects), w.lines_a,
+                w.lines_b);
+}
+
+TEST_P(ResidentParity, ExpansionMismatchIsInvalidArgument) {
+  // An intersects-built entry cannot answer a within-distance query: its
+  // partitions were assigned without the d/2 envelope expansion, so the
+  // pair set would silently lose pairs. The query fails as a report.
+  const auto& w = Workbench::instance();
+  const auto config = entry_config(GetParam(), core::JoinPredicate::kIntersects);
+  serving::ResidentCatalog catalog;
+  const auto entry = catalog.install("pair", w.lines_a, w.lines_b, config);
+  core::JoinQueryConfig query = config.build_query;
+  query.predicate = core::JoinPredicate::kWithinDistance;
+  query.within_distance = 1e-3;
+  core::RunReport report;
+  EXPECT_NO_THROW(report = entry->run_join(query));
+  EXPECT_EQ(report.status.code(), StatusCode::kInvalidArgument) << report.status.to_string();
+  EXPECT_EQ(report.result_count, 0u);
+  EXPECT_TRUE(report.pairs.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, ResidentParity,
@@ -149,6 +176,20 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, ResidentParity,
                            }
                            return std::string("Unknown");
                          });
+
+TEST(ResidentParityMalformedRows, HadoopGisReplaysIngestQuarantine) {
+  // Junk rows are diverted while preprocessing parses the raw input; the
+  // join jobs only see partitioned lines. A resident query's quarantine
+  // count therefore comes entirely from the ingest counters its build
+  // captured, and must equal the cold run's.
+  const auto& w = Workbench::instance();
+  auto config = entry_config(core::SystemKind::kHadoopGisSim, core::JoinPredicate::kWithin);
+  config.hadoop_gis.faults.malformed_rows = 3;
+  core::RunReport resident;
+  expect_parity(config, w.points, w.polys, &resident);
+  EXPECT_EQ(resident.counters.get("input.malformed_rows_injected"), 6u);
+  EXPECT_GT(resident.counters.get("input.quarantined_rows"), 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Cross-query PreparedCache reuse

@@ -13,7 +13,7 @@
 #include "util/status.hpp"
 #include "util/strings.hpp"
 #include "workload/generators.hpp"
-#include "workload/dataset_io.hpp"
+#include "workload/quarantine.hpp"
 #include "workload/tsv.hpp"
 
 namespace sjc::workload {
@@ -304,7 +304,9 @@ std::string feature_to_tsv(const geom::Feature& feature, std::size_t pad_bytes) 
 }  // namespace reference
 
 /// dataset_to_tsv, feature_to_tsv, to_wkt and the cached WKT lengths all
-/// agree with the reference serializer, with and without padding.
+/// agree with the reference serializer, with and without padding, and every
+/// line parses back to the same id and geometry (the text round trip the
+/// SpatialSpark and HadoopGIS parse stages rely on).
 void expect_reference_tsv(const Dataset& data) {
   for (const bool include_pad : {false, true}) {
     const std::size_t pad = include_pad ? data.attr_pad_bytes() : 0;
@@ -317,6 +319,9 @@ void expect_reference_tsv(const Dataset& data) {
       ASSERT_EQ(feature_to_tsv(f, pad), expected) << data.name() << " line " << i;
       ASSERT_EQ(geom::to_wkt(f.geometry), reference::to_wkt(f.geometry)) << data.name();
       ASSERT_EQ(data.wkt_bytes(i), reference::to_wkt(f.geometry).size()) << data.name();
+      const geom::Feature parsed = feature_from_tsv(lines[i]);
+      ASSERT_EQ(parsed.id, f.id) << data.name() << " line " << i;
+      ASSERT_TRUE(parsed.geometry == f.geometry) << data.name() << " line " << i;
     }
   }
 }
@@ -346,49 +351,6 @@ TEST(Tsv, DatasetToTsvMatchesReferenceSerializer) {
       {10, Geometry::multi_polygon({geom::Polygon{shell, {hole}}, geom::Polygon{sliver, {}}})},
   };
   expect_reference_tsv(Dataset("corpus", std::move(corpus), 3));
-}
-
-}  // namespace
-}  // namespace sjc::workload
-
-namespace sjc::workload {
-namespace {
-
-TEST(DatasetIo, RoundTripsThroughFile) {
-  const auto original = generate_nycb(tiny());
-  const std::string path = "/tmp/sjc_dataset_io_test.tsv";
-  write_tsv_file(original, path);
-  const auto loaded = read_tsv_file(path, "nycb", original.attr_pad_bytes());
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded.features()[i].id, original.features()[i].id);
-    EXPECT_TRUE(loaded.features()[i].geometry == original.features()[i].geometry);
-  }
-  EXPECT_EQ(loaded.text_bytes(), original.text_bytes());
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIo, MissingFileThrows) {
-  EXPECT_THROW(read_tsv_file("/nonexistent/file.tsv", "x"), SjcError);
-}
-
-TEST(DatasetIo, MalformedLineThrows) {
-  const std::string path = "/tmp/sjc_dataset_io_bad.tsv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("1\tPOINT (1 2)\nnot a record\n", f);
-  std::fclose(f);
-  EXPECT_THROW(read_tsv_file(path, "bad"), ParseError);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIo, SkipsBlankLines) {
-  const std::string path = "/tmp/sjc_dataset_io_blank.tsv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("\n1\tPOINT (1 2)\n\n2\tPOINT (3 4)\n\n", f);
-  std::fclose(f);
-  const auto data = read_tsv_file(path, "pts");
-  EXPECT_EQ(data.size(), 2u);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -461,24 +423,6 @@ TEST(Quarantine, SinkCountsSamplesAndFlushes) {
   cluster::Counters none;
   empty.flush_counters(none);
   EXPECT_EQ(0u, none.get("input.quarantined_rows"));
-}
-
-TEST(Quarantine, ReadTsvFileDivertsBadLines) {
-  const std::string path = "quarantine_roundtrip_test.tsv";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(nullptr, f);
-    std::fputs("1\tPOINT (0 0)\nXJUNK\tPOINT (1 2)\n2\tPOINT (3 4)\n", f);
-    std::fclose(f);
-  }
-  // Default (no quarantine): the bad line is fatal, as before.
-  EXPECT_THROW(read_tsv_file(path, "t"), ParseError);
-
-  RowQuarantine q;
-  const Dataset data = read_tsv_file(path, "t", 0, &q);
-  EXPECT_EQ(2u, data.size());
-  EXPECT_EQ(1u, q.count());
-  std::remove(path.c_str());
 }
 
 }  // namespace
