@@ -20,21 +20,39 @@
 //    installed through serving::ResidentCatalog (HadoopGIS's on WS, where
 //    its build run survives);
 //  * SpatialHadoop under crashes (probability 0.2 and 0.01, max_attempts = 1)
-//    for fault seeds 1-8.
+//    for fault seeds 1-8;
+//  * 40 systems::random_fault_plan draws per sample experiment, each run on
+//    all three systems at EC2-10;
+//  * a fault-free plan and four fixed fault plans (a 40 s deadline; a 2 s
+//    deadline with a datanode loss due at 0.5 s; datanode losses plus
+//    crashes under a retry budget of 2; stragglers with speculation plus two
+//    losses), each run traced on all three systems at EC2-10 and on WS.
+//    Random draws almost never hit a deadline, hence the fixed plans. A
+//    traced report also prints every span of its timeline.
 //
 // Every report is also checked with core::check_invariants; violations go to
-// stderr and make the exit status non-zero, leaving stdout unchanged.
+// stderr and make the exit status non-zero, leaving stdout unchanged. The
+// fault runs must also reach every recovery path of every system: a deadline
+// kill, a retry-budget kill, a dfs/re-replicate phase, quarantine.nodes,
+// commit.rejected and, for SpatialSpark, a lineage recompute phase. The
+// per-system tally goes to stderr; a missing path makes the exit status
+// non-zero too.
 //
 // Usage: SJC_SCALE=1e-3 ./bench_parity_dump > parity.txt
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiments.hpp"
 #include "serving/resident_catalog.hpp"
+#include "systems/chaos.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
 #include "util/stopwatch.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -70,6 +88,109 @@ void dump(const std::string& label, const core::RunReport& r) {
   for (const auto& [name, value] : r.counters.snapshot()) {
     std::printf("counter %s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
   }
+  for (const auto& s : r.trace.spans) {
+    std::printf("span %s task=%llu attempt=%u spec=%d slot=%u start=%a end=%a cpu=%a "
+                "in=%llu out=%llu shuffled=%llu %s\n",
+                s.phase.c_str(), static_cast<unsigned long long>(s.task), s.attempt,
+                s.speculative ? 1 : 0, s.slot, s.sim_start, s.sim_end, s.cpu_seconds,
+                static_cast<unsigned long long>(s.bytes_in),
+                static_cast<unsigned long long>(s.bytes_out),
+                static_cast<unsigned long long>(s.bytes_shuffled),
+                trace::span_outcome_name(s.outcome));
+  }
+}
+
+/// Recovery paths one system's fault runs reached: reports killed by a
+/// deadline or the retry budget, DFS repair and lineage recompute phases,
+/// and reports that quarantined a node or rejected a commit.
+struct Coverage {
+  std::size_t deadline_kills = 0;
+  std::size_t budget_kills = 0;
+  std::size_t repairs = 0;
+  std::size_t quarantines = 0;
+  std::size_t rejected_commits = 0;
+  std::size_t recomputes = 0;
+};
+
+std::map<std::string, Coverage> g_coverage;
+
+/// Dumps one fault run and adds it to its system's coverage tally.
+void dump_fault_run(const std::string& label, core::SystemKind system,
+                    const core::RunReport& r) {
+  dump(label, r);
+  Coverage& c = g_coverage[core::system_kind_name(system)];
+  c.deadline_kills += r.status.code() == StatusCode::kDeadlineExceeded ? 1 : 0;
+  c.budget_kills += r.status.code() == StatusCode::kRetryBudgetExhausted ? 1 : 0;
+  for (const auto& p : r.metrics.phases()) {
+    c.repairs += starts_with(p.name, "dfs/re-replicate[") ? 1 : 0;
+    c.recomputes += p.name.find(".recompute[") != std::string::npos ? 1 : 0;
+  }
+  c.quarantines += r.counters.get("quarantine.nodes") > 0 ? 1 : 0;
+  c.rejected_commits += r.counters.get("commit.rejected") > 0 ? 1 : 0;
+}
+
+/// Prints each system's tally to stderr; returns how many paths some system
+/// missed.
+std::size_t report_coverage() {
+  std::size_t missing = 0;
+  for (const auto& [system, c] : g_coverage) {
+    std::fprintf(stderr,
+                 "coverage %s: deadline_kills=%zu budget_kills=%zu repairs=%zu "
+                 "quarantines=%zu rejected_commits=%zu recomputes=%zu\n",
+                 system.c_str(), c.deadline_kills, c.budget_kills, c.repairs,
+                 c.quarantines, c.rejected_commits, c.recomputes);
+    std::vector<std::pair<const char*, std::size_t>> paths = {
+        {"deadline kill", c.deadline_kills},  {"retry-budget kill", c.budget_kills},
+        {"dfs/re-replicate phase", c.repairs}, {"quarantine.nodes", c.quarantines},
+        {"commit.rejected", c.rejected_commits}};
+    if (system == core::system_kind_name(core::SystemKind::kSpatialSparkSim)) {
+      paths.emplace_back("lineage recompute phase", c.recomputes);
+    }
+    for (const auto& [path, count] : paths) {
+      if (count > 0) continue;
+      std::fprintf(stderr, "coverage missing in %s: %s\n", system.c_str(), path);
+      ++missing;
+    }
+  }
+  return missing;
+}
+
+/// The fixed plans of the traced fault section, fault-free plan first.
+/// Datanode-loss targets are EC2-10 nodes; on WS the engines skip the
+/// single node's loss.
+std::vector<std::pair<std::string, cluster::FaultPlan>> fixed_fault_plans() {
+  std::vector<std::pair<std::string, cluster::FaultPlan>> plans;
+  plans.emplace_back("none", cluster::FaultPlan{});
+  {
+    cluster::FaultPlan p;
+    p.phase_timeout_s = 40.0;
+    plans.emplace_back("deadline=40s", p);
+  }
+  {
+    cluster::FaultPlan p;
+    p.phase_timeout_s = 2.0;
+    p.datanode_losses = {{0.5, 2}};
+    plans.emplace_back("deadline=2s loss@0.5s", p);
+  }
+  {
+    cluster::FaultPlan p;
+    p.seed = 11;
+    p.task_crash_probability = 0.05;
+    p.max_attempts = 4;
+    p.job_retry_budget = 2;
+    p.datanode_losses = {{5.0, 3}, {60.0, 7}};
+    plans.emplace_back("losses+crashes budget=2", p);
+  }
+  {
+    cluster::FaultPlan p;
+    p.seed = 13;
+    p.straggler_probability = 0.2;
+    p.straggler_slowdown = 3.0;
+    p.speculative_execution = true;
+    p.datanode_losses = {{20.0, 4}, {120.0, 6}};
+    plans.emplace_back("stragglers+speculation+2 losses", p);
+  }
+  return plans;
 }
 
 std::string cluster_label(const cluster::ClusterSpec& c) {
@@ -135,6 +256,7 @@ int main() {
   }
 
   const cluster::ClusterSpec ec2_10 = cluster::ClusterSpec::ec2(10);
+  Rng plan_rng(0xfa017);
   for (const auto& def : core::sample_experiments()) {
     const Experiment p = load_experiment(def, wc);
     for (const auto& c : {cluster::ClusterSpec::workstation(), ec2_10}) {
@@ -228,6 +350,31 @@ int main() {
              systems::run_spatial_hadoop(p.left, p.right, p.query, exec, sh));
       }
     }
+    for (int draw = 1; draw <= 40; ++draw) {
+      const cluster::FaultPlan plan = systems::random_fault_plan(plan_rng, ec2_10.node_count);
+      std::printf("plan %s draw=%d %s\n", p.id.c_str(), draw,
+                  cluster::describe(plan).c_str());
+      for (const auto system : systems) {
+        dump_fault_run("random" + at + " draw=" + std::to_string(draw) + " " +
+                           core::system_kind_name(system),
+                       system,
+                       systems::run_under_plan(system, p.left, p.right, p.query, exec, plan));
+      }
+    }
+    for (const auto& [name, plan] : fixed_fault_plans()) {
+      for (const auto& c : {ec2_10, cluster::ClusterSpec::workstation()}) {
+        core::ExecutionConfig traced = exec;
+        traced.cluster = c;
+        traced.trace = true;
+        for (const auto system : systems) {
+          dump_fault_run("fault " + name + " " + p.id + " " + cluster_label(c) + " " +
+                             core::system_kind_name(system),
+                         system,
+                         systems::run_under_plan(system, p.left, p.right, p.query, traced,
+                                                 plan));
+        }
+      }
+    }
   }
 
   {
@@ -250,5 +397,6 @@ int main() {
            systems::run_spatial_spark(taxi, edges, query, exec, bcast));
     }
   }
-  return g_violations == 0 ? 0 : 1;
+  const std::size_t missing = report_coverage();
+  return g_violations == 0 && missing == 0 ? 0 : 1;
 }
