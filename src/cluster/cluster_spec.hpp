@@ -43,6 +43,14 @@ struct ClusterSpec {
   double per_slot_disk_write_bw() const { return node.disk_write_bw / node.cores; }
   double per_slot_network_bw() const { return node.network_bw / node.cores; }
 
+  /// Fraction of shuffled bytes that cross the network (a reducer co-hosted
+  /// with a mapper reads locally): (nodes-1)/nodes.
+  double remote_fraction() const {
+    return node_count <= 1 ? 0.0
+                           : static_cast<double>(node_count - 1) /
+                                 static_cast<double>(node_count);
+  }
+
   /// The workstation configuration (WS): 16 cores, 128 GB, one local disk,
   /// loopback "network".
   static ClusterSpec workstation();

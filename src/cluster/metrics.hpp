@@ -6,7 +6,6 @@
 // the end-to-end totals of Table 2.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,24 +55,6 @@ class RunMetrics {
   void add_phase(PhaseReport phase) { phases_.push_back(std::move(phase)); }
 
   const std::vector<PhaseReport>& phases() const { return phases_; }
-
-  /// Most recently added phase (for engines annotating extra detail).
-  /// Calling this before any phase was added is a bug: asserts in debug
-  /// builds and returns a throwaway scratch report in release builds (the
-  /// annotation is dropped instead of corrupting memory via back() on an
-  /// empty vector). Caller audit (2026-08): no call sites exist today —
-  /// engines annotate through record_phase parameters instead, because a
-  /// datanode-loss repair phase can land after the phase just recorded (see
-  /// mr_context.hpp).
-  PhaseReport& last_phase() {
-    assert(!phases_.empty() && "last_phase() called before any add_phase()");
-    if (phases_.empty()) [[unlikely]] {
-      thread_local PhaseReport scratch;
-      scratch = PhaseReport{};
-      return scratch;
-    }
-    return phases_.back();
-  }
 
   /// Largest per-task pipe volume across all streaming phases.
   std::uint64_t max_task_pipe_bytes() const {
@@ -138,21 +119,9 @@ class RunMetrics {
     return total;
   }
 
-  std::uint64_t total_commits_published() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.commits_published;
-    return total;
-  }
-
   std::uint64_t total_commits_rejected() const {
     std::uint64_t total = 0;
     for (const auto& p : phases_) total += p.commits_rejected;
-    return total;
-  }
-
-  std::uint64_t total_attempts_aborted() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.attempts_aborted;
     return total;
   }
 
@@ -165,11 +134,6 @@ class RunMetrics {
   /// Sums sim_seconds of phases whose name starts with `prefix` (phases are
   /// named "<stage>/<detail>", e.g. "indexA/map").
   double seconds_with_prefix(const std::string& prefix) const;
-
-  /// Appends all phases of `other` (used to merge sub-job metrics).
-  void merge(const RunMetrics& other) {
-    for (const auto& p : other.phases()) phases_.push_back(p);
-  }
 
   /// Multi-line human-readable summary.
   std::string to_string() const;

@@ -13,8 +13,7 @@ namespace {
 /// Min-heap of (free-at time, slot id): among equally-free slots the lowest
 /// slot id wins, so slot placement — and with it the trace timeline — is a
 /// deterministic function of the task list alone. The slot id never feeds
-/// into any duration arithmetic, so makespans are unchanged from the
-/// time-only heap this replaces.
+/// into any duration arithmetic.
 using SlotHeap =
     std::priority_queue<std::pair<double, std::uint32_t>,
                         std::vector<std::pair<double, std::uint32_t>>,
@@ -27,33 +26,6 @@ SlotHeap make_slot_heap(std::uint32_t slots) {
 }
 
 }  // namespace
-
-double list_schedule_makespan(const std::vector<double>& durations,
-                              std::uint32_t slots,
-                              std::vector<ScheduledAttempt>* attempts_out) {
-  require(slots > 0, "list_schedule_makespan: need at least one slot");
-  if (durations.empty()) return 0.0;
-  SlotHeap heap = make_slot_heap(slots);
-  double makespan = 0.0;
-  for (std::size_t i = 0; i < durations.size(); ++i) {
-    const auto [start, slot] = heap.top();
-    heap.pop();
-    const double end = start + durations[i];
-    makespan = std::max(makespan, end);
-    heap.emplace(end, slot);
-    if (attempts_out != nullptr) {
-      attempts_out->push_back({i, 1, false, slot, start, end,
-                               trace::SpanOutcome::kOk});
-    }
-  }
-  return makespan;
-}
-
-double lpt_schedule_makespan(std::vector<double> durations, std::uint32_t slots) {
-  require(slots > 0, "lpt_schedule_makespan: need at least one slot");
-  std::sort(durations.begin(), durations.end(), std::greater<>());
-  return list_schedule_makespan(durations, slots);
-}
 
 ScheduleOutcome list_schedule_makespan(const std::vector<double>& durations,
                                        std::uint32_t slots,

@@ -1,17 +1,18 @@
 // Wave scheduling of simulated tasks onto cluster slots.
 //
 // Hadoop and Spark both dispatch a phase's tasks FIFO onto free slots; the
-// phase finishes when the last task drains. list_schedule_makespan
-// reproduces exactly that: tasks are assigned, in submission order, to the
-// earliest-available slot.
+// phase finishes when the last task drains. list_schedule_makespan is the
+// one entry point: tasks are assigned, in submission order, to the
+// earliest-available slot, and under a trivial FaultPlan that is all it
+// does, so a fault-free phase gets the plain FIFO makespan.
 //
-// The failure-aware overload additionally replays Hadoop's recovery
-// machinery on top of the same FIFO dispatch: failed attempts are retried
-// (with exponential backoff) on the same slot up to the plan's max_attempts,
-// stragglers run slowed down and may be speculatively cloned onto a second
-// slot (first finisher wins, the loser's duplicate work is wasted but
-// charged), and a task that exhausts its attempts kills the phase — all
-// deterministic functions of the FaultPlan seed.
+// A non-trivial plan additionally replays Hadoop's recovery machinery on top
+// of the same FIFO dispatch: failed attempts are retried (with exponential
+// backoff) on the same slot up to the plan's max_attempts, stragglers run
+// slowed down and may be speculatively cloned onto a second slot (first
+// finisher wins, the loser's duplicate work is wasted but charged), and a
+// task that exhausts its attempts kills the phase — all deterministic
+// functions of the FaultPlan seed.
 #pragma once
 
 #include <cstddef>
@@ -37,19 +38,6 @@ struct ScheduledAttempt {
   double end = 0.0;
   trace::SpanOutcome outcome = trace::SpanOutcome::kOk;
 };
-
-/// FIFO list-scheduling makespan of `durations` onto `slots` identical
-/// slots. Returns 0 for an empty task list. Throws InvalidArgument when
-/// `slots == 0` (there is nothing meaningful to schedule onto). When
-/// `attempts_out` is non-null, one ScheduledAttempt per task is appended.
-double list_schedule_makespan(const std::vector<double>& durations,
-                              std::uint32_t slots,
-                              std::vector<ScheduledAttempt>* attempts_out = nullptr);
-
-/// Longest-processing-time variant (tasks sorted descending first): a lower
-/// bound used by the scalability bench to separate scheduling luck from
-/// capacity limits. Also requires `slots > 0`.
-double lpt_schedule_makespan(std::vector<double> durations, std::uint32_t slots);
 
 /// One node quarantined (blacklisted) during a phase.
 struct QuarantineEvent {
@@ -95,7 +83,9 @@ struct ScheduleOutcome {
   std::vector<QuarantineEvent> quarantines;
 };
 
-/// Failure/speculation-aware FIFO list schedule.
+/// Failure/speculation-aware FIFO list schedule of `durations` onto `slots`
+/// identical slots. An empty task list has makespan 0. Throws
+/// InvalidArgument when `slots == 0`.
 ///
 /// `intrinsic_severity` (optional, parallel to `durations`) models
 /// deterministic per-task failure causes such as streaming-pipe overflow:
@@ -103,7 +93,7 @@ struct ScheduleOutcome {
 /// faults.capacity_factor(k) >= r (r <= 1 never fails; a failed attempt
 /// consumes duration * min(1, capacity_factor/r) before dying — the pipe
 /// breaks partway through the stream). Injected crashes from the plan are
-/// layered on top. Requires `slots > 0`.
+/// layered on top.
 ///
 /// When `attempts_out` is non-null, every launched attempt — failed
 /// attempts, retries, speculative clones and their race losers — is

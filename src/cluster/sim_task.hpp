@@ -20,14 +20,6 @@ struct SimTask {
   std::uint64_t network = 0;        // bytes at scaled magnitude
   double fixed_overhead = 0.0;      // per-task latency (JVM spin-up etc.), paper units
 
-  void add(const SimTask& other) {
-    cpu_seconds += other.cpu_seconds;
-    disk_read += other.disk_read;
-    disk_write += other.disk_write;
-    network += other.network;
-    fixed_overhead += other.fixed_overhead;
-  }
-
   /// Simulated duration in paper-unit seconds.
   double duration(const ClusterSpec& cluster, double data_scale) const {
     double seconds = fixed_overhead;

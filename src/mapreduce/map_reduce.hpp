@@ -80,12 +80,11 @@ std::vector<typename Spec::OutType> run_map_reduce(
   using Out = typename Spec::OutType;
   using PairT = std::pair<K, V>;
 
-  require(ctx.cluster != nullptr && ctx.dfs != nullptr && ctx.metrics != nullptr,
-          "run_map_reduce: incomplete context");
+  require(ctx.dfs != nullptr, "run_map_reduce: incomplete context");
 
   const std::uint32_t reduce_tasks = spec.config.reduce_tasks != 0
                                          ? spec.config.reduce_tasks
-                                         : ctx.cluster->total_slots();
+                                         : ctx.cluster.total_slots();
 
   // ---- Map phase -----------------------------------------------------------
   struct MapResult {
@@ -140,7 +139,7 @@ std::vector<typename Spec::OutType> run_map_reduce(
   // ---- Shuffle + reduce phase ---------------------------------------------
   std::vector<std::vector<Out>> reduce_outputs(reduce_tasks);
   std::vector<cluster::SimTask> reduce_task_costs(reduce_tasks);
-  const double remote_fraction = ctx.remote_fraction();
+  const double remote_fraction = ctx.cluster.remote_fraction();
 
   ThreadPool::shared().parallel_for(reduce_tasks, [&](std::size_t r) {
     CpuStopwatch cpu;
@@ -182,7 +181,7 @@ std::vector<typename Spec::OutType> run_map_reduce(
     // Shuffle: read map spills from their disks, move across the network,
     // then write the job output to DFS (replicated). On multi-node clusters
     // every reducer opens one fetch connection per mapper.
-    if (ctx.cluster->node_count > 1) {
+    if (ctx.cluster.node_count > 1) {
       task.fixed_overhead +=
           spec.config.shuffle_fetch_latency_s * static_cast<double>(map_results.size());
     }
@@ -249,8 +248,7 @@ std::vector<typename Spec::OutType> run_map_only(
     MrContext& ctx, const Spec& spec,
     const std::vector<typename Spec::SplitType>& splits) {
   using Out = typename Spec::OutType;
-  require(ctx.cluster != nullptr && ctx.dfs != nullptr && ctx.metrics != nullptr,
-          "run_map_only: incomplete context");
+  require(ctx.dfs != nullptr, "run_map_only: incomplete context");
   std::vector<std::vector<Out>> outputs(splits.size());
   std::vector<cluster::SimTask> tasks(splits.size());
 

@@ -31,7 +31,7 @@ double pipe_severity(const StreamingConfig& config, double data_scale,
                                       const std::vector<double>& severity,
                                       const std::vector<std::uint64_t>& pipe_bytes,
                                       const std::string& where) {
-  const cluster::FaultInjector& faults = fault_injector(ctx);
+  const cluster::FaultInjector& faults = ctx.faults();
   const std::uint32_t attempts = faults.plan().max_attempts;
   const std::size_t task = outcome.first_failed_task;
   if (task < severity.size() && severity[task] > 1.0 &&
@@ -66,15 +66,14 @@ std::string_view streaming_key(const std::string& line) {
 
 std::vector<std::string> run_streaming(MrContext& ctx, const StreamingSpec& spec,
                                        const std::vector<std::vector<std::string>>& splits) {
-  require(ctx.cluster != nullptr && ctx.dfs != nullptr && ctx.metrics != nullptr,
-          "run_streaming: incomplete context");
+  require(ctx.dfs != nullptr, "run_streaming: incomplete context");
   require((static_cast<bool>(spec.map) || static_cast<bool>(spec.make_mapper)) &&
               static_cast<bool>(spec.reduce),
           "run_streaming: map(per or factory) and reduce must be set");
 
   const std::uint32_t reduce_tasks = spec.config.mr.reduce_tasks != 0
                                          ? spec.config.mr.reduce_tasks
-                                         : ctx.cluster->total_slots();
+                                         : ctx.cluster.total_slots();
 
   // ---- Map phase (mapper subprocess per split) -----------------------------
   struct MapResult {
@@ -157,7 +156,7 @@ std::vector<std::string> run_streaming(MrContext& ctx, const StreamingSpec& spec
   std::vector<std::vector<std::string>> outputs(reduce_tasks);
   std::vector<cluster::SimTask> reduce_costs(reduce_tasks);
   std::vector<std::uint64_t> reduce_pipe_bytes(reduce_tasks, 0);
-  const double remote_fraction = ctx.remote_fraction();
+  const double remote_fraction = ctx.cluster.remote_fraction();
 
   ThreadPool::shared().parallel_for(reduce_tasks, [&](std::size_t r) {
     CpuStopwatch cpu;
@@ -184,7 +183,7 @@ std::vector<std::string> run_streaming(MrContext& ctx, const StreamingSpec& spec
     task.cpu_seconds = cpu.seconds() / spec.config.mr.cpu_efficiency +
                        pipe_seconds(spec.config, pipe_bytes);
     task.fixed_overhead = spec.config.mr.task_overhead_s;
-    if (ctx.cluster->node_count > 1) {
+    if (ctx.cluster.node_count > 1) {
       task.fixed_overhead +=
           spec.config.mr.shuffle_fetch_latency_s * static_cast<double>(map_results.size());
     }
@@ -229,8 +228,7 @@ std::vector<std::string> run_streaming(MrContext& ctx, const StreamingSpec& spec
 std::vector<std::string> run_streaming_map_only(
     MrContext& ctx, const StreamingSpec& spec,
     const std::vector<std::vector<std::string>>& splits) {
-  require(ctx.cluster != nullptr && ctx.dfs != nullptr && ctx.metrics != nullptr,
-          "run_streaming_map_only: incomplete context");
+  require(ctx.dfs != nullptr, "run_streaming_map_only: incomplete context");
   require(static_cast<bool>(spec.map) || static_cast<bool>(spec.make_mapper),
           "run_streaming_map_only: map must be set");
 

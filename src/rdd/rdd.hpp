@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "mapreduce/shuffle_arena.hpp"
 #include "rdd/spark_runtime.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -106,14 +105,6 @@ class Rdd {
     return storage_->name;
   }
 
-  std::size_t count() const {
-    require(valid(), "Rdd: uninitialized handle");
-    std::size_t n = 0;
-    for (const auto& p : storage_->partitions) n += p.size();
-    storage_->runtime->record_collect(storage_->name + ".count", 8 * num_partitions());
-    return n;
-  }
-
   std::vector<T> collect() const {
     require(valid(), "Rdd: uninitialized handle");
     std::vector<T> out;
@@ -124,38 +115,17 @@ class Rdd {
     return out;
   }
 
-  /// Narrow 1:1 transformation.
-  template <typename U>
-  Rdd<U> map(const std::string& name, const std::function<U(const T&)>& fn,
-             Sizer<U> out_sizer) const {
-    return transform_partitions<U>(
-        name,
-        [&fn](const std::vector<T>& in, std::vector<U>& out) {
-          out.reserve(in.size());
-          for (const auto& item : in) out.push_back(fn(item));
-        },
-        std::move(out_sizer));
-  }
-
   /// Narrow 1:N transformation.
   template <typename U>
   Rdd<U> flat_map(const std::string& name,
                   const std::function<void(const T&, std::vector<U>&)>& fn,
                   Sizer<U> out_sizer) const {
-    return transform_partitions<U>(
+    return map_partitions_indexed<U>(
         name,
-        [&fn](const std::vector<T>& in, std::vector<U>& out) {
+        [&fn](std::size_t, const std::vector<T>& in, std::vector<U>& out) {
           for (const auto& item : in) fn(item, out);
         },
         std::move(out_sizer));
-  }
-
-  /// Narrow whole-partition transformation (mapPartitions).
-  template <typename U>
-  Rdd<U> map_partitions(const std::string& name,
-                        const std::function<void(const std::vector<T>&, std::vector<U>&)>& fn,
-                        Sizer<U> out_sizer) const {
-    return transform_partitions<U>(name, fn, std::move(out_sizer));
   }
 
   /// Narrow whole-partition transformation that also sees the partition
@@ -164,59 +134,6 @@ class Rdd {
   /// references into it.
   template <typename U>
   Rdd<U> map_partitions_indexed(
-      const std::string& name,
-      const std::function<void(std::size_t, const std::vector<T>&, std::vector<U>&)>& fn,
-      Sizer<U> out_sizer) const {
-    return transform_partitions_indexed<U>(name, fn, std::move(out_sizer));
-  }
-
-  Rdd<T> filter(const std::string& name, const std::function<bool(const T&)>& pred) const {
-    require(valid(), "Rdd: uninitialized handle");
-    return transform_partitions<T>(
-        name,
-        [&pred](const std::vector<T>& in, std::vector<T>& out) {
-          for (const auto& item : in) {
-            if (pred(item)) out.push_back(item);
-          }
-        },
-        storage_->sizer);
-  }
-
-  /// Bernoulli sample (what Spark's sample(false, rate) does).
-  Rdd<T> sample(const std::string& name, double rate, std::uint64_t seed) const {
-    require(rate >= 0.0 && rate <= 1.0, "Rdd::sample: rate must be in [0, 1]");
-    Rng base(seed);
-    std::vector<Rng> rngs;
-    rngs.reserve(num_partitions());
-    for (std::size_t p = 0; p < num_partitions(); ++p) rngs.push_back(base.fork(p));
-    // Partitions run in parallel but each body only touches its own Rng
-    // (indexed by partition), so this is race-free and deterministic.
-    return transform_partitions_indexed<T>(
-        name,
-        [&rngs, rate](std::size_t p, const std::vector<T>& in, std::vector<T>& out) {
-          for (const auto& item : in) {
-            if (rngs[p].bernoulli(rate)) out.push_back(item);
-          }
-        },
-        storage_->sizer);
-  }
-
- private:
-  template <typename U>
-  Rdd<U> transform_partitions(
-      const std::string& name,
-      const std::function<void(const std::vector<T>&, std::vector<U>&)>& body,
-      Sizer<U> out_sizer) const {
-    return transform_partitions_indexed<U>(
-        name,
-        [&body](std::size_t, const std::vector<T>& in, std::vector<U>& out) {
-          body(in, out);
-        },
-        std::move(out_sizer));
-  }
-
-  template <typename U>
-  Rdd<U> transform_partitions_indexed(
       const std::string& name,
       const std::function<void(std::size_t, const std::vector<T>&, std::vector<U>&)>& body,
       Sizer<U> out_sizer) const {
@@ -234,6 +151,26 @@ class Rdd {
                           storage_->name + "." + name);
   }
 
+  /// Bernoulli sample (what Spark's sample(false, rate) does).
+  Rdd<T> sample(const std::string& name, double rate, std::uint64_t seed) const {
+    require(rate >= 0.0 && rate <= 1.0, "Rdd::sample: rate must be in [0, 1]");
+    Rng base(seed);
+    std::vector<Rng> rngs;
+    rngs.reserve(num_partitions());
+    for (std::size_t p = 0; p < num_partitions(); ++p) rngs.push_back(base.fork(p));
+    // Partitions run in parallel but each body only touches its own Rng
+    // (indexed by partition), so this is race-free and deterministic.
+    return map_partitions_indexed<T>(
+        name,
+        [&rngs, rate](std::size_t p, const std::vector<T>& in, std::vector<T>& out) {
+          for (const auto& item : in) {
+            if (rngs[p].bernoulli(rate)) out.push_back(item);
+          }
+        },
+        storage_->sizer);
+  }
+
+ private:
   std::shared_ptr<detail::RddStorage<T>> storage_;
 
   template <typename>
@@ -295,62 +232,6 @@ Rdd<std::pair<K, std::vector<V>>> group_by_key(
 
   auto result = Rdd<std::pair<K, std::vector<V>>>::create(
       rt, std::move(out), std::move(out_sizer), in.name() + "." + name);
-  rt.memory().release(in.bytes());
-  return result;
-}
-
-/// Hash-partitions (K, V) pairs into `num_partitions` output partitions
-/// WITHOUT grouping values (Spark's partitionBy): a pure redistribution
-/// shuffle. Map-side buckets are chunked-arena backed; pairs within an
-/// output partition arrive in (input partition, emission) order, so the
-/// result is deterministic. Shuffle buffers are charged to the memory
-/// manager while in flight, exactly like group_by_key — the sizer decides
-/// the modeled bytes, so shipping FeatureRef handles still charges the
-/// referenced records' full modeled size.
-template <typename K, typename V>
-Rdd<std::pair<K, V>> partition_by(const Rdd<std::pair<K, V>>& in,
-                                  std::uint32_t num_partitions,
-                                  Sizer<std::pair<K, V>> out_sizer,
-                                  const std::string& name = "partitionBy") {
-  require(in.valid(), "partition_by: uninitialized rdd");
-  require(num_partitions >= 1, "partition_by: need at least one partition");
-  SparkRuntime& rt = in.runtime();
-
-  // Map side: bucket by hash(K) into per-input-partition arenas.
-  const std::size_t n_in = in.num_partitions();
-  std::vector<mapreduce::ShuffleArena<std::pair<K, V>>> buckets(n_in);
-  std::vector<double> map_cpu(n_in, 0.0);
-  ThreadPool::shared().parallel_for(n_in, [&](std::size_t p) {
-    CpuStopwatch watch;
-    buckets[p].reset(num_partitions);
-    for (const auto& kv : in.partitions()[p]) {
-      buckets[p].push(std::hash<K>{}(kv.first) % num_partitions, kv);
-    }
-    map_cpu[p] = watch.seconds();
-  });
-  // Shuffle buffers hold a full copy of the data while in flight.
-  rt.memory().allocate(in.bytes(), "shuffle:" + name);
-
-  // Reduce side: concatenate each output partition's buckets in input-
-  // partition order.
-  std::vector<std::vector<std::pair<K, V>>> out(num_partitions);
-  std::vector<double> reduce_cpu(num_partitions, 0.0);
-  ThreadPool::shared().parallel_for(num_partitions, [&](std::size_t r) {
-    CpuStopwatch watch;
-    for (std::size_t p = 0; p < n_in; ++p) {
-      buckets[p].consume(r, [&](std::pair<K, V>& kv) {
-        out[r].push_back(std::move(kv));
-      });
-    }
-    reduce_cpu[r] = watch.seconds();
-  });
-
-  std::vector<double> cpu = map_cpu;
-  cpu.insert(cpu.end(), reduce_cpu.begin(), reduce_cpu.end());
-  rt.record_shuffle_stage(in.name() + "." + name, cpu, in.bytes());
-
-  auto result = Rdd<std::pair<K, V>>::create(rt, std::move(out), std::move(out_sizer),
-                                             in.name() + "." + name);
   rt.memory().release(in.bytes());
   return result;
 }

@@ -1,7 +1,7 @@
 #include "rdd/spark_runtime.hpp"
+
 #include <algorithm>
 
-#include "cluster/scheduler.hpp"
 #include "util/status.hpp"
 
 namespace sjc::rdd {
@@ -9,10 +9,7 @@ namespace sjc::rdd {
 SparkRuntime::SparkRuntime(const cluster::ClusterSpec& cluster, double data_scale,
                            dfs::SimDfs* dfs, cluster::RunMetrics* metrics,
                            SparkConfig config)
-    : cluster_(cluster),
-      data_scale_(data_scale),
-      dfs_(dfs),
-      metrics_(metrics),
+    : dfs_(dfs),
       config_(config),
       memory_(
           [&] {
@@ -23,198 +20,62 @@ SparkRuntime::SparkRuntime(const cluster::ClusterSpec& cluster, double data_scal
                                               cluster.node_count);
           }(),
           data_scale, config.jvm_inflation),
-      faults_(config.faults) {
-  require(metrics != nullptr, "SparkRuntime: metrics sink required");
-}
+      recorder_(cluster, data_scale, metrics, nullptr, config.faults) {}
 
-void SparkRuntime::record(const std::string& name, std::vector<cluster::SimTask> tasks,
+void SparkRuntime::record(const std::string& name,
+                          const std::vector<cluster::SimTask>& tasks,
                           std::uint64_t bytes_read, std::uint64_t bytes_written,
                           std::uint64_t bytes_shuffled) {
-  std::vector<double> durations;
-  durations.reserve(tasks.size());
-  for (const auto& t : tasks) durations.push_back(t.duration(cluster_, data_scale_));
-  std::vector<cluster::ScheduledAttempt> attempts;
-  const cluster::ScheduleOutcome outcome = cluster::list_schedule_makespan(
-      durations, cluster_.total_slots(), faults_,
-      cluster::FaultInjector::phase_id(name), nullptr,
-      trace_ != nullptr ? &attempts : nullptr, cluster_.node.cores);
-  const cluster::FaultPlan& plan = faults_.plan();
-  // A successful stage overrunning its deadline is killed at exactly the
-  // timeout: charge the timeout, not the makespan.
-  const bool timed_out =
-      plan.phase_timeout_s > 0.0 && outcome.success &&
-      outcome.makespan + config_.stage_overhead_s > plan.phase_timeout_s;
-  if (trace_ != nullptr) {
-    // Stage overhead (scheduling/launch) precedes the task waves on the run
-    // clock.
-    const double offset = metrics_->total_seconds() + config_.stage_overhead_s;
-    for (const auto& a : attempts) {
-      trace::TaskSpan span;
-      span.phase = name;
-      span.task = a.task;
-      span.attempt = a.attempt;
-      span.speculative = a.speculative;
-      span.slot = a.slot;
-      span.sim_start = offset + a.start;
-      span.sim_end = offset + a.end;
-      span.cpu_seconds = tasks[a.task].cpu_seconds;
-      span.bytes_in = tasks[a.task].disk_read;
-      span.bytes_out = tasks[a.task].disk_write;
-      span.bytes_shuffled = tasks[a.task].network;
-      span.outcome = a.outcome;
-      trace_->record(std::move(span));
-    }
-    // Zero-duration markers at the moment each node was blacklisted.
-    for (const auto& q : outcome.quarantines) {
-      trace::TaskSpan span;
-      span.phase = name;
-      span.task = q.node;
-      span.attempt = q.failures;
-      span.slot = q.node * cluster_.node.cores;
-      span.sim_start = offset + q.time_s;
-      span.sim_end = offset + q.time_s;
-      span.outcome = trace::SpanOutcome::kQuarantined;
-      trace_->record(std::move(span));
-    }
-  }
-  cluster::PhaseReport phase;
-  phase.name = name;
-  phase.sim_seconds = timed_out ? plan.phase_timeout_s
-                                : outcome.makespan + config_.stage_overhead_s;
-  phase.bytes_read = bytes_read;
-  phase.bytes_written = bytes_written;
-  phase.bytes_shuffled = bytes_shuffled;
-  phase.task_count = tasks.size();
-  phase.task_attempts = outcome.attempts;
-  phase.speculative_clones = outcome.speculative_clones;
-  phase.wasted_seconds = outcome.wasted_seconds;
-  phase.commits_published = outcome.commits_published;
-  phase.commits_rejected = outcome.commits_rejected;
-  phase.attempts_aborted = outcome.attempts_aborted;
-  phase.nodes_quarantined = outcome.quarantines.size();
-  metrics_->add_phase(std::move(phase));
-  if (counters_ != nullptr) {
-    if (outcome.commits_published > 0) {
-      counters_->add("commit.published", outcome.commits_published);
-    }
-    if (outcome.commits_rejected > 0) {
-      counters_->add("commit.rejected", outcome.commits_rejected);
-    }
-    if (outcome.attempts_aborted > 0) {
-      counters_->add("commit.aborted", outcome.attempts_aborted);
-    }
-    if (!outcome.quarantines.empty()) {
-      counters_->add("quarantine.nodes", outcome.quarantines.size());
-    }
-  }
+  const cluster::ScheduleOutcome outcome =
+      recorder_.record(name, tasks, bytes_read, bytes_written, bytes_shuffled,
+                       config_.stage_overhead_s);
   if (!outcome.success) {
     throw TaskFailed(name + ": task " +
                      std::to_string(outcome.first_failed_task) +
                      " crashed and exhausted its attempts");
   }
-  if (timed_out) {
-    if (counters_ != nullptr) counters_->add("budget.phase_timeouts", 1);
-    throw DeadlineExceeded(
-        "stage '" + name + "' overran its deadline: makespan " +
-        std::to_string(outcome.makespan + config_.stage_overhead_s) +
-        "s > timeout " + std::to_string(plan.phase_timeout_s) + "s");
-  }
-  const std::uint64_t retries =
-      outcome.attempts - tasks.size() - outcome.speculative_clones;
-  if (retries > 0) {
-    retries_used_ += retries;
-    if (counters_ != nullptr) counters_->add("budget.retries_used", retries);
-  }
-  if (plan.job_retry_budget > 0 && retries_used_ > plan.job_retry_budget) {
-    throw RetryBudgetExhausted(
-        "job retry budget exhausted: " + std::to_string(retries_used_) +
-        " retries used, budget " + std::to_string(plan.job_retry_budget) +
-        " (last stage '" + name + "')");
-  }
+  recorder_.enforce_limits("stage", name, outcome, tasks.size(), config_.stage_overhead_s);
   // Grow the lineage: recomputing one partition later costs the average
   // per-task time of every stage it passed through.
-  if (!durations.empty()) {
+  if (!tasks.empty()) {
     double sum = 0.0;
-    for (const double d : durations) sum += d;
-    lineage_per_task_seconds_ += sum / static_cast<double>(durations.size());
-    last_stage_tasks_ = durations.size();
+    for (const auto& t : tasks) sum += t.duration(cluster(), data_scale());
+    lineage_per_task_seconds_ += sum / static_cast<double>(tasks.size());
+    last_stage_tasks_ = tasks.size();
   }
   apply_due_losses(name);
 }
 
 void SparkRuntime::apply_due_losses(const std::string& after_stage) {
-  const auto due = faults_.losses_due(metrics_->total_seconds(), losses_applied_);
-  for (const auto& event : due) {
-    ++losses_applied_;
-    if (cluster_.node_count <= 1) continue;  // the driver's node never dies
-    const std::uint32_t node = event.node % cluster_.node_count;
+  for (const auto& event : recorder_.take_due_losses()) {
+    cluster::ClusterSpec& cluster = recorder_.cluster;
+    if (cluster.node_count <= 1) continue;  // the driver's node never dies
+    const std::uint32_t node = event.node % cluster.node_count;
 
     // The node hosted a datanode too: surviving replicas are re-copied.
     if (dfs_ != nullptr) {
       const dfs::ReplicationRepair repair = dfs_->fail_datanode(node);
       if (repair.bytes_rereplicated > 0 || repair.blocks_lost > 0) {
-        cluster::SimTask task;
-        task.disk_read = repair.cost.disk_read;
-        task.disk_write = repair.cost.disk_write;
-        task.network = repair.cost.network;
-        cluster::PhaseReport phase;
-        phase.name = "dfs/re-replicate[node" + std::to_string(node) + "]";
-        phase.sim_seconds = task.duration(cluster_, data_scale_);
-        phase.bytes_read = repair.cost.disk_read;
-        phase.bytes_written = repair.cost.disk_write;
-        phase.task_count = 1;
-        phase.task_attempts = 1;
-        phase.commits_published = 1;
-        phase.rereplicated_bytes = repair.bytes_rereplicated;
-        if (trace_ != nullptr) {
-          trace::TaskSpan span;
-          span.phase = phase.name;
-          span.sim_start = metrics_->total_seconds();
-          span.sim_end = span.sim_start + phase.sim_seconds;
-          span.bytes_in = phase.bytes_read;
-          span.bytes_out = phase.bytes_written;
-          trace_->record(std::move(span));
-        }
-        metrics_->add_phase(std::move(phase));
+        cluster::SimTask copy;
+        copy.disk_read = repair.cost.disk_read;
+        copy.disk_write = repair.cost.disk_write;
+        copy.network = repair.cost.network;
+        recorder_.record_repair(node, copy, repair.bytes_rereplicated);
       }
     }
 
     // The executor's cached partitions are gone; recompute them from
     // lineage on the surviving executors.
-    cluster_.node_count -= 1;
-    ++lost_executors_;
+    cluster.node_count -= 1;
     const std::size_t lost_partitions =
         last_stage_tasks_ == 0
             ? 0
-            : (last_stage_tasks_ + cluster_.node_count) /
-                  (cluster_.node_count + 1);  // ceil over the pre-loss nodes
+            : (last_stage_tasks_ + cluster.node_count) /
+                  (cluster.node_count + 1);  // ceil over the pre-loss nodes
     if (lost_partitions == 0 || lineage_per_task_seconds_ <= 0.0) continue;
-    std::vector<double> recompute(lost_partitions, lineage_per_task_seconds_);
-    cluster::PhaseReport phase;
-    phase.name = after_stage + ".recompute[node" + std::to_string(node) + "]";
-    std::vector<cluster::ScheduledAttempt> attempts;
-    phase.sim_seconds =
-        cluster::list_schedule_makespan(recompute, cluster_.total_slots(),
-                                        trace_ != nullptr ? &attempts : nullptr) +
-        config_.stage_overhead_s;
-    if (trace_ != nullptr) {
-      const double offset = metrics_->total_seconds() + config_.stage_overhead_s;
-      for (const auto& a : attempts) {
-        trace::TaskSpan span;
-        span.phase = phase.name;
-        span.task = a.task;
-        span.slot = a.slot;
-        span.sim_start = offset + a.start;
-        span.sim_end = offset + a.end;
-        trace_->record(std::move(span));
-      }
-    }
-    phase.task_count = lost_partitions;
-    phase.task_attempts = lost_partitions;
-    phase.commits_published = lost_partitions;
-    phase.recomputed_partitions = lost_partitions;
-    recomputed_partitions_ += lost_partitions;
-    metrics_->add_phase(std::move(phase));
+    recorder_.record_recompute(after_stage + ".recompute[node" + std::to_string(node) + "]",
+                               lost_partitions, lineage_per_task_seconds_,
+                               config_.stage_overhead_s);
   }
 }
 
@@ -228,7 +89,7 @@ void SparkRuntime::record_narrow_stage(const std::string& name,
     t.fixed_overhead = config_.task_overhead_s;
     tasks.push_back(t);
   }
-  record(name, std::move(tasks), 0, 0, 0);
+  record(name, tasks, 0, 0, 0);
 }
 
 void SparkRuntime::record_shuffle_stage(const std::string& name,
@@ -242,14 +103,14 @@ void SparkRuntime::record_shuffle_stage(const std::string& name,
     cluster::SimTask t;
     t.cpu_seconds = cpu / config_.cpu_efficiency;
     t.network = static_cast<std::uint64_t>(static_cast<double>(per_task_shuffle) *
-                                           remote_fraction());
+                                           cluster().remote_fraction());
     t.disk_write = static_cast<std::uint64_t>(static_cast<double>(per_task_shuffle) *
                                               config_.shuffle_spill_fraction);
     t.disk_read = t.disk_write;  // spill files are read back during the fetch
     t.fixed_overhead = config_.task_overhead_s;
     tasks.push_back(t);
   }
-  record(name, std::move(tasks), 0, 0, shuffle_bytes);
+  record(name, tasks, 0, 0, shuffle_bytes);
 }
 
 void SparkRuntime::record_input_read(const std::string& name, std::uint64_t bytes,
@@ -270,7 +131,7 @@ void SparkRuntime::record_input_read(const std::string& name, std::uint64_t byte
     t.fixed_overhead = config_.task_overhead_s;
     sim_tasks.push_back(t);
   }
-  record(name, std::move(sim_tasks), bytes, 0, 0);
+  record(name, sim_tasks, bytes, 0, 0);
 }
 
 void SparkRuntime::record_broadcast(const std::string& name, std::uint64_t bytes) {
@@ -279,9 +140,9 @@ void SparkRuntime::record_broadcast(const std::string& name, std::uint64_t bytes
   // the transfer time is one copy's worth of wire time. Computed directly
   // into fixed_overhead (already paper-magnitude).
   cluster::SimTask t;
-  if (cluster_.node_count > 1) {
-    t.fixed_overhead = static_cast<double>(bytes) * data_scale_ /
-                       cluster_.node.network_bw;
+  if (cluster().node_count > 1) {
+    t.fixed_overhead = static_cast<double>(bytes) * data_scale() /
+                       cluster().node.network_bw;
   }
   record(name, {t}, 0, 0, 0);
 }
@@ -289,8 +150,8 @@ void SparkRuntime::record_broadcast(const std::string& name, std::uint64_t bytes
 void SparkRuntime::record_collect(const std::string& name, std::uint64_t bytes) {
   // Driver gather: remote partitions stream in over the driver's NIC.
   cluster::SimTask t;
-  t.fixed_overhead = static_cast<double>(bytes) * data_scale_ * remote_fraction() /
-                     cluster_.node.network_bw;
+  t.fixed_overhead = static_cast<double>(bytes) * data_scale() *
+                     cluster().remote_fraction() / cluster().node.network_bw;
   record(name, {t}, bytes, 0, 0);
 }
 

@@ -12,6 +12,12 @@
 //    cached on that node — Spark recomputes them from lineage, so the run
 //    survives but pays the recompute CPU/shuffle again (charged as a
 //    "<stage>.recompute" phase) and keeps going on the surviving executors.
+//
+// Stages are booked through the runtime's cluster::PhaseRecorder, the same
+// one MapReduce phases go through. What is Spark's own: a stage whose task
+// exhausts its attempts throws TaskFailed right away, and datanode losses
+// that came due apply only after a stage passed its limit checks, followed
+// by the lineage recompute.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_spec.hpp"
-#include "cluster/counters.hpp"
-#include "cluster/fault_injector.hpp"
-#include "cluster/metrics.hpp"
-#include "cluster/sim_task.hpp"
+#include "cluster/phase_recorder.hpp"
 #include "dfs/sim_dfs.hpp"
 #include "rdd/memory_manager.hpp"
 #include "trace/trace.hpp"
@@ -66,20 +68,14 @@ class SparkRuntime {
                dfs::SimDfs* dfs, cluster::RunMetrics* metrics,
                SparkConfig config = {});
 
-  const cluster::ClusterSpec& cluster() const { return cluster_; }
+  /// The cluster stages run on: one node fewer per lost executor.
+  const cluster::ClusterSpec& cluster() const { return recorder_.cluster; }
   const SparkConfig& config() const { return config_; }
-  double data_scale() const { return data_scale_; }
+  double data_scale() const { return recorder_.data_scale; }
   MemoryManager& memory() { return memory_; }
   dfs::SimDfs* dfs() { return dfs_; }
 
-  std::uint32_t default_parallelism() const { return cluster_.total_slots(); }
-
-  double remote_fraction() const {
-    return cluster_.node_count <= 1
-               ? 0.0
-               : static_cast<double>(cluster_.node_count - 1) /
-                     static_cast<double>(cluster_.node_count);
-  }
+  std::uint32_t default_parallelism() const { return cluster().total_slots(); }
 
   /// Records a narrow (pipelined, in-memory) stage from per-task CPU times.
   void record_narrow_stage(const std::string& name, const std::vector<double>& task_cpu);
@@ -102,22 +98,13 @@ class SparkRuntime {
   /// Attaches a per-task span sink: every stage task attempt, lineage
   /// recompute and DFS repair lands on the run's trace timeline. Tracing
   /// never changes what the stages charge.
-  void set_trace(trace::TraceCollector* trace) { trace_ = trace; }
+  void set_trace(trace::TraceCollector* trace) { recorder_.trace = trace; }
 
-  /// Attaches a named-counter sink for commit/quarantine/budget accounting
-  /// (the RDD engine has no MrContext to carry one).
-  void set_counters(cluster::Counters* counters) { counters_ = counters; }
-
-  /// Failed-attempt retries consumed so far across the job.
-  std::uint64_t retries_used() const { return retries_used_; }
-
-  /// Executors lost to datanode-loss events so far.
-  std::uint32_t lost_executors() const { return lost_executors_; }
-  /// Partitions recomputed from lineage across all losses.
-  std::uint64_t recomputed_partitions() const { return recomputed_partitions_; }
+  /// Attaches a named-counter sink for commit/quarantine/budget accounting.
+  void set_counters(cluster::Counters* counters) { recorder_.counters = counters; }
 
  private:
-  void record(const std::string& name, std::vector<cluster::SimTask> tasks,
+  void record(const std::string& name, const std::vector<cluster::SimTask>& tasks,
               std::uint64_t bytes_read, std::uint64_t bytes_written,
               std::uint64_t bytes_shuffled);
 
@@ -127,19 +114,10 @@ class SparkRuntime {
   /// node for subsequent stages.
   void apply_due_losses(const std::string& after_stage);
 
-  cluster::ClusterSpec cluster_;
-  double data_scale_;
   dfs::SimDfs* dfs_;
-  cluster::RunMetrics* metrics_;
   SparkConfig config_;
   MemoryManager memory_;
-  cluster::FaultInjector faults_;
-  trace::TraceCollector* trace_ = nullptr;
-  cluster::Counters* counters_ = nullptr;
-  std::uint64_t retries_used_ = 0;
-  std::size_t losses_applied_ = 0;
-  std::uint32_t lost_executors_ = 0;
-  std::uint64_t recomputed_partitions_ = 0;
+  cluster::PhaseRecorder recorder_;
   /// Average per-task simulated seconds accumulated over the lineage so
   /// far: what recomputing one lost partition from scratch costs.
   double lineage_per_task_seconds_ = 0.0;

@@ -419,13 +419,12 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
   workload::RowQuarantine quarantine;
 
   try {
-    // Fault-plan validation (FaultInjector's constructor) and DFS setup can
+    // Fault-plan validation (the context's constructor) and DFS setup can
     // throw on a bad plan: inside the try so a chaos-generated invalid plan
     // reports a structured Status instead of escaping the driver.
     dfs::SimDfs dfs(core::dfs_config(query, exec));
-    const cluster::FaultInjector faults(config.faults);
-    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &report.counters, &faults};
+    mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
+                             &report.counters, config.faults);
     if (exec.trace) ctx.trace = &collector;
 
     const mapreduce::StreamingConfig streaming = make_streaming_config(exec, config);
@@ -542,8 +541,8 @@ core::RunReport run_resident_query(const ResidentState& state,
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
     plane.require_build_expansion(state.inputs.expand, "hadoop_gis_resident");
     dfs::SimDfs dfs(core::dfs_config(query, exec));
-    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &report.counters};
+    mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
+                             &report.counters);
     if (exec.trace) ctx.trace = &collector;
     report.counters.merge(state.ingest_counters);
     core::record_result(report,

@@ -353,8 +353,8 @@ core::RunReport join_indexed(const IndexedDataset& ia, const IndexedDataset& ib,
     plane.require_build_expansion(ib.expand, who);
     // The block files were persisted by the build; nothing is re-put here.
     dfs::SimDfs dfs(core::dfs_config(query, exec));
-    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &report.counters};
+    mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
+                             &report.counters);
     if (exec.trace) ctx.trace = &collector;
     if (ingest != nullptr) report.counters.merge(*ingest);
     finalize_report(report, run_distributed_join(ctx, ia, ib, query, config, shared_cache),
@@ -396,9 +396,8 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     // Fault-plan validation and DFS setup inside the try: a chaos-generated
     // invalid plan reports a structured Status instead of escaping.
     dfs::SimDfs dfs(core::dfs_config(query, exec));
-    const cluster::FaultInjector faults(config.faults);
-    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &report.counters, &faults};
+    mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
+                             &report.counters, config.faults);
     if (exec.trace) ctx.trace = &collector;
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
 
@@ -488,8 +487,7 @@ SpatialHadoopIndex spatial_hadoop_build_index(const workload::Dataset& data,
   SpatialHadoopIndex index;
   index.name_ = data.name();
   dfs::SimDfs dfs(core::dfs_config(query, exec));
-  mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &index.metrics_,
-                           nullptr};
+  mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &index.metrics_);
   const core::PartitionPlane plane(query, exec.cluster, config.policy);
   auto impl = std::make_shared<SpatialHadoopIndex::Impl>();
   impl->data = index_dataset(ctx, data, data.name(), plane, query, exec, config);

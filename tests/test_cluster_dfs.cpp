@@ -6,6 +6,7 @@
 
 #include "cluster/cluster_spec.hpp"
 #include "cluster/counters.hpp"
+#include "cluster/fault_injector.hpp"
 #include "cluster/scheduler.hpp"
 #include "cluster/sim_task.hpp"
 #include "dfs/sim_dfs.hpp"
@@ -49,6 +50,11 @@ TEST(ClusterSpec, PerSlotBandwidthDividesByCore) {
   EXPECT_DOUBLE_EQ(ws.per_slot_disk_read_bw() * ws.node.cores, ws.node.disk_read_bw);
 }
 
+TEST(ClusterSpec, RemoteFraction) {
+  EXPECT_DOUBLE_EQ(cluster::ClusterSpec::workstation().remote_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(cluster::ClusterSpec::ec2(10).remote_fraction(), 0.9);
+}
+
 // ---------------------------------------------------------------------------
 // sim task durations
 // ---------------------------------------------------------------------------
@@ -76,53 +82,45 @@ TEST(SimTask, FixedOverheadIsUnscaled) {
   EXPECT_DOUBLE_EQ(t.duration(cluster::ClusterSpec::workstation(), 12345.0), 2.5);
 }
 
-TEST(SimTask, AddAccumulates) {
-  cluster::SimTask a;
-  a.cpu_seconds = 1;
-  a.disk_read = 10;
-  cluster::SimTask b;
-  b.cpu_seconds = 2;
-  b.network = 5;
-  a.add(b);
-  EXPECT_EQ(a.cpu_seconds, 3.0);
-  EXPECT_EQ(a.disk_read, 10u);
-  EXPECT_EQ(a.network, 5u);
-}
-
 // ---------------------------------------------------------------------------
 // scheduler
 // ---------------------------------------------------------------------------
 
+/// The plain FIFO makespan: the scheduler under a fault-free plan.
+double fifo_makespan(const std::vector<double>& durations, std::uint32_t slots) {
+  static const cluster::FaultInjector fault_free{cluster::FaultPlan{}};
+  return cluster::list_schedule_makespan(durations, slots, fault_free, 0).makespan;
+}
+
 TEST(Scheduler, EmptyIsZero) {
-  EXPECT_EQ(cluster::list_schedule_makespan({}, 4), 0.0);
+  EXPECT_EQ(fifo_makespan({}, 4), 0.0);
 }
 
 TEST(Scheduler, SingleSlotSums) {
-  EXPECT_DOUBLE_EQ(cluster::list_schedule_makespan({1, 2, 3}, 1), 6.0);
+  EXPECT_DOUBLE_EQ(fifo_makespan({1, 2, 3}, 1), 6.0);
 }
 
 TEST(Scheduler, PerfectlyParallel) {
-  EXPECT_DOUBLE_EQ(cluster::list_schedule_makespan({2, 2, 2, 2}, 4), 2.0);
+  EXPECT_DOUBLE_EQ(fifo_makespan({2, 2, 2, 2}, 4), 2.0);
 }
 
 TEST(Scheduler, FifoOrderMatters) {
   // FIFO: [4, 1, 1, 1, 1] on 2 slots -> slot A runs 4, slot B runs the
-  // four 1s -> makespan 4. LPT gives the same here, but [1,1,1,1,4]
-  // FIFO: A:1+1+4=6?? no: A gets t0(1) then t2(1) then t4(4)=6, B: t1+t3=2.
-  EXPECT_DOUBLE_EQ(cluster::list_schedule_makespan({4, 1, 1, 1, 1}, 2), 4.0);
-  EXPECT_DOUBLE_EQ(cluster::list_schedule_makespan({1, 1, 1, 1, 4}, 2), 6.0);
-  EXPECT_DOUBLE_EQ(cluster::lpt_schedule_makespan({1, 1, 1, 1, 4}, 2), 4.0);
+  // four 1s -> makespan 4. [1, 1, 1, 1, 4]: A gets t0(1), t2(1), t4(4) = 6
+  // while B runs t1 + t3 = 2.
+  EXPECT_DOUBLE_EQ(fifo_makespan({4, 1, 1, 1, 1}, 2), 4.0);
+  EXPECT_DOUBLE_EQ(fifo_makespan({1, 1, 1, 1, 4}, 2), 6.0);
 }
 
 TEST(Scheduler, MakespanLowerBoundedByMaxAndMean) {
   const std::vector<double> tasks = {3, 1, 4, 1, 5, 9, 2, 6};
-  const double makespan = cluster::list_schedule_makespan(tasks, 3);
+  const double makespan = fifo_makespan(tasks, 3);
   EXPECT_GE(makespan, 9.0);                 // longest task
   EXPECT_GE(makespan, (3 + 1 + 4 + 1 + 5 + 9 + 2 + 6) / 3.0);  // total / slots
 }
 
 TEST(Scheduler, RejectsZeroSlots) {
-  EXPECT_THROW(cluster::list_schedule_makespan({1.0}, 0), InvalidArgument);
+  EXPECT_THROW(fifo_makespan({1.0}, 0), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ TEST(Counters, ThreadSafeIncrements) {
   EXPECT_EQ(counters.get("hits"), 1000u);
 }
 
-TEST(RunMetricsExtra, SecondsWithPrefixAndMerge) {
+TEST(RunMetricsExtra, SecondsWithPrefixAndSummary) {
   cluster::RunMetrics a;
   a.add_phase({.name = "A/map", .sim_seconds = 2.0});
   a.add_phase({.name = "A/reduce", .sim_seconds = 3.0});
@@ -288,9 +286,7 @@ TEST(RunMetricsExtra, SecondsWithPrefixAndMerge) {
   EXPECT_DOUBLE_EQ(a.seconds_with_prefix("A/"), 5.0);
   EXPECT_DOUBLE_EQ(a.seconds_with_prefix("join/"), 5.0);
   EXPECT_DOUBLE_EQ(a.seconds_with_prefix("nope"), 0.0);
-  cluster::RunMetrics b;
-  b.add_phase({.name = "B/map", .sim_seconds = 1.0});
-  a.merge(b);
+  a.add_phase({.name = "B/map", .sim_seconds = 1.0});
   EXPECT_DOUBLE_EQ(a.total_seconds(), 11.0);
   EXPECT_NE(a.to_string().find("B/map"), std::string::npos);
   EXPECT_NE(a.to_string().find("TOTAL"), std::string::npos);

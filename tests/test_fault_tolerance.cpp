@@ -115,17 +115,13 @@ TEST(FaultInjector, DatanodeLossesAreSortedAndWindowed) {
 // Failure-aware scheduling
 // ---------------------------------------------------------------------------
 
-TEST(FaultySchedule, LptRejectsZeroSlots) {
-  EXPECT_THROW(cluster::lpt_schedule_makespan({1.0}, 0), InvalidArgument);
-}
-
 TEST(FaultySchedule, TrivialPlanMatchesPlainSchedule) {
   const std::vector<double> durations = {3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
   const cluster::FaultInjector faults{cluster::FaultPlan{}};
   const auto outcome = cluster::list_schedule_makespan(durations, 3, faults, 17);
-  // Bit-identical to the plain path: a trivial plan must not perturb the
-  // seed timings.
-  EXPECT_EQ(cluster::list_schedule_makespan(durations, 3), outcome.makespan);
+  // Exactly the plain FIFO makespan: a trivial plan must not perturb the
+  // seed timings. Slots run {3, 5, 9}, {1, 1, 5} and {4, 2, 6}.
+  EXPECT_EQ(12.0, outcome.makespan);
   EXPECT_TRUE(outcome.success);
   EXPECT_EQ(durations.size(), outcome.attempts);
   EXPECT_EQ(1u, outcome.max_attempts_used);
@@ -393,25 +389,29 @@ TEST(SimDfsFailure, LosingEveryReplicaThrowsBlockUnavailable) {
 }
 
 TEST(SimDfsFailure, MrContextAppliesScheduledLossAsRepairPhase) {
-  auto spec = cluster::ClusterSpec::ec2(4);
-  dfs::SimDfs fs(failover_dfs());
-  cluster::RunMetrics metrics;
-  cluster::FaultPlan plan;
-  plan.datanode_losses = {{0.0, 1}};
-  const cluster::FaultInjector faults(plan);
-  mapreduce::MrContext ctx{&spec, 1000.0, &fs, &metrics, nullptr, &faults};
+  // A loss event's node is taken modulo the datanode count (4 here), and the
+  // repair phase names the node that actually died.
+  for (const std::uint32_t planned : {1u, 5u}) {
+    SCOPED_TRACE(planned);
+    auto spec = cluster::ClusterSpec::ec2(4);
+    dfs::SimDfs fs(failover_dfs());
+    cluster::RunMetrics metrics;
+    cluster::FaultPlan plan;
+    plan.datanode_losses = {{0.0, planned}};
+    mapreduce::MrContext ctx(spec, 1000.0, &fs, &metrics, nullptr, plan);
 
-  fs.put("f", std::string("payload"), 350);
-  mapreduce::charge_master_step(ctx, "step", 0.001, 100, 100);
+    fs.put("f", std::string("payload"), 350);
+    mapreduce::charge_master_step(ctx, "step", 0.001, 100, 100);
 
-  EXPECT_FALSE(fs.node_alive(1));
-  EXPECT_GT(metrics.total_rereplicated_bytes(), 0u);
-  bool repair_phase = false;
-  for (const auto& phase : metrics.phases()) {
-    if (phase.name == "dfs/re-replicate[node1]") repair_phase = true;
+    EXPECT_FALSE(fs.node_alive(1));
+    EXPECT_GT(metrics.total_rereplicated_bytes(), 0u);
+    bool repair_phase = false;
+    for (const auto& phase : metrics.phases()) {
+      if (phase.name == "dfs/re-replicate[node1]") repair_phase = true;
+    }
+    EXPECT_TRUE(repair_phase);
+    EXPECT_EQ("payload", fs.get<std::string>("f"));
   }
-  EXPECT_TRUE(repair_phase);
-  EXPECT_EQ("payload", fs.get<std::string>("f"));
 }
 
 // ---------------------------------------------------------------------------
@@ -755,6 +755,41 @@ TEST(SystemRecovery, PhaseTimeoutKillsJobWithStructuredStatus) {
   ASSERT_FALSE(report.metrics.phases().empty());
   EXPECT_DOUBLE_EQ(faulty.faults.phase_timeout_s,
                    report.metrics.phases().back().sim_seconds);
+}
+
+// The engines order a datanode loss that came due and a deadline kill
+// differently. A MapReduce phase applies due losses before its limit checks,
+// so a killed job's report still ends with the repair phase. A Spark stage
+// checks its limits first, so the report ends at the killed stage.
+TEST(SystemRecovery, DueLossAndDeadlineKillOrderPerEngine) {
+  const auto& b = FaultBench::instance();
+  core::ExecutionConfig exec = b.exec;
+  exec.cluster = cluster::ClusterSpec::ec2(10);
+  cluster::FaultPlan plan;
+  plan.phase_timeout_s = 2.0;
+  plan.datanode_losses = {{0.5, 7}};  // node 7 holds a replica of the input
+
+  systems::SpatialHadoopConfig hadoop_config;
+  hadoop_config.faults = plan;
+  const auto hadoop =
+      systems::run_spatial_hadoop(b.points, b.polys, b.query, exec, hadoop_config);
+  EXPECT_EQ(StatusCode::kDeadlineExceeded, hadoop.status.code())
+      << hadoop.status.to_string();
+  const auto& hadoop_phases = hadoop.metrics.phases();
+  ASSERT_EQ(2u, hadoop_phases.size());
+  EXPECT_EQ(plan.phase_timeout_s, hadoop_phases[0].sim_seconds);
+  EXPECT_EQ("dfs/re-replicate[node7]", hadoop_phases[1].name);
+
+  systems::SpatialSparkConfig spark_config;
+  spark_config.spark.faults = plan;
+  const auto spark =
+      systems::run_spatial_spark(b.points, b.polys, b.query, exec, spark_config);
+  EXPECT_EQ(StatusCode::kDeadlineExceeded, spark.status.code())
+      << spark.status.to_string();
+  const auto& spark_phases = spark.metrics.phases();
+  ASSERT_EQ(1u, spark_phases.size());
+  EXPECT_EQ("A.read", spark_phases[0].name);
+  EXPECT_EQ(plan.phase_timeout_s, spark_phases[0].sim_seconds);
 }
 
 TEST(SystemRecovery, RetryBudgetExhaustionIsStructured) {

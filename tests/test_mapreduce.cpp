@@ -13,7 +13,7 @@ namespace {
 
 MrContext make_context(cluster::RunMetrics& metrics, dfs::SimDfs& fs,
                        const cluster::ClusterSpec& spec) {
-  return MrContext{&spec, 1000.0, &fs, &metrics};
+  return MrContext(spec, 1000.0, &fs, &metrics);
 }
 
 // Word-count-shaped job: In = word, K = word, V = 1, Out = (word, count).
@@ -99,7 +99,7 @@ TEST(MapReduce, ShuffleFetchLatencyOnlyOnMultiNode) {
     dfs::SimDfs fs(dfs::DfsConfig{.block_size = 64 * 1024, .replication = 3,
                                   .datanode_count = spec_cluster.node_count,
                                   .seed = 1});
-    MrContext ctx{&spec_cluster, 1000.0, &fs, &metrics};
+    MrContext ctx(spec_cluster, 1000.0, &fs, &metrics);
     auto spec = word_count();
     spec.config.job_startup_s = 0.0;
     spec.config.task_overhead_s = 0.0;
@@ -128,7 +128,7 @@ TEST(MapReduce, DeterministicAcrossRuns) {
     cluster::RunMetrics metrics;
     dfs::SimDfs fs({});
     const auto spec_cluster = cluster::ClusterSpec::ec2(4);
-    MrContext ctx{&spec_cluster, 1000.0, &fs, &metrics};
+    MrContext ctx(spec_cluster, 1000.0, &fs, &metrics);
     return run_map_reduce(ctx, word_count(), {{"x", "y", "x"}, {"z", "x"}});
   };
   const auto a = run_once();
@@ -166,15 +166,6 @@ TEST(MasterStep, ChargesCpuAndIo) {
   EXPECT_GE(metrics.phases()[0].sim_seconds, 5.0);
   EXPECT_EQ(metrics.phases()[0].bytes_read, 1024u);
   EXPECT_EQ(metrics.phases()[0].bytes_written, 2048u);
-}
-
-TEST(MrContext, RemoteFraction) {
-  const auto ws = cluster::ClusterSpec::workstation();
-  const auto ec2 = cluster::ClusterSpec::ec2(10);
-  MrContext ctx_ws{&ws, 1.0, nullptr, nullptr};
-  MrContext ctx_ec2{&ec2, 1.0, nullptr, nullptr};
-  EXPECT_DOUBLE_EQ(ctx_ws.remote_fraction(), 0.0);
-  EXPECT_DOUBLE_EQ(ctx_ec2.remote_fraction(), 0.9);
 }
 
 }  // namespace

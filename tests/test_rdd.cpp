@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <set>
 
 #include "rdd/rdd.hpp"
@@ -32,18 +31,8 @@ TEST(Rdd, CreateAndCollect) {
   auto rt = f.make_runtime();
   auto r = Rdd<int>::create(rt, {{1, 2}, {3}, {}}, int_sizer(), "ints");
   EXPECT_EQ(r.num_partitions(), 3u);
-  EXPECT_EQ(r.count(), 3u);
   EXPECT_EQ(r.collect(), (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(r.bytes(), 24u);
-}
-
-TEST(Rdd, MapPreservesPartitioning) {
-  SparkFixture f;
-  auto rt = f.make_runtime();
-  auto r = Rdd<int>::create(rt, {{1, 2}, {3}}, int_sizer(), "ints");
-  auto doubled = r.map<int>("double", [](const int& x) { return 2 * x; }, int_sizer());
-  EXPECT_EQ(doubled.num_partitions(), 2u);
-  EXPECT_EQ(doubled.collect(), (std::vector<int>{2, 4, 6}));
 }
 
 TEST(Rdd, FlatMapExpands) {
@@ -57,27 +46,6 @@ TEST(Rdd, FlatMapExpands) {
       },
       int_sizer());
   EXPECT_EQ(repeated.collect(), (std::vector<int>{2, 2, 3, 3, 3}));
-}
-
-TEST(Rdd, FilterKeepsMatching) {
-  SparkFixture f;
-  auto rt = f.make_runtime();
-  auto r = Rdd<int>::create(rt, {{1, 2, 3, 4, 5}}, int_sizer(), "ints");
-  EXPECT_EQ(r.filter("even", [](const int& x) { return x % 2 == 0; }).collect(),
-            (std::vector<int>{2, 4}));
-}
-
-TEST(Rdd, MapPartitionsSeesWholePartition) {
-  SparkFixture f;
-  auto rt = f.make_runtime();
-  auto r = Rdd<int>::create(rt, {{1, 2, 3}, {4, 5}}, int_sizer(), "ints");
-  auto sums = r.map_partitions<int>(
-      "sum",
-      [](const std::vector<int>& part, std::vector<int>& out) {
-        out.push_back(std::accumulate(part.begin(), part.end(), 0));
-      },
-      int_sizer());
-  EXPECT_EQ(sums.collect(), (std::vector<int>{6, 9}));
 }
 
 TEST(Rdd, SampleIsDeterministicAndApproximate) {
@@ -145,7 +113,10 @@ TEST(Rdd, StagesAreRecorded) {
   {
     auto rt = f.make_runtime();
     auto r = Rdd<int>::create(rt, {{1, 2, 3}}, int_sizer(), "ints");
-    r.map<int>("double", [](const int& x) { return 2 * x; }, int_sizer()).count();
+    r.flat_map<int>(
+         "double", [](const int& x, std::vector<int>& out) { out.push_back(2 * x); },
+         int_sizer())
+        .collect();
   }
   ASSERT_GE(f.metrics.phases().size(), 2u);
   EXPECT_EQ(f.metrics.phases()[0].name, "ints.double");
@@ -260,14 +231,13 @@ namespace {
 TEST(Rdd, UninitializedHandleThrowsNotCrashes) {
   Rdd<int> empty;
   EXPECT_FALSE(empty.valid());
-  EXPECT_THROW(empty.count(), InvalidArgument);
   EXPECT_THROW(empty.collect(), InvalidArgument);
   EXPECT_THROW(empty.num_partitions(), InvalidArgument);
   EXPECT_THROW(empty.bytes(), InvalidArgument);
-  EXPECT_THROW(empty.filter("f", [](const int&) { return true; }), InvalidArgument);
+  EXPECT_THROW(empty.sample("s", 0.5, 1), InvalidArgument);
   const auto try_map = [&] {
-    empty.map<int>("m", [](const int& x) { return x; },
-                   [](const int&) -> std::uint64_t { return 8; });
+    empty.flat_map<int>("m", [](const int& x, std::vector<int>& out) { out.push_back(x); },
+                        [](const int&) -> std::uint64_t { return 8; });
   };
   EXPECT_THROW(try_map(), InvalidArgument);
   const auto try_group = [] {

@@ -16,7 +16,7 @@ struct StreamingFixture {
   cluster::RunMetrics metrics;
   dfs::SimDfs fs{dfs::DfsConfig{}};
   cluster::ClusterSpec spec_cluster = cluster::ClusterSpec::workstation();
-  MrContext ctx{&spec_cluster, 1000.0, &fs, &metrics};
+  MrContext ctx{spec_cluster, 1000.0, &fs, &metrics};
 };
 
 StreamingSpec identity_job(const std::string& name = "identity") {

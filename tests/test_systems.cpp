@@ -481,7 +481,7 @@ TEST(Systems, UserCodeErrorsPropagateNotSwallowed) {
   cluster::RunMetrics metrics;
   dfs::SimDfs fs(dfs::DfsConfig{});
   const auto spec = cluster::ClusterSpec::workstation();
-  mapreduce::MrContext ctx{&spec, 1000.0, &fs, &metrics, nullptr};
+  mapreduce::MrContext ctx(spec, 1000.0, &fs, &metrics);
   EXPECT_THROW(mapreduce::run_streaming(ctx, bad, {{"line"}}), ParseError);
 }
 

@@ -223,7 +223,10 @@ TEST(TraceCollector, FreshCollectorDoesNotInheritThreadCaches) {
 TEST(TraceSchedule, CleanScheduleSpansDecomposeExactly) {
   const std::vector<double> durations{3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
   std::vector<cluster::ScheduledAttempt> attempts;
-  const double makespan = cluster::list_schedule_makespan(durations, 3, &attempts);
+  const cluster::FaultInjector fault_free{cluster::FaultPlan{}};
+  const double makespan =
+      cluster::list_schedule_makespan(durations, 3, fault_free, 0, nullptr, &attempts)
+          .makespan;
   ASSERT_EQ(attempts.size(), durations.size());
   double max_end = 0.0;
   std::vector<std::vector<std::pair<double, double>>> per_slot(3);
