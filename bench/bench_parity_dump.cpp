@@ -16,9 +16,9 @@
 //  * policy variants on both sample experiments (EC2-10): filter off,
 //    repartition on, SpatialSpark's cost-based plan, malformed_rows = 3 and
 //    the other geometry engine;
-//  * SpatialHadoop's pre-indexed join and one resident entry per system,
-//    installed through serving::ResidentCatalog (HadoopGIS's on WS, where
-//    its build run survives);
+//  * one resident entry per system, installed through
+//    serving::ResidentCatalog (HadoopGIS's on WS, where its build run
+//    survives);
 //  * SpatialHadoop under crashes (probability 0.2 and 0.01, max_attempts = 1)
 //    for fault seeds 1-8;
 //  * 40 systems::random_fault_plan draws per sample experiment, each run on
@@ -321,15 +321,6 @@ int main() {
       ss.engine = geom::EngineKind::kSimple;
       dump("engine SpatialSpark" + at,
            systems::run_spatial_spark(p.left, p.right, p.query, exec, ss));
-    }
-    {
-      const auto ia = systems::spatial_hadoop_build_index(p.left, p.query, exec);
-      const auto ib = systems::spatial_hadoop_build_index(p.right, p.query, exec);
-      std::printf("index %s build=%a/%a partitions=%zu/%zu\n", p.id.c_str(),
-                  ia.build_seconds(), ib.build_seconds(), ia.partition_count(),
-                  ib.partition_count());
-      dump("indexed SpatialHadoop" + at,
-           systems::run_spatial_hadoop_indexed(ia, ib, p.query, exec));
     }
     // HadoopGIS dies of a broken pipe on every EC2 cluster, so its resident
     // state is built on the workstation.

@@ -42,7 +42,6 @@ std::size_t ShuffleTally::thread_shard() {
 }
 
 ShuffleTally::~ShuffleTally() {
-  if (sink_ == nullptr) return;
   std::uint64_t records = 0;
   std::uint64_t kept[2] = {0, 0};
   std::uint64_t duplicates = 0;
@@ -58,20 +57,20 @@ ShuffleTally::~ShuffleTally() {
   }
   const std::uint64_t shuffled = kept[kLeft] + kept[kRight];
   if (writes_.assignments) {
-    sink_->add("partition.assignments", shuffled);
-    sink_->add("partition.records", records);
+    sink_.add("partition.assignments", shuffled);
+    sink_.add("partition.records", records);
   }
-  if (writes_.duplicates) sink_->add("partition.duplicated_records", duplicates);
+  if (writes_.duplicates) sink_.add("partition.duplicated_records", duplicates);
   if (writes_.sides) {
-    sink_->add("assign.left_assignments", kept[kLeft]);
-    sink_->add("assign.right_assignments", kept[kRight]);
+    sink_.add("assign.left_assignments", kept[kLeft]);
+    sink_.add("assign.right_assignments", kept[kRight]);
   }
   if (writes_.shuffle) {
-    sink_->add("shuffle.assigned_records", shuffled + dropped);
-    sink_->add("shuffle.records", shuffled);
+    sink_.add("shuffle.assigned_records", shuffled + dropped);
+    sink_.add("shuffle.records", shuffled);
     if (dropped > 0 || !writes_.filtered_only_if_any) {
-      sink_->add("shuffle.filtered_records", dropped);
-      sink_->add("shuffle.filtered_bytes", dropped_bytes);
+      sink_.add("shuffle.filtered_records", dropped);
+      sink_.add("shuffle.filtered_bytes", dropped_bytes);
     }
   }
 }

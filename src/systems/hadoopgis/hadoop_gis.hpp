@@ -41,21 +41,12 @@ struct HadoopGisConfig {
       // SpatialHadoop stack.
       .cpu_efficiency = 0.1,
   };
-  /// Streaming pipe throughput (paper units).
-  double pipe_bandwidth = 180.0 * 1024 * 1024;
   /// Pipe capacity as a fraction of per-slot node memory (node memory /
   /// cores). Calibrated so the failure matrix of Tables 2-3 reproduces:
   /// full datasets overflow everywhere, sample datasets only on the
-  /// small-memory EC2 nodes. See DESIGN.md §5.
+  /// small-memory EC2 nodes, after a further derating on multi-node
+  /// clusters. See DESIGN.md §5.
   double pipe_capacity_fraction = 0.24;
-  /// Extra pipe-capacity derating on multi-node clusters: distributed
-  /// streaming reads shuffle data through network-attached pipes with
-  /// tighter buffers/timeouts, the fragile path behind HadoopGIS's EC2
-  /// failures. 1.0 disables.
-  double multi_node_pipe_derating = 0.17;
-  /// Local join algorithm (libspatialindex R-tree, insert-built per task).
-  index::LocalJoinAlgorithm local_algorithm =
-      index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic;
   /// Geometry engine for refinement. HadoopGIS ships GEOS (the Simple
   /// analog); overriding to kPrepared answers the paper's what-if: how much
   /// of HadoopGIS's slowness is the geometry library?

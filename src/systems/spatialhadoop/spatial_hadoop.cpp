@@ -32,9 +32,6 @@ struct IndexedDataset {
                                     geom::Envelope(0, 0, 1, 1)};
   std::vector<std::shared_ptr<PartBlock>> blocks;  // by partition id
   std::string dfs_prefix;
-  /// Envelope expansion the records were assigned with; a join over the
-  /// blocks must use the same one.
-  double expand = 0.0;
 };
 
 /// What the shuffle filter is built from: the already-indexed resident
@@ -62,7 +59,6 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
                              const FilterSource* filter_source = nullptr) {
   IndexedDataset out;
   out.dfs_prefix = tag + ".part/";
-  out.expand = plane.expand();
 
   // Raw input sits in HDFS.
   ctx.dfs->put(tag + ".raw", std::any(), data.text_bytes());
@@ -117,7 +113,7 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   mapreduce::charge_master_step(ctx, tag + "/master-partition", master_cpu.seconds(),
                                 /*read=*/sample.size() * 32, /*write=*/master_bytes);
 
-  const double expand = out.expand;
+  const double expand = plane.expand();
 
   // ---- Optional master step: skew-aware hotspot refinement ----------------
   // Probe the per-cell load the partition job below would shuffle, split
@@ -125,7 +121,7 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // the shuffle filter and getSplits all see the refined cell set.
   if (plane.repartition()) {
     CpuStopwatch skew_cpu;
-    out.scheme = plane.refine(out.scheme, ctx.counters, core::TextSide{data}).scheme;
+    out.scheme = plane.refine(out.scheme, *ctx.counters, core::TextSide{data}).scheme;
     const std::uint64_t refined_bytes = out.scheme.size_bytes();
     ctx.dfs->put(tag + "._master", std::any(), refined_bytes);
     mapreduce::charge_master_step(ctx, tag + "/skew-refine", skew_cpu.seconds(),
@@ -188,10 +184,10 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // the reduce materializes one block per cell (indices into the dataset's
   // stable feature span) and packs its STR index.
   const geom::OccupancyFilter* filt = sfilter.get();
-  core::ShuffleTally tally(ctx.counters, {.assignments = true,
-                                          .duplicates = true,
-                                          .shuffle = plane.filter_on(),
-                                          .filtered_only_if_any = true});
+  core::ShuffleTally tally(*ctx.counters, {.assignments = true,
+                                           .duplicates = true,
+                                           .shuffle = plane.filter_on(),
+                                           .filtered_only_if_any = true});
   const auto part_map = [&data, &out, expand, filt, &tally](const std::uint32_t& idx,
                                                             const auto& emit) {
     // Per-thread scratch keeps the assignment free of per-record allocation.
@@ -249,10 +245,10 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   return out;
 }
 
-/// The distributed-join stage shared by the end-to-end, pre-indexed and
-/// resident entry points: getSplits on the master, then a map-only
-/// local-join job. `shared_cache`, when non-null, is a cross-query
-/// geom::PreparedCache owned by the caller (the serving catalog).
+/// The distributed-join stage shared by the end-to-end and resident entry
+/// points: getSplits on the master, then a map-only local-join job.
+/// `shared_cache`, when non-null, is a cross-query geom::PreparedCache owned
+/// by the caller (the serving catalog).
 std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
                                            const IndexedDataset& ia,
                                            const IndexedDataset& ib,
@@ -286,8 +282,11 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   // ---- Local join: map-only job, one task per partition pair ---------------
   // Overlap-duplicated B-side geometries are bound once in the stage's
   // prepared-geometry cache and shared across partition pairs and tasks.
-  core::LocalJoinStage stage(query, config.local_algorithm, config.engine, ctx.counters,
-                             shared_cache);
+  // Plane-sweep is the paper's SpatialHadoop configuration (it also names
+  // synchronized R-tree traversal); JoinQueryConfig::local_algorithm
+  // overrides it.
+  core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kPlaneSweep, config.engine,
+                             ctx.counters, shared_cache);
   const auto join_map = [&](const JoinSplit& split, std::vector<JoinPair>& out_pairs) {
     // Reference-point duplicate avoidance: emit only in the canonical
     // (lowest-id) cell pair containing the reference point.
@@ -307,11 +306,9 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
       "join/local", join_map, join_split_bytes, join_output_bytes);
   join_spec.config = config.mr;
   std::vector<JoinPair> pairs = mapreduce::run_map_only(ctx, join_spec, join_splits);
-  if (ctx.counters != nullptr) {
-    ctx.counters->add("join.partition_pairs", join_splits.size());
-    ctx.counters->add("join.result_pairs", pairs.size());
-    stage.record_cache_counters(*ctx.counters);
-  }
+  ctx.counters->add("join.partition_pairs", join_splits.size());
+  ctx.counters->add("join.result_pairs", pairs.size());
+  stage.record_cache_counters(*ctx.counters);
   return pairs;
 }
 
@@ -335,54 +332,23 @@ void fail_report(core::RunReport& report, const SjcError& e) {
   core::annotate_recovery(report);
 }
 
-/// Joins two already-indexed datasets on a fresh runtime — getSplits plus
-/// the local join, re-partitioning skipped, so IA/IB are 0 — after checking
-/// that the query's envelope expansion is the one both were indexed with.
-/// `ingest`, when non-null, is replayed into the report's counters first.
-core::RunReport join_indexed(const IndexedDataset& ia, const IndexedDataset& ib,
-                             const core::JoinQueryConfig& query,
-                             const core::ExecutionConfig& exec,
-                             const SpatialHadoopConfig& config, const std::string& who,
-                             const cluster::Counters* ingest,
-                             geom::PreparedCache* shared_cache) {
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  try {
-    const core::PartitionPlane plane(query, exec.cluster, config.policy);
-    plane.require_build_expansion(ia.expand, who);
-    plane.require_build_expansion(ib.expand, who);
-    // The block files were persisted by the build; nothing is re-put here.
-    dfs::SimDfs dfs(core::dfs_config(query, exec));
-    mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &report.counters);
-    if (exec.trace) ctx.trace = &collector;
-    if (ingest != nullptr) report.counters.merge(*ingest);
-    finalize_report(report, run_distributed_join(ctx, ia, ib, query, config, shared_cache),
-                    exec);
-    report.index_a_seconds = 0.0;
-    report.index_b_seconds = 0.0;
-  } catch (const SjcError& e) {
-    fail_report(report, e);
-  }
-  if (exec.trace) report.trace = collector.merged();
-  return report;
-}
-
 /// What a resident SpatialHadoop entry keeps between queries: the datasets
-/// its partition blocks index into, both indexed partition directories and
-/// the counters preprocessing emitted, which every resident report replays
-/// so its counter set matches a cold batch run's.
+/// its partition blocks index into, both indexed partition directories, the
+/// envelope expansion their records were assigned with (a query must use
+/// the same one) and the counters preprocessing emitted, which every
+/// resident report replays so its counter set matches a cold batch run's.
 struct ResidentState {
   workload::Dataset left;
   workload::Dataset right;
   IndexedDataset ia;
   IndexedDataset ib;
+  double expand = 0.0;
   cluster::Counters ingest_counters;
 };
 
 /// The cold end-to-end run. When `capture` is non-null both indexed
-/// datasets and the ingest counters are copied into it once preprocessing
-/// ends; the run itself is unaffected.
+/// datasets, their envelope expansion and the ingest counters are copied
+/// into it once preprocessing ends; the run itself is unaffected.
 core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
                                         const workload::Dataset& right,
                                         const core::JoinQueryConfig& query,
@@ -418,10 +384,40 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     if (capture != nullptr) {
       capture->ia = ia;
       capture->ib = ib;
+      capture->expand = plane.expand();
       capture->ingest_counters = report.counters;
     }
 
     finalize_report(report, run_distributed_join(ctx, ia, ib, query, config), exec);
+  } catch (const SjcError& e) {
+    fail_report(report, e);
+  }
+  if (exec.trace) report.trace = collector.merged();
+  return report;
+}
+
+/// One resident query: getSplits and the local join on a fresh runtime over
+/// the captured partition directories. The block files were persisted by
+/// the build, so nothing is re-put, and no A/ or B/ phase runs: IA/IB
+/// report as 0.
+core::RunReport run_resident_query(const ResidentState& state,
+                                   const core::JoinQueryConfig& query,
+                                   const core::ExecutionConfig& exec,
+                                   const SpatialHadoopConfig& config,
+                                   geom::PreparedCache* shared_cache) {
+  core::RunReport report;
+  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
+  try {
+    const core::PartitionPlane plane(query, exec.cluster, config.policy);
+    plane.require_build_expansion(state.expand, "spatial_hadoop_resident");
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
+    mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
+                             &report.counters);
+    if (exec.trace) ctx.trace = &collector;
+    report.counters.merge(state.ingest_counters);
+    finalize_report(report,
+                    run_distributed_join(ctx, state.ia, state.ib, query, config, shared_cache),
+                    exec);
   } catch (const SjcError& e) {
     fail_report(report, e);
   }
@@ -456,54 +452,8 @@ core::ResidentJoin spatial_hadoop_resident(const workload::Dataset& left,
   return {std::move(build),
           [state = std::shared_ptr<const ResidentState>(std::move(state)), exec, config](
               const core::JoinQueryConfig& q, geom::PreparedCache* shared_cache) {
-            return join_indexed(state->ia, state->ib, q, exec, config,
-                                "spatial_hadoop_resident", &state->ingest_counters,
-                                shared_cache);
+            return run_resident_query(*state, q, exec, config, shared_cache);
           }};
-}
-
-// ---------------------------------------------------------------------------
-// Pre-indexed ("re-partitioning skipped") path
-// ---------------------------------------------------------------------------
-
-struct SpatialHadoopIndex::Impl {
-  IndexedDataset data;
-};
-
-double SpatialHadoopIndex::build_seconds() const { return metrics_.total_seconds(); }
-
-std::size_t SpatialHadoopIndex::partition_count() const {
-  std::size_t n = 0;
-  for (const auto& block : impl_->data.blocks) {
-    if (block != nullptr) ++n;
-  }
-  return n;
-}
-
-SpatialHadoopIndex spatial_hadoop_build_index(const workload::Dataset& data,
-                                              const core::JoinQueryConfig& query,
-                                              const core::ExecutionConfig& exec,
-                                              const SpatialHadoopConfig& config) {
-  SpatialHadoopIndex index;
-  index.name_ = data.name();
-  dfs::SimDfs dfs(core::dfs_config(query, exec));
-  mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &index.metrics_);
-  const core::PartitionPlane plane(query, exec.cluster, config.policy);
-  auto impl = std::make_shared<SpatialHadoopIndex::Impl>();
-  impl->data = index_dataset(ctx, data, data.name(), plane, query, exec, config);
-  index.impl_ = std::move(impl);
-  return index;
-}
-
-core::RunReport run_spatial_hadoop_indexed(const SpatialHadoopIndex& left,
-                                           const SpatialHadoopIndex& right,
-                                           const core::JoinQueryConfig& query,
-                                           const core::ExecutionConfig& exec,
-                                           const SpatialHadoopConfig& config) {
-  require(left.impl_ != nullptr && right.impl_ != nullptr,
-          "run_spatial_hadoop_indexed: indexes must be built first");
-  return join_indexed(left.impl_->data, right.impl_->data, query, exec, config,
-                      "run_spatial_hadoop_indexed", nullptr, nullptr);
 }
 
 }  // namespace sjc::systems

@@ -21,6 +21,11 @@ using core::FeatureRef;
 using core::JoinPair;
 using geom::Feature;
 
+/// SpatialSpark's local join: an STR-indexed nested loop, the paper's
+/// configuration (JoinQueryConfig::local_algorithm overrides it).
+constexpr index::LocalJoinAlgorithm kLocalJoinAlgorithm =
+    index::LocalJoinAlgorithm::kIndexedNestedLoop;
+
 rdd::Sizer<FeatureRef> make_ref_sizer(std::uint64_t rec_overhead) {
   return [rec_overhead](const FeatureRef& r) {
     return static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + rec_overhead;
@@ -144,7 +149,7 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
   // ---- 3. Assign partition ids to both sides -------------------------------
   // Both assign stages feed groupByKey, so the whole-run invariant
   // assigned == shuffled + filtered is also the per-phase one.
-  core::ShuffleTally tally(&report.counters,
+  core::ShuffleTally tally(report.counters,
                            {.duplicates = true, .shuffle = left_filt != nullptr, .sides = true});
   const auto make_assign_fn = [&](const geom::OccupancyFilter* filt,
                                   core::ShuffleTally::Side side) {
@@ -341,7 +346,7 @@ void run_partitioned_join(SparkInputs& in, const core::ExecutionConfig& exec,
   // load, and the bitmaps must be built against the final cells.
   if (plane.repartition()) {
     CpuStopwatch skew_cpu;
-    in.scheme = plane.refine(in.scheme, &report.counters, RddSide{in.left, rec_overhead},
+    in.scheme = plane.refine(in.scheme, report.counters, RddSide{in.left, rec_overhead},
                              RddSide{in.right, rec_overhead})
                     .scheme;
     rt.record_narrow_stage("driver.skew-refine", {skew_cpu.seconds()});
@@ -475,7 +480,7 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   // One prepared-geometry cache per run, shared by all local-join tasks:
   // overlap-duplicated right-side geometries are bound once, not once per
   // partition.
-  core::LocalJoinStage stage(query, config.local_algorithm, config.engine, &report.counters);
+  core::LocalJoinStage stage(query, kLocalJoinAlgorithm, config.engine, &report.counters);
 
   try {
     const std::uint32_t parallelism =
@@ -514,7 +519,7 @@ core::RunReport run_resident_query(const ResidentState& state,
   trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
-  core::LocalJoinStage stage(query, config.local_algorithm, config.engine, &report.counters,
+  core::LocalJoinStage stage(query, kLocalJoinAlgorithm, config.engine, &report.counters,
                              shared_cache);
 
   try {

@@ -36,7 +36,6 @@ namespace sjc::systems {
 
 struct SpatialSparkConfig {
   rdd::SparkConfig spark;
-  index::LocalJoinAlgorithm local_algorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
   /// Per-record JVM object overhead added to every element's accounted
   /// size (boxed Scala objects, collection nodes). Calibrated together with
   /// SparkConfig::memory_reserve_per_node so the OOM matrix of Table 2

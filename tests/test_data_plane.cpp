@@ -100,7 +100,7 @@ TEST(PartitionPlane, PolicyDefaultsAndEnvelopeExpansion) {
 TEST(ShuffleTally, FlushesOnceOnScopeExitWhateverTheInterleaving) {
   cluster::Counters counters;
   try {
-    core::ShuffleTally tally(&counters, {.duplicates = true, .shuffle = true, .sides = true});
+    core::ShuffleTally tally(counters, {.duplicates = true, .shuffle = true, .sides = true});
     ThreadPool::shared().parallel_for(1000, [&](std::size_t i) {
       const auto side = i % 2 == 0 ? core::ShuffleTally::kLeft : core::ShuffleTally::kRight;
       tally.add(/*kept=*/i % 4, /*dropped=*/i % 3 == 0 ? 1 : 0, /*dropped_bytes=*/10, side);
@@ -131,9 +131,9 @@ TEST(ShuffleTally, FilteredCountersOnlyIfAnyWhenAsked) {
   cluster::Counters sparse;
   cluster::Counters dense;
   {
-    core::ShuffleTally a(&sparse, {.assignments = true, .shuffle = true,
-                                   .filtered_only_if_any = true});
-    core::ShuffleTally b(&dense, {.assignments = true, .shuffle = true});
+    core::ShuffleTally a(sparse, {.assignments = true, .shuffle = true,
+                                  .filtered_only_if_any = true});
+    core::ShuffleTally b(dense, {.assignments = true, .shuffle = true});
     a.add(3);
     b.add(3);
   }

@@ -1,5 +1,6 @@
-// Tests for SpatialHadoop's pre-indexed ("re-partitioning skipped") path
-// and the quadtree partitioner added alongside it.
+// Tests for SpatialHadoop's index reuse (paper §II.B: "SpatialHadoop can
+// run faster when re-partitioning can be skipped"), served by its resident
+// join, and for the quadtree partitioner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include "partition/partitioner.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 #include "workload/generators.hpp"
 
 namespace sjc {
@@ -31,111 +33,35 @@ struct Fixture {
   }
 };
 
-TEST(PreIndexed, SameResultAsEndToEnd) {
+// The resident build is one cold run that keeps both indexed partition
+// directories; a query on them starts at getSplits. Under virtual time every
+// modeled second is a pure cost-model output, so the checks are exact.
+TEST(ResidentSpatialHadoop, QuerySkipsIndexingAndRepeatsExactly) {
+  const VirtualTimeGuard virtual_time;
   Fixture f;
-  const auto end_to_end = systems::run_spatial_hadoop(f.points, f.polys, f.query, f.exec);
-  ASSERT_TRUE(end_to_end.status.ok());
+  const core::ResidentJoin resident =
+      systems::spatial_hadoop_resident(f.points, f.polys, f.query, f.exec);
+  const core::RunReport& build = resident.build_report;
+  ASSERT_TRUE(build.status.ok()) << build.status.to_string();
 
-  const auto ia = systems::spatial_hadoop_build_index(f.points, f.query, f.exec);
-  const auto ib = systems::spatial_hadoop_build_index(f.polys, f.query, f.exec);
-  const auto joined = systems::run_spatial_hadoop_indexed(ia, ib, f.query, f.exec);
-  ASSERT_TRUE(joined.status.ok());
+  const core::RunReport first = resident.run(f.query, nullptr);
+  ASSERT_TRUE(first.status.ok()) << first.status.to_string();
+  EXPECT_EQ(first.result_count, build.result_count);
+  EXPECT_EQ(first.result_hash, build.result_hash);
 
-  EXPECT_EQ(joined.result_count, end_to_end.result_count);
-  EXPECT_EQ(joined.result_hash, end_to_end.result_hash);
-}
+  // Only the distributed join runs: it costs what the build's join stage
+  // cost, and less than half the cold run.
+  EXPECT_EQ(first.index_a_seconds, 0.0);
+  EXPECT_EQ(first.index_b_seconds, 0.0);
+  EXPECT_EQ(first.join_seconds, first.total_seconds);
+  EXPECT_EQ(first.join_seconds, build.join_seconds);
+  EXPECT_LT(first.total_seconds, build.total_seconds / 2.0);
 
-TEST(PreIndexed, JoinOnlyIsMuchCheaper) {
-  Fixture f;
-  const auto end_to_end = systems::run_spatial_hadoop(f.points, f.polys, f.query, f.exec);
-  const auto ia = systems::spatial_hadoop_build_index(f.points, f.query, f.exec);
-  const auto ib = systems::spatial_hadoop_build_index(f.polys, f.query, f.exec);
-  const auto joined = systems::run_spatial_hadoop_indexed(ia, ib, f.query, f.exec);
-
-  // "SpatialHadoop can run faster when re-partitioning can be skipped":
-  // the pre-indexed join pays only the DJ share.
-  EXPECT_LT(joined.total_seconds, end_to_end.total_seconds / 2.0);
-  EXPECT_EQ(joined.index_a_seconds, 0.0);
-  EXPECT_EQ(joined.index_b_seconds, 0.0);
-  EXPECT_NEAR(joined.join_seconds, joined.total_seconds, 1e-9);
-  // And building both indexes once + joining is roughly the end-to-end run.
-  EXPECT_NEAR(ia.build_seconds() + ib.build_seconds() + joined.total_seconds,
-              end_to_end.total_seconds,
-              end_to_end.total_seconds * 0.35);
-}
-
-TEST(PreIndexed, IndexExposesMetadata) {
-  Fixture f;
-  const auto ia = systems::spatial_hadoop_build_index(f.points, f.query, f.exec);
-  EXPECT_EQ(ia.dataset_name(), "taxi1m");
-  EXPECT_GT(ia.partition_count(), 1u);
-  EXPECT_GT(ia.build_seconds(), 0.0);
-  EXPECT_FALSE(ia.build_metrics().phases().empty());
-}
-
-TEST(PreIndexed, IndexReusableAcrossJoins) {
-  Fixture f;
-  const auto ia = systems::spatial_hadoop_build_index(f.points, f.query, f.exec);
-  const auto ib = systems::spatial_hadoop_build_index(f.polys, f.query, f.exec);
-  const auto first = systems::run_spatial_hadoop_indexed(ia, ib, f.query, f.exec);
-  const auto second = systems::run_spatial_hadoop_indexed(ia, ib, f.query, f.exec);
-  EXPECT_EQ(first.result_hash, second.result_hash);
-  EXPECT_NEAR(first.total_seconds, second.total_seconds,
-              first.total_seconds * 0.25);
-}
-
-// An index keeps the envelope expansion its records were assigned with. A
-// query that expands differently would pair blocks built for another
-// expansion and silently drop pairs, so it is rejected — whether the query
-// differs from both builds or the two builds differ from each other.
-TEST(PreIndexed, ExpansionMismatchRejected) {
-  workload::WorkloadConfig wc;
-  wc.scale = 2e-4;
-  const auto taxi = workload::generate(workload::DatasetId::kTaxi1m, wc);
-  const auto edges = workload::generate(workload::DatasetId::kEdges, wc);
-  core::ExecutionConfig exec;
-  exec.cluster = cluster::ClusterSpec::ec2(10);
-  exec.data_scale = 1.0 / wc.scale;
-  const core::JoinQueryConfig intersects;
-  const core::JoinQueryConfig within = [] {
-    core::JoinQueryConfig q;
-    q.predicate = core::JoinPredicate::kWithinDistance;
-    q.within_distance = 100.0;
-    return q;
-  }();
-
-  const auto taxi_i = systems::spatial_hadoop_build_index(taxi, intersects, exec);
-  const auto edges_i = systems::spatial_hadoop_build_index(edges, intersects, exec);
-  const auto mismatched = systems::run_spatial_hadoop_indexed(taxi_i, edges_i, within, exec);
-  EXPECT_EQ(mismatched.status.code(), StatusCode::kInvalidArgument)
-      << mismatched.status.to_string();
-  EXPECT_EQ(mismatched.result_count, 0u);
-
-  const auto taxi_w = systems::spatial_hadoop_build_index(taxi, within, exec);
-  const auto edges_w = systems::spatial_hadoop_build_index(edges, within, exec);
-  for (const auto* query : {&intersects, &within}) {
-    EXPECT_EQ(systems::run_spatial_hadoop_indexed(taxi_i, edges_w, *query, exec).status.code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(systems::run_spatial_hadoop_indexed(taxi_w, edges_i, *query, exec).status.code(),
-              StatusCode::kInvalidArgument);
-  }
-
-  // Builds that match the query answer exactly like the cold run.
-  const auto joined = systems::run_spatial_hadoop_indexed(taxi_w, edges_w, within, exec);
-  const auto cold = systems::run_spatial_hadoop(taxi, edges, within, exec);
-  ASSERT_TRUE(joined.status.ok()) << joined.status.to_string();
-  ASSERT_TRUE(cold.status.ok()) << cold.status.to_string();
-  EXPECT_GT(cold.result_count, 0u);
-  EXPECT_EQ(joined.result_count, cold.result_count);
-  EXPECT_EQ(joined.result_hash, cold.result_hash);
-}
-
-TEST(PreIndexed, UnbuiltIndexRejected) {
-  Fixture f;
-  systems::SpatialHadoopIndex empty_a;
-  systems::SpatialHadoopIndex empty_b;
-  EXPECT_THROW(systems::run_spatial_hadoop_indexed(empty_a, empty_b, f.query, f.exec),
-               InvalidArgument);
+  // The index is reusable: a second query repeats the first exactly.
+  const core::RunReport second = resident.run(f.query, nullptr);
+  ASSERT_TRUE(second.status.ok()) << second.status.to_string();
+  EXPECT_EQ(second.result_hash, first.result_hash);
+  EXPECT_EQ(second.total_seconds, first.total_seconds);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Serving-layer tests: resident-vs-cold parity for all three systems on
-// both Table-2 experiment shapes (every counter, entries installed from
-// temporaries), the build-expansion check, HadoopGIS's replayed ingest
-// quarantine, cross-query PreparedCache reuse, admission control, DRR
-// fairness, and interleaved multi-tenant bit-identity against serial
-// execution.
+// both Table-2 experiment shapes and a within-distance join (every counter,
+// entries installed from temporaries), the build-expansion check,
+// HadoopGIS's replayed ingest quarantine, cross-query PreparedCache reuse,
+// admission control, DRR fairness, and interleaved multi-tenant
+// bit-identity against serial execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,6 +141,17 @@ TEST_P(ResidentParity, PolylineIntersectionJoin) {
   const auto& w = Workbench::instance();
   expect_parity(entry_config(GetParam(), core::JoinPredicate::kIntersects), w.lines_a,
                 w.lines_b);
+}
+
+TEST_P(ResidentParity, WithinDistanceJoin) {
+  // The build assigns every record by its envelope expanded by d/2, and the
+  // resident query must pair the blocks built that way.
+  const auto& w = Workbench::instance();
+  auto config = entry_config(GetParam(), core::JoinPredicate::kWithinDistance);
+  config.build_query.within_distance = 100.0;
+  core::RunReport resident;
+  expect_parity(config, w.points, w.lines_a, &resident);
+  EXPECT_GT(resident.result_count, 0u);
 }
 
 TEST_P(ResidentParity, ExpansionMismatchIsInvalidArgument) {
