@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,7 @@ struct SweepPoint {
   std::uint64_t bcast_peak_bytes = 0;
   std::string actual;     // "broadcast" / "partitioned" / "-"
   std::string predicted;  // plan_kind_name of the model's choice
+  std::string filter;     // the partitioned run's shuffle-filter decision
   double predicted_broadcast_s = 0.0;
   double predicted_partitioned_s = 0.0;
   bool predicted_feasible = true;
@@ -91,8 +93,8 @@ int main(int argc, char** argv) {
       "taxi1m x street-edge subsets of growing size, EC2-10, within 100 m.\n"
       "(The paper's future-work comparison, Section II.B.)\n\n");
 
-  TablePrinter table({"right-side records", "partition-join s", "broadcast-join s",
-                      "broadcast peak mem", "winner", "predicted"});
+  TablePrinter table({"right-side records", "partition-join s", "filter",
+                      "broadcast-join s", "broadcast peak mem", "winner", "predicted"});
 
   std::vector<SweepPoint> sweep;
   for (const double fraction : {0.01, 0.05, 0.2, 0.5, 1.0}) {
@@ -104,8 +106,13 @@ int main(int argc, char** argv) {
     point.fraction = fraction;
     point.right_records = edges.size();
 
-    // Predict before running — the model sees only planning-time inputs.
+    // The model sees only planning-time inputs: the dataset sizes and the
+    // partitioned run's own shuffle-filter decision, which the plan makes
+    // from a sample before any copy is shuffled (plan.filter_* counters).
     systems::SpatialSparkConfig part_cfg;
+    const auto part = systems::run_spatial_spark(taxi, edges, query, exec, part_cfg);
+    const bool filter_built = part.counters.get("plan.filter_chosen") == 1;
+    point.filter = filter_built ? "built" : "declined";
     const plan::PlanDecision decision = plan::choose_plan({
         .left_records = taxi.size(),
         .right_records = edges.size(),
@@ -113,7 +120,11 @@ int main(int argc, char** argv) {
         .right_bytes = edges.text_bytes(),
         .record_overhead_bytes = part_cfg.record_overhead_bytes,
         .replication_factor = std::nullopt,
-        .filter_selectivity = std::nullopt,
+        .filter_selectivity =
+            filter_built
+                ? std::optional<double>(
+                      1.0 - part.counters.get("plan.filter_predicted_drop_ppm") / 1e6)
+                : std::nullopt,
         .cluster = exec.cluster,
         .data_scale = exec.data_scale,
     });
@@ -121,8 +132,6 @@ int main(int argc, char** argv) {
     point.predicted_broadcast_s = decision.broadcast_seconds;
     point.predicted_partitioned_s = decision.partitioned_seconds;
     point.predicted_feasible = decision.broadcast_feasible;
-
-    const auto part = systems::run_spatial_spark(taxi, edges, query, exec, part_cfg);
 
     systems::SpatialSparkConfig bcast_cfg;
     bcast_cfg.broadcast_join = true;
@@ -151,7 +160,8 @@ int main(int argc, char** argv) {
         part.status.ok() ? format_seconds(part.total_seconds) : "-";
     const std::string bcast_s =
         bcast.status.ok() ? format_seconds(bcast.total_seconds) : "OOM";
-    table.add_row({format_seconds(static_cast<double>(edges.size())), part_s, bcast_s,
+    table.add_row({format_seconds(static_cast<double>(edges.size())), part_s, point.filter,
+                   bcast_s,
                    format_bytes(bcast.peak_memory_bytes), point.actual,
                    point.predicted + (point.correct ? "" : " (miss)")});
     if (part.status.ok() && bcast.status.ok() && part.result_hash != bcast.result_hash) {
@@ -234,6 +244,7 @@ int main(int argc, char** argv) {
     json.field("right_fraction", point.fraction);
     json.field("right_records", point.right_records);
     if (point.part_ok) json.field("partitioned_seconds", point.part_seconds);
+    json.field("partitioned_filter", point.filter);
     if (point.bcast_ok) json.field("broadcast_seconds", point.bcast_seconds);
     json.field("broadcast_ok", point.bcast_ok);
     json.field("broadcast_peak_bytes", point.bcast_peak_bytes);

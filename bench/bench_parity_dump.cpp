@@ -13,9 +13,10 @@
 //  * Table 3: both sample experiments x 3 systems x WS, EC2-10;
 //  * the bench_broadcast_vs_partition sweep (taxi1m x edge subsets, within
 //    100, EC2-10), partitioned and broadcast plans;
-//  * policy variants on both sample experiments (EC2-10): filter off,
-//    repartition on, SpatialSpark's cost-based plan, malformed_rows = 3 and
-//    the other geometry engine;
+//  * policy variants on both sample experiments (EC2-10): the shuffle
+//    filter forced off and forced on, each with and without repartitioning
+//    (the defaults above leave the filter to the plan), SpatialSpark's
+//    cost-based plan, malformed_rows = 3 and the other geometry engine;
 //  * one resident entry per system, installed through
 //    serving::ResidentCatalog (HadoopGIS's on WS, where its build run
 //    survives);
@@ -272,7 +273,6 @@ int main() {
     const std::string at = " " + p.id + " EC2-10";
     for (const bool filter : {false, true}) {
       for (const bool repartition : {false, true}) {
-        if (filter && !repartition) continue;  // the default, dumped above
         const std::string v = std::string(" filter=") + (filter ? "1" : "0") +
                               " repartition=" + (repartition ? "1" : "0");
         systems::HadoopGisConfig gis;

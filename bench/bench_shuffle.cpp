@@ -1,8 +1,10 @@
-// Map-side shuffle filter (sFilter analog) off vs on, all three systems on
-// both Table-2 experiments (EC2-10): modeled shuffle bytes, filtered-record
-// counters and the duplicated-records reduction under virtual time (measured
-// CPU pinned to 0, so modeled quantities are pure cost-model outputs), plus
-// best-of-N wall-clock. Survivor pair sets must stay bit-identical whenever
+// Map-side shuffle filter (sFilter analog) forced off vs forced on, all three
+// systems on both Table-2 experiments (EC2-10): modeled shuffle bytes,
+// filtered-record counters and the duplicated-records reduction under
+// virtual time (measured CPU pinned to 0, so modeled quantities are pure
+// cost-model outputs), plus best-of-N wall-clock. Next to them each row
+// shows what the plan chooses when the policy leaves the filter unset, with
+// its predicted prune (plan.filter_* counters). Survivor pair sets must stay bit-identical whenever
 // both runs complete, and a run that succeeds unfiltered must also succeed
 // filtered; either violation exits non-zero.
 // --min-shuffle-reduction=<frac> turns the best observed byte reduction into
@@ -15,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,12 +47,13 @@ std::string fmt3(double v) {
   return buf;
 }
 
+// `filter` forces the shuffle filter; unset lets the plan decide.
 core::RunReport run_gis_filter(const workload::Dataset& left,
                                const workload::Dataset& right,
                                const core::JoinQueryConfig& query,
-                               const core::ExecutionConfig& exec, bool filter_on) {
+                               const core::ExecutionConfig& exec, std::optional<bool> filter) {
   systems::HadoopGisConfig config;
-  config.policy.shuffle_filter = filter_on;
+  config.policy.shuffle_filter = filter;
   return systems::run_hadoop_gis(left, right, query, exec, config);
 }
 
@@ -57,9 +61,9 @@ core::RunReport run_hadoop_filter(const workload::Dataset& left,
                                   const workload::Dataset& right,
                                   const core::JoinQueryConfig& query,
                                   const core::ExecutionConfig& exec,
-                                  bool filter_on) {
+                                  std::optional<bool> filter) {
   systems::SpatialHadoopConfig config;
-  config.policy.shuffle_filter = filter_on;
+  config.policy.shuffle_filter = filter;
   return systems::run_spatial_hadoop(left, right, query, exec, config);
 }
 
@@ -67,15 +71,15 @@ core::RunReport run_spark_filter(const workload::Dataset& left,
                                  const workload::Dataset& right,
                                  const core::JoinQueryConfig& query,
                                  const core::ExecutionConfig& exec,
-                                 bool filter_on) {
+                                 std::optional<bool> filter) {
   systems::SpatialSparkConfig config;
-  config.policy.shuffle_filter = filter_on;
+  config.policy.shuffle_filter = filter;
   return systems::run_spatial_spark(left, right, query, exec, config);
 }
 
 using RunFn = core::RunReport (*)(const workload::Dataset&, const workload::Dataset&,
                                   const core::JoinQueryConfig&,
-                                  const core::ExecutionConfig&, bool);
+                                  const core::ExecutionConfig&, std::optional<bool>);
 
 struct SystemDef {
   const char* name;
@@ -106,6 +110,10 @@ struct FilterRow {
   std::uint64_t assigned = 0;
   std::uint64_t filtered = 0;
   std::uint64_t filtered_bytes = 0;
+  /// The plan's choice with the policy unset ("-" when the run failed
+  /// before deciding) and its predicted drop, in ppm of left copies.
+  std::string plan = "-";
+  std::uint64_t plan_drop_ppm = 0;
   double off_wall = std::nan("");
   double on_wall = std::nan("");
 
@@ -170,11 +178,17 @@ int main(int argc, char** argv) {
       row.system = sys.name;
       const std::string tag = std::string(sys.name) + "/" + def.id;
       // Modeled quantities under virtual time (pure cost-model outputs).
-      core::RunReport off, on;
+      core::RunReport off, on, planned;
       {
         const VirtualTimeGuard vt;
         off = sys.run(fleft, fright, fquery, exec, false);
         on = sys.run(fleft, fright, fquery, exec, true);
+        planned = sys.run(fleft, fright, fquery, exec, std::nullopt);
+      }
+      const auto plan_counters = planned.counters.snapshot();
+      if (plan_counters.count("plan.filter_chosen") != 0) {
+        row.plan = plan_counters.at("plan.filter_chosen") == 1 ? "on" : "off";
+        row.plan_drop_ppm = plan_counters.at("plan.filter_predicted_drop_ppm");
       }
       row.off_ok = off.status.ok();
       row.on_ok = on.status.ok();
@@ -226,8 +240,8 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter ftable({"experiment", "system", "off shuffle", "on shuffle",
-                       "reduction", "filtered recs", "dups off->on", "off s",
-                       "on s"});
+                       "reduction", "filtered recs", "dups off->on", "plan",
+                       "predicted prune", "off s", "on s"});
   double best_reduction = std::nan("");
   for (const auto& row : filter_rows) {
     const double gated = row.gated_reduction();
@@ -247,7 +261,8 @@ int main(int argc, char** argv) {
          row.off_ok ? format_bytes(row.off_shuffle_bytes) : "failed",
          row.on_ok ? format_bytes(row.on_shuffle_bytes) : "failed", reduction,
          std::to_string(row.filtered) + "/" + std::to_string(row.assigned),
-         std::to_string(row.off_dups) + " -> " + std::to_string(row.on_dups),
+         std::to_string(row.off_dups) + " -> " + std::to_string(row.on_dups), row.plan,
+         row.plan == "-" ? "-" : fmt3(row.plan_drop_ppm / 1e4) + "%",
          std::isnan(row.off_wall) ? "-" : fmt3(row.off_wall),
          std::isnan(row.on_wall) ? "-" : fmt3(row.on_wall)});
   }
@@ -256,7 +271,8 @@ int main(int argc, char** argv) {
       "(\"rescue\" rows: the unfiltered run overflows a memory/pipe gate, so\n"
       " the reduction is the on-run's own filtered/(filtered+shuffled) byte\n"
       " estimate. Survivor pair sets are verified bit-identical whenever both\n"
-      " runs complete.)\n");
+      " runs complete. \"plan\": the filter the plan builds with the policy\n"
+      " unset, and the share of left copies it predicted the filter drops.)\n");
   // Failures are reported after the JSON is written, so a regression still
   // uploads its BENCH_shuffle.json artifact from CI.
   const bool gate_failed =
@@ -282,6 +298,8 @@ int main(int argc, char** argv) {
     json.field("shuffle_filtered_bytes", row.filtered_bytes);
     json.field("duplicated_records_off", row.off_dups);
     json.field("duplicated_records_on", row.on_dups);
+    json.field("plan_filter", row.plan);
+    if (row.plan != "-") json.field("plan_predicted_drop_ppm", row.plan_drop_ppm);
     if (!std::isnan(row.byte_reduction())) {
       json.field("shuffle_byte_reduction", row.byte_reduction());
     }

@@ -16,7 +16,7 @@ PartitionPlane::PartitionPlane(const JoinQueryConfig& query,
       configured_sample_rate_(query.sample_rate),
       skew_(policy.skew),
       expand_(envelope_expansion(query.predicate, query.within_distance)),
-      filter_on_(policy.shuffle_filter.value_or(true)),
+      filter_policy_(policy.shuffle_filter),
       repartition_(policy.repartition.value_or(false)),
       target_cells_(effective_target_partitions(query, cluster)) {}
 
@@ -33,6 +33,52 @@ void PartitionPlane::require_build_expansion(double built, const std::string& wh
   require(built == expand_, who +
                                 ": query envelope expansion differs from the build's "
                                 "(rebuild with the query's predicate)");
+}
+
+std::uint64_t FilterDecision::drop_ppm() const {
+  if (probed_copies == 0) return 0;
+  return dropped_copies * 1'000'000 / probed_copies;
+}
+
+double FilterDecision::selectivity() const {
+  if (probed_copies == 0) return 1.0;
+  return 1.0 - static_cast<double>(dropped_copies) / static_cast<double>(probed_copies);
+}
+
+void FilterDecision::record(cluster::Counters& counters) const {
+  if (!planned) return;
+  counters.add("plan.filter_chosen", build ? 1 : 0);
+  counters.add("plan.filter_probed_records", probed_records);
+  counters.add("plan.filter_predicted_drop_ppm", drop_ppm());
+  counters.add("plan.filter_predicted_saving", plan::cost_ms(prediction.saving_seconds));
+  counters.add("plan.filter_predicted_cost", plan::cost_ms(prediction.cost_seconds));
+}
+
+FilterDecision PartitionPlane::probe_filter(const partition::PartitionScheme& scheme,
+                                            const geom::OccupancyFilter& right_occupancy,
+                                            const std::vector<geom::Envelope>& left_sample,
+                                            plan::FilterInputs build) const {
+  FilterDecision decision;
+  decision.planned = true;
+  decision.probed_records = left_sample.size();
+  std::vector<std::uint32_t> pids;
+  for (const auto& env : left_sample) {
+    const geom::Envelope expanded = env.expanded_by(expand_);
+    scheme.assign_into(expanded, pids);
+    decision.probed_copies += pids.size();
+    for (const auto pid : pids) {
+      if (!right_occupancy.may_match(pid, expanded)) ++decision.dropped_copies;
+    }
+  }
+  if (!left_sample.empty()) {
+    build.copies_per_record = static_cast<double>(decision.probed_copies) /
+                              static_cast<double>(left_sample.size());
+  }
+  build.drop_fraction = 1.0 - decision.selectivity();
+  build.filter_bytes = right_occupancy.size_bytes();
+  decision.prediction = plan::predict_filter(build);
+  decision.build = decision.prediction.build();
+  return decision;
 }
 
 std::size_t ShuffleTally::thread_shard() {

@@ -8,7 +8,8 @@
 //
 //  * the query's envelope expansion (d/2 for within-distance joins) and the
 //    check that a resident build used the same one;
-//  * the policy defaults (shuffle filter on, repartitioning off);
+//  * the policy defaults (repartitioning off) and the shuffle-filter
+//    decision (forced by the policy, otherwise the plan's: FilterDecision);
 //  * scheme derivation: target cells, sample rate, make_partitions;
 //  * the skew load probe and hotspot refinement (repartition.* counters);
 //  * the occupancy-filter build over one input;
@@ -41,6 +42,7 @@
 #include "dfs/sim_dfs.hpp"
 #include "geom/occupancy.hpp"
 #include "partition/partitioner.hpp"
+#include "plan/cost_model.hpp"
 #include "plan/exec_policy.hpp"
 #include "plan/partition_refiner.hpp"
 #include "util/stopwatch.hpp"
@@ -104,6 +106,34 @@ OccupancyBuild build_occupancy_parallel(const std::vector<geom::Envelope>& cells
   return out;
 }
 
+/// One run's shuffle-filter decision. A set policy.shuffle_filter forces it;
+/// unset, the plan decides: a seeded left-side sample is probed against the
+/// right side's occupancy, and the copies it predicts the filter drops are
+/// weighed against the filter's predicted cost (plan::predict_filter).
+/// Every field is a pure function of the inputs and the seed.
+struct FilterDecision {
+  bool build = false;
+  /// True when the plan decided (policy unset); only then are the
+  /// plan.filter_* counters written.
+  bool planned = false;
+  /// Left sample records probed, their assigned copies, and the copies the
+  /// right side's occupancy would drop.
+  std::uint64_t probed_records = 0;
+  std::uint64_t probed_copies = 0;
+  std::uint64_t dropped_copies = 0;
+  plan::FilterPrediction prediction;
+
+  /// Predicted share of left copies the filter drops, in parts per million.
+  std::uint64_t drop_ppm() const;
+  /// Predicted share of left copies the filter keeps: the cost model's
+  /// PlanInputs::filter_selectivity.
+  double selectivity() const;
+  /// When the plan decided: plan.filter_chosen (0 or 1),
+  /// plan.filter_probed_records, plan.filter_predicted_drop_ppm and
+  /// plan.filter_predicted_saving / plan.filter_predicted_cost (ms).
+  void record(cluster::Counters& counters) const;
+};
+
 class PartitionPlane {
  public:
   PartitionPlane(const JoinQueryConfig& query, const cluster::ClusterSpec& cluster,
@@ -112,8 +142,9 @@ class PartitionPlane {
   /// Expansion applied to every envelope on both sides (assignment, filter,
   /// MBR join, reference point).
   double expand() const { return expand_; }
-  /// policy.shuffle_filter, unset = on.
-  bool filter_on() const { return filter_on_; }
+  /// policy.shuffle_filter: set forces the filter on or off, unset lets the
+  /// plan decide (decide_filter).
+  const std::optional<bool>& filter_policy() const { return filter_policy_; }
   /// policy.repartition, unset = off.
   bool repartition() const { return repartition_; }
   /// Sample rate for an input of `records` records.
@@ -151,6 +182,37 @@ class PartitionPlane {
     return refined;
   }
 
+  /// The run's shuffle-filter decision for a filter over `scheme`'s cells
+  /// that drops left copies: forced when the policy is set; otherwise the
+  /// plan's (probe_filter) against the right side's occupancy over
+  /// `scheme`, built here (the right side is the small one).
+  template <typename RightSide>
+  FilterDecision decide_filter(const partition::PartitionScheme& scheme, const RightSide& right,
+                               const std::vector<geom::Envelope>& left_sample,
+                               const plan::FilterInputs& build) const {
+    if (filter_policy_.has_value()) return forced_filter();
+    return probe_filter(scheme, build_occupancy(scheme, right).filter, left_sample, build);
+  }
+
+  /// The decision the policy forces (a set policy.shuffle_filter).
+  FilterDecision forced_filter() const {
+    FilterDecision decision;
+    decision.build = filter_policy_.value_or(false);
+    return decision;
+  }
+
+  /// The plan's decision: each envelope of `left_sample`, a seeded sample
+  /// of the left input, is expanded, assigned to `scheme`'s cells and
+  /// probed against `right_occupancy`, the filter the run would build; the
+  /// copies it would drop are weighed against the build's predicted cost.
+  /// `build` describes the driver's build; the probe fills in its sampled
+  /// copies per record, drop share and filter size. No pass over the whole
+  /// left input is made.
+  FilterDecision probe_filter(const partition::PartitionScheme& scheme,
+                              const geom::OccupancyFilter& right_occupancy,
+                              const std::vector<geom::Envelope>& left_sample,
+                              plan::FilterInputs build) const;
+
   /// Occupancy bitmap of one side under `scheme`: each record's expanded
   /// envelope marked into every cell it is assigned to (the assignment the
   /// side's own assign step performs), built in parallel chunks of units.
@@ -174,7 +236,7 @@ class PartitionPlane {
   double configured_sample_rate_;
   plan::SkewPolicy skew_;
   double expand_;
-  bool filter_on_;
+  std::optional<bool> filter_policy_;
   bool repartition_;
   std::uint32_t target_cells_;
 };

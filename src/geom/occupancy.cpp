@@ -101,14 +101,20 @@ void OccupancyFilter::mark(std::uint32_t cell, const Envelope& env) {
 void OccupancyFilter::merge(const OccupancyFilter& other) {
   require(other.cells_.size() == cells_.size() && other.words_.size() == words_.size(),
           "OccupancyFilter::merge: filters over different cells");
+  // Only mark() sets bits, and it counts every envelope it sets them for,
+  // so a cell of `other` without marks has nothing to add: a partial that
+  // touches a few cells merges in time proportional to those.
   for (std::size_t i = 0; i < cells_.size(); ++i) {
-    Cell& c = cells_[i];
     const Cell& o = other.cells_[i];
+    if (o.marked == 0) continue;
+    Cell& c = cells_[i];
     c.domain.expand_to_include(o.domain);
     c.coarse |= o.coarse;
     c.marked += o.marked;
+    for (std::uint32_t y = 0; y < c.side; ++y) {
+      words_[c.word_offset + y] |= other.words_[o.word_offset + y];
+    }
   }
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
   marked_ += other.marked_;
 }
 
@@ -137,13 +143,21 @@ std::uint64_t OccupancyFilter::occupied_cells() const {
   return n;
 }
 
+std::size_t OccupancyFilter::bytes_of(const Cell& c) {
+  // Domain envelope (4 doubles) + coarse word + fine bitmap rows.
+  return 4 * sizeof(double) + sizeof(std::uint64_t) +
+         static_cast<std::size_t>(c.side) * sizeof(std::uint64_t);
+}
+
 std::size_t OccupancyFilter::size_bytes() const {
-  // Per cell: domain envelope (4 doubles) + coarse word + fine bitmap rows.
   std::size_t bytes = 0;
-  for (const Cell& c : cells_) {
-    bytes += 4 * sizeof(double) + sizeof(std::uint64_t) +
-             static_cast<std::size_t>(c.side) * sizeof(std::uint64_t);
-  }
+  for (const Cell& c : cells_) bytes += bytes_of(c);
+  return bytes;
+}
+
+std::size_t OccupancyFilter::occupied_bytes() const {
+  std::size_t bytes = 0;
+  for (const Cell& c : cells_) bytes += c.marked > 0 ? bytes_of(c) : 0;
   return bytes;
 }
 

@@ -84,6 +84,11 @@ class OccupancyFilter {
   // Modeled serialized size: what a real system would broadcast / put in the
   // distributed cache.  Domain envelope + coarse word + fine bitmap per cell.
   std::size_t size_bytes() const;
+  // The same size counted over the cells holding a mark only: what a
+  // partial filter that touches a few cells ships.
+  std::size_t occupied_bytes() const;
+  // The modeled size of one cell's summary.
+  std::size_t cell_bytes(std::uint32_t cell) const { return bytes_of(cells_[cell]); }
 
  private:
   struct Cell {
@@ -104,6 +109,7 @@ class OccupancyFilter {
   };
 
   SlotRange clamp_range(const Cell& c, const Envelope& env) const;
+  static std::size_t bytes_of(const Cell& c);
 
   std::vector<Cell> cells_;
   std::vector<std::uint64_t> words_;  // fine rows, side words per cell

@@ -15,11 +15,21 @@ namespace {
 constexpr double kAssignCostPerRecord = 90e-9;
 constexpr double kBuildCostPerRecord = 700e-9;  // x log2(n), serial STR pack
 constexpr double kProbeCostPerRecord = 260e-9;  // x log2(build side)
-/// The partitioned plan's serial master prologue: occupancy-filter build +
-/// partition-file rewrite walk every record of both inputs once on the
-/// driver (the dominant fixed cost of the partitioned plan on small
-/// inputs — ~23 of 60 seconds at the bench's smallest sweep point).
-constexpr double kMasterPrepCostPerRecord = 13e-6;
+/// The partitioned plan's serial master prologue: the partition-file walk
+/// over every record of both inputs on the driver (the dominant fixed cost
+/// of the partitioned plan on small inputs). Recalibrated from 13e-6, which
+/// also held the filter build, against the bench sweep's partitioned runs
+/// with the filter declined (36-295 s at 1e-3).
+constexpr double kPartitionWalkCostPerRecord = 1.2e-6;
+/// Marking one record into the occupancy filter: its expanded envelope
+/// assigned and marked into each of its cells (SpatialSpark's one-task
+/// `filter.build` stage marks both inputs; measured 0.73-0.76 us per record
+/// at 1e-3 on the bench sweep, 756-72,730 right records). The partitioned
+/// plan is charged it only when the run builds the filter.
+constexpr double kFilterMarkCostPerRecord = 0.75e-6;
+/// Probing the filter once per assigned copy, inside the parallel assign
+/// tasks.
+constexpr double kFilterProbeCostPerCopy = 50e-9;
 /// Boundary-duplication copies per record when no measured factor is given.
 constexpr double kDefaultReplication = 1.15;
 /// Fraction of a node's memory the broadcast table may occupy before the
@@ -33,13 +43,13 @@ double log2_of(std::uint64_t n) { return std::log2(static_cast<double>(n) + 2.0)
 
 double safe_div(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
+}  // namespace
+
 std::uint64_t cost_ms(double seconds) {
   if (!std::isfinite(seconds)) return 86'400'000;  // 1 day: infeasible sentinel
   return static_cast<std::uint64_t>(
       std::min(std::max(seconds, 0.0) * 1e3, 86'400'000.0 - 1.0));
 }
-
-}  // namespace
 
 std::string_view plan_kind_name(PlanKind kind) {
   switch (kind) {
@@ -102,14 +112,17 @@ PlanDecision JoinCostModel::choose(const PlanInputs& in) const {
     decision.broadcast_seconds = std::numeric_limits<double>::infinity();
   }
 
-  // Partitioned plan: a serial master prologue (sample, occupancy-filter
-  // build, partition-file walk over every record of both inputs), then
-  // assign both sides against the scheme (with boundary duplication),
-  // shuffle the surviving copies across the aggregate network, build the
-  // per-cell indexes in parallel, and probe.
+  // Partitioned plan: a serial master prologue (sample, partition-file walk
+  // over every record of both inputs, and the occupancy-filter build when
+  // the run builds the filter), then assign both sides against the scheme
+  // (with boundary duplication), shuffle the surviving copies across the
+  // aggregate network, build the per-cell indexes in parallel, and probe.
   const double rep = std::max(1.0, in.replication_factor.value_or(kDefaultReplication));
   const double sel = std::clamp(in.filter_selectivity.value_or(1.0), 0.0, 1.0);
-  const double master_prep_seconds = kMasterPrepCostPerRecord * (left_n + right_n) / cpu;
+  const double filter_build_seconds =
+      in.filter_selectivity ? kFilterMarkCostPerRecord * (left_n + right_n) / cpu : 0.0;
+  const double master_prep_seconds =
+      kPartitionWalkCostPerRecord * (left_n + right_n) / cpu + filter_build_seconds;
   const double assign_seconds =
       kAssignCostPerRecord * (left_n + right_n) * rep / (slots * cpu);
   const double shuffle_seconds =
@@ -132,6 +145,56 @@ PlanDecision JoinCostModel::choose(const PlanInputs& in) const {
                                    ? decision.broadcast_seconds
                                    : decision.partitioned_seconds;
   return decision;
+}
+
+FilterPrediction predict_filter(const FilterInputs& in) {
+  FilterPrediction out;
+  const cluster::NodeSpec& node = in.cluster.node;
+  const double nodes = static_cast<double>(std::max<std::uint32_t>(1, in.cluster.node_count));
+  const double slots = static_cast<double>(std::max<std::uint32_t>(1, in.cluster.total_slots()));
+  const double cpu = std::max(node.cpu_speed, 0.1);
+  const double scale = in.data_scale > 0.0 ? in.data_scale : 1.0;
+  const double copies = static_cast<double>(in.left_records) * in.copies_per_record;
+  const double copy_bytes = in.left_records > 0 ? static_cast<double>(in.left_bytes) /
+                                                      static_cast<double>(in.left_records)
+                                                : 0.0;
+
+  // A shuffled copy is spilled by its map task, fetched across the network
+  // (the remote share) and read back by its reducer, on every node at once;
+  // a copy kept in a DFS block is also written to each replica (all but one
+  // across the network) and read back by the local join, as SimDfs charges.
+  const double dropped_bytes = std::clamp(in.drop_fraction, 0.0, 1.0) * copies * copy_bytes;
+  const double write_bw = node.disk_write_bw * nodes;
+  const double read_bw = node.disk_read_bw * nodes;
+  const double net_bw = node.network_bw * nodes;
+  double per_byte = safe_div(1.0, write_bw) + safe_div(in.cluster.remote_fraction(), net_bw) +
+                    safe_div(1.0, read_bw);
+  if (in.block_replicas > 0) {
+    const double replicas = std::min<double>(in.block_replicas, nodes);
+    per_byte += safe_div(replicas, write_bw) + safe_div(replicas - 1.0, net_bw) +
+                safe_div(1.0, read_bw) + safe_div(1.0 - std::min(1.0, replicas / nodes), net_bw);
+  }
+  out.saving_seconds = dropped_bytes * per_byte;
+
+  // Marks in one task, or spread over every slot; the build's own I/O at
+  // one slot's disk bandwidth; a torrent broadcast's wire time; and one
+  // probe per left copy inside the parallel assign tasks.
+  const double filter_bytes = static_cast<double>(in.filter_bytes);
+  const double serial_bytes =
+      static_cast<double>(in.serial_read_bytes) + filter_bytes * in.serial_filters;
+  out.cost_seconds =
+      kFilterMarkCostPerRecord *
+          (static_cast<double>(in.serial_marks) + static_cast<double>(in.parallel_marks) / slots) /
+          cpu +
+      safe_div(serial_bytes, in.cluster.per_slot_disk_read_bw()) +
+      (in.cluster.node_count > 1
+           ? safe_div(filter_bytes * in.broadcast_filters, node.network_bw)
+           : 0.0) +
+      kFilterProbeCostPerCopy * copies / (slots * cpu);
+
+  out.saving_seconds *= scale;
+  out.cost_seconds *= scale;
+  return out;
 }
 
 PlanDecision choose_plan(const PlanInputs& inputs) {

@@ -45,8 +45,10 @@ struct PlanInputs {
   /// record). Unset -> a mild default; measured values come from
   /// partition_stats of a previous run over the same inputs.
   std::optional<double> replication_factor;
-  /// Fraction of shuffled records surviving the map-side occupancy filter.
-  /// Unset -> 1.0 (filter off or unknown).
+  /// Fraction of shuffled records surviving the map-side occupancy filter,
+  /// set exactly when the run builds the filter (the plan's sampled
+  /// estimate, core::FilterDecision::selectivity). Unset: no filter is
+  /// built, so its build is not charged and every copy is shuffled.
   std::optional<double> filter_selectivity;
   cluster::ClusterSpec cluster;
   /// Experiment scale factor; modeled seconds multiply by this so they are
@@ -75,6 +77,57 @@ class JoinCostModel {
 
 /// Convenience wrapper: default-constructed model.
 PlanDecision choose_plan(const PlanInputs& inputs);
+
+/// What the map-side shuffle filter would cost and save in one partitioned
+/// run, from plan-time quantities only (counts, bytes, the cluster), so the
+/// prediction is a pure function of the inputs and the seed. The build's
+/// shape differs per system, so the driver describes it: where the marking
+/// runs, what one slot reads and writes for it, and what is broadcast.
+struct FilterInputs {
+  /// Left records, and the modeled bytes of one shuffled copy of each.
+  std::uint64_t left_records = 0;
+  std::uint64_t left_bytes = 0;
+  /// Sampled copies each left record is assigned, and the share of those
+  /// copies the filter drops.
+  double copies_per_record = 1.0;
+  double drop_fraction = 0.0;
+  /// Records marked by one task (a driver stage or a master step), and
+  /// records marked spread over every slot (inside tasks that already run).
+  std::uint64_t serial_marks = 0;
+  std::uint64_t parallel_marks = 0;
+  /// Input bytes one slot reads to build the filter.
+  std::uint64_t serial_read_bytes = 0;
+  /// One filter's modeled size; how many filter-sized artifacts one slot
+  /// writes or reads through the DFS (the second side's bitmap, or
+  /// SpatialHadoop's merged filter); and how many are broadcast.
+  std::uint64_t filter_bytes = 0;
+  std::uint32_t serial_filters = 0;
+  std::uint32_t broadcast_filters = 0;
+  /// DFS replicas of the block each kept copy is written into and the
+  /// local join reads back (SpatialHadoop's partition blocks); 0 when
+  /// copies go straight from the shuffle to the join.
+  std::uint32_t block_replicas = 0;
+  cluster::ClusterSpec cluster;
+  double data_scale = 1.0;
+};
+
+struct FilterPrediction {
+  /// Modeled seconds the dropped copies would have cost: written to the
+  /// map-side spill, moved across the network, read by the reducer, and
+  /// (with block_replicas) written to a replicated block and read back.
+  double saving_seconds = 0.0;
+  /// Modeled seconds of the build (marking, its serial I/O, the broadcast)
+  /// plus probing every left copy in the assign tasks.
+  double cost_seconds = 0.0;
+  /// Build only where the copies it drops save more than it costs.
+  bool build() const { return saving_seconds > cost_seconds; }
+};
+
+FilterPrediction predict_filter(const FilterInputs& inputs);
+
+/// Modeled seconds at paper magnitude as a whole number of milliseconds,
+/// the unit of every plan.* cost counter (1 day for an infinite cost).
+std::uint64_t cost_ms(double seconds);
 
 /// Emits plan.chosen / plan.predicted_cost / plan.predicted_broadcast /
 /// plan.predicted_partitioned / plan.fallback (costs in milliseconds).

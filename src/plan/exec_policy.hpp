@@ -5,8 +5,8 @@
 // cross-cutting knob (`shuffle_filter` lived three times, once per system
 // config, and the adaptive-execution work would have added three more).
 // ExecPolicy is the single struct those knobs live in; each system config
-// embeds one and resolves the optionals against its own defaults (e.g. the
-// shuffle filter defaults on in every driver).
+// embeds one, and core::PartitionPlane resolves the optionals (an unset
+// shuffle filter is the plan's decision, an unset repartition is off).
 #pragma once
 
 #include <cstdint>
@@ -35,9 +35,11 @@ struct SkewPolicy {
 };
 
 struct ExecPolicy {
-  /// Map-side spatial shuffle filter (the sFilter analog). Unset resolves
-  /// to on in all three drivers; SpatialSpark's broadcast join shuffles
-  /// nothing and never filters.
+  /// Map-side spatial shuffle filter (the sFilter analog). true and false
+  /// force it; unset lets the plan decide per run, building the filter only
+  /// where the copies it is predicted to drop save more modeled time than
+  /// it costs (core::FilterDecision). SpatialSpark's broadcast join
+  /// shuffles nothing and never filters.
   std::optional<bool> shuffle_filter;
   /// Skew-aware adaptive repartitioning: probe per-cell load after the
   /// scheme is derived from the sample, split hotspot cells, and shuffle

@@ -495,8 +495,20 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // mappers drop tile line copies the B bitmap proves can match no B
     // geometry in that tile, and B-side mappers drop against the A bitmap —
     // before the line is pushed through the streaming pipe. Both bitmaps
-    // ship to every mapper via the distributed cache.
-    if (plane.filter_on()) {
+    // ship to every mapper via the distributed cache. Unless the policy
+    // forces it, the plan probes A's sample against B's occupancy and builds
+    // the filter only where the copies it drops are worth the pass.
+    const core::FilterDecision filter = plane.decide_filter(
+        joint_scheme, core::TextSide{right}, pa.samples,
+        {.left_records = left.size(),
+         .left_bytes = left.text_bytes() + 8 * left.size(),
+         .serial_marks = left.size() + right.size(),
+         .serial_read_bytes = left.text_bytes() + right.text_bytes(),
+         .serial_filters = 2,
+         .cluster = exec.cluster,
+         .data_scale = exec.data_scale});
+    filter.record(report.counters);
+    if (filter.build) {
       core::OccupancyBuild built_b = plane.build_occupancy(joint_scheme, core::TextSide{right});
       core::OccupancyBuild built_a = plane.build_occupancy(joint_scheme, core::TextSide{left});
       const auto& occupancy_b = in.occupancy_b.emplace(std::move(built_b.filter));

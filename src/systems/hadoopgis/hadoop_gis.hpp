@@ -60,7 +60,7 @@ struct HadoopGisConfig {
   ///    dataset shipped to the join mappers via the distributed cache;
   ///    A-side mappers drop tile line copies that provably match no B
   ///    geometry before the line crosses the streaming pipe (sFilter
-  ///    analog). Unset resolves to on.
+  ///    analog). Unset lets the plan decide (core::FilterDecision).
   ///  - policy.repartition: probe per-tile load after the joint scheme is
   ///    derived on the master and split hotspot tiles before the join job's
   ///    mappers re-assign both datasets; unset resolves to off.

@@ -1,6 +1,7 @@
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 
 #include <memory>
+#include <optional>
 
 #include "core/feature_view.hpp"
 #include "core/partition_plane.hpp"
@@ -34,37 +35,40 @@ struct IndexedDataset {
   std::string dfs_prefix;
 };
 
-/// What the shuffle filter is built from: the already-indexed resident
-/// (right) dataset. The streamed side marks every resident block's expanded
-/// record envelopes into each of its own cells that intersect the resident
-/// cell, so any (cellA, cellB) split the global join can later pair is
-/// covered by construction.
-struct FilterSource {
-  const IndexedDataset* indexed;
-  const workload::Dataset* data;
+/// Job 1's products: the dataset's sampled envelopes, the input splits and
+/// the scheme the master derived (and refined) from the sample.
+struct SampledDataset {
+  std::vector<geom::Envelope> sample;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  partition::PartitionScheme scheme{std::vector<geom::Envelope>{geom::Envelope(0, 0, 1, 1)},
+                                    geom::Envelope(0, 0, 1, 1)};
 };
 
-/// The two preprocessing MR jobs for one dataset ("indexA"/"indexB" in the
-/// paper's Table 3 breakdown). When `filter_source` is non-null a per-cell
-/// occupancy bitmap is derived from it on the master (a third, cheap
-/// master-side step) and the partition job drops record copies the bitmap
-/// proves can match nothing in their target cell. With the filter knob on,
-/// both datasets' partition jobs report shuffle.* (so assigned == shuffled +
-/// filtered holds globally).
-IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset& data,
-                             const std::string& tag, const core::PartitionPlane& plane,
-                             const core::JoinQueryConfig& query,
-                             const core::ExecutionConfig& exec,
-                             const SpatialHadoopConfig& config,
-                             const FilterSource* filter_source = nullptr) {
-  IndexedDataset out;
-  out.dfs_prefix = tag + ".part/";
+/// Where B's partition reducers mark the shuffle filter for A: one partial
+/// per B block over A's cells. A block's records are marked into each A
+/// cell intersecting the block's cell; a later split (cellA, cellB) exists
+/// only if those cells intersect, so every pair the local join could emit
+/// is covered by some mark.
+struct FilterPartials {
+  const partition::PartitionScheme* cells;
+  std::vector<std::optional<geom::OccupancyFilter>> by_block;
+};
+
+/// The first preprocessing MR job for one dataset (map-only sample) and the
+/// master steps after it: the raw input put, the sample, `master-partition`
+/// and, with repartitioning, `skew-refine`.
+SampledDataset sample_dataset(mapreduce::MrContext& ctx, const workload::Dataset& data,
+                              const std::string& tag, const core::PartitionPlane& plane,
+                              const core::JoinQueryConfig& query,
+                              const core::ExecutionConfig& exec,
+                              const SpatialHadoopConfig& config) {
+  SampledDataset out;
 
   // Raw input sits in HDFS.
   ctx.dfs->put(tag + ".raw", std::any(), data.text_bytes());
 
   // ---- Job 1: sample MBRs (map-only) + central partition generation ------
-  const auto ranges = data.split_ranges(std::max<std::size_t>(
+  out.ranges = data.split_ranges(std::max<std::size_t>(
       ctx.dfs->block_count(tag + ".raw"), exec.cluster.total_slots()));
   Rng sample_rng(query.seed ^ std::hash<std::string>{}(tag));
 
@@ -74,9 +78,9 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
     Rng rng;
   };
   std::vector<SampleSplit> sample_splits;
-  sample_splits.reserve(ranges.size());
-  for (std::size_t s = 0; s < ranges.size(); ++s) {
-    sample_splits.push_back({ranges[s].first, ranges[s].second, sample_rng.fork(s)});
+  sample_splits.reserve(out.ranges.size());
+  for (std::size_t s = 0; s < out.ranges.size(); ++s) {
+    sample_splits.push_back({out.ranges[s].first, out.ranges[s].second, sample_rng.fork(s)});
   }
 
   const double sample_rate = plane.sample_rate(data.size());
@@ -101,24 +105,21 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   auto sample_spec = mapreduce::make_typed_map_only_spec<SampleSplit, geom::Envelope>(
       tag + "/sample", sample_map, sample_split_bytes, sample_output_bytes);
   sample_spec.config = config.mr;
-  const std::vector<geom::Envelope> sample =
-      mapreduce::run_map_only(ctx, sample_spec, sample_splits);
+  out.sample = mapreduce::run_map_only(ctx, sample_spec, sample_splits);
 
   // Central scheme derivation (the SpatialHadoop master writes the _master
   // file that subsequent jobs read via HDFS).
   CpuStopwatch master_cpu;
-  out.scheme = plane.make_scheme(sample, data.extent());
+  out.scheme = plane.make_scheme(out.sample, data.extent());
   const std::uint64_t master_bytes = out.scheme.size_bytes();
   ctx.dfs->put(tag + "._master", std::any(), master_bytes);
   mapreduce::charge_master_step(ctx, tag + "/master-partition", master_cpu.seconds(),
-                                /*read=*/sample.size() * 32, /*write=*/master_bytes);
-
-  const double expand = plane.expand();
+                                /*read=*/out.sample.size() * 32, /*write=*/master_bytes);
 
   // ---- Optional master step: skew-aware hotspot refinement ----------------
-  // Probe the per-cell load the partition job below would shuffle, split
-  // hotspot cells on the master, and rewrite the _master file — so Job 2,
-  // the shuffle filter and getSplits all see the refined cell set.
+  // Probe the per-cell load the partition job would shuffle, split hotspot
+  // cells on the master, and rewrite the _master file — so the partition
+  // job, the shuffle filter and getSplits all see the refined cell set.
   if (plane.repartition()) {
     CpuStopwatch skew_cpu;
     out.scheme = plane.refine(out.scheme, *ctx.counters, core::TextSide{data}).scheme;
@@ -127,51 +128,81 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
     mapreduce::charge_master_step(ctx, tag + "/skew-refine", skew_cpu.seconds(),
                                   /*read=*/master_bytes, /*write=*/refined_bytes);
   }
+  return out;
+}
 
-  // ---- Optional master step: build the shuffle filter from the resident
-  // side's partition blocks. Every resident record's expanded envelope is
-  // marked into each of *this* scheme's cells intersecting its resident
-  // cell; a later split (cellA, cellB) exists only if those cells intersect,
-  // so every pair the local join could emit is covered by some mark. The
-  // bitmap is tiny (a few uint64 words per cell) and lands in the
-  // distributed cache next to the _master file.
-  std::unique_ptr<geom::OccupancyFilter> sfilter;
-  if (filter_source != nullptr) {
-    const auto src_envs = filter_source->data->envelopes();
-    const IndexedDataset& src = *filter_source->indexed;
-    std::uint64_t src_bytes = 0;
-    std::size_t src_records = 0;
-    for (const auto& block : src.blocks) {
-      if (block == nullptr) continue;
-      src_bytes += block->text_bytes;
-      src_records += block->indices.size();
+/// The filter B's reducers would mark, built on the master for the plan's
+/// probe: every B record's expanded envelope, assigned to B's cells as B's
+/// partition map assigns it, marked into each A cell intersecting those
+/// cells. `partial_bytes` is what the reducers' partials would ship: each
+/// non-empty block's touched A cells.
+struct PlannedFilter {
+  geom::OccupancyFilter filter;
+  std::uint64_t partial_bytes = 0;
+};
+
+PlannedFilter plan_filter(const workload::Dataset& right, const partition::PartitionScheme& a,
+                          const partition::PartitionScheme& b, double expand) {
+  PlannedFilter out{geom::OccupancyFilter(a.cells())};
+  std::vector<std::optional<std::vector<std::uint32_t>>> a_cells(b.cell_count());
+  std::vector<std::uint32_t> pbs;
+  const auto envs = right.envelopes();
+  for (const auto& env : envs) {
+    const geom::Envelope expanded = env.expanded_by(expand);
+    b.assign_into(expanded, pbs);
+    for (const auto pb : pbs) {
+      if (!a_cells[pb]) {
+        a.assign_into(b.cells()[pb], a_cells[pb].emplace());
+        for (const auto ca : *a_cells[pb]) out.partial_bytes += out.filter.cell_bytes(ca);
+      }
+      for (const auto ca : *a_cells[pb]) out.filter.mark(ca, expanded);
     }
-    // One unit per resident block, marked in parallel chunks of blocks.
-    core::OccupancyBuild built = core::build_occupancy_parallel(
-        out.scheme.cells(), src.blocks.size(), src_records,
-        [&](geom::OccupancyFilter& partial, std::size_t begin, std::size_t end) {
-          std::vector<std::uint32_t> cells_scratch;
-          for (std::size_t pb = begin; pb < end; ++pb) {
-            const auto& block = src.blocks[pb];
-            if (block == nullptr) continue;
-            out.scheme.assign_into(src.scheme.cells()[pb], cells_scratch);
-            for (const auto src_idx : block->indices) {
-              const geom::Envelope env = src_envs[src_idx].expanded_by(expand);
-              for (const auto ca : cells_scratch) partial.mark(ca, env);
-            }
-          }
-        });
-    sfilter = std::make_unique<geom::OccupancyFilter>(std::move(built.filter));
-    const std::uint64_t filter_bytes = sfilter->size_bytes();
-    ctx.dfs->put(tag + "._sfilter", std::any(), filter_bytes);
-    mapreduce::charge_master_step(ctx, tag + "/filter-build", built.cpu_seconds,
-                                  /*read=*/src_bytes, /*write=*/filter_bytes);
   }
+  return out;
+}
 
-  // ---- Job 2: partition + pack per-block index (full MR) ------------------
+/// The master step that turns B's per-block partials into A's shuffle
+/// filter: it reads the partials, merges them in block order and puts the
+/// filter in the distributed cache next to A's _master file. The merged
+/// filter equals one marked serially from every B block.
+geom::OccupancyFilter merge_filter_partials(mapreduce::MrContext& ctx,
+                                            const FilterPartials& partials) {
+  CpuStopwatch merge_cpu;
+  geom::OccupancyFilter filter(partials.cells->cells());
+  std::uint64_t partial_bytes = 0;
+  for (const auto& partial : partials.by_block) {
+    if (!partial) continue;
+    filter.merge(*partial);
+    partial_bytes += partial->occupied_bytes();
+  }
+  const std::uint64_t filter_bytes = filter.size_bytes();
+  ctx.dfs->put("A._sfilter", std::any(), filter_bytes);
+  mapreduce::charge_master_step(ctx, "A/filter-build", merge_cpu.seconds(),
+                                /*read=*/partial_bytes, /*write=*/filter_bytes);
+  return filter;
+}
+
+/// The second preprocessing MR job ("indexA"/"indexB" in the paper's Table 3
+/// breakdown with the sample job): partition the dataset by `sampled`'s
+/// scheme and pack one STR-indexed block per cell. With `filter` the map
+/// drops record copies the filter proves can match nothing in their target
+/// cell; with `partials` every reducer also marks its block's partial of the
+/// other dataset's filter. `report_shuffle` writes the shuffle.* counters
+/// (both datasets' jobs do when the run filters, so assigned == shuffled +
+/// filtered holds globally).
+IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Dataset& data,
+                                 const std::string& tag, const core::PartitionPlane& plane,
+                                 const SpatialHadoopConfig& config, SampledDataset sampled,
+                                 const geom::OccupancyFilter* filter, bool report_shuffle,
+                                 FilterPartials* partials) {
+  IndexedDataset out;
+  out.dfs_prefix = tag + ".part/";
+  out.scheme = std::move(sampled.scheme);
+  const double expand = plane.expand();
+
   std::vector<std::vector<std::uint32_t>> idx_splits;
-  idx_splits.reserve(ranges.size());
-  for (const auto& [begin, end] : ranges) {
+  idx_splits.reserve(sampled.ranges.size());
+  for (const auto& [begin, end] : sampled.ranges) {
     std::vector<std::uint32_t> split;
     split.reserve(end - begin);
     for (std::size_t i = begin; i < end; ++i) split.push_back(static_cast<std::uint32_t>(i));
@@ -179,28 +210,28 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   }
 
   out.blocks.assign(out.scheme.cell_count(), nullptr);
+  if (partials != nullptr) partials->by_block.assign(out.scheme.cell_count(), std::nullopt);
 
   // The map assigns a record to every cell its expanded envelope touches;
   // the reduce materializes one block per cell (indices into the dataset's
   // stable feature span) and packs its STR index.
-  const geom::OccupancyFilter* filt = sfilter.get();
   core::ShuffleTally tally(*ctx.counters, {.assignments = true,
                                            .duplicates = true,
-                                           .shuffle = plane.filter_on(),
+                                           .shuffle = report_shuffle,
                                            .filtered_only_if_any = true});
-  const auto part_map = [&data, &out, expand, filt, &tally](const std::uint32_t& idx,
-                                                            const auto& emit) {
+  const auto part_map = [&data, &out, expand, filter, &tally](const std::uint32_t& idx,
+                                                              const auto& emit) {
     // Per-thread scratch keeps the assignment free of per-record allocation.
     // With the filter, true negatives never reach the emit (never buffered,
     // never shuffled); a fully filtered record vanishes here.
     static thread_local std::vector<std::uint32_t> pids;
-    tally.assign(out.scheme, data.envelopes()[idx].expanded_by(expand), filt,
+    tally.assign(out.scheme, data.envelopes()[idx].expanded_by(expand), filter,
                  4 + data.record_text_bytes(idx), pids);
     for (const auto pid : pids) emit(pid, idx);
   };
-  const auto part_reduce = [&data, &out](const std::uint32_t& pid,
-                                         std::vector<std::uint32_t>& idxs,
-                                         std::vector<std::uint32_t>& outv) {
+  const auto part_reduce = [&data, &out, expand, partials](const std::uint32_t& pid,
+                                                           std::vector<std::uint32_t>& idxs,
+                                                           std::vector<std::uint32_t>& outv) {
     auto block = std::make_shared<PartBlock>();
     // Pack an STR index into the block head (built while writing: "virtually
     // for free" in disk terms, but its CPU cost is real and measured here).
@@ -210,6 +241,17 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
     for (std::uint32_t i = 0; i < idxs.size(); ++i) {
       block->text_bytes += data.record_text_bytes(idxs[i]);
       entries.push_back({envs[idxs[i]], i});
+    }
+    if (partials != nullptr) {
+      // The block's partial of the other dataset's filter, over the cells
+      // intersecting this block's cell; it is written next to the block.
+      static thread_local std::vector<std::uint32_t> cells;
+      partials->cells->assign_into(out.scheme.cells()[pid], cells);
+      geom::OccupancyFilter& partial = partials->by_block[pid].emplace(partials->cells->cells());
+      for (const auto idx : idxs) {
+        const geom::Envelope env = envs[idx].expanded_by(expand);
+        for (const auto cell : cells) partial.mark(cell, env);
+      }
     }
     block->base = std::span<const geom::Feature>(data.features());
     block->indices = std::move(idxs);
@@ -224,8 +266,12 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   const auto part_pair_bytes = [&data](const std::uint32_t&, const std::uint32_t& idx) {
     return 4 + data.record_text_bytes(idx);
   };
-  const auto part_output_bytes = [&out](const std::uint32_t& pid) {
-    return out.blocks[pid] != nullptr ? out.blocks[pid]->text_bytes : 0;
+  const auto part_output_bytes = [&out, partials](const std::uint32_t& pid) {
+    std::uint64_t bytes = out.blocks[pid] != nullptr ? out.blocks[pid]->text_bytes : 0;
+    if (partials != nullptr && partials->by_block[pid]) {
+      bytes += partials->by_block[pid]->occupied_bytes();
+    }
+    return bytes;
   };
   auto part_spec =
       mapreduce::make_typed_spec<std::uint32_t, std::uint32_t, std::uint32_t,
@@ -368,18 +414,49 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
 
     // ---- Preprocessing: index both inputs (IA, IB) -------------------------
-    // With the shuffle filter on (the default), the resident (right) side is
-    // indexed first so its partition blocks can seed the occupancy bitmap
-    // that prunes the streamed (left) side's shuffle.
+    // Unless the policy forces the shuffle filter off, both datasets' sample
+    // and master steps run before either partition job: the filter drops A's
+    // copies against B's records over A's cells, B's cells decide which A
+    // cells each B block marks, and the plan probes A's sample against it.
+    SampledDataset sampled_a = sample_dataset(ctx, left, "A", plane, query, exec, config);
+    std::optional<SampledDataset> sampled_b;
+    core::FilterDecision filter = plane.forced_filter();
+    if (plane.filter_policy() != std::optional<bool>(false)) {
+      sampled_b = sample_dataset(ctx, right, "B", plane, query, exec, config);
+      if (!plane.filter_policy().has_value()) {
+        const PlannedFilter planned =
+            plan_filter(right, sampled_a.scheme, sampled_b->scheme, plane.expand());
+        filter = plane.probe_filter(
+            sampled_a.scheme, planned.filter, sampled_a.sample,
+            {.left_records = left.size(),
+             .left_bytes = left.text_bytes() + 4 * left.size(),
+             .parallel_marks = right.size(),
+             .serial_read_bytes = planned.partial_bytes,
+             .serial_filters = 1,  // the merged filter the master writes
+             .block_replicas = core::dfs_config(query, exec).replication,
+             .cluster = exec.cluster,
+             .data_scale = exec.data_scale});
+      }
+    }
+    filter.record(report.counters);
     IndexedDataset ia;
     IndexedDataset ib;
-    if (plane.filter_on()) {
-      ib = index_dataset(ctx, right, "B", plane, query, exec, config);
-      const FilterSource source{&ib, &right};
-      ia = index_dataset(ctx, left, "A", plane, query, exec, config, &source);
+    if (filter.build) {
+      // B is partitioned before A, and its reducers mark the filter's
+      // per-block partials; the master merges them before A's partition job.
+      FilterPartials partials{&sampled_a.scheme, {}};
+      ib = partition_dataset(ctx, right, "B", plane, config, std::move(*sampled_b), nullptr,
+                             /*report_shuffle=*/true, &partials);
+      const geom::OccupancyFilter sfilter = merge_filter_partials(ctx, partials);
+      partials.by_block.clear();
+      ia = partition_dataset(ctx, left, "A", plane, config, std::move(sampled_a), &sfilter,
+                             /*report_shuffle=*/true, nullptr);
     } else {
-      ia = index_dataset(ctx, left, "A", plane, query, exec, config);
-      ib = index_dataset(ctx, right, "B", plane, query, exec, config);
+      ia = partition_dataset(ctx, left, "A", plane, config, std::move(sampled_a), nullptr,
+                             /*report_shuffle=*/false, nullptr);
+      if (!sampled_b) sampled_b = sample_dataset(ctx, right, "B", plane, query, exec, config);
+      ib = partition_dataset(ctx, right, "B", plane, config, std::move(*sampled_b), nullptr,
+                             /*report_shuffle=*/false, nullptr);
     }
     if (capture != nullptr) {
       capture->ia = ia;

@@ -44,11 +44,12 @@ struct SpatialHadoopConfig {
   /// max_attempts, losing every replica of a block) can make it fail.
   cluster::FaultPlan faults;
   /// Adaptive-execution knobs (see plan/exec_policy.hpp):
-  ///  - policy.shuffle_filter: index the resident (right) dataset first,
-  ///    build a per-cell occupancy bitmap from its partition blocks, and
-  ///    drop streamed (left) record copies that provably match nothing in
-  ///    the target cell before they are shuffled (sFilter analog). Unset
-  ///    resolves to on.
+  ///  - policy.shuffle_filter: partition the resident (right) dataset first,
+  ///    its reducers marking per-block partials of an occupancy bitmap over
+  ///    the left dataset's cells that the master merges, and drop streamed
+  ///    (left) record copies that provably match nothing in the target cell
+  ///    before they are shuffled (sFilter analog). Unset lets the plan
+  ///    decide (core::FilterDecision).
   ///  - policy.repartition: probe per-cell load after the sample job derives
   ///    a dataset's scheme and split hotspot cells on the master before the
   ///    partition MR job writes blocks; unset resolves to off.

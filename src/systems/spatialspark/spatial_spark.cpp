@@ -1,6 +1,7 @@
 #include "systems/spatialspark/spatial_spark.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 
@@ -9,6 +10,7 @@
 #include "index/str_tree.hpp"
 #include "plan/cost_model.hpp"
 #include "rdd/rdd.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/quarantine.hpp"
 #include "workload/tsv.hpp"
@@ -232,6 +234,9 @@ struct ResidentState {
   std::optional<partition::PartitionScheme> scheme;
   std::optional<geom::OccupancyFilter> right_occ;  // filters the A side
   std::optional<geom::OccupancyFilter> left_occ;   // filters the B side
+  /// The build's filter decision, whose plan.filter_* counters every
+  /// resident report replays.
+  core::FilterDecision filter;
   double expand = 0.0;
 };
 
@@ -249,6 +254,46 @@ struct SparkInputs {
   rdd::Rdd<FeatureRef> sample;
   partition::PartitionScheme scheme;
 };
+
+/// The run's shuffle-filter decision over `scheme` (core::FilterDecision).
+/// Only when the plan decides does SpatialSpark sample its left side: m
+/// seeded draws over the parsed partitions, m the left side's scheme sample
+/// size, so the estimate never passes over the whole left input.
+core::FilterDecision decide_filter(const core::PartitionPlane& plane, const SparkInputs& in,
+                                   const partition::PartitionScheme& scheme,
+                                   const core::JoinQueryConfig& query,
+                                   const core::ExecutionConfig& exec,
+                                   std::uint64_t rec_overhead) {
+  const RddSide left{in.left, rec_overhead};
+  const RddSide right{in.right, rec_overhead};
+  const std::size_t left_records = left.records();
+  std::vector<geom::Envelope> sample;
+  if (!plane.filter_policy().has_value() && left_records > 0) {
+    const auto& parts = in.left.partitions();
+    std::vector<std::size_t> ends;  // running record count at each partition's end
+    ends.reserve(parts.size());
+    std::size_t total = 0;
+    for (const auto& part : parts) ends.push_back(total += part.size());
+    const auto draws = static_cast<std::size_t>(
+        std::llround(plane.sample_rate(left_records) * static_cast<double>(left_records)));
+    Rng rng(query.seed ^ std::hash<std::string>{}("A.filter-sample"));
+    sample.reserve(draws);
+    for (std::size_t i = 0; i < draws; ++i) {
+      const std::size_t k = rng.next_below(left_records);
+      const auto p = static_cast<std::size_t>(
+          std::upper_bound(ends.begin(), ends.end(), k) - ends.begin());
+      const std::size_t first = p == 0 ? 0 : ends[p - 1];
+      sample.push_back(parts[p][k - first].get().geometry.envelope());
+    }
+  }
+  return plane.decide_filter(scheme, right, sample,
+                             {.left_records = left_records,
+                              .left_bytes = in.left.bytes() + 4 * left_records,
+                              .serial_marks = left_records + right.records(),
+                              .broadcast_filters = 2,
+                              .cluster = exec.cluster,
+                              .data_scale = exec.data_scale});
+}
 
 /// Stages 1-2, shared by both plans: textFile(...).map(parse) for both
 /// inputs — the text scan is the run's one DFS read, and the parse really
@@ -327,14 +372,18 @@ SparkInputs read_and_partition(const workload::Dataset& left,
 /// The partition-based plan (the paper's SpatialSpark): optional skew-aware
 /// refinement, scheme broadcast, optional shuffle filter, then the shared
 /// filter-broadcast -> assign -> groupByKey -> join -> local-join tail.
+/// `filter` is the filter decision when the cost-based plan choice already
+/// made it; otherwise it is made here, over the final scheme.
 ///
 /// When `capture` is non-null the preprocessing products (feature store,
 /// parsed chunks, scheme, filters) are additionally copied into it for
 /// resident reuse; the run itself is unaffected.
-void run_partitioned_join(SparkInputs& in, const core::ExecutionConfig& exec,
+void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
+                          const core::ExecutionConfig& exec,
                           const core::PartitionPlane& plane,
                           const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
                           core::LocalJoinStage& stage, std::uint32_t parallelism,
+                          std::optional<core::FilterDecision> filter,
                           core::RunReport& report, ResidentState* capture) {
   const std::uint64_t rec_overhead = config.record_overhead_bytes;
 
@@ -372,9 +421,12 @@ void run_partitioned_join(SparkInputs& in, const core::ExecutionConfig& exec,
   // symmetric and stays sound both ways: a pair needs both records in the
   // same cell with intersecting expanded envelopes, so each side's copy in a
   // cell provably without partners can be dropped.
+  if (!filter) filter = decide_filter(plane, in, scheme_bc.value(), query, exec, rec_overhead);
+  filter->record(report.counters);
+  if (capture != nullptr) capture->filter = *filter;
   std::optional<geom::OccupancyFilter> right_occ;  // filters A
   std::optional<geom::OccupancyFilter> left_occ;   // filters B
-  if (plane.filter_on()) {
+  if (filter->build) {
     core::OccupancyBuild built_right =
         plane.build_occupancy(scheme_bc.value(), RddSide{in.right, rec_overhead});
     core::OccupancyBuild built_left =
@@ -481,6 +533,7 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   // overlap-duplicated right-side geometries are bound once, not once per
   // partition.
   core::LocalJoinStage stage(query, kLocalJoinAlgorithm, config.engine, &report.counters);
+  bool planned = false;  // the cost-based plan choice ran
 
   try {
     const std::uint32_t parallelism =
@@ -488,11 +541,35 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
     SparkInputs in = read_and_partition(left, right, query, plane, config, *rt, *dfs,
                                         parallelism, quarantine, report);
-    if (config.broadcast_join) {
+    bool broadcast = config.broadcast_join;
+    std::optional<core::FilterDecision> filter;
+    if (config.policy.cost_based_plan) {
+      // Cost-based plan choice: predict both plans from the dataset sizes,
+      // the cluster spec and the partitioned plan's filter decision, run the
+      // cheaper feasible one, and record the prediction next to the
+      // realized cost in the plan.* counters.
+      filter = decide_filter(plane, in, in.scheme, query, exec, config.record_overhead_bytes);
+      const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
+          .left_records = left.size(),
+          .right_records = right.size(),
+          .left_bytes = left.text_bytes(),
+          .right_bytes = right.text_bytes(),
+          .record_overhead_bytes = config.record_overhead_bytes,
+          .replication_factor = std::nullopt,
+          .filter_selectivity =
+              filter->build ? std::optional<double>(filter->selectivity()) : std::nullopt,
+          .cluster = exec.cluster,
+          .data_scale = exec.data_scale,
+      });
+      plan::record_plan_counters(decision, report.counters);
+      planned = true;
+      broadcast = decision.chosen == plan::PlanKind::kBroadcastJoin;
+    }
+    if (broadcast) {
       run_broadcast_join(in, exec, config, *rt, stage.spec(), report);
     } else {
-      run_partitioned_join(in, exec, plane, config, *rt, stage, parallelism, report,
-                           capture);
+      run_partitioned_join(in, query, exec, plane, config, *rt, stage, parallelism,
+                           std::move(filter), report, capture);
     }
   } catch (const SjcError& e) {
     // SimOutOfMemory (the paper's EC2-8/EC2-6 failure) plus injected
@@ -505,6 +582,7 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   }
   quarantine.flush_counters(report.counters);
   finish_report(report, rt, exec, collector);
+  if (planned) plan::record_plan_actual(report.total_seconds, report.counters);
   return report;
 }
 
@@ -542,6 +620,7 @@ core::RunReport run_resident_query(const ResidentState& state,
 
     // The scheme and filters still ship to the executors each query
     // (distributed-cache refresh), so broadcast charges stay in the model.
+    state.filter.record(report.counters);
     partition::PartitionScheme scheme = *state.scheme;
     const std::uint64_t scheme_bytes = scheme.size_bytes() * 2;
     rdd::Broadcast<partition::PartitionScheme> scheme_bc(*rt, std::move(scheme),
@@ -563,29 +642,7 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
                                   const core::JoinQueryConfig& query,
                                   const core::ExecutionConfig& exec,
                                   const SpatialSparkConfig& config) {
-  if (!config.policy.cost_based_plan) {
-    return run_spatial_spark_impl(left, right, query, exec, config, nullptr);
-  }
-  // Cost-based plan choice: predict both plans from the dataset sizes and
-  // the cluster spec, run the cheaper feasible one, and record the
-  // prediction next to the realized cost in the plan.* counters.
-  const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
-      .left_records = left.size(),
-      .right_records = right.size(),
-      .left_bytes = left.text_bytes(),
-      .right_bytes = right.text_bytes(),
-      .record_overhead_bytes = config.record_overhead_bytes,
-      .replication_factor = std::nullopt,
-      .filter_selectivity = std::nullopt,
-      .cluster = exec.cluster,
-      .data_scale = exec.data_scale,
-  });
-  SpatialSparkConfig chosen = config;
-  chosen.broadcast_join = decision.chosen == plan::PlanKind::kBroadcastJoin;
-  core::RunReport report = run_spatial_spark_impl(left, right, query, exec, chosen, nullptr);
-  plan::record_plan_counters(decision, report.counters);
-  plan::record_plan_actual(report.total_seconds, report.counters);
-  return report;
+  return run_spatial_spark_impl(left, right, query, exec, config, nullptr);
 }
 
 core::ResidentJoin spatial_spark_resident(const workload::Dataset& left,

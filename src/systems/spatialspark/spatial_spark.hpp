@@ -51,13 +51,15 @@ struct SpatialSparkConfig {
   /// Adaptive-execution knobs (see plan/exec_policy.hpp):
   ///  - policy.shuffle_filter: map-side occupancy-bitmap filter (sFilter
   ///    analog) on both sides' assign stages of the partition-based join;
-  ///    unset resolves to on. The broadcast join shuffles nothing, so it
-  ///    never filters.
+  ///    unset lets the plan decide (core::FilterDecision). The broadcast
+  ///    join shuffles nothing, so it never filters.
   ///  - policy.repartition: probe per-cell shuffle load right after the
   ///    driver derives the scheme and quad-split hotspot cells before the
   ///    scheme is broadcast; unset resolves to off.
   ///  - policy.cost_based_plan: let plan::choose_plan() pick broadcast vs
-  ///    partitioned per run instead of the static broadcast_join flag.
+  ///    partitioned per run instead of the static broadcast_join flag, once
+  ///    the shared read/parse/sample stages ran, with the partitioned plan's
+  ///    filter decision as its filter_selectivity.
   plan::ExecPolicy policy;
 };
 

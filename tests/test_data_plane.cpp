@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <random>
 #include <set>
 
 #include "core/experiments.hpp"
+#include "corner_inputs.hpp"
 #include "core/partition_plane.hpp"
 #include "core/spatial_join.hpp"
 #include "index/str_tree.hpp"
@@ -75,7 +77,7 @@ TEST(PartitionPlane, PolicyDefaultsAndEnvelopeExpansion) {
   const auto cluster = cluster::ClusterSpec::ec2(10);
   core::JoinQueryConfig query;
   const core::PartitionPlane intersects(query, cluster, plan::ExecPolicy{});
-  EXPECT_TRUE(intersects.filter_on());
+  EXPECT_FALSE(intersects.filter_policy().has_value());  // the plan decides
   EXPECT_FALSE(intersects.repartition());
   EXPECT_EQ(intersects.expand(), 0.0);
   EXPECT_EQ(intersects.sample_rate(1000),
@@ -88,7 +90,7 @@ TEST(PartitionPlane, PolicyDefaultsAndEnvelopeExpansion) {
   policy.shuffle_filter = false;
   policy.repartition = true;
   const core::PartitionPlane within(query, cluster, policy);
-  EXPECT_FALSE(within.filter_on());
+  EXPECT_EQ(within.filter_policy(), std::optional<bool>(false));
   EXPECT_TRUE(within.repartition());
   EXPECT_EQ(within.expand(), 50.0);
   EXPECT_NO_THROW(within.require_build_expansion(50.0, "test"));
@@ -348,6 +350,39 @@ TEST(DataPlane, RepeatedRunsBitIdenticalUnderVirtualTime) {
     ASSERT_TRUE(first.status.ok()) << first.status.to_string();
     expect_reports_identical(first, second,
                              std::string("repeat/") + core::system_kind_name(kind));
+  }
+}
+
+// The plan's shuffle-filter decision is a pure function of the inputs and
+// the seed: with the policy unset, two runs decide alike and write the same
+// plan.filter_* and shuffle.* counters, under virtual time and with measured
+// CPU (which moves modeled seconds, never the decision), on inputs where
+// the plan builds the filter for some systems and declines it for others.
+TEST(DataPlane, FilterDecisionRepeatsExactly) {
+  const auto inputs = testing::corner_inputs();
+  const core::JoinQueryConfig query;
+  core::ExecutionConfig exec;
+  exec.cluster = cluster::ClusterSpec::workstation();
+  exec.data_scale = 250.0;
+  const auto decided = [](const core::RunReport& report) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : report.counters.snapshot()) {
+      if (name.starts_with("plan.filter_") || name.starts_with("shuffle.")) out[name] = value;
+    }
+    return out;
+  };
+  for (const auto kind :
+       {core::SystemKind::kHadoopGisSim, core::SystemKind::kSpatialHadoopSim,
+        core::SystemKind::kSpatialSparkSim}) {
+    const std::string tag = std::string("filter-decision/") + core::system_kind_name(kind);
+    const auto measured = core::run_spatial_join(kind, inputs.left, inputs.right, query, exec);
+    ASSERT_TRUE(measured.status.ok()) << tag << " " << measured.status.to_string();
+    ASSERT_EQ(decided(measured).count("plan.filter_chosen"), 1u) << tag;
+    const VirtualTimeGuard vt;
+    const auto first = core::run_spatial_join(kind, inputs.left, inputs.right, query, exec);
+    const auto second = core::run_spatial_join(kind, inputs.left, inputs.right, query, exec);
+    expect_reports_identical(first, second, tag);
+    EXPECT_EQ(decided(measured), decided(first)) << tag;
   }
 }
 

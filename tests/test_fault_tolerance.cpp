@@ -523,12 +523,18 @@ TEST(SystemRecovery, SpatialHadoopCrashWithoutRetryBudgetIsFatal) {
 // A failed run keeps the counters of every job whose tasks ran. Kill
 // SpatialHadoop inside A/partition/map with a phase timeout only that phase
 // exceeds (under virtual time, so phase times are pure cost-model output):
-// both partition jobs' map tasks ran, so their shuffle tally must be in the
-// report, balanced.
+// with the shuffle filter forced on, B's partition job runs first, so both
+// partition jobs' map tasks ran and their shuffle tally must be in the
+// report, balanced. 32 cells keep the merge of B's filter partials shorter
+// than A's partition map.
 TEST(SystemRecovery, FailedRunKeepsPartitionCountersOfTasksThatRan) {
   const auto& b = FaultBench::instance();
   const VirtualTimeGuard virtual_time;
-  const auto clean = systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec);
+  systems::SpatialHadoopConfig filtered;
+  filtered.policy.shuffle_filter = true;
+  core::JoinQueryConfig query = b.query;
+  query.target_partitions = 32;
+  const auto clean = systems::run_spatial_hadoop(b.points, b.polys, query, b.exec, filtered);
   ASSERT_TRUE(clean.status.ok()) << clean.status.to_string();
   double earlier = 0.0;
   double target = 0.0;
@@ -541,10 +547,9 @@ TEST(SystemRecovery, FailedRunKeepsPartitionCountersOfTasksThatRan) {
   }
   ASSERT_GT(target, earlier) << "no timeout kills only A/partition/map";
 
-  systems::SpatialHadoopConfig faulty;
+  systems::SpatialHadoopConfig faulty = filtered;
   faulty.faults.phase_timeout_s = (earlier + target) / 2.0;
-  const auto killed =
-      systems::run_spatial_hadoop(b.points, b.polys, b.query, b.exec, faulty);
+  const auto killed = systems::run_spatial_hadoop(b.points, b.polys, query, b.exec, faulty);
   ASSERT_EQ(StatusCode::kDeadlineExceeded, killed.status.code())
       << killed.status.to_string();
   EXPECT_EQ(killed.metrics.phases().back().name, "A/partition/map");

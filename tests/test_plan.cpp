@@ -15,9 +15,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "corner_inputs.hpp"
+#include "core/experiments.hpp"
+#include "core/spatial_join.hpp"
 #include "plan/cost_model.hpp"
 #include "plan/partition_refiner.hpp"
 #include "plan/skew_monitor.hpp"
@@ -25,6 +29,7 @@
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
+#include "util/stopwatch.hpp"
 #include "workload/generators.hpp"
 
 namespace sjc {
@@ -335,9 +340,164 @@ TEST(JoinCostModel, ReplicationAndSelectivityMoveThePartitionedCost) {
   in.replication_factor = 3.0;
   const double replicated = plan::choose_plan(in).partitioned_seconds;
   EXPECT_GT(replicated, baseline);
+  // A set selectivity means the run builds the filter: a filter that drops
+  // nothing only adds its build, and one that drops 90% of the copies
+  // shuffles and indexes less.
+  in.filter_selectivity = 1.0;
+  const double unpruned = plan::choose_plan(in).partitioned_seconds;
+  EXPECT_GT(unpruned, replicated);
   in.filter_selectivity = 0.1;
   const double filtered = plan::choose_plan(in).partitioned_seconds;
-  EXPECT_LT(filtered, replicated);
+  EXPECT_LT(filtered, unpruned);
+}
+
+// ---------------------------------------------------------------------------
+// The plan's shuffle-filter decision (policy.shuffle_filter unset)
+// ---------------------------------------------------------------------------
+
+/// One system run with the filter unset (the plan decides), forced on or
+/// forced off.
+core::RunReport run_filter(core::SystemKind system, const workload::Dataset& left,
+                           const workload::Dataset& right, const core::JoinQueryConfig& query,
+                           const core::ExecutionConfig& exec, std::optional<bool> filter) {
+  switch (system) {
+    case core::SystemKind::kHadoopGisSim: {
+      systems::HadoopGisConfig config;
+      config.policy.shuffle_filter = filter;
+      return systems::run_hadoop_gis(left, right, query, exec, config);
+    }
+    case core::SystemKind::kSpatialHadoopSim: {
+      systems::SpatialHadoopConfig config;
+      config.policy.shuffle_filter = filter;
+      return systems::run_spatial_hadoop(left, right, query, exec, config);
+    }
+    case core::SystemKind::kSpatialSparkSim: break;
+  }
+  systems::SpatialSparkConfig config;
+  config.policy.shuffle_filter = filter;
+  return systems::run_spatial_spark(left, right, query, exec, config);
+}
+
+core::ExecutionConfig ec2_10(double scale) {
+  core::ExecutionConfig exec;
+  exec.cluster = cluster::ClusterSpec::ec2(10);
+  exec.data_scale = 1.0 / scale;
+  return exec;
+}
+
+constexpr core::SystemKind kAllSystems[] = {core::SystemKind::kHadoopGisSim,
+                                            core::SystemKind::kSpatialHadoopSim,
+                                            core::SystemKind::kSpatialSparkSim};
+
+// A right side in one corner: the plan builds the filter where its build is
+// cheap next to the copies it drops (SpatialHadoop's reducer partials,
+// SpatialSpark's one-task build), the filter drops copies, and the run is no
+// slower than with the filter forced off. HadoopGIS's build re-reads both
+// inputs on the master, so there the plan keeps the filter off.
+TEST(FilterPlan, CornerRightSideBuildsTheFilterAndPaysForIt) {
+  const VirtualTimeGuard vt;
+  const auto inputs = testing::corner_inputs();
+  const core::JoinQueryConfig query;
+  // The workstation at scale 4e-3 keeps HadoopGIS inside its pipe gate.
+  auto exec = ec2_10(4e-3);
+  exec.cluster = cluster::ClusterSpec::workstation();
+  for (const auto system : kAllSystems) {
+    const std::string tag = core::system_kind_name(system);
+    const auto planned = run_filter(system, inputs.left, inputs.right, query, exec, std::nullopt);
+    const auto off = run_filter(system, inputs.left, inputs.right, query, exec, false);
+    ASSERT_TRUE(planned.status.ok()) << tag << " " << planned.status.to_string();
+    ASSERT_TRUE(off.status.ok()) << tag << " " << off.status.to_string();
+    EXPECT_GT(planned.counters.get("plan.filter_probed_records"), 0u) << tag;
+    EXPECT_GT(planned.counters.get("plan.filter_predicted_drop_ppm"), 500'000u) << tag;
+    EXPECT_TRUE(core::check_invariants(planned).empty()) << tag;
+    if (system == core::SystemKind::kHadoopGisSim) {
+      EXPECT_EQ(planned.counters.get("plan.filter_chosen"), 0u) << tag;
+      continue;
+    }
+    EXPECT_EQ(planned.counters.get("plan.filter_chosen"), 1u) << tag;
+    EXPECT_GT(planned.counters.get("plan.filter_predicted_saving"),
+              planned.counters.get("plan.filter_predicted_cost"))
+        << tag;
+    EXPECT_GT(planned.counters.get("shuffle.filtered_records"), 0u) << tag;
+    EXPECT_LE(planned.total_seconds, off.total_seconds) << tag;
+  }
+}
+
+// At the Table-2 experiments' small scale the filter prunes little of
+// either join on EC2-10, so the plan declines it on every system and the
+// filter drops nothing. (HadoopGIS dies of its broken pipe while
+// preprocessing, before any filter is decided.)
+TEST(FilterPlan, TableTwoExperimentsDeclineTheFilter) {
+  const VirtualTimeGuard vt;
+  workload::WorkloadConfig wc;
+  wc.scale = 2e-4;
+  for (const auto& def : core::full_experiments()) {
+    const auto left = workload::generate(def.left, wc);
+    const auto right = workload::generate(def.right, wc);
+    core::JoinQueryConfig query;
+    query.predicate = def.predicate;
+    const auto exec = ec2_10(wc.scale);
+    for (const auto system : kAllSystems) {
+      const std::string tag = def.id + " " + core::system_kind_name(system);
+      const auto report = run_filter(system, left, right, query, exec, std::nullopt);
+      EXPECT_EQ(report.counters.get("plan.filter_chosen"), 0u) << tag;
+      EXPECT_EQ(report.counters.get("shuffle.filtered_records"), 0u) << tag;
+      if (system != core::SystemKind::kHadoopGisSim) {
+        ASSERT_TRUE(report.status.ok()) << tag << " " << report.status.to_string();
+        EXPECT_GT(report.counters.get("plan.filter_probed_records"), 0u) << tag;
+      }
+    }
+  }
+}
+
+// Whatever the policy, the filter only drops provable negatives: unset,
+// forced on and forced off return the same count, hash and sorted pairs on
+// every system, where the runs succeed.
+TEST(FilterPlan, UnsetOnAndOffReturnTheSamePairs) {
+  const VirtualTimeGuard vt;
+  const auto inputs = testing::corner_inputs();
+  const core::JoinQueryConfig query;
+  // The workstation at scale 4e-3 keeps HadoopGIS inside its pipe gate.
+  auto exec = ec2_10(4e-3);
+  exec.cluster = cluster::ClusterSpec::workstation();
+  exec.collect_pairs = true;
+  for (const auto system : kAllSystems) {
+    const std::string tag = core::system_kind_name(system);
+    auto off = run_filter(system, inputs.left, inputs.right, query, exec, false);
+    ASSERT_TRUE(off.status.ok()) << tag << " " << off.status.to_string();
+    ASSERT_GT(off.result_count, 0u) << tag;
+    std::sort(off.pairs.begin(), off.pairs.end());
+    for (const std::optional<bool> filter : {std::optional<bool>(), std::optional<bool>(true)}) {
+      auto report = run_filter(system, inputs.left, inputs.right, query, exec, filter);
+      ASSERT_TRUE(report.status.ok()) << tag << " " << report.status.to_string();
+      EXPECT_EQ(report.result_count, off.result_count) << tag;
+      EXPECT_EQ(report.result_hash, off.result_hash) << tag;
+      std::sort(report.pairs.begin(), report.pairs.end());
+      EXPECT_EQ(report.pairs, off.pairs) << tag;
+    }
+  }
+}
+
+// The prediction's shape: no drop saves nothing, replicated blocks make a
+// dropped copy worth more, and a serial input pass makes the build dearer.
+TEST(FilterPlan, PredictionFollowsDropsAndBuildCost) {
+  plan::FilterInputs in;
+  in.left_records = 100'000;
+  in.left_bytes = 100'000'000;
+  in.serial_marks = 100'000;
+  in.cluster = cluster::ClusterSpec::ec2(10);
+  in.data_scale = 1000.0;
+  EXPECT_EQ(plan::predict_filter(in).saving_seconds, 0.0);  // drops nothing
+  EXPECT_FALSE(plan::predict_filter(in).build());
+  in.drop_fraction = 0.9;
+  const auto dropping = plan::predict_filter(in);
+  EXPECT_GT(dropping.saving_seconds, 0.0);
+  // Copies that would also have been written to replicated blocks save more.
+  in.block_replicas = 3;
+  EXPECT_GT(plan::predict_filter(in).saving_seconds, dropping.saving_seconds);
+  // A build that re-reads its inputs on one node costs more.
+  in.serial_read_bytes = 1ull << 30;
+  EXPECT_GT(plan::predict_filter(in).cost_seconds, dropping.cost_seconds);
 }
 
 TEST(JoinCostModel, DegenerateInputsFallBackSafely) {
