@@ -50,7 +50,7 @@ struct SampledDataset {
 /// only if those cells intersect, so every pair the local join could emit
 /// is covered by some mark.
 struct FilterPartials {
-  const partition::PartitionScheme* cells;
+  const partition::PartitionScheme* scheme;  // A's
   std::vector<std::optional<geom::OccupancyFilter>> by_block;
 };
 
@@ -168,7 +168,7 @@ PlannedFilter plan_filter(const workload::Dataset& right, const partition::Parti
 geom::OccupancyFilter merge_filter_partials(mapreduce::MrContext& ctx,
                                             const FilterPartials& partials) {
   CpuStopwatch merge_cpu;
-  geom::OccupancyFilter filter(partials.cells->cells());
+  geom::OccupancyFilter filter(partials.scheme->cells());
   std::uint64_t partial_bytes = 0;
   for (const auto& partial : partials.by_block) {
     if (!partial) continue;
@@ -246,8 +246,8 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
       // The block's partial of the other dataset's filter, over the cells
       // intersecting this block's cell; it is written next to the block.
       static thread_local std::vector<std::uint32_t> cells;
-      partials->cells->assign_into(out.scheme.cells()[pid], cells);
-      geom::OccupancyFilter& partial = partials->by_block[pid].emplace(partials->cells->cells());
+      partials->scheme->assign_into(out.scheme.cells()[pid], cells);
+      geom::OccupancyFilter& partial = partials->by_block[pid].emplace(partials->scheme->cells());
       for (const auto idx : idxs) {
         const geom::Envelope env = envs[idx].expanded_by(expand);
         for (const auto cell : cells) partial.mark(cell, env);
