@@ -111,7 +111,8 @@ struct FilterRow {
   std::uint64_t filtered = 0;
   std::uint64_t filtered_bytes = 0;
   /// The plan's choice with the policy unset ("-" when the run failed
-  /// before deciding) and its predicted drop, in ppm of left copies.
+  /// before deciding) and its predicted drop, in ppm of the assigned copies
+  /// of the sides the filter drops.
   std::string plan = "-";
   std::uint64_t plan_drop_ppm = 0;
   double off_wall = std::nan("");
@@ -272,7 +273,7 @@ int main(int argc, char** argv) {
       " the reduction is the on-run's own filtered/(filtered+shuffled) byte\n"
       " estimate. Survivor pair sets are verified bit-identical whenever both\n"
       " runs complete. \"plan\": the filter the plan builds with the policy\n"
-      " unset, and the share of left copies it predicted the filter drops.)\n");
+      " unset, and the share of assigned copies it predicted the filter drops.)\n");
   // Failures are reported after the JSON is written, so a regression still
   // uploads its BENCH_shuffle.json artifact from CI.
   const bool gate_failed =

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
+#include <utility>
 
 #include "util/status.hpp"
 #include "workload/quarantine.hpp"
@@ -35,20 +37,75 @@ void PartitionPlane::require_build_expansion(double built, const std::string& wh
                                 "(rebuild with the query's predicate)");
 }
 
+double SampleCopies::copies_per_record() const {
+  if (records == 0) return 1.0;
+  return static_cast<double>(assigned_copies) / static_cast<double>(records);
+}
+
+double SampleCopies::drop_fraction() const {
+  if (assigned_copies == 0) return 0.0;
+  return 1.0 - static_cast<double>(kept_copies) / static_cast<double>(assigned_copies);
+}
+
+namespace {
+
+/// Predicted assigned and dropped copies of both whole inputs.
+std::pair<double, double> predicted_copies(const plan::FilterInputs& in) {
+  const double left = static_cast<double>(in.left_records) * in.copies_per_record;
+  const double right = static_cast<double>(in.right_records) * in.right_copies_per_record;
+  return {left + right, left * in.drop_fraction + right * in.right_drop_fraction};
+}
+
+/// Expands, assigns and probes every envelope of `sample` against `other`;
+/// a null `other` keeps every copy.
+SampleCopies probe_sample(const partition::PartitionScheme& scheme,
+                          const std::vector<geom::Envelope>& sample,
+                          const geom::OccupancyFilter* other, double expand) {
+  SampleCopies out;
+  out.records = sample.size();
+  out.assigned.assign(scheme.cell_count(), 0);
+  out.kept.assign(scheme.cell_count(), 0);
+  std::vector<std::uint32_t> pids;
+  for (const auto& env : sample) {
+    const geom::Envelope expanded = env.expanded_by(expand);
+    scheme.assign_into(expanded, pids);
+    out.assigned_copies += pids.size();
+    for (const auto pid : pids) {
+      ++out.assigned[pid];
+      if (other == nullptr || other->may_match(pid, expanded)) {
+        ++out.kept[pid];
+        ++out.kept_copies;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::uint64_t FilterDecision::drop_ppm() const {
-  if (probed_copies == 0) return 0;
-  return dropped_copies * 1'000'000 / probed_copies;
+  const auto [assigned, dropped] = predicted_copies(inputs);
+  if (assigned <= 0.0) return 0;
+  return static_cast<std::uint64_t>(dropped / assigned * 1e6);
 }
 
 double FilterDecision::selectivity() const {
-  if (probed_copies == 0) return 1.0;
-  return 1.0 - static_cast<double>(dropped_copies) / static_cast<double>(probed_copies);
+  const auto [assigned, dropped] = predicted_copies(inputs);
+  if (assigned <= 0.0) return 1.0;
+  return 1.0 - dropped / assigned;
+}
+
+void FilterDecision::apply_gate(bool fits_unfiltered, bool fits_filtered) {
+  if (!planned || build || fits_unfiltered || !fits_filtered) return;
+  build = true;
+  rescued = true;
 }
 
 void FilterDecision::record(cluster::Counters& counters) const {
   if (!planned) return;
   counters.add("plan.filter_chosen", build ? 1 : 0);
-  counters.add("plan.filter_probed_records", probed_records);
+  counters.add("plan.filter_rescued", rescued ? 1 : 0);
+  counters.add("plan.filter_probed_records", probed_records());
   counters.add("plan.filter_predicted_drop_ppm", drop_ppm());
   counters.add("plan.filter_predicted_saving", plan::cost_ms(prediction.saving_seconds));
   counters.add("plan.filter_predicted_cost", plan::cost_ms(prediction.cost_seconds));
@@ -57,25 +114,31 @@ void FilterDecision::record(cluster::Counters& counters) const {
 FilterDecision PartitionPlane::probe_filter(const partition::PartitionScheme& scheme,
                                             const geom::OccupancyFilter& right_occupancy,
                                             const std::vector<geom::Envelope>& left_sample,
+                                            const std::vector<geom::Envelope>* right_sample,
                                             plan::FilterInputs build) const {
   FilterDecision decision;
   decision.planned = true;
-  decision.probed_records = left_sample.size();
-  std::vector<std::uint32_t> pids;
-  for (const auto& env : left_sample) {
-    const geom::Envelope expanded = env.expanded_by(expand_);
-    scheme.assign_into(expanded, pids);
-    decision.probed_copies += pids.size();
-    for (const auto pid : pids) {
-      if (!right_occupancy.may_match(pid, expanded)) ++decision.dropped_copies;
+  decision.left = probe_sample(scheme, left_sample, &right_occupancy, expand_);
+  build.copies_per_record = decision.left.copies_per_record();
+  build.drop_fraction = decision.left.drop_fraction();
+  if (right_sample != nullptr) {
+    std::optional<geom::OccupancyFilter> left_occupancy;
+    if (left_sample.size() >= build.left_records) {
+      left_occupancy.emplace(scheme.cells());
+      std::vector<std::uint32_t> pids;
+      for (const auto& env : left_sample) {
+        const geom::Envelope expanded = env.expanded_by(expand_);
+        scheme.assign_into(expanded, pids);
+        for (const auto pid : pids) left_occupancy->mark(pid, expanded);
+      }
     }
+    decision.right = probe_sample(scheme, *right_sample,
+                                  left_occupancy ? &*left_occupancy : nullptr, expand_);
+    build.right_copies_per_record = decision.right.copies_per_record();
+    build.right_drop_fraction = decision.right.drop_fraction();
   }
-  if (!left_sample.empty()) {
-    build.copies_per_record = static_cast<double>(decision.probed_copies) /
-                              static_cast<double>(left_sample.size());
-  }
-  build.drop_fraction = 1.0 - decision.selectivity();
   build.filter_bytes = right_occupancy.size_bytes();
+  decision.inputs = build;
   decision.prediction = plan::predict_filter(build);
   decision.build = decision.prediction.build();
   return decision;

@@ -106,30 +106,61 @@ OccupancyBuild build_occupancy_parallel(const std::vector<geom::Envelope>& cells
   return out;
 }
 
+/// One side's seeded sample probed for the shuffle-filter decision: each
+/// sampled envelope expanded and assigned to the scheme's cells, and each
+/// copy probed against the other side's occupancy where it is known. Per
+/// cell, the sample copies assigned there and those the filter would keep.
+struct SampleCopies {
+  std::uint64_t records = 0;
+  std::vector<std::uint32_t> assigned;
+  std::vector<std::uint32_t> kept;
+  std::uint64_t assigned_copies = 0;
+  std::uint64_t kept_copies = 0;
+
+  /// Sampled copies per record (1 for an empty sample).
+  double copies_per_record() const;
+  /// Sampled share of copies the filter drops.
+  double drop_fraction() const;
+};
+
 /// One run's shuffle-filter decision. A set policy.shuffle_filter forces it;
 /// unset, the plan decides: a seeded left-side sample is probed against the
-/// right side's occupancy, and the copies it predicts the filter drops are
-/// weighed against the filter's predicted cost (plan::predict_filter).
-/// Every field is a pure function of the inputs and the seed.
+/// right side's occupancy (and, where the filter also drops right copies, a
+/// right-side sample against the left sample's occupancy), and the copies
+/// it predicts the filter drops are weighed against the filter's predicted
+/// cost (plan::predict_filter). A driver whose run can fail for load the
+/// filter removes then applies its failure gate (apply_gate). Every field
+/// is a pure function of the inputs and the seed.
 struct FilterDecision {
   bool build = false;
   /// True when the plan decided (policy unset); only then are the
   /// plan.filter_* counters written.
   bool planned = false;
-  /// Left sample records probed, their assigned copies, and the copies the
-  /// right side's occupancy would drop.
-  std::uint64_t probed_records = 0;
-  std::uint64_t probed_copies = 0;
-  std::uint64_t dropped_copies = 0;
+  /// True when the plan builds the filter because only the filtered run is
+  /// predicted to pass the driver's failure gate, whatever its cost.
+  bool rescued = false;
+  /// The probed samples; `right` is empty where the filter drops only left
+  /// copies (SpatialHadoop).
+  SampleCopies left;
+  SampleCopies right;
+  /// The prediction's inputs, completed by the probe.
+  plan::FilterInputs inputs;
   plan::FilterPrediction prediction;
 
-  /// Predicted share of left copies the filter drops, in parts per million.
+  /// Sample records probed on both sides.
+  std::uint64_t probed_records() const { return left.records + right.records; }
+  /// Predicted share of both inputs' assigned copies the filter drops, in
+  /// parts per million.
   std::uint64_t drop_ppm() const;
-  /// Predicted share of left copies the filter keeps: the cost model's
+  /// Predicted share of assigned copies the filter keeps: the cost model's
   /// PlanInputs::filter_selectivity.
   double selectivity() const;
-  /// When the plan decided: plan.filter_chosen (0 or 1),
-  /// plan.filter_probed_records, plan.filter_predicted_drop_ppm and
+  /// The driver's failure gate (HadoopGIS's pipe capacity, SpatialSpark's
+  /// executor memory) predicted without and with the filter: when only the
+  /// filtered run fits, the plan builds the filter. No-op unless planned.
+  void apply_gate(bool fits_unfiltered, bool fits_filtered);
+  /// When the plan decided: plan.filter_chosen and plan.filter_rescued (0 or
+  /// 1), plan.filter_probed_records, plan.filter_predicted_drop_ppm and
   /// plan.filter_predicted_saving / plan.filter_predicted_cost (ms).
   void record(cluster::Counters& counters) const;
 };
@@ -182,16 +213,19 @@ class PartitionPlane {
     return refined;
   }
 
-  /// The run's shuffle-filter decision for a filter over `scheme`'s cells
-  /// that drops left copies: forced when the policy is set; otherwise the
-  /// plan's (probe_filter) against the right side's occupancy over
-  /// `scheme`, built here (the right side is the small one).
+  /// The run's shuffle-filter decision for a filter over `scheme`'s cells:
+  /// forced when the policy is set; otherwise the plan's (probe_filter)
+  /// against the right side's occupancy over `scheme`, built here (the
+  /// right side is the small one). `right_sample` is null where the filter
+  /// drops only left copies.
   template <typename RightSide>
   FilterDecision decide_filter(const partition::PartitionScheme& scheme, const RightSide& right,
                                const std::vector<geom::Envelope>& left_sample,
+                               const std::vector<geom::Envelope>* right_sample,
                                const plan::FilterInputs& build) const {
     if (filter_policy_.has_value()) return forced_filter();
-    return probe_filter(scheme, build_occupancy(scheme, right).filter, left_sample, build);
+    return probe_filter(scheme, build_occupancy(scheme, right).filter, left_sample,
+                        right_sample, build);
   }
 
   /// The decision the policy forces (a set policy.shuffle_filter).
@@ -203,14 +237,20 @@ class PartitionPlane {
 
   /// The plan's decision: each envelope of `left_sample`, a seeded sample
   /// of the left input, is expanded, assigned to `scheme`'s cells and
-  /// probed against `right_occupancy`, the filter the run would build; the
-  /// copies it would drop are weighed against the build's predicted cost.
-  /// `build` describes the driver's build; the probe fills in its sampled
-  /// copies per record, drop share and filter size. No pass over the whole
-  /// left input is made.
+  /// probed against `right_occupancy`, the filter the run would build. With
+  /// `right_sample`, a seeded sample of the right input is assigned the
+  /// same way; its copies are probed against the left sample's occupancy
+  /// only when the sample holds every left record (then it is the left
+  /// input's occupancy). A smaller sample misses left records and would
+  /// overstate the right copies dropped, so then none are predicted
+  /// dropped, which understates the filter's saving and relief. The copies
+  /// the filter would drop are weighed against the build's predicted cost.
+  /// `build` describes the driver's build; the probe fills in the sampled
+  /// copies per record, drop shares and filter size.
   FilterDecision probe_filter(const partition::PartitionScheme& scheme,
                               const geom::OccupancyFilter& right_occupancy,
                               const std::vector<geom::Envelope>& left_sample,
+                              const std::vector<geom::Envelope>* right_sample,
                               plan::FilterInputs build) const;
 
   /// Occupancy bitmap of one side under `scheme`: each record's expanded

@@ -74,13 +74,18 @@ std::vector<std::string> check_invariants(const RunReport& report) {
   sum_equals({"refine.exact_tests", "refine.early_accepts", "refine.early_rejects"},
              "refine.candidates");
 
-  // The plan's shuffle-filter decision (core::FilterDecision): a yes/no, and
-  // a declined filter drops nothing.
+  // The plan's shuffle-filter decision (core::FilterDecision): a yes/no, a
+  // rescue is a build, and a declined filter drops nothing.
   const auto counters = report.counters.snapshot();
   if (const auto it = counters.find("plan.filter_chosen"); it != counters.end()) {
     const std::uint64_t chosen = it->second;
     if (chosen > 1) {
       out.push_back("plan.filter_chosen=" + std::to_string(chosen) + " is not 0 or 1");
+    }
+    const std::uint64_t rescued = report.counters.get("plan.filter_rescued");
+    if (rescued > chosen) {
+      out.push_back("plan.filter_rescued=" + std::to_string(rescued) +
+                    " exceeds plan.filter_chosen=" + std::to_string(chosen));
     }
     if (chosen == 0 && report.counters.get("shuffle.filtered_records") != 0) {
       out.push_back("filter declined but shuffle.filtered_records=" +

@@ -201,7 +201,8 @@ void annotate_recovery(RunReport& report);
 ///  * refine.exact_tests + refine.early_accepts + refine.early_rejects ==
 ///    refine.candidates;
 ///  * where the plan decided the shuffle filter, plan.filter_chosen is 0 or
-///    1, and a declined filter dropped nothing (shuffle.filtered_records 0);
+///    1, plan.filter_rescued is at most plan.filter_chosen, and a declined
+///    filter dropped nothing (shuffle.filtered_records 0);
 ///  * the commit ledger of every phase: each task attempt published, was
 ///    rejected or aborted, and on a successful run a phase with tasks
 ///    published one output per task.

@@ -28,8 +28,11 @@ constexpr double kPartitionWalkCostPerRecord = 1.2e-6;
 /// plan is charged it only when the run builds the filter.
 constexpr double kFilterMarkCostPerRecord = 0.75e-6;
 /// Probing the filter once per assigned copy, inside the parallel assign
-/// tasks.
-constexpr double kFilterProbeCostPerCopy = 50e-9;
+/// tasks: filtered minus plain assignment of every left record of the
+/// Table-2 experiments measured 19-45 ns per copy on a 4-core x86 host
+/// (scales 2e-4 and 1e-3), charged like the mark through the engines' 0.2
+/// CPU efficiency.
+constexpr double kFilterProbeCostPerCopy = 150e-9;
 /// Boundary-duplication copies per record when no measured factor is given.
 constexpr double kDefaultReplication = 1.15;
 /// Fraction of a node's memory the broadcast table may occupy before the
@@ -155,15 +158,20 @@ FilterPrediction predict_filter(const FilterInputs& in) {
   const double cpu = std::max(node.cpu_speed, 0.1);
   const double scale = in.data_scale > 0.0 ? in.data_scale : 1.0;
   const double copies = static_cast<double>(in.left_records) * in.copies_per_record;
-  const double copy_bytes = in.left_records > 0 ? static_cast<double>(in.left_bytes) /
-                                                      static_cast<double>(in.left_records)
-                                                : 0.0;
+  const double right_copies =
+      static_cast<double>(in.right_records) * in.right_copies_per_record;
+  const double copy_bytes = safe_div(static_cast<double>(in.left_bytes),
+                                     static_cast<double>(in.left_records));
+  const double right_copy_bytes = safe_div(static_cast<double>(in.right_bytes),
+                                           static_cast<double>(in.right_records));
 
   // A shuffled copy is spilled by its map task, fetched across the network
   // (the remote share) and read back by its reducer, on every node at once;
   // a copy kept in a DFS block is also written to each replica (all but one
   // across the network) and read back by the local join, as SimDfs charges.
-  const double dropped_bytes = std::clamp(in.drop_fraction, 0.0, 1.0) * copies * copy_bytes;
+  const double dropped_bytes =
+      std::clamp(in.drop_fraction, 0.0, 1.0) * copies * copy_bytes +
+      std::clamp(in.right_drop_fraction, 0.0, 1.0) * right_copies * right_copy_bytes;
   const double write_bw = node.disk_write_bw * nodes;
   const double read_bw = node.disk_read_bw * nodes;
   const double net_bw = node.network_bw * nodes;
@@ -176,21 +184,31 @@ FilterPrediction predict_filter(const FilterInputs& in) {
   }
   out.saving_seconds = dropped_bytes * per_byte;
 
-  // Marks in one task, or spread over every slot; the build's own I/O at
-  // one slot's disk bandwidth; a torrent broadcast's wire time; and one
-  // probe per left copy inside the parallel assign tasks.
+  // Marks in one task, or spread over every slot; the build's own DFS I/O
+  // on one slot, as a serial task is charged (its reads' remote share and
+  // its writes' extra replicas cross the network); a torrent broadcast's
+  // wire time; and one probe per assigned copy inside the parallel assign
+  // tasks.
   const double filter_bytes = static_cast<double>(in.filter_bytes);
-  const double serial_bytes =
-      static_cast<double>(in.serial_read_bytes) + filter_bytes * in.serial_filters;
+  const double slot_net = in.cluster.per_slot_network_bw();
+  const double file_replicas = std::clamp<double>(in.dfs_replicas, 1.0, nodes);
+  const double serial_io =
+      static_cast<double>(in.serial_read_bytes) *
+          (safe_div(1.0, in.cluster.per_slot_disk_read_bw()) +
+           safe_div(1.0 - std::min(1.0, static_cast<double>(in.dfs_replicas) / nodes),
+                    slot_net)) +
+      filter_bytes * in.serial_filters *
+          (safe_div(file_replicas, in.cluster.per_slot_disk_write_bw()) +
+           safe_div(file_replicas - 1.0, slot_net));
   out.cost_seconds =
       kFilterMarkCostPerRecord *
           (static_cast<double>(in.serial_marks) + static_cast<double>(in.parallel_marks) / slots) /
           cpu +
-      safe_div(serial_bytes, in.cluster.per_slot_disk_read_bw()) +
+      serial_io +
       (in.cluster.node_count > 1
            ? safe_div(filter_bytes * in.broadcast_filters, node.network_bw)
            : 0.0) +
-      kFilterProbeCostPerCopy * copies / (slots * cpu);
+      kFilterProbeCostPerCopy * (copies + right_copies) / (slots * cpu);
 
   out.saving_seconds *= scale;
   out.cost_seconds *= scale;

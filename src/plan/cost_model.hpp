@@ -91,17 +91,25 @@ struct FilterInputs {
   /// copies the filter drops.
   double copies_per_record = 1.0;
   double drop_fraction = 0.0;
+  /// The same for the right side where the filter also drops right copies
+  /// (HadoopGIS's and SpatialSpark's joint schemes); 0 records where it
+  /// drops only left copies (SpatialHadoop).
+  std::uint64_t right_records = 0;
+  std::uint64_t right_bytes = 0;
+  double right_copies_per_record = 1.0;
+  double right_drop_fraction = 0.0;
   /// Records marked by one task (a driver stage or a master step), and
   /// records marked spread over every slot (inside tasks that already run).
   std::uint64_t serial_marks = 0;
   std::uint64_t parallel_marks = 0;
-  /// Input bytes one slot reads to build the filter.
+  /// DFS bytes one slot reads to build the filter.
   std::uint64_t serial_read_bytes = 0;
-  /// One filter's modeled size; how many filter-sized artifacts one slot
-  /// writes or reads through the DFS (the second side's bitmap, or
-  /// SpatialHadoop's merged filter); and how many are broadcast.
+  /// One filter's modeled size; how many filters one slot writes to the
+  /// DFS (HadoopGIS's two bitmaps, SpatialHadoop's merged filter), each
+  /// stored in `dfs_replicas` replicas; and how many are broadcast.
   std::uint64_t filter_bytes = 0;
   std::uint32_t serial_filters = 0;
+  std::uint32_t dfs_replicas = 3;
   std::uint32_t broadcast_filters = 0;
   /// DFS replicas of the block each kept copy is written into and the
   /// local join reads back (SpatialHadoop's partition blocks); 0 when
@@ -112,12 +120,13 @@ struct FilterInputs {
 };
 
 struct FilterPrediction {
-  /// Modeled seconds the dropped copies would have cost: written to the
-  /// map-side spill, moved across the network, read by the reducer, and
-  /// (with block_replicas) written to a replicated block and read back.
+  /// Modeled seconds the dropped copies of both sides would have cost:
+  /// written to the map-side spill, moved across the network, read by the
+  /// reducer, and (with block_replicas) written to a replicated block and
+  /// read back.
   double saving_seconds = 0.0;
   /// Modeled seconds of the build (marking, its serial I/O, the broadcast)
-  /// plus probing every left copy in the assign tasks.
+  /// plus probing every assigned copy in the assign tasks.
   double cost_seconds = 0.0;
   /// Build only where the copies it drops save more than it costs.
   bool build() const { return saving_seconds > cost_seconds; }

@@ -36,10 +36,11 @@ struct SkewPolicy {
 
 struct ExecPolicy {
   /// Map-side spatial shuffle filter (the sFilter analog). true and false
-  /// force it; unset lets the plan decide per run, building the filter only
+  /// force it; unset lets the plan decide per run, building the filter
   /// where the copies it is predicted to drop save more modeled time than
-  /// it costs (core::FilterDecision). SpatialSpark's broadcast join
-  /// shuffles nothing and never filters.
+  /// it costs, or where only the filtered run is predicted to pass the
+  /// system's failure gate (core::FilterDecision). SpatialSpark's broadcast
+  /// join shuffles nothing and never filters.
   std::optional<bool> shuffle_filter;
   /// Skew-aware adaptive repartitioning: probe per-cell load after the
   /// scheme is derived from the sample, split hotspot cells, and shuffle

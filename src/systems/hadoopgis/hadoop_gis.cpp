@@ -1,7 +1,9 @@
 #include "systems/hadoopgis/hadoop_gis.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <string_view>
 
 #include "core/partition_plane.hpp"
 #include "geom/wkt.hpp"
@@ -393,6 +395,64 @@ mapreduce::StreamingConfig make_streaming_config(const core::ExecutionConfig& ex
   return streaming;
 }
 
+/// Share of a task's pipe capacity a predicted pipe volume may reach and
+/// still count as fitting: join_fits misses what it does not model (the
+/// pair lines a reducer emits, how copies cluster in one split). On the
+/// Table-3 workstation cells at scales 2e-5 to 1e-3 it read up to 12% low
+/// on the reducers and 15% low on the map tasks near their capacity.
+constexpr double kPipeGateMargin = 0.85;
+
+/// Whether every task of the distributed-join job (b) is predicted to keep
+/// its pipe volume within kPipeGateMargin of the capacity its retry budget
+/// allows, with the filter's predicted drops applied (`filtered`) or not.
+/// A map task pipes its split's lines (known exactly) and the copies they
+/// emit: the side's sampled copies per record, each one line plus its side
+/// tag. A reducer pipes the copies of the cells whose key hashes to it,
+/// predicted per cell from both sides' samples, each sampled record
+/// standing for its side's lines per sampled record. The pair lines a
+/// reducer emits are not predicted.
+bool join_fits(const mapreduce::MrContext& ctx, const mapreduce::StreamingConfig& streaming,
+               const JoinInputs& in, const core::FilterDecision& filter, bool filtered) {
+  if (streaming.pipe_capacity_bytes == 0) return true;
+  const double limit =
+      static_cast<double>(streaming.pipe_capacity_bytes) *
+      ctx.faults().capacity_factor(ctx.faults().plan().max_attempts) *
+      kPipeGateMargin / ctx.data_scale;
+  const core::SampleCopies* samples[2] = {&filter.left, &filter.right};
+  double lines[2] = {0.0, 0.0};
+  double copy_bytes[2] = {0.0, 0.0};  // every line of the side, as one copy each
+  double largest = 0.0;
+  for (std::size_t s = 0; s < in.splits.size(); ++s) {
+    const std::size_t side = s < in.n_a ? 0 : 1;
+    const core::SampleCopies& sample = *samples[side];
+    const double in_bytes = static_cast<double>(lines_bytes(in.splits[s]));
+    const double split_lines = static_cast<double>(in.splits[s].size());
+    const double keep = filtered ? 1.0 - sample.drop_fraction() : 1.0;
+    largest = std::max(largest, in_bytes + (in_bytes + 2.0 * split_lines) *
+                                               sample.copies_per_record() * keep);
+    lines[side] += split_lines;
+    copy_bytes[side] += in_bytes + 2.0 * split_lines;
+  }
+  const std::uint32_t cells = in.joint_scheme->cell_count();
+  const std::uint32_t reducers = streaming.mr.reduce_tasks != 0
+                                     ? streaming.mr.reduce_tasks
+                                     : ctx.cluster.total_slots();
+  std::vector<double> reducer_bytes(reducers, 0.0);
+  for (std::uint32_t pid = 0; pid < cells; ++pid) {
+    double bytes = 0.0;
+    for (std::size_t side = 0; side < 2; ++side) {
+      const core::SampleCopies& sample = *samples[side];
+      if (sample.records == 0 || lines[side] == 0.0) continue;
+      const double copies = filtered ? sample.kept[pid] : sample.assigned[pid];
+      bytes += copies * copy_bytes[side] / static_cast<double>(sample.records);
+    }
+    const std::string key = "j" + std::to_string(pid);
+    reducer_bytes[std::hash<std::string_view>{}(key) % reducers] += bytes;
+  }
+  for (const double bytes : reducer_bytes) largest = std::max(largest, bytes);
+  return largest <= limit;
+}
+
 /// Report epilogue shared by the cold and resident paths, success or
 /// failure: the IA/IB/DJ breakdown (IA and IB are 0 when no preprocessing
 /// phase ran), the total, the trace and the recovery summary.
@@ -496,17 +556,26 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // geometry in that tile, and B-side mappers drop against the A bitmap —
     // before the line is pushed through the streaming pipe. Both bitmaps
     // ship to every mapper via the distributed cache. Unless the policy
-    // forces it, the plan probes A's sample against B's occupancy and builds
-    // the filter only where the copies it drops are worth the pass.
-    const core::FilterDecision filter = plane.decide_filter(
-        joint_scheme, core::TextSide{right}, pa.samples,
+    // forces it, the plan probes A's sample against B's occupancy (and B's
+    // against A's sample) and builds the filter where the copies it drops
+    // are worth the pass, or where only the filtered join job is predicted
+    // to stay inside its pipes.
+    core::FilterDecision filter = plane.decide_filter(
+        joint_scheme, core::TextSide{right}, pa.samples, &pb.samples,
         {.left_records = left.size(),
          .left_bytes = left.text_bytes() + 8 * left.size(),
+         .right_records = right.size(),
+         .right_bytes = right.text_bytes() + 8 * right.size(),
          .serial_marks = left.size() + right.size(),
          .serial_read_bytes = left.text_bytes() + right.text_bytes(),
          .serial_filters = 2,
+         .dfs_replicas = core::dfs_config(query, exec).replication,
          .cluster = exec.cluster,
          .data_scale = exec.data_scale});
+    if (filter.planned) {
+      filter.apply_gate(join_fits(ctx, streaming, in, filter, /*filtered=*/false),
+                        join_fits(ctx, streaming, in, filter, /*filtered=*/true));
+    }
     filter.record(report.counters);
     if (filter.build) {
       core::OccupancyBuild built_b = plane.build_occupancy(joint_scheme, core::TextSide{right});

@@ -44,14 +44,63 @@ struct SampledDataset {
                                     geom::Envelope(0, 0, 1, 1)};
 };
 
-/// Where B's partition reducers mark the shuffle filter for A: one partial
-/// per B block over A's cells. A block's records are marked into each A
-/// cell intersecting the block's cell; a later split (cellA, cellB) exists
-/// only if those cells intersect, so every pair the local join could emit
-/// is covered by some mark.
+/// Modeled bytes of one record's envelope shipped to the master: four
+/// doubles.
+constexpr std::uint64_t kShippedEnvelopeBytes = 32;
+
+/// One B block's share of A's shuffle filter. Its records are marked into
+/// each A cell intersecting the block's cell (`cells`); a later split
+/// (cellA, cellB) exists only if those cells intersect, so every pair the
+/// local join could emit is covered by some mark. The reducer writes a
+/// partial over those cells, or, where the block's records' envelopes weigh
+/// less than that partial (a few large records over many A cells), ships
+/// the envelopes and A/filter-build marks them. `bytes` is what it writes.
+struct BlockShare {
+  std::vector<std::uint32_t> cells;
+  bool ship_records = false;
+  std::uint64_t bytes = 0;
+};
+
+/// The share of the B block whose cell is `block_cell` and which holds
+/// `records` records, over the A cells of `a_filter` (any filter over A's
+/// cells, for their sizes).
+BlockShare block_share(const geom::OccupancyFilter& a_filter,
+                       const partition::PartitionScheme& a, const geom::Envelope& block_cell,
+                       std::size_t records) {
+  BlockShare share;
+  a.assign_into(block_cell, share.cells);
+  for (const auto cell : share.cells) share.bytes += a_filter.cell_bytes(cell);
+  const std::uint64_t shipped = records * kShippedEnvelopeBytes;
+  if (shipped < share.bytes) {
+    share.ship_records = true;
+    share.bytes = shipped;
+  }
+  return share;
+}
+
+/// Marks records `idxs` of `envs`, expanded, into every cell of `cells`.
+void mark_records(geom::OccupancyFilter& filter, const std::vector<std::uint32_t>& cells,
+                  std::span<const geom::Envelope> envs, const std::vector<std::uint32_t>& idxs,
+                  double expand) {
+  for (const auto idx : idxs) {
+    const geom::Envelope env = envs[idx].expanded_by(expand);
+    for (const auto cell : cells) filter.mark(cell, env);
+  }
+}
+
+/// Where B's partition reducers leave the shuffle filter for A: per B block,
+/// its share (a partial, or the shipped records).
 struct FilterPartials {
   const partition::PartitionScheme* scheme;  // A's
-  std::vector<std::optional<geom::OccupancyFilter>> by_block;
+  geom::OccupancyFilter empty;                // over A's cells
+  std::span<const geom::Envelope> envs;       // B's records
+  double expand = 0.0;
+  struct Block {
+    BlockShare share;
+    std::optional<geom::OccupancyFilter> partial;
+    std::vector<std::uint32_t> shipped;
+  };
+  std::vector<Block> by_block;
 };
 
 /// The first preprocessing MR job for one dataset (map-only sample) and the
@@ -131,49 +180,51 @@ SampledDataset sample_dataset(mapreduce::MrContext& ctx, const workload::Dataset
   return out;
 }
 
-/// The filter B's reducers would mark, built on the master for the plan's
-/// probe: every B record's expanded envelope, assigned to B's cells as B's
-/// partition map assigns it, marked into each A cell intersecting those
-/// cells. `partial_bytes` is what the reducers' partials would ship: each
-/// non-empty block's touched A cells.
+/// The filter B's reducers would leave, built on the master for the plan's
+/// probe: B's records grouped into blocks as B's partition map assigns
+/// them, and each block's share marked. `partial_bytes` is what the
+/// reducers would write, `shipped_records` the records A/filter-build would
+/// mark.
 struct PlannedFilter {
   geom::OccupancyFilter filter;
   std::uint64_t partial_bytes = 0;
+  std::uint64_t shipped_records = 0;
 };
 
 PlannedFilter plan_filter(const workload::Dataset& right, const partition::PartitionScheme& a,
                           const partition::PartitionScheme& b, double expand) {
   PlannedFilter out{geom::OccupancyFilter(a.cells())};
-  std::vector<std::optional<std::vector<std::uint32_t>>> a_cells(b.cell_count());
+  std::vector<std::vector<std::uint32_t>> blocks(b.cell_count());
   std::vector<std::uint32_t> pbs;
   const auto envs = right.envelopes();
-  for (const auto& env : envs) {
-    const geom::Envelope expanded = env.expanded_by(expand);
-    b.assign_into(expanded, pbs);
-    for (const auto pb : pbs) {
-      if (!a_cells[pb]) {
-        a.assign_into(b.cells()[pb], a_cells[pb].emplace());
-        for (const auto ca : *a_cells[pb]) out.partial_bytes += out.filter.cell_bytes(ca);
-      }
-      for (const auto ca : *a_cells[pb]) out.filter.mark(ca, expanded);
-    }
+  for (std::uint32_t i = 0; i < envs.size(); ++i) {
+    b.assign_into(envs[i].expanded_by(expand), pbs);
+    for (const auto pb : pbs) blocks[pb].push_back(i);
+  }
+  for (std::uint32_t pb = 0; pb < blocks.size(); ++pb) {
+    if (blocks[pb].empty()) continue;
+    const BlockShare share = block_share(out.filter, a, b.cells()[pb], blocks[pb].size());
+    mark_records(out.filter, share.cells, envs, blocks[pb], expand);
+    out.partial_bytes += share.bytes;
+    if (share.ship_records) out.shipped_records += blocks[pb].size();
   }
   return out;
 }
 
-/// The master step that turns B's per-block partials into A's shuffle
-/// filter: it reads the partials, merges them in block order and puts the
-/// filter in the distributed cache next to A's _master file. The merged
-/// filter equals one marked serially from every B block.
+/// The master step that turns B's per-block shares into A's shuffle filter:
+/// it reads them and, in block order, merges each partial and marks each
+/// block's shipped records, then puts the filter in the distributed cache
+/// next to A's _master file. The filter equals one marked serially from
+/// every B block.
 geom::OccupancyFilter merge_filter_partials(mapreduce::MrContext& ctx,
                                             const FilterPartials& partials) {
   CpuStopwatch merge_cpu;
-  geom::OccupancyFilter filter(partials.scheme->cells());
+  geom::OccupancyFilter filter = partials.empty;
   std::uint64_t partial_bytes = 0;
-  for (const auto& partial : partials.by_block) {
-    if (!partial) continue;
-    filter.merge(*partial);
-    partial_bytes += partial->occupied_bytes();
+  for (const auto& block : partials.by_block) {
+    if (block.partial) filter.merge(*block.partial);
+    mark_records(filter, block.share.cells, partials.envs, block.shipped, partials.expand);
+    partial_bytes += block.share.bytes;
   }
   const std::uint64_t filter_bytes = filter.size_bytes();
   ctx.dfs->put("A._sfilter", std::any(), filter_bytes);
@@ -210,7 +261,7 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
   }
 
   out.blocks.assign(out.scheme.cell_count(), nullptr);
-  if (partials != nullptr) partials->by_block.assign(out.scheme.cell_count(), std::nullopt);
+  if (partials != nullptr) partials->by_block.assign(out.scheme.cell_count(), {});
 
   // The map assigns a record to every cell its expanded envelope touches;
   // the reduce materializes one block per cell (indices into the dataset's
@@ -243,14 +294,16 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
       entries.push_back({envs[idxs[i]], i});
     }
     if (partials != nullptr) {
-      // The block's partial of the other dataset's filter, over the cells
+      // The block's share of the other dataset's filter, over the cells
       // intersecting this block's cell; it is written next to the block.
-      static thread_local std::vector<std::uint32_t> cells;
-      partials->scheme->assign_into(out.scheme.cells()[pid], cells);
-      geom::OccupancyFilter& partial = partials->by_block[pid].emplace(partials->scheme->cells());
-      for (const auto idx : idxs) {
-        const geom::Envelope env = envs[idx].expanded_by(expand);
-        for (const auto cell : cells) partial.mark(cell, env);
+      auto& share = partials->by_block[pid];
+      share.share = block_share(partials->empty, *partials->scheme, out.scheme.cells()[pid],
+                                idxs.size());
+      if (share.share.ship_records) {
+        share.shipped = idxs;
+      } else {
+        mark_records(share.partial.emplace(partials->empty), share.share.cells, envs, idxs,
+                     expand);
       }
     }
     block->base = std::span<const geom::Feature>(data.features());
@@ -268,9 +321,7 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
   };
   const auto part_output_bytes = [&out, partials](const std::uint32_t& pid) {
     std::uint64_t bytes = out.blocks[pid] != nullptr ? out.blocks[pid]->text_bytes : 0;
-    if (partials != nullptr && partials->by_block[pid]) {
-      bytes += partials->by_block[pid]->occupied_bytes();
-    }
+    if (partials != nullptr) bytes += partials->by_block[pid].share.bytes;
     return bytes;
   };
   auto part_spec =
@@ -427,12 +478,14 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
         const PlannedFilter planned =
             plan_filter(right, sampled_a.scheme, sampled_b->scheme, plane.expand());
         filter = plane.probe_filter(
-            sampled_a.scheme, planned.filter, sampled_a.sample,
+            sampled_a.scheme, planned.filter, sampled_a.sample, /*right_sample=*/nullptr,
             {.left_records = left.size(),
              .left_bytes = left.text_bytes() + 4 * left.size(),
+             .serial_marks = planned.shipped_records,
              .parallel_marks = right.size(),
              .serial_read_bytes = planned.partial_bytes,
              .serial_filters = 1,  // the merged filter the master writes
+             .dfs_replicas = core::dfs_config(query, exec).replication,
              .block_replicas = core::dfs_config(query, exec).replication,
              .cluster = exec.cluster,
              .data_scale = exec.data_scale});
@@ -442,9 +495,12 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     IndexedDataset ia;
     IndexedDataset ib;
     if (filter.build) {
-      // B is partitioned before A, and its reducers mark the filter's
-      // per-block partials; the master merges them before A's partition job.
-      FilterPartials partials{&sampled_a.scheme, {}};
+      // B is partitioned before A, and its reducers leave the filter's
+      // per-block shares; the master merges them before A's partition job.
+      FilterPartials partials{.scheme = &sampled_a.scheme,
+                              .empty = geom::OccupancyFilter(sampled_a.scheme.cells()),
+                              .envs = right.envelopes(),
+                              .expand = plane.expand()};
       ib = partition_dataset(ctx, right, "B", plane, config, std::move(*sampled_b), nullptr,
                              /*report_shuffle=*/true, &partials);
       const geom::OccupancyFilter sfilter = merge_filter_partials(ctx, partials);

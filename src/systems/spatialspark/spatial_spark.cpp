@@ -255,44 +255,121 @@ struct SparkInputs {
   partition::PartitionScheme scheme;
 };
 
+/// Stage 2a, the skew-aware hotspot refinement (driver-side): probe the
+/// shuffle load each cell of the sampled scheme would receive and split
+/// hotspot cells, before anything is decided or broadcast over the cells —
+/// so the filter decision, the resident path and every downstream stage see
+/// the refined cell set. The probe sees unfiltered load, and the bitmaps
+/// are built against the final cells.
+void refine_scheme(SparkInputs& in, const core::PartitionPlane& plane, rdd::SparkRuntime& rt,
+                   std::uint64_t rec_overhead, core::RunReport& report) {
+  CpuStopwatch skew_cpu;
+  in.scheme = plane.refine(in.scheme, report.counters, RddSide{in.left, rec_overhead},
+                           RddSide{in.right, rec_overhead})
+                  .scheme;
+  rt.record_narrow_stage("driver.skew-refine", {skew_cpu.seconds()});
+}
+
+/// Whether the partitioned join's peak executor memory is predicted to fit
+/// the usable executor memory, with the filter's predicted drops applied
+/// (`filtered`) or not. What is registered now (the parsed inputs, the
+/// sample, the scheme) stays live until both assign stages have run, next
+/// to the copies they emit; once the parsed inputs are released, the join
+/// stage holds the copies up to three times over (both grouped sides, their
+/// shuffle and the joined RDD). A built filter adds its two bitmaps on
+/// every node.
+bool partitioned_join_fits(rdd::SparkRuntime& rt, const SparkInputs& in,
+                           const core::FilterDecision& filter, bool filtered) {
+  const auto copies = [filtered](const core::SampleCopies& sample, const rdd::Rdd<FeatureRef>& side,
+                                 std::size_t records) {
+    const double keep = filtered ? 1.0 - sample.drop_fraction() : 1.0;
+    return sample.copies_per_record() * keep *
+           static_cast<double>(side.bytes() + 4 * records);
+  };
+  const double copy_bytes = copies(filter.left, in.left, filter.inputs.left_records) +
+                            copies(filter.right, in.right, filter.inputs.right_records);
+  const double parsed = static_cast<double>(in.left.bytes() + in.right.bytes());
+  const double bitmaps = filtered ? 2.0 * static_cast<double>(filter.inputs.filter_bytes) *
+                                        rt.cluster().node_count
+                                  : 0.0;
+  const double peak = static_cast<double>(rt.memory().live_raw_bytes()) + bitmaps +
+                      std::max(copy_bytes, 3.0 * copy_bytes - parsed);
+  return rt.memory().to_paper_bytes(static_cast<std::uint64_t>(peak)) <=
+         rt.memory().capacity_bytes();
+}
+
+/// Seeded draws of `count` records' envelopes over `rdd`'s partitions; every
+/// record's, in order, when `count` covers them all.
+std::vector<geom::Envelope> draw_sample(const rdd::Rdd<FeatureRef>& rdd, std::size_t records,
+                                        std::size_t count, std::uint64_t seed) {
+  const auto& parts = rdd.partitions();
+  if (count >= records) {
+    std::vector<geom::Envelope> all;
+    all.reserve(records);
+    for (const auto& part : parts) {
+      for (const auto& r : part) all.push_back(r.get().geometry.envelope());
+    }
+    return all;
+  }
+  std::vector<std::size_t> ends;  // running record count at each partition's end
+  ends.reserve(parts.size());
+  std::size_t total = 0;
+  for (const auto& part : parts) ends.push_back(total += part.size());
+  Rng rng(seed);
+  std::vector<geom::Envelope> sample;
+  sample.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t k = rng.next_below(records);
+    const auto p =
+        static_cast<std::size_t>(std::upper_bound(ends.begin(), ends.end(), k) - ends.begin());
+    const std::size_t first = p == 0 ? 0 : ends[p - 1];
+    sample.push_back(parts[p][k - first].get().geometry.envelope());
+  }
+  return sample;
+}
+
 /// The run's shuffle-filter decision over `scheme` (core::FilterDecision).
 /// Only when the plan decides does SpatialSpark sample its left side: m
 /// seeded draws over the parsed partitions, m the left side's scheme sample
-/// size, so the estimate never passes over the whole left input.
+/// size, so the estimate never passes over the whole left input. The right
+/// side's scheme sample is probed too (core::PartitionPlane::probe_filter),
+/// and the partitioned join's memory gate applies (partitioned_join_fits).
 core::FilterDecision decide_filter(const core::PartitionPlane& plane, const SparkInputs& in,
                                    const partition::PartitionScheme& scheme,
                                    const core::JoinQueryConfig& query,
-                                   const core::ExecutionConfig& exec,
+                                   const core::ExecutionConfig& exec, rdd::SparkRuntime& rt,
                                    std::uint64_t rec_overhead) {
   const RddSide left{in.left, rec_overhead};
   const RddSide right{in.right, rec_overhead};
   const std::size_t left_records = left.records();
-  std::vector<geom::Envelope> sample;
-  if (!plane.filter_policy().has_value() && left_records > 0) {
-    const auto& parts = in.left.partitions();
-    std::vector<std::size_t> ends;  // running record count at each partition's end
-    ends.reserve(parts.size());
-    std::size_t total = 0;
-    for (const auto& part : parts) ends.push_back(total += part.size());
-    const auto draws = static_cast<std::size_t>(
-        std::llround(plane.sample_rate(left_records) * static_cast<double>(left_records)));
-    Rng rng(query.seed ^ std::hash<std::string>{}("A.filter-sample"));
-    sample.reserve(draws);
-    for (std::size_t i = 0; i < draws; ++i) {
-      const std::size_t k = rng.next_below(left_records);
-      const auto p = static_cast<std::size_t>(
-          std::upper_bound(ends.begin(), ends.end(), k) - ends.begin());
-      const std::size_t first = p == 0 ? 0 : ends[p - 1];
-      sample.push_back(parts[p][k - first].get().geometry.envelope());
+  const std::size_t right_records = right.records();
+  std::vector<geom::Envelope> left_sample;
+  std::vector<geom::Envelope> right_sample;
+  if (!plane.filter_policy().has_value()) {
+    left_sample = draw_sample(
+        in.left, left_records,
+        static_cast<std::size_t>(std::llround(plane.sample_rate(left_records) *
+                                              static_cast<double>(left_records))),
+        query.seed ^ std::hash<std::string>{}("A.filter-sample"));
+    for (const auto& part : in.sample.partitions()) {
+      for (const auto& r : part) right_sample.push_back(r.get().geometry.envelope());
     }
   }
-  return plane.decide_filter(scheme, right, sample,
-                             {.left_records = left_records,
-                              .left_bytes = in.left.bytes() + 4 * left_records,
-                              .serial_marks = left_records + right.records(),
-                              .broadcast_filters = 2,
-                              .cluster = exec.cluster,
-                              .data_scale = exec.data_scale});
+  core::FilterDecision filter =
+      plane.decide_filter(scheme, right, left_sample, &right_sample,
+                          {.left_records = left_records,
+                           .left_bytes = in.left.bytes() + 4 * left_records,
+                           .right_records = right_records,
+                           .right_bytes = in.right.bytes() + 4 * right_records,
+                           .serial_marks = left_records + right_records,
+                           .broadcast_filters = 2,
+                           .cluster = exec.cluster,
+                           .data_scale = exec.data_scale});
+  if (filter.planned) {
+    filter.apply_gate(partitioned_join_fits(rt, in, filter, /*filtered=*/false),
+                      partitioned_join_fits(rt, in, filter, /*filtered=*/true));
+  }
+  return filter;
 }
 
 /// Stages 1-2, shared by both plans: textFile(...).map(parse) for both
@@ -369,11 +446,11 @@ SparkInputs read_and_partition(const workload::Dataset& left,
                      std::move(sample_rdd), std::move(scheme)};
 }
 
-/// The partition-based plan (the paper's SpatialSpark): optional skew-aware
-/// refinement, scheme broadcast, optional shuffle filter, then the shared
-/// filter-broadcast -> assign -> groupByKey -> join -> local-join tail.
-/// `filter` is the filter decision when the cost-based plan choice already
-/// made it; otherwise it is made here, over the final scheme.
+/// The partition-based plan (the paper's SpatialSpark) over `in.scheme`,
+/// refined already when the policy asks for it: scheme broadcast, optional
+/// shuffle filter, then the shared filter-broadcast -> assign -> groupByKey
+/// -> join -> local-join tail. `filter` is the filter decision when the
+/// cost-based plan choice already made it; otherwise it is made here.
 ///
 /// When `capture` is non-null the preprocessing products (feature store,
 /// parsed chunks, scheme, filters) are additionally copied into it for
@@ -386,20 +463,6 @@ void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
                           std::optional<core::FilterDecision> filter,
                           core::RunReport& report, ResidentState* capture) {
   const std::uint64_t rec_overhead = config.record_overhead_bytes;
-
-  // ---- 2a. Optional skew-aware hotspot refinement (driver-side) ------------
-  // Probe the shuffle load each cell of the sampled scheme would receive,
-  // split hotspot cells, and only then broadcast/capture the scheme — so the
-  // resident path and every downstream stage see the refined cell set. Runs
-  // before the occupancy filter on purpose: the probe must see unfiltered
-  // load, and the bitmaps must be built against the final cells.
-  if (plane.repartition()) {
-    CpuStopwatch skew_cpu;
-    in.scheme = plane.refine(in.scheme, report.counters, RddSide{in.left, rec_overhead},
-                             RddSide{in.right, rec_overhead})
-                    .scheme;
-    rt.record_narrow_stage("driver.skew-refine", {skew_cpu.seconds()});
-  }
 
   if (capture != nullptr) {
     capture->store = in.store;
@@ -421,7 +484,9 @@ void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
   // symmetric and stays sound both ways: a pair needs both records in the
   // same cell with intersecting expanded envelopes, so each side's copy in a
   // cell provably without partners can be dropped.
-  if (!filter) filter = decide_filter(plane, in, scheme_bc.value(), query, exec, rec_overhead);
+  if (!filter) {
+    filter = decide_filter(plane, in, scheme_bc.value(), query, exec, rt, rec_overhead);
+  }
   filter->record(report.counters);
   if (capture != nullptr) capture->filter = *filter;
   std::optional<geom::OccupancyFilter> right_occ;  // filters A
@@ -541,6 +606,11 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
     SparkInputs in = read_and_partition(left, right, query, plane, config, *rt, *dfs,
                                         parallelism, quarantine, report);
+    // The partitioned plan, and a cost-based choice deciding its filter,
+    // work over the refined cells.
+    if (plane.repartition() && (config.policy.cost_based_plan || !config.broadcast_join)) {
+      refine_scheme(in, plane, *rt, config.record_overhead_bytes, report);
+    }
     bool broadcast = config.broadcast_join;
     std::optional<core::FilterDecision> filter;
     if (config.policy.cost_based_plan) {
@@ -548,7 +618,8 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
       // the cluster spec and the partitioned plan's filter decision, run the
       // cheaper feasible one, and record the prediction next to the
       // realized cost in the plan.* counters.
-      filter = decide_filter(plane, in, in.scheme, query, exec, config.record_overhead_bytes);
+      filter = decide_filter(plane, in, in.scheme, query, exec, *rt,
+                             config.record_overhead_bytes);
       const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
           .left_records = left.size(),
           .right_records = right.size(),

@@ -393,7 +393,8 @@ constexpr core::SystemKind kAllSystems[] = {core::SystemKind::kHadoopGisSim,
 // cheap next to the copies it drops (SpatialHadoop's reducer partials,
 // SpatialSpark's one-task build), the filter drops copies, and the run is no
 // slower than with the filter forced off. HadoopGIS's build re-reads both
-// inputs on the master, so there the plan keeps the filter off.
+// inputs on the master, so there the plan keeps the filter off, and the
+// declined run is no slower than one with the filter forced on.
 TEST(FilterPlan, CornerRightSideBuildsTheFilterAndPaysForIt) {
   const VirtualTimeGuard vt;
   const auto inputs = testing::corner_inputs();
@@ -412,6 +413,9 @@ TEST(FilterPlan, CornerRightSideBuildsTheFilterAndPaysForIt) {
     EXPECT_TRUE(core::check_invariants(planned).empty()) << tag;
     if (system == core::SystemKind::kHadoopGisSim) {
       EXPECT_EQ(planned.counters.get("plan.filter_chosen"), 0u) << tag;
+      const auto on = run_filter(system, inputs.left, inputs.right, query, exec, true);
+      ASSERT_TRUE(on.status.ok()) << tag << " " << on.status.to_string();
+      EXPECT_LE(planned.total_seconds, on.total_seconds) << tag;
       continue;
     }
     EXPECT_EQ(planned.counters.get("plan.filter_chosen"), 1u) << tag;
@@ -448,6 +452,95 @@ TEST(FilterPlan, TableTwoExperimentsDeclineTheFilter) {
       }
     }
   }
+}
+
+/// The first experiment of `defs` with id `id`.
+const core::ExperimentDef& experiment(const std::vector<core::ExperimentDef>& defs,
+                                      const std::string& id) {
+  return *std::find_if(defs.begin(), defs.end(),
+                       [&](const core::ExperimentDef& d) { return d.id == id; });
+}
+
+// The failure gates: where the run dies without the filter and the filter's
+// drops keep it alive, the plan builds the filter whatever its cost. At
+// scale 2e-5 HadoopGIS's edge0.1 x linearwater0.1 join overflows a reducer
+// pipe on the workstation unless the filter drops its copies, and
+// SpatialSpark's edge x linearwater join exhausts EC2-10's executor memory.
+TEST(FilterPlan, FailureGatesBuildTheFilterThatKeepsTheRunAlive) {
+  const VirtualTimeGuard vt;
+  workload::WorkloadConfig wc;
+  wc.scale = 2e-5;
+  struct Case {
+    core::SystemKind system;
+    const core::ExperimentDef* def;
+    cluster::ClusterSpec cluster;
+    StatusCode unfiltered_failure;
+  };
+  const Case cases[] = {
+      {core::SystemKind::kHadoopGisSim,
+       &experiment(core::sample_experiments(), "edge0.1-linearwater0.1"),
+       cluster::ClusterSpec::workstation(), StatusCode::kBrokenPipe},
+      {core::SystemKind::kSpatialSparkSim,
+       &experiment(core::full_experiments(), "edge-linearwater"), cluster::ClusterSpec::ec2(10),
+       StatusCode::kOutOfMemory},
+  };
+  for (const auto& c : cases) {
+    const std::string tag = c.def->id + " " + core::system_kind_name(c.system);
+    const auto left = workload::generate(c.def->left, wc);
+    const auto right = workload::generate(c.def->right, wc);
+    core::JoinQueryConfig query;
+    query.predicate = c.def->predicate;
+    auto exec = ec2_10(wc.scale);
+    exec.cluster = c.cluster;
+    const auto off = run_filter(c.system, left, right, query, exec, false);
+    EXPECT_EQ(off.status.code(), c.unfiltered_failure) << tag << " " << off.status.to_string();
+    const auto planned = run_filter(c.system, left, right, query, exec, std::nullopt);
+    ASSERT_TRUE(planned.status.ok()) << tag << " " << planned.status.to_string();
+    EXPECT_EQ(planned.counters.get("plan.filter_chosen"), 1u) << tag;
+    EXPECT_EQ(planned.counters.get("plan.filter_rescued"), 1u) << tag;
+    EXPECT_GT(planned.counters.get("shuffle.filtered_records"), 0u) << tag;
+    EXPECT_TRUE(core::check_invariants(planned).empty()) << tag;
+    const auto on = run_filter(c.system, left, right, query, exec, true);
+    ASSERT_TRUE(on.status.ok()) << tag << " " << on.status.to_string();
+    EXPECT_EQ(planned.result_hash, on.result_hash) << tag;
+    EXPECT_EQ(planned.total_seconds, on.total_seconds) << tag;
+  }
+}
+
+// With repartitioning on, SpatialSpark's cost-based plan decides the filter
+// over the refined cells, the cells the partitioned run filters against: its
+// decision and shuffle counters are those of the same run with the plan
+// fixed to the partitioned join.
+TEST(FilterPlan, CostBasedPlanDecidesOverTheRefinedScheme) {
+  const VirtualTimeGuard vt;
+  workload::WorkloadConfig wc;
+  wc.scale = 2e-4;
+  const auto& def = experiment(core::full_experiments(), "edge-linearwater");
+  const auto left = workload::generate(def.left, wc);
+  const auto right = workload::generate(def.right, wc);
+  core::JoinQueryConfig query;
+  query.predicate = def.predicate;
+  const auto exec = ec2_10(wc.scale);
+  systems::SpatialSparkConfig fixed;
+  fixed.policy.repartition = true;
+  fixed.policy.skew.hotspot_factor = 1.5;
+  fixed.policy.skew.min_cell_records = 8;
+  systems::SpatialSparkConfig planned = fixed;
+  planned.policy.cost_based_plan = true;
+  const auto a = systems::run_spatial_spark(left, right, query, exec, fixed);
+  const auto b = systems::run_spatial_spark(left, right, query, exec, planned);
+  ASSERT_TRUE(a.status.ok()) << a.status.to_string();
+  ASSERT_TRUE(b.status.ok()) << b.status.to_string();
+  ASSERT_EQ(b.counters.get("plan.chosen"),
+            static_cast<std::uint64_t>(plan::PlanKind::kPartitionedJoin));
+  EXPECT_GT(a.counters.get("repartition.splits"), 0u);
+  for (const char* counter :
+       {"plan.filter_chosen", "plan.filter_probed_records", "plan.filter_predicted_drop_ppm",
+        "plan.filter_predicted_saving", "plan.filter_predicted_cost", "shuffle.assigned_records",
+        "shuffle.filtered_records", "repartition.splits", "repartition.cells"}) {
+    EXPECT_EQ(a.counters.get(counter), b.counters.get(counter)) << counter;
+  }
+  EXPECT_EQ(a.result_hash, b.result_hash);
 }
 
 // Whatever the policy, the filter only drops provable negatives: unset,
