@@ -39,10 +39,20 @@
 // per-system tally goes to stderr; a missing path makes the exit status
 // non-zero too.
 //
+// With --digest each report prints as one line instead: its "== " header
+// and a 64-bit FNV-1a hash of every line up to the next header. Diffing that
+// against bench/golden/parity_2e-5.txt names the reports a change moved.
+//
 // Usage: SJC_SCALE=1e-3 ./bench_parity_dump > parity.txt
+//        SJC_SCALE=2e-5 ./bench_parity_dump --digest | diff bench/golden/parity_2e-5.txt -
+#include <algorithm>
+#include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -61,43 +71,97 @@ using namespace sjc;
 
 std::size_t g_violations = 0;
 
+/// Digest mode (--digest): the current report's header and the running
+/// FNV-1a hash of its lines.
+struct Digest {
+  static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+
+  bool on = false;
+  std::string header;
+  std::uint64_t hash = kOffset;
+
+  /// Prints the finished report's digest line.
+  void flush() const {
+    if (!header.empty()) std::printf("%s %016llx\n", header.c_str(),
+                                     static_cast<unsigned long long>(hash));
+  }
+
+  void add(std::string_view line) {
+    if (line.starts_with("== ")) {
+      flush();
+      header.assign(line.substr(0, line.size() - 1));  // without the newline
+      hash = kOffset;
+      return;
+    }
+    for (const char c : line) {
+      hash = (hash ^ static_cast<unsigned char>(c)) * kPrime;
+    }
+  }
+};
+
+Digest g_digest;
+
+/// printf for every report line: straight to stdout, or into the digest.
+[[gnu::format(printf, 1, 2)]] void emit(const char* format, ...) {
+  std::va_list args;
+  va_start(args, format);
+  std::va_list sizing;
+  va_copy(sizing, args);
+  const int n = std::vsnprintf(nullptr, 0, format, sizing);
+  va_end(sizing);
+  std::string text(static_cast<std::size_t>(std::max(n, 0)), '\0');
+  std::vsnprintf(text.data(), text.size() + 1, format, args);
+  va_end(args);
+  if (!g_digest.on) {
+    std::fputs(text.c_str(), stdout);
+    return;
+  }
+  std::string_view rest = text;
+  while (!rest.empty()) {
+    const std::size_t end = std::min(rest.find('\n'), rest.size() - 1) + 1;
+    g_digest.add(rest.substr(0, end));
+    rest.remove_prefix(end);
+  }
+}
+
 void dump(const std::string& label, const core::RunReport& r) {
   for (const auto& violation : core::check_invariants(r)) {
     std::fprintf(stderr, "invariant violated in %s: %s\n", label.c_str(), violation.c_str());
     ++g_violations;
   }
-  std::printf("== %s\n", label.c_str());
-  std::printf("status %s | %s\n", status_code_name(r.status.code()),
-              r.status.message().c_str());
-  std::printf("result %zu %llu\n", r.result_count,
-              static_cast<unsigned long long>(r.result_hash));
-  std::printf("time ia=%a ib=%a dj=%a tot=%a\n", r.index_a_seconds, r.index_b_seconds,
-              r.join_seconds, r.total_seconds);
-  std::printf("peak_memory %llu attempts %llu recovered %d\n",
-              static_cast<unsigned long long>(r.peak_memory_bytes),
-              static_cast<unsigned long long>(r.attempts_used), r.recovered ? 1 : 0);
+  emit("== %s\n", label.c_str());
+  emit("status %s | %s\n", status_code_name(r.status.code()),
+       r.status.message().c_str());
+  emit("result %zu %llu\n", r.result_count,
+       static_cast<unsigned long long>(r.result_hash));
+  emit("time ia=%a ib=%a dj=%a tot=%a\n", r.index_a_seconds, r.index_b_seconds,
+       r.join_seconds, r.total_seconds);
+  emit("peak_memory %llu attempts %llu recovered %d\n",
+       static_cast<unsigned long long>(r.peak_memory_bytes),
+       static_cast<unsigned long long>(r.attempts_used), r.recovered ? 1 : 0);
   for (const auto& p : r.metrics.phases()) {
-    std::printf("phase %s sim=%a read=%llu written=%llu shuffled=%llu tasks=%zu "
-                "attempts=%llu pipe=%llu wasted=%a\n",
-                p.name.c_str(), p.sim_seconds,
-                static_cast<unsigned long long>(p.bytes_read),
-                static_cast<unsigned long long>(p.bytes_written),
-                static_cast<unsigned long long>(p.bytes_shuffled), p.task_count,
-                static_cast<unsigned long long>(p.task_attempts),
-                static_cast<unsigned long long>(p.max_task_pipe_bytes), p.wasted_seconds);
+    emit("phase %s sim=%a read=%llu written=%llu shuffled=%llu tasks=%zu "
+         "attempts=%llu pipe=%llu wasted=%a\n",
+         p.name.c_str(), p.sim_seconds,
+         static_cast<unsigned long long>(p.bytes_read),
+         static_cast<unsigned long long>(p.bytes_written),
+         static_cast<unsigned long long>(p.bytes_shuffled), p.task_count,
+         static_cast<unsigned long long>(p.task_attempts),
+         static_cast<unsigned long long>(p.max_task_pipe_bytes), p.wasted_seconds);
   }
   for (const auto& [name, value] : r.counters.snapshot()) {
-    std::printf("counter %s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
+    emit("counter %s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
   }
   for (const auto& s : r.trace.spans) {
-    std::printf("span %s task=%llu attempt=%u spec=%d slot=%u start=%a end=%a cpu=%a "
-                "in=%llu out=%llu shuffled=%llu %s\n",
-                s.phase.c_str(), static_cast<unsigned long long>(s.task), s.attempt,
-                s.speculative ? 1 : 0, s.slot, s.sim_start, s.sim_end, s.cpu_seconds,
-                static_cast<unsigned long long>(s.bytes_in),
-                static_cast<unsigned long long>(s.bytes_out),
-                static_cast<unsigned long long>(s.bytes_shuffled),
-                trace::span_outcome_name(s.outcome));
+    emit("span %s task=%llu attempt=%u spec=%d slot=%u start=%a end=%a cpu=%a "
+         "in=%llu out=%llu shuffled=%llu %s\n",
+         s.phase.c_str(), static_cast<unsigned long long>(s.task), s.attempt,
+         s.speculative ? 1 : 0, s.slot, s.sim_start, s.sim_end, s.cpu_seconds,
+         static_cast<unsigned long long>(s.bytes_in),
+         static_cast<unsigned long long>(s.bytes_out),
+         static_cast<unsigned long long>(s.bytes_shuffled),
+         trace::span_outcome_name(s.outcome));
   }
 }
 
@@ -227,13 +291,16 @@ void dump_resident(const std::string& label, core::SystemKind system, const Expe
     dump("resident-build " + label, entry->build_report());
     dump("resident " + label, entry->run_join(p.query));
   } catch (const SjcError& e) {
-    std::printf("== resident %s\nbuild failed: %s\n", label.c_str(), e.what());
+    emit("== resident %s\nbuild failed: %s\n", label.c_str(), e.what());
   }
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--digest") == 0) g_digest.on = true;
+  }
   const VirtualTimeGuard virtual_time;
   const double scale = core::bench_scale();
   workload::WorkloadConfig wc;
@@ -343,8 +410,8 @@ int main() {
     }
     for (int draw = 1; draw <= 40; ++draw) {
       const cluster::FaultPlan plan = systems::random_fault_plan(plan_rng, ec2_10.node_count);
-      std::printf("plan %s draw=%d %s\n", p.id.c_str(), draw,
-                  cluster::describe(plan).c_str());
+      emit("plan %s draw=%d %s\n", p.id.c_str(), draw,
+           cluster::describe(plan).c_str());
       for (const auto system : systems) {
         dump_fault_run("random" + at + " draw=" + std::to_string(draw) + " " +
                            core::system_kind_name(system),
@@ -388,6 +455,7 @@ int main() {
            systems::run_spatial_spark(taxi, edges, query, exec, bcast));
     }
   }
+  if (g_digest.on) g_digest.flush();
   const std::size_t missing = report_coverage();
   return g_violations == 0 && missing == 0 ? 0 : 1;
 }
