@@ -109,8 +109,7 @@ int main(int argc, char** argv) {
     // The model sees only planning-time inputs: the dataset sizes and the
     // partitioned run's own shuffle-filter decision, which the plan makes
     // from a sample before any copy is shuffled (plan.filter_* counters).
-    systems::SpatialSparkConfig part_cfg;
-    const auto part = systems::run_spatial_spark(taxi, edges, query, exec, part_cfg);
+    const auto part = systems::run_spatial_spark(taxi, edges, query, exec);
     const bool filter_built = part.counters.get("plan.filter_chosen") == 1;
     point.filter = filter_built ? "built" : "declined";
     const plan::PlanDecision decision = plan::choose_plan({
@@ -118,8 +117,6 @@ int main(int argc, char** argv) {
         .right_records = edges.size(),
         .left_bytes = taxi.text_bytes(),
         .right_bytes = edges.text_bytes(),
-        .record_overhead_bytes = part_cfg.record_overhead_bytes,
-        .replication_factor = std::nullopt,
         .filter_selectivity =
             filter_built
                 ? std::optional<double>(
@@ -134,7 +131,7 @@ int main(int argc, char** argv) {
     point.predicted_feasible = decision.broadcast_feasible;
 
     systems::SpatialSparkConfig bcast_cfg;
-    bcast_cfg.broadcast_join = true;
+    bcast_cfg.join_plan = plan::PlanKind::kBroadcastJoin;
     const auto bcast = systems::run_spatial_spark(taxi, edges, query, exec, bcast_cfg);
 
     point.part_ok = part.status.ok();

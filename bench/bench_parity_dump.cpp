@@ -51,6 +51,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -361,7 +362,7 @@ int main(int argc, char** argv) {
     }
     {
       systems::SpatialSparkConfig ss;
-      ss.policy.cost_based_plan = true;
+      ss.join_plan = std::nullopt;
       dump("cost-based SpatialSpark" + at,
            systems::run_spatial_spark(p.left, p.right, p.query, exec, ss));
     }
@@ -371,7 +372,7 @@ int main(int argc, char** argv) {
       dump("malformed HadoopGIS" + at,
            systems::run_hadoop_gis(p.left, p.right, p.query, exec, gis));
       systems::SpatialSparkConfig ss;
-      ss.spark.faults.malformed_rows = 3;
+      ss.faults.malformed_rows = 3;
       dump("malformed SpatialSpark" + at,
            systems::run_spatial_spark(p.left, p.right, p.query, exec, ss));
     }
@@ -450,7 +451,7 @@ int main(int argc, char** argv) {
       const std::string at = " taxi1m-edges f=" + std::to_string(fraction) + " EC2-10";
       dump("sweep partitioned" + at, systems::run_spatial_spark(taxi, edges, query, exec));
       systems::SpatialSparkConfig bcast;
-      bcast.broadcast_join = true;
+      bcast.join_plan = plan::PlanKind::kBroadcastJoin;
       dump("sweep broadcast" + at,
            systems::run_spatial_spark(taxi, edges, query, exec, bcast));
     }

@@ -33,8 +33,8 @@ constexpr double kFilterMarkCostPerRecord = 0.75e-6;
 /// (scales 2e-4 and 1e-3), charged like the mark through the engines' 0.2
 /// CPU efficiency.
 constexpr double kFilterProbeCostPerCopy = 150e-9;
-/// Boundary-duplication copies per record when no measured factor is given.
-constexpr double kDefaultReplication = 1.15;
+/// Boundary-duplication copies per record of the partitioned shuffle.
+constexpr double kReplication = 1.15;
 /// Fraction of a node's memory the broadcast table may occupy before the
 /// plan is infeasible. The engines reserve ~2.75 GB per node for OS,
 /// daemons and driver overhead before the executor heap; the remainder
@@ -76,7 +76,7 @@ PlanDecision JoinCostModel::choose(const PlanInputs& in) const {
   const double nodes = static_cast<double>(std::max<std::uint32_t>(1, in.cluster.node_count));
   const double slots = static_cast<double>(in.cluster.total_slots());
   const double cpu = std::max(node.cpu_speed, 0.1);
-  const double overhead = static_cast<double>(in.record_overhead_bytes);
+  const double overhead = static_cast<double>(kRecordOverheadBytes);
   const double left_mem =
       static_cast<double>(in.left_bytes) + static_cast<double>(in.left_records) * overhead;
   const double right_mem =
@@ -120,18 +120,17 @@ PlanDecision JoinCostModel::choose(const PlanInputs& in) const {
   // the run builds the filter), then assign both sides against the scheme
   // (with boundary duplication), shuffle the surviving copies across the
   // aggregate network, build the per-cell indexes in parallel, and probe.
-  const double rep = std::max(1.0, in.replication_factor.value_or(kDefaultReplication));
   const double sel = std::clamp(in.filter_selectivity.value_or(1.0), 0.0, 1.0);
   const double filter_build_seconds =
       in.filter_selectivity ? kFilterMarkCostPerRecord * (left_n + right_n) / cpu : 0.0;
   const double master_prep_seconds =
       kPartitionWalkCostPerRecord * (left_n + right_n) / cpu + filter_build_seconds;
   const double assign_seconds =
-      kAssignCostPerRecord * (left_n + right_n) * rep / (slots * cpu);
+      kAssignCostPerRecord * (left_n + right_n) * kReplication / (slots * cpu);
   const double shuffle_seconds =
-      safe_div(rep * sel * (left_mem + right_mem), node.network_bw * nodes);
+      safe_div(kReplication * sel * (left_mem + right_mem), node.network_bw * nodes);
   const double build_parallel_seconds =
-      kBuildCostPerRecord * right_n * rep * sel * log2_of(in.right_records) /
+      kBuildCostPerRecord * right_n * kReplication * sel * log2_of(in.right_records) /
       (slots * cpu);
   decision.partitioned_seconds = read_seconds + master_prep_seconds +
                                  assign_seconds + shuffle_seconds +

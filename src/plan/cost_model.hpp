@@ -5,9 +5,9 @@
 // broadcast join wins while one side's in-memory footprint fits every
 // executor (no shuffle, no duplicated boundary records), and loses — or
 // OOMs outright — once it does not. The model predicts both costs from the
-// quantities the drivers already measure (dataset records/bytes, sampler
-// replication factor, occupancy-filter selectivity, ClusterSpec
-// bandwidths) and picks the cheaper feasible plan; the decision and both
+// quantities the drivers already measure (dataset records/bytes,
+// occupancy-filter selectivity, ClusterSpec bandwidths) and picks the
+// cheaper feasible plan; the decision and both
 // predictions land in the plan.* counters so mispredictions stay visible
 // next to the realized cost.
 #pragma once
@@ -28,23 +28,21 @@ enum class PlanKind : std::uint32_t {
 
 std::string_view plan_kind_name(PlanKind kind);
 
+/// Per-record JVM object overhead (boxed Scala objects, collection nodes,
+/// the RDD row header) that SpatialSpark adds to every element's accounted
+/// size, and that the cost model charges per record. Calibrated together
+/// with the executor memory reserve so the OOM matrix of Table 2 reproduces;
+/// see DESIGN.md §5.
+inline constexpr std::uint64_t kRecordOverheadBytes = 150;
+
 /// What the model is allowed to know at planning time. Record/byte totals
-/// come from the Dataset; the two optionals come from earlier phases when
-/// available (sampler-derived replication factor, occupancy-filter
-/// selectivity from a prior run on the same inputs) and fall back to
-/// conservative defaults when not.
+/// come from the Dataset; the filter selectivity from the run's own filter
+/// decision.
 struct PlanInputs {
   std::uint64_t left_records = 0;
   std::uint64_t right_records = 0;  // broadcast side candidate
   std::uint64_t left_bytes = 0;
   std::uint64_t right_bytes = 0;
-  /// Per-record deserialized-object overhead (RDD row header), matching
-  /// SpatialSparkConfig::record_overhead_bytes.
-  std::uint64_t record_overhead_bytes = 150;
-  /// Boundary-duplication factor of the partitioned shuffle (copies per
-  /// record). Unset -> a mild default; measured values come from
-  /// partition_stats of a previous run over the same inputs.
-  std::optional<double> replication_factor;
   /// Fraction of shuffled records surviving the map-side occupancy filter,
   /// set exactly when the run builds the filter (the plan's sampled
   /// estimate, core::FilterDecision::selectivity). Unset: no filter is

@@ -1,12 +1,10 @@
 // ExecPolicy: the per-run execution knobs shared by all three system
 // drivers.
 //
-// Before this module each driver grew its own parallel optional for every
-// cross-cutting knob (`shuffle_filter` lived three times, once per system
-// config, and the adaptive-execution work would have added three more).
-// ExecPolicy is the single struct those knobs live in; each system config
-// embeds one, and core::PartitionPlane resolves the optionals (an unset
-// shuffle filter is the plan's decision, an unset repartition is off).
+// Each system config embeds one, so a cross-cutting knob is declared once,
+// and core::PartitionPlane resolves the optionals (an unset shuffle filter is
+// the plan's decision, an unset repartition is off). Knobs only one system
+// reads live in that system's config (SpatialSparkConfig::join_plan).
 #pragma once
 
 #include <cstdint>
@@ -50,10 +48,6 @@ struct ExecPolicy {
   /// resolves to off — the static partitioner stays the baseline.
   std::optional<bool> repartition;
   SkewPolicy skew;
-  /// SpatialSpark only: choose between the broadcast-based and the
-  /// partition-based join per query via plan::choose_plan() instead of the
-  /// static broadcast_join flag. Ignored by drivers with one path.
-  bool cost_based_plan = false;
 };
 
 }  // namespace sjc::plan

@@ -5,16 +5,13 @@
 
 namespace sjc::rdd {
 
-MemoryManager::MemoryManager(std::uint64_t capacity_bytes, double data_scale,
-                             double jvm_inflation)
-    : capacity_(capacity_bytes), data_scale_(data_scale), jvm_inflation_(jvm_inflation) {
+MemoryManager::MemoryManager(std::uint64_t capacity_bytes, double data_scale)
+    : capacity_(capacity_bytes), data_scale_(data_scale) {
   require(data_scale > 0.0, "MemoryManager: data_scale must be positive");
-  require(jvm_inflation >= 1.0, "MemoryManager: jvm_inflation must be >= 1");
 }
 
 std::uint64_t MemoryManager::to_paper_bytes(std::uint64_t raw_bytes) const {
-  return static_cast<std::uint64_t>(static_cast<double>(raw_bytes) * data_scale_ *
-                                    jvm_inflation_);
+  return static_cast<std::uint64_t>(static_cast<double>(raw_bytes) * data_scale_);
 }
 
 void MemoryManager::allocate(std::uint64_t raw_bytes, const std::string& what) {

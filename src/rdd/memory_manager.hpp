@@ -7,9 +7,10 @@
 // RDD, shuffle buffer and broadcast registers its bytes; exceeding the
 // usable fraction of aggregate cluster memory throws SimOutOfMemory.
 //
-// Raw bytes are converted to paper magnitude (x data_scale) and inflated by
-// a JVM object-overhead factor (boxed records, pointer-heavy Scala
-// collections) before being charged against capacity.
+// Raw bytes are converted to paper magnitude (x data_scale) before being
+// charged against capacity; the JVM object overhead (boxed records,
+// pointer-heavy Scala collections) is already in the raw bytes, since the
+// RDD sizers add it per record.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +21,11 @@ namespace sjc::rdd {
 
 class MemoryManager {
  public:
-  /// `capacity_bytes` is usable executor memory at paper magnitude
-  /// (aggregate memory x memory_fraction).
-  MemoryManager(std::uint64_t capacity_bytes, double data_scale, double jvm_inflation);
+  /// `capacity_bytes` is usable executor memory at paper magnitude.
+  MemoryManager(std::uint64_t capacity_bytes, double data_scale);
 
   /// Registers `raw_bytes` (scaled magnitude) of live data; throws
-  /// SimOutOfMemory when the inflated paper-magnitude total would exceed
-  /// capacity.
+  /// SimOutOfMemory when the paper-magnitude total would exceed capacity.
   void allocate(std::uint64_t raw_bytes, const std::string& what);
 
   /// Releases a previous allocation.
@@ -35,18 +34,17 @@ class MemoryManager {
   /// Live raw bytes (scaled magnitude).
   std::uint64_t live_raw_bytes() const;
 
-  /// High-water mark at paper magnitude (inflated).
+  /// High-water mark at paper magnitude.
   std::uint64_t peak_paper_bytes() const;
 
   std::uint64_t capacity_bytes() const { return capacity_; }
 
-  /// Paper-magnitude inflated size of `raw_bytes`.
+  /// Paper-magnitude size of `raw_bytes`.
   std::uint64_t to_paper_bytes(std::uint64_t raw_bytes) const;
 
  private:
   std::uint64_t capacity_;
   double data_scale_;
-  double jvm_inflation_;
   mutable std::mutex mutex_;
   std::uint64_t live_ = 0;  // raw (scaled) bytes
   std::uint64_t peak_paper_ = 0;

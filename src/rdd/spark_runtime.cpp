@@ -6,21 +6,41 @@
 
 namespace sjc::rdd {
 
+namespace {
+
+/// Per-stage scheduling overhead (paper seconds); Spark stages launch in
+/// ~100s of ms, vs ~10s for a Hadoop job.
+constexpr double kStageOverheadSeconds = 0.5;
+/// Per-task launch overhead (paper seconds).
+constexpr double kTaskOverheadSeconds = 0.05;
+/// Per-node memory lost to OS, daemons and driver/executor overhead before
+/// executors get the rest (paper-unit bytes). This is why small-node
+/// clusters (EC2) lose proportionally more usable memory than the
+/// workstation — the lever behind the paper's EC2-8/EC2-6 OOM failures.
+/// Calibrated with plan::kRecordOverheadBytes; see DESIGN.md §5.
+constexpr std::uint64_t kMemoryReservePerNode = 2816ULL * 1024 * 1024;  // 2.75 GB
+/// Fraction of shuffled bytes written to local spill files (hash-shuffle
+/// map outputs; OS page cache absorbs the rest).
+constexpr double kShuffleSpillFraction = 0.3;
+/// Ratio of this simulator's native C++ throughput to Spark's JVM/Scala
+/// stack; measured task CPU is divided by this.
+constexpr double kCpuEfficiency = 0.2;
+
+}  // namespace
+
 SparkRuntime::SparkRuntime(const cluster::ClusterSpec& cluster, double data_scale,
                            dfs::SimDfs* dfs, cluster::RunMetrics* metrics,
-                           SparkConfig config)
+                           const cluster::FaultPlan& faults)
     : dfs_(dfs),
-      config_(config),
       memory_(
           [&] {
-            const double per_node =
-                static_cast<double>(cluster.node.memory_bytes) * config.memory_fraction -
-                static_cast<double>(config.memory_reserve_per_node);
+            const double per_node = static_cast<double>(cluster.node.memory_bytes) -
+                                    static_cast<double>(kMemoryReservePerNode);
             return static_cast<std::uint64_t>(std::max(per_node, 0.0) *
                                               cluster.node_count);
           }(),
-          data_scale, config.jvm_inflation),
-      recorder_(cluster, data_scale, metrics, nullptr, config.faults) {}
+          data_scale),
+      recorder_(cluster, data_scale, metrics, nullptr, faults) {}
 
 void SparkRuntime::record(const std::string& name,
                           const std::vector<cluster::SimTask>& tasks,
@@ -28,13 +48,13 @@ void SparkRuntime::record(const std::string& name,
                           std::uint64_t bytes_shuffled) {
   const cluster::ScheduleOutcome outcome =
       recorder_.record(name, tasks, bytes_read, bytes_written, bytes_shuffled,
-                       config_.stage_overhead_s);
+                       kStageOverheadSeconds);
   if (!outcome.success) {
     throw TaskFailed(name + ": task " +
                      std::to_string(outcome.first_failed_task) +
                      " crashed and exhausted its attempts");
   }
-  recorder_.enforce_limits("stage", name, outcome, tasks.size(), config_.stage_overhead_s);
+  recorder_.enforce_limits("stage", name, outcome, tasks.size(), kStageOverheadSeconds);
   // Grow the lineage: recomputing one partition later costs the average
   // per-task time of every stage it passed through.
   if (!tasks.empty()) {
@@ -75,7 +95,7 @@ void SparkRuntime::apply_due_losses(const std::string& after_stage) {
     if (lost_partitions == 0 || lineage_per_task_seconds_ <= 0.0) continue;
     recorder_.record_recompute(after_stage + ".recompute[node" + std::to_string(node) + "]",
                                lost_partitions, lineage_per_task_seconds_,
-                               config_.stage_overhead_s);
+                               kStageOverheadSeconds);
   }
 }
 
@@ -85,8 +105,8 @@ void SparkRuntime::record_narrow_stage(const std::string& name,
   tasks.reserve(task_cpu.size());
   for (const double cpu : task_cpu) {
     cluster::SimTask t;
-    t.cpu_seconds = cpu / config_.cpu_efficiency;
-    t.fixed_overhead = config_.task_overhead_s;
+    t.cpu_seconds = cpu / kCpuEfficiency;
+    t.fixed_overhead = kTaskOverheadSeconds;
     tasks.push_back(t);
   }
   record(name, tasks, 0, 0, 0);
@@ -101,13 +121,13 @@ void SparkRuntime::record_shuffle_stage(const std::string& name,
   const auto per_task_shuffle = shuffle_bytes / n;
   for (const double cpu : task_cpu) {
     cluster::SimTask t;
-    t.cpu_seconds = cpu / config_.cpu_efficiency;
+    t.cpu_seconds = cpu / kCpuEfficiency;
     t.network = static_cast<std::uint64_t>(static_cast<double>(per_task_shuffle) *
                                            cluster().remote_fraction());
     t.disk_write = static_cast<std::uint64_t>(static_cast<double>(per_task_shuffle) *
-                                              config_.shuffle_spill_fraction);
+                                              kShuffleSpillFraction);
     t.disk_read = t.disk_write;  // spill files are read back during the fetch
-    t.fixed_overhead = config_.task_overhead_s;
+    t.fixed_overhead = kTaskOverheadSeconds;
     tasks.push_back(t);
   }
   record(name, tasks, 0, 0, shuffle_bytes);
@@ -128,7 +148,7 @@ void SparkRuntime::record_input_read(const std::string& name, std::uint64_t byte
     } else {
       t.disk_read = per_task;
     }
-    t.fixed_overhead = config_.task_overhead_s;
+    t.fixed_overhead = kTaskOverheadSeconds;
     sim_tasks.push_back(t);
   }
   record(name, sim_tasks, bytes, 0, 0);

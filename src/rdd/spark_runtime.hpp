@@ -32,45 +32,18 @@
 
 namespace sjc::rdd {
 
-struct SparkConfig {
-  /// Per-stage scheduling overhead (paper seconds); Spark stages launch in
-  /// ~100s of ms, vs ~10s for a Hadoop job.
-  double stage_overhead_s = 0.5;
-  /// Per-task launch overhead (paper seconds).
-  double task_overhead_s = 0.05;
-  /// Fraction of node memory usable by executors.
-  double memory_fraction = 1.0;
-  /// Per-node memory lost to OS, daemons and driver/executor overhead
-  /// before the fraction applies (paper-unit bytes). This is why small-node
-  /// clusters (EC2) lose proportionally more usable memory than the
-  /// workstation — the lever behind the paper's EC2-8/EC2-6 OOM failures.
-  std::uint64_t memory_reserve_per_node = 2816ULL * 1024 * 1024;  // 2.75 GB
-  /// Extra inflation applied on top of the sizers' object-level accounting
-  /// (sizers already include per-record JVM overhead; keep at 1.0 unless
-  /// exploring sensitivity).
-  double jvm_inflation = 1.0;
-  /// Fraction of shuffled bytes written to local spill files (hash-shuffle
-  /// map outputs; OS page cache absorbs the rest).
-  double shuffle_spill_fraction = 0.3;
-  /// Ratio of this simulator's native C++ throughput to Spark's JVM/Scala
-  /// stack; measured task CPU is divided by this.
-  double cpu_efficiency = 0.2;
-  /// Fault plan for this run (trivial by default: no injected faults, no
-  /// retries). Datanode-loss events double as executor losses: the DFS
-  /// re-replicates the node's blocks and Spark recomputes its cached
-  /// partitions from lineage.
-  cluster::FaultPlan faults;
-};
-
 class SparkRuntime {
  public:
+  /// `faults` is the run's fault plan (validated here; trivial by default).
+  /// Datanode-loss events double as executor losses: the DFS re-replicates
+  /// the node's blocks and Spark recomputes its cached partitions from
+  /// lineage.
   SparkRuntime(const cluster::ClusterSpec& cluster, double data_scale,
                dfs::SimDfs* dfs, cluster::RunMetrics* metrics,
-               SparkConfig config = {});
+               const cluster::FaultPlan& faults = {});
 
   /// The cluster stages run on: one node fewer per lost executor.
   const cluster::ClusterSpec& cluster() const { return recorder_.cluster; }
-  const SparkConfig& config() const { return config_; }
   double data_scale() const { return recorder_.data_scale; }
   MemoryManager& memory() { return memory_; }
   dfs::SimDfs* dfs() { return dfs_; }
@@ -115,7 +88,6 @@ class SparkRuntime {
   void apply_due_losses(const std::string& after_stage);
 
   dfs::SimDfs* dfs_;
-  SparkConfig config_;
   MemoryManager memory_;
   cluster::PhaseRecorder recorder_;
   /// Average per-task simulated seconds accumulated over the lineage so

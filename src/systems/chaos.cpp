@@ -72,7 +72,7 @@ core::RunReport run_under_plan(core::SystemKind system,
     }
     case core::SystemKind::kSpatialSparkSim: {
       SpatialSparkConfig config;
-      config.spark.faults = plan;
+      config.faults = plan;
       config.policy = policy;
       return run_spatial_spark(left, right, query, exec, config);
     }

@@ -8,6 +8,7 @@
 #include "core/partition_plane.hpp"
 #include "geom/wkt.hpp"
 #include "index/rtree_dynamic.hpp"
+#include "mapreduce/streaming.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -384,10 +385,16 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
 /// matrix of Tables 2-3 reproduces (DESIGN.md §5).
 constexpr double kMultiNodePipeDerating = 0.17;
 
+/// Ratio of this simulator's native C++ throughput to HadoopGIS's: Streaming
+/// stacks text pipes, Python glue and the GEOS-analog on top of Hadoop, so
+/// roughly half the effective CPU throughput of the native SpatialHadoop
+/// stack (mapreduce::MrConfig's 0.2).
+constexpr double kCpuEfficiency = 0.1;
+
 mapreduce::StreamingConfig make_streaming_config(const core::ExecutionConfig& exec,
                                                  const HadoopGisConfig& config) {
   mapreduce::StreamingConfig streaming;
-  streaming.mr = config.mr;
+  streaming.mr.cpu_efficiency = kCpuEfficiency;
   streaming.pipe_capacity_bytes = static_cast<std::uint64_t>(
       config.pipe_capacity_fraction *
       static_cast<double>(exec.cluster.node.memory_bytes) / exec.cluster.node.cores *

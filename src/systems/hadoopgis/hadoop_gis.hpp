@@ -28,19 +28,13 @@
 // BrokenPipe exactly as HadoopGIS does in Tables 2-3.
 #pragma once
 
+#include "cluster/fault_injector.hpp"
 #include "core/spatial_join.hpp"
-#include "mapreduce/streaming.hpp"
 #include "plan/exec_policy.hpp"
 
 namespace sjc::systems {
 
 struct HadoopGisConfig {
-  mapreduce::MrConfig mr{
-      // Streaming stacks text pipes, Python glue and the GEOS-analog on top
-      // of Hadoop: roughly half the effective CPU throughput of the native
-      // SpatialHadoop stack.
-      .cpu_efficiency = 0.1,
-  };
   /// Pipe capacity as a fraction of per-slot node memory (node memory /
   /// cores). Calibrated so the failure matrix of Tables 2-3 reproduces:
   /// full datasets overflow everywhere, sample datasets only on the

@@ -109,8 +109,7 @@ struct FilterPartials {
 SampledDataset sample_dataset(mapreduce::MrContext& ctx, const workload::Dataset& data,
                               const std::string& tag, const core::PartitionPlane& plane,
                               const core::JoinQueryConfig& query,
-                              const core::ExecutionConfig& exec,
-                              const SpatialHadoopConfig& config) {
+                              const core::ExecutionConfig& exec) {
   SampledDataset out;
 
   // Raw input sits in HDFS.
@@ -153,7 +152,6 @@ SampledDataset sample_dataset(mapreduce::MrContext& ctx, const workload::Dataset
   };
   auto sample_spec = mapreduce::make_typed_map_only_spec<SampleSplit, geom::Envelope>(
       tag + "/sample", sample_map, sample_split_bytes, sample_output_bytes);
-  sample_spec.config = config.mr;
   out.sample = mapreduce::run_map_only(ctx, sample_spec, sample_splits);
 
   // Central scheme derivation (the SpatialHadoop master writes the _master
@@ -243,9 +241,8 @@ geom::OccupancyFilter merge_filter_partials(mapreduce::MrContext& ctx,
 /// filtered holds globally).
 IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Dataset& data,
                                  const std::string& tag, const core::PartitionPlane& plane,
-                                 const SpatialHadoopConfig& config, SampledDataset sampled,
-                                 const geom::OccupancyFilter* filter, bool report_shuffle,
-                                 FilterPartials* partials) {
+                                 SampledDataset sampled, const geom::OccupancyFilter* filter,
+                                 bool report_shuffle, FilterPartials* partials) {
   IndexedDataset out;
   out.dfs_prefix = tag + ".part/";
   out.scheme = std::move(sampled.scheme);
@@ -329,7 +326,6 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
                                  std::uint32_t>(tag + "/partition", part_map, part_reduce,
                                                 part_input_bytes, part_pair_bytes,
                                                 part_output_bytes);
-  part_spec.config = config.mr;
   mapreduce::run_map_reduce(ctx, part_spec, idx_splits);
 
   // Record the block files in the DFS catalog.
@@ -401,7 +397,6 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   const auto join_output_bytes = [](const JoinPair&) -> std::uint64_t { return 16; };
   auto join_spec = mapreduce::make_typed_map_only_spec<JoinSplit, JoinPair>(
       "join/local", join_map, join_split_bytes, join_output_bytes);
-  join_spec.config = config.mr;
   std::vector<JoinPair> pairs = mapreduce::run_map_only(ctx, join_spec, join_splits);
   ctx.counters->add("join.partition_pairs", join_splits.size());
   ctx.counters->add("join.result_pairs", pairs.size());
@@ -465,31 +460,28 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
 
     // ---- Preprocessing: index both inputs (IA, IB) -------------------------
-    // Unless the policy forces the shuffle filter off, both datasets' sample
-    // and master steps run before either partition job: the filter drops A's
-    // copies against B's records over A's cells, B's cells decide which A
-    // cells each B block marks, and the plan probes A's sample against it.
-    SampledDataset sampled_a = sample_dataset(ctx, left, "A", plane, query, exec, config);
-    std::optional<SampledDataset> sampled_b;
+    // Both datasets' sample and master steps run before either partition
+    // job: the filter drops A's copies against B's records over A's cells,
+    // B's cells decide which A cells each B block marks, and the plan probes
+    // A's sample against it.
+    SampledDataset sampled_a = sample_dataset(ctx, left, "A", plane, query, exec);
+    SampledDataset sampled_b = sample_dataset(ctx, right, "B", plane, query, exec);
     core::FilterDecision filter = plane.forced_filter();
-    if (plane.filter_policy() != std::optional<bool>(false)) {
-      sampled_b = sample_dataset(ctx, right, "B", plane, query, exec, config);
-      if (!plane.filter_policy().has_value()) {
-        const PlannedFilter planned =
-            plan_filter(right, sampled_a.scheme, sampled_b->scheme, plane.expand());
-        filter = plane.probe_filter(
-            sampled_a.scheme, planned.filter, sampled_a.sample, /*right_sample=*/nullptr,
-            {.left_records = left.size(),
-             .left_bytes = left.text_bytes() + 4 * left.size(),
-             .serial_marks = planned.shipped_records,
-             .parallel_marks = right.size(),
-             .serial_read_bytes = planned.partial_bytes,
-             .serial_filters = 1,  // the merged filter the master writes
-             .dfs_replicas = core::dfs_config(query, exec).replication,
-             .block_replicas = core::dfs_config(query, exec).replication,
-             .cluster = exec.cluster,
-             .data_scale = exec.data_scale});
-      }
+    if (!plane.filter_policy().has_value()) {
+      const PlannedFilter planned =
+          plan_filter(right, sampled_a.scheme, sampled_b.scheme, plane.expand());
+      filter = plane.probe_filter(
+          sampled_a.scheme, planned.filter, sampled_a.sample, /*right_sample=*/nullptr,
+          {.left_records = left.size(),
+           .left_bytes = left.text_bytes() + 4 * left.size(),
+           .serial_marks = planned.shipped_records,
+           .parallel_marks = right.size(),
+           .serial_read_bytes = planned.partial_bytes,
+           .serial_filters = 1,  // the merged filter the master writes
+           .dfs_replicas = core::dfs_config(query, exec).replication,
+           .block_replicas = core::dfs_config(query, exec).replication,
+           .cluster = exec.cluster,
+           .data_scale = exec.data_scale});
     }
     filter.record(report.counters);
     IndexedDataset ia;
@@ -501,17 +493,16 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
                               .empty = geom::OccupancyFilter(sampled_a.scheme.cells()),
                               .envs = right.envelopes(),
                               .expand = plane.expand()};
-      ib = partition_dataset(ctx, right, "B", plane, config, std::move(*sampled_b), nullptr,
+      ib = partition_dataset(ctx, right, "B", plane, std::move(sampled_b), nullptr,
                              /*report_shuffle=*/true, &partials);
       const geom::OccupancyFilter sfilter = merge_filter_partials(ctx, partials);
       partials.by_block.clear();
-      ia = partition_dataset(ctx, left, "A", plane, config, std::move(sampled_a), &sfilter,
+      ia = partition_dataset(ctx, left, "A", plane, std::move(sampled_a), &sfilter,
                              /*report_shuffle=*/true, nullptr);
     } else {
-      ia = partition_dataset(ctx, left, "A", plane, config, std::move(sampled_a), nullptr,
+      ia = partition_dataset(ctx, left, "A", plane, std::move(sampled_a), nullptr,
                              /*report_shuffle=*/false, nullptr);
-      if (!sampled_b) sampled_b = sample_dataset(ctx, right, "B", plane, query, exec, config);
-      ib = partition_dataset(ctx, right, "B", plane, config, std::move(*sampled_b), nullptr,
+      ib = partition_dataset(ctx, right, "B", plane, std::move(sampled_b), nullptr,
                              /*report_shuffle=*/false, nullptr);
     }
     if (capture != nullptr) {

@@ -28,14 +28,13 @@
 // paper: this analog has no failure modes.
 #pragma once
 
+#include "cluster/fault_injector.hpp"
 #include "core/spatial_join.hpp"
-#include "mapreduce/mr_context.hpp"
 #include "plan/exec_policy.hpp"
 
 namespace sjc::systems {
 
 struct SpatialHadoopConfig {
-  mapreduce::MrConfig mr;
   /// Geometry engine for refinement (JTS analog by default; override to
   /// kSimple to measure what SpatialHadoop would lose on GEOS).
   geom::EngineKind engine = geom::EngineKind::kPrepared;

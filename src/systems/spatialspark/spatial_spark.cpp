@@ -22,20 +22,21 @@ namespace {
 using core::FeatureRef;
 using core::JoinPair;
 using geom::Feature;
+using plan::kRecordOverheadBytes;
 
 /// SpatialSpark's local join: an STR-indexed nested loop, the paper's
 /// configuration (JoinQueryConfig::local_algorithm overrides it).
 constexpr index::LocalJoinAlgorithm kLocalJoinAlgorithm =
     index::LocalJoinAlgorithm::kIndexedNestedLoop;
 
-rdd::Sizer<FeatureRef> make_ref_sizer(std::uint64_t rec_overhead) {
-  return [rec_overhead](const FeatureRef& r) {
-    return static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + rec_overhead;
+rdd::Sizer<FeatureRef> make_ref_sizer() {
+  return [](const FeatureRef& r) {
+    return static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + kRecordOverheadBytes;
   };
 }
 
-rdd::Sizer<JoinPair> make_pair_sizer(std::uint64_t rec_overhead) {
-  return [rec_overhead](const JoinPair&) { return 16 + rec_overhead; };
+rdd::Sizer<JoinPair> make_pair_sizer() {
+  return [](const JoinPair&) { return 16 + kRecordOverheadBytes; };
 }
 
 /// Marks the run successful and records its result. Results are counted and
@@ -79,15 +80,14 @@ void finish_report(core::RunReport& report, std::optional<rdd::SparkRuntime>& rt
 
 /// Bytes one shuffled copy of a record costs: a 4-byte partition key plus
 /// the record's modeled size.
-std::uint64_t copy_bytes(const FeatureRef& r, std::uint64_t rec_overhead) {
-  return 4 + static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + rec_overhead;
+std::uint64_t copy_bytes(const FeatureRef& r) {
+  return 4 + static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + kRecordOverheadBytes;
 }
 
 /// One parsed input as a plane side, one unit per RDD partition (see
 /// core/partition_plane.hpp).
 struct RddSide {
   const rdd::Rdd<FeatureRef>& rdd;
-  std::uint64_t rec_overhead;
 
   std::size_t units() const { return rdd.num_partitions(); }
   std::size_t records() const {
@@ -99,7 +99,7 @@ struct RddSide {
   void operator()(std::size_t begin, std::size_t end, Visit&& visit) const {
     for (std::size_t p = begin; p < end; ++p) {
       for (const auto& r : rdd.partitions()[p]) {
-        visit(r.get().geometry.envelope(), copy_bytes(r, rec_overhead));
+        visit(r.get().geometry.envelope(), copy_bytes(r));
       }
     }
   }
@@ -119,7 +119,7 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
                          std::optional<geom::OccupancyFilter> occupancy_b,
                          std::optional<geom::OccupancyFilter> occupancy_a,
                          core::LocalJoinStage& stage, std::uint32_t parallelism,
-                         std::uint64_t rec_overhead, core::RunReport& report) {
+                         core::RunReport& report) {
   // Both bitmaps ship to the executors next to the scheme.
   std::optional<rdd::Broadcast<geom::OccupancyFilter>> right_occ_bc;  // filters A
   std::optional<rdd::Broadcast<geom::OccupancyFilter>> left_occ_bc;   // filters B
@@ -135,14 +135,12 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
       left_occ_bc.has_value() ? &left_occ_bc->value() : nullptr;
 
   const rdd::Sizer<std::pair<std::uint32_t, FeatureRef>> pid_ref_sizer =
-      [rec_overhead](const std::pair<std::uint32_t, FeatureRef>& kv) {
-        return copy_bytes(kv.second, rec_overhead);
-      };
+      [](const std::pair<std::uint32_t, FeatureRef>& kv) { return copy_bytes(kv.second); };
   const rdd::Sizer<std::pair<std::uint32_t, std::vector<FeatureRef>>> grouped_sizer =
-      [rec_overhead](const std::pair<std::uint32_t, std::vector<FeatureRef>>& kv) {
-        std::uint64_t bytes = 4 + rec_overhead;
+      [](const std::pair<std::uint32_t, std::vector<FeatureRef>>& kv) {
+        std::uint64_t bytes = 4 + kRecordOverheadBytes;
         for (const auto& r : kv.second) {
-          bytes += r.get().geometry.size_bytes() + rec_overhead;
+          bytes += r.get().geometry.size_bytes() + kRecordOverheadBytes;
         }
         return bytes;
       };
@@ -155,14 +153,14 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
                            {.duplicates = true, .shuffle = left_filt != nullptr, .sides = true});
   const auto make_assign_fn = [&](const geom::OccupancyFilter* filt,
                                   core::ShuffleTally::Side side) {
-    return [&scheme_bc, &tally, expand, rec_overhead, filt, side](
+    return [&scheme_bc, &tally, expand, filt, side](
                const FeatureRef& f, std::vector<std::pair<std::uint32_t, FeatureRef>>& out) {
       // assign_into reuses a per-thread scratch, cleared and refilled on
       // every call, so nothing leaks across queries even though the pool
       // thread outlives this one.
       static thread_local std::vector<std::uint32_t> pids;
       tally.assign(scheme_bc.value(), f.get().geometry.envelope().expanded_by(expand), filt,
-                   copy_bytes(f, rec_overhead), pids, side);
+                   copy_bytes(f), pids, side);
       for (const auto pid : pids) out.emplace_back(pid, f);
     };
   };
@@ -185,13 +183,13 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
 
   const rdd::Sizer<
       std::tuple<std::uint32_t, std::vector<FeatureRef>, std::vector<FeatureRef>>>
-      joined_sizer = [rec_overhead](const auto& t) {
-        std::uint64_t bytes = 4 + rec_overhead;
+      joined_sizer = [](const auto& t) {
+        std::uint64_t bytes = 4 + kRecordOverheadBytes;
         for (const auto& r : std::get<1>(t)) {
-          bytes += r.get().geometry.size_bytes() + rec_overhead;
+          bytes += r.get().geometry.size_bytes() + kRecordOverheadBytes;
         }
         for (const auto& r : std::get<2>(t)) {
-          bytes += r.get().geometry.size_bytes() + rec_overhead;
+          bytes += r.get().geometry.size_bytes() + kRecordOverheadBytes;
         }
         return bytes;
       };
@@ -217,7 +215,7 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
         stage.run(core::FeatureRefSpan(std::get<1>(t)), core::FeatureRefSpan(std::get<2>(t)),
                   accept, out);
       },
-      make_pair_sizer(rec_overhead));
+      make_pair_sizer());
   stage.record_cache_counters(report.counters);
   record_result(rt, exec, pairs_rdd, "local-join.aggregate", report);
 }
@@ -262,10 +260,9 @@ struct SparkInputs {
 /// the refined cell set. The probe sees unfiltered load, and the bitmaps
 /// are built against the final cells.
 void refine_scheme(SparkInputs& in, const core::PartitionPlane& plane, rdd::SparkRuntime& rt,
-                   std::uint64_t rec_overhead, core::RunReport& report) {
+                   core::RunReport& report) {
   CpuStopwatch skew_cpu;
-  in.scheme = plane.refine(in.scheme, report.counters, RddSide{in.left, rec_overhead},
-                           RddSide{in.right, rec_overhead})
+  in.scheme = plane.refine(in.scheme, report.counters, RddSide{in.left}, RddSide{in.right})
                   .scheme;
   rt.record_narrow_stage("driver.skew-refine", {skew_cpu.seconds()});
 }
@@ -337,10 +334,9 @@ std::vector<geom::Envelope> draw_sample(const rdd::Rdd<FeatureRef>& rdd, std::si
 core::FilterDecision decide_filter(const core::PartitionPlane& plane, const SparkInputs& in,
                                    const partition::PartitionScheme& scheme,
                                    const core::JoinQueryConfig& query,
-                                   const core::ExecutionConfig& exec, rdd::SparkRuntime& rt,
-                                   std::uint64_t rec_overhead) {
-  const RddSide left{in.left, rec_overhead};
-  const RddSide right{in.right, rec_overhead};
+                                   const core::ExecutionConfig& exec, rdd::SparkRuntime& rt) {
+  const RddSide left{in.left};
+  const RddSide right{in.right};
   const std::size_t left_records = left.records();
   const std::size_t right_records = right.records();
   std::vector<geom::Envelope> left_sample;
@@ -384,7 +380,7 @@ SparkInputs read_and_partition(const workload::Dataset& left,
                                dfs::SimDfs& dfs, std::uint32_t parallelism,
                                workload::RowQuarantine& quarantine,
                                core::RunReport& report) {
-  const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer(config.record_overhead_bytes);
+  const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer();
   const rdd::Sizer<std::string> line_sizer = [](const std::string& l) {
     return static_cast<std::uint64_t>(l.size()) + 48;  // JVM string header
   };
@@ -400,7 +396,7 @@ SparkInputs read_and_partition(const workload::Dataset& left,
     auto lines = rdd::Rdd<std::string>::create(
         rt,
         core::chunk_lines(
-            core::input_lines(data, tag, config.spark.faults, &report.counters),
+            core::input_lines(data, tag, config.faults, &report.counters),
             parallelism),
         line_sizer, tag + ".text");
     rt.record_input_read(tag + ".read", data.text_bytes(),
@@ -457,13 +453,10 @@ SparkInputs read_and_partition(const workload::Dataset& left,
 /// resident reuse; the run itself is unaffected.
 void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
                           const core::ExecutionConfig& exec,
-                          const core::PartitionPlane& plane,
-                          const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
+                          const core::PartitionPlane& plane, rdd::SparkRuntime& rt,
                           core::LocalJoinStage& stage, std::uint32_t parallelism,
                           std::optional<core::FilterDecision> filter,
                           core::RunReport& report, ResidentState* capture) {
-  const std::uint64_t rec_overhead = config.record_overhead_bytes;
-
   if (capture != nullptr) {
     capture->store = in.store;
     capture->left_chunks.assign(in.left.partitions().begin(), in.left.partitions().end());
@@ -485,7 +478,7 @@ void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
   // same cell with intersecting expanded envelopes, so each side's copy in a
   // cell provably without partners can be dropped.
   if (!filter) {
-    filter = decide_filter(plane, in, scheme_bc.value(), query, exec, rt, rec_overhead);
+    filter = decide_filter(plane, in, scheme_bc.value(), query, exec, rt);
   }
   filter->record(report.counters);
   if (capture != nullptr) capture->filter = *filter;
@@ -493,9 +486,9 @@ void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
   std::optional<geom::OccupancyFilter> left_occ;   // filters B
   if (filter->build) {
     core::OccupancyBuild built_right =
-        plane.build_occupancy(scheme_bc.value(), RddSide{in.right, rec_overhead});
+        plane.build_occupancy(scheme_bc.value(), RddSide{in.right});
     core::OccupancyBuild built_left =
-        plane.build_occupancy(scheme_bc.value(), RddSide{in.left, rec_overhead});
+        plane.build_occupancy(scheme_bc.value(), RddSide{in.left});
     right_occ.emplace(std::move(built_right.filter));
     left_occ.emplace(std::move(built_left.filter));
     rt.record_narrow_stage("filter.build", {built_right.cpu_seconds + built_left.cpu_seconds});
@@ -506,8 +499,7 @@ void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
   }
 
   run_spark_join_tail(rt, exec, std::move(in.left), std::move(in.right), scheme_bc,
-                      std::move(right_occ), std::move(left_occ), stage, parallelism,
-                      rec_overhead, report);
+                      std::move(right_occ), std::move(left_occ), stage, parallelism, report);
 }
 
 /// The broadcast-based plan (the paper's earlier design, left for
@@ -516,9 +508,8 @@ void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
 /// memory cost scales with |right| x nodes. The sampled scheme is broadcast
 /// too, exactly as the shared prefix produced it.
 void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
-                        const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
-                        const core::LocalJoinSpec& local_spec, core::RunReport& report) {
-  const std::uint64_t rec_overhead = config.record_overhead_bytes;
+                        rdd::SparkRuntime& rt, const core::LocalJoinSpec& local_spec,
+                        core::RunReport& report) {
   const std::uint64_t scheme_bytes = in.scheme.size_bytes() * 2;  // cells + index
   const rdd::Broadcast<partition::PartitionScheme> scheme_bc(rt, std::move(in.scheme),
                                                              scheme_bytes, "scheme");
@@ -539,7 +530,7 @@ void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
   rt.record_narrow_stage("driver.build-right-index", {build_cpu.seconds()});
   std::uint64_t rindex_bytes = rindex.tree->size_bytes();
   for (const auto& r : rindex.features) {
-    rindex_bytes += r.get().geometry.size_bytes() + rec_overhead;
+    rindex_bytes += r.get().geometry.size_bytes() + kRecordOverheadBytes;
   }
   const rdd::Broadcast<RightIndex> right_bc(rt, std::move(rindex), rindex_bytes,
                                             "right-index");
@@ -561,7 +552,7 @@ void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
           }
         }
       },
-      make_pair_sizer(rec_overhead));
+      make_pair_sizer());
   record_result(rt, exec, pairs_rdd, "broadcast-join.aggregate", report);
 }
 
@@ -577,7 +568,7 @@ std::uint32_t start_runtime(std::optional<dfs::SimDfs>& dfs,
                             const SpatialSparkConfig& config, core::RunReport& report,
                             trace::TraceCollector& collector) {
   dfs.emplace(core::dfs_config(query, exec));
-  rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.spark);
+  rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.faults);
   rt->set_counters(&report.counters);
   if (exec.trace) rt->set_trace(&collector);
   return rt->default_parallelism() * 2;
@@ -608,25 +599,22 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
                                         parallelism, quarantine, report);
     // The partitioned plan, and a cost-based choice deciding its filter,
     // work over the refined cells.
-    if (plane.repartition() && (config.policy.cost_based_plan || !config.broadcast_join)) {
-      refine_scheme(in, plane, *rt, config.record_overhead_bytes, report);
+    if (plane.repartition() && config.join_plan != plan::PlanKind::kBroadcastJoin) {
+      refine_scheme(in, plane, *rt, report);
     }
-    bool broadcast = config.broadcast_join;
+    bool broadcast = config.join_plan == plan::PlanKind::kBroadcastJoin;
     std::optional<core::FilterDecision> filter;
-    if (config.policy.cost_based_plan) {
+    if (!config.join_plan) {
       // Cost-based plan choice: predict both plans from the dataset sizes,
       // the cluster spec and the partitioned plan's filter decision, run the
       // cheaper feasible one, and record the prediction next to the
       // realized cost in the plan.* counters.
-      filter = decide_filter(plane, in, in.scheme, query, exec, *rt,
-                             config.record_overhead_bytes);
+      filter = decide_filter(plane, in, in.scheme, query, exec, *rt);
       const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
           .left_records = left.size(),
           .right_records = right.size(),
           .left_bytes = left.text_bytes(),
           .right_bytes = right.text_bytes(),
-          .record_overhead_bytes = config.record_overhead_bytes,
-          .replication_factor = std::nullopt,
           .filter_selectivity =
               filter->build ? std::optional<double>(filter->selectivity()) : std::nullopt,
           .cluster = exec.cluster,
@@ -637,9 +625,9 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
       broadcast = decision.chosen == plan::PlanKind::kBroadcastJoin;
     }
     if (broadcast) {
-      run_broadcast_join(in, exec, config, *rt, stage.spec(), report);
+      run_broadcast_join(in, exec, *rt, stage.spec(), report);
     } else {
-      run_partitioned_join(in, query, exec, plane, config, *rt, stage, parallelism,
+      run_partitioned_join(in, query, exec, plane, *rt, stage, parallelism,
                            std::move(filter), report, capture);
     }
   } catch (const SjcError& e) {
@@ -676,14 +664,12 @@ core::RunReport run_resident_query(const ResidentState& state,
     plane.require_build_expansion(state.expand, "spatial_spark_resident");
     const std::uint32_t parallelism =
         start_runtime(dfs, rt, query, exec, config, report, collector);
-    const std::uint64_t rec_overhead = config.record_overhead_bytes;
-
     // Re-materialize the resident inputs as cached RDDs: the per-chunk
     // FeatureRef views captured at build time, charged at full modeled bytes
     // (the resident working set lives in executor memory). No read, no
     // parse, no sample, no driver.partition, no filter.build — that is the
     // serving win; everything downstream is the cold path's own code.
-    const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer(rec_overhead);
+    const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer();
     auto left_rdd = rdd::Rdd<FeatureRef>::create(*rt, state.left_chunks, ref_sizer,
                                                  "A.resident");
     auto right_rdd = rdd::Rdd<FeatureRef>::create(*rt, state.right_chunks, ref_sizer,
@@ -697,8 +683,7 @@ core::RunReport run_resident_query(const ResidentState& state,
     rdd::Broadcast<partition::PartitionScheme> scheme_bc(*rt, std::move(scheme),
                                                          scheme_bytes, "scheme");
     run_spark_join_tail(*rt, exec, std::move(left_rdd), std::move(right_rdd), scheme_bc,
-                        state.right_occ, state.left_occ, stage, parallelism, rec_overhead,
-                        report);
+                        state.right_occ, state.left_occ, stage, parallelism, report);
   } catch (const SjcError& e) {
     report.status = status_from_exception(e);
   }
@@ -721,9 +706,8 @@ core::ResidentJoin spatial_spark_resident(const workload::Dataset& left,
                                           const core::JoinQueryConfig& query,
                                           const core::ExecutionConfig& exec,
                                           const SpatialSparkConfig& config) {
-  require(!config.broadcast_join && !config.policy.cost_based_plan,
-          "spatial_spark_resident: resident mode requires the partition-based join "
-          "(neither broadcast_join nor policy.cost_based_plan)");
+  require(config.join_plan == plan::PlanKind::kPartitionedJoin,
+          "spatial_spark_resident: resident mode requires join_plan = kPartitionedJoin");
   auto state = std::make_shared<ResidentState>();
   core::RunReport build = run_spatial_spark_impl(left, right, query, exec, config, state.get());
   require(build.status.ok(), "spatial_spark_resident: build failed: " + build.status.message());

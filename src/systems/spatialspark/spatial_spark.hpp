@@ -20,32 +20,38 @@
 // SimOutOfMemory — Spark 1.1 cannot spill this pipeline, which is exactly
 // the paper's EC2-8/EC2-6 failure.
 //
-// The broadcast-based join variant (the paper's earlier design, left for
-// future-work comparison) is also provided: the full right-side index and
-// data are broadcast, and the left side probes it directly with no shuffle.
-// Both plans share stages 1-2. Every RDD ships 8-byte FeatureRef handles
-// into a run-scoped feature store while its sizer charges the referenced
-// record's full modeled bytes.
+// The broadcast-based join (the paper's earlier design, left for future-work
+// comparison) is the other physical plan: the full right-side index and data
+// are broadcast, and the left side probes it directly with no shuffle.
+// SpatialSparkConfig::join_plan picks one of the two, or leaves the choice to
+// plan::choose_plan(). Both plans share stages 1-2. Every RDD ships 8-byte
+// FeatureRef handles into a run-scoped feature store while its sizer charges
+// the referenced record's full modeled bytes (plus plan::kRecordOverheadBytes).
 #pragma once
 
+#include <optional>
+
+#include "cluster/fault_injector.hpp"
 #include "core/spatial_join.hpp"
+#include "plan/cost_model.hpp"
 #include "plan/exec_policy.hpp"
-#include "rdd/spark_runtime.hpp"
 
 namespace sjc::systems {
 
 struct SpatialSparkConfig {
-  rdd::SparkConfig spark;
-  /// Per-record JVM object overhead added to every element's accounted
-  /// size (boxed Scala objects, collection nodes). Calibrated together with
-  /// SparkConfig::memory_reserve_per_node so the OOM matrix of Table 2
-  /// reproduces; see DESIGN.md §5.
-  std::uint64_t record_overhead_bytes = 150;
-  /// Use the broadcast-based join instead of the partition-based one. It
-  /// runs the same read/parse/sample/scheme stages on the same FeatureRef
-  /// plane, then broadcasts the right side with its STR index instead of
-  /// shuffling both sides.
-  bool broadcast_join = false;
+  /// Fault plan (injected crashes, stragglers, datanode losses) and
+  /// recovery budget. Trivial by default. Datanode-loss events double as
+  /// executor losses: the DFS re-replicates the node's blocks and Spark
+  /// recomputes its cached partitions from lineage.
+  cluster::FaultPlan faults;
+  /// The physical plan: the partition-based join (the paper's SpatialSpark,
+  /// the default) or the broadcast-based one, which runs the same
+  /// read/parse/sample/scheme stages on the same FeatureRef plane, then
+  /// broadcasts the right side with its STR index instead of shuffling both
+  /// sides. Unset lets plan::choose_plan() pick per run once those shared
+  /// stages ran, with the partitioned plan's filter decision as its
+  /// filter_selectivity; plan.* counters log the prediction.
+  std::optional<plan::PlanKind> join_plan = plan::PlanKind::kPartitionedJoin;
   /// Geometry engine for refinement (JTS analog by default).
   geom::EngineKind engine = geom::EngineKind::kPrepared;
   /// Adaptive-execution knobs (see plan/exec_policy.hpp):
@@ -56,10 +62,6 @@ struct SpatialSparkConfig {
   ///  - policy.repartition: probe per-cell shuffle load right after the
   ///    driver derives the scheme and quad-split hotspot cells before the
   ///    scheme is broadcast; unset resolves to off.
-  ///  - policy.cost_based_plan: let plan::choose_plan() pick broadcast vs
-  ///    partitioned per run instead of the static broadcast_join flag, once
-  ///    the shared read/parse/sample stages ran, with the partitioned plan's
-  ///    filter decision as its filter_selectivity.
   plan::ExecPolicy policy;
 };
 
@@ -73,9 +75,9 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
 /// produced for resident queries: the parsed feature store, the per-chunk
 /// FeatureRef views, the partition scheme and the occupancy filters. A
 /// resident query re-executes only the assign -> groupByKey -> join ->
-/// local-join tail; no dataset is copied. Rejects broadcast_join and
-/// policy.cost_based_plan with InvalidArgument, because the broadcast plan
-/// has no resident tail. Throws SjcError when the build run fails.
+/// local-join tail; no dataset is copied. Rejects any join_plan but
+/// kPartitionedJoin with InvalidArgument, because the broadcast plan has no
+/// resident tail. Throws SjcError when the build run fails.
 core::ResidentJoin spatial_spark_resident(const workload::Dataset& left,
                                           const workload::Dataset& right,
                                           const core::JoinQueryConfig& query,

@@ -786,7 +786,7 @@ TEST(SystemRecovery, DueLossAndDeadlineKillOrderPerEngine) {
   EXPECT_EQ("dfs/re-replicate[node7]", hadoop_phases[1].name);
 
   systems::SpatialSparkConfig spark_config;
-  spark_config.spark.faults = plan;
+  spark_config.faults = plan;
   const auto spark =
       systems::run_spatial_spark(b.points, b.polys, b.query, exec, spark_config);
   EXPECT_EQ(StatusCode::kDeadlineExceeded, spark.status.code())
@@ -846,7 +846,7 @@ TEST(SystemRecovery, MalformedRowsAreQuarantinedNotFatal) {
   EXPECT_EQ(clean.result_count, gis.result_count);
 
   systems::SpatialSparkConfig spark_faulty;
-  spark_faulty.spark.faults.malformed_rows = 3;
+  spark_faulty.faults.malformed_rows = 3;
   const auto spark = systems::run_spatial_spark(b.points, b.polys, b.query,
                                                 b.exec, spark_faulty);
   ASSERT_TRUE(spark.status.ok()) << spark.status.to_string();
@@ -878,7 +878,7 @@ TEST(SystemRecovery, SparkExecutorLossTriggersLineageRecompute) {
   ASSERT_TRUE(clean.status.ok()) << clean.status.to_string();
 
   systems::SpatialSparkConfig faulty;
-  faulty.spark.faults.datanode_losses = {{1.0, 2}};
+  faulty.faults.datanode_losses = {{1.0, 2}};
   const auto lost = systems::run_spatial_spark(b.points, b.polys, b.query, exec, faulty);
   ASSERT_TRUE(lost.status.ok()) << lost.status.to_string();
   EXPECT_TRUE(lost.recovered);

@@ -334,18 +334,15 @@ TEST(JoinCostModel, MonotoneInInputSize) {
   }
 }
 
-TEST(JoinCostModel, ReplicationAndSelectivityMoveThePartitionedCost) {
+TEST(JoinCostModel, SelectivityMovesThePartitionedCost) {
   auto in = base_inputs();
   const double baseline = plan::choose_plan(in).partitioned_seconds;
-  in.replication_factor = 3.0;
-  const double replicated = plan::choose_plan(in).partitioned_seconds;
-  EXPECT_GT(replicated, baseline);
   // A set selectivity means the run builds the filter: a filter that drops
   // nothing only adds its build, and one that drops 90% of the copies
   // shuffles and indexes less.
   in.filter_selectivity = 1.0;
   const double unpruned = plan::choose_plan(in).partitioned_seconds;
-  EXPECT_GT(unpruned, replicated);
+  EXPECT_GT(unpruned, baseline);
   in.filter_selectivity = 0.1;
   const double filtered = plan::choose_plan(in).partitioned_seconds;
   EXPECT_LT(filtered, unpruned);
@@ -431,6 +428,13 @@ TEST(FilterPlan, CornerRightSideBuildsTheFilterAndPaysForIt) {
 // either join on EC2-10, so the plan declines it on every system and the
 // filter drops nothing. (HadoopGIS dies of its broken pipe while
 // preprocessing, before any filter is decided.)
+/// The report's phase names, in the order the run booked them.
+std::vector<std::string> phase_names(const core::RunReport& report) {
+  std::vector<std::string> names;
+  for (const auto& p : report.metrics.phases()) names.push_back(p.name);
+  return names;
+}
+
 TEST(FilterPlan, TableTwoExperimentsDeclineTheFilter) {
   const VirtualTimeGuard vt;
   workload::WorkloadConfig wc;
@@ -449,6 +453,14 @@ TEST(FilterPlan, TableTwoExperimentsDeclineTheFilter) {
       if (system != core::SystemKind::kHadoopGisSim) {
         ASSERT_TRUE(report.status.ok()) << tag << " " << report.status.to_string();
         EXPECT_GT(report.counters.get("plan.filter_probed_records"), 0u) << tag;
+      }
+      if (system == core::SystemKind::kSpatialHadoopSim) {
+        // SpatialHadoop has one phase order without the filter: forced off,
+        // it samples both datasets before either partition job, as the
+        // declining default does.
+        const auto off = run_filter(system, left, right, query, exec, false);
+        ASSERT_TRUE(off.status.ok()) << tag << " " << off.status.to_string();
+        EXPECT_EQ(phase_names(off), phase_names(report)) << tag;
       }
     }
   }
@@ -526,7 +538,7 @@ TEST(FilterPlan, CostBasedPlanDecidesOverTheRefinedScheme) {
   fixed.policy.skew.hotspot_factor = 1.5;
   fixed.policy.skew.min_cell_records = 8;
   systems::SpatialSparkConfig planned = fixed;
-  planned.policy.cost_based_plan = true;
+  planned.join_plan = std::nullopt;
   const auto a = systems::run_spatial_spark(left, right, query, exec, fixed);
   const auto b = systems::run_spatial_spark(left, right, query, exec, planned);
   ASSERT_TRUE(a.status.ok()) << a.status.to_string();
@@ -807,10 +819,9 @@ TEST(PlanServing, ResidentSpatialSparkRejectsBroadcastPlans) {
   cost_based.system = core::SystemKind::kSpatialSparkSim;
   cost_based.build_query = bench.query;
   cost_based.exec = bench.exec;
-  cost_based.spatial_spark.policy.cost_based_plan = true;
+  cost_based.spatial_spark.join_plan = std::nullopt;
   serving::ResidentEntryConfig broadcast = cost_based;
-  broadcast.spatial_spark.policy.cost_based_plan = false;
-  broadcast.spatial_spark.broadcast_join = true;
+  broadcast.spatial_spark.join_plan = plan::PlanKind::kBroadcastJoin;
 
   serving::ResidentCatalog catalog;
   for (const auto& config : {cost_based, broadcast}) {

@@ -18,11 +18,10 @@ Sizer<int> int_sizer() {
 struct SparkFixture {
   cluster::RunMetrics metrics;
   cluster::ClusterSpec spec = cluster::ClusterSpec::workstation();
-  SparkConfig config;
   SparkFixture() = default;
 
   SparkRuntime make_runtime(double data_scale = 1000.0) {
-    return SparkRuntime(spec, data_scale, nullptr, &metrics, config);
+    return SparkRuntime(spec, data_scale, nullptr, &metrics);
   }
 };
 
@@ -144,7 +143,7 @@ TEST(Rdd, ShuffleBytesRecorded) {
 // ---------------------------------------------------------------------------
 
 TEST(MemoryManager, AllocateReleaseAndPeak) {
-  MemoryManager mm(/*capacity=*/1000000, /*data_scale=*/100.0, /*inflation=*/1.0);
+  MemoryManager mm(/*capacity=*/1000000, /*data_scale=*/100.0);
   mm.allocate(1000, "a");  // 100,000 paper bytes
   EXPECT_EQ(mm.live_raw_bytes(), 1000u);
   mm.allocate(2000, "b");
@@ -154,17 +153,11 @@ TEST(MemoryManager, AllocateReleaseAndPeak) {
 }
 
 TEST(MemoryManager, ThrowsOnExhaustion) {
-  MemoryManager mm(1000, 10.0, 1.0);  // capacity 1000 paper bytes
-  mm.allocate(50, "half");            // 500 paper bytes
+  MemoryManager mm(1000, 10.0);  // capacity 1000 paper bytes
+  mm.allocate(50, "half");       // 500 paper bytes
   EXPECT_THROW(mm.allocate(60, "too much"), SimOutOfMemory);
   // Failed allocation must not leak into the live count.
   EXPECT_EQ(mm.live_raw_bytes(), 50u);
-}
-
-TEST(MemoryManager, InflationMultiplies) {
-  MemoryManager mm(1000, 1.0, 4.0);
-  EXPECT_THROW(mm.allocate(300, "inflated"), SimOutOfMemory);  // 1200 > 1000
-  EXPECT_NO_THROW(mm.allocate(200, "fits"));                   // 800 <= 1000
 }
 
 TEST(Rdd, StorageReleasesMemoryOnDestruction) {
@@ -188,11 +181,9 @@ TEST(Rdd, OomSurfacesThroughCreate) {
 TEST(SparkRuntime, MemoryCapacityUsesReserve) {
   cluster::RunMetrics metrics;
   auto spec = cluster::ClusterSpec::ec2(4);
-  SparkConfig config;
-  config.memory_fraction = 1.0;
-  config.memory_reserve_per_node = 5ULL * 1024 * 1024 * 1024;  // 5 GB of 15
-  SparkRuntime rt(spec, 1.0, nullptr, &metrics, config);
-  EXPECT_EQ(rt.memory().capacity_bytes(), 4ULL * 10 * 1024 * 1024 * 1024);
+  SparkRuntime rt(spec, 1.0, nullptr, &metrics);
+  // 2.75 GB of each 15 GB node is reserved before executors get the rest.
+  EXPECT_EQ(rt.memory().capacity_bytes(), 4 * (15ULL * 1024 - 2816) * 1024 * 1024);
 }
 
 // ---------------------------------------------------------------------------
@@ -203,7 +194,7 @@ TEST(Broadcast, ValueAccessibleAndMemoryCharged) {
   SparkFixture f;
   f.spec = cluster::ClusterSpec::ec2(4);
   cluster::RunMetrics metrics;
-  SparkRuntime rt(f.spec, 1000.0, nullptr, &metrics, f.config);
+  SparkRuntime rt(f.spec, 1000.0, nullptr, &metrics);
   {
     Broadcast<std::string> bc(rt, "hello", 100, "greeting");
     EXPECT_EQ(bc.value(), "hello");
@@ -216,7 +207,7 @@ TEST(Broadcast, RecordsNetworkStage) {
   SparkFixture f;
   f.spec = cluster::ClusterSpec::ec2(4);
   cluster::RunMetrics metrics;
-  SparkRuntime rt(f.spec, 1000.0, nullptr, &metrics, f.config);
+  SparkRuntime rt(f.spec, 1000.0, nullptr, &metrics);
   Broadcast<int> bc(rt, 7, 1000, "seven");
   ASSERT_FALSE(metrics.phases().empty());
   EXPECT_EQ(metrics.phases().back().name, "seven");
@@ -250,7 +241,7 @@ TEST(Rdd, UninitializedHandleThrowsNotCrashes) {
 TEST(SparkRuntime, InputReadRecordsBytes) {
   cluster::RunMetrics metrics;
   const auto spec = cluster::ClusterSpec::ec2(4);
-  SparkRuntime rt(spec, 1000.0, nullptr, &metrics, {});
+  SparkRuntime rt(spec, 1000.0, nullptr, &metrics);
   rt.record_input_read("scan", 4096, 8);
   ASSERT_EQ(metrics.phases().size(), 1u);
   EXPECT_EQ(metrics.phases()[0].bytes_read, 4096u);
@@ -263,8 +254,8 @@ TEST(SparkRuntime, BroadcastFreeOnSingleNode) {
   cluster::RunMetrics ec2_metrics;
   const auto ws = cluster::ClusterSpec::workstation();
   const auto ec2 = cluster::ClusterSpec::ec2(10);
-  SparkRuntime ws_rt(ws, 1000.0, nullptr, &ws_metrics, {});
-  SparkRuntime ec2_rt(ec2, 1000.0, nullptr, &ec2_metrics, {});
+  SparkRuntime ws_rt(ws, 1000.0, nullptr, &ws_metrics);
+  SparkRuntime ec2_rt(ec2, 1000.0, nullptr, &ec2_metrics);
   ws_rt.record_broadcast("bc", 1024 * 1024);
   ec2_rt.record_broadcast("bc", 1024 * 1024);
   // Loopback broadcast costs only the stage overhead; EC2 pays wire time.

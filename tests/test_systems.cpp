@@ -203,7 +203,7 @@ TEST(Systems, BroadcastJoinAgreesWithPartitionJoin) {
   query.predicate = core::JoinPredicate::kWithin;
 
   systems::SpatialSparkConfig broadcast_cfg;
-  broadcast_cfg.broadcast_join = true;
+  broadcast_cfg.join_plan = plan::PlanKind::kBroadcastJoin;
   const auto bc = systems::run_spatial_spark(w.points, w.polys, query, w.exec,
                                              broadcast_cfg);
   ASSERT_TRUE(bc.status.ok()) << bc.status.to_string();
@@ -245,7 +245,7 @@ TEST(Systems, BroadcastJoinAgreesWithPartitionJoin) {
   // broadcast plan diverts every injected row and still finds exactly the
   // partitioned plan's pairs.
   systems::SpatialSparkConfig malformed_cfg = broadcast_cfg;
-  malformed_cfg.spark.faults.malformed_rows = 3;
+  malformed_cfg.faults.malformed_rows = 3;
   const auto junk = systems::run_spatial_spark(w.points, w.polys, query, w.exec,
                                                malformed_cfg);
   ASSERT_TRUE(junk.status.ok()) << junk.status.to_string();
