@@ -1,6 +1,5 @@
 #include "index/nearest.hpp"
 
-#include <limits>
 #include <queue>
 
 namespace sjc::index {
@@ -54,33 +53,6 @@ std::vector<NearestHit> k_nearest_envelopes(const StrTree& tree,
     }
   }
   return out;
-}
-
-NearestHit nearest_exact(const StrTree& tree, const geom::Envelope& query,
-                         const std::function<double(std::uint32_t)>& exact_distance) {
-  NearestHit best{std::numeric_limits<std::uint32_t>::max(),
-                  std::numeric_limits<double>::infinity()};
-  if (tree.empty()) return best;
-
-  MinHeap heap;
-  push_children(tree, tree.root(), query, heap);
-  while (!heap.empty()) {
-    const QueueItem item = heap.top();
-    heap.pop();
-    // Everything remaining is at least this far by envelope bound; once the
-    // bound passes the best exact distance we are done.
-    if (item.distance > best.distance) break;
-    if (item.is_entry) {
-      const std::uint32_t id = tree.entry(item.node).id;
-      const double d = exact_distance(id);
-      if (d < best.distance || (d == best.distance && id < best.id)) {
-        best = {id, d};
-      }
-    } else {
-      push_children(tree, tree.node(item.node), query, heap);
-    }
-  }
-  return best;
 }
 
 }  // namespace sjc::index

@@ -3,14 +3,12 @@
 // The paper's opening example is "matching taxi pickup/drop-off locations
 // with road segments through point-to-nearest-polyline distance
 // computation". The distributed systems evaluate it as a within-distance
-// join; this module provides the exact k-NN primitive (classic
-// Hjaltason–Samet best-first traversal over MBR distances) used by the
-// serial nearest-neighbor join in core/nn_join.hpp and by callers that
-// need candidate ranking.
+// join; this module provides the k-NN primitive (classic Hjaltason–Samet
+// best-first traversal over MBR distances) behind resident serving's kNN
+// lookups.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "index/str_tree.hpp"
@@ -28,14 +26,5 @@ struct NearestHit {
 std::vector<NearestHit> k_nearest_envelopes(const StrTree& tree,
                                             const geom::Envelope& query,
                                             std::size_t k);
-
-/// Incremental best-first traversal with exact re-ranking: `exact_distance`
-/// maps an entry id to its true distance; the function returns the id with
-/// the smallest exact distance (and that distance), or {UINT32_MAX, inf}
-/// for an empty tree. Envelope distances prune: an entry is only scored
-/// exactly while its envelope distance can still beat the best exact
-/// distance found.
-NearestHit nearest_exact(const StrTree& tree, const geom::Envelope& query,
-                         const std::function<double(std::uint32_t)>& exact_distance);
 
 }  // namespace sjc::index

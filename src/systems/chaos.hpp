@@ -2,7 +2,7 @@
 // run any of the three systems under a plan, and the accounting invariants
 // every chaos run must satisfy.
 //
-// The sweep's contract (tests/test_chaos_sweep.cpp, bench_chaos):
+// The sweep's contract (tests/test_chaos_sweep.cpp):
 //   1. A run either succeeds with a pair set bit-identical to the
 //      fault-free ground truth, or fails with a structured Status — it
 //      never crashes, corrupts results, or dies with an unclassified
@@ -11,7 +11,7 @@
 //      was rejected (speculative race loser), or aborted.
 //   3. Retry budgets, quarantine counters and input-quarantine counters
 //      are internally consistent with the plan.
-// Shared between the test and the bench so both enforce the same story.
+// bench_parity_dump draws its random fault plans here too.
 #pragma once
 
 #include <cstdint>

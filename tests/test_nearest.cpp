@@ -1,10 +1,9 @@
-// Tests for best-first nearest-neighbor search and the serial NN join.
+// Tests for best-first nearest-neighbor search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 
-#include "core/nn_join.hpp"
 #include "index/nearest.hpp"
 #include "util/rng.hpp"
 
@@ -22,9 +21,6 @@ std::vector<index::IndexEntry> random_points(Rng& rng, std::size_t n) {
 TEST(Nearest, EmptyTree) {
   const index::StrTree tree({});
   EXPECT_TRUE(index::k_nearest_envelopes(tree, geom::Envelope(0, 0, 1, 1), 3).empty());
-  const auto hit = index::nearest_exact(tree, geom::Envelope(0, 0, 1, 1),
-                                        [](std::uint32_t) { return 0.0; });
-  EXPECT_EQ(hit.id, std::numeric_limits<std::uint32_t>::max());
 }
 
 TEST(Nearest, KZeroYieldsNothing) {
@@ -61,122 +57,6 @@ TEST(Nearest, AscendingOrderAndMatchesBruteForce) {
       EXPECT_DOUBLE_EQ(hits[i].distance, dists[i]);
     }
   }
-}
-
-TEST(Nearest, ExactRerankOverridesEnvelopeOrder) {
-  // Two boxes: A's envelope is nearer the query, but B's "exact" distance
-  // is smaller — nearest_exact must return B.
-  const index::StrTree tree({{geom::Envelope(1, 0, 2, 1), 0},   // env distance 0
-                             {geom::Envelope(3, 0, 4, 1), 1}}); // env distance 1.x
-  const auto hit = index::nearest_exact(
-      tree, geom::Envelope::of_point(1.5, 0.5),
-      [](std::uint32_t id) { return id == 0 ? 5.0 : 2.0; });
-  EXPECT_EQ(hit.id, 1u);
-  EXPECT_EQ(hit.distance, 2.0);
-}
-
-TEST(Nearest, ExactMatchesBruteForceOnGeometry) {
-  Rng rng(9);
-  std::vector<geom::Feature> lines;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    const double x = rng.uniform(0, 100);
-    const double y = rng.uniform(0, 100);
-    lines.push_back({i, geom::Geometry::line_string(
-                            {{x, y}, {x + rng.uniform(-5, 5), y + rng.uniform(-5, 5)}})});
-  }
-  std::vector<index::IndexEntry> entries;
-  for (std::uint32_t i = 0; i < lines.size(); ++i) {
-    entries.push_back({lines[i].geometry.envelope(), i});
-  }
-  const index::StrTree tree(entries);
-  const auto& engine = geom::GeometryEngine::prepared();
-  for (int trial = 0; trial < 100; ++trial) {
-    const geom::Geometry p =
-        geom::Geometry::point(rng.uniform(0, 100), rng.uniform(0, 100));
-    const auto hit = index::nearest_exact(
-        tree, p.envelope(),
-        [&](std::uint32_t id) { return engine.distance(p, lines[id].geometry); });
-    double best = std::numeric_limits<double>::infinity();
-    std::uint32_t best_id = 0;
-    for (std::uint32_t i = 0; i < lines.size(); ++i) {
-      const double d = engine.distance(p, lines[i].geometry);
-      if (d < best) {
-        best = d;
-        best_id = i;
-      }
-    }
-    EXPECT_EQ(hit.id, best_id);
-    EXPECT_DOUBLE_EQ(hit.distance, best);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// NN join
-// ---------------------------------------------------------------------------
-
-TEST(NnJoin, EmptySides) {
-  std::vector<geom::Feature> some = {{0, geom::Geometry::point(0, 0)}};
-  EXPECT_TRUE(core::nearest_neighbor_join({}, some).empty());
-  EXPECT_TRUE(core::nearest_neighbor_join(some, {}).empty());
-}
-
-TEST(NnJoin, MatchesBruteForce) {
-  Rng rng(11);
-  std::vector<geom::Feature> points;
-  for (std::uint64_t i = 0; i < 150; ++i) {
-    points.push_back(
-        {i, geom::Geometry::point(rng.uniform(0, 50), rng.uniform(0, 50))});
-  }
-  std::vector<geom::Feature> roads;
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    const double x = rng.uniform(0, 50);
-    const double y = rng.uniform(0, 50);
-    roads.push_back({1000 + i, geom::Geometry::line_string(
-                                   {{x, y}, {x + rng.uniform(-8, 8), y + rng.uniform(-8, 8)}})});
-  }
-  const auto matches = core::nearest_neighbor_join(points, roads);
-  ASSERT_EQ(matches.size(), points.size());
-  const auto& engine = geom::GeometryEngine::prepared();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(matches[i].left_id, points[i].id);
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& r : roads) {
-      best = std::min(best, engine.distance(points[i].geometry, r.geometry));
-    }
-    EXPECT_DOUBLE_EQ(matches[i].distance, best);
-    EXPECT_DOUBLE_EQ(
-        engine.distance(points[i].geometry,
-                        roads[matches[i].right_id - 1000].geometry),
-        best);
-  }
-}
-
-TEST(NnJoin, ZeroDistanceForCoveredPoints) {
-  std::vector<geom::Feature> points = {{0, geom::Geometry::point(1, 1)}};
-  std::vector<geom::Feature> lines = {
-      {7, geom::Geometry::line_string({{0, 0}, {2, 2}})}};
-  const auto matches = core::nearest_neighbor_join(points, lines);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].right_id, 7u);
-  EXPECT_EQ(matches[0].distance, 0.0);
-}
-
-TEST(NnJoin, EnginesAgree) {
-  Rng rng(13);
-  std::vector<geom::Feature> points;
-  std::vector<geom::Feature> lines;
-  for (std::uint64_t i = 0; i < 60; ++i) {
-    points.push_back({i, geom::Geometry::point(rng.uniform(0, 20), rng.uniform(0, 20))});
-    const double x = rng.uniform(0, 20);
-    const double y = rng.uniform(0, 20);
-    lines.push_back({i, geom::Geometry::line_string(
-                            {{x, y}, {x + rng.uniform(-3, 3), y + rng.uniform(-3, 3)}})});
-  }
-  const auto a = core::nearest_neighbor_join(points, lines,
-                                             geom::GeometryEngine::simple());
-  const auto b = core::nearest_neighbor_join(points, lines,
-                                             geom::GeometryEngine::prepared());
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace
