@@ -7,9 +7,8 @@
 // OOMs outright — once it does not. The model predicts both costs from the
 // quantities the drivers already measure (dataset records/bytes,
 // occupancy-filter selectivity, ClusterSpec bandwidths) and picks the
-// cheaper feasible plan; the decision and both
-// predictions land in the plan.* counters so mispredictions stay visible
-// next to the realized cost.
+// cheaper feasible plan; the decision and both predictions land in the
+// plan.* counters so mispredictions stay visible next to the realized cost.
 #pragma once
 
 #include <cstdint>
