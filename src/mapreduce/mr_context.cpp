@@ -1,5 +1,10 @@
 #include "mapreduce/mr_context.hpp"
 
+#include <algorithm>
+#include <utility>
+
+#include "util/status.hpp"
+
 namespace sjc::mapreduce {
 
 namespace {
@@ -52,24 +57,74 @@ void charge_master_step(MrContext& ctx, const std::string& name, double cpu_seco
   apply_due_datanode_losses(ctx);
 }
 
-cluster::ScheduleOutcome record_phase(MrContext& ctx, const std::string& name,
-                                      const std::vector<cluster::SimTask>& tasks,
-                                      std::uint64_t bytes_read,
-                                      std::uint64_t bytes_written,
-                                      std::uint64_t bytes_shuffled,
-                                      double extra_seconds,
-                                      const std::vector<double>* task_severity,
-                                      std::uint64_t max_task_pipe_bytes) {
-  const cluster::ScheduleOutcome outcome =
-      ctx.record(name, tasks, bytes_read, bytes_written, bytes_shuffled, extra_seconds,
-                 task_severity, max_task_pipe_bytes);
-  apply_due_datanode_losses(ctx);
-  // A failed phase is exempt: the caller throws its own, more specific
-  // failure.
-  if (outcome.success) {
-    ctx.enforce_limits("phase", name, outcome, tasks.size(), extra_seconds);
+JobPhase::JobPhase(std::string name, std::size_t tasks, const MrConfig& config, bool pipes)
+    : name_(std::move(name)),
+      config_(config),
+      pipes_(pipes),
+      tasks_(tasks),
+      pipe_bytes_(pipes ? tasks : 0, 0) {}
+
+cluster::SimTask& JobPhase::charge(std::size_t i, double cpu_seconds,
+                                   std::uint64_t in_bytes, std::uint64_t out_bytes) {
+  cluster::SimTask& task = tasks_[i];
+  task.cpu_seconds = cpu_seconds / config_.cpu_efficiency;
+  if (pipes_) {
+    pipe_bytes_[i] = in_bytes + out_bytes;
+    task.cpu_seconds += static_cast<double>(pipe_bytes_[i]) / kPipeBandwidth;
   }
-  return outcome;
+  task.fixed_overhead = kTaskOverheadSeconds;
+  return task;
+}
+
+void JobPhase::book(MrContext& ctx, double serial_seconds, bool shuffle) const {
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_written = 0;
+  for (const auto& task : tasks_) {
+    bytes_read += task.disk_read;
+    bytes_written += task.disk_write;
+  }
+  // Pipe-overflow severity of each task: paper-magnitude pipe volume over
+  // the capacity. <= 1 never fails; > 1 fails an attempt unless the
+  // attempt's retry headroom covers the ratio (scheduler.hpp). 0 when the
+  // capacity check is disabled.
+  std::vector<double> severity;
+  std::uint64_t max_pipe = 0;
+  for (const std::uint64_t bytes : pipe_bytes_) {
+    severity.push_back(config_.pipe_capacity_bytes == 0
+                           ? 0.0
+                           : static_cast<double>(bytes) * ctx.data_scale /
+                                 static_cast<double>(config_.pipe_capacity_bytes));
+    max_pipe = std::max(max_pipe, bytes);
+  }
+  const cluster::ScheduleOutcome outcome = ctx.record(
+      name_, tasks_, bytes_read, bytes_written, shuffle ? bytes_read : 0, serial_seconds,
+      pipes_ ? &severity : nullptr,
+      static_cast<std::uint64_t>(static_cast<double>(max_pipe) * ctx.data_scale));
+  apply_due_datanode_losses(ctx);
+  if (outcome.success) {
+    ctx.enforce_limits("phase", name_, outcome, tasks_.size(), serial_seconds);
+    return;
+  }
+  const std::size_t task = outcome.first_failed_task;
+  if (!pipes_) {
+    throw TaskFailed(name_ + ": task " + std::to_string(task) +
+                     " crashed and exhausted its attempts");
+  }
+  // Pipe overflows beyond the last attempt's headroom die as BrokenPipe
+  // (the HadoopGIS signature of Tables 2-3), injected crashes as TaskFailed.
+  const cluster::FaultInjector& faults = ctx.faults();
+  const std::uint32_t attempts = faults.plan().max_attempts;
+  if (task < severity.size() && severity[task] > 1.0 &&
+      severity[task] > faults.capacity_factor(attempts)) {
+    const auto paper_bytes = static_cast<std::uint64_t>(
+        static_cast<double>(pipe_bytes_[task]) * ctx.data_scale);
+    throw BrokenPipe("streaming task pipe overflow in " + name_ + ": " +
+                     std::to_string(paper_bytes) + " bytes > capacity " +
+                     std::to_string(config_.pipe_capacity_bytes) + " after " +
+                     std::to_string(attempts) + " attempt(s)");
+  }
+  throw TaskFailed("streaming task " + std::to_string(task) + " in " + name_ +
+                   " crashed and exhausted " + std::to_string(attempts) + " attempt(s)");
 }
 
 }  // namespace sjc::mapreduce

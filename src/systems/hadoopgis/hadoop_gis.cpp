@@ -21,12 +21,16 @@ namespace {
 
 using core::chunk_lines;
 using core::JoinPair;
+using mapreduce::StreamingMapFn;
 using mapreduce::StreamingSpec;
 
-std::uint64_t lines_bytes(const std::vector<std::string>& lines) {
-  std::uint64_t total = 0;
-  for (const auto& l : lines) total += l.size() + 1;
-  return total;
+/// A mapper factory handing every map task the same stateless mapper.
+std::function<StreamingMapFn(std::size_t)> every_task(StreamingMapFn mapper) {
+  return [mapper = std::move(mapper)](std::size_t) { return mapper; };
+}
+
+void copy_line(const std::string& line, std::vector<std::string>& emit) {
+  emit.push_back(line);
 }
 
 std::string mbr_line(const geom::Envelope& e) {
@@ -54,7 +58,7 @@ struct PreprocessedDataset {
 
 struct GisContext {
   mapreduce::MrContext* mr;
-  mapreduce::StreamingConfig streaming;
+  mapreduce::MrConfig streaming;
   const core::JoinQueryConfig* query;
   const core::ExecutionConfig* exec;
   const HadoopGisConfig* config;
@@ -80,7 +84,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
       core::input_lines(data, tag, gis.config->faults, ctx.counters), split_count);
   {
     std::uint64_t raw_bytes = 0;
-    for (const auto& s : raw_splits) raw_bytes += lines_bytes(s);
+    for (const auto& s : raw_splits) raw_bytes += StreamingSpec::split_bytes(s);
     ctx.dfs->put(tag + ".raw", std::any(), raw_bytes);
   }
 
@@ -88,13 +92,11 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   StreamingSpec convert;
   convert.name = tag + "/1-convert";
   convert.config = gis.streaming;
-  convert.map = [](const std::string& line, std::vector<std::string>& emit) {
-    // Format conversion: the real system rewrites OGR fields to TSV; the
-    // work that remains at this fidelity is copying every byte through.
-    emit.push_back(line);
-  };
-  auto converted = chunk_lines(
-      mapreduce::run_streaming_map_only(ctx, convert, raw_splits), split_count);
+  // Format conversion: the real system rewrites OGR fields to TSV; the work
+  // that remains at this fidelity is copying every byte through.
+  convert.make_mapper = every_task(copy_line);
+  auto converted =
+      chunk_lines(mapreduce::run_map_only(ctx, convert, raw_splits), split_count);
   raw_splits.clear();
 
   // ---- Step 2: map-only sample job (parses WKT of every record!) ----------
@@ -105,8 +107,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   const double sample_rate = gis.plane->sample_rate(data.size());
   workload::RowQuarantine* quarantine = gis.quarantine;
   const std::string sample_site = sample.name;
-  sample.make_mapper = [&, quarantine, sample_site](std::size_t task)
-      -> mapreduce::StreamingMapFn {
+  sample.make_mapper = [&, quarantine, sample_site](std::size_t task) -> StreamingMapFn {
     auto rng = std::make_shared<Rng>(sample_base.fork(task));
     const double rate = sample_rate;
     return [rng, rate, quarantine, sample_site](const std::string& line,
@@ -120,17 +121,16 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
       if (rng->bernoulli(rate)) emit.push_back(mbr_line(f->geometry.envelope()));
     };
   };
-  const auto sample_lines = mapreduce::run_streaming_map_only(ctx, sample, converted);
-  out.sample_text_bytes = lines_bytes(sample_lines);
+  const auto sample_lines = mapreduce::run_map_only(ctx, sample, converted);
+  out.sample_text_bytes = StreamingSpec::split_bytes(sample_lines);
 
   // ---- Step 3: MR job, single reducer: dataset extent ----------------------
   StreamingSpec extent_job;
   extent_job.name = tag + "/3-extent";
   extent_job.config = gis.streaming;
-  extent_job.config.mr.reduce_tasks = 1;
-  extent_job.map = [](const std::string& line, std::vector<std::string>& emit) {
-    emit.push_back(line);  // constant key "m": everything meets at one reducer
-  };
+  extent_job.config.reduce_tasks = 1;
+  // Constant key "m": everything meets at one reducer.
+  extent_job.make_mapper = every_task(copy_line);
   extent_job.reduce = [](const std::vector<std::string>& lines,
                          std::vector<std::string>& emit) {
     geom::Envelope extent;
@@ -138,7 +138,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
     emit.push_back(mbr_line(extent));
   };
   const auto extent_lines =
-      mapreduce::run_streaming(ctx, extent_job, chunk_lines(sample_lines, 4));
+      mapreduce::run_map_reduce(ctx, extent_job, chunk_lines(sample_lines, 4));
   out.extent = parse_mbr_line(extent_lines.at(0));
 
   // ---- Step 4: map-only normalize job --------------------------------------
@@ -146,7 +146,8 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   StreamingSpec normalize;
   normalize.name = tag + "/4-normalize";
   normalize.config = gis.streaming;
-  normalize.map = [extent](const std::string& line, std::vector<std::string>& emit) {
+  normalize.make_mapper = every_task([extent](const std::string& line,
+                                              std::vector<std::string>& emit) {
     const geom::Envelope e = parse_mbr_line(line);
     const double w = std::max(extent.width(), 1e-12);
     const double h = std::max(extent.height(), 1e-12);
@@ -154,8 +155,8 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
                              (e.min_y() - extent.min_y()) / h,
                              (e.max_x() - extent.min_x()) / w,
                              (e.max_y() - extent.min_y()) / h}));
-  };
-  const auto norm_lines = mapreduce::run_streaming_map_only(
+  });
+  const auto norm_lines = mapreduce::run_map_only(
       ctx, normalize, chunk_lines(sample_lines, gis.exec->cluster.total_slots()));
 
   // ---- Step 5: local serial partition generation ---------------------------
@@ -177,9 +178,9 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   const partition::PartitionScheme scheme =
       gis.plane->make_scheme(out.samples, data.extent());
   ctx.dfs->put(tag + ".partitions", std::any(), scheme.size_bytes());
+  const std::uint64_t norm_bytes = StreamingSpec::split_bytes(norm_lines);
   mapreduce::charge_master_step(ctx, tag + "/5-local-partition", master_cpu.seconds(),
-                                /*read=*/lines_bytes(norm_lines),
-                                /*write=*/scheme.size_bytes() + lines_bytes(norm_lines));
+                                /*read=*/norm_bytes, /*write=*/scheme.size_bytes() + norm_bytes);
 
   // ---- Step 6: MR job assigning partition ids ------------------------------
   StreamingSpec assign;
@@ -191,7 +192,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   core::ShuffleTally tally(*ctx.counters, {.duplicates = true});
   const std::string assign_site = assign.name;
   assign.make_mapper = [&scheme, &tally, quarantine,
-                        assign_site](std::size_t) -> mapreduce::StreamingMapFn {
+                        assign_site](std::size_t) -> StreamingMapFn {
     // Every mapper rebuilds the partition index (insert-built R-tree on the
     // broadcast partition file) — a HadoopGIS design cost the paper calls
     // out explicitly.
@@ -224,7 +225,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
       if (i == 0 || lines[i] != lines[i - 1]) emit.push_back(lines[i]);
     }
   };
-  out.partitioned_lines = mapreduce::run_streaming(ctx, assign, converted);
+  out.partitioned_lines = mapreduce::run_map_reduce(ctx, assign, converted);
   return out;
 }
 
@@ -250,7 +251,7 @@ struct JoinInputs {
 /// geom::PreparedCache owned by the caller (the serving catalog); the
 /// Simple (GEOS-analog) engine never consults it.
 std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
-                                   const mapreduce::StreamingConfig& streaming,
+                                   const mapreduce::MrConfig& streaming,
                                    const core::JoinQueryConfig& query,
                                    const core::ExecutionConfig& exec,
                                    const HadoopGisConfig& config, const JoinInputs& in,
@@ -267,8 +268,7 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
   join_job.name = "join/b-distributed-join";
   join_job.config = streaming;
   workload::RowQuarantine* quarantine = &quarantine_sink;
-  join_job.make_mapper = [&in, &tally, quarantine](std::size_t task)
-      -> mapreduce::StreamingMapFn {
+  join_job.make_mapper = [&in, &tally, quarantine](std::size_t task) -> StreamingMapFn {
     const char side = task < in.n_a ? 'A' : 'B';
     // Each side drops against the *other* side's occupancy bitmap.
     const auto& occupancy = side == 'A' ? in.occupancy_b : in.occupancy_a;
@@ -347,7 +347,7 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
       }
     }
   };
-  const auto pair_lines = mapreduce::run_streaming(ctx, join_job, in.splits);
+  const auto pair_lines = mapreduce::run_map_reduce(ctx, join_job, in.splits);
   report.counters.add("join.pair_lines_before_dedup", pair_lines.size());
   stage.record_cache_counters(report.counters);
 
@@ -355,16 +355,14 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
   StreamingSpec dedup;
   dedup.name = "join/c-dedup";
   dedup.config = streaming;
-  dedup.map = [](const std::string& line, std::vector<std::string>& emit) {
-    emit.push_back(line);
-  };
+  dedup.make_mapper = every_task(copy_line);
   dedup.reduce = [](const std::vector<std::string>& lines,
                     std::vector<std::string>& emit) {
     for (std::size_t i = 0; i < lines.size(); ++i) {
       if (i == 0 || lines[i] != lines[i - 1]) emit.push_back(lines[i]);
     }
   };
-  const auto final_lines = mapreduce::run_streaming(
+  const auto final_lines = mapreduce::run_map_reduce(
       ctx, dedup, chunk_lines(pair_lines, exec.cluster.total_slots()));
 
   report.counters.add("join.pair_lines_after_dedup", final_lines.size());
@@ -391,10 +389,10 @@ constexpr double kMultiNodePipeDerating = 0.17;
 /// stack (mapreduce::MrConfig's 0.2).
 constexpr double kCpuEfficiency = 0.1;
 
-mapreduce::StreamingConfig make_streaming_config(const core::ExecutionConfig& exec,
-                                                 const HadoopGisConfig& config) {
-  mapreduce::StreamingConfig streaming;
-  streaming.mr.cpu_efficiency = kCpuEfficiency;
+mapreduce::MrConfig make_streaming_config(const core::ExecutionConfig& exec,
+                                          const HadoopGisConfig& config) {
+  mapreduce::MrConfig streaming;
+  streaming.cpu_efficiency = kCpuEfficiency;
   streaming.pipe_capacity_bytes = static_cast<std::uint64_t>(
       config.pipe_capacity_fraction *
       static_cast<double>(exec.cluster.node.memory_bytes) / exec.cluster.node.cores *
@@ -418,7 +416,7 @@ constexpr double kPipeGateMargin = 0.85;
 /// predicted per cell from both sides' samples, each sampled record
 /// standing for its side's lines per sampled record. The pair lines a
 /// reducer emits are not predicted.
-bool join_fits(const mapreduce::MrContext& ctx, const mapreduce::StreamingConfig& streaming,
+bool join_fits(const mapreduce::MrContext& ctx, const mapreduce::MrConfig& streaming,
                const JoinInputs& in, const core::FilterDecision& filter, bool filtered) {
   if (streaming.pipe_capacity_bytes == 0) return true;
   const double limit =
@@ -432,7 +430,7 @@ bool join_fits(const mapreduce::MrContext& ctx, const mapreduce::StreamingConfig
   for (std::size_t s = 0; s < in.splits.size(); ++s) {
     const std::size_t side = s < in.n_a ? 0 : 1;
     const core::SampleCopies& sample = *samples[side];
-    const double in_bytes = static_cast<double>(lines_bytes(in.splits[s]));
+    const double in_bytes = static_cast<double>(StreamingSpec::split_bytes(in.splits[s]));
     const double split_lines = static_cast<double>(in.splits[s].size());
     const double keep = filtered ? 1.0 - sample.drop_fraction() : 1.0;
     largest = std::max(largest, in_bytes + (in_bytes + 2.0 * split_lines) *
@@ -441,9 +439,7 @@ bool join_fits(const mapreduce::MrContext& ctx, const mapreduce::StreamingConfig
     copy_bytes[side] += in_bytes + 2.0 * split_lines;
   }
   const std::uint32_t cells = in.joint_scheme->cell_count();
-  const std::uint32_t reducers = streaming.mr.reduce_tasks != 0
-                                     ? streaming.mr.reduce_tasks
-                                     : ctx.cluster.total_slots();
+  const std::uint32_t reducers = mapreduce::reduce_task_count(streaming, ctx.cluster);
   std::vector<double> reducer_bytes(reducers, 0.0);
   for (std::uint32_t pid = 0; pid < cells; ++pid) {
     double bytes = 0.0;
@@ -453,8 +449,7 @@ bool join_fits(const mapreduce::MrContext& ctx, const mapreduce::StreamingConfig
       const double copies = filtered ? sample.kept[pid] : sample.assigned[pid];
       bytes += copies * copy_bytes[side] / static_cast<double>(sample.records);
     }
-    const std::string key = "j" + std::to_string(pid);
-    reducer_bytes[std::hash<std::string_view>{}(key) % reducers] += bytes;
+    reducer_bytes[mapreduce::streaming_reducer("j" + std::to_string(pid), reducers)] += bytes;
   }
   for (const double bytes : reducer_bytes) largest = std::max(largest, bytes);
   return largest <= limit;
@@ -502,7 +497,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
                              &report.counters, config.faults);
     if (exec.trace) ctx.trace = &collector;
 
-    const mapreduce::StreamingConfig streaming = make_streaming_config(exec, config);
+    const mapreduce::MrConfig streaming = make_streaming_config(exec, config);
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
     GisContext gis{&ctx, streaming, &query, &exec, &config, &plane, &quarantine};
 

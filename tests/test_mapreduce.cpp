@@ -1,5 +1,5 @@
-// Tests for the native MapReduce engine: correctness of the map/shuffle/
-// sort/reduce dataflow, metrics accounting and the framework-overhead
+// Tests for native typed jobs on the job runner: correctness of the map/
+// shuffle/sort/reduce dataflow, metrics accounting and the framework-overhead
 // constants the simulation hinges on.
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <map>
 
 #include "mapreduce/map_reduce.hpp"
+#include "util/stopwatch.hpp"
 
 namespace sjc::mapreduce {
 namespace {
@@ -83,17 +84,23 @@ TEST(MapReduce, RecordsMapAndReducePhases) {
 }
 
 TEST(MapReduce, JobStartupOverheadCharged) {
+  // The job's startup precedes its map phase only; every task pays its own
+  // scheduling overhead.
   cluster::RunMetrics metrics;
   dfs::SimDfs fs({});
   const auto spec_cluster = cluster::ClusterSpec::workstation();
   MrContext ctx = make_context(metrics, fs, spec_cluster);
-  auto spec = word_count();
-  spec.config.job_startup_s = 100.0;
-  run_map_reduce(ctx, spec, {{"a"}});
-  EXPECT_GE(metrics.phases()[0].sim_seconds, 100.0);
+  run_map_reduce(ctx, word_count(), {{"a"}});
+  ASSERT_EQ(metrics.phases().size(), 2u);
+  EXPECT_GE(metrics.phases()[0].sim_seconds, kJobStartupSeconds + kTaskOverheadSeconds);
+  EXPECT_GE(metrics.phases()[1].sim_seconds, kTaskOverheadSeconds);
+  EXPECT_LT(metrics.phases()[1].sim_seconds, kJobStartupSeconds);
 }
 
 TEST(MapReduce, ShuffleFetchLatencyOnlyOnMultiNode) {
+  // Virtual time: no measured CPU, so the two clusters' reduce phases differ
+  // only by the fetch setups and the few bytes' device times.
+  const VirtualTimeGuard virtual_time;
   const auto run_with = [](const cluster::ClusterSpec& spec_cluster) {
     cluster::RunMetrics metrics;
     dfs::SimDfs fs(dfs::DfsConfig{.block_size = 64 * 1024, .replication = 3,
@@ -101,17 +108,56 @@ TEST(MapReduce, ShuffleFetchLatencyOnlyOnMultiNode) {
                                   .seed = 1});
     MrContext ctx(spec_cluster, 1000.0, &fs, &metrics);
     auto spec = word_count();
-    spec.config.job_startup_s = 0.0;
-    spec.config.task_overhead_s = 0.0;
-    spec.config.shuffle_fetch_latency_s = 1.0;
     spec.config.reduce_tasks = 1;
     run_map_reduce(ctx, spec, {{"a"}, {"b"}, {"c"}});  // 3 map tasks
     return metrics.phases()[1].sim_seconds;
   };
   const double single = run_with(cluster::ClusterSpec::workstation());
   const double multi = run_with(cluster::ClusterSpec::ec2(4));
-  // Multi-node: reducer pays 3 maps x 1s fetch setup.
-  EXPECT_GE(multi - single, 2.5);
+  // Multi-node: the reducer pays one fetch setup per map task.
+  EXPECT_NEAR(multi - single, 3 * kShuffleFetchLatencySeconds, 0.05);
+}
+
+TEST(MapReduce, NativeJobsBookNoPipeBytes) {
+  cluster::RunMetrics metrics;
+  dfs::SimDfs fs({});
+  const auto spec_cluster = cluster::ClusterSpec::workstation();
+  MrContext ctx = make_context(metrics, fs, spec_cluster);
+  run_map_reduce(ctx, word_count(), {{"a", "b"}, {"c"}});
+  const auto spec = make_typed_map_only_spec<int, int>(
+      "square", [](const int& x, std::vector<int>& out) { out.push_back(x * x); },
+      [](const int&) { return 8; }, [](const int&) { return 8; });
+  run_map_only(ctx, spec, {2, 3, 4});
+  ASSERT_EQ(metrics.phases().size(), 3u);
+  for (const auto& phase : metrics.phases()) {
+    EXPECT_EQ(phase.max_task_pipe_bytes, 0u) << phase.name;
+  }
+  EXPECT_EQ(metrics.max_task_pipe_bytes(), 0u);
+}
+
+TEST(MapReduce, UserCodeErrorsPropagate) {
+  // An exception from user code is a bug, not a simulated task failure: it
+  // leaves the runner as thrown, from a map and from a reduce.
+  cluster::RunMetrics metrics;
+  dfs::SimDfs fs({});
+  const auto spec_cluster = cluster::ClusterSpec::workstation();
+  MrContext ctx = make_context(metrics, fs, spec_cluster);
+  const auto failing_map = make_typed_spec<std::string, std::string, int, int>(
+      "bad-map", [](const std::string&, const auto&) { throw ParseError("map"); },
+      [](const std::string&, std::vector<int>&, std::vector<int>&) {},
+      [](const std::string& w) { return w.size(); },
+      [](const std::string& k, const int&) { return k.size(); },
+      [](const int&) { return 4; });
+  EXPECT_THROW(run_map_reduce(ctx, failing_map, {{"a"}}), ParseError);
+  const auto failing_reduce = make_typed_spec<std::string, std::string, int, int>(
+      "bad-reduce", [](const std::string& w, const auto& emit) { emit(w, 1); },
+      [](const std::string&, std::vector<int>&, std::vector<int>&) {
+        throw ParseError("reduce");
+      },
+      [](const std::string& w) { return w.size(); },
+      [](const std::string& k, const int&) { return k.size(); },
+      [](const int&) { return 4; });
+  EXPECT_THROW(run_map_reduce(ctx, failing_reduce, {{"a"}}), ParseError);
 }
 
 TEST(MapReduce, EmptyInputProducesNoOutput) {

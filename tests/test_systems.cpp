@@ -474,15 +474,15 @@ TEST(Systems, UserCodeErrorsPropagateNotSwallowed) {
   // infrastructure failure: it must throw, not come back as a RunReport.
   mapreduce::StreamingSpec bad;
   bad.name = "bad";
-  bad.map = [](const std::string&, std::vector<std::string>&) {
-    throw ParseError("boom");
+  bad.make_mapper = [](std::size_t) -> mapreduce::StreamingMapFn {
+    return [](const std::string&, std::vector<std::string>&) { throw ParseError("boom"); };
   };
   bad.reduce = [](const std::vector<std::string>&, std::vector<std::string>&) {};
   cluster::RunMetrics metrics;
   dfs::SimDfs fs(dfs::DfsConfig{});
   const auto spec = cluster::ClusterSpec::workstation();
   mapreduce::MrContext ctx(spec, 1000.0, &fs, &metrics);
-  EXPECT_THROW(mapreduce::run_streaming(ctx, bad, {{"line"}}), ParseError);
+  EXPECT_THROW(mapreduce::run_map_reduce(ctx, bad, {{"line"}}), ParseError);
 }
 
 }  // namespace
