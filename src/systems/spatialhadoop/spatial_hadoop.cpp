@@ -492,7 +492,8 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
       FilterPartials partials{.scheme = &sampled_a.scheme,
                               .empty = geom::OccupancyFilter(sampled_a.scheme.cells()),
                               .envs = right.envelopes(),
-                              .expand = plane.expand()};
+                              .expand = plane.expand(),
+                              .by_block = {}};
       ib = partition_dataset(ctx, right, "B", plane, std::move(sampled_b), nullptr,
                              /*report_shuffle=*/true, &partials);
       const geom::OccupancyFilter sfilter = merge_filter_partials(ctx, partials);
