@@ -8,11 +8,13 @@
 // On top of the sweep this bench validates the two adaptive-layer pieces
 // (src/plan/) against realized behaviour and writes BENCH_plan.json:
 //
-//  * Cost model — at every sweep point plan::choose_plan predicts a winner
-//    before either plan runs; the realized winner (broadcast OOM counts as
-//    a partition win, exactly what the infeasibility gate must predict)
-//    grades it. --min-plan-accuracy=<frac> turns the accuracy into a CI
-//    gate.
+//  * Cost model — at every sweep point a run with join_plan unset lets the
+//    driver's cost model pick the plan once the shared stages ran, and
+//    logs its pick and both predicted costs in its plan.* counters; two
+//    runs forced onto each plan give the realized winner (broadcast OOM
+//    counts as a partition win, exactly what the infeasibility gate must
+//    predict), which grades the pick. --min-plan-accuracy=<frac> turns the
+//    accuracy into a CI gate.
 //
 //  * Skew repartitioning — the Gaussian-hotspot taxi x nycb join on a
 //    fixed grid, traced, with hotspot refinement off vs on: the local-join
@@ -106,30 +108,24 @@ int main(int argc, char** argv) {
     point.fraction = fraction;
     point.right_records = edges.size();
 
-    // The model sees only planning-time inputs: the dataset sizes and the
-    // partitioned run's own shuffle-filter decision, which the plan makes
-    // from a sample before any copy is shuffled (plan.filter_* counters).
-    const auto part = systems::run_spatial_spark(taxi, edges, query, exec);
-    const bool filter_built = part.counters.get("plan.filter_chosen") == 1;
-    point.filter = filter_built ? "built" : "declined";
-    const plan::PlanDecision decision = plan::choose_plan({
-        .left_records = taxi.size(),
-        .right_records = edges.size(),
-        .left_bytes = taxi.text_bytes(),
-        .right_bytes = edges.text_bytes(),
-        .filter_selectivity =
-            filter_built
-                ? std::optional<double>(
-                      1.0 - part.counters.get("plan.filter_predicted_drop_ppm") / 1e6)
-                : std::nullopt,
-        .cluster = exec.cluster,
-        .data_scale = exec.data_scale,
-    });
-    point.predicted = std::string(plan::plan_kind_name(decision.chosen));
-    point.predicted_broadcast_s = decision.broadcast_seconds;
-    point.predicted_partitioned_s = decision.partitioned_seconds;
-    point.predicted_feasible = decision.broadcast_feasible;
+    // The driver's own pick: its cost model sees only planning-time inputs
+    // (the dataset sizes and the partitioned plan's shuffle-filter
+    // decision, made from a sample before any copy is shuffled). Costs are
+    // whole milliseconds; an infeasible broadcast reads as cost_ms's
+    // sentinel for an infinite cost.
+    systems::SpatialSparkConfig planned_cfg;
+    planned_cfg.join_plan = std::nullopt;
+    const auto planned = systems::run_spatial_spark(taxi, edges, query, exec, planned_cfg);
+    const std::uint64_t broadcast_ms = planned.counters.get("plan.predicted_broadcast");
+    point.predicted = std::string(plan::plan_kind_name(
+        static_cast<plan::PlanKind>(planned.counters.get("plan.chosen"))));
+    point.predicted_feasible = broadcast_ms != plan::cost_ms(INFINITY);
+    point.predicted_broadcast_s = static_cast<double>(broadcast_ms) / 1e3;
+    point.predicted_partitioned_s =
+        static_cast<double>(planned.counters.get("plan.predicted_partitioned")) / 1e3;
 
+    const auto part = systems::run_spatial_spark(taxi, edges, query, exec);
+    point.filter = part.counters.get("plan.filter_chosen") == 1 ? "built" : "declined";
     systems::SpatialSparkConfig bcast_cfg;
     bcast_cfg.join_plan = plan::PlanKind::kBroadcastJoin;
     const auto bcast = systems::run_spatial_spark(taxi, edges, query, exec, bcast_cfg);
@@ -248,9 +244,7 @@ int main(int argc, char** argv) {
     json.field("actual_winner", point.actual);
     json.field("predicted_winner", point.predicted);
     json.field("predicted_broadcast_seconds",
-               std::isfinite(point.predicted_broadcast_s)
-                   ? point.predicted_broadcast_s
-                   : -1.0);
+               point.predicted_feasible ? point.predicted_broadcast_s : -1.0);
     json.field("predicted_partitioned_seconds", point.predicted_partitioned_s);
     json.field("predicted_broadcast_feasible", point.predicted_feasible);
     json.field("graded", point.graded);
