@@ -1,14 +1,17 @@
 // Microbenchmark of the two geometry engines — the GEOS-vs-JTS axis the
 // paper identifies as a major factor in HadoopGIS's slow refinement
 // (Section II.C, citing its ref [6]: "JTS can be several times faster than
-// GEOS"). The Simple engine recomputes every predicate naively; the
-// Prepared engine binds the anchor once and answers from its acceleration
-// structures. The measured ratio is the structural speed gap.
+// GEOS"). The Simple engine recomputes every predicate naively
+// (predicates.hpp); the Prepared engine builds the anchor's BatchRefiner
+// once per iteration and refines every probe against it, as the local join
+// does. The measured ratio is the structural speed gap.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
+#include "geom/batch_refine.hpp"
 #include "geom/engine.hpp"
+#include "geom/predicates.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -41,23 +44,30 @@ geom::Geometry river(Rng& rng, int vertices) {
 }
 
 // Point-in-polygon refinement: one polygon probed by many points (the
-// taxi x nycb access pattern).
+// taxi x nycb access pattern; the Prepared engine's batched point pass).
 void BM_PointInPolygon(benchmark::State& state, geom::EngineKind kind) {
   Rng rng(1);
   const int vertices = static_cast<int>(state.range(0));
   const geom::Geometry poly = census_block(rng, vertices);
+  std::vector<geom::Coord> points;
   std::vector<geom::Geometry> probes;
   const auto& env = poly.envelope();
   for (int i = 0; i < 512; ++i) {
-    probes.push_back(geom::Geometry::point(
-        rng.uniform(env.min_x() - 10, env.max_x() + 10),
-        rng.uniform(env.min_y() - 10, env.max_y() + 10)));
+    points.push_back({rng.uniform(env.min_x() - 10, env.max_x() + 10),
+                      rng.uniform(env.min_y() - 10, env.max_y() + 10)});
+    probes.push_back(geom::Geometry::point(points.back().x, points.back().y));
   }
-  const auto& engine = geom::GeometryEngine::get(kind);
+  std::vector<std::uint8_t> covered;
   for (auto _ : state) {
-    const auto bound = engine.bind(poly);
     int hits = 0;
-    for (const auto& p : probes) hits += bound->contains(p) ? 1 : 0;
+    if (kind == geom::EngineKind::kPrepared) {
+      const geom::BatchRefiner refiner(poly);
+      geom::RefineStats stats;
+      refiner.covers_points(points, covered, stats);
+      for (const auto c : covered) hits += c;
+    } else {
+      for (const auto& p : probes) hits += geom::contains_naive(poly, p) ? 1 : 0;
+    }
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(state.iterations() * 512);
@@ -78,11 +88,15 @@ void BM_PolylineIntersect(benchmark::State& state, geom::EngineKind kind) {
         {{x, y}, {x + rng.uniform(-15, 15), y + rng.uniform(-15, 15)},
          {x + rng.uniform(-15, 15), y + rng.uniform(-15, 15)}}));
   }
-  const auto& engine = geom::GeometryEngine::get(kind);
   for (auto _ : state) {
-    const auto bound = engine.bind(water);
     int hits = 0;
-    for (const auto& p : probes) hits += bound->intersects(p) ? 1 : 0;
+    if (kind == geom::EngineKind::kPrepared) {
+      const geom::BatchRefiner refiner(water);
+      geom::RefineStats stats;
+      for (const auto& p : probes) hits += refiner.intersects(p, stats) ? 1 : 0;
+    } else {
+      for (const auto& p : probes) hits += geom::intersects_naive(water, p) ? 1 : 0;
+    }
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(state.iterations() * 256);

@@ -88,7 +88,7 @@ DispatchResult run_dispatch(const workload::Dataset& left,
   cluster::Counters counters;
   core::LocalJoinSpec spec;
   spec.algorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
-  spec.engine = &geom::GeometryEngine::prepared();
+  spec.engine = geom::EngineKind::kPrepared;
   spec.predicate = predicate;
   spec.refine_counters = &counters;
   core::LocalJoinScratch scratch;

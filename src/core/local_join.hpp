@@ -5,11 +5,11 @@
 // algorithm (plane sweep / synchronized R-tree traversal / indexed nested
 // loop) and in the geometry engine used for refinement (Simple vs
 // Prepared). run_local_join factors the common shape: MBR-join the two
-// feature lists, group candidates by the right-side feature, prepare that
-// feature once and refine its whole candidate group against it. The
-// Prepared (JTS-analog) engine refines each group through a
-// geom::BatchRefiner; the Simple (GEOS-analog) engine binds the feature and
-// evaluates its from-scratch predicate per candidate.
+// feature lists, group candidates by the right-side feature and refine its
+// whole candidate group against it. The Prepared (JTS-analog) engine
+// prepares the feature once as a geom::BatchRefiner; the Simple
+// (GEOS-analog) engine calls predicates.hpp's naive functions per
+// candidate, the feature first.
 //
 // run_local_join is templated end to end: the MBR-join sink and the accept
 // filter inline into the kernel loops, candidate grouping is a
@@ -39,6 +39,7 @@
 #include "core/spatial_join.hpp"
 #include "geom/batch_refine.hpp"
 #include "geom/engine.hpp"
+#include "geom/predicates.hpp"
 #include "geom/prepared_cache.hpp"
 #include "index/mbr_join.hpp"
 #include "workload/dataset.hpp"
@@ -47,7 +48,7 @@ namespace sjc::core {
 
 struct LocalJoinSpec {
   index::LocalJoinAlgorithm algorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
-  const geom::GeometryEngine* engine = &geom::GeometryEngine::prepared();
+  geom::EngineKind engine = geom::EngineKind::kPrepared;
   JoinPredicate predicate = JoinPredicate::kIntersects;
   double within_distance = 0.0;
 
@@ -154,8 +155,11 @@ struct AcceptAllPairs {
 /// features meet).
 geom::Coord reference_point(const geom::Envelope& a, const geom::Envelope& b);
 
-/// Exact predicate evaluation used by the refinement step (and by tests).
-bool evaluate_predicate(const geom::GeometryEngine& engine, JoinPredicate predicate,
+/// One-shot exact predicate evaluation (the broadcast join's refinement).
+/// `intersects` anchors on `left`, `within` on `right`; the Prepared engine
+/// builds a BatchRefiner for an anchor of at least 32 coordinates and
+/// calls the naive function otherwise. `within_distance` is always naive.
+bool evaluate_predicate(geom::EngineKind engine, JoinPredicate predicate,
                         double within_distance, const geom::Geometry& left,
                         const geom::Geometry& right);
 
@@ -219,8 +223,7 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
   // Now ends[r] is the START of group r; group r spans
   // [ends[r], r + 1 < n ? ends[r + 1] : candidates.size()).
 
-  const geom::GeometryEngine& engine = *spec.engine;
-  const bool prepared_engine = engine.kind() == geom::EngineKind::kPrepared;
+  const bool prepared_engine = spec.engine == geom::EngineKind::kPrepared;
 
   geom::RefineStats stats;
   std::uint64_t refined = 0;
@@ -301,10 +304,9 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
       continue;
     }
 
-    // Simple engine: bind per right geometry, from-scratch predicate per
-    // candidate (the GEOS-analog model; never cached).
-    const std::unique_ptr<geom::BoundPredicate> bound =
-        engine.bind(right_feature.geometry);
+    // Simple engine: from-scratch naive predicate per candidate, anchored
+    // on the right geometry (the GEOS-analog model; never cached).
+    const geom::Geometry& anchor = right_feature.geometry;
     for (std::size_t c = begin; c < end; ++c) {
       const std::uint32_t l = grouped[c];
       // The accept filter sees the same (expanded) envelopes used for
@@ -316,15 +318,18 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
       const std::uint64_t slow0 = geom::exact::slowpath_calls();
       const auto& left_feature = left[l];
       bool hit = false;
+      const geom::Geometry& probe = left_feature.geometry;
       switch (spec.predicate) {
         case JoinPredicate::kIntersects:
-          hit = bound->intersects(left_feature.geometry);
+          hit = geom::intersects_naive(anchor, probe);
           break;
         case JoinPredicate::kWithin:
-          hit = bound->contains(left_feature.geometry);
+          hit = geom::contains_naive(anchor, probe);
           break;
         case JoinPredicate::kWithinDistance:
-          hit = bound->within_distance(left_feature.geometry, spec.within_distance);
+          // MBR early-out first, as BatchRefiner::within_distance does.
+          hit = anchor.envelope().distance(probe.envelope()) <= spec.within_distance &&
+                geom::distance_naive(anchor, probe) <= spec.within_distance;
           break;
       }
       stats.note_exact(slow0);

@@ -191,8 +191,8 @@ LocalJoinStage::LocalJoinStage(const JoinQueryConfig& query,
     : cache_(shared_cache != nullptr ? *shared_cache : run_cache_),
       hits0_(cache_.hits()),
       misses0_(cache_.misses()),
-      spec_{.algorithm = query.local_algorithm.value_or(system_algorithm),
-            .engine = &geom::GeometryEngine::get(engine),
+      spec_{.algorithm = system_algorithm,
+            .engine = engine,
             .predicate = query.predicate,
             .within_distance = query.within_distance,
             .prepared_cache = &cache_,

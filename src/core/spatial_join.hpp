@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,6 @@
 #include "trace/trace.hpp"
 #include "util/status.hpp"
 #include "geom/engine.hpp"
-#include "index/mbr_join.hpp"
 #include "partition/partitioner.hpp"
 #include "workload/dataset.hpp"
 
@@ -80,11 +78,6 @@ struct JoinQueryConfig {
   double sample_rate = 0.01;
   /// Partitioning strategy for sampled boundaries.
   partition::PartitionerKind partitioner = partition::PartitionerKind::kStr;
-  /// Local (per partition pair) MBR join algorithm override. When empty,
-  /// each system uses its paper configuration: plane-sweep for
-  /// SpatialHadoop, dynamic-R-tree nested loop for HadoopGIS, STR-indexed
-  /// nested loop for SpatialSpark.
-  std::optional<index::LocalJoinAlgorithm> local_algorithm;
   std::uint64_t seed = 7;
 };
 

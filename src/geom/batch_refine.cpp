@@ -63,6 +63,17 @@ bool segment_touches_rect(const Coord& a, const Coord& b, const Envelope& r) {
          segments_intersect(a, b, c11, c01) || segments_intersect(a, b, c01, c00);
 }
 
+// True when [a1, a2] and [b1, b2] cross at a point interior to both.
+bool strict_crossing(const Coord& a1, const Coord& a2, const Coord& b1,
+                     const Coord& b2) {
+  const double d1 = orientation(b1, b2, a1);
+  const double d2 = orientation(b1, b2, a2);
+  const double d3 = orientation(a1, a2, b1);
+  const double d4 = orientation(a1, a2, b2);
+  return ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
+         ((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0));
+}
+
 // Grid resolution for the inscribed-rectangle search. The search is a
 // heuristic — any candidate it proposes is verified exactly below — so a
 // coarse grid only costs approximation quality, never correctness.
@@ -74,8 +85,7 @@ constexpr int kInnerGrid = 16;
 // Construction
 // ---------------------------------------------------------------------------
 
-BatchRefiner::BatchRefiner(const Geometry& anchor)
-    : anchor_(&anchor), prepared_(anchor) {
+BatchRefiner::BatchRefiner(const Geometry& anchor) : anchor_(&anchor) {
   switch (anchor.type()) {
     case GeomType::kPolygon:
       add_part(anchor.as_polygon());
@@ -95,9 +105,6 @@ BatchRefiner::BatchRefiner(const Geometry& anchor)
 }
 
 void BatchRefiner::add_part(const Polygon& poly) {
-  // Mirror PreparedGeometry::add_areal_part's bucketing exactly (same edge
-  // multiset, same bucket formulas) so SoAPart::covers scans the same edge
-  // set per probe and stays bit-identical to ArealPart::point_covered.
   SoAPart part;
   std::vector<Coord> ea, eb;
   const auto add_ring = [&](const Ring& ring) {
@@ -125,18 +132,12 @@ void BatchRefiner::add_part(const Polygon& poly) {
   part.y_inv_step = span > 0.0 ? part.bucket_count / span : 0.0;
 
   const auto bucket_range = [&part](const Coord& a, const Coord& b) {
-    const double lo = std::min(a.y, b.y);
-    const double hi = std::max(a.y, b.y);
-    auto b0 = static_cast<std::int64_t>((lo - part.y_min) * part.y_inv_step);
-    auto b1 = static_cast<std::int64_t>((hi - part.y_min) * part.y_inv_step);
-    b0 = std::clamp<std::int64_t>(b0, 0, part.bucket_count - 1);
-    b1 = std::clamp<std::int64_t>(b1, 0, part.bucket_count - 1);
-    return std::pair<std::uint32_t, std::uint32_t>(static_cast<std::uint32_t>(b0),
-                                                   static_cast<std::uint32_t>(b1));
+    return std::pair(part.bucket_of(std::min(a.y, b.y)),
+                     part.bucket_of(std::max(a.y, b.y)));
   };
 
-  // CSR fill, but scattering edge *coordinates* (duplicated per bucket)
-  // instead of edge ids: one probe reads one contiguous SoA run.
+  // CSR fill that scatters edge coordinates, duplicated per bucket: one
+  // probe reads one contiguous SoA run.
   std::vector<std::uint32_t> counts(part.bucket_count, 0);
   for (std::size_t i = 0; i < ea.size(); ++i) {
     const auto [b0, b1] = bucket_range(ea[i], eb[i]);
@@ -271,11 +272,10 @@ void BatchRefiner::build_chunks() {
 }
 
 void BatchRefiner::build_segment_grid() {
-  // Same sizing policy as PreparedGeometry::build_grid (≈ segments/2 cells,
-  // square grid over the anchor envelope), but the per-cell payload is SoA:
-  // endpoint and bbox doubles duplicated per cell entry. A segment is
-  // registered in every cell its bbox overlaps, so any probe segment's cell
-  // range covers every segment it could intersect.
+  // ≈ segments/2 cells, square grid over the anchor envelope; the per-cell
+  // payload is SoA: endpoint and bbox doubles duplicated per cell entry. A
+  // segment is registered in every cell its bbox overlaps, so any probe
+  // segment's cell range covers every segment it could intersect.
   std::vector<Coord> sa;
   std::vector<Coord> sb;
   any_path(*anchor_, [&](std::span<const Coord> path) {
@@ -296,26 +296,18 @@ void BatchRefiner::build_segment_grid() {
   seg_x_inv_ = w > 0.0 ? seg_w_ / w : 0.0;
   seg_y_inv_ = h > 0.0 ? seg_h_ / h : 0.0;
 
-  const auto clamp_cell = [](double v, std::uint32_t n) {
-    const auto i = static_cast<std::int64_t>(v);
-    return static_cast<std::uint32_t>(std::clamp<std::int64_t>(i, 0, n - 1));
-  };
-  const auto cell_range = [&](std::size_t s, std::uint32_t& x0, std::uint32_t& x1,
-                              std::uint32_t& y0, std::uint32_t& y1) {
-    x0 = clamp_cell((std::min(sa[s].x, sb[s].x) - seg_env_.min_x()) * seg_x_inv_, seg_w_);
-    x1 = clamp_cell((std::max(sa[s].x, sb[s].x) - seg_env_.min_x()) * seg_x_inv_, seg_w_);
-    y0 = clamp_cell((std::min(sa[s].y, sb[s].y) - seg_env_.min_y()) * seg_y_inv_, seg_h_);
-    y1 = clamp_cell((std::max(sa[s].y, sb[s].y) - seg_env_.min_y()) * seg_y_inv_, seg_h_);
+  const auto cells_of = [&](std::size_t s) {
+    return grid_cells(std::min(sa[s].x, sb[s].x), std::min(sa[s].y, sb[s].y),
+                      std::max(sa[s].x, sb[s].x), std::max(sa[s].y, sb[s].y));
   };
 
   // CSR fill: count, prefix-sum, scatter.
   const std::size_t cells = static_cast<std::size_t>(seg_w_) * seg_h_;
   std::vector<std::uint32_t> counts(cells, 0);
   for (std::size_t s = 0; s < sa.size(); ++s) {
-    std::uint32_t x0, x1, y0, y1;
-    cell_range(s, x0, x1, y0, y1);
-    for (std::uint32_t cy = y0; cy <= y1; ++cy) {
-      for (std::uint32_t cx = x0; cx <= x1; ++cx) {
+    const CellSpan span = cells_of(s);
+    for (std::uint32_t cy = span.y0; cy <= span.y1; ++cy) {
+      for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
         ++counts[static_cast<std::size_t>(cy) * seg_w_ + cx];
       }
     }
@@ -333,10 +325,9 @@ void BatchRefiner::build_segment_grid() {
   seg_max_y_.resize(entries);
   std::vector<std::uint32_t> cursor(seg_offsets_.begin(), seg_offsets_.end() - 1);
   for (std::size_t s = 0; s < sa.size(); ++s) {
-    std::uint32_t x0, x1, y0, y1;
-    cell_range(s, x0, x1, y0, y1);
-    for (std::uint32_t cy = y0; cy <= y1; ++cy) {
-      for (std::uint32_t cx = x0; cx <= x1; ++cx) {
+    const CellSpan span = cells_of(s);
+    for (std::uint32_t cy = span.y0; cy <= span.y1; ++cy) {
+      for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
         const std::uint32_t at = cursor[static_cast<std::size_t>(cy) * seg_w_ + cx]++;
         seg_ax_[at] = sa[s].x;
         seg_ay_[at] = sa[s].y;
@@ -351,20 +342,41 @@ void BatchRefiner::build_segment_grid() {
   }
 }
 
+BatchRefiner::CellSpan BatchRefiner::grid_cells(double min_x, double min_y, double max_x,
+                                                double max_y) const {
+  const auto clamp_cell = [](double v, std::uint32_t n) {
+    const auto i = static_cast<std::int64_t>(v);
+    return static_cast<std::uint32_t>(std::clamp<std::int64_t>(i, 0, n - 1));
+  };
+  return {clamp_cell((min_x - seg_env_.min_x()) * seg_x_inv_, seg_w_),
+          clamp_cell((max_x - seg_env_.min_x()) * seg_x_inv_, seg_w_),
+          clamp_cell((min_y - seg_env_.min_y()) * seg_y_inv_, seg_h_),
+          clamp_cell((max_y - seg_env_.min_y()) * seg_y_inv_, seg_h_)};
+}
+
+template <typename Fn>
+bool BatchRefiner::any_grid_segment(double min_x, double min_y, double max_x,
+                                    double max_y, Fn&& fn) const {
+  if (seg_w_ == 0) return false;
+  const CellSpan span = grid_cells(min_x, min_y, max_x, max_y);
+  for (std::uint32_t cy = span.y0; cy <= span.y1; ++cy) {
+    for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
+      const std::size_t cell = static_cast<std::size_t>(cy) * seg_w_ + cx;
+      for (std::uint32_t i = seg_offsets_[cell]; i < seg_offsets_[cell + 1]; ++i) {
+        if (fn(Coord{seg_ax_[i], seg_ay_[i]}, Coord{seg_bx_[i], seg_by_[i]})) return true;
+      }
+    }
+  }
+  return false;
+}
+
 bool BatchRefiner::segment_grid_intersects(const Coord& a, const Coord& b) const {
   if (seg_w_ == 0) return false;
   const double bx0 = std::min(a.x, b.x);
   const double bx1 = std::max(a.x, b.x);
   const double by0 = std::min(a.y, b.y);
   const double by1 = std::max(a.y, b.y);
-  const auto clamp_cell = [](double v, std::uint32_t n) {
-    const auto i = static_cast<std::int64_t>(v);
-    return static_cast<std::uint32_t>(std::clamp<std::int64_t>(i, 0, n - 1));
-  };
-  const std::uint32_t x0 = clamp_cell((bx0 - seg_env_.min_x()) * seg_x_inv_, seg_w_);
-  const std::uint32_t x1 = clamp_cell((bx1 - seg_env_.min_x()) * seg_x_inv_, seg_w_);
-  const std::uint32_t y0 = clamp_cell((by0 - seg_env_.min_y()) * seg_y_inv_, seg_h_);
-  const std::uint32_t y1 = clamp_cell((by1 - seg_env_.min_y()) * seg_y_inv_, seg_h_);
+  const CellSpan span = grid_cells(bx0, by0, bx1, by1);
   // Per-cell bbox prune + exact test through the dispatched kernel: two
   // segments can only intersect when their bboxes overlap, so skipping
   // non-overlapping candidates never changes the boolean, and the kernels
@@ -373,8 +385,8 @@ bool BatchRefiner::segment_grid_intersects(const Coord& a, const Coord& b) const
                           seg_by_.data(),    seg_min_x_.data(), seg_min_y_.data(),
                           seg_max_x_.data(), seg_max_y_.data()};
   const auto seg_run = simd::kernels().seg_run_intersects;
-  for (std::uint32_t cy = y0; cy <= y1; ++cy) {
-    for (std::uint32_t cx = x0; cx <= x1; ++cx) {
+  for (std::uint32_t cy = span.y0; cy <= span.y1; ++cy) {
+    for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
       const std::size_t cell = static_cast<std::size_t>(cy) * seg_w_ + cx;
       if (seg_run(segs, seg_offsets_[cell], seg_offsets_[cell + 1], a.x, a.y, b.x,
                   b.y, bx0, by0, bx1, by1)) {
@@ -383,6 +395,19 @@ bool BatchRefiner::segment_grid_intersects(const Coord& a, const Coord& b) const
     }
   }
   return false;
+}
+
+bool BatchRefiner::linework_intersects(const Coord& a, const Coord& b) const {
+  return any_grid_segment(std::min(a.x, b.x), std::min(a.y, b.y), std::max(a.x, b.x),
+                          std::max(a.y, b.y), [&](const Coord& s0, const Coord& s1) {
+                            return segments_intersect(a, b, s0, s1);
+                          });
+}
+
+bool BatchRefiner::linework_touches_point(const Coord& p) const {
+  return any_grid_segment(p.x, p.y, p.x, p.y, [&](const Coord& s0, const Coord& s1) {
+    return point_on_segment(p, s0, s1);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -414,24 +439,86 @@ bool BatchRefiner::outer_rejects(const Envelope& probe_env) const {
 }
 
 // ---------------------------------------------------------------------------
-// Batched point-in-polygon
+// Point-in-polygon: batched SIMD pass and scalar exact scans
 // ---------------------------------------------------------------------------
+
+std::uint32_t BatchRefiner::SoAPart::bucket_of(double y) const {
+  return static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+      static_cast<std::int64_t>((y - y_min) * y_inv_step), 0, bucket_count - 1));
+}
 
 bool BatchRefiner::SoAPart::covers(const Coord& p) const {
   if (p.y < y_min || p.y > y_max) return false;
-  const auto b = std::clamp<std::int64_t>(
-      static_cast<std::int64_t>((p.y - y_min) * y_inv_step), 0, bucket_count - 1);
-  const std::size_t begin = bucket_offsets[static_cast<std::size_t>(b)];
-  const std::size_t end = bucket_offsets[static_cast<std::size_t>(b) + 1];
+  const std::uint32_t b = bucket_of(p.y);
+  const std::size_t begin = bucket_offsets[b];
+  const std::size_t end = bucket_offsets[b + 1];
   // Branchless crossing count over the bucket's SoA run via the dispatched
   // kernel: per edge, accumulate boundary hits (OR) and parity toggles
   // (XOR) without early exits, escalating the boundary sign to the adaptive
-  // exact predicate when the float filter is uncertain — mirroring
-  // point_covered's decisions exactly. The parity division is masked by the
-  // straddle test, which is false whenever the denominator would be zero.
+  // exact predicate when the float filter is uncertain — the same decisions
+  // as point_covered. The parity division is masked by the straddle test,
+  // which is false whenever the denominator would be zero.
   return simd::kernels().pip_covers_run(ax.data() + begin, ay.data() + begin,
                                         bx.data() + begin, by.data() + begin,
                                         end - begin, p.x, p.y);
+}
+
+bool BatchRefiner::SoAPart::point_covered(const Coord& p) const {
+  if (p.y < y_min || p.y > y_max) return false;
+  const std::uint32_t b = bucket_of(p.y);
+  bool inside = false;
+  for (std::uint32_t i = bucket_offsets[b]; i < bucket_offsets[b + 1]; ++i) {
+    const Coord a{ax[i], ay[i]};
+    const Coord e{bx[i], by[i]};
+    if (point_on_segment(p, a, e)) return true;  // boundary: covered
+    if ((a.y > p.y) != (e.y > p.y)) {
+      const double x_cross = a.x + (p.y - a.y) * (e.x - a.x) / (e.y - a.y);
+      if (x_cross > p.x) inside = !inside;
+    }
+  }
+  return inside;
+}
+
+bool BatchRefiner::SoAPart::strictly_crossed(const Coord& a, const Coord& b) const {
+  // Any edge that strictly crosses [a, b] has a y-span overlapping the
+  // segment's y-span, so scanning the overlapped buckets is exhaustive.
+  // Consecutive buckets are one contiguous run of the CSR arrays.
+  const double lo = std::min(a.y, b.y);
+  const double hi = std::max(a.y, b.y);
+  if (hi < y_min || lo > y_max) return false;
+  for (std::uint32_t i = bucket_offsets[bucket_of(lo)];
+       i < bucket_offsets[bucket_of(hi) + 1]; ++i) {
+    if (strict_crossing(a, b, {ax[i], ay[i]}, {bx[i], by[i]})) return true;
+  }
+  return false;
+}
+
+bool BatchRefiner::SoAPart::covers_path(std::span<const Coord> path) const {
+  for (const auto& c : path) {
+    if (!point_covered(c)) return false;
+  }
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    if (strictly_crossed(path[i], path[i + 1])) return false;
+    const Coord mid{(path[i].x + path[i + 1].x) / 2.0,
+                    (path[i].y + path[i + 1].y) / 2.0};
+    if (!point_covered(mid)) return false;
+  }
+  return true;
+}
+
+bool BatchRefiner::covers_point(const Coord& p) const {
+  if (!anchor_->envelope().contains(p.x, p.y)) return false;
+  for (const auto& part : parts_) {
+    if (part.point_covered(p)) return true;
+  }
+  return false;
+}
+
+bool BatchRefiner::any_part_covers_path(std::span<const Coord> path) const {
+  for (const auto& part : parts_) {
+    if (part.covers_path(path)) return true;
+  }
+  return false;
 }
 
 void BatchRefiner::covers_points(std::span<const Coord> pts,
@@ -472,7 +559,7 @@ void BatchRefiner::covers_points(std::span<const Coord> pts,
 }
 
 // ---------------------------------------------------------------------------
-// Scalar predicates: approximation gates + exact mirrors
+// Scalar predicates: approximation gates + exact fallbacks
 // ---------------------------------------------------------------------------
 
 bool BatchRefiner::intersects(const Geometry& probe, RefineStats& stats) const {
@@ -491,15 +578,14 @@ bool BatchRefiner::intersects(const Geometry& probe, RefineStats& stats) const {
     }
   }
   const std::uint64_t slow0 = exact::slowpath_calls();
-  const bool hit = exact_intersects(probe);
+  const bool hit = exact_intersects(probe, /*pruned=*/true);
   stats.note_exact(slow0);
   return hit;
 }
 
 bool BatchRefiner::contains(const Geometry& probe, RefineStats& stats) const {
-  // Same precondition as PreparedGeometry::contains — checked before the
-  // approximation gates so non-areal anchors throw identically in both
-  // refinement modes instead of early-rejecting here.
+  // Checked before the approximation gates so a non-areal anchor throws
+  // instead of early-rejecting.
   require(anchor_->is_areal(), "BatchRefiner::contains: target must be areal");
   if (approx_) {
     const Envelope& pe = probe.envelope();
@@ -520,7 +606,6 @@ bool BatchRefiner::contains(const Geometry& probe, RefineStats& stats) const {
 
 bool BatchRefiner::within_distance(const Geometry& probe, double d,
                                    RefineStats& stats) const {
-  // Same envelope gate as GeometryEngine::BoundPredicate::within_distance.
   if (anchor_->envelope().distance(probe.envelope()) > d) {
     ++stats.early_rejects;
     return false;
@@ -530,31 +615,31 @@ bool BatchRefiner::within_distance(const Geometry& probe, double d,
     return true;
   }
   const std::uint64_t slow0 = exact::slowpath_calls();
-  const bool hit = prepared_.distance(probe) <= d;
+  const bool hit = distance(probe) <= d;
   stats.note_exact(slow0);
   return hit;
 }
 
-bool BatchRefiner::exact_intersects(const Geometry& probe) const {
-  // Branch-for-branch mirror of PreparedGeometry::intersects, minus the
-  // per-call path vectors.
+bool BatchRefiner::exact_intersects(const Geometry& probe, bool pruned) const {
   if (!anchor_->envelope().intersects(probe.envelope())) return false;
 
   if (probe.type() == GeomType::kPoint) {
     const Coord& p = probe.as_point();
-    if (prepared_.has_areal() && prepared_.covers_point(p)) return true;
+    if (has_areal() && covers_point(p)) return true;
     if (anchor_->type() == GeomType::kPoint) return anchor_->as_point() == p;
-    return prepared_.linework_touches_point(p);
+    return linework_touches_point(p);
   }
   if (anchor_->type() == GeomType::kPoint) {
     return intersects_naive(*anchor_, probe);
   }
 
-  // 1) Any boundary/linework crossing? (SoA grid; boolean-identical to
-  // prepared_.linework_intersects.)
+  // 1) Any boundary/linework crossing?
   if (any_path(probe, [&](std::span<const Coord> path) {
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-          if (segment_grid_intersects(path[i], path[i + 1])) return true;
+          if (pruned ? segment_grid_intersects(path[i], path[i + 1])
+                     : linework_intersects(path[i], path[i + 1])) {
+            return true;
+          }
         }
         return false;
       })) {
@@ -562,20 +647,21 @@ bool BatchRefiner::exact_intersects(const Geometry& probe) const {
   }
 
   // 2) No crossings: containment one way or the other decides.
-  if (prepared_.has_areal()) {
+  if (has_areal()) {
     if (any_path(probe, [&](std::span<const Coord> path) {
-          return !path.empty() && prepared_.covers_point(path.front());
+          return !path.empty() && covers_point(path.front());
         })) {
       return true;
     }
   }
   if (probe.is_areal()) {
-    const auto reps = prepared_.path_reps();
+    // Is the first vertex of any anchor path inside the probe? One vertex
+    // per path suffices because, absent crossings, each path lies entirely
+    // on one side of the probe's boundary.
     const auto check_poly = [&](const Polygon& poly) {
-      for (const auto& rep : reps) {
-        if (point_in_polygon(rep, poly)) return true;
-      }
-      return false;
+      return any_path(*anchor_, [&](std::span<const Coord> path) {
+        return !path.empty() && point_in_polygon(path.front(), poly);
+      });
     };
     if (probe.type() == GeomType::kPolygon) return check_poly(probe.as_polygon());
     for (const auto& part : probe.as_multi_polygon().parts) {
@@ -586,45 +672,86 @@ bool BatchRefiner::exact_intersects(const Geometry& probe) const {
 }
 
 bool BatchRefiner::exact_contains(const Geometry& probe) const {
-  require(anchor_->is_areal(), "BatchRefiner::contains: target must be areal");
   if (!anchor_->envelope().contains(probe.envelope())) return false;
-  // Mirror of PreparedGeometry::contains without materializing the probe's
-  // SimplePart list: every simple part of the probe must be covered by at
-  // least one areal part of the anchor.
+  // contains_naive's rule without materializing the probe's SimplePart
+  // list: every simple part of the probe must be covered by at least one
+  // areal part of the anchor.
   switch (probe.type()) {
     case GeomType::kPoint:
-      // The probe point is inside our envelope (checked above), so
-      // covers_point's envelope gate cannot reject it spuriously.
-      return prepared_.covers_point(probe.as_point());
+      return covers_point(probe.as_point());
     case GeomType::kLineString:
-      return prepared_.any_part_covers_path(probe.as_line_string().coords);
+      return any_part_covers_path(probe.as_line_string().coords);
     case GeomType::kPolygon:
-      return prepared_.any_part_covers_path(probe.as_polygon().shell);
+      return any_part_covers_path(probe.as_polygon().shell);
     case GeomType::kMultiLineString:
       for (const auto& part : probe.as_multi_line_string().parts) {
-        if (!prepared_.any_part_covers_path(part.coords)) return false;
+        if (!any_part_covers_path(part.coords)) return false;
       }
       return true;
     case GeomType::kMultiPolygon:
       for (const auto& part : probe.as_multi_polygon().parts) {
-        if (!prepared_.any_part_covers_path(part.shell)) return false;
+        if (!any_part_covers_path(part.shell)) return false;
       }
       return true;
   }
   return false;
 }
 
-std::size_t BatchRefiner::index_size_bytes() const {
-  std::size_t bytes = prepared_.index_size_bytes();
-  for (const auto& part : parts_) {
-    bytes += (part.ax.size() + part.ay.size() + part.bx.size() + part.by.size()) *
-             sizeof(double);
-    bytes += part.bucket_offsets.size() * sizeof(std::uint32_t);
+double BatchRefiner::distance(const Geometry& probe) const {
+  // The crossing scan runs unpruned, so every exact test of the intersects
+  // step below is made, in grid order.
+  if (exact_intersects(probe, /*pruned=*/false)) return 0.0;
+
+  // Disjoint: the distance is realized between linework (or isolated
+  // points). Scan the anchor's segments in path order.
+  double best = std::numeric_limits<double>::infinity();
+  if (probe.type() == GeomType::kPoint) {
+    const Coord& p = probe.as_point();
+    if (anchor_->type() == GeomType::kPoint) {
+      return std::sqrt(squared_distance(anchor_->as_point(), p));
+    }
+    any_path(*anchor_, [&](std::span<const Coord> path) {
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        best = std::min(best, squared_distance_point_segment(p, path[i], path[i + 1]));
+        if (best == 0.0) return true;
+      }
+      return false;
+    });
+    return std::sqrt(best);
   }
-  bytes += (chunk_min_x_.size() + chunk_min_y_.size() + chunk_max_x_.size() +
-            chunk_max_y_.size()) *
-           sizeof(double);
-  return bytes;
+
+  if (anchor_->type() == GeomType::kPoint) {
+    const Coord& p = anchor_->as_point();
+    any_path(probe, [&](std::span<const Coord> path) {
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        best = std::min(best, squared_distance_point_segment(p, path[i], path[i + 1]));
+      }
+      if (path.size() == 1) best = std::min(best, squared_distance(p, path.front()));
+      return false;
+    });
+    return std::sqrt(best);
+  }
+
+  // Each probe segment against every anchor segment; a probe path stops at
+  // distance 0, the next one still runs.
+  any_path(probe, [&](std::span<const Coord> path) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      double seg_best = std::numeric_limits<double>::infinity();
+      any_path(*anchor_, [&](std::span<const Coord> anchor_path) {
+        for (std::size_t j = 0; j + 1 < anchor_path.size(); ++j) {
+          seg_best = std::min(seg_best, squared_distance_segments(path[i], path[i + 1],
+                                                                  anchor_path[j],
+                                                                  anchor_path[j + 1]));
+          if (seg_best == 0.0) return true;
+        }
+        return false;
+      });
+      best = std::min(best, seg_best);
+      if (best == 0.0) break;
+    }
+    return false;
+  });
+  return std::sqrt(best);
 }
 
 }  // namespace sjc::geom

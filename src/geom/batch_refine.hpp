@@ -1,23 +1,27 @@
-// BatchRefiner: batched, SoA refinement engine for the local-join
+// BatchRefiner: the Prepared (JTS-analog) engine's one prepared structure,
+// in the spirit of JTS's prepared geometries, laid out for the local-join
 // refinement step.
 //
-// A `BoundPredicate` answers one call per candidate. BatchRefiner instead
-// refines a whole candidate *group* (all candidates of one indexed geometry,
-// as produced by run_local_join's counting-sort group-by) against
-// acceleration structures laid out for that access pattern:
+// A refiner is built once per indexed geometry and refines that geometry's
+// whole candidate *group* (as produced by run_local_join's counting-sort
+// group-by) through three layers:
 //
-//  1. Packed linework — ring edges flattened into contiguous x[]/y[]
-//     arrays in y-bucket CSR order, so batched point-in-polygon runs a
-//     branchless crossing-count loop over one bucket's edges per probe
-//     while the whole table stays cache-hot across the group.
+//  1. Packed linework — per areal part, one y-bucket edge table: ring edges
+//     flattened into contiguous x[]/y[] arrays in y-bucket CSR order, so
+//     batched point-in-polygon runs a branchless crossing-count loop over
+//     one bucket's edges per probe while the whole table stays cache-hot
+//     across the group. Per anchor, one segment grid over the envelope
+//     whose cells hold the same SoA endpoint (and bbox) arrays, so a probe
+//     segment only visits the segments of the cells it overlaps.
 //  2. Inner/outer approximations — per areal part a *verified* maximal
 //     inscribed axis-aligned rectangle (probe MBR inside it ⇒
 //     intersects/contains/distance-0 without any exact test) plus
 //     per-part envelopes and chunked linework envelopes (probe MBR
 //     disjoint from all of them ⇒ no shared point, early reject).
-//  3. Exact fallback — allocation-free mirrors of the PreparedGeometry
-//     predicates, so every answer is bit-identical to the per-pair path
-//     (and therefore to predicates.hpp's naive results).
+//  3. Exact fallback — allocation-free scalar predicates over the arrays
+//     above (covered point, covered path with strict crossing, point on
+//     linework, distance), so every answer is bit-identical to
+//     predicates.hpp's naive results.
 //
 // Every refined candidate is accounted to exactly one of
 // RefineStats::{early_accepts, early_rejects, exact_tests}.
@@ -29,7 +33,6 @@
 
 #include "geom/exact_predicates.hpp"
 #include "geom/geometry.hpp"
-#include "geom/prepared.hpp"
 
 namespace sjc::geom {
 
@@ -74,11 +77,11 @@ struct RefineStats {
 class BatchRefiner {
  public:
   /// Prepares `anchor` (the indexed-side geometry); the reference must
-  /// outlive this object, like PreparedGeometry.
+  /// outlive this object (geometry storage in dataset vectors is stable
+  /// for the duration of a join).
   explicit BatchRefiner(const Geometry& anchor);
 
   const Geometry& anchor() const { return *anchor_; }
-  const PreparedGeometry& prepared() const { return prepared_; }
   bool has_areal() const { return !parts_.empty(); }
 
   // Approximation introspection (tests + diagnostics).
@@ -93,18 +96,18 @@ class BatchRefiner {
   /// Same answer as contains_naive(anchor(), probe); requires areal anchor.
   bool contains(const Geometry& probe, RefineStats& stats) const;
 
-  /// Same answer as the per-pair BoundPredicate::within_distance(probe, d).
+  /// Same answer as distance_naive(anchor(), probe) <= d, with an MBR
+  /// early-out.
   bool within_distance(const Geometry& probe, double d, RefineStats& stats) const;
+
+  /// Same answer as distance_naive(anchor(), probe).
+  double distance(const Geometry& probe) const;
 
   /// Batched hole-aware covered test: out[i] = covers(pts[i]), boundary
   /// counts as covered. For point probes against an areal anchor this
   /// equals both intersects() and contains(). Requires has_areal().
   void covers_points(std::span<const Coord> pts, std::vector<std::uint8_t>& out,
                      RefineStats& stats) const;
-
-  /// Approximate bytes used by the acceleration structures (including the
-  /// embedded PreparedGeometry).
-  std::size_t index_size_bytes() const;
 
  private:
   // One areal part's edges in y-bucket CSR order, duplicated per bucket so
@@ -115,25 +118,51 @@ class BatchRefiner {
     std::vector<std::uint32_t> bucket_offsets;  // size bucket_count + 1
     double y_min = 0.0;
     double y_max = 0.0;
-    double y_inv_step = 0.0;
+    double y_inv_step = 0.0;  // bucket_count / (y_max - y_min), 0 when flat
     std::uint32_t bucket_count = 0;
     Envelope env;    // envelope of all ring edges (outer approximation)
     Envelope inner;  // verified inscribed rectangle (inner approximation)
 
-    /// Bit-identical twin of PreparedGeometry::ArealPart::point_covered.
+    std::uint32_t bucket_of(double y) const;
+    /// Hole-aware covered test through the dispatched SIMD kernel (bbox
+    /// prune before each exact boundary test).
     bool covers(const Coord& p) const;
+    /// The same answer from a scalar scan of p's bucket that runs the
+    /// exact boundary test on every edge, in bucket order, until a hit.
+    bool point_covered(const Coord& p) const;
+    /// True when [a, b] strictly crosses any edge of this part.
+    bool strictly_crossed(const Coord& a, const Coord& b) const;
+    /// Indexed twin of predicates.cpp's polygon_covers_path.
+    bool covers_path(std::span<const Coord> path) const;
+  };
+
+  // Segment-grid cells [x0, x1] x [y0, y1] overlapped by a box.
+  struct CellSpan {
+    std::uint32_t x0, x1, y0, y1;
   };
 
   void add_part(const Polygon& poly);
   void build_chunks();
   void build_segment_grid();
-  /// Exact "does [a, b] intersect any anchor segment" over the SoA segment
-  /// grid below. Boolean-identical to PreparedGeometry::linework_intersects
-  /// (same exact per-segment test, candidate supersets both contain every
-  /// actually-intersecting segment), but scans contiguous coordinate arrays
-  /// and prunes candidates with a branchless bbox test before the exact
-  /// orientation tests.
+  CellSpan grid_cells(double min_x, double min_y, double max_x, double max_y) const;
+  /// Calls fn(a, b) on every grid entry in the cells the box overlaps
+  /// (cells row by row, entries in path order) until fn returns true.
+  template <typename Fn>
+  bool any_grid_segment(double min_x, double min_y, double max_x, double max_y,
+                        Fn&& fn) const;
+  /// Exact "does [a, b] intersect any anchor segment" over the segment
+  /// grid, pruning candidates with a branchless bbox test (dispatched
+  /// kernel) before the exact orientation tests.
   bool segment_grid_intersects(const Coord& a, const Coord& b) const;
+  /// The same answer without the bbox prune: the exact test runs on every
+  /// candidate of the overlapped cells.
+  bool linework_intersects(const Coord& a, const Coord& b) const;
+  /// True when p lies on any anchor segment (grid scan).
+  bool linework_touches_point(const Coord& p) const;
+  /// Hole-aware covered test against the areal parts (scalar scans).
+  bool covers_point(const Coord& p) const;
+  /// True when at least one areal part covers the whole path.
+  bool any_part_covers_path(std::span<const Coord> path) const;
 
   bool inner_accepts(const Envelope& probe_env) const;
   /// True when probe_env overlaps no part envelope and no linework chunk
@@ -141,11 +170,12 @@ class BatchRefiner {
   bool outer_rejects(const Envelope& probe_env) const;
   bool overlaps_any_part_env(const Envelope& probe_env) const;
 
-  bool exact_intersects(const Geometry& probe) const;
+  /// Exact intersects; `pruned` picks segment_grid_intersects over
+  /// linework_intersects for the crossing scan.
+  bool exact_intersects(const Geometry& probe, bool pruned) const;
   bool exact_contains(const Geometry& probe) const;
 
   const Geometry* anchor_;
-  PreparedGeometry prepared_;  // exact fallback + linework grid
   std::vector<SoAPart> parts_;
 
   // Chunked linework envelopes (SoA): each chunk bounds a run of
@@ -153,9 +183,10 @@ class BatchRefiner {
   // part envelopes they bound the anchor's entire point set.
   std::vector<double> chunk_min_x_, chunk_min_y_, chunk_max_x_, chunk_max_y_;
 
-  // SoA linework segment grid for exact crossing tests: per-cell CSR with
-  // endpoint and precomputed-bbox arrays duplicated per cell entry, so a
-  // probe segment walks contiguous doubles with no index indirection.
+  // Linework segment grid (linestring segments and ring edges): per-cell
+  // CSR with endpoint and precomputed-bbox arrays duplicated per cell
+  // entry, so a probe segment walks contiguous doubles with no index
+  // indirection. A segment is registered in every cell its bbox overlaps.
   Envelope seg_env_;
   std::uint32_t seg_w_ = 0;
   std::uint32_t seg_h_ = 0;

@@ -6,22 +6,16 @@
 // that axis with two engines that return *identical answers* but differ in
 // evaluation strategy:
 //
-//  * SimpleEngine  ("GEOS-analog"): evaluates every predicate from scratch
-//    with full coordinate scans — no caching, no indexing, fresh part
-//    decomposition per call.
-//  * PreparedEngine ("JTS-analog"): prepare() builds a PreparedGeometry
-//    (y-bucketed edges + segment grid) once; repeated queries against it are
-//    indexed. One-shot calls prepare on the fly when the geometry is complex
-//    enough to amortize.
+//  * kSimple ("GEOS-analog"): predicates.hpp's naive functions, which
+//    evaluate every predicate from scratch with full coordinate scans — no
+//    caching, no indexing, fresh part decomposition per call.
+//  * kPrepared ("JTS-analog"): a geom::BatchRefiner is built once per
+//    anchor geometry (y-bucketed edges + segment grid + approximations) and
+//    answers every probe from it.
 //
 // The speed gap measured between them is structural (really doing more/less
 // work), not a fudge factor; bench_geom_engines reports it.
 #pragma once
-
-#include <memory>
-#include <string>
-
-#include "geom/geometry.hpp"
 
 namespace sjc::geom {
 
@@ -30,45 +24,12 @@ enum class EngineKind {
   kPrepared = 1,  // JTS-analog
 };
 
-const char* engine_kind_name(EngineKind kind);
-
-/// A predicate evaluator bound to one "anchor" geometry, queried repeatedly
-/// against many probe geometries (the local-join refinement access pattern).
-class BoundPredicate {
- public:
-  virtual ~BoundPredicate() = default;
-
-  /// anchor ∩ probe ≠ ∅
-  virtual bool intersects(const Geometry& probe) const = 0;
-  /// anchor covers probe (anchor must be areal)
-  virtual bool contains(const Geometry& probe) const = 0;
-  /// min distance anchor↔probe
-  virtual double distance(const Geometry& probe) const = 0;
-  /// distance(probe) <= d, with an MBR early-out
-  bool within_distance(const Geometry& probe, double d) const;
-
-  virtual const Geometry& anchor() const = 0;
-};
-
-class GeometryEngine {
- public:
-  virtual ~GeometryEngine() = default;
-
-  virtual EngineKind kind() const = 0;
-  virtual std::string name() const = 0;
-
-  /// One-shot predicates.
-  virtual bool intersects(const Geometry& a, const Geometry& b) const = 0;
-  virtual bool contains(const Geometry& a, const Geometry& b) const = 0;
-  virtual double distance(const Geometry& a, const Geometry& b) const = 0;
-
-  /// Binds `anchor` for repeated queries; `anchor` must outlive the result.
-  virtual std::unique_ptr<BoundPredicate> bind(const Geometry& anchor) const = 0;
-
-  /// Process-wide singletons.
-  static const GeometryEngine& simple();
-  static const GeometryEngine& prepared();
-  static const GeometryEngine& get(EngineKind kind);
-};
+constexpr const char* engine_kind_name(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kSimple: return "simple(geos-analog)";
+    case EngineKind::kPrepared: return "prepared(jts-analog)";
+  }
+  return "?";
+}
 
 }  // namespace sjc::geom

@@ -259,7 +259,7 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
                                    geom::PreparedCache* shared_cache,
                                    core::RunReport& report) {
   // The local join probes a libspatialindex-style R-tree, insert-built per
-  // task (JoinQueryConfig::local_algorithm overrides it).
+  // task.
   core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic,
                              config.engine, &report.counters, shared_cache);
   core::ShuffleTally tally(report.counters, {.shuffle = in.occupancy_a.has_value()});

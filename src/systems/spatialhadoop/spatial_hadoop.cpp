@@ -376,8 +376,7 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   // Overlap-duplicated B-side geometries are bound once in the stage's
   // prepared-geometry cache and shared across partition pairs and tasks.
   // Plane-sweep is the paper's SpatialHadoop configuration (it also names
-  // synchronized R-tree traversal); JoinQueryConfig::local_algorithm
-  // overrides it.
+  // synchronized R-tree traversal).
   core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kPlaneSweep, config.engine,
                              ctx.counters, shared_cache);
   const auto join_map = [&](const JoinSplit& split, std::vector<JoinPair>& out_pairs) {

@@ -25,7 +25,7 @@ using geom::Feature;
 using plan::kRecordOverheadBytes;
 
 /// SpatialSpark's local join: an STR-indexed nested loop, the paper's
-/// configuration (JoinQueryConfig::local_algorithm overrides it).
+/// configuration.
 constexpr index::LocalJoinAlgorithm kLocalJoinAlgorithm =
     index::LocalJoinAlgorithm::kIndexedNestedLoop;
 
@@ -545,7 +545,7 @@ void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
         std::sort(candidates.begin(), candidates.end());
         for (const auto rid : candidates) {
           const Feature& rf = ri.features[rid].get();
-          if (core::evaluate_predicate(*local_spec.engine, local_spec.predicate,
+          if (core::evaluate_predicate(local_spec.engine, local_spec.predicate,
                                        local_spec.within_distance, f.geometry,
                                        rf.geometry)) {
             out.push_back({f.id, rf.id});

@@ -55,6 +55,16 @@ void JsonWriter::indent() {
   for (int i = 0; i < depth_; ++i) out_ += "  ";
 }
 
+// Pieces are appended one at a time: GCC 12's -Wrestrict misfires on
+// `out_ += "literal" + std::string&&` at -O3.
+void JsonWriter::key(const std::string& k) {
+  comma();
+  indent();
+  out_ += '"';
+  out_ += json_escape(k);
+  out_ += "\": ";
+}
+
 JsonWriter& JsonWriter::begin_object() {
   out_ += "{";
   ++depth_;
@@ -71,10 +81,13 @@ JsonWriter& JsonWriter::end_object() {
   return *this;
 }
 
-JsonWriter& JsonWriter::begin_array(const std::string& key) {
-  comma();
-  indent();
-  if (!key.empty()) out_ += "\"" + json_escape(key) + "\": ";
+JsonWriter& JsonWriter::begin_array(const std::string& k) {
+  if (k.empty()) {
+    comma();
+    indent();
+  } else {
+    key(k);
+  }
   out_ += "[";
   ++depth_;
   need_comma_ = false;
@@ -99,38 +112,36 @@ JsonWriter& JsonWriter::begin_element() {
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& key, const std::string& value) {
-  comma();
-  indent();
-  out_ += "\"" + json_escape(key) + "\": \"" + json_escape(value) + "\"";
+JsonWriter& JsonWriter::field(const std::string& k, const std::string& value) {
+  key(k);
+  out_ += '"';
+  out_ += json_escape(value);
+  out_ += '"';
   need_comma_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& key, const char* value) {
-  return field(key, std::string(value));
+JsonWriter& JsonWriter::field(const std::string& k, const char* value) {
+  return field(k, std::string(value));
 }
 
-JsonWriter& JsonWriter::field(const std::string& key, double value) {
-  comma();
-  indent();
-  out_ += "\"" + json_escape(key) + "\": " + json_number(value);
+JsonWriter& JsonWriter::field(const std::string& k, double value) {
+  key(k);
+  out_ += json_number(value);
   need_comma_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& key, std::uint64_t value) {
-  comma();
-  indent();
-  out_ += "\"" + json_escape(key) + "\": " + std::to_string(value);
+JsonWriter& JsonWriter::field(const std::string& k, std::uint64_t value) {
+  key(k);
+  out_ += std::to_string(value);
   need_comma_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& key, bool value) {
-  comma();
-  indent();
-  out_ += "\"" + json_escape(key) + "\": " + (value ? "true" : "false");
+JsonWriter& JsonWriter::field(const std::string& k, bool value) {
+  key(k);
+  out_ += value ? "true" : "false";
   need_comma_ = true;
   return *this;
 }

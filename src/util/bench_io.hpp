@@ -38,6 +38,8 @@ class JsonWriter {
  private:
   void comma();
   void indent();
+  /// Starts a member: separator, indentation and `"k": `.
+  void key(const std::string& k);
   std::string out_;
   int depth_ = 0;
   bool need_comma_ = false;

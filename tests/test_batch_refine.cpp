@@ -1,17 +1,20 @@
-// BatchRefiner property tests: the batched SoA refinement engine must
-// answer bit-for-bit like predicates.hpp's naive reference (and like the
-// per-pair BoundPredicate path) on randomized geometry — including polygons
-// with holes, multipolygons, boundary-touch probes and degenerate slivers —
-// while accounting every call to exactly one of
-// {exact_tests, early_accepts, early_rejects}.
+// BatchRefiner tests: unit cases plus the central property — the batched
+// SoA refiner (the Prepared engine) answers every predicate exactly as
+// predicates.hpp's naive reference (the Simple engine), and distances to
+// within 1e-9, on randomized geometry — including polygons with holes,
+// multipolygons, boundary-touch probes and degenerate slivers — while
+// accounting every call to exactly one of
+// {exact_tests, early_accepts, early_rejects}. This is what licenses using
+// different engines in different systems while still cross-validating join
+// outputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "geom/algorithms.hpp"
 #include "geom/batch_refine.hpp"
-#include "geom/engine.hpp"
 #include "geom/predicates.hpp"
 #include "geom/wkt.hpp"
 #include "util/rng.hpp"
@@ -21,8 +24,7 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-// Same generator shape as test_prepared.cpp: 0 point, 1 random-walk line,
-// 2 star polygon, 3 multiline, 4 multipolygon.
+// 0 point, 1 random-walk line, 2 star polygon, 3 multiline, 4 multipolygon.
 Geometry random_geometry(Rng& rng, int kind) {
   switch (kind) {
     case 0:
@@ -165,9 +167,21 @@ TEST_P(BatchRefineEquivalence, ContainsMatchesNaive) {
   EXPECT_EQ(stats.total(), static_cast<std::uint64_t>(trials));
 }
 
-TEST_P(BatchRefineEquivalence, WithinDistanceMatchesPerPair) {
+TEST_P(BatchRefineEquivalence, DistanceMatchesNaive) {
+  Rng rng(2600 + GetParam().anchor * 10 + GetParam().probe);
+  for (int trial = 0; trial < 150; ++trial) {
+    const Geometry anchor = random_geometry(rng, GetParam().anchor);
+    const Geometry probe = random_geometry(rng, GetParam().probe);
+    const BatchRefiner refiner(anchor);
+    const double expected = distance_naive(anchor, probe);
+    const double actual = refiner.distance(probe);
+    EXPECT_NEAR(actual, expected, 1e-9 * std::max(1.0, expected))
+        << "anchor=" << to_wkt(anchor) << "\nprobe=" << to_wkt(probe);
+  }
+}
+
+TEST_P(BatchRefineEquivalence, WithinDistanceMatchesNaive) {
   Rng rng(6300 + GetParam().anchor * 10 + GetParam().probe);
-  const GeometryEngine& engine = GeometryEngine::prepared();
   RefineStats stats;
   const int trials = 120;
   for (int trial = 0; trial < trials; ++trial) {
@@ -175,9 +189,7 @@ TEST_P(BatchRefineEquivalence, WithinDistanceMatchesPerPair) {
     const Geometry probe = random_geometry(rng, GetParam().probe);
     const double d = rng.uniform(0, 40);
     const BatchRefiner refiner(anchor);
-    const auto bound = engine.bind(anchor);
-    EXPECT_EQ(refiner.within_distance(probe, d, stats),
-              bound->within_distance(probe, d))
+    EXPECT_EQ(refiner.within_distance(probe, d, stats), distance_naive(anchor, probe) <= d)
         << "anchor=" << to_wkt(anchor) << "\nprobe=" << to_wkt(probe) << "\nd=" << d;
   }
   EXPECT_EQ(stats.total(), static_cast<std::uint64_t>(trials));
@@ -201,8 +213,59 @@ INSTANTIATE_TEST_SUITE_P(AllTypePairs, BatchRefineEquivalence,
                          [](const auto& info) { return type_pair_name(info.param); });
 
 // ---------------------------------------------------------------------------
-// Holes, boundary touches, slivers
+// Large polygons, holes, boundary touches, slivers
 // ---------------------------------------------------------------------------
+
+TEST(BatchRefine, LargePolygonMatchesNaive) {
+  // A 64-gon of radius 100: enough edges that the bucket and grid paths
+  // engage. Points exercise the covered-point fallback, lines the crossing
+  // and covered-path fallbacks.
+  Ring ring;
+  for (int i = 0; i < 64; ++i) {
+    const double a = i * 2.0 * kPi / 64;
+    ring.push_back({100 * std::cos(a), 100 * std::sin(a)});
+  }
+  ring.push_back(ring.front());
+  const Geometry poly = Geometry::polygon(std::move(ring));
+  const BatchRefiner refiner(poly);
+  RefineStats stats;
+  Rng rng(42);
+  for (int i = 0; i < 2000; ++i) {
+    const Coord p{rng.uniform(-120, 120), rng.uniform(-120, 120)};
+    const Geometry probe = Geometry::point(p.x, p.y);
+    EXPECT_EQ(refiner.intersects(probe, stats), point_in_polygon(p, poly.as_polygon()))
+        << p.x << "," << p.y;
+    EXPECT_EQ(refiner.contains(probe, stats), point_in_polygon(p, poly.as_polygon()))
+        << p.x << "," << p.y;
+  }
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<Coord> pts;
+    const auto n = 2 + rng.next_below(6);
+    for (std::uint64_t k = 0; k < n; ++k) {
+      pts.push_back({rng.uniform(-150, 150), rng.uniform(-150, 150)});
+    }
+    const Geometry line = Geometry::line_string(std::move(pts));
+    EXPECT_EQ(refiner.intersects(line, stats), intersects_naive(poly, line)) << to_wkt(line);
+    EXPECT_EQ(refiner.contains(line, stats), contains_naive(poly, line)) << to_wkt(line);
+  }
+  EXPECT_EQ(stats.total(), 6000u);
+}
+
+TEST(BatchRefine, DonutHoleSemantics) {
+  const Geometry donut = Geometry::polygon(
+      {{0, 0}, {10, 0}, {10, 10}, {0, 10}, {0, 0}},
+      {{{3, 3}, {7, 3}, {7, 7}, {3, 7}, {3, 3}}});
+  const BatchRefiner refiner(donut);
+  RefineStats stats;
+  EXPECT_FALSE(refiner.intersects(Geometry::point(5, 5), stats));
+  EXPECT_TRUE(refiner.intersects(Geometry::point(1, 5), stats));
+  EXPECT_TRUE(refiner.intersects(Geometry::point(3, 5), stats));  // hole boundary covered
+  EXPECT_FALSE(refiner.intersects(
+      Geometry::polygon({{4, 4}, {6, 4}, {6, 6}, {4, 6}, {4, 4}}), stats));
+  EXPECT_TRUE(refiner.contains(Geometry::line_string({{1, 1}, {2, 2}}), stats));
+  EXPECT_FALSE(refiner.contains(Geometry::line_string({{1, 5}, {9, 5}}), stats));
+  EXPECT_DOUBLE_EQ(refiner.distance(Geometry::point(5, 5)), 2.0);  // to the hole ring
+}
 
 TEST(BatchRefine, DonutMatchesNaiveIncludingBoundaryTouch) {
   Rng rng(7100);
@@ -348,6 +411,7 @@ TEST(BatchRefine, PointAnchorFallsBackToExact) {
   EXPECT_TRUE(refiner.intersects(Geometry::point(3, 3), stats));
   EXPECT_FALSE(refiner.intersects(Geometry::point(3, 4), stats));
   EXPECT_TRUE(refiner.intersects(Geometry::line_string({{0, 0}, {6, 6}}), stats));
+  EXPECT_DOUBLE_EQ(refiner.distance(Geometry::point(0, -1)), 5.0);
   // Point anchors have no approximations: everything is an exact test.
   EXPECT_EQ(stats.exact_tests, 3u);
   EXPECT_EQ(stats.early_accepts, 0u);

@@ -44,7 +44,7 @@ TEST(ReferencePoint, TopLeftOfIntersection) {
 }
 
 TEST(EvaluatePredicate, AllThreePredicates) {
-  const auto& engine = geom::GeometryEngine::prepared();
+  const auto engine = geom::EngineKind::kPrepared;
   const geom::Geometry poly =
       geom::Geometry::polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}});
   const geom::Geometry inside = geom::Geometry::point(2, 2);
@@ -87,16 +87,15 @@ TEST(LocalJoin, EnginesProduceIdenticalPairs) {
     right.push_back({i, geom::Geometry::polygon({{x, y}, {x + 5, y}, {x + 5, y + 5},
                                                  {x, y + 5}, {x, y}})});
   }
-  const auto run_with = [&](const geom::GeometryEngine& engine) {
+  const auto run_with = [&](geom::EngineKind engine) {
     LocalJoinSpec spec;
-    spec.engine = &engine;
+    spec.engine = engine;
     spec.predicate = JoinPredicate::kWithin;
     std::vector<JoinPair> out = local_join(left, right, spec);
     std::sort(out.begin(), out.end());
     return out;
   };
-  EXPECT_EQ(run_with(geom::GeometryEngine::simple()),
-            run_with(geom::GeometryEngine::prepared()));
+  EXPECT_EQ(run_with(geom::EngineKind::kSimple), run_with(geom::EngineKind::kPrepared));
 }
 
 TEST(LocalJoin, AllAlgorithmsProduceIdenticalPairs) {
@@ -226,7 +225,7 @@ TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
         const auto run = [&](geom::EngineKind engine) {
           cluster::Counters counters;
           LocalJoinSpec spec;
-          spec.engine = &geom::GeometryEngine::get(engine);
+          spec.engine = engine;
           spec.predicate = predicate;
           spec.within_distance = predicate == JoinPredicate::kWithinDistance ? 1.5 : 0.0;
           // Consulted by the Prepared engine only.

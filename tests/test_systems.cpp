@@ -3,10 +3,11 @@
 // report/breakdown consistency.
 #include <gtest/gtest.h>
 
-#include "core/experiments.hpp"
-#include "core/spatial_join.hpp"
 #include <set>
 
+#include "core/experiments.hpp"
+#include "core/spatial_join.hpp"
+#include "geom/predicates.hpp"
 #include "mapreduce/streaming.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
@@ -143,18 +144,6 @@ std::vector<AgreementCase> agreement_cases() {
     AgreementCase c;
     c.name = "many_partitions";
     c.query.target_partitions = 400;
-    cases.push_back(c);
-  }
-  {
-    AgreementCase c;
-    c.name = "plane_sweep_everywhere";
-    c.query.local_algorithm = index::LocalJoinAlgorithm::kPlaneSweep;
-    cases.push_back(c);
-  }
-  {
-    AgreementCase c;
-    c.name = "sync_traversal_everywhere";
-    c.query.local_algorithm = index::LocalJoinAlgorithm::kSyncTraversal;
     cases.push_back(c);
   }
   {
@@ -514,11 +503,10 @@ TEST(Systems, WithinDistanceMatchesBruteForce) {
 
   std::set<core::JoinPair> got(report.pairs.begin(), report.pairs.end());
   std::set<core::JoinPair> expected;
-  const auto& engine = geom::GeometryEngine::prepared();
   for (const auto& p : points.features()) {
     for (const auto& r : roads.features()) {
       if (p.geometry.envelope().distance(r.geometry.envelope()) > 300.0) continue;
-      if (engine.distance(p.geometry, r.geometry) <= 300.0) {
+      if (geom::distance_naive(p.geometry, r.geometry) <= 300.0) {
         expected.insert({p.id, r.id});
       }
     }
@@ -547,15 +535,13 @@ TEST(Systems, PointInPolygonMatchesBruteForce) {
 
   std::set<core::JoinPair> got(report.pairs.begin(), report.pairs.end());
   std::set<core::JoinPair> expected;
-  const auto& engine = geom::GeometryEngine::prepared();
   for (const auto& b : blocks.features()) {
-    const auto bound = engine.bind(b.geometry);
     for (const auto& p : points.features()) {
       if (!b.geometry.envelope().contains(p.geometry.as_point().x,
                                           p.geometry.as_point().y)) {
         continue;
       }
-      if (bound->contains(p.geometry)) expected.insert({p.id, b.id});
+      if (geom::contains_naive(b.geometry, p.geometry)) expected.insert({p.id, b.id});
     }
   }
   EXPECT_EQ(got, expected);
