@@ -63,15 +63,6 @@ struct RefineStats {
       ++exact_fastpath;
     }
   }
-
-  RefineStats& operator+=(const RefineStats& o) {
-    exact_tests += o.exact_tests;
-    early_accepts += o.early_accepts;
-    early_rejects += o.early_rejects;
-    exact_fastpath += o.exact_fastpath;
-    exact_slowpath += o.exact_slowpath;
-    return *this;
-  }
 };
 
 class BatchRefiner {
@@ -86,7 +77,6 @@ class BatchRefiner {
 
   // Approximation introspection (tests + diagnostics).
   std::size_t part_count() const { return parts_.size(); }
-  const Envelope& part_envelope(std::size_t i) const { return parts_[i].env; }
   /// Verified inscribed rectangle of part i; empty when none was proven.
   const Envelope& inner_rect(std::size_t i) const { return parts_[i].inner; }
 
