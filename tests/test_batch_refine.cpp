@@ -13,7 +13,6 @@
 #include <cmath>
 #include <vector>
 
-#include "geom/algorithms.hpp"
 #include "geom/batch_refine.hpp"
 #include "geom/predicates.hpp"
 #include "geom/wkt.hpp"
@@ -213,59 +212,8 @@ INSTANTIATE_TEST_SUITE_P(AllTypePairs, BatchRefineEquivalence,
                          [](const auto& info) { return type_pair_name(info.param); });
 
 // ---------------------------------------------------------------------------
-// Large polygons, holes, boundary touches, slivers
+// Holes, boundary touches, slivers
 // ---------------------------------------------------------------------------
-
-TEST(BatchRefine, LargePolygonMatchesNaive) {
-  // A 64-gon of radius 100: enough edges that the bucket and grid paths
-  // engage. Points exercise the covered-point fallback, lines the crossing
-  // and covered-path fallbacks.
-  Ring ring;
-  for (int i = 0; i < 64; ++i) {
-    const double a = i * 2.0 * kPi / 64;
-    ring.push_back({100 * std::cos(a), 100 * std::sin(a)});
-  }
-  ring.push_back(ring.front());
-  const Geometry poly = Geometry::polygon(std::move(ring));
-  const BatchRefiner refiner(poly);
-  RefineStats stats;
-  Rng rng(42);
-  for (int i = 0; i < 2000; ++i) {
-    const Coord p{rng.uniform(-120, 120), rng.uniform(-120, 120)};
-    const Geometry probe = Geometry::point(p.x, p.y);
-    EXPECT_EQ(refiner.intersects(probe, stats), point_in_polygon(p, poly.as_polygon()))
-        << p.x << "," << p.y;
-    EXPECT_EQ(refiner.contains(probe, stats), point_in_polygon(p, poly.as_polygon()))
-        << p.x << "," << p.y;
-  }
-  for (int i = 0; i < 1000; ++i) {
-    std::vector<Coord> pts;
-    const auto n = 2 + rng.next_below(6);
-    for (std::uint64_t k = 0; k < n; ++k) {
-      pts.push_back({rng.uniform(-150, 150), rng.uniform(-150, 150)});
-    }
-    const Geometry line = Geometry::line_string(std::move(pts));
-    EXPECT_EQ(refiner.intersects(line, stats), intersects_naive(poly, line)) << to_wkt(line);
-    EXPECT_EQ(refiner.contains(line, stats), contains_naive(poly, line)) << to_wkt(line);
-  }
-  EXPECT_EQ(stats.total(), 6000u);
-}
-
-TEST(BatchRefine, DonutHoleSemantics) {
-  const Geometry donut = Geometry::polygon(
-      {{0, 0}, {10, 0}, {10, 10}, {0, 10}, {0, 0}},
-      {{{3, 3}, {7, 3}, {7, 7}, {3, 7}, {3, 3}}});
-  const BatchRefiner refiner(donut);
-  RefineStats stats;
-  EXPECT_FALSE(refiner.intersects(Geometry::point(5, 5), stats));
-  EXPECT_TRUE(refiner.intersects(Geometry::point(1, 5), stats));
-  EXPECT_TRUE(refiner.intersects(Geometry::point(3, 5), stats));  // hole boundary covered
-  EXPECT_FALSE(refiner.intersects(
-      Geometry::polygon({{4, 4}, {6, 4}, {6, 6}, {4, 6}, {4, 4}}), stats));
-  EXPECT_TRUE(refiner.contains(Geometry::line_string({{1, 1}, {2, 2}}), stats));
-  EXPECT_FALSE(refiner.contains(Geometry::line_string({{1, 5}, {9, 5}}), stats));
-  EXPECT_DOUBLE_EQ(refiner.distance(Geometry::point(5, 5)), 2.0);  // to the hole ring
-}
 
 TEST(BatchRefine, DonutMatchesNaiveIncludingBoundaryTouch) {
   Rng rng(7100);
@@ -411,7 +359,6 @@ TEST(BatchRefine, PointAnchorFallsBackToExact) {
   EXPECT_TRUE(refiner.intersects(Geometry::point(3, 3), stats));
   EXPECT_FALSE(refiner.intersects(Geometry::point(3, 4), stats));
   EXPECT_TRUE(refiner.intersects(Geometry::line_string({{0, 0}, {6, 6}}), stats));
-  EXPECT_DOUBLE_EQ(refiner.distance(Geometry::point(0, -1)), 5.0);
   // Point anchors have no approximations: everything is an exact test.
   EXPECT_EQ(stats.exact_tests, 3u);
   EXPECT_EQ(stats.early_accepts, 0u);

@@ -1,15 +1,16 @@
-// PreparedGeometry tests: unit cases plus the central property — the
-// prepared (indexed) evaluation answers EXACTLY as the naive reference for
-// every predicate on randomized geometry pairs. This is what licenses using
-// different engines in different systems while still cross-validating join
-// outputs.
+// Prepared (JTS-analog) engine unit cases: BatchRefiner's exact fallbacks
+// over its own y-bucket edge tables and segment grid — covered point,
+// covered path with strict crossing, point on linework, distance — answer
+// as predicates.hpp's naive reference. The randomized equivalence property
+// over every anchor/probe type pair lives in test_batch_refine.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "geom/algorithms.hpp"
+#include "geom/batch_refine.hpp"
 #include "geom/predicates.hpp"
-#include "geom/prepared.hpp"
 #include "geom/wkt.hpp"
 #include "util/rng.hpp"
 
@@ -29,18 +30,24 @@ Geometry big_polygon() {
 
 TEST(Prepared, CoversPointMatchesNaive) {
   const Geometry poly = big_polygon();
-  const PreparedGeometry prep(poly);
+  const BatchRefiner refiner(poly);
+  RefineStats stats;
   Rng rng(42);
   for (int i = 0; i < 2000; ++i) {
     const Coord p{rng.uniform(-120, 120), rng.uniform(-120, 120)};
-    EXPECT_EQ(prep.covers_point(p), point_in_polygon(p, poly.as_polygon()))
+    const Geometry probe = Geometry::point(p.x, p.y);
+    EXPECT_EQ(refiner.intersects(probe, stats), point_in_polygon(p, poly.as_polygon()))
+        << p.x << "," << p.y;
+    EXPECT_EQ(refiner.contains(probe, stats), point_in_polygon(p, poly.as_polygon()))
         << p.x << "," << p.y;
   }
+  EXPECT_EQ(stats.total(), 4000u);
 }
 
 TEST(Prepared, IntersectsLineMatchesNaive) {
   const Geometry poly = big_polygon();
-  const PreparedGeometry prep(poly);
+  const BatchRefiner refiner(poly);
+  RefineStats stats;
   Rng rng(43);
   for (int i = 0; i < 1000; ++i) {
     std::vector<Coord> pts;
@@ -49,155 +56,45 @@ TEST(Prepared, IntersectsLineMatchesNaive) {
       pts.push_back({rng.uniform(-150, 150), rng.uniform(-150, 150)});
     }
     const Geometry line = Geometry::line_string(std::move(pts));
-    EXPECT_EQ(prep.intersects(line), intersects_naive(poly, line)) << to_wkt(line);
+    EXPECT_EQ(refiner.intersects(line, stats), intersects_naive(poly, line)) << to_wkt(line);
+    EXPECT_EQ(refiner.contains(line, stats), contains_naive(poly, line)) << to_wkt(line);
   }
+  EXPECT_EQ(stats.total(), 2000u);
 }
 
 TEST(Prepared, DonutHoleSemantics) {
   const Geometry donut = Geometry::polygon(
       {{0, 0}, {10, 0}, {10, 10}, {0, 10}, {0, 0}},
       {{{3, 3}, {7, 3}, {7, 7}, {3, 7}, {3, 3}}});
-  const PreparedGeometry prep(donut);
-  EXPECT_FALSE(prep.covers_point({5, 5}));
-  EXPECT_TRUE(prep.covers_point({1, 5}));
-  EXPECT_TRUE(prep.covers_point({3, 5}));  // hole boundary covered
-  EXPECT_FALSE(prep.intersects(Geometry::point(5, 5)));
-  EXPECT_FALSE(prep.intersects(
-      Geometry::polygon({{4, 4}, {6, 4}, {6, 6}, {4, 6}, {4, 4}})));
-  EXPECT_TRUE(prep.contains(Geometry::line_string({{1, 1}, {2, 2}})));
-  EXPECT_FALSE(prep.contains(Geometry::line_string({{1, 5}, {9, 5}})));
+  const BatchRefiner refiner(donut);
+  RefineStats stats;
+  EXPECT_FALSE(refiner.intersects(Geometry::point(5, 5), stats));
+  EXPECT_TRUE(refiner.intersects(Geometry::point(1, 5), stats));
+  EXPECT_TRUE(refiner.intersects(Geometry::point(3, 5), stats));  // hole boundary covered
+  EXPECT_FALSE(refiner.intersects(
+      Geometry::polygon({{4, 4}, {6, 4}, {6, 6}, {4, 6}, {4, 4}}), stats));
+  EXPECT_TRUE(refiner.contains(Geometry::line_string({{1, 1}, {2, 2}}), stats));
+  EXPECT_FALSE(refiner.contains(Geometry::line_string({{1, 5}, {9, 5}}), stats));
+  EXPECT_DOUBLE_EQ(refiner.distance(Geometry::point(5, 5)), 2.0);  // to the hole ring
+}
+
+TEST(Prepared, PointOnLinework) {
+  const Geometry path = Geometry::line_string({{0, 0}, {10, 0}, {10, 10}});
+  const BatchRefiner refiner(path);
+  RefineStats stats;
+  EXPECT_TRUE(refiner.intersects(Geometry::point(5, 0), stats));
+  EXPECT_TRUE(refiner.intersects(Geometry::point(10, 10), stats));
+  EXPECT_FALSE(refiner.intersects(Geometry::point(5, 1), stats));
+  EXPECT_DOUBLE_EQ(refiner.distance(Geometry::point(5, 1)), 1.0);
 }
 
 TEST(Prepared, PointAnchor) {
-  const Geometry p = Geometry::point(3, 3);
-  const PreparedGeometry prep(p);
-  EXPECT_TRUE(prep.intersects(Geometry::point(3, 3)));
-  EXPECT_FALSE(prep.intersects(Geometry::point(3, 4)));
-  EXPECT_TRUE(prep.intersects(Geometry::line_string({{0, 0}, {6, 6}})));
-  EXPECT_DOUBLE_EQ(prep.distance(Geometry::point(0, -1)), 5.0);
+  const Geometry anchor = Geometry::point(3, 3);
+  const BatchRefiner refiner(anchor);
+  RefineStats stats;
+  EXPECT_TRUE(refiner.intersects(Geometry::line_string({{0, 0}, {6, 6}}), stats));
+  EXPECT_DOUBLE_EQ(refiner.distance(Geometry::point(0, -1)), 5.0);
 }
-
-TEST(Prepared, IndexSizeReported) {
-  const PreparedGeometry prep(big_polygon());
-  EXPECT_GT(prep.index_size_bytes(), sizeof(PreparedGeometry));
-}
-
-// ---------------------------------------------------------------------------
-// The equivalence property, parameterized over anchor/probe type pairs.
-// ---------------------------------------------------------------------------
-
-Geometry random_geometry(Rng& rng, int kind) {
-  switch (kind) {
-    case 0:
-      return Geometry::point(rng.uniform(-60, 60), rng.uniform(-60, 60));
-    case 1: {
-      std::vector<Coord> pts;
-      const auto n = 2 + rng.next_below(24);
-      Coord cur{rng.uniform(-60, 60), rng.uniform(-60, 60)};
-      pts.push_back(cur);
-      for (std::uint64_t i = 1; i < n; ++i) {
-        cur = {cur.x + rng.uniform(-12, 12), cur.y + rng.uniform(-12, 12)};
-        pts.push_back(cur);
-      }
-      return Geometry::line_string(std::move(pts));
-    }
-    case 2: {
-      const Coord c{rng.uniform(-40, 40), rng.uniform(-40, 40)};
-      const auto n = 3 + rng.next_below(40);
-      std::vector<double> angles;
-      for (std::uint64_t i = 0; i < n; ++i) angles.push_back(rng.uniform(0, 6.2831));
-      std::sort(angles.begin(), angles.end());
-      Ring ring;
-      for (const double a : angles) {
-        const double r = rng.uniform(5.0, 35.0);
-        ring.push_back({c.x + r * std::cos(a), c.y + r * std::sin(a)});
-      }
-      ring.push_back(ring.front());
-      return Geometry::polygon(std::move(ring));
-    }
-    case 3: {
-      std::vector<LineString> parts;
-      const auto k = 1 + rng.next_below(3);
-      for (std::uint64_t p = 0; p < k; ++p) {
-        parts.push_back(LineString{{{rng.uniform(-60, 60), rng.uniform(-60, 60)},
-                                    {rng.uniform(-60, 60), rng.uniform(-60, 60)},
-                                    {rng.uniform(-60, 60), rng.uniform(-60, 60)}}});
-      }
-      return Geometry::multi_line_string(std::move(parts));
-    }
-    default: {
-      std::vector<Polygon> parts;
-      const auto k = 1 + rng.next_below(3);
-      for (std::uint64_t p = 0; p < k; ++p) {
-        parts.push_back(random_geometry(rng, 2).as_polygon());
-      }
-      return Geometry::multi_polygon(std::move(parts));
-    }
-  }
-}
-
-struct TypePair {
-  int anchor;
-  int probe;
-};
-
-class PreparedEquivalence : public ::testing::TestWithParam<TypePair> {};
-
-TEST_P(PreparedEquivalence, IntersectsMatchesNaive) {
-  Rng rng(900 + GetParam().anchor * 10 + GetParam().probe);
-  for (int trial = 0; trial < 300; ++trial) {
-    const Geometry anchor = random_geometry(rng, GetParam().anchor);
-    const Geometry probe = random_geometry(rng, GetParam().probe);
-    const PreparedGeometry prep(anchor);
-    EXPECT_EQ(prep.intersects(probe), intersects_naive(anchor, probe))
-        << "anchor=" << to_wkt(anchor) << "\nprobe=" << to_wkt(probe);
-  }
-}
-
-TEST_P(PreparedEquivalence, ContainsMatchesNaive) {
-  const int anchor_kind = GetParam().anchor;
-  if (anchor_kind != 2 && anchor_kind != 4) {
-    GTEST_SKIP() << "contains requires areal anchor";
-  }
-  Rng rng(1700 + anchor_kind * 10 + GetParam().probe);
-  for (int trial = 0; trial < 300; ++trial) {
-    const Geometry anchor = random_geometry(rng, anchor_kind);
-    const Geometry probe = random_geometry(rng, GetParam().probe);
-    const PreparedGeometry prep(anchor);
-    EXPECT_EQ(prep.contains(probe), contains_naive(anchor, probe))
-        << "anchor=" << to_wkt(anchor) << "\nprobe=" << to_wkt(probe);
-  }
-}
-
-TEST_P(PreparedEquivalence, DistanceMatchesNaive) {
-  Rng rng(2600 + GetParam().anchor * 10 + GetParam().probe);
-  for (int trial = 0; trial < 150; ++trial) {
-    const Geometry anchor = random_geometry(rng, GetParam().anchor);
-    const Geometry probe = random_geometry(rng, GetParam().probe);
-    const PreparedGeometry prep(anchor);
-    const double expected = distance_naive(anchor, probe);
-    const double actual = prep.distance(probe);
-    EXPECT_NEAR(actual, expected, 1e-9 * std::max(1.0, expected))
-        << "anchor=" << to_wkt(anchor) << "\nprobe=" << to_wkt(probe);
-  }
-}
-
-std::vector<TypePair> all_pairs() {
-  std::vector<TypePair> out;
-  for (int a = 0; a < 5; ++a) {
-    for (int p = 0; p < 5; ++p) out.push_back({a, p});
-  }
-  return out;
-}
-
-std::string type_pair_name(const TypePair& pair) {
-  static const char* kNames[] = {"pt", "line", "poly", "mline", "mpoly"};
-  return std::string(kNames[pair.anchor]) + "_vs_" + kNames[pair.probe];
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTypePairs, PreparedEquivalence,
-                         ::testing::ValuesIn(all_pairs()),
-                         [](const auto& info) { return type_pair_name(info.param); });
 
 }  // namespace
 }  // namespace sjc::geom
