@@ -4,7 +4,8 @@
 // GEOS"). The Simple engine recomputes every predicate naively
 // (predicates.hpp); the Prepared engine builds the anchor's BatchRefiner
 // once per iteration and refines every probe against it, as the local join
-// does. The measured ratio is the structural speed gap.
+// does. The measured ratio is the structural speed gap. BM_Prepare times
+// the refiner's build and teardown alone.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -102,6 +103,20 @@ void BM_PolylineIntersect(benchmark::State& state, geom::EngineKind kind) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 
+// Refiner build and teardown: what one PreparedCache miss costs to build,
+// and one cached entry to free (rivers as in edges x linearwater, census
+// blocks as in taxi x nycb).
+void BM_Prepare(benchmark::State& state, bool areal) {
+  Rng rng(3);
+  const int vertices = static_cast<int>(state.range(0));
+  const geom::Geometry anchor = areal ? census_block(rng, vertices) : river(rng, vertices);
+  for (auto _ : state) {
+    const geom::BatchRefiner refiner(anchor);
+    benchmark::DoNotOptimize(&refiner);
+    benchmark::ClobberMemory();
+  }
+}
+
 BENCHMARK_CAPTURE(BM_PointInPolygon, simple_geos_analog, geom::EngineKind::kSimple)
     ->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK_CAPTURE(BM_PointInPolygon, prepared_jts_analog, geom::EngineKind::kPrepared)
@@ -110,6 +125,8 @@ BENCHMARK_CAPTURE(BM_PolylineIntersect, simple_geos_analog, geom::EngineKind::kS
     ->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK_CAPTURE(BM_PolylineIntersect, prepared_jts_analog, geom::EngineKind::kPrepared)
     ->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_CAPTURE(BM_Prepare, river, false)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_CAPTURE(BM_Prepare, census_block, true)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -4,6 +4,8 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <type_traits>
 
 #include "geom/algorithms.hpp"
 #include "geom/predicates.hpp"
@@ -74,6 +76,57 @@ bool strict_crossing(const Coord& a1, const Coord& a2, const Coord& b1,
          ((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0));
 }
 
+// Calls fn(a, b) on every edge of poly's rings (shell, then holes, each in
+// ring order) until fn returns true.
+template <typename Fn>
+bool any_edge(const Polygon& poly, Fn&& fn) {
+  const auto ring_edges = [&fn](const Ring& ring) {
+    for (std::size_t i = 0; i + 1 < ring.size(); ++i) {
+      if (fn(ring[i], ring[i + 1])) return true;
+    }
+    return false;
+  };
+  if (ring_edges(poly.shell)) return true;
+  for (const auto& hole : poly.holes) {
+    if (ring_edges(hole)) return true;
+  }
+  return false;
+}
+
+// The anchor's areal parts: none for points and lines.
+std::span<const Polygon> areal_parts(const Geometry& g) {
+  switch (g.type()) {
+    case GeomType::kPolygon:
+      return {&g.as_polygon(), 1};
+    case GeomType::kMultiPolygon:
+      return g.as_multi_polygon().parts;
+    default:
+      return {};
+  }
+}
+
+// Turns per-bucket counts kept one slot up (offsets[b + 1] = count of b)
+// into bucket starts one slot up. Placing every entry at offsets[b + 1]++
+// afterwards leaves offsets[b + 1] at bucket b's end, so offsets[] ends up
+// as the CSR offsets with no count or cursor array beside it. Returns the
+// total.
+std::uint32_t counts_to_starts(std::uint32_t* offsets, std::size_t buckets) {
+  std::uint32_t start = 0;
+  for (std::size_t b = 1; b <= buckets; ++b) {
+    const std::uint32_t count = offsets[b];
+    offsets[b] = start;
+    start += count;
+  }
+  return start;
+}
+
+// Adaptive chunk length for `segments` linework segments: the reject scan
+// stays a short SoA pass (≤ ~64 envelope tests) even for long polylines.
+std::size_t chunk_length(std::size_t segments) {
+  constexpr std::size_t kMaxChunks = 64;
+  return std::max<std::size_t>(4, (segments + kMaxChunks - 1) / kMaxChunks);
+}
+
 // Grid resolution for the inscribed-rectangle search. The search is a
 // heuristic — any candidate it proposes is verified exactly below — so a
 // coarse grid only costs approximation quality, never correctness.
@@ -86,84 +139,131 @@ constexpr int kInnerGrid = 16;
 // ---------------------------------------------------------------------------
 
 BatchRefiner::BatchRefiner(const Geometry& anchor) : anchor_(&anchor) {
-  switch (anchor.type()) {
-    case GeomType::kPolygon:
-      add_part(anchor.as_polygon());
-      break;
-    case GeomType::kMultiPolygon:
-      for (const auto& part : anchor.as_multi_polygon().parts) add_part(part);
-      break;
-    default:
-      break;
+  static_assert(std::is_trivially_destructible_v<SoAPart>);
+  const std::span<const Polygon> polys = areal_parts(anchor);
+
+  // Counting pass: the length of every derived array, so one allocation
+  // holds them all and the fill pass never grows or copies anything.
+  std::size_t doubles = 0;
+  std::size_t words = 0;
+  for (const Polygon& poly : polys) {
+    const SoAPart shape = part_shape(poly);
+    std::size_t slots = 0;
+    any_edge(poly, [&](const Coord& a, const Coord& b) {
+      slots += shape.bucket_of(std::max(a.y, b.y)) - shape.bucket_of(std::min(a.y, b.y)) + 1;
+      return false;
+    });
+    doubles += 4 * slots;
+    words += shape.bucket_count + 1;
   }
-  build_chunks();
-  build_segment_grid();
+  std::size_t segments = 0;
+  any_path(anchor, [&](std::span<const Coord> path) {
+    segments += path.size() > 0 ? path.size() - 1 : 0;
+    return false;
+  });
+  const std::size_t chunk_len = chunk_length(segments);
+  std::size_t entries = 0;
+  if (segments > 0) {
+    // ≈ segments/2 cells, square grid over the anchor envelope.
+    seg_env_ = anchor.envelope();
+    const auto target_cells = std::clamp<std::size_t>(segments / 2, 1, 64 * 64);
+    seg_w_ = seg_h_ = static_cast<std::uint32_t>(std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::sqrt(static_cast<double>(target_cells)))));
+    const double w = seg_env_.width();
+    const double h = seg_env_.height();
+    seg_x_inv_ = w > 0.0 ? seg_w_ / w : 0.0;
+    seg_y_inv_ = h > 0.0 ? seg_h_ / h : 0.0;
+    any_path(anchor, [&](std::span<const Coord> path) {
+      if (path.size() > 1) chunk_count_ += (path.size() - 2) / chunk_len + 1;
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const CellSpan span = segment_cells(path[i], path[i + 1]);
+        entries += std::size_t{span.x1 - span.x0 + 1} * (span.y1 - span.y0 + 1);
+      }
+      return false;
+    });
+    doubles += 4 * chunk_count_ + 8 * entries;
+    words += static_cast<std::size_t>(seg_w_) * seg_h_ + 1;
+  }
+  const std::size_t header_bytes = polys.size() * sizeof(SoAPart);
+  const std::size_t bytes =
+      header_bytes + doubles * sizeof(double) + words * sizeof(std::uint32_t);
   // Point anchors have neither parts nor linework, so the envelope union
-  // below would be vacuously empty and reject everything; fall back to
-  // exact-only for them.
-  approx_ = !parts_.empty() || !chunk_min_x_.empty();
+  // would be vacuously empty and reject everything; they stay exact-only.
+  if (bytes == 0) return;
+
+  // Fill pass, in layout order: part headers, doubles, uint32 offsets.
+  buffer_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
+  auto* headers = reinterpret_cast<SoAPart*>(buffer_.get());
+  Runs<double> double_runs{reinterpret_cast<double*>(buffer_.get() + header_bytes)};
+  Runs<std::uint32_t> word_runs{
+      reinterpret_cast<std::uint32_t*>(double_runs.next + doubles)};
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    fill_part(*std::construct_at(headers + i, part_shape(polys[i])), polys[i], double_runs,
+              word_runs);
+  }
+  parts_ = {headers, polys.size()};
+  if (segments > 0) {
+    fill_chunks(chunk_len, double_runs);
+    fill_segment_grid(entries, double_runs, word_runs);
+  }
+  approx_ = true;
 }
 
-void BatchRefiner::add_part(const Polygon& poly) {
+BatchRefiner::SoAPart BatchRefiner::part_shape(const Polygon& poly) {
   SoAPart part;
-  std::vector<Coord> ea, eb;
-  const auto add_ring = [&](const Ring& ring) {
-    for (std::size_t i = 0; i + 1 < ring.size(); ++i) {
-      ea.push_back(ring[i]);
-      eb.push_back(ring[i + 1]);
-    }
-  };
-  add_ring(poly.shell);
-  for (const auto& hole : poly.holes) add_ring(hole);
-
+  std::size_t edges = 0;
   double y_min = std::numeric_limits<double>::infinity();
   double y_max = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    y_min = std::min({y_min, ea[i].y, eb[i].y});
-    y_max = std::max({y_max, ea[i].y, eb[i].y});
-    part.env.expand_to_include(ea[i].x, ea[i].y);
-    part.env.expand_to_include(eb[i].x, eb[i].y);
-  }
+  any_edge(poly, [&](const Coord& a, const Coord& b) {
+    ++edges;
+    y_min = std::min({y_min, a.y, b.y});
+    y_max = std::max({y_max, a.y, b.y});
+    part.env.expand_to_include(a.x, a.y);
+    part.env.expand_to_include(b.x, b.y);
+    return false;
+  });
   part.y_min = y_min;
   part.y_max = y_max;
   const double span = y_max - y_min;
   part.bucket_count =
-      static_cast<std::uint32_t>(std::clamp<std::size_t>(ea.size() / 2, 1, 4096));
+      static_cast<std::uint32_t>(std::clamp<std::size_t>(edges / 2, 1, 4096));
   part.y_inv_step = span > 0.0 ? part.bucket_count / span : 0.0;
+  return part;
+}
 
-  const auto bucket_range = [&part](const Coord& a, const Coord& b) {
-    return std::pair(part.bucket_of(std::min(a.y, b.y)),
-                     part.bucket_of(std::max(a.y, b.y)));
-  };
-
+void BatchRefiner::fill_part(SoAPart& part, const Polygon& poly, Runs<double>& doubles,
+                             Runs<std::uint32_t>& words) {
   // CSR fill that scatters edge coordinates, duplicated per bucket: one
   // probe reads one contiguous SoA run.
-  std::vector<std::uint32_t> counts(part.bucket_count, 0);
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    const auto [b0, b1] = bucket_range(ea[i], eb[i]);
-    for (std::uint32_t b = b0; b <= b1; ++b) ++counts[b];
-  }
-  part.bucket_offsets.assign(part.bucket_count + 1, 0);
-  for (std::uint32_t b = 0; b < part.bucket_count; ++b) {
-    part.bucket_offsets[b + 1] = part.bucket_offsets[b] + counts[b];
-  }
-  const std::size_t slots = part.bucket_offsets.back();
-  part.ax.resize(slots);
-  part.ay.resize(slots);
-  part.bx.resize(slots);
-  part.by.resize(slots);
-  std::vector<std::uint32_t> cursor(part.bucket_offsets.begin(),
-                                    part.bucket_offsets.end() - 1);
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    const auto [b0, b1] = bucket_range(ea[i], eb[i]);
-    for (std::uint32_t b = b0; b <= b1; ++b) {
-      const std::uint32_t s = cursor[b]++;
-      part.ax[s] = ea[i].x;
-      part.ay[s] = ea[i].y;
-      part.bx[s] = eb[i].x;
-      part.by[s] = eb[i].y;
-    }
-  }
+  const auto for_each_slot = [&part, &poly](auto&& fn) {
+    any_edge(poly, [&](const Coord& a, const Coord& b) {
+      const std::uint32_t last = part.bucket_of(std::max(a.y, b.y));
+      for (std::uint32_t k = part.bucket_of(std::min(a.y, b.y)); k <= last; ++k) {
+        fn(k, a, b);
+      }
+      return false;
+    });
+  };
+  std::uint32_t* offsets = words.take(part.bucket_count + 1);
+  std::fill_n(offsets, part.bucket_count + 1, 0u);
+  for_each_slot([offsets](std::uint32_t k, const Coord&, const Coord&) { ++offsets[k + 1]; });
+  const std::uint32_t slots = counts_to_starts(offsets, part.bucket_count);
+  double* ax = doubles.take(slots);
+  double* ay = doubles.take(slots);
+  double* bx = doubles.take(slots);
+  double* by = doubles.take(slots);
+  for_each_slot([&](std::uint32_t k, const Coord& a, const Coord& b) {
+    const std::uint32_t s = offsets[k + 1]++;
+    ax[s] = a.x;
+    ay[s] = a.y;
+    bx[s] = b.x;
+    by[s] = b.y;
+  });
+  part.ax = ax;
+  part.ay = ay;
+  part.bx = bx;
+  part.by = by;
+  part.bucket_offsets = offsets;
 
   // Inner approximation: grid search for a large all-covered rectangle,
   // then exact verification (corner coverage + no edge touching the closed
@@ -182,15 +282,16 @@ void BatchRefiner::add_part(const Polygon& poly) {
     // the whole cell is covered, since coverage is constant on a connected
     // set that avoids the boundary.
     std::array<std::array<bool, G>, G> blocked{};
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-      const int c0 = cell_of(std::min(ea[i].x, eb[i].x), part.env.min_x(), sx);
-      const int c1 = cell_of(std::max(ea[i].x, eb[i].x), part.env.min_x(), sx);
-      const int r0 = cell_of(std::min(ea[i].y, eb[i].y), part.env.min_y(), sy);
-      const int r1 = cell_of(std::max(ea[i].y, eb[i].y), part.env.min_y(), sy);
+    any_edge(poly, [&](const Coord& a, const Coord& b) {
+      const int c0 = cell_of(std::min(a.x, b.x), part.env.min_x(), sx);
+      const int c1 = cell_of(std::max(a.x, b.x), part.env.min_x(), sx);
+      const int r0 = cell_of(std::min(a.y, b.y), part.env.min_y(), sy);
+      const int r1 = cell_of(std::max(a.y, b.y), part.env.min_y(), sy);
       for (int r = r0; r <= r1; ++r) {
         for (int c = c0; c <= c1; ++c) blocked[r][c] = true;
       }
-    }
+      return false;
+    });
     std::array<std::array<bool, G>, G> free_cell{};
     for (int r = 0; r < G; ++r) {
       for (int c = 0; c < G; ++c) {
@@ -233,113 +334,88 @@ void BatchRefiner::add_part(const Polygon& poly) {
           Coord{rect.max_x(), rect.max_y()}, Coord{rect.min_x(), rect.max_y()}};
       bool ok = true;
       for (const auto& corner : corners) ok = ok && part.covers(corner);
-      for (std::size_t i = 0; ok && i < ea.size(); ++i) {
-        ok = !segment_touches_rect(ea[i], eb[i], rect);
-      }
+      ok = ok && !any_edge(poly, [&rect](const Coord& a, const Coord& b) {
+        return segment_touches_rect(a, b, rect);
+      });
       if (ok) part.inner = rect;
     }
   }
-
-  parts_.push_back(std::move(part));
 }
 
-void BatchRefiner::build_chunks() {
-  std::size_t total_segments = 0;
-  any_path(*anchor_, [&](std::span<const Coord> path) {
-    total_segments += path.size() > 0 ? path.size() - 1 : 0;
-    return false;
-  });
-  if (total_segments == 0) return;
-  // Adaptive chunk length: the reject scan stays a short SoA pass (≤ ~64
-  // envelope tests) even for long polylines.
-  constexpr std::size_t kMaxChunks = 64;
-  const std::size_t chunk_len =
-      std::max<std::size_t>(4, (total_segments + kMaxChunks - 1) / kMaxChunks);
+void BatchRefiner::fill_chunks(std::size_t chunk_len, Runs<double>& doubles) {
+  double* min_x = doubles.take(chunk_count_);
+  double* min_y = doubles.take(chunk_count_);
+  double* max_x = doubles.take(chunk_count_);
+  double* max_y = doubles.take(chunk_count_);
+  std::size_t k = 0;
   any_path(*anchor_, [&](std::span<const Coord> path) {
     std::size_t i = 0;
     while (i + 1 < path.size()) {
       Envelope e;
       const std::size_t stop = std::min(path.size() - 1, i + chunk_len);
       for (std::size_t j = i; j <= stop; ++j) e.expand_to_include(path[j].x, path[j].y);
-      chunk_min_x_.push_back(e.min_x());
-      chunk_min_y_.push_back(e.min_y());
-      chunk_max_x_.push_back(e.max_x());
-      chunk_max_y_.push_back(e.max_y());
+      min_x[k] = e.min_x();
+      min_y[k] = e.min_y();
+      max_x[k] = e.max_x();
+      max_y[k] = e.max_y();
+      ++k;
       i = stop;
     }
     return false;
   });
+  chunk_min_x_ = min_x;
+  chunk_min_y_ = min_y;
+  chunk_max_x_ = max_x;
+  chunk_max_y_ = max_y;
 }
 
-void BatchRefiner::build_segment_grid() {
-  // ≈ segments/2 cells, square grid over the anchor envelope; the per-cell
-  // payload is SoA: endpoint and bbox doubles duplicated per cell entry. A
-  // segment is registered in every cell its bbox overlaps, so any probe
-  // segment's cell range covers every segment it could intersect.
-  std::vector<Coord> sa;
-  std::vector<Coord> sb;
-  any_path(*anchor_, [&](std::span<const Coord> path) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      sa.push_back(path[i]);
-      sb.push_back(path[i + 1]);
-    }
-    return false;
-  });
-  if (sa.empty()) return;
-  seg_env_ = anchor_->envelope();
-  const auto target_cells = std::clamp<std::size_t>(sa.size() / 2, 1, 64 * 64);
-  const auto side = static_cast<std::uint32_t>(std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::sqrt(static_cast<double>(target_cells)))));
-  seg_w_ = seg_h_ = side;
-  const double w = seg_env_.width();
-  const double h = seg_env_.height();
-  seg_x_inv_ = w > 0.0 ? seg_w_ / w : 0.0;
-  seg_y_inv_ = h > 0.0 ? seg_h_ / h : 0.0;
-
-  const auto cells_of = [&](std::size_t s) {
-    return grid_cells(std::min(sa[s].x, sb[s].x), std::min(sa[s].y, sb[s].y),
-                      std::max(sa[s].x, sb[s].x), std::max(sa[s].y, sb[s].y));
+void BatchRefiner::fill_segment_grid(std::size_t entries, Runs<double>& doubles,
+                                     Runs<std::uint32_t>& words) {
+  // The per-cell payload is SoA: endpoint and bbox doubles duplicated per
+  // cell entry. A segment is registered in every cell its bbox overlaps,
+  // so any probe segment's cell range covers every segment it could
+  // intersect. CSR fill: count, prefix, scatter.
+  const auto for_each_entry = [this](auto&& fn) {
+    any_path(*anchor_, [&](std::span<const Coord> path) {
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const CellSpan span = segment_cells(path[i], path[i + 1]);
+        for (std::uint32_t cy = span.y0; cy <= span.y1; ++cy) {
+          for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
+            fn(static_cast<std::size_t>(cy) * seg_w_ + cx, path[i], path[i + 1]);
+          }
+        }
+      }
+      return false;
+    });
   };
-
-  // CSR fill: count, prefix-sum, scatter.
   const std::size_t cells = static_cast<std::size_t>(seg_w_) * seg_h_;
-  std::vector<std::uint32_t> counts(cells, 0);
-  for (std::size_t s = 0; s < sa.size(); ++s) {
-    const CellSpan span = cells_of(s);
-    for (std::uint32_t cy = span.y0; cy <= span.y1; ++cy) {
-      for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
-        ++counts[static_cast<std::size_t>(cy) * seg_w_ + cx];
-      }
-    }
-  }
-  seg_offsets_.assign(cells + 1, 0);
-  for (std::size_t c = 0; c < cells; ++c) seg_offsets_[c + 1] = seg_offsets_[c] + counts[c];
-  const std::size_t entries = seg_offsets_[cells];
-  seg_ax_.resize(entries);
-  seg_ay_.resize(entries);
-  seg_bx_.resize(entries);
-  seg_by_.resize(entries);
-  seg_min_x_.resize(entries);
-  seg_min_y_.resize(entries);
-  seg_max_x_.resize(entries);
-  seg_max_y_.resize(entries);
-  std::vector<std::uint32_t> cursor(seg_offsets_.begin(), seg_offsets_.end() - 1);
-  for (std::size_t s = 0; s < sa.size(); ++s) {
-    const CellSpan span = cells_of(s);
-    for (std::uint32_t cy = span.y0; cy <= span.y1; ++cy) {
-      for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
-        const std::uint32_t at = cursor[static_cast<std::size_t>(cy) * seg_w_ + cx]++;
-        seg_ax_[at] = sa[s].x;
-        seg_ay_[at] = sa[s].y;
-        seg_bx_[at] = sb[s].x;
-        seg_by_[at] = sb[s].y;
-        seg_min_x_[at] = std::min(sa[s].x, sb[s].x);
-        seg_min_y_[at] = std::min(sa[s].y, sb[s].y);
-        seg_max_x_[at] = std::max(sa[s].x, sb[s].x);
-        seg_max_y_[at] = std::max(sa[s].y, sb[s].y);
-      }
-    }
-  }
+  std::uint32_t* offsets = words.take(cells + 1);
+  std::fill_n(offsets, cells + 1, 0u);
+  for_each_entry([offsets](std::size_t cell, const Coord&, const Coord&) {
+    ++offsets[cell + 1];
+  });
+  counts_to_starts(offsets, cells);
+  double* ax = doubles.take(entries);
+  double* ay = doubles.take(entries);
+  double* bx = doubles.take(entries);
+  double* by = doubles.take(entries);
+  double* min_x = doubles.take(entries);
+  double* min_y = doubles.take(entries);
+  double* max_x = doubles.take(entries);
+  double* max_y = doubles.take(entries);
+  for_each_entry([&](std::size_t cell, const Coord& a, const Coord& b) {
+    const std::uint32_t at = offsets[cell + 1]++;
+    ax[at] = a.x;
+    ay[at] = a.y;
+    bx[at] = b.x;
+    by[at] = b.y;
+    min_x[at] = std::min(a.x, b.x);
+    min_y[at] = std::min(a.y, b.y);
+    max_x[at] = std::max(a.x, b.x);
+    max_y[at] = std::max(a.y, b.y);
+  });
+  seg_offsets_ = offsets;
+  segs_ = {ax, ay, bx, by, min_x, min_y, max_x, max_y};
 }
 
 BatchRefiner::CellSpan BatchRefiner::grid_cells(double min_x, double min_y, double max_x,
@@ -354,6 +430,11 @@ BatchRefiner::CellSpan BatchRefiner::grid_cells(double min_x, double min_y, doub
           clamp_cell((max_y - seg_env_.min_y()) * seg_y_inv_, seg_h_)};
 }
 
+BatchRefiner::CellSpan BatchRefiner::segment_cells(const Coord& a, const Coord& b) const {
+  return grid_cells(std::min(a.x, b.x), std::min(a.y, b.y), std::max(a.x, b.x),
+                    std::max(a.y, b.y));
+}
+
 template <typename Fn>
 bool BatchRefiner::any_grid_segment(double min_x, double min_y, double max_x,
                                     double max_y, Fn&& fn) const {
@@ -363,7 +444,7 @@ bool BatchRefiner::any_grid_segment(double min_x, double min_y, double max_x,
     for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
       const std::size_t cell = static_cast<std::size_t>(cy) * seg_w_ + cx;
       for (std::uint32_t i = seg_offsets_[cell]; i < seg_offsets_[cell + 1]; ++i) {
-        if (fn(Coord{seg_ax_[i], seg_ay_[i]}, Coord{seg_bx_[i], seg_by_[i]})) return true;
+        if (fn(Coord{segs_.ax[i], segs_.ay[i]}, Coord{segs_.bx[i], segs_.by[i]})) return true;
       }
     }
   }
@@ -381,14 +462,11 @@ bool BatchRefiner::segment_grid_intersects(const Coord& a, const Coord& b) const
   // segments can only intersect when their bboxes overlap, so skipping
   // non-overlapping candidates never changes the boolean, and the kernels
   // run the same exact test on the same candidates in the same order.
-  const simd::SegSoA segs{seg_ax_.data(),    seg_ay_.data(),    seg_bx_.data(),
-                          seg_by_.data(),    seg_min_x_.data(), seg_min_y_.data(),
-                          seg_max_x_.data(), seg_max_y_.data()};
   const auto seg_run = simd::kernels().seg_run_intersects;
   for (std::uint32_t cy = span.y0; cy <= span.y1; ++cy) {
     for (std::uint32_t cx = span.x0; cx <= span.x1; ++cx) {
       const std::size_t cell = static_cast<std::size_t>(cy) * seg_w_ + cx;
-      if (seg_run(segs, seg_offsets_[cell], seg_offsets_[cell + 1], a.x, a.y, b.x,
+      if (seg_run(segs_, seg_offsets_[cell], seg_offsets_[cell + 1], a.x, a.y, b.x,
                   b.y, bx0, by0, bx1, by1)) {
         return true;
       }
@@ -432,10 +510,10 @@ bool BatchRefiner::outer_rejects(const Envelope& probe_env) const {
   if (overlaps_any_part_env(probe_env)) return false;
   // Chunk-envelope early-reject sweep over the SoA arrays via the
   // dispatched kernel (SIMD paths test 2/4 chunks per step).
-  return !simd::kernels().env_any_overlaps(
-      chunk_min_x_.data(), chunk_min_y_.data(), chunk_max_x_.data(),
-      chunk_max_y_.data(), chunk_min_x_.size(), probe_env.min_x(),
-      probe_env.min_y(), probe_env.max_x(), probe_env.max_y());
+  return !simd::kernels().env_any_overlaps(chunk_min_x_, chunk_min_y_, chunk_max_x_,
+                                           chunk_max_y_, chunk_count_, probe_env.min_x(),
+                                           probe_env.min_y(), probe_env.max_x(),
+                                           probe_env.max_y());
 }
 
 // ---------------------------------------------------------------------------
@@ -458,8 +536,7 @@ bool BatchRefiner::SoAPart::covers(const Coord& p) const {
   // exact predicate when the float filter is uncertain — the same decisions
   // as point_covered. The parity division is masked by the straddle test,
   // which is false whenever the denominator would be zero.
-  return simd::kernels().pip_covers_run(ax.data() + begin, ay.data() + begin,
-                                        bx.data() + begin, by.data() + begin,
+  return simd::kernels().pip_covers_run(ax + begin, ay + begin, bx + begin, by + begin,
                                         end - begin, p.x, p.y);
 }
 

@@ -12,7 +12,10 @@
 //     one bucket's edges per probe while the whole table stays cache-hot
 //     across the group. Per anchor, one segment grid over the envelope
 //     whose cells hold the same SoA endpoint (and bbox) arrays, so a probe
-//     segment only visits the segments of the cells it overlaps.
+//     segment only visits the segments of the cells it overlaps. Every
+//     array, the chunk envelopes of layer 2 included, lives in one owned
+//     buffer: a counting pass over the anchor's paths sizes it, then a
+//     fill pass writes it with no growth and no temporary copies.
 //  2. Inner/outer approximations — per areal part a *verified* maximal
 //     inscribed axis-aligned rectangle (probe MBR inside it ⇒
 //     intersects/contains/distance-0 without any exact test) plus
@@ -27,12 +30,15 @@
 // RefineStats::{early_accepts, early_rejects, exact_tests}.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "geom/exact_predicates.hpp"
 #include "geom/geometry.hpp"
+#include "geom/simd_dispatch.hpp"
 
 namespace sjc::geom {
 
@@ -102,10 +108,13 @@ class BatchRefiner {
  private:
   // One areal part's edges in y-bucket CSR order, duplicated per bucket so
   // a probe scans one contiguous run of [ax, ay, bx, by] with no index
-  // indirection.
+  // indirection. The arrays are views into the refiner's buffer.
   struct SoAPart {
-    std::vector<double> ax, ay, bx, by;
-    std::vector<std::uint32_t> bucket_offsets;  // size bucket_count + 1
+    const double* ax = nullptr;
+    const double* ay = nullptr;
+    const double* bx = nullptr;
+    const double* by = nullptr;
+    const std::uint32_t* bucket_offsets = nullptr;  // bucket_count + 1 entries
     double y_min = 0.0;
     double y_max = 0.0;
     double y_inv_step = 0.0;  // bucket_count / (y_max - y_min), 0 when flat
@@ -131,10 +140,27 @@ class BatchRefiner {
     std::uint32_t x0, x1, y0, y1;
   };
 
-  void add_part(const Polygon& poly);
-  void build_chunks();
-  void build_segment_grid();
+  // Consecutive runs of one element type handed out from the buffer.
+  template <typename T>
+  struct Runs {
+    T* next;
+    T* take(std::size_t n) {
+      T* run = next;
+      next += n;
+      return run;
+    }
+  };
+
+  /// The y-bucket table's shape for `poly`: every scalar, no arrays.
+  static SoAPart part_shape(const Polygon& poly);
+  /// Fills `part`'s edge table from `poly` and searches its inner rectangle.
+  static void fill_part(SoAPart& part, const Polygon& poly, Runs<double>& doubles,
+                        Runs<std::uint32_t>& words);
+  void fill_chunks(std::size_t chunk_len, Runs<double>& doubles);
+  void fill_segment_grid(std::size_t entries, Runs<double>& doubles,
+                         Runs<std::uint32_t>& words);
   CellSpan grid_cells(double min_x, double min_y, double max_x, double max_y) const;
+  CellSpan segment_cells(const Coord& a, const Coord& b) const;
   /// Calls fn(a, b) on every grid entry in the cells the box overlaps
   /// (cells row by row, entries in path order) until fn returns true.
   template <typename Fn>
@@ -166,12 +192,23 @@ class BatchRefiner {
   bool exact_contains(const Geometry& probe) const;
 
   const Geometry* anchor_;
-  std::vector<SoAPart> parts_;
+
+  // One owned buffer holds every array the refiner derives, sized exactly
+  // by the constructor's counting pass: the part headers, then the doubles
+  // (each part's edge table, the chunk envelopes, the segment grid's eight
+  // entry arrays), then the uint32 CSR offsets (each part's, the grid's).
+  // Moving the refiner keeps the buffer, and with it every view below.
+  std::unique_ptr<std::byte[]> buffer_;
+  std::span<const SoAPart> parts_;
 
   // Chunked linework envelopes (SoA): each chunk bounds a run of
   // consecutive segments within one coordinate path. Together with the
   // part envelopes they bound the anchor's entire point set.
-  std::vector<double> chunk_min_x_, chunk_min_y_, chunk_max_x_, chunk_max_y_;
+  const double* chunk_min_x_ = nullptr;
+  const double* chunk_min_y_ = nullptr;
+  const double* chunk_max_x_ = nullptr;
+  const double* chunk_max_y_ = nullptr;
+  std::size_t chunk_count_ = 0;
 
   // Linework segment grid (linestring segments and ring edges): per-cell
   // CSR with endpoint and precomputed-bbox arrays duplicated per cell
@@ -182,9 +219,8 @@ class BatchRefiner {
   std::uint32_t seg_h_ = 0;
   double seg_x_inv_ = 0.0;
   double seg_y_inv_ = 0.0;
-  std::vector<std::uint32_t> seg_offsets_;  // CSR offsets, seg_w*seg_h + 1
-  std::vector<double> seg_ax_, seg_ay_, seg_bx_, seg_by_;          // endpoints
-  std::vector<double> seg_min_x_, seg_min_y_, seg_max_x_, seg_max_y_;  // bboxes
+  const std::uint32_t* seg_offsets_ = nullptr;  // CSR offsets, seg_w*seg_h + 1
+  simd::SegSoA segs_{};                         // endpoints and bboxes
 
   // Approximations apply only when the envelopes above actually bound the
   // anchor (false only for point anchors, which have no parts/linework).

@@ -112,10 +112,14 @@ void Geometry::compute_envelope() {
     case GeomType::kLineString:
       add_coords(std::get<LineString>(storage_).coords);
       break;
-    case GeomType::kPolygon:
-      // Shell bounds the holes by definition; scanning it alone suffices.
-      add_coords(std::get<Polygon>(storage_).shell);
+    case GeomType::kPolygon: {
+      // Every ring, holes included: the reader accepts a hole that lies
+      // outside its shell, and the envelope must still bound it.
+      const auto& poly = std::get<Polygon>(storage_);
+      add_coords(poly.shell);
+      for (const auto& hole : poly.holes) add_coords(hole);
       break;
+    }
     case GeomType::kMultiLineString:
       for (const auto& part : std::get<MultiLineString>(storage_).parts) {
         add_coords(part.coords);
@@ -124,6 +128,7 @@ void Geometry::compute_envelope() {
     case GeomType::kMultiPolygon:
       for (const auto& part : std::get<MultiPolygon>(storage_).parts) {
         add_coords(part.shell);
+        for (const auto& hole : part.holes) add_coords(hole);
       }
       break;
   }

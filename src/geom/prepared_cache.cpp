@@ -3,17 +3,14 @@
 #include <optional>
 #include <utility>
 
-#include "geom/batch_refine.hpp"
 #include "util/status.hpp"
 
 namespace sjc::geom {
 
-// Out-of-line so unique_ptr<BatchRefiner> destroys where the type is
-// complete (the header only forward-declares it).
-PreparedCache::RefinerHolder::~RefinerHolder() = default;
-
 PreparedCache::PreparedCache(std::size_t capacity, MakeRefiner make_refiner)
-    : capacity_(capacity), make_refiner_(std::move(make_refiner)) {
+    : capacity_(capacity),
+      make_refiner_(make_refiner ? std::move(make_refiner)
+                                 : [](const Geometry& g) { return BatchRefiner(g); }) {
   require(capacity > 0, "PreparedCache: capacity must be > 0");
 }
 
@@ -55,11 +52,8 @@ std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
   // Build outside the lock: preparation is the expensive part and lookups
   // of other ids must not serialize behind it.
   try {
-    auto holder = std::make_shared<RefinerHolder>();
-    holder->geometry = geometry;
-    holder->refiner = make_refiner_ ? make_refiner_(holder->geometry)
-                               : std::make_unique<BatchRefiner>(holder->geometry);
-    Handle handle(holder, holder->refiner.get());
+    auto holder = std::make_shared<RefinerHolder>(geometry, make_refiner_);
+    Handle handle(holder, &holder->refiner);
     promise->set_value(handle);
     return handle;
   } catch (...) {

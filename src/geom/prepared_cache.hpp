@@ -38,11 +38,10 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "geom/batch_refine.hpp"
 #include "geom/geometry.hpp"
 
 namespace sjc::geom {
-
-class BatchRefiner;
 
 class PreparedCache {
  public:
@@ -51,7 +50,7 @@ class PreparedCache {
   /// Builds an entry's refiner against the entry's own geometry copy. The
   /// default prepares a BatchRefiner; tests pass one that throws to drive
   /// the failed-build path.
-  using MakeRefiner = std::function<std::unique_ptr<BatchRefiner>(const Geometry&)>;
+  using MakeRefiner = std::function<BatchRefiner(const Geometry&)>;
 
   explicit PreparedCache(std::size_t capacity = kDefaultCapacity,
                          MakeRefiner make_refiner = {});
@@ -80,10 +79,14 @@ class PreparedCache {
 
  private:
   using Handle = std::shared_ptr<const BatchRefiner>;
+  /// The geometry copy and, inline, the refiner built against it: one
+  /// allocation with the handle's control block, plus the copy's
+  /// coordinates and the refiner's one buffer.
   struct RefinerHolder {
+    RefinerHolder(const Geometry& source, const MakeRefiner& make)
+        : geometry(source), refiner(make(geometry)) {}
     Geometry geometry;  // owned copy; `refiner` references it
-    std::unique_ptr<BatchRefiner> refiner;
-    ~RefinerHolder();  // out-of-line: BatchRefiner is incomplete here
+    BatchRefiner refiner;
   };
   struct Entry {
     std::shared_future<Handle> refiner;  // pending until the build finishes

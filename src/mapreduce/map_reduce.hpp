@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,9 +151,13 @@ namespace detail {
 
 template <typename Out>
 std::vector<Out> concat(std::vector<std::vector<Out>>& parts) {
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
   std::vector<Out> all;
+  all.reserve(total);
   for (auto& part : parts) {
-    for (auto& o : part) all.push_back(std::move(o));
+    all.insert(all.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
   }
   return all;
 }

@@ -24,6 +24,7 @@ PartitionScheme::PartitionScheme(std::vector<geom::Envelope> cells,
     : cells_(std::move(cells)), extent_(extent) {
   require(!cells_.empty(), "PartitionScheme: needs at least one cell");
   build_grid();
+  interiors_disjoint_ = interiors_disjoint();
 }
 
 namespace {
@@ -154,6 +155,36 @@ std::uint32_t PartitionScheme::min_assigned(const geom::Envelope& env) const {
     }
   }
   return found ? best : nearest_cell(env);
+}
+
+bool PartitionScheme::is_canonical(std::uint32_t cell, const geom::Coord& p) const {
+  const geom::Envelope& c = cells_[cell];
+  if (interiors_disjoint_ && p.x > c.min_x() && p.x < c.max_x() && p.y > c.min_y() &&
+      p.y < c.max_y()) {
+    return true;
+  }
+  return min_assigned(geom::Envelope::of_point(p.x, p.y)) == cell;
+}
+
+bool PartitionScheme::interiors_disjoint() const {
+  // Does closed `a` share a point with the open interior of `b`? False
+  // whenever b has zero width or height: such a cell has no interior.
+  const auto meets_interior = [](const geom::Envelope& a, const geom::Envelope& b) {
+    return b.min_x() < b.max_x() && b.min_y() < b.max_y() && a.min_x() < b.max_x() &&
+           a.max_x() > b.min_x() && a.min_y() < b.max_y() && a.max_y() > b.min_y();
+  };
+  // Two cells that share a point are both listed in that point's bucket,
+  // so the pairs within each bucket are exhaustive.
+  for (std::size_t b = 0; b + 1 < grid_offsets_.size(); ++b) {
+    for (std::uint32_t k = grid_offsets_[b]; k < grid_offsets_[b + 1]; ++k) {
+      for (std::uint32_t j = k + 1; j < grid_offsets_[b + 1]; ++j) {
+        const geom::Envelope& a = cells_[grid_ids_[k]];
+        const geom::Envelope& c = cells_[grid_ids_[j]];
+        if (meets_interior(a, c) || meets_interior(c, a)) return false;
+      }
+    }
+  }
+  return true;
 }
 
 std::uint32_t PartitionScheme::nearest_cell(const geom::Envelope& env) const {

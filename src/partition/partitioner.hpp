@@ -74,6 +74,12 @@ class PartitionScheme {
   /// id list (the reference-point dedup test needs only the canonical cell).
   std::uint32_t min_assigned(const geom::Envelope& env) const;
 
+  /// min_assigned(Envelope::of_point(p)) == cell: is `cell` the canonical
+  /// cell of point p? When no cell meets another cell's interior (checked
+  /// at construction) and p lies strictly inside `cell`, no other cell
+  /// contains p, so the answer is true without the directory lookup.
+  bool is_canonical(std::uint32_t cell, const geom::Coord& p) const;
+
   /// Serialized footprint of the cell table (what gets broadcast /
   /// written as the _master file).
   std::size_t size_bytes() const;
@@ -84,6 +90,10 @@ class PartitionScheme {
 
   /// Buckets every cell into a uniform grid over the extent (CSR layout).
   void build_grid();
+
+  /// True when no cell meets the interior of another (e.g. the cells tile
+  /// the extent). Reads the grid directory, so build_grid() runs first.
+  bool interiors_disjoint() const;
 
   std::vector<geom::Envelope> cells_;
   geom::Envelope extent_;
@@ -102,6 +112,8 @@ class PartitionScheme {
   std::vector<std::uint32_t> grid_ids_;
   std::vector<std::uint16_t> cell_bx0_;  // first bucket column/row per cell
   std::vector<std::uint16_t> cell_by0_;
+
+  bool interiors_disjoint_ = false;  // is_canonical's fast-path condition
 };
 
 /// Uniform cols x rows tiling of `extent`.

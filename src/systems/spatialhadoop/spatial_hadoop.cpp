@@ -384,9 +384,7 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
     // (lowest-id) cell pair containing the reference point.
     const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
       const geom::Coord p = core::reference_point(le, re);
-      const geom::Envelope pe = geom::Envelope::of_point(p.x, p.y);
-      return ia.scheme.min_assigned(pe) == split.pa &&
-             ib.scheme.min_assigned(pe) == split.pb;
+      return ia.scheme.is_canonical(split.pa, p) && ib.scheme.is_canonical(split.pb, p);
     };
     stage.run(ia.blocks[split.pa]->view(), ib.blocks[split.pb]->view(), accept, out_pairs);
   };

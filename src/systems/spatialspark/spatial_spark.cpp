@@ -207,10 +207,8 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
           std::vector<JoinPair>& out) {
         const std::uint32_t pid = std::get<0>(t);
         const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
-          const geom::Coord p = core::reference_point(le, re);
           // The canonical (lowest-id) cell, without materializing the id list.
-          return scheme_bc.value().min_assigned(
-                     geom::Envelope::of_point(p.x, p.y)) == pid;
+          return scheme_bc.value().is_canonical(pid, core::reference_point(le, re));
         };
         stage.run(core::FeatureRefSpan(std::get<1>(t)), core::FeatureRefSpan(std::get<2>(t)),
                   accept, out);

@@ -365,5 +365,200 @@ TEST(BatchRefine, PointAnchorFallsBackToExact) {
   EXPECT_EQ(stats.early_rejects, 0u);
 }
 
+TEST(BatchRefine, HoleOutsideShellIsProbed) {
+  // Invalid but accepted input: a [0,10]^2 shell whose hexagonal hole sits
+  // at (50,50). The dense path's envelope reaches the shell's, but the path
+  // itself only crosses the hole ring, so a probe envelope that ignored the
+  // hole would let the chunk envelopes reject the pair.
+  const Ring hole{{53, 50}, {51.5, 52.5}, {48.5, 52.5}, {47, 50},
+                  {48.5, 47.5}, {51.5, 47.5}, {53, 50}};
+  const Geometry odd =
+      Geometry::polygon({{0, 0}, {10, 0}, {10, 10}, {0, 10}, {0, 0}}, {hole});
+  EXPECT_EQ(odd.envelope(), Envelope(0, 0, 53, 52.5));
+  std::vector<Coord> path;
+  for (int x = 5; x <= 50; ++x) path.push_back({static_cast<double>(x), 11});
+  for (int y = 12; y <= 50; ++y) path.push_back({50, static_cast<double>(y)});
+  for (int x = 51; x <= 60; ++x) path.push_back({static_cast<double>(x), 50});
+  for (int y = 49; y >= 5; --y) path.push_back({60, static_cast<double>(y)});
+  const Geometry river = Geometry::line_string(std::move(path));
+  ASSERT_TRUE(intersects_naive(river, odd));
+
+  RefineStats stats;
+  const BatchRefiner by_path(river);
+  EXPECT_EQ(by_path.intersects(odd, stats), intersects_naive(river, odd));
+  EXPECT_EQ(by_path.distance(odd), 0.0);
+  const BatchRefiner by_polygon(odd);
+  EXPECT_EQ(by_polygon.intersects(river, stats), intersects_naive(odd, river));
+  const Geometry multi = Geometry::multi_polygon({odd.as_polygon()});
+  EXPECT_EQ(multi.envelope(), odd.envelope());
+  EXPECT_EQ(by_path.intersects(multi, stats), intersects_naive(river, multi));
+}
+
+// ---------------------------------------------------------------------------
+// Exact-test fast/slow split on near-degenerate pairs
+// ---------------------------------------------------------------------------
+
+// Star polygon built without trigonometry, so its coordinates (and the
+// escalation counts pinned below) do not depend on the libm: vertices at
+// L-infinity radius [r_lo, r_hi) around c, sorted by a pseudo-angle that is
+// monotone in the true angle.
+Ring star_ring(Rng& rng, const Coord& c, int n, double r_lo, double r_hi) {
+  std::vector<std::pair<double, Coord>> vertices;
+  for (int i = 0; i < n; ++i) {
+    const double dx = rng.uniform(-1, 1);
+    const double dy = rng.uniform(-1, 1);
+    const double l1 = std::abs(dx) + std::abs(dy);
+    const double t = dy / l1;
+    const double key = dx >= 0 ? (dy >= 0 ? t : 4 + t) : 2 - t;
+    const double scale = rng.uniform(r_lo, r_hi) / std::max(std::abs(dx), std::abs(dy));
+    vertices.push_back({key, {c.x + dx * scale, c.y + dy * scale}});
+  }
+  std::sort(vertices.begin(), vertices.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  Ring ring;
+  for (const auto& v : vertices) ring.push_back(v.second);
+  ring.push_back(ring.front());
+  return ring;
+}
+
+// 0 random-walk line, 1 star polygon, 2 two-part multipolygon, 3 star with
+// a square hole.
+Geometry degenerate_anchor(Rng& rng, int kind) {
+  const Coord c{rng.uniform(-40, 40), rng.uniform(-40, 40)};
+  switch (kind) {
+    case 0: {
+      std::vector<Coord> pts{c};
+      const auto n = 3 + rng.next_below(20);
+      for (std::uint64_t i = 1; i < n; ++i) {
+        pts.push_back({pts.back().x + rng.uniform(-12, 12),
+                       pts.back().y + rng.uniform(-12, 12)});
+      }
+      return Geometry::line_string(std::move(pts));
+    }
+    case 1:
+      return Geometry::polygon(star_ring(rng, c, 3 + static_cast<int>(rng.next_below(30)),
+                                         8, 30));
+    case 2:
+      return Geometry::multi_polygon(
+          {Polygon{star_ring(rng, c, 12, 4, 12), {}},
+           Polygon{star_ring(rng, {c.x + 30, c.y}, 9, 4, 12), {}}});
+    default:
+      return Geometry::polygon(star_ring(rng, c, 16, 12, 20),
+                               {{{c.x - 4, c.y - 4}, {c.x + 4, c.y - 4}, {c.x + 4, c.y + 4},
+                                 {c.x - 4, c.y + 4}, {c.x - 4, c.y - 4}}});
+  }
+}
+
+/// Every segment of g's coordinate paths (lines, then shell before holes).
+std::vector<std::pair<Coord, Coord>> segments_of(const Geometry& g) {
+  std::vector<std::pair<Coord, Coord>> out;
+  const auto add = [&out](const std::vector<Coord>& path) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) out.push_back({path[i], path[i + 1]});
+  };
+  switch (g.type()) {
+    case GeomType::kLineString:
+      add(g.as_line_string().coords);
+      break;
+    case GeomType::kPolygon:
+      add(g.as_polygon().shell);
+      for (const auto& hole : g.as_polygon().holes) add(hole);
+      break;
+    case GeomType::kMultiPolygon:
+      for (const auto& part : g.as_multi_polygon().parts) {
+        add(part.shell);
+        for (const auto& hole : part.holes) add(hole);
+      }
+      break;
+    default:
+      break;
+  }
+  return out;
+}
+
+// One predicate's summed accounting plus its number of true answers.
+struct Tally {
+  RefineStats stats;
+  std::uint64_t hits = 0;
+
+  std::vector<std::uint64_t> split() const {
+    return {stats.exact_tests,    stats.early_accepts,  stats.early_rejects,
+            stats.exact_fastpath, stats.exact_slowpath, hits};
+  }
+};
+
+TEST(BatchRefine, ExactSplitOnNearDegeneratePairsIsPinned) {
+  // Probes on or beside the anchor's own linework — shared vertices, edge
+  // midpoints, collinear sub-segments and extensions, chords and triangles
+  // on an edge — drive the
+  // adaptive predicates into their expansion stage. The summed accounting
+  // (exact tests split into fast and slow path) and the answers are pinned:
+  // a change to a refiner's scan order, its pruning or its early exits
+  // moves these counts even where every answer stays the same.
+  // within_distance runs distance's unpruned crossing scan. contains,
+  // within_distance and covers_points also match the naive reference pair
+  // by pair. intersects is pinned by count only: on two collinear
+  // sub-segment probes it answers false where intersects_naive answers
+  // true, because the naive test runs the inexact crossing parity on every
+  // probe vertex and the refiner on the first one only.
+  Rng rng(9100);
+  Tally by_intersects, by_contains, by_distance, by_points;
+  std::vector<std::uint8_t> covered;
+  for (int trial = 0; trial < 48; ++trial) {
+    const Geometry anchor = degenerate_anchor(rng, trial % 4);
+    const BatchRefiner refiner(anchor);
+    const auto segs = segments_of(anchor);
+    std::vector<Geometry> probes;
+    std::vector<Coord> points;
+    for (const auto& [a, b] : segs) {
+      const Coord mid{(a.x + b.x) / 2, (a.y + b.y) / 2};
+      const Coord q1{a.x + (b.x - a.x) / 4, a.y + (b.y - a.y) / 4};
+      const Coord q3{a.x + 3 * (b.x - a.x) / 4, a.y + 3 * (b.y - a.y) / 4};
+      const Coord out{mid.x + (b.y - a.y) / 2, mid.y - (b.x - a.x) / 2};
+      const Coord e1{b.x + (b.x - a.x) / 8, b.y + (b.y - a.y) / 8};
+      const Coord e2{b.x + (b.x - a.x) / 4, b.y + (b.y - a.y) / 4};
+      const Coord& far = segs[rng.next_below(segs.size())].second;
+      points.insert(points.end(), {a, mid, q1});
+      probes.push_back(Geometry::point(a.x, a.y));
+      probes.push_back(Geometry::point(mid.x, mid.y));
+      probes.push_back(Geometry::line_string({q1, q3}));
+      probes.push_back(Geometry::line_string({e1, e2}));
+      probes.push_back(Geometry::line_string({mid, out}));
+      if (!(far == a)) probes.push_back(Geometry::line_string({a, far}));
+      probes.push_back(Geometry::polygon({a, b, out, a}));
+    }
+    for (const Geometry& probe : probes) {
+      by_intersects.hits += refiner.intersects(probe, by_intersects.stats);
+      if (refiner.has_areal()) {
+        const bool hit = refiner.contains(probe, by_contains.stats);
+        by_contains.hits += hit;
+        EXPECT_EQ(hit, contains_naive(anchor, probe))
+            << "anchor=" << to_wkt(anchor) << "\nprobe=" << to_wkt(probe);
+      }
+      const bool near = refiner.within_distance(probe, 0.0, by_distance.stats);
+      by_distance.hits += near;
+      EXPECT_EQ(near, distance_naive(anchor, probe) <= 0.0)
+          << "anchor=" << to_wkt(anchor) << "\nprobe=" << to_wkt(probe);
+    }
+    if (refiner.has_areal()) {
+      refiner.covers_points(points, covered, by_points.stats);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        by_points.hits += covered[i];
+        EXPECT_EQ(covered[i] != 0,
+                  intersects_naive(anchor, Geometry::point(points[i].x, points[i].y)));
+      }
+    }
+  }
+  // {exact_tests, early_accepts, early_rejects, exact_fastpath,
+  //  exact_slowpath, true answers}
+  EXPECT_EQ(by_intersects.split(),
+            (std::vector<std::uint64_t>{5718, 32, 283, 1818, 3900, 4930}));
+  EXPECT_EQ(by_contains.split(),
+            (std::vector<std::uint64_t>{4151, 32, 714, 1230, 2921, 1944}));
+  EXPECT_EQ(by_distance.split(),
+            (std::vector<std::uint64_t>{5778, 32, 223, 1627, 4151, 5291}));
+  EXPECT_EQ(by_points.split(),
+            (std::vector<std::uint64_t>{2112, 0, 0, 837, 1275, 1575}));
+}
+
 }  // namespace
 }  // namespace sjc::geom

@@ -11,6 +11,8 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/experiments.hpp"
 #include "corner_inputs.hpp"
@@ -156,7 +158,12 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
   // an *independent* STR tree over the partition cells built by the test,
   // with the nearest-cell fallback re-derived by brute force. The id sets
   // must agree for every partitioner geometry, and min_assigned() must equal
-  // the reference minimum — including on fallback queries.
+  // the reference minimum — including on fallback queries. For every point
+  // query and every cell, is_canonical() must equal "the reference minimum
+  // is that cell": on the four tiling partitioners, whose interior fast
+  // path is on, and on two hand-built schemes where it must stay off (one
+  // with overlapping cells, one with a zero-width cell inside another,
+  // where a point strictly inside the big cell is canonical in the thin one).
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> pos(0.0, 1000.0);
   std::uniform_real_distribution<double> len(0.0, 30.0);
@@ -167,10 +174,22 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
     const double y = pos(rng);
     sample.emplace_back(x, y, x + len(rng), y + len(rng));
   }
+  std::vector<std::pair<std::string, partition::PartitionScheme>> schemes;
   for (const auto kind :
        {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr,
         partition::PartitionerKind::kBsp, partition::PartitionerKind::kQuadtree}) {
-    const auto scheme = partition::make_partitions(kind, sample, extent, 37);
+    schemes.emplace_back(partition::partitioner_kind_name(kind),
+                         partition::make_partitions(kind, sample, extent, 37));
+  }
+  schemes.emplace_back("overlapping",
+                       partition::PartitionScheme({{0.0, 0.0, 600.0, 600.0},
+                                                   {400.0, 0.0, 1000.0, 600.0},
+                                                   {0.0, 400.0, 1000.0, 1000.0}},
+                                                  extent));
+  schemes.emplace_back("zero-width-inside",
+                       partition::PartitionScheme(
+                           {{500.0, 0.0, 500.0, 1000.0}, {0.0, 0.0, 1000.0, 1000.0}}, extent));
+  for (const auto& [name, scheme] : schemes) {
     // Independent reference: STR tree over the scheme's cells + brute-force
     // nearest-cell fallback (same tie-break as the scheme: first minimum).
     std::vector<index::IndexEntry> entries;
@@ -200,6 +219,19 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
       const double y = pos(rng);
       queries.emplace_back(x, y, x, y);
     }
+    // Points on every cell corner and edge midpoint (shared edges and
+    // corners of neighbouring cells), and outside the extent.
+    for (const auto& c : scheme.cells()) {
+      for (const double x : {c.min_x(), c.center_x(), c.max_x()}) {
+        for (const double y : {c.min_y(), c.center_y(), c.max_y()}) {
+          queries.push_back(geom::Envelope::of_point(x, y));
+        }
+      }
+    }
+    for (const auto& [x, y] : {std::pair{-20.0, 500.0}, std::pair{500.0, 1200.0},
+                               std::pair{-5.0, -5.0}, std::pair{1000.5, 0.0}}) {
+      queries.push_back(geom::Envelope::of_point(x, y));
+    }
     // Envelopes straddling or outside the extent (nearest-cell fallback).
     queries.emplace_back(-50.0, -50.0, -10.0, -10.0);
     queries.emplace_back(990.0, 990.0, 1100.0, 1100.0);
@@ -211,15 +243,20 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
         std::vector<std::uint32_t> v;
         scheme.assign_into(q, v);
         return v;
-      }()) << partition::partitioner_kind_name(kind);
+      }()) << name;
       scheme.assign_into(q, got);
       const std::uint32_t expected_min =
           *std::min_element(expected.begin(), expected.end());
       std::sort(expected.begin(), expected.end());
       std::sort(got.begin(), got.end());
-      ASSERT_EQ(got, expected) << partition::partitioner_kind_name(kind);
-      EXPECT_EQ(scheme.min_assigned(q), expected_min)
-          << partition::partitioner_kind_name(kind);
+      ASSERT_EQ(got, expected) << name;
+      EXPECT_EQ(scheme.min_assigned(q), expected_min) << name;
+      if (q.width() > 0.0 || q.height() > 0.0) continue;
+      const geom::Coord p{q.min_x(), q.min_y()};
+      for (std::uint32_t cell = 0; cell < scheme.cell_count(); ++cell) {
+        EXPECT_EQ(scheme.is_canonical(cell, p), expected_min == cell)
+            << name << " cell " << cell << " point " << p.x << "," << p.y;
+      }
     }
   }
 }

@@ -103,7 +103,7 @@ TEST(PreparedCache, FailedBuildDropsEntryAndKeepsLruOrder) {
   bool fail_builds = false;
   PreparedCache cache(/*capacity=*/2, [&fail_builds](const Geometry& g) {
     if (fail_builds) throw SjcError("injected build failure");
-    return std::make_unique<BatchRefiner>(g);
+    return BatchRefiner(g);
   });
   const auto g0 = square(0, 0);
   const auto g1 = square(10, 0);
