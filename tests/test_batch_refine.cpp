@@ -489,11 +489,11 @@ struct Tally {
 TEST(BatchRefine, ExactSplitOnNearDegeneratePairsIsPinned) {
   // Probes on or beside the anchor's own linework — shared vertices, edge
   // midpoints, collinear sub-segments and extensions, chords and triangles
-  // on an edge — drive the
-  // adaptive predicates into their expansion stage. The summed accounting
-  // (exact tests split into fast and slow path) and the answers are pinned:
-  // a change to a refiner's scan order, its pruning or its early exits
-  // moves these counts even where every answer stays the same.
+  // on an edge — drive the adaptive predicates into their expansion stage.
+  // The summed accounting (exact tests split into fast and slow path) and
+  // the answers are pinned: a change to a refiner's scan order, its pruning
+  // or its early exits moves these counts even where every answer stays
+  // the same.
   // within_distance runs distance's unpruned crossing scan. contains,
   // within_distance and covers_points also match the naive reference pair
   // by pair. intersects is pinned by count only: on two collinear
