@@ -86,10 +86,12 @@ DispatchResult run_dispatch(const workload::Dataset& left,
                             core::JoinPredicate predicate) {
   DispatchResult out;
   cluster::Counters counters;
+  geom::PreparedCache cache;
   core::LocalJoinSpec spec;
   spec.algorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
   spec.engine = geom::EngineKind::kPrepared;
   spec.predicate = predicate;
+  spec.prepared_cache = &cache;
   spec.refine_counters = &counters;
   core::LocalJoinScratch scratch;
   core::run_local_join(left.features(), right.features(), spec, core::AcceptAllPairs{},

@@ -16,11 +16,11 @@
 // counting-sort scatter (right ids are dense) instead of a comparison sort,
 // expanded envelopes are computed once per feature, and a caller-owned
 // LocalJoinScratch keeps entry buffers and per-task index trees warm across
-// partition pairs. When LocalJoinSpec::prepared_cache is set and the engine
-// is the Prepared one, batch refiners are shared across partitions through
-// a PreparedCache — each overlap-duplicated right geometry is prepared once
-// per run instead of once per partition. The Simple engine never touches
-// the cache: its from-scratch per-call work is the model being measured.
+// partition pairs. The Prepared engine takes its batch refiners from
+// LocalJoinSpec::prepared_cache, a PreparedCache shared across partitions —
+// each overlap-duplicated right geometry is prepared once per run instead
+// of once per partition. The Simple engine never touches the cache: its
+// from-scratch per-call work is the model being measured.
 //
 // Duplicate avoidance: partitions overlap-assign features, so the same
 // (left, right) pair can meet in several partition pairs. The caller
@@ -52,9 +52,9 @@ struct LocalJoinSpec {
   JoinPredicate predicate = JoinPredicate::kIntersects;
   double within_distance = 0.0;
 
-  /// Optional run-scoped cache of batch refiners, shared across partition
-  /// pairs (and tasks — it is thread-safe). Consulted only when `engine` is
-  /// the Prepared one; the Simple engine's per-call work is the model.
+  /// The cache of batch refiners, shared across partition pairs (and tasks
+  /// — it is thread-safe). Required by the Prepared engine; the Simple
+  /// engine never consults it, since its per-call work is the model.
   geom::PreparedCache* prepared_cache = nullptr;
 
   /// Optional sink for refinement accounting. Per run_local_join call, adds
@@ -175,6 +175,8 @@ template <typename LeftSeq, typename RightSeq, typename AcceptFn>
 void run_local_join(const LeftSeq& left, const RightSeq& right,
                     const LocalJoinSpec& spec, AcceptFn&& accept,
                     LocalJoinScratch& scratch, std::vector<JoinPair>& out) {
+  require(spec.engine != geom::EngineKind::kPrepared || spec.prepared_cache != nullptr,
+          "run_local_join: the Prepared engine needs a PreparedCache");
   if (left.empty() || right.empty()) return;
 
   // Filter phase: MBR join over local indices (epsilon-expanded for
@@ -242,17 +244,8 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
       // through the SoA point-in-polygon pass, everything else through the
       // approximation-gated scalar predicates). Results and output order
       // are bit-identical to the Simple engine's per-pair path below.
-      std::shared_ptr<const geom::BatchRefiner> shared_refiner;
-      std::unique_ptr<geom::BatchRefiner> owned_refiner;
-      const geom::BatchRefiner* refiner;
-      if (spec.prepared_cache != nullptr) {
-        shared_refiner = spec.prepared_cache->acquire_refiner(right_feature.id,
-                                                              right_feature.geometry);
-        refiner = shared_refiner.get();
-      } else {
-        owned_refiner = std::make_unique<geom::BatchRefiner>(right_feature.geometry);
-        refiner = owned_refiner.get();
-      }
+      const std::shared_ptr<const geom::BatchRefiner> refiner =
+          spec.prepared_cache->acquire_refiner(right_feature.id, right_feature.geometry);
       // For point probes against an areal anchor, the hole-aware covered
       // test answers both kIntersects and kWithin; gather them and run one
       // batched pass per group.

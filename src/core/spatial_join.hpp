@@ -202,7 +202,7 @@ void annotate_recovery(RunReport& report);
 std::vector<std::string> check_invariants(const RunReport& report);
 
 /// Runs one distributed spatial join on the chosen system. Simulated
-/// failures (BrokenPipe, TaskFailed, BlockUnavailable, SimOutOfMemory) are
+/// failures (BrokenPipe, TaskFailed, SimOutOfMemory, lifecycle kills) are
 /// captured in the report; other exceptions (bugs, bad arguments)
 /// propagate.
 RunReport run_spatial_join(SystemKind system, const workload::Dataset& left,

@@ -20,17 +20,17 @@ std::vector<std::uint32_t> SimDfs::live_nodes() const {
   return live;
 }
 
-std::vector<BlockMeta> SimDfs::place_blocks(std::uint64_t bytes) {
+std::vector<SimDfs::Block> SimDfs::place_blocks(std::uint64_t bytes) {
   const std::vector<std::uint32_t> live = live_nodes();
   if (live.empty()) {
     throw BlockUnavailable("SimDfs: cannot place blocks, no live datanodes");
   }
-  std::vector<BlockMeta> blocks;
+  std::vector<Block> blocks;
   const std::uint32_t replicas = std::min(
       config_.replication, static_cast<std::uint32_t>(live.size()));
   std::uint64_t remaining = bytes;
   do {
-    BlockMeta block;
+    Block block;
     block.size = std::min(remaining, config_.block_size);
     // HDFS default placement: first replica on the "writer" node, the rest
     // rotate across the (live part of the) cluster.
@@ -44,53 +44,14 @@ std::vector<BlockMeta> SimDfs::place_blocks(std::uint64_t bytes) {
   return blocks;
 }
 
-void SimDfs::put(const std::string& path, std::any payload, std::uint64_t bytes) {
-  Entry entry;
-  entry.meta.path = path;
-  entry.meta.size = bytes;
-  entry.meta.blocks = place_blocks(bytes);
-  entry.payload = std::move(payload);
-  const auto it = files_.find(path);
-  if (it != files_.end()) {
-    total_bytes_ -= it->second.meta.size;
-    files_.erase(it);
-  }
-  total_bytes_ += bytes;
-  files_.emplace(path, std::move(entry));
-}
-
-void SimDfs::remove(const std::string& path) {
-  const auto it = files_.find(path);
-  if (it == files_.end()) throw SjcError("SimDfs: cannot remove missing file: " + path);
-  total_bytes_ -= it->second.meta.size;
-  files_.erase(it);
-}
-
-const SimDfs::Entry& SimDfs::entry(const std::string& path) const {
-  const auto it = files_.find(path);
-  if (it == files_.end()) throw SjcError("SimDfs: no such file: " + path);
-  return it->second;
-}
-
-const FileMeta& SimDfs::meta(const std::string& path) const {
-  return entry(path).meta;
-}
-
-std::vector<std::string> SimDfs::list(const std::string& prefix) const {
-  std::vector<std::string> out;
-  for (auto it = files_.lower_bound(prefix); it != files_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(it->first);
-  }
-  return out;
-}
-
-std::uint64_t SimDfs::file_size(const std::string& path) const {
-  return entry(path).meta.size;
+void SimDfs::put(const std::string& path, std::uint64_t bytes) {
+  files_.insert_or_assign(path, place_blocks(bytes));
 }
 
 std::size_t SimDfs::block_count(const std::string& path) const {
-  return entry(path).meta.blocks.size();
+  const auto it = files_.find(path);
+  if (it == files_.end()) throw SjcError("SimDfs: no such file: " + path);
+  return it->second.size();
 }
 
 IoCost SimDfs::write_cost(std::uint64_t bytes) const {
@@ -124,15 +85,14 @@ ReplicationRepair SimDfs::fail_datanode(std::uint32_t node) {
   dead_nodes_.insert(node);
 
   const std::vector<std::uint32_t> live = live_nodes();
-  for (auto& [path, entry] : files_) {
-    for (BlockMeta& block : entry.meta.blocks) {
+  for (auto& [path, blocks] : files_) {
+    for (Block& block : blocks) {
       const auto it =
           std::find(block.replica_nodes.begin(), block.replica_nodes.end(), node);
       if (it == block.replica_nodes.end()) continue;
       block.replica_nodes.erase(it);
       if (block.replica_nodes.empty()) {
         ++repair.blocks_lost;
-        entry.lost = true;
         continue;
       }
       ++repair.under_replicated;

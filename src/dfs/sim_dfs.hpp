@@ -1,29 +1,27 @@
 // SimDfs: an HDFS-like distributed file system simulator.
 //
-// The simulator runs in one process, so file *payloads* stay in memory as
-// typed objects (std::any). What SimDfs faithfully models is everything the
-// paper's analysis hangs on:
+// The simulator runs in one process and no engine reads a file back, so
+// SimDfs stores no payloads: each engine keeps its data in its own
+// structures (SpatialHadoop's blocks live in its IndexedDataset). What
+// SimDfs models is everything the paper's analysis hangs on:
 //
-//  * a namenode catalog (path -> file metadata),
+//  * a namenode catalog (path -> the file's blocks),
 //  * files split into fixed-size blocks (one map task per block),
 //  * block placement with n-way replication across datanodes,
 //  * the cost structure of reads/writes: a write pushes `size` bytes to a
 //    local disk plus (replication-1) remote copies over the network; a
 //    data-local read costs disk bandwidth only, a remote read adds network,
-//  * datanode failure: fail_datanode(n) drops every replica hosted on n,
+//  * datanode failure: fail_datanode(n) drops every replica hosted on n and
 //    re-replicates under-replicated blocks onto surviving nodes (charging
-//    the copy traffic, like the HDFS namenode's re-replication queue), and
-//    marks files whose blocks lost *all* replicas — reading those throws
-//    BlockUnavailable.
+//    the copy traffic, like the HDFS namenode's re-replication queue); the
+//    repair counts blocks that lost *all* replicas.
 //
 // Engines charge those byte volumes into SimTask records; SimDfs itself
 // never advances a clock.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -42,17 +40,6 @@ struct DfsConfig {
   std::uint64_t seed = 42;  // block placement determinism
 };
 
-struct BlockMeta {
-  std::uint64_t size = 0;
-  std::vector<std::uint32_t> replica_nodes;
-};
-
-struct FileMeta {
-  std::string path;
-  std::uint64_t size = 0;
-  std::vector<BlockMeta> blocks;
-};
-
 /// Byte volumes one DFS operation moves through each device class.
 struct IoCost {
   std::uint64_t disk_read = 0;
@@ -62,7 +49,7 @@ struct IoCost {
 
 /// What restoring replication after a datanode loss did and cost.
 struct ReplicationRepair {
-  /// Blocks that lost *every* replica — their files are unreadable.
+  /// Blocks that lost *every* replica.
   std::size_t blocks_lost = 0;
   /// Blocks that lost a replica but still had survivors.
   std::size_t under_replicated = 0;
@@ -79,38 +66,12 @@ class SimDfs {
 
   const DfsConfig& config() const { return config_; }
 
-  /// Creates (or replaces) a file: records metadata and stores `payload`.
-  /// `bytes` is the file's logical size at scaled magnitude.
-  void put(const std::string& path, std::any payload, std::uint64_t bytes);
+  /// Creates (or replaces) a file of `bytes` logical bytes at scaled
+  /// magnitude and places its blocks.
+  void put(const std::string& path, std::uint64_t bytes);
 
-  /// Typed payload accessor; throws SjcError when missing or mistyped and
-  /// BlockUnavailable when datanode failures destroyed every replica of one
-  /// of the file's blocks.
-  template <typename T>
-  const T& get(const std::string& path) const {
-    const auto it = files_.find(path);
-    if (it == files_.end()) throw SjcError("SimDfs: no such file: " + path);
-    if (it->second.lost) {
-      throw BlockUnavailable("SimDfs: " + path +
-                             ": all replicas lost to datanode failures");
-    }
-    const T* typed = std::any_cast<T>(&it->second.payload);
-    if (typed == nullptr) throw SjcError("SimDfs: payload type mismatch: " + path);
-    return *typed;
-  }
-
-  bool exists(const std::string& path) const { return files_.contains(path); }
-  void remove(const std::string& path);
-  const FileMeta& meta(const std::string& path) const;
-
-  /// Paths with the given prefix, sorted.
-  std::vector<std::string> list(const std::string& prefix) const;
-
-  std::uint64_t file_size(const std::string& path) const;
+  /// Blocks of `path`; throws SjcError when the file does not exist.
   std::size_t block_count(const std::string& path) const;
-
-  /// Total logical bytes stored (single copy, not counting replicas).
-  std::uint64_t total_bytes() const { return total_bytes_; }
 
   /// Cost of writing `bytes` with the configured replication: one local
   /// disk write per replica plus (replication-1) network transfers.
@@ -126,37 +87,28 @@ class SimDfs {
   /// Kills datanode `node`: every replica it hosted disappears. Blocks that
   /// still have survivors are re-replicated onto live nodes (deterministic
   /// target choice, traffic charged in the returned repair); blocks whose
-  /// last replica died mark their file lost — get<T>() on it throws
-  /// BlockUnavailable. Idempotent: failing a dead node is a no-op repair.
+  /// last replica died are counted in `blocks_lost`. Idempotent: failing a
+  /// dead node is a no-op repair.
   ReplicationRepair fail_datanode(std::uint32_t node);
 
-  bool node_alive(std::uint32_t node) const { return !dead_nodes_.contains(node); }
   std::uint32_t live_datanode_count() const {
     return config_.datanode_count - static_cast<std::uint32_t>(dead_nodes_.size());
   }
-  /// True when datanode failures destroyed every replica of some block of
-  /// `path` (reads will throw BlockUnavailable).
-  bool lost(const std::string& path) const { return entry(path).lost; }
 
  private:
-  struct Entry {
-    FileMeta meta;
-    std::any payload;
-    bool lost = false;
+  struct Block {
+    std::uint64_t size = 0;
+    std::vector<std::uint32_t> replica_nodes;
   };
 
-  std::vector<BlockMeta> place_blocks(std::uint64_t bytes);
+  std::vector<Block> place_blocks(std::uint64_t bytes);
   std::vector<std::uint32_t> live_nodes() const;
 
   DfsConfig config_;
-  std::map<std::string, Entry> files_;
-  std::uint64_t total_bytes_ = 0;
+  std::map<std::string, std::vector<Block>> files_;
   Rng rng_;
   std::uint32_t next_node_ = 0;  // rotation index into the live-node list
   std::set<std::uint32_t> dead_nodes_;
-
-  // map path lookup helper
-  const Entry& entry(const std::string& path) const;
 };
 
 }  // namespace sjc::dfs

@@ -26,8 +26,12 @@ double ring_signed_area(const Ring& ring) {
 namespace {
 
 void validate_ring(const Ring& ring, const char* what) {
-  require(ring.size() >= 4, std::string(what) + ": ring needs >= 4 coordinates");
-  require(ring.front() == ring.back(), std::string(what) + ": ring must be closed");
+  if (ring.size() < 4) {
+    throw InvalidArgument(std::string(what) + ": ring needs >= 4 coordinates");
+  }
+  if (ring.front() != ring.back()) {
+    throw InvalidArgument(std::string(what) + ": ring must be closed");
+  }
 }
 
 void validate_polygon(const Polygon& poly) {

@@ -3,27 +3,16 @@
 #include <optional>
 #include <utility>
 
-#include "util/status.hpp"
-
 namespace sjc::geom {
 
-PreparedCache::PreparedCache(std::size_t capacity, MakeRefiner make_refiner)
-    : capacity_(capacity),
-      make_refiner_(make_refiner ? std::move(make_refiner)
-                                 : [](const Geometry& g) { return BatchRefiner(g); }) {
-  require(capacity > 0, "PreparedCache: capacity must be > 0");
-}
-
-void PreparedCache::erase_locked(std::unordered_map<std::uint64_t, Entry>::iterator it) {
-  recency_.erase(it->second.recency);
-  entries_.erase(it);
-}
+PreparedCache::PreparedCache(MakeRefiner make_refiner)
+    : make_refiner_(make_refiner ? std::move(make_refiner)
+                                 : [](const Geometry& g) { return BatchRefiner(g); }) {}
 
 std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
     std::uint64_t id, const Geometry& geometry) {
   std::shared_future<Handle> pending;
   std::optional<std::promise<Handle>> promise;  // set on a miss only
-  std::uint64_t build = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++lookups_;
@@ -31,20 +20,10 @@ std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
     if (!inserted) {
       // Built or in flight: either way a hit; wait outside the lock.
       ++hits_;
-      recency_.splice(recency_.begin(), recency_, it->second.recency);
-      pending = it->second.refiner;
+      pending = it->second;
     } else {
       ++misses_;
-      build = ++builds_;
-      it->second.refiner = promise.emplace().get_future().share();
-      it->second.build = build;
-      it->second.recency = recency_.insert(recency_.begin(), id);
-      if (entries_.size() > capacity_) {
-        // The least recently used entry; never the one just inserted, which
-        // is at the front (size > capacity >= 1 puts another behind it).
-        erase_locked(entries_.find(recency_.back()));
-        ++evictions_;
-      }
+      it->second = promise.emplace().get_future().share();
     }
   }
   if (pending.valid()) return pending.get();
@@ -58,11 +37,11 @@ std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
     return handle;
   } catch (...) {
     {
-      // Drop the failed entry (unless it was already evicted and rebuilt)
-      // so the next lookup retries instead of rethrowing forever.
+      // Drop the failed entry so the next lookup retries instead of
+      // rethrowing forever. Only this build erases the id, so the entry is
+      // still the one it installed.
       std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = entries_.find(id);
-      if (it != entries_.end() && it->second.build == build) erase_locked(it);
+      entries_.erase(id);
     }
     promise->set_exception(std::current_exception());
     throw;
@@ -89,20 +68,9 @@ std::uint64_t PreparedCache::misses() const {
   return misses_;
 }
 
-std::uint64_t PreparedCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
 double PreparedCache::hit_rate() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return lookups_ == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(lookups_);
-}
-
-void PreparedCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  recency_.clear();
 }
 
 }  // namespace sjc::geom

@@ -8,20 +8,24 @@
 // partition pair it meets. LocationSpark (PAPERS.md) demonstrates the win
 // from keeping query-side index/prepared structures alive across
 // partitions; PreparedCache brings that to the shared local-join kernel: a
-// thread-safe, capacity-bounded (LRU) map from feature id to a batch
-// refiner, shared by all tasks of a join wave (and, via
-// serving::ResidentCatalog, by all queries against one resident entry).
+// thread-safe map from feature id to a batch refiner, shared by all tasks of
+// a join wave (and, via serving::ResidentCatalog, by all queries against one
+// resident entry).
+//
+// Each refiner is built once and kept as long as the cache's owner lives
+// (the run's core::LocalJoinStage, or a resident entry). Nothing is evicted,
+// so an entry's cache grows to the number of distinct right ids it joins.
 //
 // Misses are single-flight: the first lookup of an id installs a pending
 // entry and builds the refiner outside the lock; concurrent lookups of that
-// id wait for the build and count as hits. So whenever nothing is evicted,
-// misses() equals the number of distinct ids looked up, independent of
-// thread scheduling.
+// id wait for the build and count as hits. So misses() equals the number of
+// distinct ids looked up, independent of thread scheduling (a failed build
+// is dropped, and the next lookup of its id misses again).
 //
 // Each entry owns a private copy of the geometry it was built against, so a
 // cached handle stays valid even when the source partition block (or a
-// streaming reducer's transient feature vector) is gone. Eviction never
-// invalidates handles already handed out — they share ownership.
+// streaming reducer's transient feature vector) is gone, and even after the
+// cache itself is destroyed — handles share ownership.
 //
 // Fidelity note: the cache models reuse of *prepared* structures only. The
 // Simple (GEOS-analog) engine's from-scratch per-call evaluation is the
@@ -33,7 +37,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -45,15 +48,12 @@ namespace sjc::geom {
 
 class PreparedCache {
  public:
-  static constexpr std::size_t kDefaultCapacity = 8192;
-
   /// Builds an entry's refiner against the entry's own geometry copy. The
   /// default prepares a BatchRefiner; tests pass one that throws to drive
   /// the failed-build path.
   using MakeRefiner = std::function<BatchRefiner(const Geometry&)>;
 
-  explicit PreparedCache(std::size_t capacity = kDefaultCapacity,
-                         MakeRefiner make_refiner = {});
+  explicit PreparedCache(MakeRefiner make_refiner = {});
 
   /// Returns the BatchRefiner for feature `id`, building one (against an
   /// internally owned copy of `geometry`) on a miss. Two features with the
@@ -64,18 +64,16 @@ class PreparedCache {
   std::shared_ptr<const BatchRefiner> acquire_refiner(std::uint64_t id,
                                                       const Geometry& geometry);
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t size() const;
   /// Total acquire_refiner() calls. Invariant (checked by tests, including
   /// under TSan): hits() + misses() == lookups().
   std::uint64_t lookups() const;
   std::uint64_t hits() const;
   std::uint64_t misses() const;
-  std::uint64_t evictions() const;
+  /// Always 0: nothing is evicted. Kept for callers that report it.
+  std::uint64_t evictions() const { return 0; }
   /// hits / lookups, 0 when never queried.
   double hit_rate() const;
-
-  void clear();
 
  private:
   using Handle = std::shared_ptr<const BatchRefiner>;
@@ -88,27 +86,14 @@ class PreparedCache {
     Geometry geometry;  // owned copy; `refiner` references it
     BatchRefiner refiner;
   };
-  struct Entry {
-    std::shared_future<Handle> refiner;  // pending until the build finishes
-    std::uint64_t build = 0;             // identifies the build that owns it
-    std::list<std::uint64_t>::iterator recency;  // this id's node in recency_
-  };
 
-  /// Erases `it` and its recency node. Caller holds mutex_.
-  void erase_locked(std::unordered_map<std::uint64_t, Entry>::iterator it);
-
-  const std::size_t capacity_;
   const MakeRefiner make_refiner_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  /// Entry ids by last use, most recent first: a hit splices its id to the
-  /// front, eviction takes the back. O(1) under the mutex.
-  std::list<std::uint64_t> recency_;
-  std::uint64_t builds_ = 0;
+  /// Pending until the id's build finishes.
+  std::unordered_map<std::uint64_t, std::shared_future<Handle>> entries_;
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace sjc::geom

@@ -49,14 +49,6 @@ HotspotReport SkewMonitor::analyze(const std::vector<CellLoad>& loads) const {
   return report;
 }
 
-std::vector<CellLoad> loads_from_stats(const partition::PartitionStats& stats) {
-  std::vector<CellLoad> loads(stats.per_cell.size());
-  for (std::size_t i = 0; i < stats.per_cell.size(); ++i) {
-    loads[i].records = stats.per_cell[i];
-  }
-  return loads;
-}
-
 double phase_skew_ratio(const std::vector<trace::PhaseSkew>& rows,
                         std::string_view phase) {
   // RDD stage names carry the full lineage prefix

@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "partition/partition_stats.hpp"
 #include "plan/exec_policy.hpp"
 #include "trace/trace.hpp"
 
@@ -49,10 +48,6 @@ class SkewMonitor {
  private:
   SkewPolicy policy_;
 };
-
-/// Adapter from the sampler-quality statistics: per-cell loads out of
-/// PartitionStats::per_cell (bytes unknown at that layer, left 0).
-std::vector<CellLoad> loads_from_stats(const partition::PartitionStats& stats);
 
 /// Observed task-time skew ratio (max / p50) of one traced phase — how the
 /// benches and tests verify that repartitioning actually flattened the

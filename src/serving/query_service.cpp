@@ -14,18 +14,6 @@ double seconds_between(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
-const char* query_kind_name(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kSpatialJoin:
-      return "spatial-join";
-    case QueryKind::kRange:
-      return "range";
-    case QueryKind::kKnn:
-      return "knn";
-  }
-  return "unknown";
-}
-
 QueryService::QueryService(const ResidentCatalog& catalog, QueryServiceConfig config)
     : catalog_(&catalog),
       config_(config),
@@ -33,7 +21,6 @@ QueryService::QueryService(const ResidentCatalog& catalog, QueryServiceConfig co
       epoch_(Clock::now()) {
   require(config_.workers > 0, "QueryService: workers must be > 0");
   require(config_.max_queue_depth > 0, "QueryService: max_queue_depth must be > 0");
-  require(config_.quantum > 0, "QueryService: quantum must be > 0");
   workers_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
     workers_.emplace_back(
@@ -51,14 +38,14 @@ QueryService::~QueryService() {
   for (auto& t : workers_) t.join();
 }
 
-std::uint32_t QueryService::cost_of(QueryKind kind) const {
+std::uint32_t QueryService::cost_of(QueryKind kind) {
   switch (kind) {
     case QueryKind::kSpatialJoin:
-      return std::max<std::uint32_t>(1, config_.join_cost);
+      return kJoinCost;
     case QueryKind::kRange:
-      return std::max<std::uint32_t>(1, config_.range_cost);
+      return kRangeCost;
     case QueryKind::kKnn:
-      return std::max<std::uint32_t>(1, config_.knn_cost);
+      return kKnnCost;
   }
   return 1;
 }
@@ -107,10 +94,9 @@ Submission QueryService::submit(const std::string& tenant, Query query) {
 
 QueryService::Pending QueryService::pick_next_locked() {
   // Deficit round-robin: visit tenants in ring order; a visit tops the
-  // deficit up by the quantum and dispatches when it covers the head
-  // query's cost. The deficit persists across visits, so any cost is
-  // eventually covered; it resets when the tenant's backlog empties, so an
-  // idle tenant cannot bank credit.
+  // deficit up by the quantum when it is short of the head query's cost,
+  // then dispatches that query. The deficit resets when the tenant's
+  // backlog empties, so an idle tenant cannot bank credit.
   for (;;) {
     TenantState& state = tenants_[ring_[ring_cursor_]];
     if (state.queue.empty()) {
@@ -121,13 +107,7 @@ QueryService::Pending QueryService::pick_next_locked() {
       continue;
     }
     const std::uint32_t cost = state.queue.front().cost;
-    if (state.deficit < cost) {
-      state.deficit += config_.quantum;
-      if (state.deficit < cost) {
-        ring_cursor_ = (ring_cursor_ + 1) % ring_.size();
-        continue;
-      }
-    }
+    if (state.deficit < cost) state.deficit += kQuantum;  // covers any cost
     state.deficit -= cost;
     Pending task = std::move(state.queue.front());
     state.queue.pop_front();
@@ -240,11 +220,6 @@ void QueryService::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   accepting_ = false;
   drained_cv_.wait(lock, [this] { return total_queued_ == 0 && in_flight_ == 0; });
-}
-
-std::size_t QueryService::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_queued_;
 }
 
 std::vector<TenantStats> QueryService::tenant_stats() const {

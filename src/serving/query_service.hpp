@@ -11,9 +11,10 @@
 //    kUnavailable; nothing blocks the submitting tenant.
 //
 //  * Per-tenant fair scheduling — deficit round-robin over the service's
-//    worker slots. Each tenant carries a deficit counter; a visit adds the
-//    quantum and dispatches while the deficit covers the head query's
-//    nominal cost (joins cost more than range/k-NN lookups), so a tenant
+//    worker slots. Each tenant carries a deficit counter; a visit tops it
+//    up by the quantum when it is short of the head query's nominal cost
+//    (joins cost more than range/k-NN lookups) and dispatches that query.
+//    The quantum is the largest cost, so every visit dispatches: a tenant
 //    flooding cheap queries cannot starve one running occasional joins,
 //    and vice versa. Costs are nominal units, not measured seconds — the
 //    scheduler must price a query before running it.
@@ -61,8 +62,6 @@ enum class QueryKind : std::uint8_t {
   kKnn = 2,          // k nearest envelopes on one side's STR tree
 };
 
-const char* query_kind_name(QueryKind kind);
-
 struct Query {
   QueryKind kind = QueryKind::kSpatialJoin;
   /// Catalog entry the query targets.
@@ -104,13 +103,6 @@ struct QueryServiceConfig {
   /// Per-tenant bound on queued queries (a tenant quota inside the global
   /// bound), same rejection.
   std::size_t max_queued_per_tenant = 16;
-  /// DRR deficit added per scheduling visit. Keep >= the largest cost so
-  /// every backlogged tenant dispatches at least one query per round.
-  std::uint32_t quantum = 16;
-  /// Nominal DRR costs per query kind.
-  std::uint32_t join_cost = 16;
-  std::uint32_t range_cost = 1;
-  std::uint32_t knn_cost = 2;
   /// Record per-query trace spans (timeline(), tenant footer).
   bool trace = true;
 };
@@ -150,9 +142,6 @@ class QueryService {
   /// completed. Idempotent; the destructor calls it.
   void drain();
 
-  /// Queries queued but not yet dispatched.
-  std::size_t queue_depth() const;
-
   /// Per-tenant counters, sorted by tenant name.
   std::vector<TenantStats> tenant_stats() const;
 
@@ -165,6 +154,15 @@ class QueryService {
 
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// Nominal DRR costs per query kind.
+  static constexpr std::uint32_t kJoinCost = 16;
+  static constexpr std::uint32_t kRangeCost = 1;
+  static constexpr std::uint32_t kKnnCost = 2;
+  /// DRR deficit added per scheduling visit: the largest cost, so a visit
+  /// to a backlogged tenant always dispatches its head query.
+  static constexpr std::uint32_t kQuantum = kJoinCost;
+  static_assert(kQuantum >= kRangeCost && kQuantum >= kKnnCost);
 
   struct Pending {
     std::string tenant;
@@ -182,7 +180,7 @@ class QueryService {
     TenantStats stats;
   };
 
-  std::uint32_t cost_of(QueryKind kind) const;
+  static std::uint32_t cost_of(QueryKind kind);
   /// DRR pick. Caller holds mutex_ and guarantees total_queued_ > 0.
   Pending pick_next_locked();
   void worker_loop(std::uint32_t slot);

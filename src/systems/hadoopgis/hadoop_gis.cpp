@@ -85,7 +85,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   {
     std::uint64_t raw_bytes = 0;
     for (const auto& s : raw_splits) raw_bytes += StreamingSpec::split_bytes(s);
-    ctx.dfs->put(tag + ".raw", std::any(), raw_bytes);
+    ctx.dfs->put(tag + ".raw", raw_bytes);
   }
 
   // ---- Step 1: map-only convert-to-TSV job (reads/writes everything) ------
@@ -177,7 +177,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   }
   const partition::PartitionScheme scheme =
       gis.plane->make_scheme(out.samples, data.extent());
-  ctx.dfs->put(tag + ".partitions", std::any(), scheme.size_bytes());
+  ctx.dfs->put(tag + ".partitions", scheme.size_bytes());
   const std::uint64_t norm_bytes = StreamingSpec::split_bytes(norm_lines);
   mapreduce::charge_master_step(ctx, tag + "/5-local-partition", master_cpu.seconds(),
                                 /*read=*/norm_bytes, /*write=*/scheme.size_bytes() + norm_bytes);
@@ -521,7 +521,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     joint_extent.expand_to_include(right.extent());
     partition::PartitionScheme& joint_scheme =
         in.joint_scheme.emplace(plane.make_scheme(joint_samples, joint_extent));
-    dfs.put("join.partitions", std::any(), joint_scheme.size_bytes());
+    dfs.put("join.partitions", joint_scheme.size_bytes());
     mapreduce::charge_master_step(ctx, "join/a-joint-partition", master_cpu.seconds(),
                                   pa.sample_text_bytes + pb.sample_text_bytes,
                                   joint_scheme.size_bytes());
@@ -545,7 +545,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
       joint_scheme = plane.refine(joint_scheme, *ctx.counters, core::TextSide{left},
                                   core::TextSide{right})
                          .scheme;
-      dfs.put("join.partitions", std::any(), joint_scheme.size_bytes());
+      dfs.put("join.partitions", joint_scheme.size_bytes());
       mapreduce::charge_master_step(ctx, "join/a1-skew-refine", skew_cpu.seconds(),
                                     before_bytes, joint_scheme.size_bytes());
     }
@@ -585,7 +585,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
       const auto& occupancy_b = in.occupancy_b.emplace(std::move(built_b.filter));
       const auto& occupancy_a = in.occupancy_a.emplace(std::move(built_a.filter));
       const std::uint64_t filter_bytes = occupancy_a.size_bytes() + occupancy_b.size_bytes();
-      dfs.put("join.sfilter", std::any(), filter_bytes);
+      dfs.put("join.sfilter", filter_bytes);
       mapreduce::charge_master_step(ctx, "join/a2-filter-build",
                                     built_a.cpu_seconds + built_b.cpu_seconds,
                                     left.text_bytes() + right.text_bytes(), filter_bytes);
@@ -604,10 +604,11 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
                         exec);
   } catch (const SjcError& e) {
     // BrokenPipe (pipe overflow past the retry budget), TaskFailed
-    // (injected crash exhausting attempts), BlockUnavailable (all replicas
-    // of an input lost), DeadlineExceeded / RetryBudgetExhausted (lifecycle
-    // enforcement), InvalidArgument (a bad fault plan): every library error
-    // becomes a structured Status — nothing escapes the driver.
+    // (injected crash exhausting attempts), DeadlineExceeded /
+    // RetryBudgetExhausted (lifecycle enforcement), InvalidArgument (a bad
+    // fault plan): every library error becomes a structured Status —
+    // nothing escapes the driver. A lost block fails no read: SimDfs only
+    // counts it.
     report.status = status_from_exception(e);
   }
 

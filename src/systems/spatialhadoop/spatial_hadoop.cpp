@@ -113,7 +113,7 @@ SampledDataset sample_dataset(mapreduce::MrContext& ctx, const workload::Dataset
   SampledDataset out;
 
   // Raw input sits in HDFS.
-  ctx.dfs->put(tag + ".raw", std::any(), data.text_bytes());
+  ctx.dfs->put(tag + ".raw", data.text_bytes());
 
   // ---- Job 1: sample MBRs (map-only) + central partition generation ------
   out.ranges = data.split_ranges(std::max<std::size_t>(
@@ -159,7 +159,7 @@ SampledDataset sample_dataset(mapreduce::MrContext& ctx, const workload::Dataset
   CpuStopwatch master_cpu;
   out.scheme = plane.make_scheme(out.sample, data.extent());
   const std::uint64_t master_bytes = out.scheme.size_bytes();
-  ctx.dfs->put(tag + "._master", std::any(), master_bytes);
+  ctx.dfs->put(tag + "._master", master_bytes);
   mapreduce::charge_master_step(ctx, tag + "/master-partition", master_cpu.seconds(),
                                 /*read=*/out.sample.size() * 32, /*write=*/master_bytes);
 
@@ -171,7 +171,7 @@ SampledDataset sample_dataset(mapreduce::MrContext& ctx, const workload::Dataset
     CpuStopwatch skew_cpu;
     out.scheme = plane.refine(out.scheme, *ctx.counters, core::TextSide{data}).scheme;
     const std::uint64_t refined_bytes = out.scheme.size_bytes();
-    ctx.dfs->put(tag + "._master", std::any(), refined_bytes);
+    ctx.dfs->put(tag + "._master", refined_bytes);
     mapreduce::charge_master_step(ctx, tag + "/skew-refine", skew_cpu.seconds(),
                                   /*read=*/master_bytes, /*write=*/refined_bytes);
   }
@@ -225,7 +225,7 @@ geom::OccupancyFilter merge_filter_partials(mapreduce::MrContext& ctx,
     partial_bytes += block.share.bytes;
   }
   const std::uint64_t filter_bytes = filter.size_bytes();
-  ctx.dfs->put("A._sfilter", std::any(), filter_bytes);
+  ctx.dfs->put("A._sfilter", filter_bytes);
   mapreduce::charge_master_step(ctx, "A/filter-build", merge_cpu.seconds(),
                                 /*read=*/partial_bytes, /*write=*/filter_bytes);
   return filter;
@@ -331,8 +331,7 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
   // Record the block files in the DFS catalog.
   for (std::uint32_t pid = 0; pid < out.blocks.size(); ++pid) {
     if (out.blocks[pid] != nullptr) {
-      ctx.dfs->put(out.dfs_prefix + std::to_string(pid), std::any(out.blocks[pid]),
-                   out.blocks[pid]->text_bytes);
+      ctx.dfs->put(out.dfs_prefix + std::to_string(pid), out.blocks[pid]->text_bytes);
     }
   }
   return out;
@@ -412,9 +411,9 @@ void finalize_report(core::RunReport& report, std::vector<JoinPair> pairs,
 }
 
 /// SpatialHadoop has no intrinsic failure modes; injected faults (TaskFailed
-/// past the retry budget, BlockUnavailable, lifecycle kills), invalid fault
-/// plans and mismatched builds land here as a structured Status. IA/IB/DJ
-/// stay NaN.
+/// past the retry budget, lifecycle kills; a lost block fails no read),
+/// invalid fault plans and mismatched builds land here as a structured
+/// Status. IA/IB/DJ stay NaN.
 void fail_report(core::RunReport& report, const SjcError& e) {
   report.status = status_from_exception(e);
   report.total_seconds = report.metrics.total_seconds();

@@ -390,7 +390,7 @@ SparkInputs read_and_partition(const workload::Dataset& left,
   workload::RowQuarantine* qsink = &quarantine;
   const auto read_and_parse = [&](const workload::Dataset& data,
                                   const std::string& tag) {
-    dfs.put(tag + ".raw", std::any(), data.text_bytes());
+    dfs.put(tag + ".raw", data.text_bytes());
     auto lines = rdd::Rdd<std::string>::create(
         rt,
         core::chunk_lines(
@@ -631,10 +631,10 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   } catch (const SjcError& e) {
     // SimOutOfMemory (the paper's EC2-8/EC2-6 failure) plus injected
     // faults: TaskFailed past the retry budget, DeadlineExceeded /
-    // RetryBudgetExhausted from the lifecycle limits, BlockUnavailable when
-    // a lost executor's datanode took the last replica of an input block,
-    // and invalid fault plans rejected at runtime construction. The
-    // structured Status lets harnesses branch without string-matching.
+    // RetryBudgetExhausted from the lifecycle limits, and invalid fault
+    // plans rejected at runtime construction. No read fails over a lost
+    // block: SimDfs only counts it. The structured Status lets harnesses
+    // branch without string-matching.
     report.status = status_from_exception(e);
   }
   quarantine.flush_counters(report.counters);

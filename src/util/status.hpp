@@ -59,8 +59,8 @@ class TaskFailed : public SimFailure {
   explicit TaskFailed(const std::string& what) : SimFailure(what) {}
 };
 
-/// Every replica of a block is on a dead datanode: HDFS reads of the file
-/// fail until (impossible) re-replication — the terminal DFS failure mode.
+/// No live datanode can take a block. (A block that lost every replica is
+/// only counted in SimDfs's repair; no engine reads a file back.)
 class BlockUnavailable : public SimFailure {
  public:
   explicit BlockUnavailable(const std::string& what) : SimFailure(what) {}
@@ -81,7 +81,12 @@ class DeadlineExceeded : public SimFailure {
   explicit DeadlineExceeded(const std::string& what) : SimFailure(what) {}
 };
 
-/// Throws InvalidArgument with `what` when `cond` is false.
+/// Throws InvalidArgument with `what` when `cond` is false. A literal
+/// message binds the `const char*` overload, which builds no string unless
+/// the check fails.
+inline void require(bool cond, const char* what) {
+  if (!cond) throw InvalidArgument(what);
+}
 inline void require(bool cond, const std::string& what) {
   if (!cond) throw InvalidArgument(what);
 }

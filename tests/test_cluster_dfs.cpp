@@ -2,8 +2,6 @@
 // simulated DFS (catalog, blocks, replication, cost structure).
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "cluster/cluster_spec.hpp"
 #include "cluster/counters.hpp"
 #include "cluster/fault_injector.hpp"
@@ -132,74 +130,60 @@ dfs::DfsConfig small_dfs() {
                         .seed = 1};
 }
 
-TEST(SimDfs, PutGetTyped) {
-  dfs::SimDfs fs(small_dfs());
-  fs.put("a.txt", std::string("payload"), 250);
-  EXPECT_TRUE(fs.exists("a.txt"));
-  EXPECT_EQ(fs.get<std::string>("a.txt"), "payload");
-  EXPECT_EQ(fs.file_size("a.txt"), 250u);
-}
-
 TEST(SimDfs, MissingFileThrows) {
   dfs::SimDfs fs(small_dfs());
-  EXPECT_THROW(fs.get<int>("nope"), SjcError);
-  EXPECT_THROW(fs.meta("nope"), SjcError);
-  EXPECT_THROW(fs.remove("nope"), SjcError);
-}
-
-TEST(SimDfs, TypeMismatchThrows) {
-  dfs::SimDfs fs(small_dfs());
-  fs.put("a", 42, 10);
-  EXPECT_THROW(fs.get<std::string>("a"), SjcError);
+  EXPECT_THROW(fs.block_count("nope"), SjcError);
 }
 
 TEST(SimDfs, BlockCountCeils) {
   dfs::SimDfs fs(small_dfs());
-  fs.put("exact", std::any(), 300);
-  fs.put("ragged", std::any(), 301);
-  fs.put("tiny", std::any(), 1);
-  fs.put("empty", std::any(), 0);
+  fs.put("exact", 300);
+  fs.put("ragged", 301);
+  fs.put("tiny", 1);
+  fs.put("empty", 0);
   EXPECT_EQ(fs.block_count("exact"), 3u);
   EXPECT_EQ(fs.block_count("ragged"), 4u);
   EXPECT_EQ(fs.block_count("tiny"), 1u);
   EXPECT_EQ(fs.block_count("empty"), 1u);  // empty file still has one block
 }
 
+// Two datanodes hold two replicas of the block, not three: the first loss
+// leaves a survivor (and no spare node to copy it to), the second loses it.
 TEST(SimDfs, ReplicationCappedByNodes) {
   dfs::SimDfs fs(dfs::DfsConfig{.block_size = 100, .replication = 3,
                                 .datanode_count = 2, .seed = 1});
-  fs.put("f", std::any(), 100);
-  EXPECT_EQ(fs.meta("f").blocks[0].replica_nodes.size(), 2u);
+  fs.put("f", 100);
+  const auto first = fs.fail_datanode(0);
+  EXPECT_EQ(first.under_replicated, 1u);
+  EXPECT_EQ(first.blocks_lost, 0u);
+  EXPECT_EQ(first.bytes_rereplicated, 0u);
+  EXPECT_EQ(fs.fail_datanode(1).blocks_lost, 1u);
 }
 
+// Three replicas on three datanodes: distinct placement puts every block on
+// every node, so each of the first two losses under-replicates all five
+// blocks and the third loses them all.
 TEST(SimDfs, ReplicasOnDistinctNodes) {
-  dfs::SimDfs fs(small_dfs());
-  fs.put("f", std::any(), 500);
-  for (const auto& block : fs.meta("f").blocks) {
-    std::set<std::uint32_t> nodes(block.replica_nodes.begin(),
-                                  block.replica_nodes.end());
-    EXPECT_EQ(nodes.size(), block.replica_nodes.size());
+  dfs::SimDfs fs(dfs::DfsConfig{.block_size = 100, .replication = 3,
+                                .datanode_count = 3, .seed = 1});
+  fs.put("f", 500);
+  for (const std::uint32_t node : {0u, 1u}) {
+    const auto repair = fs.fail_datanode(node);
+    EXPECT_EQ(repair.under_replicated, 5u) << "node " << node;
+    EXPECT_EQ(repair.blocks_lost, 0u) << "node " << node;
   }
+  EXPECT_EQ(fs.fail_datanode(2).blocks_lost, 5u);
 }
 
-TEST(SimDfs, OverwriteReplacesAndAdjustsTotals) {
-  dfs::SimDfs fs(small_dfs());
-  fs.put("f", std::any(), 100);
-  fs.put("f", std::any(), 50);
-  EXPECT_EQ(fs.total_bytes(), 50u);
-  fs.remove("f");
-  EXPECT_EQ(fs.total_bytes(), 0u);
-  EXPECT_FALSE(fs.exists("f"));
-}
-
-TEST(SimDfs, ListByPrefix) {
-  dfs::SimDfs fs(small_dfs());
-  fs.put("a.part/0", std::any(), 1);
-  fs.put("a.part/1", std::any(), 1);
-  fs.put("b.raw", std::any(), 1);
-  const auto listed = fs.list("a.part/");
-  EXPECT_EQ(listed.size(), 2u);
-  EXPECT_EQ(fs.list("zzz").size(), 0u);
+// A put on an existing path replaces its blocks: losing the only datanode
+// loses the new version's one block, not the old version's three.
+TEST(SimDfs, OverwriteReplacesBlocks) {
+  dfs::SimDfs fs(dfs::DfsConfig{.block_size = 100, .replication = 1,
+                                .datanode_count = 1, .seed = 1});
+  fs.put("f", 300);
+  fs.put("f", 50);
+  EXPECT_EQ(fs.block_count("f"), 1u);
+  EXPECT_EQ(fs.fail_datanode(0).blocks_lost, 1u);
 }
 
 TEST(SimDfs, WriteCostChargesReplication) {

@@ -10,12 +10,15 @@
 namespace sjc::core {
 namespace {
 
-/// run_local_join over whole feature vectors with a fresh scratch.
+/// run_local_join over whole feature vectors with a fresh scratch and, for
+/// the Prepared engine, a fresh PreparedCache.
 template <typename AcceptFn = AcceptAllPairs>
 std::vector<JoinPair> local_join(const std::vector<geom::Feature>& left,
                                  const std::vector<geom::Feature>& right,
-                                 const LocalJoinSpec& spec, AcceptFn accept = {}) {
+                                 LocalJoinSpec spec, AcceptFn accept = {}) {
   LocalJoinScratch scratch;
+  geom::PreparedCache cache;
+  spec.prepared_cache = &cache;
   std::vector<JoinPair> out;
   run_local_join(std::span<const geom::Feature>(left), std::span<const geom::Feature>(right),
                  spec, accept, scratch, out);
@@ -129,9 +132,8 @@ TEST(LocalJoin, AllAlgorithmsProduceIdenticalPairs) {
 }
 
 // Cross-algorithm x cross-path equivalence: every MBR-join algorithm, with a
-// fresh scratch and with a scratch reused across calls (with and without a
-// PreparedCache), must produce the same pair multiset on seeded random
-// workloads.
+// fresh scratch and cache and with a scratch and cache reused across calls,
+// must produce the same pair multiset on seeded random workloads.
 TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
   for (const std::uint64_t seed : {11u, 23u, 37u}) {
     Rng rng(seed);
@@ -166,13 +168,6 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
       std::sort(fresh.begin(), fresh.end());
       results.push_back(std::move(fresh));
 
-      std::vector<JoinPair> via_template;
-      run_local_join(std::span<const geom::Feature>(left),
-                     std::span<const geom::Feature>(right), spec, AcceptAllPairs{},
-                     scratch, via_template);
-      std::sort(via_template.begin(), via_template.end());
-      results.push_back(std::move(via_template));
-
       spec.prepared_cache = &cache;
       std::vector<JoinPair> via_cache;
       run_local_join(std::span<const geom::Feature>(left),
@@ -193,8 +188,8 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
 
 // Batched vs per-pair refinement: the Prepared engine's batched path must
 // emit exactly the pairs of the Simple engine's per-pair path — not even
-// their order may differ — across predicates and cache configurations, and
-// the refine.* counters must account every candidate.
+// their order may differ — across predicates, and the refine.* counters
+// must account every candidate.
 TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
   for (const std::uint64_t seed : {5u, 17u}) {
     Rng rng(seed);
@@ -219,56 +214,54 @@ TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
     for (const auto predicate :
          {JoinPredicate::kIntersects, JoinPredicate::kWithin,
           JoinPredicate::kWithinDistance}) {
-      for (const bool use_cache : {false, true}) {
-        geom::PreparedCache cache;
-        LocalJoinScratch scratch;
-        const auto run = [&](geom::EngineKind engine) {
-          cluster::Counters counters;
-          LocalJoinSpec spec;
-          spec.engine = engine;
-          spec.predicate = predicate;
-          spec.within_distance = predicate == JoinPredicate::kWithinDistance ? 1.5 : 0.0;
-          // Consulted by the Prepared engine only.
-          spec.prepared_cache = use_cache ? &cache : nullptr;
-          spec.refine_counters = &counters;
-          std::vector<JoinPair> out;
-          run_local_join(std::span<const geom::Feature>(left),
-                         std::span<const geom::Feature>(right), spec, AcceptAllPairs{},
-                         scratch, out);
-          return std::pair(std::move(out), counters.snapshot());
-        };
-        const auto [pairs_off, counters_off] = run(geom::EngineKind::kSimple);
-        const auto [pairs_on, counters_on] = run(geom::EngineKind::kPrepared);
-        // Bit-identical including emission order.
-        EXPECT_EQ(pairs_on, pairs_off)
-            << "seed " << seed << " predicate " << static_cast<int>(predicate);
-        EXPECT_GT(pairs_on.size(), 0u);
-        const auto get = [](const std::map<std::string, std::uint64_t>& m,
-                            const char* key) {
-          const auto it = m.find(key);
-          return it == m.end() ? std::uint64_t{0} : it->second;
-        };
-        const std::uint64_t cand = get(counters_off, "refine.candidates");
-        EXPECT_EQ(get(counters_on, "refine.candidates"), cand);
-        EXPECT_GT(cand, 0u);
-        // Per-pair (Simple) path: every candidate is an exact test.
-        EXPECT_EQ(get(counters_off, "refine.exact_tests"), cand);
-        EXPECT_EQ(get(counters_off, "refine.early_accepts"), 0u);
-        EXPECT_EQ(get(counters_off, "refine.early_rejects"), 0u);
-        // Batched (Prepared) path: the three buckets partition the candidates.
-        EXPECT_EQ(get(counters_on, "refine.exact_tests") +
-                      get(counters_on, "refine.early_accepts") +
-                      get(counters_on, "refine.early_rejects"),
-                  cand);
-        // Both paths: every exact test is classified fastpath or slowpath
-        // by the adaptive exact predicate.
-        EXPECT_EQ(get(counters_off, "refine.exact_fastpath") +
-                      get(counters_off, "refine.exact_slowpath"),
-                  get(counters_off, "refine.exact_tests"));
-        EXPECT_EQ(get(counters_on, "refine.exact_fastpath") +
-                      get(counters_on, "refine.exact_slowpath"),
-                  get(counters_on, "refine.exact_tests"));
-      }
+      geom::PreparedCache cache;
+      LocalJoinScratch scratch;
+      const auto run = [&](geom::EngineKind engine) {
+        cluster::Counters counters;
+        LocalJoinSpec spec;
+        spec.engine = engine;
+        spec.predicate = predicate;
+        spec.within_distance = predicate == JoinPredicate::kWithinDistance ? 1.5 : 0.0;
+        // Consulted by the Prepared engine only.
+        spec.prepared_cache = &cache;
+        spec.refine_counters = &counters;
+        std::vector<JoinPair> out;
+        run_local_join(std::span<const geom::Feature>(left),
+                       std::span<const geom::Feature>(right), spec, AcceptAllPairs{},
+                       scratch, out);
+        return std::pair(std::move(out), counters.snapshot());
+      };
+      const auto [pairs_off, counters_off] = run(geom::EngineKind::kSimple);
+      const auto [pairs_on, counters_on] = run(geom::EngineKind::kPrepared);
+      // Bit-identical including emission order.
+      EXPECT_EQ(pairs_on, pairs_off)
+          << "seed " << seed << " predicate " << static_cast<int>(predicate);
+      EXPECT_GT(pairs_on.size(), 0u);
+      const auto get = [](const std::map<std::string, std::uint64_t>& m,
+                          const char* key) {
+        const auto it = m.find(key);
+        return it == m.end() ? std::uint64_t{0} : it->second;
+      };
+      const std::uint64_t cand = get(counters_off, "refine.candidates");
+      EXPECT_EQ(get(counters_on, "refine.candidates"), cand);
+      EXPECT_GT(cand, 0u);
+      // Per-pair (Simple) path: every candidate is an exact test.
+      EXPECT_EQ(get(counters_off, "refine.exact_tests"), cand);
+      EXPECT_EQ(get(counters_off, "refine.early_accepts"), 0u);
+      EXPECT_EQ(get(counters_off, "refine.early_rejects"), 0u);
+      // Batched (Prepared) path: the three buckets partition the candidates.
+      EXPECT_EQ(get(counters_on, "refine.exact_tests") +
+                    get(counters_on, "refine.early_accepts") +
+                    get(counters_on, "refine.early_rejects"),
+                cand);
+      // Both paths: every exact test is classified fastpath or slowpath
+      // by the adaptive exact predicate.
+      EXPECT_EQ(get(counters_off, "refine.exact_fastpath") +
+                    get(counters_off, "refine.exact_slowpath"),
+                get(counters_off, "refine.exact_tests"));
+      EXPECT_EQ(get(counters_on, "refine.exact_fastpath") +
+                    get(counters_on, "refine.exact_slowpath"),
+                get(counters_on, "refine.exact_tests"));
     }
   }
 }

@@ -2,8 +2,6 @@
 // completeness, balance under skew.
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "partition/partition_stats.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/sampler.hpp"
@@ -53,25 +51,6 @@ TEST(Sampler, BernoulliRejectsBadRate) {
   Rng rng(1);
   EXPECT_THROW(bernoulli_sample(10, -0.1, rng), InvalidArgument);
   EXPECT_THROW(bernoulli_sample(10, 1.1, rng), InvalidArgument);
-}
-
-TEST(Sampler, ReservoirExactSize) {
-  Rng rng(3);
-  EXPECT_EQ(reservoir_sample(1000, 64, rng).size(), 64u);
-  EXPECT_EQ(reservoir_sample(10, 64, rng).size(), 10u);  // n < k keeps all
-}
-
-TEST(Sampler, ReservoirIsUniformish) {
-  // Each index should appear with probability k/n; check the first and last
-  // deciles are not starved (a classic reservoir bug).
-  Rng rng(4);
-  std::vector<int> counts(100, 0);
-  for (int trial = 0; trial < 2000; ++trial) {
-    for (const auto idx : reservoir_sample(100, 10, rng)) counts[idx]++;
-  }
-  const int total = std::accumulate(counts.begin(), counts.end(), 0);
-  EXPECT_EQ(total, 20000);
-  for (const int c : counts) EXPECT_NEAR(c, 200, 80);
 }
 
 TEST(Sampler, GatherEnvelopes) {
