@@ -169,12 +169,12 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
       results.push_back(std::move(fresh));
 
       spec.prepared_cache = &cache;
-      std::vector<JoinPair> via_cache;
+      std::vector<JoinPair> reused;
       run_local_join(std::span<const geom::Feature>(left),
                      std::span<const geom::Feature>(right), spec, AcceptAllPairs{},
-                     scratch, via_cache);
-      std::sort(via_cache.begin(), via_cache.end());
-      results.push_back(std::move(via_cache));
+                     scratch, reused);
+      std::sort(reused.begin(), reused.end());
+      results.push_back(std::move(reused));
     }
     for (std::size_t i = 1; i < results.size(); ++i) {
       EXPECT_EQ(results[i], results[0]) << "seed " << seed << " variant " << i;
