@@ -4,10 +4,14 @@
 // Within one partition pair the systems differ only in the MBR-join
 // algorithm (plane sweep / synchronized R-tree traversal / indexed nested
 // loop) and in the geometry engine used for refinement (Simple vs
-// Prepared). run_local_join factors the common shape: MBR-join the two
-// feature lists, group candidates by the right-side feature and refine its
-// whole candidate group against it. The Prepared (JTS-analog) engine
-// prepares the feature once as a geom::BatchRefiner; the Simple
+// Prepared). run_local_join factors the common shape in two steps:
+// candidate generation MBR-joins the two feature lists and runs the accept
+// filter on each candidate; refine_candidates groups the candidates by the
+// right-side feature and refines each group against it. Candidates come
+// either from a per-task index (SpatialSpark's and HadoopGIS's trees, built
+// over the pair's envelopes on every call) or from two SweepLists sorted
+// ahead of time (SpatialHadoop's packed blocks). The Prepared (JTS-analog)
+// engine prepares the feature once as a geom::BatchRefiner; the Simple
 // (GEOS-analog) engine calls predicates.hpp's naive functions per
 // candidate, the feature first.
 //
@@ -81,15 +85,20 @@ struct LocalJoinScratch {
   std::vector<index::IndexEntry> left_entries;
   std::vector<index::IndexEntry> right_entries;
   index::MbrJoinScratch mbr;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> candidates;  // (right, left)
+  /// (right id, left id) per MBR candidate, in the MBR join's emit order;
+  /// the left id is kRejectedCandidate where the accept filter declined.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> candidates;
   std::vector<std::uint32_t> group_ends;  // per-right-id group end offsets
   std::vector<std::uint32_t> group_left;  // left ids grouped by right id
-  // Batched-refinement buffers: per-group accept mask, gathered point
-  // probes and their batched covered results.
-  std::vector<std::uint8_t> accept_flags;
+  // Batched-refinement buffers: gathered point probes and their batched
+  // covered results.
   std::vector<geom::Coord> probe_points;
   std::vector<std::uint8_t> point_covered;
 };
+
+/// Left id of a candidate the accept filter declined. Its group still
+/// binds the right feature's refiner, as it did when accept ran per group.
+inline constexpr std::uint32_t kRejectedCandidate = 0xffffffffu;
 
 /// Query-scoped pool of LocalJoinScratch instances.
 ///
@@ -163,44 +172,15 @@ bool evaluate_predicate(geom::EngineKind engine, JoinPredicate predicate,
                         double within_distance, const geom::Geometry& left,
                         const geom::Geometry& right);
 
-/// Joins `left` x `right` within one partition; appends accepted pairs to
-/// `out`. `accept(left_env, right_env)` sees the epsilon-expanded envelopes
-/// used for partition assignment. The templated hot path: sink, accept and
-/// predicate dispatch all inline, and `scratch` carries reusable state
-/// across calls. `left`/`right` are any random-access feature sequences
-/// (size()/empty()/operator[] -> const geom::Feature&): std::span for
-/// materialized blocks, FeatureIndexSpan/FeatureRefSpan for the zero-copy
-/// partition plane.
-template <typename LeftSeq, typename RightSeq, typename AcceptFn>
-void run_local_join(const LeftSeq& left, const RightSeq& right,
-                    const LocalJoinSpec& spec, AcceptFn&& accept,
-                    LocalJoinScratch& scratch, std::vector<JoinPair>& out) {
-  require(spec.engine != geom::EngineKind::kPrepared || spec.prepared_cache != nullptr,
-          "run_local_join: the Prepared engine needs a PreparedCache");
-  if (left.empty() || right.empty()) return;
-
-  // Filter phase: MBR join over local indices (epsilon-expanded for
-  // within-distance joins). Expanded envelopes are computed once here and
-  // reused by both the filter and the accept test below.
-  const double expand = spec.envelope_expansion();
-  auto& left_entries = scratch.left_entries;
-  auto& right_entries = scratch.right_entries;
-  left_entries.clear();
-  right_entries.clear();
-  left_entries.reserve(left.size());
-  right_entries.reserve(right.size());
-  for (std::uint32_t i = 0; i < left.size(); ++i) {
-    left_entries.push_back({left[i].geometry.envelope().expanded_by(expand), i});
-  }
-  for (std::uint32_t i = 0; i < right.size(); ++i) {
-    right_entries.push_back({right[i].geometry.envelope().expanded_by(expand), i});
-  }
-  auto& candidates = scratch.candidates;
-  candidates.clear();
-  index::local_mbr_join(spec.algorithm, left_entries, right_entries, scratch.mbr,
-                        [&candidates](std::uint32_t l, std::uint32_t r) {
-                          candidates.emplace_back(r, l);
-                        });
+/// The shared refinement step: groups `scratch.candidates` by right id and
+/// refines each group's accepted candidates against the right feature,
+/// appending hits to `out` in group order, candidate order within a group.
+/// Every group with a candidate binds its right feature's refiner, accepted
+/// or not.
+template <typename LeftSeq, typename RightSeq>
+void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJoinSpec& spec,
+                       LocalJoinScratch& scratch, std::vector<JoinPair>& out) {
+  const auto& candidates = scratch.candidates;
   if (candidates.empty()) return;
 
   // Group candidates by the right-side feature so each right geometry is
@@ -236,7 +216,6 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
         r + 1 < right.size() ? ends[r + 1] : candidates.size();
     if (begin == end) continue;
     const auto& right_feature = right[r];
-    const geom::Envelope& right_env = right_entries[r].env;
 
     if (prepared_engine) {
       // Batched group refinement: one BatchRefiner per right geometry,
@@ -252,19 +231,14 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
       const bool point_batch = refiner->has_areal() &&
                                (spec.predicate == JoinPredicate::kIntersects ||
                                 spec.predicate == JoinPredicate::kWithin);
-      auto& flags = scratch.accept_flags;
-      flags.resize(end - begin);
       auto& pts = scratch.probe_points;
       pts.clear();
       for (std::size_t c = begin; c < end; ++c) {
         const std::uint32_t l = grouped[c];
-        const bool ok = accept(left_entries[l].env, right_env);
-        flags[c - begin] = ok ? 1 : 0;
-        if (ok) {
-          ++refined;
-          if (point_batch && left[l].geometry.type() == geom::GeomType::kPoint) {
-            pts.push_back(left[l].geometry.as_point());
-          }
+        if (l == kRejectedCandidate) continue;
+        ++refined;
+        if (point_batch && left[l].geometry.type() == geom::GeomType::kPoint) {
+          pts.push_back(left[l].geometry.as_point());
         }
       }
       if (!pts.empty()) refiner->covers_points(pts, scratch.point_covered, stats);
@@ -272,8 +246,8 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
       // gather order, which pass 1 produced in this same iteration order).
       std::size_t cursor = 0;
       for (std::size_t c = begin; c < end; ++c) {
-        if (flags[c - begin] == 0) continue;
         const std::uint32_t l = grouped[c];
+        if (l == kRejectedCandidate) continue;
         const auto& left_feature = left[l];
         bool hit = false;
         if (point_batch && left_feature.geometry.type() == geom::GeomType::kPoint) {
@@ -302,9 +276,7 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
     const geom::Geometry& anchor = right_feature.geometry;
     for (std::size_t c = begin; c < end; ++c) {
       const std::uint32_t l = grouped[c];
-      // The accept filter sees the same (expanded) envelopes used for
-      // partition assignment so reference-point dedup stays consistent.
-      if (!accept(left_entries[l].env, right_env)) continue;
+      if (l == kRejectedCandidate) continue;
       // The per-pair path has no approximations: every refined candidate
       // is an exact test, keeping the counter-sum invariant intact.
       ++refined;
@@ -338,6 +310,76 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
     spec.refine_counters->add("refine.exact_fastpath", stats.exact_fastpath);
     spec.refine_counters->add("refine.exact_slowpath", stats.exact_slowpath);
   }
+}
+
+/// Joins `left` x `right` within one partition; appends accepted pairs to
+/// `out`. `accept(left_env, right_env)` sees the epsilon-expanded envelopes
+/// used for partition assignment. Builds spec.algorithm's per-task index
+/// over both sides' envelopes on every call. The templated hot path: sink,
+/// accept and predicate dispatch all inline, and `scratch` carries reusable
+/// state across calls. `left`/`right` are any random-access feature
+/// sequences (size()/empty()/operator[] -> const geom::Feature&): std::span
+/// for materialized blocks, FeatureIndexSpan/FeatureRefSpan for the
+/// zero-copy partition plane.
+template <typename LeftSeq, typename RightSeq, typename AcceptFn>
+void run_local_join(const LeftSeq& left, const RightSeq& right,
+                    const LocalJoinSpec& spec, AcceptFn&& accept,
+                    LocalJoinScratch& scratch, std::vector<JoinPair>& out) {
+  require(spec.engine != geom::EngineKind::kPrepared || spec.prepared_cache != nullptr,
+          "run_local_join: the Prepared engine needs a PreparedCache");
+  if (left.empty() || right.empty()) return;
+
+  // Filter phase: MBR join over local indices (epsilon-expanded for
+  // within-distance joins). Expanded envelopes are computed once here and
+  // reused by both the filter and the accept test.
+  const double expand = spec.envelope_expansion();
+  auto& left_entries = scratch.left_entries;
+  auto& right_entries = scratch.right_entries;
+  left_entries.clear();
+  right_entries.clear();
+  left_entries.reserve(left.size());
+  right_entries.reserve(right.size());
+  for (std::uint32_t i = 0; i < left.size(); ++i) {
+    left_entries.push_back({left[i].geometry.envelope().expanded_by(expand), i});
+  }
+  for (std::uint32_t i = 0; i < right.size(); ++i) {
+    right_entries.push_back({right[i].geometry.envelope().expanded_by(expand), i});
+  }
+  auto& candidates = scratch.candidates;
+  candidates.clear();
+  index::local_mbr_join(spec.algorithm, left_entries, right_entries, scratch.mbr,
+                        [&](std::uint32_t l, std::uint32_t r) {
+                          candidates.emplace_back(
+                              r, accept(left_entries[l].env, right_entries[r].env)
+                                     ? l
+                                     : kRejectedCandidate);
+                        });
+  refine_candidates(left, right, spec, scratch, out);
+}
+
+/// The packed-block join: sweeps `left_index` x `right_index`, each the
+/// side's expanded envelopes (spec.envelope_expansion()) sorted by min_x
+/// once ahead of time, whose ids are positions in `left` / `right`. Emits
+/// the pairs, in the order, that run_local_join with kPlaneSweep emits over
+/// the same sides, and adds the same refine.* counts.
+template <typename LeftSeq, typename RightSeq, typename AcceptFn>
+void run_local_join(const LeftSeq& left, const index::SweepList& left_index,
+                    const RightSeq& right, const index::SweepList& right_index,
+                    const LocalJoinSpec& spec, AcceptFn&& accept,
+                    LocalJoinScratch& scratch, std::vector<JoinPair>& out) {
+  require(spec.engine != geom::EngineKind::kPrepared || spec.prepared_cache != nullptr,
+          "run_local_join: the Prepared engine needs a PreparedCache");
+  if (left.empty() || right.empty()) return;
+  auto& candidates = scratch.candidates;
+  candidates.clear();
+  index::plane_sweep_positions(
+      left_index, right_index, scratch.mbr.sweep_hits, [&](std::size_t i, std::size_t k) {
+        candidates.emplace_back(right_index.ids[k],
+                                accept(left_index.envelope(i), right_index.envelope(k))
+                                    ? left_index.ids[i]
+                                    : kRejectedCandidate);
+      });
+  refine_candidates(left, right, spec, scratch, out);
 }
 
 }  // namespace sjc::core

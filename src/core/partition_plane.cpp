@@ -188,7 +188,7 @@ LocalJoinStage::LocalJoinStage(const JoinQueryConfig& query,
                                index::LocalJoinAlgorithm system_algorithm,
                                geom::EngineKind engine, cluster::Counters* refine_counters,
                                geom::PreparedCache* shared_cache)
-    : cache_(shared_cache != nullptr ? *shared_cache : run_cache_),
+    : cache_(shared_cache != nullptr ? *shared_cache : run_cache_.emplace()),
       hits0_(cache_.hits()),
       misses0_(cache_.misses()),
       spec_{.algorithm = system_algorithm,

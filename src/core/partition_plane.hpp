@@ -424,12 +424,21 @@ class LocalJoinStage {
     run_local_join(left, right, spec_, accept, *scratch, out);
   }
 
+  /// Joins one partition pair over the two sides' packed sweep indexes.
+  template <typename LeftSeq, typename RightSeq, typename AcceptFn>
+  void run(const LeftSeq& left, const index::SweepList& left_index, const RightSeq& right,
+           const index::SweepList& right_index, AcceptFn&& accept,
+           std::vector<JoinPair>& out) {
+    auto scratch = scratch_pool_.acquire();
+    run_local_join(left, left_index, right, right_index, spec_, accept, *scratch, out);
+  }
+
   /// Adds join.prepared_cache_{hits,misses}: this run's delta, since a
   /// shared cache carries the history of earlier queries.
   void record_cache_counters(cluster::Counters& counters) const;
 
  private:
-  geom::PreparedCache run_cache_;
+  std::optional<geom::PreparedCache> run_cache_;  // only without a shared cache
   geom::PreparedCache& cache_;
   std::uint64_t hits0_;
   std::uint64_t misses0_;

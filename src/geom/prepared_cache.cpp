@@ -11,18 +11,19 @@ PreparedCache::PreparedCache(MakeRefiner make_refiner)
 
 std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
     std::uint64_t id, const Geometry& geometry) {
+  Shard& shard = shards_[shard_of(id)];
   std::shared_future<Handle> pending;
   std::optional<std::promise<Handle>> promise;  // set on a miss only
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++lookups_;
-    const auto [it, inserted] = entries_.try_emplace(id);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    ++shard.lookups;
+    const auto [it, inserted] = shard.entries.try_emplace(id);
     if (!inserted) {
       // Built or in flight: either way a hit; wait outside the lock.
-      ++hits_;
+      ++shard.hits;
       pending = it->second;
     } else {
-      ++misses_;
+      ++shard.misses;
       it->second = promise.emplace().get_future().share();
     }
   }
@@ -40,37 +41,48 @@ std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
       // Drop the failed entry so the next lookup retries instead of
       // rethrowing forever. Only this build erases the id, so the entry is
       // still the one it installed.
-      std::lock_guard<std::mutex> lock(mutex_);
-      entries_.erase(id);
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      shard.entries.erase(id);
     }
     promise->set_exception(std::current_exception());
     throw;
   }
 }
 
+std::uint64_t PreparedCache::sum(std::uint64_t Shard::*field) const {
+  std::uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    total += shard.*field;
+  }
+  return total;
+}
+
 std::size_t PreparedCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  std::size_t total = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    total += shard.entries.size();
+  }
+  return total;
 }
 
-std::uint64_t PreparedCache::lookups() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lookups_;
-}
+std::uint64_t PreparedCache::lookups() const { return sum(&Shard::lookups); }
 
-std::uint64_t PreparedCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
+std::uint64_t PreparedCache::hits() const { return sum(&Shard::hits); }
 
-std::uint64_t PreparedCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
+std::uint64_t PreparedCache::misses() const { return sum(&Shard::misses); }
 
 double PreparedCache::hit_rate() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lookups_ == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(lookups_);
+  // Both counts per shard under one lock, so hits never exceed lookups.
+  std::uint64_t lookups = 0;
+  std::uint64_t hits = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    lookups += shard.lookups;
+    hits += shard.hits;
+  }
+  return lookups == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(lookups);
 }
 
 }  // namespace sjc::geom

@@ -16,6 +16,10 @@
 // (the run's core::LocalJoinStage, or a resident entry). Nothing is evicted,
 // so an entry's cache grows to the number of distinct right ids it joins.
 //
+// The map is cut into 64 shards by id, each with its own mutex, map and
+// counters, so a lookup locks only its id's shard: hits on different
+// shards never wait for each other, and no lookup takes a cache-wide lock.
+//
 // Misses are single-flight: the first lookup of an id installs a pending
 // entry and builds the refiner outside the lock; concurrent lookups of that
 // id wait for the build and count as hits. So misses() equals the number of
@@ -34,6 +38,7 @@
 // JTS-vs-GEOS engine gap of Tables 2-3 intact.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -66,7 +71,8 @@ class PreparedCache {
 
   std::size_t size() const;
   /// Total acquire_refiner() calls. Invariant (checked by tests, including
-  /// under TSan): hits() + misses() == lookups().
+  /// under TSan): hits() + misses() == lookups() once no lookup is running.
+  /// Each count sums the shards' counts.
   std::uint64_t lookups() const;
   std::uint64_t hits() const;
   std::uint64_t misses() const;
@@ -74,6 +80,15 @@ class PreparedCache {
   std::uint64_t evictions() const { return 0; }
   /// hits / lookups, 0 when never queried.
   double hit_rate() const;
+
+  static constexpr std::size_t kShards = 64;
+  /// The shard holding `id`'s entry, in [0, kShards).
+  static std::size_t shard_of(std::uint64_t id) {
+    // Fibonacci hashing: the top six bits of id * 2^64/phi, so dense and
+    // strided ids both spread over every shard.
+    static_assert(kShards == 64);
+    return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> 58);
+  }
 
  private:
   using Handle = std::shared_ptr<const BatchRefiner>;
@@ -87,13 +102,21 @@ class PreparedCache {
     BatchRefiner refiner;
   };
 
+  /// One slice of the id space. Cache-line aligned so that lookups on
+  /// neighbouring shards do not share a line.
+  struct alignas(64) Shard {
+    mutable std::mutex mutex;
+    /// Pending until the id's build finishes.
+    std::unordered_map<std::uint64_t, std::shared_future<Handle>> entries;
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  /// Sums `field` over the shards, each read under its lock.
+  std::uint64_t sum(std::uint64_t Shard::*field) const;
+
   const MakeRefiner make_refiner_;
-  mutable std::mutex mutex_;
-  /// Pending until the id's build finishes.
-  std::unordered_map<std::uint64_t, std::shared_future<Handle>> entries_;
-  std::uint64_t lookups_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace sjc::geom

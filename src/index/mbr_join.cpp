@@ -12,12 +12,11 @@ const char* local_join_algorithm_name(LocalJoinAlgorithm algo) {
     case LocalJoinAlgorithm::kIndexedNestedLoop: return "indexed-nested-loop";
     case LocalJoinAlgorithm::kIndexedNestedLoopDynamic:
       return "indexed-nested-loop-dynamic";
-    case LocalJoinAlgorithm::kNestedLoop: return "nested-loop";
   }
   return "?";
 }
 
-void SweepList::load(const std::vector<IndexEntry>& entries) {
+void SweepList::load(const std::vector<IndexEntry>& entries, SweepOrder& order) {
   const std::size_t n = entries.size();
   // Sort contiguous (min_x, index) pairs — compares touch one 16-byte
   // stream instead of chasing a permutation into 40-byte entries — then

@@ -6,6 +6,8 @@
 // task. All three are provided here over plain (Envelope, id) entry lists
 // so the systems and bench_localjoin can mix and match. Every algorithm
 // emits exactly the set of pairs whose envelopes intersect; order differs.
+// The plane sweep also runs over two SweepLists sorted once ahead of time:
+// SpatialHadoop's partition blocks carry one each.
 //
 // Each algorithm is a templated kernel, generic over the sink type, so the
 // per-pair callback inlines into the innermost loop, optionally fed an
@@ -29,24 +31,29 @@ enum class LocalJoinAlgorithm {
   kIndexedNestedLoop = 2,         // bulk-loaded STR tree (SpatialSpark)
   kIndexedNestedLoopDynamic = 3,  // insert-built R-tree (HadoopGIS /
                                   // libspatialindex style)
-  kNestedLoop = 4,                // baseline for tests/benches only
 };
 
 const char* local_join_algorithm_name(LocalJoinAlgorithm algo);
 
-/// One side of a plane sweep in structure-of-arrays form, sorted by min_x.
-/// load() sorts a u32 permutation (not 40-byte entries) and gathers the
-/// coordinates into flat arrays the sweep scans branch-reduced.
+/// (min_x, entry index) pairs: SweepList::load's sort scratch.
+using SweepOrder = std::vector<std::pair<double, std::uint32_t>>;
+
+/// One side of a plane sweep in structure-of-arrays form, sorted by min_x:
+/// 36 bytes per entry. load() sorts (min_x, index) pairs in `order` (not
+/// 40-byte entries) and gathers the coordinates into flat arrays the sweep
+/// scans branch-reduced.
 struct SweepList {
   std::vector<double> min_x;
   std::vector<double> max_x;
   std::vector<double> min_y;
   std::vector<double> max_y;
   std::vector<std::uint32_t> ids;
-  std::vector<std::pair<double, std::uint32_t>> order;  // (min_x, index) sort scratch
 
   std::size_t size() const { return ids.size(); }
-  void load(const std::vector<IndexEntry>& entries);
+  geom::Envelope envelope(std::size_t i) const {
+    return {min_x[i], min_y[i], max_x[i], max_y[i]};
+  }
+  void load(const std::vector<IndexEntry>& entries, SweepOrder& order);
 };
 
 /// Caller-owned reusable state for local_mbr_join: per-task trees and sweep
@@ -58,6 +65,7 @@ struct MbrJoinScratch {
   DynamicRTree right_dynamic;
   SweepList sweep_left;
   SweepList sweep_right;
+  SweepOrder sweep_order;
   std::vector<std::uint32_t> sweep_hits;  // plane-sweep compaction buffer
 };
 
@@ -72,9 +80,12 @@ struct MbrJoinScratch {
 /// is written into `hits` and the cursor advances by the y-overlap result,
 /// so the scan has no data-dependent branches and the sink only fires in a
 /// tight emit loop over survivors. `hits` is caller-owned scratch.
+///
+/// `sink(i, k)` receives list positions (ls entry i, rs entry k), so a
+/// caller can read both envelopes back; plane_sweep_join passes ids.
 template <typename Sink>
-void plane_sweep_join(const SweepList& ls, const SweepList& rs,
-                      std::vector<std::uint32_t>& hits, Sink&& sink) {
+void plane_sweep_positions(const SweepList& ls, const SweepList& rs,
+                           std::vector<std::uint32_t>& hits, Sink&& sink) {
   const std::size_t nl = ls.size();
   const std::size_t nr = rs.size();
   hits.resize(std::max(nl, nr));
@@ -86,7 +97,6 @@ void plane_sweep_join(const SweepList& ls, const SweepList& rs,
       const double pivot_max_x = ls.max_x[i];
       const double pivot_min_y = ls.min_y[i];
       const double pivot_max_y = ls.max_y[i];
-      const std::uint32_t pivot_id = ls.ids[i];
       const auto end = static_cast<std::size_t>(
           std::upper_bound(rs.min_x.begin() + static_cast<std::ptrdiff_t>(j),
                            rs.min_x.end(), pivot_max_x) -
@@ -99,13 +109,12 @@ void plane_sweep_join(const SweepList& ls, const SweepList& rs,
         cnt += static_cast<std::size_t>((pivot_min_y <= rmax_y[k]) &
                                         (pivot_max_y >= rmin_y[k]));
       }
-      for (std::size_t h = 0; h < cnt; ++h) sink(pivot_id, rs.ids[out[h]]);
+      for (std::size_t h = 0; h < cnt; ++h) sink(i, std::size_t{out[h]});
       ++i;
     } else {
       const double pivot_max_x = rs.max_x[j];
       const double pivot_min_y = rs.min_y[j];
       const double pivot_max_y = rs.max_y[j];
-      const std::uint32_t pivot_id = rs.ids[j];
       const auto end = static_cast<std::size_t>(
           std::upper_bound(ls.min_x.begin() + static_cast<std::ptrdiff_t>(i),
                            ls.min_x.end(), pivot_max_x) -
@@ -118,16 +127,19 @@ void plane_sweep_join(const SweepList& ls, const SweepList& rs,
         cnt += static_cast<std::size_t>((pivot_min_y <= lmax_y[k]) &
                                         (pivot_max_y >= lmin_y[k]));
       }
-      for (std::size_t h = 0; h < cnt; ++h) sink(ls.ids[out[h]], pivot_id);
+      for (std::size_t h = 0; h < cnt; ++h) sink(std::size_t{out[h]}, j);
       ++j;
     }
   }
 }
 
+/// plane_sweep_positions emitting `sink(left id, right id)`.
 template <typename Sink>
-void plane_sweep_join(const SweepList& ls, const SweepList& rs, Sink&& sink) {
-  std::vector<std::uint32_t> hits;
-  plane_sweep_join(ls, rs, hits, sink);
+void plane_sweep_join(const SweepList& ls, const SweepList& rs,
+                      std::vector<std::uint32_t>& hits, Sink&& sink) {
+  plane_sweep_positions(ls, rs, hits, [&ls, &rs, &sink](std::size_t i, std::size_t k) {
+    sink(ls.ids[i], rs.ids[k]);
+  });
 }
 
 /// Sort-both-sides plane sweep along x, staging both sides through the
@@ -138,8 +150,8 @@ void plane_sweep_join(const std::vector<IndexEntry>& left,
                       const std::vector<IndexEntry>& right, MbrJoinScratch& scratch,
                       Sink&& sink) {
   if (left.empty() || right.empty()) return;
-  scratch.sweep_left.load(left);
-  scratch.sweep_right.load(right);
+  scratch.sweep_left.load(left, scratch.sweep_order);
+  scratch.sweep_right.load(right, scratch.sweep_order);
   plane_sweep_join(scratch.sweep_left, scratch.sweep_right, scratch.sweep_hits, sink);
 }
 
@@ -149,9 +161,11 @@ void plane_sweep_join(const std::vector<IndexEntry>& left,
   if (left.empty() || right.empty()) return;
   SweepList ls;
   SweepList rs;
-  ls.load(left);
-  rs.load(right);
-  plane_sweep_join(ls, rs, sink);
+  SweepOrder order;
+  std::vector<std::uint32_t> hits;
+  ls.load(left, order);
+  rs.load(right, order);
+  plane_sweep_join(ls, rs, hits, sink);
 }
 
 namespace detail {
@@ -205,17 +219,6 @@ void indexed_nested_loop_join(const std::vector<IndexEntry>& left,
   }
 }
 
-/// O(n*m) reference implementation.
-template <typename Sink>
-void nested_loop_join(const std::vector<IndexEntry>& left,
-                      const std::vector<IndexEntry>& right, Sink&& sink) {
-  for (const auto& le : left) {
-    for (const auto& re : right) {
-      if (le.env.intersects(re.env)) sink(le.id, re.id);
-    }
-  }
-}
-
 /// Dispatches on `algo`, (re)building whatever index the algorithm needs
 /// into the caller-owned scratch.
 template <typename Sink>
@@ -241,9 +244,6 @@ void local_mbr_join(LocalJoinAlgorithm algo, const std::vector<IndexEntry>& left
       scratch.right_dynamic.clear();
       for (const auto& e : right) scratch.right_dynamic.insert(e.env, e.id);
       indexed_nested_loop_join(left, scratch.right_dynamic, sink);
-      return;
-    case LocalJoinAlgorithm::kNestedLoop:
-      nested_loop_join(left, right, sink);
       return;
   }
   throw InvalidArgument("local_mbr_join: unknown algorithm");

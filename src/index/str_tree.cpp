@@ -119,13 +119,32 @@ void StrTree::build() {
   }
 }
 
-std::size_t StrTree::size_bytes() const {
-  // The tree object plus one pointer-sized word: the figure the modeled
-  // block and broadcast sizes were calibrated with.
-  return sizeof(*this) + sizeof(void*) + entries_.size() * sizeof(IndexEntry) +
-         nodes_.size() * sizeof(Node) +
-         entries_.size() * (4 * sizeof(double) + sizeof(std::uint32_t)) +
-         nodes_.size() * 4 * sizeof(double);
+namespace {
+
+/// The modeled footprint of a tree with `entries` entries and `nodes` nodes:
+/// the tree object plus one pointer-sized word (the figure the modeled block
+/// and broadcast sizes were calibrated with), the AoS entries and nodes and
+/// their SoA mirrors.
+std::size_t footprint(std::size_t entries, std::size_t nodes) {
+  return sizeof(StrTree) + sizeof(void*) + entries * sizeof(IndexEntry) +
+         nodes * sizeof(StrTree::Node) +
+         entries * (4 * sizeof(double) + sizeof(std::uint32_t)) +
+         nodes * 4 * sizeof(double);
+}
+
+}  // namespace
+
+std::size_t StrTree::size_bytes() const { return footprint(entries_.size(), nodes_.size()); }
+
+std::size_t StrTree::size_bytes_for(std::size_t entries, std::uint32_t fanout) {
+  // build(): ceil(n / fanout) leaves, then ceil(count / fanout) nodes per
+  // inner level until one root remains.
+  std::size_t nodes = 0;
+  for (std::size_t level = (entries + fanout - 1) / fanout; level > 0;
+       level = level > 1 ? (level + fanout - 1) / fanout : 0) {
+    nodes += level;
+  }
+  return footprint(entries, nodes);
 }
 
 }  // namespace sjc::index

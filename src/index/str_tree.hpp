@@ -49,6 +49,9 @@ class StrTree {
   std::size_t size() const { return entries_.size(); }
   /// Modeled memory footprint (block headers, broadcast charges).
   std::size_t size_bytes() const;
+  /// size_bytes() of a tree over `entries` entries, without building it:
+  /// the node count depends only on the entry count and the fanout.
+  static std::size_t size_bytes_for(std::size_t entries, std::uint32_t fanout = 16);
   /// Envelope of all entries (empty envelope when size() == 0).
   const geom::Envelope& bounds() const { return bounds_; }
 

@@ -27,6 +27,12 @@ PartitionScheme::PartitionScheme(std::vector<geom::Envelope> cells,
   interiors_disjoint_ = interiors_disjoint();
 }
 
+PartitionScheme::PartitionScheme(std::vector<geom::Envelope> cells,
+                                 geom::Envelope extent, TilesExtent)
+    : PartitionScheme(std::move(cells), extent) {
+  tiles_extent_ = true;
+}
+
 namespace {
 
 /// Grid column/row of coordinate `v`, clamped into [0, n).
@@ -159,8 +165,13 @@ std::uint32_t PartitionScheme::min_assigned(const geom::Envelope& env) const {
 
 bool PartitionScheme::is_canonical(std::uint32_t cell, const geom::Coord& p) const {
   const geom::Envelope& c = cells_[cell];
-  if (interiors_disjoint_ && p.x > c.min_x() && p.x < c.max_x() && p.y > c.min_y() &&
-      p.y < c.max_y()) {
+  if (!c.contains(p.x, p.y)) {
+    // The directory finds every cell containing p, so the lookup can return
+    // `cell` only through the nearest-cell fallback, which a tiling rules
+    // out inside the extent.
+    if (tiles_extent_ && extent_.contains(p.x, p.y)) return false;
+  } else if (interiors_disjoint_ && p.x > c.min_x() && p.x < c.max_x() &&
+             p.y > c.min_y() && p.y < c.max_y()) {
     return true;
   }
   return min_assigned(geom::Envelope::of_point(p.x, p.y)) == cell;
@@ -220,7 +231,7 @@ PartitionScheme make_fixed_grid(const geom::Envelope& extent, std::uint32_t cols
                          y + 1 == rows ? extent.max_y() : extent.min_y() + ch * (y + 1));
     }
   }
-  return PartitionScheme(std::move(cells), extent);
+  return PartitionScheme(std::move(cells), extent, PartitionScheme::TilesExtent{});
 }
 
 PartitionScheme make_str_partitions(const std::vector<geom::Envelope>& sample,
@@ -273,7 +284,9 @@ PartitionScheme make_str_partitions(const std::vector<geom::Envelope>& sample,
     }
   }
   if (cells.empty()) return make_fixed_grid(extent, 1, 1);
-  return PartitionScheme(std::move(cells), extent);
+  // Slices run from the extent's min x to its max x, and each slice's tiles
+  // from its min y to its max y, each boundary shared by the neighbours.
+  return PartitionScheme(std::move(cells), extent, PartitionScheme::TilesExtent{});
 }
 
 namespace {
@@ -341,7 +354,8 @@ PartitionScheme make_bsp_partitions(const std::vector<geom::Envelope>& sample,
     work.push_back(std::move(lo));
     work.push_back(std::move(hi));
   }
-  return PartitionScheme(std::move(cells), extent);
+  // Each split's two halves share the cut, so together they cover the box.
+  return PartitionScheme(std::move(cells), extent, PartitionScheme::TilesExtent{});
 }
 
 namespace {
@@ -392,7 +406,7 @@ PartitionScheme make_quadtree_partitions(const std::vector<geom::Envelope>& samp
     }
     for (auto& q : quads) work.push_back(std::move(q));
   }
-  return PartitionScheme(std::move(cells), extent);
+  return PartitionScheme(std::move(cells), extent, PartitionScheme::TilesExtent{});
 }
 
 PartitionScheme make_partitions(PartitionerKind kind,

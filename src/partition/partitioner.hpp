@@ -41,9 +41,16 @@ class PartitionScheme {
   /// every cell fall back to the nearest cell by envelope distance).
   PartitionScheme(std::vector<geom::Envelope> cells, geom::Envelope extent);
 
+  /// Tag: the caller's construction makes every point of `extent` lie in
+  /// some cell (the factories below, and splits of their cells).
+  struct TilesExtent {};
+  PartitionScheme(std::vector<geom::Envelope> cells, geom::Envelope extent, TilesExtent);
+
   const std::vector<geom::Envelope>& cells() const { return cells_; }
   const geom::Envelope& extent() const { return extent_; }
   std::size_t cell_count() const { return cells_.size(); }
+  /// Constructed with TilesExtent.
+  bool tiles_extent() const { return tiles_extent_; }
 
   /// Partition ids whose cell intersects `env`; falls back to the single
   /// nearest cell when none intersect (sample under-coverage). Never empty.
@@ -75,9 +82,14 @@ class PartitionScheme {
   std::uint32_t min_assigned(const geom::Envelope& env) const;
 
   /// min_assigned(Envelope::of_point(p)) == cell: is `cell` the canonical
-  /// cell of point p? When no cell meets another cell's interior (checked
-  /// at construction) and p lies strictly inside `cell`, no other cell
-  /// contains p, so the answer is true without the directory lookup.
+  /// cell of point p? Two cases skip the directory lookup:
+  ///  * p lies outside the closed `cell`, inside the extent, and the scheme
+  ///    tiles its extent: some other cell contains p, so the nearest-cell
+  ///    fallback (the only way to pick a cell not containing p) cannot run,
+  ///    and the answer is false;
+  ///  * no cell meets another cell's interior (checked at construction) and
+  ///    p lies strictly inside `cell`: no other cell contains p, so the
+  ///    answer is true.
   bool is_canonical(std::uint32_t cell, const geom::Coord& p) const;
 
   /// Serialized footprint of the cell table (what gets broadcast /
@@ -113,8 +125,12 @@ class PartitionScheme {
   std::vector<std::uint16_t> cell_bx0_;  // first bucket column/row per cell
   std::vector<std::uint16_t> cell_by0_;
 
-  bool interiors_disjoint_ = false;  // is_canonical's fast-path condition
+  bool interiors_disjoint_ = false;  // is_canonical's interior accept
+  bool tiles_extent_ = false;        // is_canonical's outside reject
 };
+
+// Every factory below tiles its extent: each axis' cell boundaries run from
+// the extent's min to its max, so every point of the extent lies in a cell.
 
 /// Uniform cols x rows tiling of `extent`.
 PartitionScheme make_fixed_grid(const geom::Envelope& extent, std::uint32_t cols,

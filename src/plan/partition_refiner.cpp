@@ -70,8 +70,11 @@ RefineResult PartitionRefiner::refine(const partition::PartitionScheme& scheme,
     }
     if (split_count == 0) break;
     result.splits += split_count;
-    result.scheme =
-        partition::PartitionScheme(std::move(cells), result.scheme.extent());
+    // Each split's children cover their parent cell, so a tiling stays one.
+    result.scheme = result.scheme.tiles_extent()
+                        ? partition::PartitionScheme(std::move(cells), result.scheme.extent(),
+                                                     partition::PartitionScheme::TilesExtent{})
+                        : partition::PartitionScheme(std::move(cells), result.scheme.extent());
     result.parent = std::move(parent);
   }
   return result;

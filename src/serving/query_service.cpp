@@ -38,18 +38,6 @@ QueryService::~QueryService() {
   for (auto& t : workers_) t.join();
 }
 
-std::uint32_t QueryService::cost_of(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kSpatialJoin:
-      return kJoinCost;
-    case QueryKind::kRange:
-      return kRangeCost;
-    case QueryKind::kKnn:
-      return kKnnCost;
-  }
-  return 1;
-}
-
 Submission QueryService::submit(const std::string& tenant, Query query) {
   std::unique_lock<std::mutex> lock(mutex_);
   TenantState& state = tenants_[tenant];
@@ -79,7 +67,6 @@ Submission QueryService::submit(const std::string& tenant, Query query) {
   pending.query = std::move(query);
   pending.arrival = Clock::now();
   pending.seq = next_seq_++;
-  pending.cost = cost_of(pending.query.kind);
   std::future<QueryResult> future = pending.promise.get_future();
   state.queue.push_back(std::move(pending));
   if (!state.in_ring) {
@@ -93,34 +80,20 @@ Submission QueryService::submit(const std::string& tenant, Query query) {
 }
 
 QueryService::Pending QueryService::pick_next_locked() {
-  // Deficit round-robin: visit tenants in ring order; a visit tops the
-  // deficit up by the quantum when it is short of the head query's cost,
-  // then dispatches that query. The deficit resets when the tenant's
-  // backlog empties, so an idle tenant cannot bank credit.
-  for (;;) {
-    TenantState& state = tenants_[ring_[ring_cursor_]];
-    if (state.queue.empty()) {
-      state.in_ring = false;
-      state.deficit = 0;
-      ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(ring_cursor_));
-      if (ring_cursor_ >= ring_.size()) ring_cursor_ = 0;
-      continue;
-    }
-    const std::uint32_t cost = state.queue.front().cost;
-    if (state.deficit < cost) state.deficit += kQuantum;  // covers any cost
-    state.deficit -= cost;
-    Pending task = std::move(state.queue.front());
-    state.queue.pop_front();
-    if (state.queue.empty()) {
-      state.in_ring = false;
-      state.deficit = 0;
-      ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(ring_cursor_));
-      if (ring_cursor_ >= ring_.size()) ring_cursor_ = 0;
-    } else {
-      ring_cursor_ = (ring_cursor_ + 1) % ring_.size();
-    }
-    return task;
+  // Round robin: the tenant at the cursor dispatches its head query. A
+  // tenant leaves the ring when its backlog empties and rejoins at the end
+  // on its next submit, so every ring member has a queued query.
+  TenantState& state = tenants_[ring_[ring_cursor_]];
+  Pending task = std::move(state.queue.front());
+  state.queue.pop_front();
+  if (state.queue.empty()) {
+    state.in_ring = false;
+    ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(ring_cursor_));
+    if (ring_cursor_ >= ring_.size()) ring_cursor_ = 0;
+  } else {
+    ring_cursor_ = (ring_cursor_ + 1) % ring_.size();
   }
+  return task;
 }
 
 void QueryService::worker_loop(std::uint32_t slot) {

@@ -10,14 +10,11 @@
 //    (kResourceExhausted), and a draining/stopped service rejects with
 //    kUnavailable; nothing blocks the submitting tenant.
 //
-//  * Per-tenant fair scheduling — deficit round-robin over the service's
-//    worker slots. Each tenant carries a deficit counter; a visit tops it
-//    up by the quantum when it is short of the head query's nominal cost
-//    (joins cost more than range/k-NN lookups) and dispatches that query.
-//    The quantum is the largest cost, so every visit dispatches: a tenant
-//    flooding cheap queries cannot starve one running occasional joins,
-//    and vice versa. Costs are nominal units, not measured seconds — the
-//    scheduler must price a query before running it.
+//  * Per-tenant fair scheduling — round robin over the backlogged tenants:
+//    each free worker slot takes the head query of the next tenant in ring
+//    order, one query per visit whatever its kind, so a tenant flooding
+//    cheap queries cannot starve one running occasional joins, and vice
+//    versa.
 //
 //  * Execution — worker threads answer queries through the catalog entry's
 //    resident runners, which reuse the captured partition directories,
@@ -155,33 +152,21 @@ class QueryService {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Nominal DRR costs per query kind.
-  static constexpr std::uint32_t kJoinCost = 16;
-  static constexpr std::uint32_t kRangeCost = 1;
-  static constexpr std::uint32_t kKnnCost = 2;
-  /// DRR deficit added per scheduling visit: the largest cost, so a visit
-  /// to a backlogged tenant always dispatches its head query.
-  static constexpr std::uint32_t kQuantum = kJoinCost;
-  static_assert(kQuantum >= kRangeCost && kQuantum >= kKnnCost);
-
   struct Pending {
     std::string tenant;
     Query query;
     std::promise<QueryResult> promise;
     Clock::time_point arrival;
     std::uint64_t seq = 0;
-    std::uint32_t cost = 1;
   };
 
   struct TenantState {
     std::deque<Pending> queue;
-    std::uint32_t deficit = 0;
     bool in_ring = false;
     TenantStats stats;
   };
 
-  static std::uint32_t cost_of(QueryKind kind);
-  /// DRR pick. Caller holds mutex_ and guarantees total_queued_ > 0.
+  /// Round-robin pick. Caller holds mutex_ and guarantees total_queued_ > 0.
   Pending pick_next_locked();
   void worker_loop(std::uint32_t slot);
   void execute(Pending task, std::uint32_t slot);
@@ -195,7 +180,7 @@ class QueryService {
   std::condition_variable work_cv_;
   std::condition_variable drained_cv_;
   std::unordered_map<std::string, TenantState> tenants_;
-  std::vector<std::string> ring_;  // active (backlogged) tenants, DRR order
+  std::vector<std::string> ring_;  // active (backlogged) tenants, visit order
   std::size_t ring_cursor_ = 0;
   std::size_t total_queued_ = 0;
   std::size_t in_flight_ = 0;

@@ -17,12 +17,16 @@ namespace {
 using core::JoinPair;
 
 /// One partition block file: the records shuffled into a partition plus the
-/// STR index packed at the head of the block. The block stores `indices`
-/// into the source dataset's stable feature span (`base`) instead of feature
-/// copies; `text_bytes` is the modeled on-disk size.
+/// index packed at the head of the block. The block stores `indices` into
+/// the source dataset's stable feature span (`base`) instead of feature
+/// copies. `index` is what the local join reads: the records' expanded
+/// envelopes sorted by min x, ids being positions in `indices`.
+/// `text_bytes` is the modeled on-disk size, which charges the packed index
+/// as the STR tree the paper's blocks carry.
 struct PartBlock {
   std::span<const geom::Feature> base;
   std::vector<std::uint32_t> indices;
+  index::SweepList index;
   std::uint64_t text_bytes = 0;
 
   core::FeatureIndexSpan view() const { return {base, indices}; }
@@ -233,7 +237,7 @@ geom::OccupancyFilter merge_filter_partials(mapreduce::MrContext& ctx,
 
 /// The second preprocessing MR job ("indexA"/"indexB" in the paper's Table 3
 /// breakdown with the sample job): partition the dataset by `sampled`'s
-/// scheme and pack one STR-indexed block per cell. With `filter` the map
+/// scheme and pack one indexed block per cell. With `filter` the map
 /// drops record copies the filter proves can match nothing in their target
 /// cell; with `partials` every reducer also marks its block's partial of the
 /// other dataset's filter. `report_shuffle` writes the shuffle.* counters
@@ -262,7 +266,7 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
 
   // The map assigns a record to every cell its expanded envelope touches;
   // the reduce materializes one block per cell (indices into the dataset's
-  // stable feature span) and packs its STR index.
+  // stable feature span) and packs its sweep index.
   core::ShuffleTally tally(*ctx.counters, {.assignments = true,
                                            .duplicates = true,
                                            .shuffle = report_shuffle,
@@ -281,15 +285,18 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
                                                            std::vector<std::uint32_t>& idxs,
                                                            std::vector<std::uint32_t>& outv) {
     auto block = std::make_shared<PartBlock>();
-    // Pack an STR index into the block head (built while writing: "virtually
-    // for free" in disk terms, but its CPU cost is real and measured here).
+    // Pack the sweep index into the block head (built while writing:
+    // "virtually for free" in disk terms, but its CPU cost is real and
+    // measured here). The local join reads it as built.
     const auto envs = data.envelopes();
     std::vector<index::IndexEntry> entries;
     entries.reserve(idxs.size());
     for (std::uint32_t i = 0; i < idxs.size(); ++i) {
       block->text_bytes += data.record_text_bytes(idxs[i]);
-      entries.push_back({envs[idxs[i]], i});
+      entries.push_back({envs[idxs[i]].expanded_by(expand), i});
     }
+    index::SweepOrder order;
+    block->index.load(entries, order);
     if (partials != nullptr) {
       // The block's share of the other dataset's filter, over the cells
       // intersecting this block's cell; it is written next to the block.
@@ -304,9 +311,9 @@ IndexedDataset partition_dataset(mapreduce::MrContext& ctx, const workload::Data
       }
     }
     block->base = std::span<const geom::Feature>(data.features());
+    // The serialized STR index is compact.
+    block->text_bytes += index::StrTree::size_bytes_for(idxs.size()) / 4;
     block->indices = std::move(idxs);
-    const index::StrTree tree(std::move(entries));
-    block->text_bytes += tree.size_bytes() / 4;  // serialized index is compact
     out.blocks[pid] = block;
     outv.push_back(pid);
   };
@@ -375,7 +382,9 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   // Overlap-duplicated B-side geometries are bound once in the stage's
   // prepared-geometry cache and shared across partition pairs and tasks.
   // Plane-sweep is the paper's SpatialHadoop configuration (it also names
-  // synchronized R-tree traversal).
+  // synchronized R-tree traversal). It sweeps the two blocks' packed
+  // indexes, sorted by the partition reducers with this query's expansion
+  // (a resident query checks it against the build's).
   core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kPlaneSweep, config.engine,
                              ctx.counters, shared_cache);
   const auto join_map = [&](const JoinSplit& split, std::vector<JoinPair>& out_pairs) {
@@ -385,7 +394,9 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
       const geom::Coord p = core::reference_point(le, re);
       return ia.scheme.is_canonical(split.pa, p) && ib.scheme.is_canonical(split.pb, p);
     };
-    stage.run(ia.blocks[split.pa]->view(), ib.blocks[split.pb]->view(), accept, out_pairs);
+    const PartBlock& a = *ia.blocks[split.pa];
+    const PartBlock& b = *ib.blocks[split.pb];
+    stage.run(a.view(), a.index, b.view(), b.index, accept, out_pairs);
   };
   const auto join_split_bytes = [&](const JoinSplit& split) {
     return ia.blocks[split.pa]->text_bytes + ib.blocks[split.pb]->text_bytes;

@@ -8,8 +8,9 @@
 //       scheme is then derived centrally and written as the "_master" file;
 //    2. partition job — full MR: map assigns each record to every partition
 //       cell its MBR intersects; shuffle groups records by partition id;
-//       reduce writes one block file per partition, with an STR index
-//       packed into the block ("indexes built virtually for free").
+//       reduce writes one block file per partition, with an index packed
+//       into the block ("indexes built virtually for free"): the records'
+//       envelopes sorted for the plane sweep, charged as an STR tree.
 //
 //  Global join:
 //    implemented *inside getSplits()* on the master node: read both
@@ -18,8 +19,8 @@
 //
 //  Local join (map-only job, no shuffle):
 //    each map task reads its two block files and performs the serial
-//    filter+refine join (plane-sweep by default, per the paper), using the
-//    fast (JTS-analog) geometry engine. Duplicate results from overlap
+//    filter+refine join (plane-sweep by default, per the paper) over the
+//    blocks' packed indexes, using the fast (JTS-analog) geometry engine. Duplicate results from overlap
 //    partitioning are avoided with the reference-point technique, so no
 //    dedup pass is needed.
 //

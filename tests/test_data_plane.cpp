@@ -20,6 +20,7 @@
 #include "core/spatial_join.hpp"
 #include "index/str_tree.hpp"
 #include "partition/partitioner.hpp"
+#include "plan/partition_refiner.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
@@ -160,10 +161,13 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
   // must agree for every partitioner geometry, and min_assigned() must equal
   // the reference minimum — including on fallback queries. For every point
   // query and every cell, is_canonical() must equal "the reference minimum
-  // is that cell": on the four tiling partitioners, whose interior fast
-  // path is on, and on two hand-built schemes where it must stay off (one
-  // with overlapping cells, one with a zero-width cell inside another,
-  // where a point strictly inside the big cell is canonical in the thin one).
+  // is that cell", points outside the extent included: on the four
+  // partitioners and a skew refinement of one, which tile their extent (so
+  // the outside reject is on) and whose interior accept is on, and on three
+  // hand-built schemes where both must stay off (one with overlapping
+  // cells; one with a zero-width cell inside another, where a point strictly
+  // inside the big cell is canonical in the thin one; one with a gap, where
+  // a point outside every cell is canonical in its nearest).
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> pos(0.0, 1000.0);
   std::uniform_real_distribution<double> len(0.0, 30.0);
@@ -181,6 +185,20 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
     schemes.emplace_back(partition::partitioner_kind_name(kind),
                          partition::make_partitions(kind, sample, extent, 37));
   }
+  {
+    // Two rounds of hotspot splits on an STR scheme.
+    const plan::PartitionRefiner refiner(partition::PartitionerKind::kStr);
+    const plan::RefineResult refined =
+        refiner.refine(schemes[1].second, [](const partition::PartitionScheme& s) {
+          std::vector<plan::CellLoad> loads(s.cell_count(), {1, 1});
+          loads[0] = {1000, 1000};
+          loads[s.cell_count() / 2] = {1000, 1000};
+          return loads;
+        });
+    ASSERT_EQ(refined.splits, 4u);
+    schemes.emplace_back("str-skew-refined", refined.scheme);
+  }
+  const std::size_t tiling_schemes = schemes.size();
   schemes.emplace_back("overlapping",
                        partition::PartitionScheme({{0.0, 0.0, 600.0, 600.0},
                                                    {400.0, 0.0, 1000.0, 600.0},
@@ -189,7 +207,12 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
   schemes.emplace_back("zero-width-inside",
                        partition::PartitionScheme(
                            {{500.0, 0.0, 500.0, 1000.0}, {0.0, 0.0, 1000.0, 1000.0}}, extent));
-  for (const auto& [name, scheme] : schemes) {
+  schemes.emplace_back("gapped", partition::PartitionScheme({{0.0, 0.0, 400.0, 1000.0},
+                                                             {600.0, 0.0, 1000.0, 1000.0}},
+                                                            extent));
+  for (std::size_t s = 0; s < schemes.size(); ++s) {
+    const auto& [name, scheme] = schemes[s];
+    EXPECT_EQ(scheme.tiles_extent(), s < tiling_schemes) << name;
     // Independent reference: STR tree over the scheme's cells + brute-force
     // nearest-cell fallback (same tie-break as the scheme: first minimum).
     std::vector<index::IndexEntry> entries;

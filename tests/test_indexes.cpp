@@ -80,6 +80,19 @@ TEST(StrTree, RejectsTinyFanout) {
   EXPECT_THROW(StrTree({}, 1), InvalidArgument);
 }
 
+// SpatialHadoop charges each block's index at the STR tree's size without
+// building the tree: the size function must equal a built tree's, around
+// every level boundary of the default fanout (16) and at a small fanout.
+TEST(StrTree, SizeWithoutBuildEqualsBuiltTree) {
+  Rng rng(3);
+  for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 256u, 257u, 4097u}) {
+    const StrTree tree(random_entries(rng, n, 100, 1));
+    EXPECT_EQ(StrTree::size_bytes_for(n), tree.size_bytes()) << n;
+    const StrTree narrow(random_entries(rng, n, 100, 1), 3);
+    EXPECT_EQ(StrTree::size_bytes_for(n, 3), narrow.size_bytes()) << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Dynamic R-tree unit tests
 // ---------------------------------------------------------------------------

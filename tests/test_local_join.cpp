@@ -4,8 +4,11 @@
 
 #include <set>
 
+#include "core/feature_view.hpp"
 #include "core/local_join.hpp"
+#include "partition/partitioner.hpp"
 #include "util/rng.hpp"
+#include "workload/generators.hpp"
 
 namespace sjc::core {
 namespace {
@@ -117,8 +120,7 @@ TEST(LocalJoin, AllAlgorithmsProduceIdenticalPairs) {
   for (const auto algo :
        {index::LocalJoinAlgorithm::kPlaneSweep, index::LocalJoinAlgorithm::kSyncTraversal,
         index::LocalJoinAlgorithm::kIndexedNestedLoop,
-        index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic,
-        index::LocalJoinAlgorithm::kNestedLoop}) {
+        index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic}) {
     LocalJoinSpec spec;
     spec.algorithm = algo;
     std::vector<JoinPair> out = local_join(left, right, spec);
@@ -159,8 +161,7 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
          {index::LocalJoinAlgorithm::kPlaneSweep,
           index::LocalJoinAlgorithm::kSyncTraversal,
           index::LocalJoinAlgorithm::kIndexedNestedLoop,
-          index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic,
-          index::LocalJoinAlgorithm::kNestedLoop}) {
+          index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic}) {
       LocalJoinSpec spec;
       spec.algorithm = algo;
 
@@ -263,6 +264,170 @@ TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
                     get(counters_on, "refine.exact_slowpath"),
                 get(counters_on, "refine.exact_tests"));
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Packed-block join (SpatialHadoop's blocks) vs the per-task path
+// ---------------------------------------------------------------------------
+
+/// One side partitioned as SpatialHadoop's partition job does: per cell of
+/// `scheme`, the records whose expanded envelope meets it, and the block's
+/// packed index (expanded envelopes, ids being positions in the block).
+struct PackedSide {
+  partition::PartitionScheme scheme;
+  std::vector<std::vector<std::uint32_t>> members;
+  std::vector<index::SweepList> index;
+};
+
+PackedSide pack_side(const std::vector<geom::Feature>& features,
+                     partition::PartitionerKind kind, double expand) {
+  std::vector<geom::Envelope> envs;
+  geom::Envelope extent;
+  for (const auto& f : features) {
+    envs.push_back(f.geometry.envelope());
+    extent.expand_to_include(envs.back());
+  }
+  PackedSide side{partition::make_partitions(kind, envs, extent, 12), {}, {}};
+  side.members.resize(side.scheme.cell_count());
+  side.index.resize(side.scheme.cell_count());
+  std::vector<std::uint32_t> cells;
+  for (std::uint32_t i = 0; i < envs.size(); ++i) {
+    side.scheme.assign_into(envs[i].expanded_by(expand), cells);
+    for (const auto c : cells) side.members[c].push_back(i);
+  }
+  index::SweepOrder order;
+  for (std::size_t c = 0; c < side.members.size(); ++c) {
+    std::vector<index::IndexEntry> entries;
+    for (std::uint32_t i = 0; i < side.members[c].size(); ++i) {
+      entries.push_back({envs[side.members[c][i]].expanded_by(expand), i});
+    }
+    side.index[c].load(entries, order);
+  }
+  return side;
+}
+
+/// Joins every intersecting (left cell, right cell) block pair both ways,
+/// with the reference-point accept, one scratch per path reused across the
+/// pairs, and one cache per path: the packed join must emit the per-task
+/// plane sweep's pairs in its order, add the same refine.* counts and make
+/// the same cache lookups. Returns the packed path's pair count.
+std::size_t expect_packed_join_matches(const std::vector<geom::Feature>& left,
+                                       const std::vector<geom::Feature>& right,
+                                       JoinPredicate predicate, double within_distance,
+                                       geom::EngineKind engine) {
+  LocalJoinSpec spec;
+  spec.algorithm = index::LocalJoinAlgorithm::kPlaneSweep;
+  spec.engine = engine;
+  spec.predicate = predicate;
+  spec.within_distance = within_distance;
+  const double expand = spec.envelope_expansion();
+  const PackedSide a = pack_side(left, partition::PartitionerKind::kStr, expand);
+  const PackedSide b = pack_side(right, partition::PartitionerKind::kBsp, expand);
+
+  struct Path {
+    geom::PreparedCache cache;
+    cluster::Counters counters;
+    LocalJoinScratch scratch;
+    std::vector<JoinPair> pairs;
+  };
+  Path paths[2];  // per-task, packed
+  std::uint64_t rejected[2] = {0, 0};
+  for (std::uint32_t pa = 0; pa < a.scheme.cell_count(); ++pa) {
+    for (std::uint32_t pb = 0; pb < b.scheme.cell_count(); ++pb) {
+      if (!a.scheme.cells()[pa].intersects(b.scheme.cells()[pb])) continue;
+      const FeatureIndexSpan lv(left, a.members[pa]);
+      const FeatureIndexSpan rv(right, b.members[pb]);
+      for (const int k : {0, 1}) {
+        const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
+          const geom::Coord p = reference_point(le, re);
+          const bool ok = a.scheme.is_canonical(pa, p) && b.scheme.is_canonical(pb, p);
+          rejected[k] += ok ? 0 : 1;
+          return ok;
+        };
+        Path& path = paths[k];
+        LocalJoinSpec path_spec = spec;
+        path_spec.prepared_cache = &path.cache;
+        path_spec.refine_counters = &path.counters;
+        if (k == 0) {
+          run_local_join(lv, rv, path_spec, accept, path.scratch, path.pairs);
+        } else {
+          run_local_join(lv, a.index[pa], rv, b.index[pb], path_spec, accept, path.scratch,
+                         path.pairs);
+        }
+      }
+    }
+  }
+  const Path& per_task = paths[0];
+  const Path& packed = paths[1];
+  EXPECT_EQ(packed.pairs, per_task.pairs);
+  EXPECT_EQ(packed.counters.snapshot(), per_task.counters.snapshot());
+  EXPECT_EQ(packed.cache.hits(), per_task.cache.hits());
+  EXPECT_EQ(packed.cache.misses(), per_task.cache.misses());
+  // Both paths test the same candidates, and some are duplicates that only
+  // their canonical block pair keeps.
+  EXPECT_EQ(rejected[1], rejected[0]);
+  EXPECT_GT(rejected[0], 0u);
+  return packed.pairs.size();
+}
+
+TEST(PackedBlockJoin, RandomBlocksMatchPerTaskPath) {
+  for (const std::uint64_t seed : {3u, 41u}) {
+    Rng rng(seed);
+    std::vector<geom::Feature> left;
+    std::vector<geom::Feature> right;
+    for (std::uint64_t i = 0; i < 400; ++i) {
+      const double x = rng.uniform(0, 100);
+      const double y = rng.uniform(0, 100);
+      if (i % 3 == 0) {
+        left.push_back({i, geom::Geometry::point(x, y)});
+      } else {
+        left.push_back({i, geom::Geometry::line_string({{x, y}, {x + 4, y + 3}})});
+      }
+      const double u = rng.uniform(0, 95);
+      const double v = rng.uniform(0, 95);
+      right.push_back({1000 + i, geom::Geometry::polygon({{u, v}, {u + 6, v}, {u + 6, v + 6},
+                                                           {u, v + 6}, {u, v}})});
+    }
+    for (const auto engine : {geom::EngineKind::kPrepared, geom::EngineKind::kSimple}) {
+      for (const auto predicate : {JoinPredicate::kIntersects, JoinPredicate::kWithin}) {
+        EXPECT_GT(expect_packed_join_matches(left, right, predicate, 0.0, engine), 0u)
+            << "seed " << seed;
+      }
+    }
+  }
+}
+
+// The two Table-2 experiments: taxi points within census blocks, and
+// edges intersecting linearwater.
+TEST(PackedBlockJoin, TableTwoWorkloadsMatchPerTaskPath) {
+  workload::WorkloadConfig wc;
+  wc.scale = 1e-3;
+  const auto taxi = workload::generate(workload::DatasetId::kTaxi1m, wc);
+  const auto nycb = workload::generate(workload::DatasetId::kNycb, wc);
+  EXPECT_GT(expect_packed_join_matches(taxi.features(), nycb.features(), JoinPredicate::kWithin,
+                                       0.0, geom::EngineKind::kPrepared),
+            0u);
+  wc.scale = 2e-5;
+  const auto edges = workload::generate(workload::DatasetId::kEdges, wc);
+  const auto water = workload::generate(workload::DatasetId::kLinearwater, wc);
+  EXPECT_GT(expect_packed_join_matches(edges.features(), water.features(),
+                                       JoinPredicate::kIntersects, 0.0,
+                                       geom::EngineKind::kPrepared),
+            0u);
+}
+
+// Within-distance joins pack and sweep envelopes expanded by d/2, which
+// reach past the cells and the extent.
+TEST(PackedBlockJoin, WithinDistanceMatchesPerTaskPath) {
+  workload::WorkloadConfig wc;
+  wc.scale = 2e-5;
+  const auto edges = workload::generate(workload::DatasetId::kEdges, wc);
+  const auto water = workload::generate(workload::DatasetId::kLinearwater, wc);
+  for (const auto engine : {geom::EngineKind::kPrepared, geom::EngineKind::kSimple}) {
+    EXPECT_GT(expect_packed_join_matches(edges.features(), water.features(),
+                                         JoinPredicate::kWithinDistance, 200.0, engine),
+              0u);
   }
 }
 

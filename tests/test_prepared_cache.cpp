@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <latch>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -197,6 +198,49 @@ TEST(PreparedCache, SharedCacheHammer) {
   // Every stride is coprime with kIds, so each thread looks up every id.
   EXPECT_EQ(cache.misses(), kIds);
   EXPECT_EQ(cache.size(), kIds);
+}
+
+// Sixteen ids that share one shard, then 256 dense ids that cover every
+// shard. Four threads look each set up in overlapping orders; either way
+// the summed shard counts stay exact: hits + misses == lookups, and misses
+// equal the distinct ids.
+TEST(PreparedCache, ShardedCountsStayExact) {
+  std::vector<std::uint64_t> one_shard;
+  for (std::uint64_t id = 0; one_shard.size() < 16; ++id) {
+    if (PreparedCache::shard_of(id) == PreparedCache::shard_of(0)) one_shard.push_back(id);
+  }
+  std::vector<std::uint64_t> spread(256);
+  std::set<std::size_t> shards;
+  for (std::uint64_t id = 0; id < spread.size(); ++id) {
+    spread[id] = id;
+    shards.insert(PreparedCache::shard_of(id));
+  }
+  ASSERT_EQ(shards.size(), PreparedCache::kShards);
+
+  for (const auto* ids : {&one_shard, &spread}) {
+    const std::size_t n = ids->size();
+    std::vector<Geometry> geoms;
+    for (std::size_t i = 0; i < n; ++i) {
+      geoms.push_back(square(static_cast<double>(i) * 10.0, 0, 4));
+    }
+    PreparedCache cache;
+    const std::size_t rounds = 4 * n;
+    auto worker = [&](std::size_t stride) {
+      for (std::size_t r = 0; r < rounds; ++r) {
+        const std::size_t i = (r * stride) % n;  // every stride is odd, n a power of two
+        const auto refiner = cache.acquire_refiner((*ids)[i], geoms[i]);
+        ASSERT_TRUE(covers(*refiner, static_cast<double>(i) * 10.0 + 2.0, 2.0));
+      }
+    };
+    std::vector<std::thread> threads;
+    for (const std::size_t stride : {3u, 5u, 7u, 11u}) threads.emplace_back(worker, stride);
+    for (auto& t : threads) t.join();
+
+    EXPECT_EQ(cache.lookups(), 4 * rounds);
+    EXPECT_EQ(cache.hits() + cache.misses(), cache.lookups());
+    EXPECT_EQ(cache.misses(), n);
+    EXPECT_EQ(cache.size(), n);
+  }
 }
 
 }  // namespace

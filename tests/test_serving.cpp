@@ -2,7 +2,7 @@
 // both Table-2 experiment shapes and a within-distance join (every counter,
 // entries installed from temporaries), the build-expansion check,
 // HadoopGIS's replayed ingest quarantine, cross-query PreparedCache reuse,
-// admission control, DRR fairness, and interleaved multi-tenant
+// admission control, round-robin fairness, and interleaved multi-tenant
 // bit-identity against serial execution.
 #include <gtest/gtest.h>
 
@@ -339,7 +339,7 @@ TEST(QueryServiceAdmission, UnknownEntryFailsTheQueryNotTheService) {
 }
 
 // ---------------------------------------------------------------------------
-// DRR fairness
+// Round-robin fairness
 // ---------------------------------------------------------------------------
 
 TEST(QueryServiceFairness, BacklogsInterleaveAcrossTenants) {
@@ -373,7 +373,7 @@ TEST(QueryServiceFairness, BacklogsInterleaveAcrossTenants) {
   query.window = geom::Envelope(-74.05, 40.6, -73.8, 40.9);
 
   // Tenant A enqueues its whole backlog first; strict FIFO would then
-  // finish all of A before touching B. DRR must interleave them.
+  // finish all of A before touching B. Round robin must interleave them.
   std::vector<std::future<serving::QueryResult>> futures;
   for (int i = 0; i < 12; ++i) {
     auto sub = service.submit("tenant-a", query);
