@@ -7,10 +7,10 @@
 // modeled I/O, scaled back up); compare shapes and factors, not absolute
 // values. Set SJC_SCALE to change the workload scale (default 1e-3).
 //
-// Besides the human-readable table (and the optional SJC_CSV_DIR CSV), the
-// bench writes BENCH_table2.json with per-run simulated seconds AND the
-// real wall-clock each run took, so kernel-level regressions show up in
-// regression tracking even when the simulated model hides them.
+// Besides the human-readable table, the bench writes BENCH_table2.json with
+// per-run simulated seconds AND the real wall-clock each run took, so
+// kernel-level regressions show up in regression tracking even when the
+// simulated model hides them.
 // Pass --trace=PREFIX to also record per-task timelines: each run writes a
 // Chrome trace-event file PREFIX_<experiment>_<system>_<cluster>.trace.json
 // (open in Perfetto or chrome://tracing) and prints its per-phase skew
@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> header = {"experiment", "system"};
   for (const auto& c : clusters) header.push_back(c.name);
   TablePrinter table(header);
-  CsvWriter csv({"experiment", "system", "cluster", "sim_seconds", "success"});
 
   JsonWriter json;
   json.begin_object();
@@ -199,9 +198,6 @@ int main(int argc, char** argv) {
         const std::string measured =
             report.status.ok() ? format_seconds(report.total_seconds) : "-";
         row.push_back(measured + " | " + paper_value(def.id, system, c.name));
-        csv.add_row({def.id, core::system_kind_name(system), c.name,
-                     report.status.ok() ? format_double(report.total_seconds) : "",
-                     report.status.ok() ? "1" : "0"});
         json.begin_element();
         json.field("experiment", def.id);
         json.field("system", core::system_kind_name(system));
@@ -223,8 +219,6 @@ int main(int argc, char** argv) {
   json.end_array();
   json.field("peak_rss_bytes", peak_rss_bytes());
   json.end_object();
-  const std::string csv_path = maybe_write_csv("table2_full", csv);
-  if (!csv_path.empty()) std::printf("\ncsv written to %s\n", csv_path.c_str());
   const std::string json_path = write_bench_json("table2", json.str());
   std::printf("json written to %s\n", json_path.c_str());
   if (!check_shapes) return 0;

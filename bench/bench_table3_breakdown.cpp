@@ -4,10 +4,14 @@
 //   DJ  — distributed join               TOT — IA + IB + DJ
 // SpatialSpark reports TOT only (the paper could not attribute its stages
 // either); HadoopGIS rows are "-" where it failed.
+// The bench also writes BENCH_table3.json: one run per row with its
+// success flag and the seconds it reports (a failed run's times and
+// SpatialSpark's IA/IB/DJ are left out).
 // Pass --trace=PREFIX to also record per-task timelines: each run writes a
 // Chrome trace-event file PREFIX_<experiment>_<system>_<cluster>.trace.json
 // (open in Perfetto or chrome://tracing) and prints its per-phase skew
 // summary. Tracing never changes the reported numbers (see DESIGN.md §5e).
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -92,7 +96,11 @@ int main(int argc, char** argv) {
   const std::vector<cluster::ClusterSpec> clusters = {cluster::ClusterSpec::workstation(),
                                                       cluster::ClusterSpec::ec2(10)};
   TablePrinter table({"experiment", "config", "system", "IA", "IB", "DJ", "TOT"});
-  CsvWriter csv({"experiment", "cluster", "system", "ia", "ib", "dj", "tot", "success"});
+  JsonWriter json;
+  json.begin_object();
+  json.field("bench", "table3");
+  json.field("scale", scale);
+  json.begin_array("runs");
 
   for (const auto& def : core::sample_experiments()) {
     const auto left = workload::generate(def.left, wc);
@@ -123,19 +131,27 @@ int main(int argc, char** argv) {
                        fmt(report.index_b_seconds, ok) + " | " + paper.ib,
                        fmt(report.join_seconds, ok) + " | " + paper.dj,
                        fmt(report.total_seconds, ok) + " | " + paper.tot});
-        const auto num = [&](double v) {
-          return ok && !std::isnan(v) ? format_double(v) : std::string();
+        json.begin_element();
+        json.field("experiment", def.id);
+        json.field("cluster", c.name);
+        json.field("system", core::system_kind_name(system));
+        json.field("success", ok);
+        const auto seconds = [&](const char* key, double v) {
+          if (ok && !std::isnan(v)) json.field(key, v);
         };
-        csv.add_row({def.id, c.name, core::system_kind_name(system),
-                     num(report.index_a_seconds), num(report.index_b_seconds),
-                     num(report.join_seconds), num(report.total_seconds),
-                     ok ? "1" : "0"});
+        seconds("ia", report.index_a_seconds);
+        seconds("ib", report.index_b_seconds);
+        seconds("dj", report.join_seconds);
+        seconds("tot", report.total_seconds);
+        json.end_object();
       }
     }
     table.add_separator();
   }
   table.print();
-  const std::string csv_path = maybe_write_csv("table3_breakdown", csv);
-  if (!csv_path.empty()) std::printf("\ncsv written to %s\n", csv_path.c_str());
+  json.end_array();
+  json.end_object();
+  const std::string json_path = write_bench_json("table3", json.str());
+  std::printf("json written to %s\n", json_path.c_str());
   return 0;
 }

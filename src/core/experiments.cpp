@@ -35,12 +35,16 @@ std::vector<cluster::ClusterSpec> paper_cluster_configs() {
 double bench_scale(double fallback) {
   const char* env = std::getenv("SJC_SCALE");
   if (env == nullptr) return fallback;
+  double v = 0.0;  // a malformed value stays 0 and is rejected below
   try {
-    const double v = parse_double(env);
-    if (v > 0.0 && v <= 1.0) return v;
+    v = parse_double(env);
   } catch (const ParseError&) {
   }
-  return fallback;
+  if (!(v > 0.0 && v <= 1.0)) {
+    throw InvalidArgument(std::string("SJC_SCALE='") + env +
+                          "' is not a number in (0, 1]");
+  }
+  return v;
 }
 
 }  // namespace sjc::core

@@ -32,7 +32,9 @@ const std::vector<ExperimentDef>& sample_experiments();
 std::vector<cluster::ClusterSpec> paper_cluster_configs();
 
 /// Reads the bench-wide workload scale: SJC_SCALE env var (fraction of the
-/// paper's record counts), defaulting to `fallback`.
+/// paper's record counts), or `fallback` when the variable is unset. Throws
+/// InvalidArgument, naming the value, when it is set to anything but a
+/// number in (0, 1].
 double bench_scale(double fallback = 1e-3);
 
 }  // namespace sjc::core

@@ -75,17 +75,6 @@ inline void two_product(double a, double b, double& x, double& y) {
   y = alo * blo - err3;
 }
 
-inline void two_product_presplit(double a, double b, double bhi, double blo, double& x,
-                                 double& y) {
-  x = a * b;
-  double ahi, alo;
-  split(a, ahi, alo);
-  const double err1 = x - ahi * bhi;
-  const double err2 = err1 - alo * bhi;
-  const double err3 = err2 - ahi * blo;
-  y = alo * blo - err3;
-}
-
 /// (x3, x2, x1, x0) = (a1 + a0) - (b1 + b0), all components exact.
 inline void two_two_diff(double a1, double a0, double b1, double b0, double& x3,
                          double& x2, double& x1, double& x0) {
@@ -162,28 +151,6 @@ int fast_expansion_sum_zeroelim(int elen, const double* e, int flen, const doubl
     double qnew;
     two_sum(q, f[findex++], qnew, hh);
     q = qnew;
-    if (hh != 0.0) h[hindex++] = hh;
-  }
-  if (q != 0.0 || hindex == 0) h[hindex++] = q;
-  return hindex;
-}
-
-/// h = e * b. h must have room for 2 * elen components; h may not alias e.
-int scale_expansion_zeroelim(int elen, const double* e, double b, double* h) {
-  double bhi, blo;
-  split(b, bhi, blo);
-  double q;
-  double hh;
-  int hindex = 0;
-  two_product_presplit(e[0], b, bhi, blo, q, hh);
-  if (hh != 0.0) h[hindex++] = hh;
-  for (int eindex = 1; eindex < elen; ++eindex) {
-    double product1, product0;
-    two_product_presplit(e[eindex], b, bhi, blo, product1, product0);
-    double sum;
-    two_sum(q, product0, sum, hh);
-    if (hh != 0.0) h[hindex++] = hh;
-    fast_two_sum(product1, sum, q, hh);
     if (hh != 0.0) h[hindex++] = hh;
   }
   if (q != 0.0 || hindex == 0) h[hindex++] = q;
@@ -302,142 +269,6 @@ double orient2d(const Coord& pa, const Coord& pb, const Coord& pc) {
   const double errbound = kCcwErrBoundA * detsum;
   if (det > errbound || -det > errbound || detsum == 0.0) return det;
   return orient2d_escalate(pa.x, pa.y, pb.x, pb.y, pc.x, pc.y, detsum);
-}
-
-// ---------------------------------------------------------------------------
-// incircle
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Fully exact 4x4 incircle determinant by expansion arithmetic (the
-/// "exact" tier; no intermediate stages — the A-stage filter already
-/// resolves all well-conditioned inputs).
-double incircle_exact(const Coord& pa, const Coord& pb, const Coord& pc,
-                      const Coord& pd) {
-  // Pairwise 2x2 minors ab..bd as 4-component expansions.
-  double ab[4], bc[4], cd[4], da[4], ac[4], bd[4];
-  const auto minor2 = [](const Coord& p, const Coord& q, double* out) {
-    double pq1, pq0, qp1, qp0;
-    two_product(p.x, q.y, pq1, pq0);
-    two_product(q.x, p.y, qp1, qp0);
-    two_two_diff(pq1, pq0, qp1, qp0, out[3], out[2], out[1], out[0]);
-  };
-  minor2(pa, pb, ab);
-  minor2(pb, pc, bc);
-  minor2(pc, pd, cd);
-  minor2(pd, pa, da);
-  minor2(pa, pc, ac);
-  minor2(pb, pd, bd);
-
-  // 3x3 cofactor expansions: cda, dab, abc, bcd.
-  double temp8[8];
-  double cda[12], dab[12], abc[12], bcd[12];
-  int templen = fast_expansion_sum_zeroelim(4, cd, 4, da, temp8);
-  const int cdalen = fast_expansion_sum_zeroelim(templen, temp8, 4, ac, cda);
-  templen = fast_expansion_sum_zeroelim(4, da, 4, ab, temp8);
-  const int dablen = fast_expansion_sum_zeroelim(templen, temp8, 4, bd, dab);
-  for (int i = 0; i < 4; ++i) {
-    bd[i] = -bd[i];
-    ac[i] = -ac[i];
-  }
-  templen = fast_expansion_sum_zeroelim(4, ab, 4, bc, temp8);
-  const int abclen = fast_expansion_sum_zeroelim(templen, temp8, 4, ac, abc);
-  templen = fast_expansion_sum_zeroelim(4, bc, 4, cd, temp8);
-  const int bcdlen = fast_expansion_sum_zeroelim(templen, temp8, 4, bd, bcd);
-
-  // Scale each cofactor by the matching lift (x^2 + y^2), alternating sign.
-  double det24x[24], det24y[24], det48x[48], det48y[48];
-  double adet[96], bdet[96], cdet[96], ddet[96];
-  const auto lift_term = [&](int coflen, const double* cof, const Coord& p,
-                             double sign_x, double sign_y, double* out) {
-    int xlen = scale_expansion_zeroelim(coflen, cof, p.x, det24x);
-    xlen = scale_expansion_zeroelim(xlen, det24x, sign_x * p.x, det48x);
-    int ylen = scale_expansion_zeroelim(coflen, cof, p.y, det24y);
-    ylen = scale_expansion_zeroelim(ylen, det24y, sign_y * p.y, det48y);
-    return fast_expansion_sum_zeroelim(xlen, det48x, ylen, det48y, out);
-  };
-  const int alen = lift_term(bcdlen, bcd, pa, 1.0, 1.0, adet);
-  const int blen = lift_term(cdalen, cda, pb, -1.0, -1.0, bdet);
-  const int clen = lift_term(dablen, dab, pc, 1.0, 1.0, cdet);
-  const int dlen = lift_term(abclen, abc, pd, -1.0, -1.0, ddet);
-
-  double abdet[192], cddet[192], deter[384];
-  const int ablen2 = fast_expansion_sum_zeroelim(alen, adet, blen, bdet, abdet);
-  const int cdlen2 = fast_expansion_sum_zeroelim(clen, cdet, dlen, ddet, cddet);
-  const int deterlen = fast_expansion_sum_zeroelim(ablen2, abdet, cdlen2, cddet, deter);
-  return deter[deterlen - 1];
-}
-
-/// Largest coordinate magnitude whose 4th-power terms stay finite in the
-/// exact incircle pipeline.
-constexpr double kMaxSafeCoord = 0x1p255;
-
-double incircle_filtered(const Coord& pa, const Coord& pb, const Coord& pc,
-                         const Coord& pd);
-
-double incircle_escalate(const Coord& pa, const Coord& pb, const Coord& pc,
-                         const Coord& pd) {
-  ++slowpath_counter();
-  double mag = 0.0;
-  for (const Coord* p : {&pa, &pb, &pc, &pd}) {
-    mag = std::max(mag, std::max(std::fabs(p->x), std::fabs(p->y)));
-  }
-  if (!(mag <= kMaxSafeCoord)) {
-    // Exact power-of-two rescale into [2^200, 2^201): degree-4 expansion
-    // terms then peak near 2^804, far from overflow. Power-of-two scaling
-    // is exact unless a coordinate lands subnormal, i.e. unless the inputs
-    // mix magnitudes more than ~1200 binades apart.
-    const double s = std::ldexp(1.0, 200 - std::ilogb(mag));
-    return incircle_filtered({pa.x * s, pa.y * s}, {pb.x * s, pb.y * s},
-                             {pc.x * s, pc.y * s}, {pd.x * s, pd.y * s});
-  }
-  return incircle_exact(pa, pb, pc, pd);
-}
-
-double incircle_filter_det(const Coord& pa, const Coord& pb, const Coord& pc,
-                           const Coord& pd, double& permanent) {
-  const double adx = pa.x - pd.x;
-  const double bdx = pb.x - pd.x;
-  const double cdx = pc.x - pd.x;
-  const double ady = pa.y - pd.y;
-  const double bdy = pb.y - pd.y;
-  const double cdy = pc.y - pd.y;
-
-  const double bdxcdy = bdx * cdy;
-  const double cdxbdy = cdx * bdy;
-  const double alift = adx * adx + ady * ady;
-  const double cdxady = cdx * ady;
-  const double adxcdy = adx * cdy;
-  const double blift = bdx * bdx + bdy * bdy;
-  const double adxbdy = adx * bdy;
-  const double bdxady = bdx * ady;
-  const double clift = cdx * cdx + cdy * cdy;
-
-  permanent = (std::fabs(bdxcdy) + std::fabs(cdxbdy)) * alift +
-              (std::fabs(cdxady) + std::fabs(adxcdy)) * blift +
-              (std::fabs(adxbdy) + std::fabs(bdxady)) * clift;
-  return alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) +
-         clift * (adxbdy - bdxady);
-}
-
-double incircle_filtered(const Coord& pa, const Coord& pb, const Coord& pc,
-                         const Coord& pd) {
-  double permanent;
-  const double det = incircle_filter_det(pa, pb, pc, pd, permanent);
-  const double errbound = kIccErrBoundA * permanent;
-  if (det > errbound || -det > errbound || permanent == 0.0) return det;
-  return incircle_exact(pa, pb, pc, pd);
-}
-
-}  // namespace
-
-double incircle(const Coord& pa, const Coord& pb, const Coord& pc, const Coord& pd) {
-  double permanent;
-  const double det = incircle_filter_det(pa, pb, pc, pd, permanent);
-  const double errbound = kIccErrBoundA * permanent;
-  if (det > errbound || -det > errbound || permanent == 0.0) return det;
-  return incircle_escalate(pa, pb, pc, pd);
 }
 
 std::uint64_t slowpath_calls() { return slowpath_counter(); }

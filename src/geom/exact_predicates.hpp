@@ -1,8 +1,8 @@
 // Adaptive exact geometric predicates (Shewchuk's scheme).
 //
-// orient2d / incircle return a double whose SIGN is the exact sign of the
+// orient2d returns a double whose SIGN is the exact sign of the
 // underlying determinant for the given double inputs — no epsilon, no
-// configuration. Each predicate first evaluates the determinant in plain
+// configuration. It first evaluates the determinant in plain
 // floating point together with a forward error bound; when the magnitude
 // clears the bound the approximate value is returned (the fast path, one
 // branch more than the naive formula). Otherwise the predicate escalates to
@@ -46,7 +46,6 @@ inline constexpr double kResultErrBound = (3.0 + 8.0 * kEpsilon) * kEpsilon;
 inline constexpr double kCcwErrBoundA = (3.0 + 16.0 * kEpsilon) * kEpsilon;
 inline constexpr double kCcwErrBoundB = (2.0 + 12.0 * kEpsilon) * kEpsilon;
 inline constexpr double kCcwErrBoundC = (9.0 + 64.0 * kEpsilon) * kEpsilon * kEpsilon;
-inline constexpr double kIccErrBoundA = (10.0 + 96.0 * kEpsilon) * kEpsilon;
 
 /// Sign-exact orientation determinant det[pa - pc, pb - pc]:
 ///   > 0 when (pa, pb, pc) wind counterclockwise, < 0 clockwise,
@@ -63,13 +62,8 @@ double orient2d(const Coord& pa, const Coord& pb, const Coord& pc);
 double orient2d_escalate(double pax, double pay, double pbx, double pby, double pcx,
                          double pcy, double detsum);
 
-/// Sign-exact incircle determinant: > 0 when pd lies inside the circle
-/// through (pa, pb, pc) (counterclockwise order), < 0 outside, == 0 when
-/// cocircular. Sign flips with the orientation of (pa, pb, pc).
-double incircle(const Coord& pa, const Coord& pb, const Coord& pc, const Coord& pd);
-
-/// Thread-local count of filter failures (adaptive escalations) by this
-/// thread, across orient2d and incircle. Monotone; callers snapshot before
+/// Thread-local count of orient2d's filter failures (adaptive escalations)
+/// by this thread. Monotone; callers snapshot before
 /// and after an exact test to classify it as fast-path or slow-path.
 std::uint64_t slowpath_calls();
 

@@ -11,10 +11,9 @@
 
 namespace sjc::geom::simd {
 
-// Defined in simd_kernels_avx2.cpp / simd_kernels_neon.cpp; return nullptr
-// when the variant is not compiled for this architecture.
+// Defined in simd_kernels_avx2.cpp; returns nullptr when the variant is not
+// compiled for this architecture.
 const Kernels* avx2_kernel_table();
-const Kernels* neon_kernel_table();
 
 namespace {
 
@@ -54,8 +53,6 @@ const Kernels* table_for(Path p) {
       return &kScalarKernels;
     case Path::kAvx2:
       return avx2_kernel_table();
-    case Path::kNeon:
-      return neon_kernel_table();
   }
   return nullptr;
 }
@@ -72,13 +69,6 @@ bool cpu_supports(Path p) {
 #else
       return false;
 #endif
-    case Path::kNeon:
-      // AdvSIMD is baseline on aarch64; no HWCAP probe needed.
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -86,9 +76,7 @@ bool cpu_supports(Path p) {
 bool path_available(Path p) { return cpu_supports(p) && table_for(p) != nullptr; }
 
 Path detect_best() {
-  if (path_available(Path::kAvx2)) return Path::kAvx2;
-  if (path_available(Path::kNeon)) return Path::kNeon;
-  return Path::kScalar;
+  return path_available(Path::kAvx2) ? Path::kAvx2 : Path::kScalar;
 }
 
 Path startup_policy() {
@@ -100,9 +88,6 @@ Path startup_policy() {
   bool known = std::strcmp(env, "scalar") == 0;
   if (std::strcmp(env, "avx2") == 0) {
     want = Path::kAvx2;
-    known = true;
-  } else if (std::strcmp(env, "neon") == 0) {
-    want = Path::kNeon;
     known = true;
   }
   if (!known) {
@@ -121,8 +106,7 @@ Path startup_policy() {
 // atomic pointer: readers on the refinement hot path pay one relaxed load.
 const Entry& entry_for(Path p) {
   static const Entry entries[] = {{Path::kScalar, &kScalarKernels},
-                                  {Path::kAvx2, table_for(Path::kAvx2)},
-                                  {Path::kNeon, table_for(Path::kNeon)}};
+                                  {Path::kAvx2, table_for(Path::kAvx2)}};
   return entries[static_cast<int>(p)];
 }
 
@@ -139,8 +123,6 @@ const char* path_name(Path p) {
       return "scalar";
     case Path::kAvx2:
       return "avx2";
-    case Path::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -155,9 +137,7 @@ const char* active_path_name() { return path_name(active_path()); }
 
 std::vector<Path> available_paths() {
   std::vector<Path> out{Path::kScalar};
-  for (const Path p : {Path::kAvx2, Path::kNeon}) {
-    if (path_available(p)) out.push_back(p);
-  }
+  if (path_available(Path::kAvx2)) out.push_back(Path::kAvx2);
   return out;
 }
 

@@ -10,13 +10,13 @@
 //   env_any_overlaps   — part/chunk envelope early-reject sweep.
 //
 // Each kernel has a scalar implementation (always built, the reference) and
-// optional AVX2 (x86-64) / NEON (aarch64) variants selected at startup by
-// CPU detection (cpuid / baseline HWCAP) behind per-kernel function
-// pointers. The SJC_SIMD environment variable overrides detection:
-//   SJC_SIMD=scalar|avx2|neon|auto   (default auto = best available)
+// an AVX2 variant (x86-64) selected at startup by CPU detection (cpuid)
+// behind per-kernel function pointers. The SJC_SIMD environment variable
+// overrides detection:
+//   SJC_SIMD=scalar|avx2|auto   (default auto = best available)
 // An unavailable request falls back to auto with a warning on stderr.
 //
-// Bit-identity contract: for identical inputs every variant returns the
+// Bit-identity contract: for identical inputs both variants return the
 // same boolean AND performs the same exact-predicate escalations in the
 // same order as the scalar kernel (the SIMD filter comparisons are
 // bitwise-equivalent to the scalar ones, uncertain lanes fall back to the
@@ -30,7 +30,7 @@
 
 namespace sjc::geom::simd {
 
-enum class Path { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Path { kScalar = 0, kAvx2 = 1 };
 
 const char* path_name(Path p);
 

@@ -2,10 +2,10 @@
 //
 // The trace subsystem (PR 4) measures task-time skew after the fact; the
 // monitor is the piece that lets the schedulers *act* on it before the
-// shuffle. It consumes per-cell load counters — the same quantities
-// partition_stats aggregates — and flags the cells whose load exceeds a
-// multiple of the median (LocationSpark's hotspot criterion), which the
-// PartitionRefiner then splits.
+// shuffle. It consumes per-cell load counters (assignments per cell) and
+// flags the cells whose load exceeds a multiple of the median
+// (LocationSpark's hotspot criterion), which the PartitionRefiner then
+// splits.
 #pragma once
 
 #include <cstdint>

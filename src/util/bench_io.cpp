@@ -12,14 +12,6 @@
 
 namespace sjc {
 
-std::string maybe_write_csv(const std::string& name, const CsvWriter& csv) {
-  const char* dir = std::getenv("SJC_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') return {};
-  const std::string path = std::string(dir) + "/" + name + ".csv";
-  csv.write_file(path);
-  return path;
-}
-
 namespace {
 
 std::string json_escape(const std::string& s) {

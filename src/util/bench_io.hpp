@@ -1,21 +1,14 @@
 // Benchmark result export.
 //
-// The bench binaries print paper-style tables for humans; when SJC_CSV_DIR
-// is set they additionally drop machine-readable CSVs there so results can
-// be post-processed (plots, regression tracking) without screen-scraping.
+// The bench binaries print paper-style tables for humans and write a
+// machine-readable BENCH_<name>.json next to them, so results can be
+// post-processed (plots, regression tracking) without screen-scraping.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "util/csv.hpp"
-
 namespace sjc {
-
-/// Writes `csv` to `$SJC_CSV_DIR/<name>.csv` when the environment variable
-/// is set. Returns the written path, or an empty string when export is
-/// disabled. Throws SjcError on I/O failure.
-std::string maybe_write_csv(const std::string& name, const CsvWriter& csv);
 
 /// Minimal JSON emitter for bench summaries (objects, arrays, scalars) —
 /// just enough structure for regression tracking without a JSON dependency.

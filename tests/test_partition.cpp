@@ -1,10 +1,10 @@
-// Tests for samplers and spatial partitioners: coverage, assignment
-// completeness, balance under skew.
+// Tests for the spatial partitioners: coverage, assignment completeness,
+// balance under skew.
 #include <gtest/gtest.h>
 
-#include "partition/partition_stats.hpp"
+#include <algorithm>
+
 #include "partition/partitioner.hpp"
-#include "partition/sampler.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -27,38 +27,6 @@ std::vector<geom::Envelope> skewed_boxes(Rng& rng, std::size_t n) {
                      std::min(100.0, y + rng.uniform(0, 1.0)));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// samplers
-// ---------------------------------------------------------------------------
-
-TEST(Sampler, BernoulliRateZeroAndOne) {
-  Rng rng(1);
-  EXPECT_TRUE(bernoulli_sample(1000, 0.0, rng).empty());
-  EXPECT_EQ(bernoulli_sample(1000, 1.0, rng).size(), 1000u);
-}
-
-TEST(Sampler, BernoulliApproximatesRate) {
-  Rng rng(2);
-  const auto sample = bernoulli_sample(100000, 0.1, rng);
-  EXPECT_NEAR(static_cast<double>(sample.size()), 10000.0, 500.0);
-  // Indices strictly increasing (one pass).
-  EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
-}
-
-TEST(Sampler, BernoulliRejectsBadRate) {
-  Rng rng(1);
-  EXPECT_THROW(bernoulli_sample(10, -0.1, rng), InvalidArgument);
-  EXPECT_THROW(bernoulli_sample(10, 1.1, rng), InvalidArgument);
-}
-
-TEST(Sampler, GatherEnvelopes) {
-  const std::vector<geom::Envelope> envs = {geom::Envelope(0, 0, 1, 1),
-                                            geom::Envelope(2, 2, 3, 3)};
-  const auto got = gather_envelopes(envs, {1});
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], envs[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -135,31 +103,30 @@ TEST(Partitioner, AdaptiveBeatsFixedGridUnderSkew) {
   const geom::Envelope extent(0, 0, 100, 100);
   const auto items = skewed_boxes(rng, 8000);
   Rng sample_rng(14);
-  const auto sample_idx = bernoulli_sample(items.size(), 0.1, sample_rng);
-  const auto sample = gather_envelopes(items, sample_idx);
+  std::vector<geom::Envelope> sample;
+  for (const auto& env : items) {
+    if (sample_rng.bernoulli(0.1)) sample.push_back(env);
+  }
 
+  // Skew: the most loaded cell's assignments over the mean per cell.
   const auto skew_of = [&](PartitionerKind kind) {
     const PartitionScheme scheme = make_partitions(kind, sample, extent, 64);
-    return compute_partition_stats(scheme, items).skew;
+    std::vector<std::size_t> load(scheme.cell_count(), 0);
+    std::size_t assignments = 0;
+    for (const auto& env : items) {
+      for (const auto pid : scheme.assign(env)) {
+        ++load[pid];
+        ++assignments;
+      }
+    }
+    return static_cast<double>(*std::max_element(load.begin(), load.end())) *
+           static_cast<double>(load.size()) / static_cast<double>(assignments);
   };
   const double grid_skew = skew_of(PartitionerKind::kFixedGrid);
   const double str_skew = skew_of(PartitionerKind::kStr);
   const double bsp_skew = skew_of(PartitionerKind::kBsp);
   EXPECT_LT(str_skew, grid_skew / 2.0);
   EXPECT_LT(bsp_skew, grid_skew / 2.0);
-}
-
-TEST(PartitionStats, CountsAndReplication) {
-  const PartitionScheme scheme = make_fixed_grid(geom::Envelope(0, 0, 10, 10), 2, 2);
-  // One box straddling all four cells, one inside a single cell.
-  const std::vector<geom::Envelope> items = {geom::Envelope(4, 4, 6, 6),
-                                             geom::Envelope(1, 1, 2, 2)};
-  const auto stats = compute_partition_stats(scheme, items);
-  EXPECT_EQ(stats.item_count, 2u);
-  EXPECT_EQ(stats.assignment_count, 5u);
-  EXPECT_DOUBLE_EQ(stats.replication_factor, 2.5);
-  EXPECT_EQ(stats.cell_count, 4u);
-  EXPECT_EQ(stats.max_cell_items, 2u);
 }
 
 TEST(PartitionScheme, RejectsEmptyCellList) {

@@ -365,62 +365,6 @@ TEST(ExactPredicates, RandomizedNearCollinearMatchesInt128Oracle) {
   }
 }
 
-/// Integer-exact incircle oracle (|coord| <= ~2^20 keeps all terms in
-/// __int128).
-int incircle_oracle(long long ax, long long ay, long long bx, long long by,
-                    long long cx, long long cy, long long dx, long long dy) {
-  const __int128 adx = ax - dx, ady = ay - dy;
-  const __int128 bdx = bx - dx, bdy = by - dy;
-  const __int128 cdx = cx - dx, cdy = cy - dy;
-  const __int128 alift = adx * adx + ady * ady;
-  const __int128 blift = bdx * bdx + bdy * bdy;
-  const __int128 clift = cdx * cdx + cdy * cdy;
-  const __int128 det = alift * (bdx * cdy - cdx * bdy) -
-                       blift * (adx * cdy - cdx * ady) +
-                       clift * (adx * bdy - bdx * ady);
-  return det > 0 ? 1 : (det < 0 ? -1 : 0);
-}
-
-TEST(ExactPredicates, IncircleMatchesInt128Oracle) {
-  // Cocircular and near-cocircular integer quadruples, including points
-  // exactly on the circle (oracle 0).
-  Rng rng(777);
-  for (int trial = 0; trial < 5000; ++trial) {
-    const auto coord = [&rng] {
-      return static_cast<long long>(rng.next_below(2001)) - 1000;
-    };
-    const long long ax = coord(), ay = coord(), bx = coord(), by = coord();
-    const long long cx = coord(), cy = coord(), dx = coord(), dy = coord();
-    const int want = incircle_oracle(ax, ay, bx, by, cx, cy, dx, dy);
-    const double got = exact::incircle(
-        {static_cast<double>(ax), static_cast<double>(ay)},
-        {static_cast<double>(bx), static_cast<double>(by)},
-        {static_cast<double>(cx), static_cast<double>(cy)},
-        {static_cast<double>(dx), static_cast<double>(dy)});
-    ASSERT_EQ(sign_of(got), want) << "trial " << trial;
-  }
-  // Pinned exactly-cocircular case: 4 points of the circle r^2 = 25.
-  EXPECT_EQ(exact::incircle({3, 4}, {5, 0}, {-5, 0}, {0, 5}), 0.0);
-  // d strictly inside / outside that circle.
-  EXPECT_NE(sign_of(exact::incircle({3, 4}, {5, 0}, {-5, 0}, {0, 4.9})),
-            sign_of(exact::incircle({3, 4}, {5, 0}, {-5, 0}, {0, 5.1})));
-}
-
-TEST(ExactPredicates, IncircleExtremeMagnitudeRescue) {
-  // Coordinates near the overflow threshold force the incircle rescue
-  // rescale; sign must survive. Same circle as above scaled by 2^1000
-  // (exact power-of-two scaling preserves cocircularity).
-  const double s = 0x1p1000;
-  EXPECT_EQ(exact::incircle({3 * s, 4 * s}, {5 * s, 0}, {-5 * s, 0}, {0, 5 * s}), 0.0);
-  // In/out signs depend on abc's winding; pin them against the
-  // small-coordinate evaluation (oracle-verified above) instead of
-  // hand-deriving them.
-  EXPECT_EQ(sign_of(exact::incircle({3 * s, 4 * s}, {5 * s, 0}, {-5 * s, 0}, {0, 4 * s})),
-            sign_of(exact::incircle({3, 4}, {5, 0}, {-5, 0}, {0, 4})));
-  EXPECT_EQ(sign_of(exact::incircle({3 * s, 4 * s}, {5 * s, 0}, {-5 * s, 0}, {0, 6 * s})),
-            sign_of(exact::incircle({3, 4}, {5, 0}, {-5, 0}, {0, 6})));
-}
-
 TEST(ExactPredicates, SlowpathCounterMonotonicAndBumpedByEscalations) {
   const std::uint64_t before = exact::slowpath_calls();
   // Certain fast-path case: no escalation.

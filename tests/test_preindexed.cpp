@@ -5,7 +5,6 @@
 
 #include <algorithm>
 
-#include "partition/partition_stats.hpp"
 #include "partition/partitioner.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 #include "util/rng.hpp"
@@ -105,9 +104,20 @@ TEST(QuadtreePartitioner, BalancesSkewBetterThanGrid) {
                                                items, geom::Envelope(0, 0, 100, 100), 64);
   const auto grid = partition::make_partitions(partition::PartitionerKind::kFixedGrid,
                                                items, geom::Envelope(0, 0, 100, 100), 64);
-  const auto quad_stats = partition::compute_partition_stats(quad, items);
-  const auto grid_stats = partition::compute_partition_stats(grid, items);
-  EXPECT_LT(quad_stats.skew, grid_stats.skew);
+  // Skew: the most loaded cell's assignments over the mean per cell.
+  const auto skew_of = [&](const partition::PartitionScheme& scheme) {
+    std::vector<std::size_t> load(scheme.cell_count(), 0);
+    std::size_t assignments = 0;
+    for (const auto& env : items) {
+      for (const auto pid : scheme.assign(env)) {
+        ++load[pid];
+        ++assignments;
+      }
+    }
+    return static_cast<double>(*std::max_element(load.begin(), load.end())) *
+           static_cast<double>(load.size()) / static_cast<double>(assignments);
+  };
+  EXPECT_LT(skew_of(quad), skew_of(grid));
 }
 
 TEST(QuadtreePartitioner, EmptySampleFallsBack) {

@@ -1,5 +1,5 @@
 // Cross-dispatch equivalence for the SIMD refinement kernels: every path
-// available on this host (scalar always; AVX2/NEON when compiled + CPU
+// available on this host (scalar always; AVX2 when compiled + CPU
 // supported) must produce bit-identical accept/reject vectors AND identical
 // RefineStats counter sums to the scalar path on randomized geometry. Also
 // covers the dispatch plumbing itself: SJC_SIMD env override, forced-path
@@ -191,7 +191,11 @@ TEST(SimdDispatch, UnavailablePathIsRejected) {
     return std::find(paths.begin(), paths.end(), p) != paths.end();
   };
   const simd::Path before = simd::active_path();
-  for (const simd::Path p : {simd::Path::kAvx2, simd::Path::kNeon}) {
+  // A value past the last path is never available, so the rejected force
+  // is exercised on every host, AVX2 or not.
+  const simd::Path unknown = static_cast<simd::Path>(2);
+  ASSERT_FALSE(available(unknown));
+  for (const simd::Path p : {simd::Path::kAvx2, unknown}) {
     if (available(p)) {
       EXPECT_TRUE(simd::force_path(p));
       simd::force_path(before);

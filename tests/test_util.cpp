@@ -1,12 +1,13 @@
-// Unit tests for the util module: rng, strings, csv, table, thread pool.
+// Unit tests for the util module: rng, strings, table, thread pool, bench
+// export, and the benches' SJC_SCALE switch.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <set>
 
+#include "core/experiments.hpp"
 #include "util/bench_io.hpp"
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
@@ -198,35 +199,6 @@ TEST(Strings, StartsWith) {
 }
 
 // ---------------------------------------------------------------------------
-// csv
-// ---------------------------------------------------------------------------
-
-TEST(Csv, PlainRowRoundTrip) {
-  const std::vector<std::string> fields = {"a", "b", "c"};
-  EXPECT_EQ(csv_parse_row(csv_format_row(fields)), fields);
-}
-
-TEST(Csv, QuotedFieldsRoundTrip) {
-  const std::vector<std::string> fields = {"has,comma", "has\"quote", "has\nnewline"};
-  EXPECT_EQ(csv_parse_row(csv_format_row(fields)), fields);
-}
-
-TEST(Csv, UnterminatedQuoteThrows) {
-  EXPECT_THROW(csv_parse_row("\"oops"), ParseError);
-}
-
-TEST(Csv, WriterEnforcesArity) {
-  CsvWriter writer({"x", "y"});
-  EXPECT_THROW(writer.add_row({"only one"}), InvalidArgument);
-}
-
-TEST(Csv, WriterSerializesHeaderFirst) {
-  CsvWriter writer({"x", "y"});
-  writer.add_row({"1", "2"});
-  EXPECT_EQ(writer.to_string(), "x,y\n1,2\n");
-}
-
-// ---------------------------------------------------------------------------
 // table
 // ---------------------------------------------------------------------------
 
@@ -286,32 +258,10 @@ TEST(ThreadPool, NestedCallsRunInline) {
 namespace sjc {
 namespace {
 
-TEST(BenchIo, DisabledWithoutEnv) {
-  unsetenv("SJC_CSV_DIR");
-  CsvWriter csv({"a"});
-  EXPECT_EQ(maybe_write_csv("t", csv), "");
-}
-
-TEST(BenchIo, WritesWhenEnabled) {
-  setenv("SJC_CSV_DIR", "/tmp", 1);
-  CsvWriter csv({"a", "b"});
-  csv.add_row({"1", "2"});
-  const std::string path = maybe_write_csv("sjc_bench_io_test", csv);
-  EXPECT_EQ(path, "/tmp/sjc_bench_io_test.csv");
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[64] = {};
-  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  EXPECT_EQ(std::string(buf, n), "a,b\n1,2\n");
-  unsetenv("SJC_CSV_DIR");
-}
-
 TEST(BenchIo, BadDirectoryThrows) {
-  setenv("SJC_CSV_DIR", "/nonexistent-dir-xyz", 1);
-  CsvWriter csv({"a"});
-  EXPECT_THROW(maybe_write_csv("t", csv), SjcError);
-  unsetenv("SJC_CSV_DIR");
+  setenv("SJC_BENCH_DIR", "/nonexistent-dir-xyz", 1);
+  EXPECT_THROW(write_bench_json("t", "{}"), SjcError);
+  unsetenv("SJC_BENCH_DIR");
 }
 
 // ru_maxrss unit handling: POSIX leaves the unit unspecified — Linux reports
@@ -343,6 +293,40 @@ TEST(BenchIo, RssConversionPinsBothPlatformConventions) {
   if (rss != 0) {  // 0 => platform without getrusage
     EXPECT_GT(rss, std::uint64_t{1} << 20);
     EXPECT_LT(rss, std::uint64_t{1} << 40);
+  }
+}
+
+// SJC_SCALE falls back only when unset; any other value outside (0, 1]
+// fails the bench loudly instead of quietly running another scale.
+class BenchScaleEnv : public ::testing::Test {
+ protected:
+  void TearDown() override { unsetenv("SJC_SCALE"); }
+};
+
+TEST_F(BenchScaleEnv, UnsetFallsBack) {
+  unsetenv("SJC_SCALE");
+  EXPECT_EQ(core::bench_scale(), 1e-3);
+  EXPECT_EQ(core::bench_scale(0.25), 0.25);
+}
+
+TEST_F(BenchScaleEnv, ReadsValidValues) {
+  setenv("SJC_SCALE", "2e-5", 1);
+  EXPECT_EQ(core::bench_scale(), 2e-5);
+  setenv("SJC_SCALE", "1", 1);
+  EXPECT_EQ(core::bench_scale(), 1.0);
+}
+
+TEST_F(BenchScaleEnv, RejectsMalformedOrOutOfRangeValues) {
+  for (const char* bad : {"2e-5x", "0", "1.5", "-1e-3", "nan", ""}) {
+    setenv("SJC_SCALE", bad, 1);
+    try {
+      core::bench_scale();
+      ADD_FAILURE() << "SJC_SCALE='" << bad << "' was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
