@@ -85,8 +85,8 @@ struct LocalJoinScratch {
   std::vector<index::IndexEntry> left_entries;
   std::vector<index::IndexEntry> right_entries;
   index::MbrJoinScratch mbr;
-  /// (right id, left id) per MBR candidate, in the MBR join's emit order;
-  /// the left id is kRejectedCandidate where the accept filter declined.
+  /// (right id, left id) per MBR candidate the accept filter kept, in the
+  /// MBR join's emit order.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> candidates;
   std::vector<std::uint32_t> group_ends;  // per-right-id group end offsets
   std::vector<std::uint32_t> group_left;  // left ids grouped by right id
@@ -95,10 +95,6 @@ struct LocalJoinScratch {
   std::vector<geom::Coord> probe_points;
   std::vector<std::uint8_t> point_covered;
 };
-
-/// Left id of a candidate the accept filter declined. Its group still
-/// binds the right feature's refiner, as it did when accept ran per group.
-inline constexpr std::uint32_t kRejectedCandidate = 0xffffffffu;
 
 /// Query-scoped pool of LocalJoinScratch instances.
 ///
@@ -173,10 +169,9 @@ bool evaluate_predicate(geom::EngineKind engine, JoinPredicate predicate,
                         const geom::Geometry& right);
 
 /// The shared refinement step: groups `scratch.candidates` by right id and
-/// refines each group's accepted candidates against the right feature,
-/// appending hits to `out` in group order, candidate order within a group.
-/// Every group with a candidate binds its right feature's refiner, accepted
-/// or not.
+/// refines each group against the right feature, appending hits to `out` in
+/// group order, candidate order within a group. Only a right feature with a
+/// candidate binds its refiner.
 template <typename LeftSeq, typename RightSeq>
 void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJoinSpec& spec,
                        LocalJoinScratch& scratch, std::vector<JoinPair>& out) {
@@ -208,7 +203,6 @@ void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJo
   const bool prepared_engine = spec.engine == geom::EngineKind::kPrepared;
 
   geom::RefineStats stats;
-  std::uint64_t refined = 0;
 
   for (std::uint32_t r = 0; r < right.size(); ++r) {
     const std::size_t begin = ends[r];
@@ -235,8 +229,6 @@ void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJo
       pts.clear();
       for (std::size_t c = begin; c < end; ++c) {
         const std::uint32_t l = grouped[c];
-        if (l == kRejectedCandidate) continue;
-        ++refined;
         if (point_batch && left[l].geometry.type() == geom::GeomType::kPoint) {
           pts.push_back(left[l].geometry.as_point());
         }
@@ -246,9 +238,7 @@ void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJo
       // gather order, which pass 1 produced in this same iteration order).
       std::size_t cursor = 0;
       for (std::size_t c = begin; c < end; ++c) {
-        const std::uint32_t l = grouped[c];
-        if (l == kRejectedCandidate) continue;
-        const auto& left_feature = left[l];
+        const auto& left_feature = left[grouped[c]];
         bool hit = false;
         if (point_batch && left_feature.geometry.type() == geom::GeomType::kPoint) {
           hit = scratch.point_covered[cursor++] != 0;
@@ -275,13 +265,10 @@ void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJo
     // on the right geometry (the GEOS-analog model; never cached).
     const geom::Geometry& anchor = right_feature.geometry;
     for (std::size_t c = begin; c < end; ++c) {
-      const std::uint32_t l = grouped[c];
-      if (l == kRejectedCandidate) continue;
       // The per-pair path has no approximations: every refined candidate
       // is an exact test, keeping the counter-sum invariant intact.
-      ++refined;
       const std::uint64_t slow0 = geom::exact::slowpath_calls();
-      const auto& left_feature = left[l];
+      const auto& left_feature = left[grouped[c]];
       bool hit = false;
       const geom::Geometry& probe = left_feature.geometry;
       switch (spec.predicate) {
@@ -302,8 +289,8 @@ void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJo
     }
   }
 
-  if (spec.refine_counters != nullptr && refined > 0) {
-    spec.refine_counters->add("refine.candidates", refined);
+  if (spec.refine_counters != nullptr) {
+    spec.refine_counters->add("refine.candidates", candidates.size());
     spec.refine_counters->add("refine.exact_tests", stats.exact_tests);
     spec.refine_counters->add("refine.early_accepts", stats.early_accepts);
     spec.refine_counters->add("refine.early_rejects", stats.early_rejects);
@@ -349,10 +336,9 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
   candidates.clear();
   index::local_mbr_join(spec.algorithm, left_entries, right_entries, scratch.mbr,
                         [&](std::uint32_t l, std::uint32_t r) {
-                          candidates.emplace_back(
-                              r, accept(left_entries[l].env, right_entries[r].env)
-                                     ? l
-                                     : kRejectedCandidate);
+                          if (accept(left_entries[l].env, right_entries[r].env)) {
+                            candidates.emplace_back(r, l);
+                          }
                         });
   refine_candidates(left, right, spec, scratch, out);
 }
@@ -374,10 +360,9 @@ void run_local_join(const LeftSeq& left, const index::SweepList& left_index,
   candidates.clear();
   index::plane_sweep_positions(
       left_index, right_index, scratch.mbr.sweep_hits, [&](std::size_t i, std::size_t k) {
-        candidates.emplace_back(right_index.ids[k],
-                                accept(left_index.envelope(i), right_index.envelope(k))
-                                    ? left_index.ids[i]
-                                    : kRejectedCandidate);
+        if (accept(left_index.envelope(i), right_index.envelope(k))) {
+          candidates.emplace_back(right_index.ids[k], left_index.ids[i]);
+        }
       });
   refine_candidates(left, right, spec, scratch, out);
 }

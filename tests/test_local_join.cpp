@@ -445,6 +445,55 @@ TEST(LocalJoin, AcceptFilterDropsPairs) {
   EXPECT_EQ(out[0].left_id, 1u);
 }
 
+// A candidate the accept filter declines is dropped where it is generated:
+// when every candidate is declined, neither overload binds a refiner or
+// writes a refine.* counter.
+TEST(LocalJoin, FullyDeclinedGroupsLookNothingUp) {
+  const auto left = point_features({{1, 1}, {3.5, 3.5}, {5, 5}});
+  const std::vector<geom::Feature> right = {
+      {9, geom::Geometry::polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}})},
+      {10, geom::Geometry::polygon({{3, 3}, {6, 3}, {6, 6}, {3, 6}, {3, 3}})}};
+  const auto side_index = [](const std::vector<geom::Feature>& features) {
+    std::vector<index::IndexEntry> entries;
+    for (std::uint32_t i = 0; i < features.size(); ++i) {
+      entries.push_back({features[i].geometry.envelope(), i});
+    }
+    index::SweepList list;
+    index::SweepOrder order;
+    list.load(entries, order);
+    return list;
+  };
+  const index::SweepList left_index = side_index(left);
+  const index::SweepList right_index = side_index(right);
+  const std::span<const geom::Feature> lv(left);
+  const std::span<const geom::Feature> rv(right);
+  for (const bool packed : {false, true}) {
+    geom::PreparedCache cache;
+    cluster::Counters counters;
+    LocalJoinSpec spec;
+    spec.algorithm = index::LocalJoinAlgorithm::kPlaneSweep;
+    spec.predicate = JoinPredicate::kWithin;
+    spec.prepared_cache = &cache;
+    spec.refine_counters = &counters;
+    std::size_t declined = 0;
+    const auto decline = [&](const geom::Envelope&, const geom::Envelope&) {
+      ++declined;
+      return false;
+    };
+    LocalJoinScratch scratch;
+    std::vector<JoinPair> out;
+    if (packed) {
+      run_local_join(lv, left_index, rv, right_index, spec, decline, scratch, out);
+    } else {
+      run_local_join(lv, rv, spec, decline, scratch, out);
+    }
+    EXPECT_EQ(declined, 4u) << "packed " << packed;  // every MBR candidate
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(cache.lookups(), 0u) << "packed " << packed;
+    EXPECT_TRUE(counters.snapshot().empty()) << "packed " << packed;
+  }
+}
+
 TEST(LocalJoin, WithinDistancePredicate) {
   const auto left = point_features({{0, 0}, {0, 10}});
   std::vector<geom::Feature> right = {
