@@ -1,8 +1,8 @@
 // Benchmark result export.
 //
-// The bench binaries print paper-style tables for humans and write a
-// machine-readable BENCH_<name>.json next to them, so results can be
-// post-processed (plots, regression tracking) without screen-scraping.
+// The bench binaries print paper-style tables for humans; several also
+// write a machine-readable BENCH_<name>.json (write_bench_json), so results
+// can be post-processed (plots, regression tracking) without screen-scraping.
 #pragma once
 
 #include <cstdint>
