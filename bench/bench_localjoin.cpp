@@ -1,8 +1,8 @@
 // Ablation of the serial in-partition (local) join algorithms the systems
-// choose between (Section II.C): SpatialHadoop's plane sweep and
-// synchronized R-tree traversal, SpatialSpark's STR-indexed nested loop,
-// and HadoopGIS's insert-built R-tree probe. Measures the MBR filter phase
-// on workload shapes matching the paper's partitions.
+// run (Section II.C): SpatialHadoop's plane sweep, SpatialSpark's
+// STR-indexed nested loop and HadoopGIS's insert-built R-tree probe.
+// Measures the MBR filter phase on workload shapes matching the paper's
+// partitions.
 //
 // Each algorithm is measured two ways:
 //   * templated — the templated-sink kernel, fresh scratch per call;
@@ -103,7 +103,6 @@ void BM_PlaneSweepPresorted(benchmark::State& state) {
       ->Arg(1000)->Arg(10000)->Arg(50000)
 
 SJC_BENCH_ALGO(plane_sweep, LocalJoinAlgorithm::kPlaneSweep);
-SJC_BENCH_ALGO(sync_rtree_traversal, LocalJoinAlgorithm::kSyncTraversal);
 SJC_BENCH_ALGO(indexed_nested_loop_str, LocalJoinAlgorithm::kIndexedNestedLoop);
 SJC_BENCH_ALGO(indexed_nested_loop_dynamic, LocalJoinAlgorithm::kIndexedNestedLoopDynamic);
 #undef SJC_BENCH_ALGO

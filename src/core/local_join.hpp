@@ -2,8 +2,8 @@
 // three systems (Section II.C).
 //
 // Within one partition pair the systems differ only in the MBR-join
-// algorithm (plane sweep / synchronized R-tree traversal / indexed nested
-// loop) and in the geometry engine used for refinement (Simple vs
+// algorithm (plane sweep / STR-indexed nested loop / insert-built R-tree
+// nested loop) and in the geometry engine used for refinement (Simple vs
 // Prepared). run_local_join factors the common shape in two steps:
 // candidate generation MBR-joins the two feature lists and runs the accept
 // filter on each candidate; refine_candidates groups the candidates by the

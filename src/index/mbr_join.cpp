@@ -8,7 +8,6 @@ namespace sjc::index {
 const char* local_join_algorithm_name(LocalJoinAlgorithm algo) {
   switch (algo) {
     case LocalJoinAlgorithm::kPlaneSweep: return "plane-sweep";
-    case LocalJoinAlgorithm::kSyncTraversal: return "sync-rtree-traversal";
     case LocalJoinAlgorithm::kIndexedNestedLoop: return "indexed-nested-loop";
     case LocalJoinAlgorithm::kIndexedNestedLoopDynamic:
       return "indexed-nested-loop-dynamic";

@@ -1,13 +1,14 @@
 // MBR (filter-phase) join algorithms.
 //
-// Section II.C of the paper: within a partition pair, SpatialHadoop offers
-// plane-sweep and synchronized R-tree traversal joins, while SpatialSpark
-// uses an indexed nested-loop join; HadoopGIS also builds an R-tree per
-// task. All three are provided here over plain (Envelope, id) entry lists
-// so the systems and bench_localjoin can mix and match. Every algorithm
-// emits exactly the set of pairs whose envelopes intersect; order differs.
-// The plane sweep also runs over two SweepLists sorted once ahead of time:
-// SpatialHadoop's partition blocks carry one each.
+// Section II.C of the paper: within a partition pair each system runs one
+// MBR join. SpatialHadoop sweeps a plane (the paper also names a
+// synchronized R-tree traversal, which no system here runs), SpatialSpark
+// probes an STR-indexed nested loop, and HadoopGIS probes an R-tree it
+// builds per task. These three kernels are provided here over plain
+// (Envelope, id) entry lists. Every algorithm emits exactly the set of
+// pairs whose envelopes intersect; order differs. The plane sweep also runs
+// over two SweepLists sorted once ahead of time: SpatialHadoop's partition
+// blocks carry one each.
 //
 // Each algorithm is a templated kernel, generic over the sink type, so the
 // per-pair callback inlines into the innermost loop, optionally fed an
@@ -26,11 +27,10 @@
 namespace sjc::index {
 
 enum class LocalJoinAlgorithm {
-  kPlaneSweep = 0,
-  kSyncTraversal = 1,
-  kIndexedNestedLoop = 2,         // bulk-loaded STR tree (SpatialSpark)
-  kIndexedNestedLoopDynamic = 3,  // insert-built R-tree (HadoopGIS /
-                                  // libspatialindex style)
+  kPlaneSweep,                // SpatialHadoop
+  kIndexedNestedLoop,         // bulk-loaded STR tree (SpatialSpark)
+  kIndexedNestedLoopDynamic,  // insert-built R-tree (HadoopGIS /
+                              // libspatialindex style)
 };
 
 const char* local_join_algorithm_name(LocalJoinAlgorithm algo);
@@ -60,7 +60,6 @@ struct SweepList {
 /// buffers survive across partition pairs, so a task wave rebuilds indexes
 /// into warm storage instead of reallocating per call.
 struct MbrJoinScratch {
-  StrTree left_tree{std::vector<IndexEntry>{}};
   StrTree right_tree{std::vector<IndexEntry>{}};
   DynamicRTree right_dynamic;
   SweepList sweep_left;
@@ -168,43 +167,6 @@ void plane_sweep_join(const std::vector<IndexEntry>& left,
   plane_sweep_join(ls, rs, hits, sink);
 }
 
-namespace detail {
-
-template <typename Sink>
-void sync_traversal_rec(const StrTree& lt, const StrTree& rt, const StrTree::Node& ln,
-                        const StrTree::Node& rn, Sink& sink) {
-  if (!ln.env.intersects(rn.env)) return;
-  if (ln.leaf && rn.leaf) {
-    for (std::uint32_t i = 0; i < ln.count; ++i) {
-      const IndexEntry& le = lt.entry(ln.first + i);
-      for (std::uint32_t j = 0; j < rn.count; ++j) {
-        const IndexEntry& re = rt.entry(rn.first + j);
-        if (le.env.intersects(re.env)) sink(le.id, re.id);
-      }
-    }
-    return;
-  }
-  // Descend the taller / internal side (both when both are internal).
-  if (!ln.leaf && (rn.leaf || ln.count >= rn.count)) {
-    for (std::uint32_t i = 0; i < ln.count; ++i) {
-      sync_traversal_rec(lt, rt, lt.node(ln.first + i), rn, sink);
-    }
-  } else {
-    for (std::uint32_t j = 0; j < rn.count; ++j) {
-      sync_traversal_rec(lt, rt, ln, rt.node(rn.first + j), sink);
-    }
-  }
-}
-
-}  // namespace detail
-
-/// Synchronized descent of two STR trees.
-template <typename Sink>
-void sync_traversal_join(const StrTree& left, const StrTree& right, Sink&& sink) {
-  if (left.empty() || right.empty()) return;
-  detail::sync_traversal_rec(left, right, left.root(), right.root(), sink);
-}
-
 /// Probes `right_index` (built over the right side) with every left entry,
 /// using the index's templated traversal so the probe callback inlines.
 template <typename Index, typename Sink>
@@ -228,12 +190,6 @@ void local_mbr_join(LocalJoinAlgorithm algo, const std::vector<IndexEntry>& left
   switch (algo) {
     case LocalJoinAlgorithm::kPlaneSweep:
       plane_sweep_join(left, right, scratch, sink);
-      return;
-    case LocalJoinAlgorithm::kSyncTraversal:
-      if (left.empty() || right.empty()) return;
-      scratch.left_tree.rebuild(left);
-      scratch.right_tree.rebuild(right);
-      sync_traversal_join(scratch.left_tree, scratch.right_tree, sink);
       return;
     case LocalJoinAlgorithm::kIndexedNestedLoop:
       if (left.empty() || right.empty()) return;

@@ -1,23 +1,24 @@
 // Bulk-loaded R-tree using Sort-Tile-Recursive packing.
 //
-// STR is the workhorse index of all three systems' local joins (and of the
-// broadcast partition index in the SpatialSpark analog): the entry set is
-// known up front, so packing beats dynamic insertion in both build time and
-// query quality. Nodes are stored in a flat array with contiguous children,
-// so traversal is pointer-chase-free — important because local joins probe
-// the tree millions of times.
+// STR is SpatialSpark's local-join index (per partition pair, and over the
+// whole right side in its broadcast plan) and the resident catalog's lookup
+// index: the entry set is known up front, so packing beats dynamic
+// insertion in both build time and query quality. Nodes are stored in a
+// flat array with contiguous children, so traversal is pointer-chase-free —
+// important because local joins probe the tree millions of times.
 //
 // Queries go through the templated for_each_intersecting (callback inlined
 // into the traversal, for the hot local-join kernels) or query_ids.
 // rebuild() re-packs the tree in place, reusing entry/node storage, so a
 // task processing many partition pairs pays zero allocations once warm.
 //
-// Alongside the AoS nodes/entries (kept for the synchronized traversal),
-// build() mirrors every envelope into flat structure-of-arrays coordinate
-// vectors. for_each_intersecting scans those with branchless compaction —
-// candidate indices are written unconditionally and the write cursor
-// advances by the comparison result — which keeps the probe loops free of
-// unpredictable branches and lets them vectorize.
+// Alongside the AoS nodes/entries (kept for the best-first k-NN search in
+// nearest.hpp, which walks the tree node by node), build() mirrors every
+// envelope into flat structure-of-arrays coordinate vectors.
+// for_each_intersecting scans those with branchless compaction — candidate
+// indices are written unconditionally and the write cursor advances by the
+// comparison result — which keeps the probe loops free of unpredictable
+// branches and lets them vectorize.
 #pragma once
 
 #include <algorithm>
@@ -58,7 +59,7 @@ class StrTree {
   /// Tree height (0 for an empty tree, 1 for a single leaf level).
   std::uint32_t height() const { return height_; }
 
-  // --- Introspection for the synchronized-traversal join -------------------
+  // --- Introspection for the best-first k-NN search (nearest.hpp) ----------
 
   struct Node {
     geom::Envelope env;

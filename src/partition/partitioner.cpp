@@ -13,8 +13,6 @@ const char* partitioner_kind_name(PartitionerKind kind) {
   switch (kind) {
     case PartitionerKind::kFixedGrid: return "fixed-grid";
     case PartitionerKind::kStr: return "str";
-    case PartitionerKind::kBsp: return "bsp";
-    case PartitionerKind::kQuadtree: return "quadtree";
   }
   return "?";
 }
@@ -289,126 +287,6 @@ PartitionScheme make_str_partitions(const std::vector<geom::Envelope>& sample,
   return PartitionScheme(std::move(cells), extent, PartitionScheme::TilesExtent{});
 }
 
-namespace {
-
-struct BspBox {
-  geom::Envelope box;
-  std::vector<std::uint32_t> samples;  // indices into the sample vector
-};
-
-}  // namespace
-
-PartitionScheme make_bsp_partitions(const std::vector<geom::Envelope>& sample,
-                                    const geom::Envelope& extent,
-                                    std::uint32_t target_cells) {
-  require(target_cells >= 1, "make_bsp_partitions: target_cells must be >= 1");
-  if (sample.empty()) return make_fixed_grid(extent, 1, 1);
-
-  const std::size_t leaf_cap = std::max<std::size_t>(
-      1, (sample.size() + target_cells - 1) / target_cells);
-
-  std::vector<std::uint32_t> all(sample.size());
-  for (std::uint32_t i = 0; i < sample.size(); ++i) all[i] = i;
-
-  std::vector<BspBox> work{{extent, std::move(all)}};
-  std::vector<geom::Envelope> cells;
-  while (!work.empty()) {
-    BspBox current = std::move(work.back());
-    work.pop_back();
-    if (current.samples.size() <= leaf_cap) {
-      cells.push_back(current.box);
-      continue;
-    }
-    // Split the longer axis at the median sample center.
-    const bool split_x = current.box.width() >= current.box.height();
-    const auto center = [&](std::uint32_t idx) {
-      return split_x ? sample[idx].center_x() : sample[idx].center_y();
-    };
-    auto mid = current.samples.begin() +
-               static_cast<std::ptrdiff_t>(current.samples.size() / 2);
-    std::nth_element(current.samples.begin(), mid, current.samples.end(),
-                     [&](std::uint32_t a, std::uint32_t b) { return center(a) < center(b); });
-    const double cut = center(*mid);
-
-    BspBox lo;
-    BspBox hi;
-    if (split_x) {
-      lo.box = geom::Envelope(current.box.min_x(), current.box.min_y(), cut,
-                              current.box.max_y());
-      hi.box = geom::Envelope(cut, current.box.min_y(), current.box.max_x(),
-                              current.box.max_y());
-    } else {
-      lo.box = geom::Envelope(current.box.min_x(), current.box.min_y(),
-                              current.box.max_x(), cut);
-      hi.box = geom::Envelope(current.box.min_x(), cut, current.box.max_x(),
-                              current.box.max_y());
-    }
-    for (const auto idx : current.samples) {
-      (center(idx) < cut ? lo.samples : hi.samples).push_back(idx);
-    }
-    // Degenerate cut (all centers equal): stop splitting this box.
-    if (lo.samples.empty() || hi.samples.empty()) {
-      cells.push_back(current.box);
-      continue;
-    }
-    work.push_back(std::move(lo));
-    work.push_back(std::move(hi));
-  }
-  // Each split's two halves share the cut, so together they cover the box.
-  return PartitionScheme(std::move(cells), extent, PartitionScheme::TilesExtent{});
-}
-
-namespace {
-
-struct QuadBox {
-  geom::Envelope box;
-  std::vector<std::uint32_t> samples;
-  std::uint32_t depth = 0;
-};
-
-}  // namespace
-
-PartitionScheme make_quadtree_partitions(const std::vector<geom::Envelope>& sample,
-                                         const geom::Envelope& extent,
-                                         std::uint32_t target_cells) {
-  require(target_cells >= 1, "make_quadtree_partitions: target_cells must be >= 1");
-  if (sample.empty()) return make_fixed_grid(extent, 1, 1);
-
-  const std::size_t leaf_cap = std::max<std::size_t>(
-      1, (sample.size() + target_cells - 1) / target_cells);
-  constexpr std::uint32_t kMaxDepth = 12;
-
-  std::vector<std::uint32_t> all(sample.size());
-  for (std::uint32_t i = 0; i < sample.size(); ++i) all[i] = i;
-
-  std::vector<QuadBox> work{{extent, std::move(all), 0}};
-  std::vector<geom::Envelope> cells;
-  while (!work.empty()) {
-    QuadBox current = std::move(work.back());
-    work.pop_back();
-    if (current.samples.size() <= leaf_cap || current.depth >= kMaxDepth) {
-      cells.push_back(current.box);
-      continue;
-    }
-    const double cx = current.box.center_x();
-    const double cy = current.box.center_y();
-    QuadBox quads[4] = {
-        {{current.box.min_x(), current.box.min_y(), cx, cy}, {}, current.depth + 1},
-        {{cx, current.box.min_y(), current.box.max_x(), cy}, {}, current.depth + 1},
-        {{current.box.min_x(), cy, cx, current.box.max_y()}, {}, current.depth + 1},
-        {{cx, cy, current.box.max_x(), current.box.max_y()}, {}, current.depth + 1},
-    };
-    for (const auto idx : current.samples) {
-      const double x = sample[idx].center_x();
-      const double y = sample[idx].center_y();
-      const int q = (x >= cx ? 1 : 0) + (y >= cy ? 2 : 0);
-      quads[q].samples.push_back(idx);
-    }
-    for (auto& q : quads) work.push_back(std::move(q));
-  }
-  return PartitionScheme(std::move(cells), extent, PartitionScheme::TilesExtent{});
-}
-
 PartitionScheme make_partitions(PartitionerKind kind,
                                 const std::vector<geom::Envelope>& sample,
                                 const geom::Envelope& extent,
@@ -421,10 +299,6 @@ PartitionScheme make_partitions(PartitionerKind kind,
     }
     case PartitionerKind::kStr:
       return make_str_partitions(sample, extent, target_cells);
-    case PartitionerKind::kBsp:
-      return make_bsp_partitions(sample, extent, target_cells);
-    case PartitionerKind::kQuadtree:
-      return make_quadtree_partitions(sample, extent, target_cells);
   }
   throw InvalidArgument("make_partitions: unknown partitioner kind");
 }

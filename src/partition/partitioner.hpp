@@ -2,16 +2,15 @@
 //
 // The preprocessing stage of every system (Section II.A) boils down to:
 // sample the input, derive a set of partition cells from the sample, then
-// assign every data item to the cell(s) its MBR intersects. Three cell
-// derivation strategies are provided, mirroring the SATO/SpatialHadoop
-// partitioning families the paper references:
+// assign every data item to the cell(s) its MBR intersects. Two cell
+// derivation strategies are provided, the two SpatialHadoop partitioning
+// families the drivers use:
 //
 //  * FixedGrid  — uniform cols x rows tiling of the extent (SpatialHadoop's
-//                 default grid index);
+//                 default grid index; the skew study's baseline);
 //  * Str        — Sort-Tile-Recursive tiles of the sample (balanced counts
-//                 under skew; SpatialHadoop's STR mode);
-//  * Bsp        — recursive median binary splits (SATO-style, exact tiling
-//                 of the extent with balanced sample counts).
+//                 under skew; SpatialHadoop's STR mode and every driver's
+//                 default).
 //
 // A PartitionScheme assigns an item to *every* cell its MBR intersects
 // (multi-assignment duplication, deduplicated after the join), which is the
@@ -27,10 +26,8 @@
 namespace sjc::partition {
 
 enum class PartitionerKind {
-  kFixedGrid = 0,
-  kStr = 1,
-  kBsp = 2,
-  kQuadtree = 3,
+  kFixedGrid,
+  kStr,
 };
 
 const char* partitioner_kind_name(PartitionerKind kind);
@@ -129,7 +126,7 @@ class PartitionScheme {
   bool tiles_extent_ = false;        // is_canonical's outside reject
 };
 
-// Every factory below tiles its extent: each axis' cell boundaries run from
+// Both factories below tile their extent: each axis' cell boundaries run from
 // the extent's min to its max, so every point of the extent lies in a cell.
 
 /// Uniform cols x rows tiling of `extent`.
@@ -141,20 +138,6 @@ PartitionScheme make_fixed_grid(const geom::Envelope& extent, std::uint32_t cols
 PartitionScheme make_str_partitions(const std::vector<geom::Envelope>& sample,
                                     const geom::Envelope& extent,
                                     std::uint32_t target_cells);
-
-/// Recursive median splits of `sample` centers until each leaf holds at most
-/// ceil(sample/target_cells) samples; leaves tile `extent` exactly.
-PartitionScheme make_bsp_partitions(const std::vector<geom::Envelope>& sample,
-                                    const geom::Envelope& extent,
-                                    std::uint32_t target_cells);
-
-/// Quadtree leaves over `sample` centers (SpatialHadoop/SATO's quadtree
-/// mode): quadrants split while they hold more than sample/target_cells
-/// samples; the leaf quadrants tile `extent` exactly but cell counts run
-/// in powers of four.
-PartitionScheme make_quadtree_partitions(const std::vector<geom::Envelope>& sample,
-                                         const geom::Envelope& extent,
-                                         std::uint32_t target_cells);
 
 /// Dispatch over `kind` with a uniform interface.
 PartitionScheme make_partitions(PartitionerKind kind,

@@ -16,7 +16,7 @@ namespace sjc::plan {
 /// (LocationSpark's runtime hotspot splitting). A cell is flagged hot when
 /// its observed load exceeds hotspot_factor x the median load of non-empty
 /// cells AND the absolute floor; flagged cells are split (quad-split for
-/// grid schemes, longest-axis node-split for STR/BSP schemes) and their
+/// the fixed grid, longest-axis node-split for STR) and their
 /// shuffle buckets re-routed before the local-join phase.
 struct SkewPolicy {
   /// Load multiple of the median that marks a cell as a hotspot.

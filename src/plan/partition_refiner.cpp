@@ -14,9 +14,7 @@ std::vector<geom::Envelope> PartitionRefiner::split_cell(
   const bool split_y = my > cell.min_y() && my < cell.max_y();
   if (!split_x && !split_y) return {cell};
 
-  const bool grid_family = kind == partition::PartitionerKind::kFixedGrid ||
-                           kind == partition::PartitionerKind::kQuadtree;
-  if (grid_family && split_x && split_y) {
+  if (kind == partition::PartitionerKind::kFixedGrid && split_x && split_y) {
     // Quad-split at the midpoint, quadrant order SW, SE, NW, NE.
     return {
         {cell.min_x(), cell.min_y(), mx, my},
@@ -25,8 +23,8 @@ std::vector<geom::Envelope> PartitionRefiner::split_cell(
         {mx, my, cell.max_x(), cell.max_y()},
     };
   }
-  // Node-split for the tree-family schemes (and the degenerate-axis grid
-  // case): halve the longer splittable axis.
+  // Node-split for STR (and the degenerate-axis grid case): halve the
+  // longer splittable axis.
   const bool along_x =
       split_x && (!split_y || cell.width() >= cell.height());
   if (along_x) {

@@ -4,10 +4,9 @@
 // record assignment: a load probe counts per-cell record/byte load under
 // the candidate scheme, the SkewMonitor flags hotspots, and each flagged
 // cell is replaced by its children — a quad-split at the cell midpoint for
-// the grid-family schemes (FixedGrid, Quadtree) or a longest-axis binary
-// node-split for the tree-family schemes (STR, BSP). Children tile the
-// parent exactly, so the refined cell set covers the extent whenever the
-// input did.
+// the fixed grid or a longest-axis binary node-split for STR. Children tile
+// the parent exactly, so the refined cell set covers the extent whenever
+// the input did.
 //
 // Split soundness (why survivor pair sets are bit-identical, DESIGN.md §7):
 // a record is assigned to every cell its expanded envelope intersects, and
@@ -18,7 +17,7 @@
 // never gaining or losing coverage. Both members of a true pair intersect
 // their reference point, hence are both assigned to whichever cell contains
 // it, and the pair is tested (and accepted exactly once) there — the same
-// argument that already carries pair-set identity across the four base
+// argument that already carries pair-set identity across the base
 // partitioners. The accept filter runs before refinement in run_local_join,
 // so refine.* counters (accept-deduped candidates) are scheme-independent
 // and stay bit-identical too.
@@ -68,8 +67,8 @@ class PartitionRefiner {
   RefineResult refine(const partition::PartitionScheme& scheme,
                       const LoadProbe& probe) const;
 
-  /// Children of one cell: quadrants at the midpoint for grid schemes,
-  /// longest-axis halves for STR/BSP. Degenerate axes are not split; a cell
+  /// Children of one cell: quadrants at the midpoint for the fixed grid,
+  /// longest-axis halves for STR. Degenerate axes are not split; a cell
   /// degenerate on both axes returns itself unchanged.
   static std::vector<geom::Envelope> split_cell(const geom::Envelope& cell,
                                                 partition::PartitionerKind kind);

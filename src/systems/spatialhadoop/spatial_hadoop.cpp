@@ -381,10 +381,11 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   // ---- Local join: map-only job, one task per partition pair ---------------
   // Overlap-duplicated B-side geometries are bound once in the stage's
   // prepared-geometry cache and shared across partition pairs and tasks.
-  // Plane-sweep is the paper's SpatialHadoop configuration (it also names
-  // synchronized R-tree traversal). It sweeps the two blocks' packed
-  // indexes, sorted by the partition reducers with this query's expansion
-  // (a resident query checks it against the build's).
+  // Plane-sweep is the paper's SpatialHadoop configuration; the paper also
+  // names a synchronized R-tree traversal, which this model does not run.
+  // It sweeps the two blocks' packed indexes, sorted by the partition
+  // reducers with this query's expansion (a resident query checks it
+  // against the build's).
   core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kPlaneSweep, config.engine,
                              ctx.counters, shared_cache);
   const auto join_map = [&](const JoinSplit& split, std::vector<JoinPair>& out_pairs) {

@@ -161,7 +161,7 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
   // must agree for every partitioner geometry, and min_assigned() must equal
   // the reference minimum — including on fallback queries. For every point
   // query and every cell, is_canonical() must equal "the reference minimum
-  // is that cell", points outside the extent included: on the four
+  // is that cell", points outside the extent included: on both
   // partitioners and a skew refinement of one, which tile their extent (so
   // the outside reject is on) and whose interior accept is on, and on three
   // hand-built schemes where both must stay off (one with overlapping
@@ -180,8 +180,7 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
   }
   std::vector<std::pair<std::string, partition::PartitionScheme>> schemes;
   for (const auto kind :
-       {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr,
-        partition::PartitionerKind::kBsp, partition::PartitionerKind::kQuadtree}) {
+       {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr}) {
     schemes.emplace_back(partition::partitioner_kind_name(kind),
                          partition::make_partitions(kind, sample, extent, 37));
   }

@@ -118,8 +118,7 @@ TEST(LocalJoin, AllAlgorithmsProduceIdenticalPairs) {
   }
   std::vector<std::vector<JoinPair>> results;
   for (const auto algo :
-       {index::LocalJoinAlgorithm::kPlaneSweep, index::LocalJoinAlgorithm::kSyncTraversal,
-        index::LocalJoinAlgorithm::kIndexedNestedLoop,
+       {index::LocalJoinAlgorithm::kPlaneSweep, index::LocalJoinAlgorithm::kIndexedNestedLoop,
         index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic}) {
     LocalJoinSpec spec;
     spec.algorithm = algo;
@@ -159,7 +158,6 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
     std::vector<std::vector<JoinPair>> results;
     for (const auto algo :
          {index::LocalJoinAlgorithm::kPlaneSweep,
-          index::LocalJoinAlgorithm::kSyncTraversal,
           index::LocalJoinAlgorithm::kIndexedNestedLoop,
           index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic}) {
       LocalJoinSpec spec;
@@ -323,7 +321,7 @@ std::size_t expect_packed_join_matches(const std::vector<geom::Feature>& left,
   spec.within_distance = within_distance;
   const double expand = spec.envelope_expansion();
   const PackedSide a = pack_side(left, partition::PartitionerKind::kStr, expand);
-  const PackedSide b = pack_side(right, partition::PartitionerKind::kBsp, expand);
+  const PackedSide b = pack_side(right, partition::PartitionerKind::kFixedGrid, expand);
 
   struct Path {
     geom::PreparedCache cache;

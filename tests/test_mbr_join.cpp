@@ -52,7 +52,6 @@ std::vector<IndexEntry> random_entries(Rng& rng, std::size_t n, double extent,
 
 const LocalJoinAlgorithm kAllAlgorithms[] = {
     LocalJoinAlgorithm::kPlaneSweep,
-    LocalJoinAlgorithm::kSyncTraversal,
     LocalJoinAlgorithm::kIndexedNestedLoop,
     LocalJoinAlgorithm::kIndexedNestedLoopDynamic,
 };
@@ -147,21 +146,8 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, MbrJoinTest,
 TEST(MbrJoin, AlgorithmNamesAreStable) {
   EXPECT_STREQ(local_join_algorithm_name(LocalJoinAlgorithm::kPlaneSweep),
                "plane-sweep");
-  EXPECT_STREQ(local_join_algorithm_name(LocalJoinAlgorithm::kSyncTraversal),
-               "sync-rtree-traversal");
-}
-
-TEST(MbrJoin, SyncTraversalDirectApi) {
-  Rng rng(12);
-  const auto left = random_entries(rng, 50, 20, 2);
-  const auto right = random_entries(rng, 50, 20, 2);
-  const StrTree lt(left);
-  const StrTree rt(right);
-  PairSet got;
-  sync_traversal_join(lt, rt, [&](std::uint32_t l, std::uint32_t r) {
-    got.insert({l, r});
-  });
-  EXPECT_EQ(got, nested_loop_pairs(left, right));
+  EXPECT_STREQ(local_join_algorithm_name(LocalJoinAlgorithm::kIndexedNestedLoop),
+               "indexed-nested-loop");
 }
 
 }  // namespace

@@ -86,8 +86,7 @@ TEST_P(PartitionerTest, EmptySampleFallsBackToSingleCell) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PartitionerTest,
                          ::testing::Values(PartitionerKind::kFixedGrid,
-                                           PartitionerKind::kStr,
-                                           PartitionerKind::kBsp),
+                                           PartitionerKind::kStr),
                          [](const auto& info) {
                            std::string n = partitioner_kind_name(info.param);
                            for (auto& c : n) {
@@ -124,9 +123,7 @@ TEST(Partitioner, AdaptiveBeatsFixedGridUnderSkew) {
   };
   const double grid_skew = skew_of(PartitionerKind::kFixedGrid);
   const double str_skew = skew_of(PartitionerKind::kStr);
-  const double bsp_skew = skew_of(PartitionerKind::kBsp);
   EXPECT_LT(str_skew, grid_skew / 2.0);
-  EXPECT_LT(bsp_skew, grid_skew / 2.0);
 }
 
 TEST(PartitionScheme, RejectsEmptyCellList) {

@@ -154,7 +154,7 @@ TEST(PartitionRefiner, SplitCellTilesParent) {
       plan::PartitionRefiner::split_cell(cell, partition::PartitionerKind::kStr);
   ASSERT_EQ(halves.size(), 2u);
   expect_tiles_parent(cell, halves, "str-halves");
-  // STR/BSP node-split halves the longer axis (x here: 20 wide vs 8 tall).
+  // STR's node-split halves the longer axis (x here: 20 wide vs 8 tall).
   EXPECT_DOUBLE_EQ(halves[0].max_x(), 20.0);
   EXPECT_DOUBLE_EQ(halves[1].min_x(), 20.0);
 
@@ -168,7 +168,7 @@ TEST(PartitionRefiner, SplitCellTilesParent) {
   // A point cell cannot split at all.
   const geom::Envelope point(1.0, 1.0, 1.0, 1.0);
   EXPECT_EQ(plan::PartitionRefiner::split_cell(point,
-                                               partition::PartitionerKind::kQuadtree)
+                                               partition::PartitionerKind::kFixedGrid)
                 .size(),
             1u);
 }

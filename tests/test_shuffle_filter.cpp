@@ -148,8 +148,7 @@ TEST(ShuffleFilter, FilteredAssignDropsOnlyProvableNegatives) {
   std::vector<geom::Envelope> sample;
   for (int i = 0; i < 400; ++i) sample.push_back(random_env(rng, 0, 970, 30));
   for (const auto kind :
-       {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr,
-        partition::PartitionerKind::kBsp, partition::PartitionerKind::kQuadtree}) {
+       {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr}) {
     const auto scheme = partition::make_partitions(kind, sample, extent, 29);
     const std::string tag = partition::partitioner_kind_name(kind);
     // "Right side": clustered in the lower-left quadrant, marked exactly the
@@ -385,9 +384,7 @@ TEST(ShuffleFilter, SystemsBitIdenticalSurvivorPairs) {
   };
   for (const Bench& bench : benches) {
     for (const auto kind :
-         {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr,
-          partition::PartitionerKind::kBsp,
-          partition::PartitionerKind::kQuadtree}) {
+         {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr}) {
       core::JoinQueryConfig query = bench.query;
       query.partitioner = kind;
       const std::string base =

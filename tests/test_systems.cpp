@@ -130,12 +130,6 @@ std::vector<AgreementCase> agreement_cases() {
   }
   {
     AgreementCase c;
-    c.name = "bsp_partitioner";
-    c.query.partitioner = partition::PartitionerKind::kBsp;
-    cases.push_back(c);
-  }
-  {
-    AgreementCase c;
     c.name = "few_partitions";
     c.query.target_partitions = 5;
     cases.push_back(c);
