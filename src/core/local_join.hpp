@@ -8,9 +8,12 @@
 // candidate generation MBR-joins the two feature lists and runs the accept
 // filter on each candidate; refine_candidates groups the candidates by the
 // right-side feature and refines each group against it. Candidates come
-// either from a per-task index (SpatialSpark's and HadoopGIS's trees, built
-// over the pair's envelopes on every call) or from two SweepLists sorted
-// ahead of time (SpatialHadoop's packed blocks). The Prepared (JTS-analog)
+// from one of three sources: a per-task index (SpatialSpark's and
+// HadoopGIS's trees, built over the pair's envelopes on every call), two
+// SweepLists sorted ahead of time (SpatialHadoop's packed blocks), or one
+// STR tree over the whole right side that each left partition probes
+// (SpatialSpark's broadcast plan, which needs no accept filter because it
+// meets each pair once). The Prepared (JTS-analog)
 // engine prepares the feature once as a geom::BatchRefiner; the Simple
 // (GEOS-analog) engine calls predicates.hpp's naive functions per
 // candidate, the feature first.
@@ -159,14 +162,6 @@ struct AcceptAllPairs {
 /// for duplicate avoidance (identical in every partition pair where the two
 /// features meet).
 geom::Coord reference_point(const geom::Envelope& a, const geom::Envelope& b);
-
-/// One-shot exact predicate evaluation (the broadcast join's refinement).
-/// `intersects` anchors on `left`, `within` on `right`; the Prepared engine
-/// builds a BatchRefiner for an anchor of at least 32 coordinates and
-/// calls the naive function otherwise. `within_distance` is always naive.
-bool evaluate_predicate(geom::EngineKind engine, JoinPredicate predicate,
-                        double within_distance, const geom::Geometry& left,
-                        const geom::Geometry& right);
 
 /// The shared refinement step: groups `scratch.candidates` by right id and
 /// refines each group against the right feature, appending hits to `out` in
@@ -364,6 +359,30 @@ void run_local_join(const LeftSeq& left, const index::SweepList& left_index,
           candidates.emplace_back(right_index.ids[k], left_index.ids[i]);
         }
       });
+  refine_candidates(left, right, spec, scratch, out);
+}
+
+/// The broadcast join: probes `right_index`, an STR tree over the right
+/// side's expanded envelopes (spec.envelope_expansion()) whose ids are
+/// positions in `right`, with each left feature's expanded envelope, and
+/// refines every candidate. The broadcast plan meets each pair once, so no
+/// accept filter runs. Pass the tree as a const reference: a mutable one
+/// binds the accept overload's forwarding reference in LocalJoinStage::run.
+template <typename LeftSeq, typename RightSeq>
+void run_local_join(const LeftSeq& left, const RightSeq& right,
+                    const index::StrTree& right_index, const LocalJoinSpec& spec,
+                    LocalJoinScratch& scratch, std::vector<JoinPair>& out) {
+  require(spec.engine != geom::EngineKind::kPrepared || spec.prepared_cache != nullptr,
+          "run_local_join: the Prepared engine needs a PreparedCache");
+  if (left.empty() || right.empty()) return;
+  const double expand = spec.envelope_expansion();
+  auto& candidates = scratch.candidates;
+  candidates.clear();
+  for (std::uint32_t l = 0; l < left.size(); ++l) {
+    right_index.for_each_intersecting(
+        left[l].geometry.envelope().expanded_by(expand),
+        [&candidates, l](std::uint32_t r) { candidates.emplace_back(r, l); });
+  }
   refine_candidates(left, right, spec, scratch, out);
 }
 

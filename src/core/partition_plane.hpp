@@ -433,6 +433,15 @@ class LocalJoinStage {
     run_local_join(left, left_index, right, right_index, spec_, accept, *scratch, out);
   }
 
+  /// Joins one left partition with the broadcast right side through its
+  /// STR index over expanded envelopes (the broadcast run_local_join).
+  template <typename LeftSeq, typename RightSeq>
+  void run(const LeftSeq& left, const RightSeq& right, const index::StrTree& right_index,
+           std::vector<JoinPair>& out) {
+    auto scratch = scratch_pool_.acquire();
+    run_local_join(left, right, right_index, spec_, *scratch, out);
+  }
+
   /// Adds join.prepared_cache_{hits,misses}: this run's delta, since a
   /// shared cache carries the history of earlier queries.
   void record_cache_counters(cluster::Counters& counters) const;

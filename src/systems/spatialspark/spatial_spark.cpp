@@ -502,11 +502,15 @@ void run_partitioned_join(SparkInputs& in, const core::JoinQueryConfig& query,
 
 /// The broadcast-based plan (the paper's earlier design, left for
 /// future-work comparison): the entire right side plus its STR index is
-/// broadcast and the left side probes it directly — no shuffle at all, but
-/// memory cost scales with |right| x nodes. The sampled scheme is broadcast
-/// too, exactly as the shared prefix produced it.
+/// broadcast and each left partition probes it directly — no shuffle at
+/// all, but memory cost scales with |right| x nodes. The tree indexes the
+/// right side's expanded envelopes, and each partition's candidates are
+/// refined by the stage's shared step, so the plan tests the partitioned
+/// plan's candidates and counts refine.* and join.prepared_cache_* alike.
+/// The sampled scheme is broadcast too, exactly as the shared prefix
+/// produced it.
 void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
-                        rdd::SparkRuntime& rt, const core::LocalJoinSpec& local_spec,
+                        rdd::SparkRuntime& rt, core::LocalJoinStage& stage,
                         core::RunReport& report) {
   const std::uint64_t scheme_bytes = in.scheme.size_bytes() * 2;  // cells + index
   const rdd::Broadcast<partition::PartitionScheme> scheme_bc(rt, std::move(in.scheme),
@@ -514,43 +518,33 @@ void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
 
   struct RightIndex {
     std::vector<FeatureRef> features;
-    std::unique_ptr<index::StrTree> tree;
+    index::StrTree tree;
   };
   CpuStopwatch build_cpu;
   auto right_all = in.right.collect();
+  const double expand = stage.spec().envelope_expansion();
   std::vector<index::IndexEntry> entries;
   entries.reserve(right_all.size());
   for (std::uint32_t i = 0; i < right_all.size(); ++i) {
-    entries.push_back({right_all[i].get().geometry.envelope(), i});
+    entries.push_back({right_all[i].get().geometry.envelope().expanded_by(expand), i});
   }
-  RightIndex rindex{std::move(right_all),
-                    std::make_unique<index::StrTree>(std::move(entries))};
+  RightIndex rindex{std::move(right_all), index::StrTree(std::move(entries))};
   rt.record_narrow_stage("driver.build-right-index", {build_cpu.seconds()});
-  std::uint64_t rindex_bytes = rindex.tree->size_bytes();
+  std::uint64_t rindex_bytes = rindex.tree.size_bytes();
   for (const auto& r : rindex.features) {
     rindex_bytes += r.get().geometry.size_bytes() + kRecordOverheadBytes;
   }
   const rdd::Broadcast<RightIndex> right_bc(rt, std::move(rindex), rindex_bytes,
                                             "right-index");
 
-  auto pairs_rdd = in.left.flat_map<JoinPair>(
+  auto pairs_rdd = in.left.map_partitions_indexed<JoinPair>(
       "broadcast-join",
-      [&](const FeatureRef& ref, std::vector<JoinPair>& out) {
-        const Feature& f = ref.get();
+      [&](std::size_t, const std::vector<FeatureRef>& part, std::vector<JoinPair>& out) {
         const RightIndex& ri = right_bc.value();
-        std::vector<std::uint32_t> candidates = ri.tree->query_ids(
-            f.geometry.envelope().expanded_by(local_spec.within_distance));
-        std::sort(candidates.begin(), candidates.end());
-        for (const auto rid : candidates) {
-          const Feature& rf = ri.features[rid].get();
-          if (core::evaluate_predicate(local_spec.engine, local_spec.predicate,
-                                       local_spec.within_distance, f.geometry,
-                                       rf.geometry)) {
-            out.push_back({f.id, rf.id});
-          }
-        }
+        stage.run(core::FeatureRefSpan(part), core::FeatureRefSpan(ri.features), ri.tree, out);
       },
       make_pair_sizer());
+  stage.record_cache_counters(report.counters);
   record_result(rt, exec, pairs_rdd, "broadcast-join.aggregate", report);
 }
 
@@ -623,7 +617,7 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
       broadcast = decision.chosen == plan::PlanKind::kBroadcastJoin;
     }
     if (broadcast) {
-      run_broadcast_join(in, exec, *rt, stage.spec(), report);
+      run_broadcast_join(in, exec, *rt, stage, report);
     } else {
       run_partitioned_join(in, query, exec, plane, *rt, stage, parallelism,
                            std::move(filter), report, capture);

@@ -49,21 +49,6 @@ TEST(ReferencePoint, TopLeftOfIntersection) {
   EXPECT_EQ(q.y, p.y);
 }
 
-TEST(EvaluatePredicate, AllThreePredicates) {
-  const auto engine = geom::EngineKind::kPrepared;
-  const geom::Geometry poly =
-      geom::Geometry::polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}});
-  const geom::Geometry inside = geom::Geometry::point(2, 2);
-  const geom::Geometry outside = geom::Geometry::point(7, 2);
-  EXPECT_TRUE(evaluate_predicate(engine, JoinPredicate::kIntersects, 0, inside, poly));
-  EXPECT_TRUE(evaluate_predicate(engine, JoinPredicate::kWithin, 0, inside, poly));
-  EXPECT_FALSE(evaluate_predicate(engine, JoinPredicate::kWithin, 0, outside, poly));
-  EXPECT_TRUE(
-      evaluate_predicate(engine, JoinPredicate::kWithinDistance, 3.0, outside, poly));
-  EXPECT_FALSE(
-      evaluate_predicate(engine, JoinPredicate::kWithinDistance, 2.0, outside, poly));
-}
-
 TEST(LocalJoin, EmptySidesProduceNothing) {
   LocalJoinSpec spec;
   EXPECT_TRUE(local_join({}, {}, spec).empty());
@@ -426,6 +411,69 @@ TEST(PackedBlockJoin, WithinDistanceMatchesPerTaskPath) {
     EXPECT_GT(expect_packed_join_matches(edges.features(), water.features(),
                                          JoinPredicate::kWithinDistance, 200.0, engine),
               0u);
+  }
+}
+
+// The broadcast overload probes one STR tree over the right side's expanded
+// envelopes with each left envelope: the per-task indexed nested loop's
+// candidates in its order, so the same pairs, counters and cache lookups.
+TEST(LocalJoin, BroadcastProbeMatchesIndexedNestedLoop) {
+  Rng rng(29);
+  std::vector<geom::Feature> left;
+  std::vector<geom::Feature> right;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const double x = rng.uniform(0, 40);
+    const double y = rng.uniform(0, 40);
+    if (i % 2 == 0) {
+      left.push_back({i, geom::Geometry::point(x, y)});
+    } else {
+      left.push_back({i, geom::Geometry::line_string({{x, y}, {x + 2, y + 1}})});
+    }
+    const double u = rng.uniform(0, 37);
+    const double v = rng.uniform(0, 37);
+    right.push_back({1000 + i, geom::Geometry::polygon({{u, v}, {u + 3, v}, {u + 3, v + 3},
+                                                         {u, v + 3}, {u, v}})});
+  }
+  const std::span<const geom::Feature> lv(left);
+  const std::span<const geom::Feature> rv(right);
+  for (const auto engine : {geom::EngineKind::kPrepared, geom::EngineKind::kSimple}) {
+    for (const auto predicate : {JoinPredicate::kIntersects, JoinPredicate::kWithin,
+                                 JoinPredicate::kWithinDistance}) {
+      LocalJoinSpec spec;
+      spec.algorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
+      spec.engine = engine;
+      spec.predicate = predicate;
+      spec.within_distance = predicate == JoinPredicate::kWithinDistance ? 1.5 : 0.0;
+      std::vector<index::IndexEntry> entries;
+      for (std::uint32_t i = 0; i < right.size(); ++i) {
+        entries.push_back({right[i].geometry.envelope().expanded_by(spec.envelope_expansion()),
+                           i});
+      }
+      const index::StrTree tree(std::move(entries));
+      struct Path {
+        geom::PreparedCache cache;
+        cluster::Counters counters;
+        LocalJoinScratch scratch;
+        std::vector<JoinPair> pairs;
+      };
+      Path paths[2];  // per-task, broadcast
+      for (const int k : {0, 1}) {
+        LocalJoinSpec path_spec = spec;
+        path_spec.prepared_cache = &paths[k].cache;
+        path_spec.refine_counters = &paths[k].counters;
+        if (k == 0) {
+          run_local_join(lv, rv, path_spec, AcceptAllPairs{}, paths[k].scratch, paths[k].pairs);
+        } else {
+          run_local_join(lv, rv, tree, path_spec, paths[k].scratch, paths[k].pairs);
+        }
+      }
+      const std::string tag = "engine " + std::to_string(static_cast<int>(engine)) +
+                              " predicate " + std::to_string(static_cast<int>(predicate));
+      EXPECT_EQ(paths[1].pairs, paths[0].pairs) << tag;
+      EXPECT_GT(paths[1].pairs.size(), 0u) << tag;
+      EXPECT_EQ(paths[1].counters.snapshot(), paths[0].counters.snapshot()) << tag;
+      EXPECT_EQ(paths[1].cache.lookups(), paths[0].cache.lookups()) << tag;
+    }
   }
 }
 

@@ -180,19 +180,56 @@ TEST(Systems, SpatialHadoopResultIndependentOfCluster) {
 // Broadcast join variant agrees with the partition-based join.
 // ---------------------------------------------------------------------------
 
+/// Runs SpatialSpark with the broadcast plan forced and with the default
+/// partitioned plan, and expects the same pairs and the same refinement
+/// work: both plans refine each MBR candidate once through the shared
+/// refine step, so every refine.* counter and the refiners built
+/// (join.prepared_cache_misses) agree. Cache hits differ, because the
+/// broadcast plan groups candidates per left partition, not per cell pair.
+/// Returns the partitioned run.
+core::RunReport expect_broadcast_matches_partitioned(const workload::Dataset& left,
+                                                     const workload::Dataset& right,
+                                                     const core::JoinQueryConfig& query,
+                                                     const std::string& tag) {
+  const auto& w = Workbench::instance();
+  systems::SpatialSparkConfig broadcast_cfg;
+  broadcast_cfg.join_plan = plan::PlanKind::kBroadcastJoin;
+  const auto bc = systems::run_spatial_spark(left, right, query, w.exec, broadcast_cfg);
+  EXPECT_TRUE(bc.status.ok()) << tag << ": " << bc.status.to_string();
+  auto pt = systems::run_spatial_spark(left, right, query, w.exec);
+  EXPECT_TRUE(pt.status.ok()) << tag << ": " << pt.status.to_string();
+  EXPECT_EQ(sorted_pairs(bc), sorted_pairs(pt)) << tag;
+  EXPECT_GT(pt.result_count, 0u) << tag;
+  EXPECT_GT(pt.counters.get("refine.candidates"), 0u) << tag;
+  const auto broadcast_counters = bc.counters.snapshot();
+  for (const char* name :
+       {"refine.candidates", "refine.exact_tests", "refine.early_accepts",
+        "refine.early_rejects", "refine.exact_fastpath", "refine.exact_slowpath",
+        "join.prepared_cache_misses"}) {
+    EXPECT_TRUE(broadcast_counters.contains(name)) << tag << " " << name;
+    EXPECT_EQ(bc.counters.get(name), pt.counters.get(name)) << tag << " " << name;
+  }
+  return pt;
+}
+
 TEST(Systems, BroadcastJoinAgreesWithPartitionJoin) {
   const auto& w = Workbench::instance();
   core::JoinQueryConfig query;
   query.predicate = core::JoinPredicate::kWithin;
+  const core::RunReport pt =
+      expect_broadcast_matches_partitioned(w.points, w.polys, query, "taxi-nycb within");
+
+  core::JoinQueryConfig lines_query;
+  lines_query.predicate = core::JoinPredicate::kIntersects;
+  expect_broadcast_matches_partitioned(w.lines_a, w.lines_b, lines_query,
+                                       "edges-linearwater intersects");
+  lines_query.predicate = core::JoinPredicate::kWithinDistance;
+  lines_query.within_distance = 200.0;
+  expect_broadcast_matches_partitioned(w.lines_a, w.lines_b, lines_query,
+                                       "edges-linearwater within-distance");
 
   systems::SpatialSparkConfig broadcast_cfg;
   broadcast_cfg.join_plan = plan::PlanKind::kBroadcastJoin;
-  const auto bc = systems::run_spatial_spark(w.points, w.polys, query, w.exec,
-                                             broadcast_cfg);
-  ASSERT_TRUE(bc.status.ok()) << bc.status.to_string();
-  const auto pt = systems::run_spatial_spark(w.points, w.polys, query, w.exec);
-  ASSERT_TRUE(pt.status.ok()) << pt.status.to_string();
-  EXPECT_EQ(sorted_pairs(bc), sorted_pairs(pt));
 
   // Under virtual time the broadcast plan is deterministic: two runs give
   // bit-identical reports.
