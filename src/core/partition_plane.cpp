@@ -19,7 +19,7 @@ PartitionPlane::PartitionPlane(const JoinQueryConfig& query,
       skew_(policy.skew),
       expand_(envelope_expansion(query.predicate, query.within_distance)),
       filter_policy_(policy.shuffle_filter),
-      repartition_(policy.repartition.value_or(false)),
+      repartition_(policy.repartition),
       target_cells_(effective_target_partitions(query, cluster)) {}
 
 double PartitionPlane::sample_rate(std::size_t records) const {

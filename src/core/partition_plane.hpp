@@ -8,8 +8,8 @@
 //
 //  * the query's envelope expansion (d/2 for within-distance joins) and the
 //    check that a resident build used the same one;
-//  * the policy defaults (repartitioning off) and the shuffle-filter
-//    decision (forced by the policy, otherwise the plan's: FilterDecision);
+//  * the shuffle-filter decision (forced by the policy, otherwise the
+//    plan's: FilterDecision);
 //  * scheme derivation: target cells, sample rate, make_partitions;
 //  * the skew load probe and hotspot refinement (repartition.* counters);
 //  * the occupancy-filter build over one input;
@@ -176,7 +176,7 @@ class PartitionPlane {
   /// policy.shuffle_filter: set forces the filter on or off, unset lets the
   /// plan decide (decide_filter).
   const std::optional<bool>& filter_policy() const { return filter_policy_; }
-  /// policy.repartition, unset = off.
+  /// policy.repartition.
   bool repartition() const { return repartition_; }
   /// Sample rate for an input of `records` records.
   double sample_rate(std::size_t records) const;

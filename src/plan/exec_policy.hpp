@@ -2,9 +2,9 @@
 // drivers.
 //
 // Each system config embeds one, so a cross-cutting knob is declared once,
-// and core::PartitionPlane resolves the optionals (an unset shuffle filter is
-// the plan's decision, an unset repartition is off). Knobs only one system
-// reads live in that system's config (SpatialSparkConfig::join_plan).
+// and core::PartitionPlane resolves it (an unset shuffle filter is the
+// plan's decision). Knobs only one system reads live in that system's
+// config (SpatialSparkConfig::join_plan).
 #pragma once
 
 #include <cstdint>
@@ -44,9 +44,9 @@ struct ExecPolicy {
   /// scheme is derived from the sample, split hotspot cells, and shuffle
   /// against the refined scheme. Survivor pair sets and refine.* counters
   /// are bit-identical to the static scheme (tests/test_plan.cpp); the
-  /// shuffle.assigned == records + filtered invariant is preserved. Unset
-  /// resolves to off — the static partitioner stays the baseline.
-  std::optional<bool> repartition;
+  /// shuffle.assigned == records + filtered invariant is preserved. Off by
+  /// default: the static partitioner stays the baseline.
+  bool repartition = false;
   SkewPolicy skew;
 };
 

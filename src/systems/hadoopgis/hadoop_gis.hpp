@@ -55,9 +55,9 @@ struct HadoopGisConfig {
   ///    A-side mappers drop tile line copies that provably match no B
   ///    geometry before the line crosses the streaming pipe (sFilter
   ///    analog). Unset lets the plan decide (core::FilterDecision).
-  ///  - policy.repartition: probe per-tile load after the joint scheme is
-  ///    derived on the master and split hotspot tiles before the join job's
-  ///    mappers re-assign both datasets; unset resolves to off.
+  ///  - policy.repartition (off by default): probe per-tile load after the
+  ///    joint scheme is derived on the master and split hotspot tiles
+  ///    before the join job's mappers re-assign both datasets.
   plan::ExecPolicy policy;
 };
 

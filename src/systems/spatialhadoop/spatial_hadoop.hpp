@@ -50,9 +50,9 @@ struct SpatialHadoopConfig {
   ///    (left) record copies that provably match nothing in the target cell
   ///    before they are shuffled (sFilter analog). Unset lets the plan
   ///    decide (core::FilterDecision).
-  ///  - policy.repartition: probe per-cell load after the sample job derives
-  ///    a dataset's scheme and split hotspot cells on the master before the
-  ///    partition MR job writes blocks; unset resolves to off.
+  ///  - policy.repartition (off by default): probe per-cell load after the
+  ///    sample job derives a dataset's scheme and split hotspot cells on the
+  ///    master before the partition MR job writes blocks.
   plan::ExecPolicy policy;
 };
 

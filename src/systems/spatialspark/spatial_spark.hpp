@@ -59,9 +59,9 @@ struct SpatialSparkConfig {
   ///    analog) on both sides' assign stages of the partition-based join;
   ///    unset lets the plan decide (core::FilterDecision). The broadcast
   ///    join shuffles nothing, so it never filters.
-  ///  - policy.repartition: probe per-cell shuffle load right after the
-  ///    driver derives the scheme and quad-split hotspot cells before the
-  ///    scheme is broadcast; unset resolves to off.
+  ///  - policy.repartition (off by default): probe per-cell shuffle load
+  ///    right after the driver derives the scheme and split hotspot cells
+  ///    before the scheme is broadcast.
   plan::ExecPolicy policy;
 };
 
