@@ -366,8 +366,7 @@ void run_local_join(const LeftSeq& left, const index::SweepList& left_index,
 /// side's expanded envelopes (spec.envelope_expansion()) whose ids are
 /// positions in `right`, with each left feature's expanded envelope, and
 /// refines every candidate. The broadcast plan meets each pair once, so no
-/// accept filter runs. Pass the tree as a const reference: a mutable one
-/// binds the accept overload's forwarding reference in LocalJoinStage::run.
+/// accept filter runs.
 template <typename LeftSeq, typename RightSeq>
 void run_local_join(const LeftSeq& left, const RightSeq& right,
                     const index::StrTree& right_index, const LocalJoinSpec& spec,

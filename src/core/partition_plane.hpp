@@ -435,6 +435,8 @@ class LocalJoinStage {
 
   /// Joins one left partition with the broadcast right side through its
   /// STR index over expanded envelopes (the broadcast run_local_join).
+  /// Pass the tree as a const reference: a mutable one binds the accept
+  /// overload's forwarding reference instead.
   template <typename LeftSeq, typename RightSeq>
   void run(const LeftSeq& left, const RightSeq& right, const index::StrTree& right_index,
            std::vector<JoinPair>& out) {
