@@ -290,6 +290,14 @@ PackedSide pack_side(const std::vector<geom::Feature>& features,
   return side;
 }
 
+/// One way of running a join: its cache, counters, scratch and pairs.
+struct JoinPath {
+  geom::PreparedCache cache;
+  cluster::Counters counters;
+  LocalJoinScratch scratch;
+  std::vector<JoinPair> pairs;
+};
+
 /// Joins every intersecting (left cell, right cell) block pair both ways,
 /// with the reference-point accept, one scratch per path reused across the
 /// pairs, and one cache per path: the packed join must emit the per-task
@@ -308,13 +316,7 @@ std::size_t expect_packed_join_matches(const std::vector<geom::Feature>& left,
   const PackedSide a = pack_side(left, partition::PartitionerKind::kStr, expand);
   const PackedSide b = pack_side(right, partition::PartitionerKind::kFixedGrid, expand);
 
-  struct Path {
-    geom::PreparedCache cache;
-    cluster::Counters counters;
-    LocalJoinScratch scratch;
-    std::vector<JoinPair> pairs;
-  };
-  Path paths[2];  // per-task, packed
+  JoinPath paths[2];  // per-task, packed
   std::uint64_t rejected[2] = {0, 0};
   for (std::uint32_t pa = 0; pa < a.scheme.cell_count(); ++pa) {
     for (std::uint32_t pb = 0; pb < b.scheme.cell_count(); ++pb) {
@@ -328,7 +330,7 @@ std::size_t expect_packed_join_matches(const std::vector<geom::Feature>& left,
           rejected[k] += ok ? 0 : 1;
           return ok;
         };
-        Path& path = paths[k];
+        JoinPath& path = paths[k];
         LocalJoinSpec path_spec = spec;
         path_spec.prepared_cache = &path.cache;
         path_spec.refine_counters = &path.counters;
@@ -341,8 +343,8 @@ std::size_t expect_packed_join_matches(const std::vector<geom::Feature>& left,
       }
     }
   }
-  const Path& per_task = paths[0];
-  const Path& packed = paths[1];
+  const JoinPath& per_task = paths[0];
+  const JoinPath& packed = paths[1];
   EXPECT_EQ(packed.pairs, per_task.pairs);
   EXPECT_EQ(packed.counters.snapshot(), per_task.counters.snapshot());
   EXPECT_EQ(packed.cache.hits(), per_task.cache.hits());
@@ -450,13 +452,7 @@ TEST(LocalJoin, BroadcastProbeMatchesIndexedNestedLoop) {
                            i});
       }
       const index::StrTree tree(std::move(entries));
-      struct Path {
-        geom::PreparedCache cache;
-        cluster::Counters counters;
-        LocalJoinScratch scratch;
-        std::vector<JoinPair> pairs;
-      };
-      Path paths[2];  // per-task, broadcast
+      JoinPath paths[2];  // per-task, broadcast
       for (const int k : {0, 1}) {
         LocalJoinSpec path_spec = spec;
         path_spec.prepared_cache = &paths[k].cache;
