@@ -27,6 +27,34 @@ bool point_on_segment(const Coord& p, const Coord& a, const Coord& b);
 bool segments_intersect(const Coord& a1, const Coord& a2, const Coord& b1,
                         const Coord& b2);
 
+/// True when [a1, a2] and [b1, b2] cross at a point interior to both.
+inline bool strict_crossing(const Coord& a1, const Coord& a2, const Coord& b1,
+                            const Coord& b2) {
+  const double d1 = orientation(b1, b2, a1);
+  const double d2 = orientation(b1, b2, a2);
+  const double d3 = orientation(a1, a2, b1);
+  const double d4 = orientation(a1, a2, b2);
+  return ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
+         ((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0));
+}
+
+/// Calls fn(a, b) on every edge [a, b] of the polygon's rings (shell, then
+/// holes, each in ring order) until fn returns true; returns whether it did.
+template <typename Fn>
+bool any_polygon_edge(const Polygon& poly, Fn&& fn) {
+  const auto ring_edges = [&fn](const Ring& ring) {
+    for (std::size_t i = 0; i + 1 < ring.size(); ++i) {
+      if (fn(ring[i], ring[i + 1])) return true;
+    }
+    return false;
+  };
+  if (ring_edges(poly.shell)) return true;
+  for (const auto& hole : poly.holes) {
+    if (ring_edges(hole)) return true;
+  }
+  return false;
+}
+
 /// Squared euclidean distance between two points.
 double squared_distance(const Coord& a, const Coord& b);
 

@@ -65,34 +65,6 @@ bool segment_touches_rect(const Coord& a, const Coord& b, const Envelope& r) {
          segments_intersect(a, b, c11, c01) || segments_intersect(a, b, c01, c00);
 }
 
-// True when [a1, a2] and [b1, b2] cross at a point interior to both.
-bool strict_crossing(const Coord& a1, const Coord& a2, const Coord& b1,
-                     const Coord& b2) {
-  const double d1 = orientation(b1, b2, a1);
-  const double d2 = orientation(b1, b2, a2);
-  const double d3 = orientation(a1, a2, b1);
-  const double d4 = orientation(a1, a2, b2);
-  return ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-         ((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0));
-}
-
-// Calls fn(a, b) on every edge of poly's rings (shell, then holes, each in
-// ring order) until fn returns true.
-template <typename Fn>
-bool any_edge(const Polygon& poly, Fn&& fn) {
-  const auto ring_edges = [&fn](const Ring& ring) {
-    for (std::size_t i = 0; i + 1 < ring.size(); ++i) {
-      if (fn(ring[i], ring[i + 1])) return true;
-    }
-    return false;
-  };
-  if (ring_edges(poly.shell)) return true;
-  for (const auto& hole : poly.holes) {
-    if (ring_edges(hole)) return true;
-  }
-  return false;
-}
-
 // The anchor's areal parts: none for points and lines.
 std::span<const Polygon> areal_parts(const Geometry& g) {
   switch (g.type()) {
@@ -149,7 +121,7 @@ BatchRefiner::BatchRefiner(const Geometry& anchor) : anchor_(&anchor) {
   for (const Polygon& poly : polys) {
     const SoAPart shape = part_shape(poly);
     std::size_t slots = 0;
-    any_edge(poly, [&](const Coord& a, const Coord& b) {
+    any_polygon_edge(poly, [&](const Coord& a, const Coord& b) {
       slots += shape.bucket_of(std::max(a.y, b.y)) - shape.bucket_of(std::min(a.y, b.y)) + 1;
       return false;
     });
@@ -214,7 +186,7 @@ BatchRefiner::SoAPart BatchRefiner::part_shape(const Polygon& poly) {
   std::size_t edges = 0;
   double y_min = std::numeric_limits<double>::infinity();
   double y_max = -std::numeric_limits<double>::infinity();
-  any_edge(poly, [&](const Coord& a, const Coord& b) {
+  any_polygon_edge(poly, [&](const Coord& a, const Coord& b) {
     ++edges;
     y_min = std::min({y_min, a.y, b.y});
     y_max = std::max({y_max, a.y, b.y});
@@ -236,7 +208,7 @@ void BatchRefiner::fill_part(SoAPart& part, const Polygon& poly, Runs<double>& d
   // CSR fill that scatters edge coordinates, duplicated per bucket: one
   // probe reads one contiguous SoA run.
   const auto for_each_slot = [&part, &poly](auto&& fn) {
-    any_edge(poly, [&](const Coord& a, const Coord& b) {
+    any_polygon_edge(poly, [&](const Coord& a, const Coord& b) {
       const std::uint32_t last = part.bucket_of(std::max(a.y, b.y));
       for (std::uint32_t k = part.bucket_of(std::min(a.y, b.y)); k <= last; ++k) {
         fn(k, a, b);
@@ -282,7 +254,7 @@ void BatchRefiner::fill_part(SoAPart& part, const Polygon& poly, Runs<double>& d
     // the whole cell is covered, since coverage is constant on a connected
     // set that avoids the boundary.
     std::array<std::array<bool, G>, G> blocked{};
-    any_edge(poly, [&](const Coord& a, const Coord& b) {
+    any_polygon_edge(poly, [&](const Coord& a, const Coord& b) {
       const int c0 = cell_of(std::min(a.x, b.x), part.env.min_x(), sx);
       const int c1 = cell_of(std::max(a.x, b.x), part.env.min_x(), sx);
       const int r0 = cell_of(std::min(a.y, b.y), part.env.min_y(), sy);
@@ -334,7 +306,7 @@ void BatchRefiner::fill_part(SoAPart& part, const Polygon& poly, Runs<double>& d
           Coord{rect.max_x(), rect.max_y()}, Coord{rect.min_x(), rect.max_y()}};
       bool ok = true;
       for (const auto& corner : corners) ok = ok && part.covers(corner);
-      ok = ok && !any_edge(poly, [&rect](const Coord& a, const Coord& b) {
+      ok = ok && !any_polygon_edge(poly, [&rect](const Coord& a, const Coord& b) {
         return segment_touches_rect(a, b, rect);
       });
       if (ok) part.inner = rect;

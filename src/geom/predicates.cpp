@@ -15,23 +15,6 @@ namespace {
 using detail::SimplePart;
 using detail::collect_parts;
 
-// Applies `fn(a, b)` over every ring edge [a, b] of the polygon (shell and
-// holes); stops early when fn returns true.
-template <typename Fn>
-bool any_polygon_edge(const Polygon& poly, Fn&& fn) {
-  const auto scan_ring = [&](const Ring& ring) {
-    for (std::size_t i = 0; i + 1 < ring.size(); ++i) {
-      if (fn(ring[i], ring[i + 1])) return true;
-    }
-    return false;
-  };
-  if (scan_ring(poly.shell)) return true;
-  for (const auto& hole : poly.holes) {
-    if (scan_ring(hole)) return true;
-  }
-  return false;
-}
-
 bool point_on_linestring(const Coord& p, const LineString& line) {
   for (std::size_t i = 0; i + 1 < line.coords.size(); ++i) {
     if (point_on_segment(p, line.coords[i], line.coords[i + 1])) return true;
@@ -148,16 +131,6 @@ double parts_sqdist(const SimplePart& pa, const SimplePart& pb) {
   if (pb.point != nullptr) return polygon_boundary_sqdist_point(*pb.point, *pa.polygon);
   if (pb.line != nullptr) return line_polygon_boundary_sqdist(*pb.line, *pa.polygon);
   return polygon_boundaries_sqdist(*pa.polygon, *pb.polygon);
-}
-
-bool strict_crossing(const Coord& a1, const Coord& a2, const Coord& b1,
-                     const Coord& b2) {
-  const double d1 = orientation(b1, b2, a1);
-  const double d2 = orientation(b1, b2, a2);
-  const double d3 = orientation(a1, a2, b1);
-  const double d4 = orientation(a1, a2, b2);
-  return ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-         ((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0));
 }
 
 bool polygon_covers_point(const Polygon& poly, const Coord& p) {
