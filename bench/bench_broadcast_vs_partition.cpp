@@ -36,7 +36,6 @@
 
 #include "core/experiments.hpp"
 #include "plan/cost_model.hpp"
-#include "plan/skew_monitor.hpp"
 #include "systems/spatialspark/spatial_spark.hpp"
 #include "trace/trace.hpp"
 #include "util/bench_io.hpp"
@@ -206,9 +205,9 @@ int main(int argc, char** argv) {
       systems::run_spatial_spark(taxi, nycb, skew_query, skew_exec, on_cfg);
 
   const double ratio_off =
-      plan::phase_skew_ratio(trace::skew_summary(off_run.trace), "local-join");
+      trace::phase_skew_ratio(trace::skew_summary(off_run.trace), "local-join");
   const double ratio_on =
-      plan::phase_skew_ratio(trace::skew_summary(on_run.trace), "local-join");
+      trace::phase_skew_ratio(trace::skew_summary(on_run.trace), "local-join");
   const double tail_reduction =
       ratio_off > 0.0 ? (ratio_off - ratio_on) / ratio_off : std::nan("");
   const bool pairs_identical = off_run.status.ok() && on_run.status.ok() &&

@@ -2,58 +2,37 @@
 //
 // Jobs accumulate counts (records read, duplicates removed, candidate
 // pairs, refined pairs) that the paper's analysis reasons about
-// qualitatively; counters make them measurable per run. Thread-safe:
-// tasks on the pool increment concurrently.
+// qualitatively; counters make them measurable per run.
+//
+// One writer: a report's Counters is written only by the thread that drives
+// its run, between the run's jobs, so it holds no lock. Work done on pool
+// threads is tallied where it runs (core::ShuffleTally's shards, each local
+// join task's core::LocalJoinScratch) and written here once its job's tasks
+// are done.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 namespace sjc::cluster {
 
 class Counters {
  public:
-  Counters() = default;
-  // Copy/move transfer the current values (the mutex itself is not
-  // movable); concurrent mutation during a move is a caller bug.
-  Counters(const Counters& other) : values_(other.snapshot()) {}
-  Counters(Counters&& other) noexcept : values_(other.snapshot()) {}
-  Counters& operator=(const Counters& other) {
-    if (this != &other) {
-      auto theirs = other.snapshot();
-      std::lock_guard<std::mutex> lock(mutex_);
-      values_ = std::move(theirs);
-    }
-    return *this;
-  }
-  Counters& operator=(Counters&& other) noexcept { return *this = other; }
-
-  void add(const std::string& name, std::uint64_t delta) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    values_[name] += delta;
-  }
+  void add(const std::string& name, std::uint64_t delta) { values_[name] += delta; }
 
   std::uint64_t get(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(mutex_);
     const auto it = values_.find(name);
     return it == values_.end() ? 0 : it->second;
   }
 
-  std::map<std::string, std::uint64_t> snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return values_;
-  }
+  std::map<std::string, std::uint64_t> snapshot() const { return values_; }
 
   void merge(const Counters& other) {
-    const auto theirs = other.snapshot();
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, value] : theirs) values_[name] += value;
+    for (const auto& [name, value] : other.values_) values_[name] += value;
   }
 
  private:
-  mutable std::mutex mutex_;
   std::map<std::string, std::uint64_t> values_;
 };
 

@@ -29,6 +29,14 @@
 // of once per partition. The Simple engine never touches the cache: its
 // from-scratch per-call work is the model being measured.
 //
+// Accounting: each call adds the candidates it refined, their RefineStats
+// split and its PreparedCache hits and builds to the scratch's RefineTally.
+// A scratch serves one task at a time, so no tally is written from two
+// threads; the run's LocalJoinStage sums its pool's scratches and writes
+// the refine.* and join.prepared_cache_* counters from the sum. The cache
+// counts are the call's own lookups, not a delta of a cache other queries
+// may be using at the same time.
+//
 // Duplicate avoidance: partitions overlap-assign features, so the same
 // (left, right) pair can meet in several partition pairs. The caller
 // supplies an `accept` filter — typically the reference-point test
@@ -64,19 +72,47 @@ struct LocalJoinSpec {
   /// engine never consults it, since its per-call work is the model.
   geom::PreparedCache* prepared_cache = nullptr;
 
-  /// Optional sink for refinement accounting. Per run_local_join call, adds
-  /// `refine.candidates` (accept-filtered candidates refined), the
-  /// `refine.exact_tests` / `refine.early_accepts` / `refine.early_rejects`
-  /// split (the three always sum to refine.candidates; the Simple engine
-  /// counts every candidate as an exact test), and the
-  /// `refine.exact_fastpath` / `refine.exact_slowpath` split of exact tests
-  /// by whether the adaptive exact predicate escalated past its float
-  /// filter (the two always sum to refine.exact_tests).
-  cluster::Counters* refine_counters = nullptr;
-
   /// The query's envelope expansion (core::envelope_expansion).
   double envelope_expansion() const {
     return core::envelope_expansion(predicate, within_distance);
+  }
+};
+
+/// The refinement work done with one LocalJoinScratch, summed over every
+/// run_local_join call that used it.
+struct RefineTally {
+  /// Accept-filtered candidates refined.
+  std::uint64_t candidates = 0;
+  /// Their exact_tests / early_accepts / early_rejects split (the three sum
+  /// to `candidates`; the Simple engine counts every candidate as an exact
+  /// test), and the exact_fastpath / exact_slowpath split of exact tests by
+  /// whether the adaptive exact predicate escalated past its float filter
+  /// (the two sum to exact_tests).
+  geom::RefineStats stats;
+  /// PreparedCache lookups that found the refiner built or in flight, and
+  /// those that built it (the Prepared engine only).
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+
+  RefineTally& operator+=(const RefineTally& other) {
+    candidates += other.candidates;
+    stats += other.stats;
+    cache_hits += other.cache_hits;
+    cache_misses += other.cache_misses;
+    return *this;
+  }
+  bool operator==(const RefineTally&) const = default;
+
+  /// Adds refine.candidates and the five refine.* splits to `counters`,
+  /// unless no candidate was refined.
+  void record(cluster::Counters& counters) const {
+    if (candidates == 0) return;
+    counters.add("refine.candidates", candidates);
+    counters.add("refine.exact_tests", stats.exact_tests);
+    counters.add("refine.early_accepts", stats.early_accepts);
+    counters.add("refine.early_rejects", stats.early_rejects);
+    counters.add("refine.exact_fastpath", stats.exact_fastpath);
+    counters.add("refine.exact_slowpath", stats.exact_slowpath);
   }
 };
 
@@ -84,6 +120,11 @@ struct LocalJoinSpec {
 /// many partition pairs keeps one scratch (e.g. thread_local) so entry
 /// vectors, candidate buffers and index trees are reused instead of
 /// reallocated per pair.
+///
+/// The scratch also tallies the refinement work done with it: a task adds
+/// to its own scratch and nothing else, so no two threads write one tally,
+/// and the owner sums the tallies once the tasks are done (LocalJoinStage
+/// writes them to the run's counters).
 struct LocalJoinScratch {
   std::vector<index::IndexEntry> left_entries;
   std::vector<index::IndexEntry> right_entries;
@@ -97,6 +138,7 @@ struct LocalJoinScratch {
   // covered results.
   std::vector<geom::Coord> probe_points;
   std::vector<std::uint8_t> point_covered;
+  RefineTally tally;
 };
 
 /// Query-scoped pool of LocalJoinScratch instances.
@@ -131,6 +173,15 @@ class ScratchPool {
     std::unique_ptr<LocalJoinScratch> scratch_;
   };
 
+  /// The tallies of every scratch the pool holds: all the work its tasks
+  /// did, once no lease is out.
+  RefineTally tally() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    RefineTally sum;
+    for (const auto& scratch : free_) sum += scratch->tally;
+    return sum;
+  }
+
   Lease acquire() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -149,7 +200,7 @@ class ScratchPool {
     free_.push_back(std::move(scratch));
   }
 
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::vector<std::unique_ptr<LocalJoinScratch>> free_;
 };
 
@@ -165,8 +216,8 @@ geom::Coord reference_point(const geom::Envelope& a, const geom::Envelope& b);
 
 /// The shared refinement step: groups `scratch.candidates` by right id and
 /// refines each group against the right feature, appending hits to `out` in
-/// group order, candidate order within a group. Only a right feature with a
-/// candidate binds its refiner.
+/// group order, candidate order within a group, and adds the work to
+/// `scratch.tally`. Only a right feature with a candidate binds its refiner.
 template <typename LeftSeq, typename RightSeq>
 void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJoinSpec& spec,
                        LocalJoinScratch& scratch, std::vector<JoinPair>& out) {
@@ -212,8 +263,11 @@ void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJo
       // through the SoA point-in-polygon pass, everything else through the
       // approximation-gated scalar predicates). Results and output order
       // are bit-identical to the Simple engine's per-pair path below.
+      bool built = false;
       const std::shared_ptr<const geom::BatchRefiner> refiner =
-          spec.prepared_cache->acquire_refiner(right_feature.id, right_feature.geometry);
+          spec.prepared_cache->acquire_refiner(right_feature.id, right_feature.geometry,
+                                               &built);
+      ++(built ? scratch.tally.cache_misses : scratch.tally.cache_hits);
       // For point probes against an areal anchor, the hole-aware covered
       // test answers both kIntersects and kWithin; gather them and run one
       // batched pass per group.
@@ -284,14 +338,8 @@ void refine_candidates(const LeftSeq& left, const RightSeq& right, const LocalJo
     }
   }
 
-  if (spec.refine_counters != nullptr) {
-    spec.refine_counters->add("refine.candidates", candidates.size());
-    spec.refine_counters->add("refine.exact_tests", stats.exact_tests);
-    spec.refine_counters->add("refine.early_accepts", stats.early_accepts);
-    spec.refine_counters->add("refine.early_rejects", stats.early_rejects);
-    spec.refine_counters->add("refine.exact_fastpath", stats.exact_fastpath);
-    spec.refine_counters->add("refine.exact_slowpath", stats.exact_slowpath);
-  }
+  scratch.tally.candidates += candidates.size();
+  scratch.tally.stats += stats;
 }
 
 /// Joins `left` x `right` within one partition; appends accepted pairs to
@@ -342,7 +390,7 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
 /// side's expanded envelopes (spec.envelope_expansion()) sorted by min_x
 /// once ahead of time, whose ids are positions in `left` / `right`. Emits
 /// the pairs, in the order, that run_local_join with kPlaneSweep emits over
-/// the same sides, and adds the same refine.* counts.
+/// the same sides, and adds the same tallies.
 template <typename LeftSeq, typename RightSeq, typename AcceptFn>
 void run_local_join(const LeftSeq& left, const index::SweepList& left_index,
                     const RightSeq& right, const index::SweepList& right_index,

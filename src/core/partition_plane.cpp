@@ -16,7 +16,6 @@ PartitionPlane::PartitionPlane(const JoinQueryConfig& query,
                                const plan::ExecPolicy& policy)
     : partitioner_(query.partitioner),
       configured_sample_rate_(query.sample_rate),
-      skew_(policy.skew),
       expand_(envelope_expansion(query.predicate, query.within_distance)),
       filter_policy_(policy.shuffle_filter),
       repartition_(policy.repartition),
@@ -186,21 +185,19 @@ ShuffleTally::~ShuffleTally() {
 
 LocalJoinStage::LocalJoinStage(const JoinQueryConfig& query,
                                index::LocalJoinAlgorithm system_algorithm,
-                               geom::EngineKind engine, cluster::Counters* refine_counters,
+                               geom::EngineKind engine, cluster::Counters& counters,
                                geom::PreparedCache* shared_cache)
-    : cache_(shared_cache != nullptr ? *shared_cache : run_cache_.emplace()),
-      hits0_(cache_.hits()),
-      misses0_(cache_.misses()),
+    : counters_(counters),
       spec_{.algorithm = system_algorithm,
             .engine = engine,
             .predicate = query.predicate,
             .within_distance = query.within_distance,
-            .prepared_cache = &cache_,
-            .refine_counters = refine_counters} {}
+            .prepared_cache = shared_cache != nullptr ? shared_cache : &run_cache_.emplace()} {}
 
-void LocalJoinStage::record_cache_counters(cluster::Counters& counters) const {
-  counters.add("join.prepared_cache_hits", cache_.hits() - hits0_);
-  counters.add("join.prepared_cache_misses", cache_.misses() - misses0_);
+void LocalJoinStage::record_cache_counters() const {
+  const RefineTally tally = scratch_pool_.tally();
+  counters_.add("join.prepared_cache_hits", tally.cache_hits);
+  counters_.add("join.prepared_cache_misses", tally.cache_misses);
 }
 
 void record_result(RunReport& report, std::vector<JoinPair> pairs,

@@ -16,7 +16,8 @@
 //  * the shuffle tally (ShuffleTally): partition.*, assign.* and shuffle.*
 //    counters, accumulated per record and written once per job;
 //  * the local-join stage (LocalJoinStage): spec, prepared-geometry cache
-//    and scratch pool;
+//    and scratch pool, whose per-task tallies it writes as the refine.* and
+//    join.prepared_cache_* counters;
 //  * result recording and the DFS / text-input set-up every run repeats.
 //
 // A "side" below is one input of `side.records()` records cut into
@@ -195,7 +196,7 @@ class PartitionPlane {
   template <typename... Sides>
   plan::RefineResult refine(const partition::PartitionScheme& scheme,
                             cluster::Counters& counters, const Sides&... sides) const {
-    const plan::PartitionRefiner refiner(partitioner_, skew_);
+    const plan::PartitionRefiner refiner(partitioner_);
     plan::RefineResult refined = refiner.refine(scheme, [&](const partition::PartitionScheme& s) {
       std::vector<plan::CellLoad> loads(s.cell_count());
       std::vector<std::uint32_t> pids;
@@ -274,7 +275,6 @@ class PartitionPlane {
  private:
   partition::PartitionerKind partitioner_;
   double configured_sample_rate_;
-  plan::SkewPolicy skew_;
   double expand_;
   std::optional<bool> filter_policy_;
   bool repartition_;
@@ -404,15 +404,24 @@ class ShuffleTally {
 /// scratch pool (buffers stay warm across the partition pairs of this run
 /// and die with it, so nothing survives on a serving process's pool
 /// threads).
+///
+/// Each task tallies its work in the scratch it leases (LocalJoinScratch),
+/// and the stage sums the pool's scratches on the driver thread. Like
+/// ShuffleTally it writes refine.* to the report's counters once, when it
+/// is destroyed: scope it around the job, and a report whose job fails after
+/// its tasks ran keeps the refine.* of the work that was done.
+/// join.prepared_cache_* is written on success only (record_cache_counters).
 class LocalJoinStage {
  public:
-  /// `refine_counters` receives the refine.* accounting; `shared_cache`,
-  /// when non-null, replaces the run-scoped cache (the serving catalog's).
+  /// `counters` is the report's; `shared_cache`, when non-null, replaces
+  /// the run-scoped cache (the serving catalog's).
   LocalJoinStage(const JoinQueryConfig& query, index::LocalJoinAlgorithm system_algorithm,
-                 geom::EngineKind engine, cluster::Counters* refine_counters,
+                 geom::EngineKind engine, cluster::Counters& counters,
                  geom::PreparedCache* shared_cache = nullptr);
   LocalJoinStage(const LocalJoinStage&) = delete;
   LocalJoinStage& operator=(const LocalJoinStage&) = delete;
+  /// Writes refine.* (none when no candidate was refined).
+  ~LocalJoinStage() { scratch_pool_.tally().record(counters_); }
 
   const LocalJoinSpec& spec() const { return spec_; }
 
@@ -444,15 +453,14 @@ class LocalJoinStage {
     run_local_join(left, right, right_index, spec_, *scratch, out);
   }
 
-  /// Adds join.prepared_cache_{hits,misses}: this run's delta, since a
-  /// shared cache carries the history of earlier queries.
-  void record_cache_counters(cluster::Counters& counters) const;
+  /// Adds join.prepared_cache_{hits,misses}: the lookups this run's tasks
+  /// made, whatever other queries share the cache. Call it once the job's
+  /// tasks are done.
+  void record_cache_counters() const;
 
  private:
+  cluster::Counters& counters_;
   std::optional<geom::PreparedCache> run_cache_;  // only without a shared cache
-  geom::PreparedCache& cache_;
-  std::uint64_t hits0_;
-  std::uint64_t misses0_;
   LocalJoinSpec spec_;
   ScratchPool scratch_pool_;
 };

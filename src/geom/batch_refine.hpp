@@ -58,6 +58,16 @@ struct RefineStats {
 
   std::uint64_t total() const { return exact_tests + early_accepts + early_rejects; }
 
+  RefineStats& operator+=(const RefineStats& other) {
+    exact_tests += other.exact_tests;
+    early_accepts += other.early_accepts;
+    early_rejects += other.early_rejects;
+    exact_fastpath += other.exact_fastpath;
+    exact_slowpath += other.exact_slowpath;
+    return *this;
+  }
+  bool operator==(const RefineStats&) const = default;
+
   /// Accounts one exact test, classified by whether the thread's adaptive
   /// escalation counter moved since `slow_before` (snapshot
   /// exact::slowpath_calls() immediately before the exact test).

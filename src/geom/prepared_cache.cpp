@@ -10,7 +10,7 @@ PreparedCache::PreparedCache(MakeRefiner make_refiner)
                                  : [](const Geometry& g) { return BatchRefiner(g); }) {}
 
 std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
-    std::uint64_t id, const Geometry& geometry) {
+    std::uint64_t id, const Geometry& geometry, bool* built) {
   Shard& shard = shards_[shard_of(id)];
   std::shared_future<Handle> pending;
   std::optional<std::promise<Handle>> promise;  // set on a miss only
@@ -27,6 +27,7 @@ std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
       it->second = promise.emplace().get_future().share();
     }
   }
+  if (built != nullptr) *built = !pending.valid();
   if (pending.valid()) return pending.get();
 
   // Build outside the lock: preparation is the expensive part and lookups

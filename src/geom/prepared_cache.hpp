@@ -26,6 +26,11 @@
 // distinct ids looked up, independent of thread scheduling (a failed build
 // is dropped, and the next lookup of its id misses again).
 //
+// The totals above are the cache's, summed over every query that shares
+// it. A query counts its own lookups through acquire_refiner's `built`
+// out-parameter (core::LocalJoinScratch tallies them per task): a delta of
+// the totals would also count any query overlapping it on the same cache.
+//
 // Each entry owns a private copy of the geometry it was built against, so a
 // cached handle stays valid even when the source partition block (or a
 // streaming reducer's transient feature vector) is gone, and even after the
@@ -65,9 +70,13 @@ class PreparedCache {
   /// same id must carry equal geometry — true for the partition-duplicated
   /// datasets this serves. A lookup that finds the id's build in flight
   /// waits for it. If a build throws, every lookup waiting on it rethrows
-  /// and the id is dropped, so the next lookup builds again.
+  /// and the id is dropped, so the next lookup builds again. When `built`
+  /// is non-null, it is set to whether this lookup built the refiner (a
+  /// miss) rather than found it built or in flight (a hit): a caller
+  /// sharing the cache with other queries counts its own lookups from it.
   std::shared_ptr<const BatchRefiner> acquire_refiner(std::uint64_t id,
-                                                      const Geometry& geometry);
+                                                      const Geometry& geometry,
+                                                      bool* built = nullptr);
 
   std::size_t size() const;
   /// Total acquire_refiner() calls. Invariant (checked by tests, including

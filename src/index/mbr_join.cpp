@@ -5,16 +5,6 @@
 
 namespace sjc::index {
 
-const char* local_join_algorithm_name(LocalJoinAlgorithm algo) {
-  switch (algo) {
-    case LocalJoinAlgorithm::kPlaneSweep: return "plane-sweep";
-    case LocalJoinAlgorithm::kIndexedNestedLoop: return "indexed-nested-loop";
-    case LocalJoinAlgorithm::kIndexedNestedLoopDynamic:
-      return "indexed-nested-loop-dynamic";
-  }
-  return "?";
-}
-
 void SweepList::load(const std::vector<IndexEntry>& entries, SweepOrder& order) {
   const std::size_t n = entries.size();
   // Sort contiguous (min_x, index) pairs — compares touch one 16-byte

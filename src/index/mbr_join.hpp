@@ -33,8 +33,6 @@ enum class LocalJoinAlgorithm {
                               // libspatialindex style)
 };
 
-const char* local_join_algorithm_name(LocalJoinAlgorithm algo);
-
 /// (min_x, entry index) pairs: SweepList::load's sort scratch.
 using SweepOrder = std::vector<std::pair<double, std::uint32_t>>;
 

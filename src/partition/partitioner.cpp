@@ -9,14 +9,6 @@
 
 namespace sjc::partition {
 
-const char* partitioner_kind_name(PartitionerKind kind) {
-  switch (kind) {
-    case PartitionerKind::kFixedGrid: return "fixed-grid";
-    case PartitionerKind::kStr: return "str";
-  }
-  return "?";
-}
-
 PartitionScheme::PartitionScheme(std::vector<geom::Envelope> cells,
                                  geom::Envelope extent)
     : cells_(std::move(cells)), extent_(extent) {

@@ -30,8 +30,6 @@ enum class PartitionerKind {
   kStr,
 };
 
-const char* partitioner_kind_name(PartitionerKind kind);
-
 class PartitionScheme {
  public:
   /// `cells` are the partition MBRs; `extent` must cover them (items outside

@@ -1,8 +1,36 @@
 #include "plan/partition_refiner.hpp"
 
-#include <numeric>
+#include <algorithm>
 
 namespace sjc::plan {
+
+std::vector<std::uint32_t> hot_cells(const std::vector<CellLoad>& loads) {
+  std::vector<std::uint64_t> occupied;
+  occupied.reserve(loads.size());
+  for (const auto& load : loads) {
+    if (load.records > 0) occupied.push_back(load.records);
+  }
+  if (occupied.empty()) return {};
+
+  // Nearest-rank median over the non-empty cells: empty cells say nothing
+  // about balance (a sparse scheme legitimately has many), and counting
+  // them would drag the median to 0 and flag every occupied cell.
+  const std::size_t mid = occupied.size() / 2;
+  std::nth_element(occupied.begin(), occupied.begin() + static_cast<std::ptrdiff_t>(mid),
+                   occupied.end());
+  const double threshold = std::max(kHotspotFactor * static_cast<double>(occupied[mid]),
+                                    static_cast<double>(kMinHotCellRecords));
+  std::vector<std::uint32_t> hot;
+  for (std::uint32_t id = 0; id < loads.size(); ++id) {
+    if (static_cast<double>(loads[id].records) > threshold) hot.push_back(id);
+  }
+  std::sort(hot.begin(), hot.end(), [&loads](std::uint32_t a, std::uint32_t b) {
+    if (loads[a].records != loads[b].records) return loads[a].records > loads[b].records;
+    return a < b;
+  });
+  if (hot.size() > kMaxSplitsPerRound) hot.resize(kMaxSplitsPerRound);
+  return hot;
+}
 
 std::vector<geom::Envelope> PartitionRefiner::split_cell(
     const geom::Envelope& cell, partition::PartitionerKind kind) {
@@ -37,34 +65,26 @@ std::vector<geom::Envelope> PartitionRefiner::split_cell(
 
 RefineResult PartitionRefiner::refine(const partition::PartitionScheme& scheme,
                                       const LoadProbe& probe) const {
-  RefineResult result{scheme, {}, 0, 0, 0, 0};
-  result.parent.resize(scheme.cell_count());
-  std::iota(result.parent.begin(), result.parent.end(), 0u);
+  RefineResult result{scheme, 0, 0, 0, 0};
 
-  for (std::uint32_t round = 0; round < monitor_.policy().max_rounds; ++round) {
+  for (std::uint32_t round = 0; round < kMaxRefineRounds; ++round) {
     std::vector<CellLoad> loads = probe(result.scheme);
     ++result.rounds;
-    const HotspotReport report = monitor_.analyze(loads);
-    if (report.hot_cells.empty()) break;
+    const std::vector<std::uint32_t> hot = hot_cells(loads);
+    if (hot.empty()) break;
 
     std::vector<geom::Envelope> cells = result.scheme.cells();
-    std::vector<std::uint32_t> parent = result.parent;
     std::uint64_t split_count = 0;
-    for (const std::uint32_t hot : report.hot_cells) {
-      const auto children = split_cell(cells[hot], kind_);
+    for (const std::uint32_t id : hot) {
+      const auto children = split_cell(cells[id], kind_);
       if (children.size() < 2) continue;  // degenerate cell, nothing to split
       ++split_count;
-      result.migrated_records += loads[hot].records;
-      result.migrated_bytes += loads[hot].bytes;
+      result.migrated_records += loads[id].records;
+      result.migrated_bytes += loads[id].bytes;
       // First child takes the parent's id slot (unsplit cells keep their
-      // ids); the rest append. `parent` always maps back to the original
-      // pre-refinement id, across rounds.
-      const std::uint32_t origin = parent[hot];
-      cells[hot] = children[0];
-      for (std::size_t c = 1; c < children.size(); ++c) {
-        cells.push_back(children[c]);
-        parent.push_back(origin);
-      }
+      // ids); the rest append.
+      cells[id] = children[0];
+      cells.insert(cells.end(), children.begin() + 1, children.end());
     }
     if (split_count == 0) break;
     result.splits += split_count;
@@ -73,7 +93,6 @@ RefineResult PartitionRefiner::refine(const partition::PartitionScheme& scheme,
                         ? partition::PartitionScheme(std::move(cells), result.scheme.extent(),
                                                      partition::PartitionScheme::TilesExtent{})
                         : partition::PartitionScheme(std::move(cells), result.scheme.extent());
-    result.parent = std::move(parent);
   }
   return result;
 }

@@ -2,11 +2,12 @@
 //
 // Refinement runs between scheme derivation (sample -> make_partitions) and
 // record assignment: a load probe counts per-cell record/byte load under
-// the candidate scheme, the SkewMonitor flags hotspots, and each flagged
-// cell is replaced by its children — a quad-split at the cell midpoint for
-// the fixed grid or a longest-axis binary node-split for STR. Children tile
-// the parent exactly, so the refined cell set covers the extent whenever
-// the input did.
+// the candidate scheme, hot_cells flags hotspots (LocationSpark's
+// criterion: a load well above the median), and each flagged cell is
+// replaced by its children — a quad-split at the cell midpoint for the
+// fixed grid or a longest-axis binary node-split for STR. Children tile the
+// parent exactly, so the refined cell set covers the extent whenever the
+// input did. The thresholds are the constants below; no run sets them.
 //
 // Split soundness (why survivor pair sets are bit-identical, DESIGN.md §7):
 // a record is assigned to every cell its expanded envelope intersects, and
@@ -23,20 +24,41 @@
 // and stay bit-identical too.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "cluster/counters.hpp"
 #include "partition/partitioner.hpp"
-#include "plan/skew_monitor.hpp"
 
 namespace sjc::plan {
 
+/// Load multiple of the median non-empty cell load that marks a cell hot.
+inline constexpr double kHotspotFactor = 4.0;
+/// Cells at or below this record load are never split, whatever the ratio:
+/// splitting a near-empty cell buys nothing and bloats the scheme.
+inline constexpr std::uint64_t kMinHotCellRecords = 64;
+/// Probe/split rounds: children of a split hotspot can still be hot (point
+/// masses), so refinement re-probes and re-splits up to this many times.
+inline constexpr std::uint32_t kMaxRefineRounds = 2;
+/// At most this many cells are split per round, worst offenders first.
+inline constexpr std::uint32_t kMaxSplitsPerRound = 64;
+
+/// Observed load of one partition cell: record copies routed to the cell
+/// and their modeled shuffle bytes.
+struct CellLoad {
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// The hot cells of `loads`: each cell whose record load exceeds both
+/// kHotspotFactor x the median load of the non-empty cells and
+/// kMinHotCellRecords, worst offender first (load descending, id ascending
+/// on ties), at most kMaxSplitsPerRound of them.
+std::vector<std::uint32_t> hot_cells(const std::vector<CellLoad>& loads);
+
 struct RefineResult {
   partition::PartitionScheme scheme;
-  /// Refined cell id -> pre-refinement cell id. Identity for unsplit cells
-  /// (the first child keeps the parent's id slot; later children append).
-  std::vector<std::uint32_t> parent;
   /// Probe/split rounds executed (>= 1 whenever refinement ran; the footer
   /// and the repartition.* counter block key off this being non-zero).
   std::uint64_t rounds = 0;
@@ -58,12 +80,12 @@ using LoadProbe =
 
 class PartitionRefiner {
  public:
-  PartitionRefiner(partition::PartitionerKind kind, SkewPolicy policy = {})
-      : kind_(kind), monitor_(policy) {}
+  explicit PartitionRefiner(partition::PartitionerKind kind) : kind_(kind) {}
 
-  /// Probe -> flag -> split, up to SkewPolicy::max_rounds rounds, stopping
-  /// early when a round flags nothing. The returned scheme keeps the input
-  /// extent; unsplit cells keep their ids.
+  /// Probe -> flag -> split, up to kMaxRefineRounds rounds, stopping early
+  /// when a round flags nothing. The returned scheme keeps the input
+  /// extent; unsplit cells keep their ids (the first child of a split cell
+  /// takes its id, the others append).
   RefineResult refine(const partition::PartitionScheme& scheme,
                       const LoadProbe& probe) const;
 
@@ -75,10 +97,9 @@ class PartitionRefiner {
 
  private:
   partition::PartitionerKind kind_;
-  SkewMonitor monitor_;
 };
 
-/// Emits the repartition.* counter block (rounds/hot_cells/splits/cells/
+/// Emits the repartition.* counter block (rounds/splits/cells/
 /// migrated_records/migrated_bytes) read back by the trace footer.
 void record_repartition_counters(const RefineResult& result,
                                  cluster::Counters& counters);

@@ -261,7 +261,7 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
   // The local join probes a libspatialindex-style R-tree, insert-built per
   // task.
   core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic,
-                             config.engine, &report.counters, shared_cache);
+                             config.engine, report.counters, shared_cache);
   core::ShuffleTally tally(report.counters, {.shuffle = in.occupancy_a.has_value()});
 
   StreamingSpec join_job;
@@ -349,7 +349,7 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
   };
   const auto pair_lines = mapreduce::run_map_reduce(ctx, join_job, in.splits);
   report.counters.add("join.pair_lines_before_dedup", pair_lines.size());
-  stage.record_cache_counters(report.counters);
+  stage.record_cache_counters();
 
   // ---- Step (c): sort-unique dedup job ------------------------------------
   StreamingSpec dedup;

@@ -387,7 +387,7 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   // reducers with this query's expansion (a resident query checks it
   // against the build's).
   core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kPlaneSweep, config.engine,
-                             ctx.counters, shared_cache);
+                             *ctx.counters, shared_cache);
   const auto join_map = [&](const JoinSplit& split, std::vector<JoinPair>& out_pairs) {
     // Reference-point duplicate avoidance: emit only in the canonical
     // (lowest-id) cell pair containing the reference point.
@@ -408,7 +408,7 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   std::vector<JoinPair> pairs = mapreduce::run_map_only(ctx, join_spec, join_splits);
   ctx.counters->add("join.partition_pairs", join_splits.size());
   ctx.counters->add("join.result_pairs", pairs.size());
-  stage.record_cache_counters(*ctx.counters);
+  stage.record_cache_counters();
   return pairs;
 }
 

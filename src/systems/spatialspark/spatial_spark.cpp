@@ -214,7 +214,7 @@ void run_spark_join_tail(rdd::SparkRuntime& rt, const core::ExecutionConfig& exe
                   accept, out);
       },
       make_pair_sizer());
-  stage.record_cache_counters(report.counters);
+  stage.record_cache_counters();
   record_result(rt, exec, pairs_rdd, "local-join.aggregate", report);
 }
 
@@ -544,7 +544,7 @@ void run_broadcast_join(SparkInputs& in, const core::ExecutionConfig& exec,
         stage.run(core::FeatureRefSpan(part), core::FeatureRefSpan(ri.features), ri.tree, out);
       },
       make_pair_sizer());
-  stage.record_cache_counters(report.counters);
+  stage.record_cache_counters();
   record_result(rt, exec, pairs_rdd, "broadcast-join.aggregate", report);
 }
 
@@ -577,13 +577,14 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
   workload::RowQuarantine quarantine;
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
-  // One prepared-geometry cache per run, shared by all local-join tasks:
-  // overlap-duplicated right-side geometries are bound once, not once per
-  // partition.
-  core::LocalJoinStage stage(query, kLocalJoinAlgorithm, config.engine, &report.counters);
   bool planned = false;  // the cost-based plan choice ran
 
   try {
+    // One prepared-geometry cache per run, shared by all local-join tasks:
+    // overlap-duplicated right-side geometries are bound once, not once per
+    // partition. Scoped to the try, so its refine.* land before the report
+    // is finished, whether or not the run fails.
+    core::LocalJoinStage stage(query, kLocalJoinAlgorithm, config.engine, report.counters);
     const std::uint32_t parallelism =
         start_runtime(dfs, rt, query, exec, config, report, collector);
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
@@ -648,10 +649,10 @@ core::RunReport run_resident_query(const ResidentState& state,
   trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
-  core::LocalJoinStage stage(query, kLocalJoinAlgorithm, config.engine, &report.counters,
-                             shared_cache);
 
   try {
+    core::LocalJoinStage stage(query, kLocalJoinAlgorithm, config.engine, report.counters,
+                               shared_cache);
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
     plane.require_build_expansion(state.expand, "spatial_spark_resident");
     const std::uint32_t parallelism =

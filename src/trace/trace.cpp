@@ -143,6 +143,25 @@ std::vector<PhaseSkew> skew_summary(const TaskTimeline& timeline) {
   return rows;
 }
 
+double phase_skew_ratio(const std::vector<PhaseSkew>& rows, std::string_view phase) {
+  // RDD stage names carry the full lineage prefix
+  // ("A.text.parse.assign.groupByKey.join.local-join"), so accept a
+  // suffix-qualified match too; when several stages share the suffix, the
+  // one with the most task attempts is the join stage being asked about.
+  const PhaseSkew* best = nullptr;
+  for (const auto& row : rows) {
+    const bool exact = row.phase == phase;
+    const bool suffix = row.phase.size() > phase.size() + 1 &&
+                        row.phase[row.phase.size() - phase.size() - 1] == '.' &&
+                        row.phase.compare(row.phase.size() - phase.size(),
+                                          phase.size(), phase) == 0;
+    if (exact) { best = &row; break; }
+    if (suffix && (!best || row.attempts > best->attempts)) best = &row;
+  }
+  if (!best) return 0.0;
+  return best->p50_s > 0.0 ? best->max_s / best->p50_s : 0.0;
+}
+
 std::vector<TenantSkew> tenant_summary(const TaskTimeline& timeline,
                                        const std::string& prefix) {
   std::vector<TenantSkew> rows;

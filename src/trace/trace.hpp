@@ -19,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sjc::trace {
@@ -113,6 +114,11 @@ struct PhaseSkew {
 
 /// Per-phase skew rows in first-appearance order of the phases.
 std::vector<PhaseSkew> skew_summary(const TaskTimeline& timeline);
+
+/// Observed task-time skew ratio (max / p50) of one phase of `rows` — how
+/// the benches and tests verify that repartitioning flattened the tail.
+/// Returns 0 when the phase is absent or its median is 0.
+double phase_skew_ratio(const std::vector<PhaseSkew>& rows, std::string_view phase);
 
 /// Per-tenant serving skew: the footer printed under multi-tenant serving
 /// runs. The serving layer records one span per query with phase

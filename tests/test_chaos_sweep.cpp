@@ -162,10 +162,6 @@ TEST(ChaosSweep, RepartitionedRunsUpholdLifecycleContract) {
 
   plan::ExecPolicy policy;
   policy.repartition = true;
-  // Aggressive thresholds so the scaled-down chaos datasets actually split.
-  policy.skew.hotspot_factor = 1.5;
-  policy.skew.min_cell_records = 4;
-  policy.skew.max_rounds = 2;
 
   std::uint64_t repartitioned_survivors = 0;
   for (const auto& e : b.experiments) {

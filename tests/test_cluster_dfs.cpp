@@ -9,7 +9,6 @@
 #include "cluster/sim_task.hpp"
 #include "dfs/sim_dfs.hpp"
 #include "cluster/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/status.hpp"
 
 namespace sjc {
@@ -253,13 +252,6 @@ TEST(Counters, CopyTransfersValues) {
   a.add("k", 9);
   const cluster::Counters b = a;
   EXPECT_EQ(b.get("k"), 9u);
-}
-
-TEST(Counters, ThreadSafeIncrements) {
-  cluster::Counters counters;
-  ThreadPool pool(4);
-  pool.parallel_for(1000, [&](std::size_t) { counters.add("hits", 1); });
-  EXPECT_EQ(counters.get("hits"), 1000u);
 }
 
 TEST(RunMetricsExtra, SecondsWithPrefixAndSummary) {

@@ -1,5 +1,6 @@
-// Data plane tests: the partition plane's decisions and shuffle tally, the
-// grid cell directory must agree with the STR tree,
+// Data plane tests: the partition plane's decisions, the shuffle tally and
+// the local-join stage's counters, the grid cell directory must agree with
+// the STR tree,
 // the duplicated-records counter must report the exact multi-assignment
 // overhead on a pinned grid, and repeated (and traced) runs must be
 // bit-identical with the thread pool active.
@@ -11,6 +12,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -149,6 +151,81 @@ TEST(ShuffleTally, FilteredCountersOnlyIfAnyWhenAsked) {
   EXPECT_EQ(dense.get("shuffle.filtered_records"), 0u);
 }
 
+// The local-join stage sums the tallies its tasks kept in their scratches.
+// It writes refine.* once, when its scope ends — also when the job inside it
+// throws — and join.prepared_cache_* only when asked; neither depends on
+// which threads ran which tasks.
+TEST(LocalJoinStage, FlushesOnceOnScopeExitWhateverTheInterleaving) {
+  // One partition pair that every task joins: ten squares, three points on
+  // or inside each and two beside it.
+  std::vector<geom::Feature> left;
+  std::vector<geom::Feature> right;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const double x = 10.0 * static_cast<double>(i);
+    right.push_back({100 + i, geom::Geometry::polygon(
+                                  {{x, 0}, {x + 4, 0}, {x + 4, 4}, {x, 4}, {x, 0}})});
+    for (std::uint64_t k = 0; k < 5; ++k) {
+      const double d = static_cast<double>(k);
+      left.push_back({5 * i + k, geom::Geometry::point(x + 1.5 * d, 1.0 + 0.5 * d)});
+    }
+  }
+  const std::span<const geom::Feature> lv(left);
+  const std::span<const geom::Feature> rv(right);
+  core::JoinQueryConfig query;
+  query.predicate = core::JoinPredicate::kWithin;
+
+  // One task's work, with a cache of its own.
+  geom::PreparedCache own_cache;
+  core::LocalJoinSpec spec;
+  spec.predicate = query.predicate;
+  spec.prepared_cache = &own_cache;
+  core::LocalJoinScratch one;
+  std::vector<core::JoinPair> pairs;
+  core::run_local_join(lv, rv, spec, core::AcceptAllPairs{}, one, pairs);
+  const core::RefineTally task = one.tally;
+  ASSERT_EQ(task.candidates, 30u);
+  ASSERT_EQ(task.cache_misses, right.size());
+
+  constexpr std::uint64_t kTasks = 64;
+  const auto run_tasks = [&](core::LocalJoinStage& stage) {
+    ThreadPool::shared().parallel_for(kTasks, [&](std::size_t) {
+      std::vector<core::JoinPair> out;
+      stage.run(lv, rv, core::AcceptAllPairs{}, out);
+    });
+  };
+  cluster::Counters succeeded;
+  {
+    core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kIndexedNestedLoop,
+                               geom::EngineKind::kPrepared, succeeded);
+    run_tasks(stage);
+    stage.record_cache_counters();
+    EXPECT_EQ(succeeded.snapshot().size(), 2u);  // join.prepared_cache_* only
+  }
+  cluster::Counters failed;
+  try {
+    core::LocalJoinStage stage(query, index::LocalJoinAlgorithm::kIndexedNestedLoop,
+                               geom::EngineKind::kPrepared, failed);
+    run_tasks(stage);
+    EXPECT_TRUE(failed.snapshot().empty());
+    throw TaskFailed("job killed after its tasks ran");
+  } catch (const TaskFailed&) {
+  }
+  for (const cluster::Counters* counters : {&succeeded, &failed}) {
+    EXPECT_EQ(counters->get("refine.candidates"), kTasks * task.candidates);
+    EXPECT_EQ(counters->get("refine.exact_tests"), kTasks * task.stats.exact_tests);
+    EXPECT_EQ(counters->get("refine.early_accepts"), kTasks * task.stats.early_accepts);
+    EXPECT_EQ(counters->get("refine.early_rejects"), kTasks * task.stats.early_rejects);
+    EXPECT_EQ(counters->get("refine.exact_fastpath"), kTasks * task.stats.exact_fastpath);
+    EXPECT_EQ(counters->get("refine.exact_slowpath"), kTasks * task.stats.exact_slowpath);
+  }
+  // The run's cache builds each right refiner once, whichever task asks
+  // first; every other lookup is a hit.
+  EXPECT_EQ(succeeded.get("join.prepared_cache_misses"), task.cache_misses);
+  EXPECT_EQ(succeeded.get("join.prepared_cache_hits"), (kTasks - 1) * task.cache_misses);
+  EXPECT_EQ(failed.snapshot().count("join.prepared_cache_hits"), 0u);
+  EXPECT_EQ(failed.snapshot().size(), 6u);  // refine.* only
+}
+
 // ---------------------------------------------------------------------------
 // Grid cell directory vs STR tree
 // ---------------------------------------------------------------------------
@@ -179,10 +256,10 @@ TEST(DataPlane, GridDirectoryAgreesWithTree) {
     sample.emplace_back(x, y, x + len(rng), y + len(rng));
   }
   std::vector<std::pair<std::string, partition::PartitionScheme>> schemes;
-  for (const auto kind :
-       {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr}) {
-    schemes.emplace_back(partition::partitioner_kind_name(kind),
-                         partition::make_partitions(kind, sample, extent, 37));
+  for (const auto& [name, kind] :
+       {std::pair{"fixed-grid", partition::PartitionerKind::kFixedGrid},
+        std::pair{"str", partition::PartitionerKind::kStr}}) {
+    schemes.emplace_back(name, partition::make_partitions(kind, sample, extent, 37));
   }
   {
     // Two rounds of hotspot splits on an STR scheme.

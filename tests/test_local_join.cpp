@@ -172,8 +172,8 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
 
 // Batched vs per-pair refinement: the Prepared engine's batched path must
 // emit exactly the pairs of the Simple engine's per-pair path — not even
-// their order may differ — across predicates, and the refine.* counters
-// must account every candidate.
+// their order may differ — across predicates, and the scratch's tally must
+// account every candidate.
 TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
   for (const std::uint64_t seed : {5u, 17u}) {
     Rng rng(seed);
@@ -201,51 +201,41 @@ TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
       geom::PreparedCache cache;
       LocalJoinScratch scratch;
       const auto run = [&](geom::EngineKind engine) {
-        cluster::Counters counters;
+        scratch.tally = {};
         LocalJoinSpec spec;
         spec.engine = engine;
         spec.predicate = predicate;
         spec.within_distance = predicate == JoinPredicate::kWithinDistance ? 1.5 : 0.0;
         // Consulted by the Prepared engine only.
         spec.prepared_cache = &cache;
-        spec.refine_counters = &counters;
         std::vector<JoinPair> out;
         run_local_join(std::span<const geom::Feature>(left),
                        std::span<const geom::Feature>(right), spec, AcceptAllPairs{},
                        scratch, out);
-        return std::pair(std::move(out), counters.snapshot());
+        return std::pair(std::move(out), scratch.tally);
       };
-      const auto [pairs_off, counters_off] = run(geom::EngineKind::kSimple);
-      const auto [pairs_on, counters_on] = run(geom::EngineKind::kPrepared);
+      const auto [pairs_off, off] = run(geom::EngineKind::kSimple);
+      const auto [pairs_on, on] = run(geom::EngineKind::kPrepared);
       // Bit-identical including emission order.
       EXPECT_EQ(pairs_on, pairs_off)
           << "seed " << seed << " predicate " << static_cast<int>(predicate);
       EXPECT_GT(pairs_on.size(), 0u);
-      const auto get = [](const std::map<std::string, std::uint64_t>& m,
-                          const char* key) {
-        const auto it = m.find(key);
-        return it == m.end() ? std::uint64_t{0} : it->second;
-      };
-      const std::uint64_t cand = get(counters_off, "refine.candidates");
-      EXPECT_EQ(get(counters_on, "refine.candidates"), cand);
+      const std::uint64_t cand = off.candidates;
+      EXPECT_EQ(on.candidates, cand);
       EXPECT_GT(cand, 0u);
-      // Per-pair (Simple) path: every candidate is an exact test.
-      EXPECT_EQ(get(counters_off, "refine.exact_tests"), cand);
-      EXPECT_EQ(get(counters_off, "refine.early_accepts"), 0u);
-      EXPECT_EQ(get(counters_off, "refine.early_rejects"), 0u);
+      // Per-pair (Simple) path: every candidate is an exact test, and the
+      // cache is never consulted.
+      EXPECT_EQ(off.stats.exact_tests, cand);
+      EXPECT_EQ(off.stats.early_accepts, 0u);
+      EXPECT_EQ(off.stats.early_rejects, 0u);
+      EXPECT_EQ(off.cache_hits + off.cache_misses, 0u);
       // Batched (Prepared) path: the three buckets partition the candidates.
-      EXPECT_EQ(get(counters_on, "refine.exact_tests") +
-                    get(counters_on, "refine.early_accepts") +
-                    get(counters_on, "refine.early_rejects"),
-                cand);
+      EXPECT_EQ(on.stats.total(), cand);
+      EXPECT_GT(on.cache_misses, 0u);
       // Both paths: every exact test is classified fastpath or slowpath
       // by the adaptive exact predicate.
-      EXPECT_EQ(get(counters_off, "refine.exact_fastpath") +
-                    get(counters_off, "refine.exact_slowpath"),
-                get(counters_off, "refine.exact_tests"));
-      EXPECT_EQ(get(counters_on, "refine.exact_fastpath") +
-                    get(counters_on, "refine.exact_slowpath"),
-                get(counters_on, "refine.exact_tests"));
+      EXPECT_EQ(off.stats.exact_fastpath + off.stats.exact_slowpath, off.stats.exact_tests);
+      EXPECT_EQ(on.stats.exact_fastpath + on.stats.exact_slowpath, on.stats.exact_tests);
     }
   }
 }
@@ -290,10 +280,9 @@ PackedSide pack_side(const std::vector<geom::Feature>& features,
   return side;
 }
 
-/// One way of running a join: its cache, counters, scratch and pairs.
+/// One way of running a join: its cache, scratch (with its tally) and pairs.
 struct JoinPath {
   geom::PreparedCache cache;
-  cluster::Counters counters;
   LocalJoinScratch scratch;
   std::vector<JoinPair> pairs;
 };
@@ -333,7 +322,6 @@ std::size_t expect_packed_join_matches(const std::vector<geom::Feature>& left,
         JoinPath& path = paths[k];
         LocalJoinSpec path_spec = spec;
         path_spec.prepared_cache = &path.cache;
-        path_spec.refine_counters = &path.counters;
         if (k == 0) {
           run_local_join(lv, rv, path_spec, accept, path.scratch, path.pairs);
         } else {
@@ -346,9 +334,12 @@ std::size_t expect_packed_join_matches(const std::vector<geom::Feature>& left,
   const JoinPath& per_task = paths[0];
   const JoinPath& packed = paths[1];
   EXPECT_EQ(packed.pairs, per_task.pairs);
-  EXPECT_EQ(packed.counters.snapshot(), per_task.counters.snapshot());
+  EXPECT_EQ(packed.scratch.tally, per_task.scratch.tally);
   EXPECT_EQ(packed.cache.hits(), per_task.cache.hits());
   EXPECT_EQ(packed.cache.misses(), per_task.cache.misses());
+  // A cache of its own: the tally's lookups are the cache's.
+  EXPECT_EQ(packed.scratch.tally.cache_hits, packed.cache.hits());
+  EXPECT_EQ(packed.scratch.tally.cache_misses, packed.cache.misses());
   // Both paths test the same candidates, and some are duplicates that only
   // their canonical block pair keeps.
   EXPECT_EQ(rejected[1], rejected[0]);
@@ -456,7 +447,6 @@ TEST(LocalJoin, BroadcastProbeMatchesIndexedNestedLoop) {
       for (const int k : {0, 1}) {
         LocalJoinSpec path_spec = spec;
         path_spec.prepared_cache = &paths[k].cache;
-        path_spec.refine_counters = &paths[k].counters;
         if (k == 0) {
           run_local_join(lv, rv, path_spec, AcceptAllPairs{}, paths[k].scratch, paths[k].pairs);
         } else {
@@ -467,7 +457,7 @@ TEST(LocalJoin, BroadcastProbeMatchesIndexedNestedLoop) {
                               " predicate " + std::to_string(static_cast<int>(predicate));
       EXPECT_EQ(paths[1].pairs, paths[0].pairs) << tag;
       EXPECT_GT(paths[1].pairs.size(), 0u) << tag;
-      EXPECT_EQ(paths[1].counters.snapshot(), paths[0].counters.snapshot()) << tag;
+      EXPECT_EQ(paths[1].scratch.tally, paths[0].scratch.tally) << tag;
       EXPECT_EQ(paths[1].cache.lookups(), paths[0].cache.lookups()) << tag;
     }
   }
@@ -489,7 +479,7 @@ TEST(LocalJoin, AcceptFilterDropsPairs) {
 
 // A candidate the accept filter declines is dropped where it is generated:
 // when every candidate is declined, neither overload binds a refiner or
-// writes a refine.* counter.
+// tallies any work.
 TEST(LocalJoin, FullyDeclinedGroupsLookNothingUp) {
   const auto left = point_features({{1, 1}, {3.5, 3.5}, {5, 5}});
   const std::vector<geom::Feature> right = {
@@ -511,12 +501,10 @@ TEST(LocalJoin, FullyDeclinedGroupsLookNothingUp) {
   const std::span<const geom::Feature> rv(right);
   for (const bool packed : {false, true}) {
     geom::PreparedCache cache;
-    cluster::Counters counters;
     LocalJoinSpec spec;
     spec.algorithm = index::LocalJoinAlgorithm::kPlaneSweep;
     spec.predicate = JoinPredicate::kWithin;
     spec.prepared_cache = &cache;
-    spec.refine_counters = &counters;
     std::size_t declined = 0;
     const auto decline = [&](const geom::Envelope&, const geom::Envelope&) {
       ++declined;
@@ -532,7 +520,7 @@ TEST(LocalJoin, FullyDeclinedGroupsLookNothingUp) {
     EXPECT_EQ(declined, 4u) << "packed " << packed;  // every MBR candidate
     EXPECT_TRUE(out.empty());
     EXPECT_EQ(cache.lookups(), 0u) << "packed " << packed;
-    EXPECT_TRUE(counters.snapshot().empty()) << "packed " << packed;
+    EXPECT_EQ(scratch.tally, RefineTally{}) << "packed " << packed;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "index/mbr_join.hpp"
 #include "util/rng.hpp"
@@ -56,6 +57,16 @@ const LocalJoinAlgorithm kAllAlgorithms[] = {
     LocalJoinAlgorithm::kIndexedNestedLoopDynamic,
 };
 
+/// Each algorithm's parameter name.
+std::string algorithm_name(LocalJoinAlgorithm algo) {
+  switch (algo) {
+    case LocalJoinAlgorithm::kPlaneSweep: return "plane_sweep";
+    case LocalJoinAlgorithm::kIndexedNestedLoop: return "indexed_nested_loop";
+    case LocalJoinAlgorithm::kIndexedNestedLoopDynamic: return "indexed_nested_loop_dynamic";
+  }
+  return "?";
+}
+
 class MbrJoinTest : public ::testing::TestWithParam<LocalJoinAlgorithm> {};
 
 TEST_P(MbrJoinTest, EmptySidesYieldNothing) {
@@ -90,7 +101,7 @@ TEST_P(MbrJoinTest, MatchesNestedLoopOnRandomWorkloads) {
     const auto right = random_entries(rng, n_right, 50, 4);
     const PairSet expected = nested_loop_pairs(left, right);
     EXPECT_EQ(collect(GetParam(), left, right), expected)
-        << local_join_algorithm_name(GetParam()) << " " << n_left << "x" << n_right;
+        << algorithm_name(GetParam()) << " " << n_left << "x" << n_right;
   }
 }
 
@@ -135,20 +146,7 @@ TEST_P(MbrJoinTest, IdenticalEnvelopesAllPair) {
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, MbrJoinTest,
                          ::testing::ValuesIn(kAllAlgorithms),
-                         [](const auto& info) {
-                           std::string name = local_join_algorithm_name(info.param);
-                           for (auto& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
-
-TEST(MbrJoin, AlgorithmNamesAreStable) {
-  EXPECT_STREQ(local_join_algorithm_name(LocalJoinAlgorithm::kPlaneSweep),
-               "plane-sweep");
-  EXPECT_STREQ(local_join_algorithm_name(LocalJoinAlgorithm::kIndexedNestedLoop),
-               "indexed-nested-loop");
-}
+                         [](const auto& info) { return algorithm_name(info.param); });
 
 }  // namespace
 }  // namespace sjc::index

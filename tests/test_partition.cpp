@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "partition/partitioner.hpp"
 #include "util/rng.hpp"
@@ -35,6 +36,10 @@ std::vector<geom::Envelope> skewed_boxes(Rng& rng, std::size_t n) {
 
 class PartitionerTest : public ::testing::TestWithParam<PartitionerKind> {};
 
+std::string kind_name(PartitionerKind kind) {
+  return kind == PartitionerKind::kFixedGrid ? "fixed_grid" : "str";
+}
+
 TEST_P(PartitionerTest, CellsCoverTheExtent) {
   Rng rng(10);
   const geom::Envelope extent(0, 0, 100, 100);
@@ -51,7 +56,7 @@ TEST_P(PartitionerTest, CellsCoverTheExtent) {
           break;
         }
       }
-      EXPECT_TRUE(covered) << partitioner_kind_name(GetParam()) << " misses (" << x
+      EXPECT_TRUE(covered) << kind_name(GetParam()) << " misses (" << x
                            << "," << y << ")";
     }
   }
@@ -87,13 +92,7 @@ TEST_P(PartitionerTest, EmptySampleFallsBackToSingleCell) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, PartitionerTest,
                          ::testing::Values(PartitionerKind::kFixedGrid,
                                            PartitionerKind::kStr),
-                         [](const auto& info) {
-                           std::string n = partitioner_kind_name(info.param);
-                           for (auto& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+                         [](const auto& info) { return kind_name(info.param); });
 
 // Adaptive partitioners must balance a skewed workload far better than the
 // fixed grid — the reason SATO-style partitioning exists.

@@ -7,7 +7,7 @@
 // bit-identical to the static-scheme run, with refine.* counters unchanged
 // (the accept filter runs before refinement counting in run_local_join)
 // and the shuffle.assigned == records + filtered invariant intact. The
-// suite checks the monitor/refiner units, the cost model's shape, both
+// suite checks the hot-cell/refiner units, the cost model's shape, both
 // Table-2 experiments across all three systems, and that a resident
 // SpatialSpark entry refuses the broadcast plans.
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "core/spatial_join.hpp"
 #include "plan/cost_model.hpp"
 #include "plan/partition_refiner.hpp"
-#include "plan/skew_monitor.hpp"
 #include "serving/resident_catalog.hpp"
 #include "systems/hadoopgis/hadoop_gis.hpp"
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
@@ -36,7 +35,8 @@ namespace sjc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SkewMonitor
+// Hot cells (the default thresholds: 4x the median, more than 64 records,
+// at most 64 per round)
 // ---------------------------------------------------------------------------
 
 std::vector<plan::CellLoad> loads_of(std::initializer_list<std::uint64_t> records) {
@@ -45,66 +45,41 @@ std::vector<plan::CellLoad> loads_of(std::initializer_list<std::uint64_t> record
   return loads;
 }
 
-TEST(SkewMonitor, FlagsCellsAboveFactorTimesMedian) {
-  plan::SkewPolicy policy;
-  policy.hotspot_factor = 4.0;
-  policy.min_cell_records = 10;
-  const plan::SkewMonitor monitor(policy);
-
+TEST(HotCells, FlagsCellsAboveFactorTimesMedian) {
   // Non-empty loads {100, 100, 100, 100, 1000}: median 100 (nearest rank),
-  // threshold max(400, 10) = 400 -> only the 1000-cell is hot. Empty cells
-  // must not drag the median down.
-  const auto report =
-      monitor.analyze(loads_of({100, 0, 100, 100, 0, 0, 100, 1000}));
-  EXPECT_DOUBLE_EQ(report.median_records, 100.0);
-  EXPECT_EQ(report.max_records, 1000u);
-  EXPECT_DOUBLE_EQ(report.max_over_median, 10.0);
-  ASSERT_EQ(report.hot_cells.size(), 1u);
-  EXPECT_EQ(report.hot_cells[0], 7u);
+  // threshold max(4 x 100, 64) = 400 -> only the 1000-cell is hot. Empty
+  // cells must not drag the median down.
+  const auto hot = plan::hot_cells(loads_of({100, 0, 100, 100, 0, 0, 100, 1000}));
+  ASSERT_EQ(hot.size(), 1u);
+  EXPECT_EQ(hot[0], 7u);
 }
 
-TEST(SkewMonitor, MinCellRecordsFloorsTheThreshold) {
-  plan::SkewPolicy policy;
-  policy.hotspot_factor = 2.0;
-  policy.min_cell_records = 500;
-  const plan::SkewMonitor monitor(policy);
-  // 40 > 2 x median(=4) but below the absolute floor: never split a
+TEST(HotCells, MinCellRecordsFloorsTheThreshold) {
+  // 40 > 4 x median(=4) but below the absolute floor: never split a
   // near-empty cell no matter how skewed the ratio looks.
-  EXPECT_TRUE(monitor.analyze(loads_of({4, 4, 4, 40})).hot_cells.empty());
+  EXPECT_TRUE(plan::hot_cells(loads_of({4, 4, 4, 40})).empty());
+  EXPECT_TRUE(plan::hot_cells(loads_of({10, 10, 10, 64})).empty());
+  EXPECT_EQ(plan::hot_cells(loads_of({10, 10, 10, 65})), std::vector<std::uint32_t>{3});
 }
 
-TEST(SkewMonitor, WorstOffendersFirstAndCapped) {
-  plan::SkewPolicy policy;
-  policy.hotspot_factor = 1.5;
-  policy.min_cell_records = 1;
-  policy.max_splits_per_round = 2;
-  const plan::SkewMonitor monitor(policy);
-  // Median of {10,10,10,10,300,400,500} is 10; three cells exceed 15, but
-  // only the two worst are kept, in descending-load order.
-  const auto report = monitor.analyze(loads_of({10, 300, 10, 500, 10, 400, 10}));
-  ASSERT_EQ(report.hot_cells.size(), 2u);
-  EXPECT_EQ(report.hot_cells[0], 3u);
-  EXPECT_EQ(report.hot_cells[1], 5u);
+TEST(HotCells, WorstOffendersFirstAndCapped) {
+  // 200 cells of 10 records set the median at 10, so the threshold is the
+  // 64-record floor; 70 cells above it carry 100 + j records in pairs
+  // (ids 200 + 2j and 201 + 2j, j = 0..34). Only the 64 worst are kept:
+  // load descending, the lower id first within a pair.
+  std::vector<plan::CellLoad> loads(270, plan::CellLoad{10, 100});
+  for (std::uint32_t id = 200; id < 270; ++id) loads[id].records = 100 + (id - 200) / 2;
+  const auto hot = plan::hot_cells(loads);
+  ASSERT_EQ(hot.size(), static_cast<std::size_t>(plan::kMaxSplitsPerRound));
+  for (std::uint32_t k = 0; k < 32; ++k) {
+    EXPECT_EQ(hot[2 * k], 268 - 2 * k) << k;
+    EXPECT_EQ(hot[2 * k + 1], 269 - 2 * k) << k;
+  }
 }
 
-TEST(SkewMonitor, AllEmptyIsQuiet) {
-  const auto report = plan::SkewMonitor{}.analyze(loads_of({0, 0, 0}));
-  EXPECT_TRUE(report.hot_cells.empty());
-  EXPECT_DOUBLE_EQ(report.median_records, 0.0);
-  EXPECT_DOUBLE_EQ(report.max_over_median, 0.0);
-}
-
-TEST(SkewMonitor, PhaseSkewRatio) {
-  std::vector<trace::PhaseSkew> rows(2);
-  rows[0].phase = "local-join";
-  rows[0].p50_s = 2.0;
-  rows[0].max_s = 9.0;
-  rows[1].phase = "parse";
-  rows[1].p50_s = 0.0;
-  rows[1].max_s = 1.0;
-  EXPECT_DOUBLE_EQ(plan::phase_skew_ratio(rows, "local-join"), 4.5);
-  EXPECT_DOUBLE_EQ(plan::phase_skew_ratio(rows, "parse"), 0.0);  // median 0
-  EXPECT_DOUBLE_EQ(plan::phase_skew_ratio(rows, "absent"), 0.0);
+TEST(HotCells, AllEmptyIsQuiet) {
+  EXPECT_TRUE(plan::hot_cells(loads_of({0, 0, 0})).empty());
+  EXPECT_TRUE(plan::hot_cells({}).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -179,13 +154,7 @@ TEST(PartitionRefiner, RefineSplitsHotCellsAndConservesMigration) {
   const std::vector<geom::Envelope> cells = {
       {0, 0, 50, 50}, {50, 0, 100, 50}, {0, 50, 50, 100}, {50, 50, 100, 100}};
   const partition::PartitionScheme scheme(cells, extent);
-
-  plan::SkewPolicy policy;
-  policy.hotspot_factor = 4.0;
-  policy.min_cell_records = 1;
-  policy.max_rounds = 1;
-  const plan::PartitionRefiner refiner(partition::PartitionerKind::kFixedGrid,
-                                       policy);
+  const plan::PartitionRefiner refiner(partition::PartitionerKind::kFixedGrid);
 
   // Probe: a point mass at (10,10) plus 20 records per cell elsewhere.
   int probes = 0;
@@ -207,50 +176,34 @@ TEST(PartitionRefiner, RefineSplitsHotCellsAndConservesMigration) {
     return loads;
   };
 
+  // Round 1 quad-splits cell 0 (4 cells -> 7); its child holding the point
+  // mass is still hot, so round 2 splits it again (7 -> 10).
   const plan::RefineResult result = refiner.refine(scheme, probe);
-  EXPECT_EQ(probes, 1);
-  EXPECT_EQ(result.rounds, 1u);
-  EXPECT_EQ(result.splits, 1u);
+  EXPECT_EQ(probes, 2);
+  EXPECT_EQ(result.rounds, 2u);
+  EXPECT_EQ(result.splits, 2u);
   EXPECT_TRUE(result.changed());
-  // Quad split: 4 cells -> 7 (cell 0 replaced by 4 children).
-  EXPECT_EQ(result.scheme.cell_count(), 7u);
-  // Migration counters are exactly the load resident in the split cell.
-  EXPECT_EQ(result.migrated_records, 900u);
-  EXPECT_EQ(result.migrated_bytes, 900u * 8);
-  // Parent mapping: slot 0 and the three appended children map to 0, the
-  // untouched cells keep identity.
-  ASSERT_EQ(result.parent.size(), 7u);
-  EXPECT_EQ(result.parent[0], 0u);
-  EXPECT_EQ(result.parent[1], 1u);
-  EXPECT_EQ(result.parent[2], 2u);
-  EXPECT_EQ(result.parent[3], 3u);
-  EXPECT_EQ(result.parent[4], 0u);
-  EXPECT_EQ(result.parent[5], 0u);
-  EXPECT_EQ(result.parent[6], 0u);
-  // The children tile the old cell 0.
-  expect_tiles_parent(cells[0],
-                      {result.scheme.cells()[0], result.scheme.cells()[4],
-                       result.scheme.cells()[5], result.scheme.cells()[6]},
-                      "refined");
-
-  // With two rounds the point-mass child is still hot and splits again.
-  policy.max_rounds = 2;
-  const plan::RefineResult deeper =
-      plan::PartitionRefiner(partition::PartitionerKind::kFixedGrid, policy)
-          .refine(scheme, probe);
-  EXPECT_EQ(deeper.rounds, 2u);
-  EXPECT_EQ(deeper.splits, 2u);
-  EXPECT_EQ(deeper.scheme.cell_count(), 10u);
-  // Round 2 migrated the 900-record mass again out of the hot child.
-  EXPECT_EQ(deeper.migrated_records, 1800u);
+  EXPECT_EQ(result.scheme.cell_count(), 10u);
+  // Migration counters are exactly the load resident in each split cell:
+  // the 900-record mass, moved once per round.
+  EXPECT_EQ(result.migrated_records, 1800u);
+  EXPECT_EQ(result.migrated_bytes, 1800u * 8);
+  // Unsplit cells keep their ids; the first child takes its parent's slot
+  // and the others append. Round 1's children of cell 0 (slots 0, 4, 5, 6)
+  // tile it, and round 2's children of its SW quadrant (slots 0, 7, 8, 9)
+  // tile that quadrant.
+  for (std::uint32_t id = 1; id < 4; ++id) EXPECT_EQ(result.scheme.cells()[id], cells[id]);
+  const auto& out = result.scheme.cells();
+  expect_tiles_parent(geom::Envelope(0, 0, 25, 25), {out[0], out[7], out[8], out[9]},
+                      "round 2");
+  expect_tiles_parent(cells[0], {geom::Envelope(0, 0, 25, 25), out[4], out[5], out[6]},
+                      "round 1");
 
   // A balanced probe refines nothing and stops after one probe round.
   const auto balanced = [](const partition::PartitionScheme& s) {
     return std::vector<plan::CellLoad>(s.cell_count(), plan::CellLoad{50, 400});
   };
-  const plan::RefineResult quiet =
-      plan::PartitionRefiner(partition::PartitionerKind::kFixedGrid, policy)
-          .refine(scheme, balanced);
+  const plan::RefineResult quiet = refiner.refine(scheme, balanced);
   EXPECT_EQ(quiet.rounds, 1u);
   EXPECT_FALSE(quiet.changed());
   EXPECT_EQ(quiet.scheme.cell_count(), 4u);
@@ -260,7 +213,6 @@ TEST(PartitionRefiner, RefineSplitsHotCellsAndConservesMigration) {
 TEST(PartitionRefiner, CountersRoundTrip) {
   const geom::Envelope extent(0.0, 0.0, 10.0, 10.0);
   plan::RefineResult result{partition::PartitionScheme({extent}, extent),
-                            {0},
                             /*rounds=*/2,
                             /*splits=*/3,
                             /*migrated_records=*/111,
@@ -535,8 +487,6 @@ TEST(FilterPlan, CostBasedPlanDecidesOverTheRefinedScheme) {
   const auto exec = ec2_10(wc.scale);
   systems::SpatialSparkConfig fixed;
   fixed.policy.repartition = true;
-  fixed.policy.skew.hotspot_factor = 1.5;
-  fixed.policy.skew.min_cell_records = 8;
   systems::SpatialSparkConfig planned = fixed;
   planned.join_plan = std::nullopt;
   const auto a = systems::run_spatial_spark(left, right, query, exec, fixed);
@@ -656,15 +606,6 @@ Bench make_bench(workload::DatasetId a, workload::DatasetId b, double scale,
   return bench;
 }
 
-/// Aggressive policy so the small test datasets actually trigger splits.
-plan::SkewPolicy eager_policy() {
-  plan::SkewPolicy policy;
-  policy.hotspot_factor = 1.5;
-  policy.min_cell_records = 4;
-  policy.max_rounds = 2;
-  return policy;
-}
-
 /// The split-soundness contract, checked between a static-scheme run and an
 /// adaptive run of the same system: identical pair sets and refinement
 /// workload, self-consistent shuffle counters, and the repartition.* block
@@ -716,13 +657,11 @@ TEST(RepartitionSystems, BitIdenticalSurvivorPairs) {
     const Bench& bench = benches[bi];
     core::JoinQueryConfig query = bench.query;
     query.partitioner = kinds[bi];
-    const std::string base =
-        bench.name + "/" + partition::partitioner_kind_name(kinds[bi]);
+    const std::string base = bench.name + (bi == 0 ? "/fixed-grid" : "/str");
     {
       systems::HadoopGisConfig off_cfg;
       systems::HadoopGisConfig on_cfg;
       on_cfg.policy.repartition = true;
-      on_cfg.policy.skew = eager_policy();
       expect_repartition_neutral(
           systems::run_hadoop_gis(bench.left, bench.right, query, bench.exec,
                                   off_cfg),
@@ -734,7 +673,6 @@ TEST(RepartitionSystems, BitIdenticalSurvivorPairs) {
       systems::SpatialHadoopConfig off_cfg;
       systems::SpatialHadoopConfig on_cfg;
       on_cfg.policy.repartition = true;
-      on_cfg.policy.skew = eager_policy();
       expect_repartition_neutral(
           systems::run_spatial_hadoop(bench.left, bench.right, query, bench.exec,
                                       off_cfg),
@@ -746,7 +684,6 @@ TEST(RepartitionSystems, BitIdenticalSurvivorPairs) {
       systems::SpatialSparkConfig off_cfg;
       systems::SpatialSparkConfig on_cfg;
       on_cfg.policy.repartition = true;
-      on_cfg.policy.skew = eager_policy();
       expect_repartition_neutral(
           systems::run_spatial_spark(bench.left, bench.right, query, bench.exec,
                                      off_cfg),
@@ -767,7 +704,6 @@ TEST(RepartitionSystems, SkewedGridActuallySplits) {
   bench.query.partitioner = partition::PartitionerKind::kFixedGrid;
   systems::SpatialSparkConfig cfg;
   cfg.policy.repartition = true;
-  cfg.policy.skew = eager_policy();
   const auto report =
       systems::run_spatial_spark(bench.left, bench.right, bench.query, bench.exec, cfg);
   ASSERT_TRUE(report.status.ok()) << report.status.to_string();
@@ -790,7 +726,6 @@ TEST(RepartitionSystems, ResidentPathCarriesTheRefinedScheme) {
   config.build_query = bench.query;
   config.exec = bench.exec;
   config.spatial_spark.policy.repartition = true;
-  config.spatial_spark.policy.skew = eager_policy();
 
   const auto cold = systems::run_spatial_spark(bench.left, bench.right, bench.query,
                                                bench.exec, config.spatial_spark);

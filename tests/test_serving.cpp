@@ -2,12 +2,14 @@
 // both Table-2 experiment shapes and a within-distance join (every counter,
 // entries installed from temporaries), the build-expansion check,
 // HadoopGIS's replayed ingest quarantine, cross-query PreparedCache reuse,
+// per-query cache counts under overlapping queries on one entry,
 // admission control, round-robin fairness, and interleaved multi-tenant
 // bit-identity against serial execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <future>
+#include <latch>
 #include <map>
 #include <set>
 #include <string>
@@ -237,6 +239,62 @@ TEST(ResidentCache, SecondQueryHitsSharedPreparedCache) {
   EXPECT_EQ(q1 + q2, cache.lookups());
   EXPECT_GT(second.counters.get("join.prepared_cache_hits"),
             first.counters.get("join.prepared_cache_hits"));
+}
+
+// Overlapping queries on one entry share its PreparedCache, yet each report
+// counts only its own work: two warm joins started together each report the
+// serial warm join's cache lookups and refine.* counters, on SpatialHadoop's
+// packed blocks and on SpatialSpark's partitioned plan.
+TEST(ResidentOverlap, EachQueryCountsItsOwnCacheLookups) {
+  const auto& w = Workbench::instance();
+  struct Case {
+    core::SystemKind system;
+    core::JoinPredicate predicate;
+    const workload::Dataset* left;
+    const workload::Dataset* right;
+  };
+  const auto own_work = [](const core::RunReport& r) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : r.counters.snapshot()) {
+      if (name.starts_with("refine.") || name.starts_with("join.prepared_cache_")) {
+        out[name] = value;
+      }
+    }
+    return out;
+  };
+  for (const Case& c :
+       {Case{core::SystemKind::kSpatialHadoopSim, core::JoinPredicate::kWithin, &w.points,
+             &w.polys},
+        Case{core::SystemKind::kSpatialSparkSim, core::JoinPredicate::kIntersects, &w.lines_a,
+             &w.lines_b}}) {
+    const std::string tag = core::system_kind_name(c.system);
+    serving::ResidentCatalog catalog;
+    const auto config = entry_config(c.system, c.predicate);
+    const auto entry = catalog.install("pair", *c.left, *c.right, config);
+    // The first query builds every refiner it needs; the second is the warm
+    // reference.
+    ASSERT_TRUE(entry->run_join(config.build_query).status.ok()) << tag;
+    const core::RunReport serial = entry->run_join(config.build_query);
+    ASSERT_TRUE(serial.status.ok()) << tag;
+    const auto expected = own_work(serial);
+    ASSERT_EQ(expected.size(), 8u) << tag;
+    ASSERT_GT(expected.at("join.prepared_cache_hits"), 0u) << tag;
+    EXPECT_EQ(expected.at("join.prepared_cache_misses"), 0u) << tag;
+    for (int round = 0; round < 3; ++round) {
+      std::latch start(2);
+      const auto overlapped = [&] {
+        start.arrive_and_wait();
+        return entry->run_join(config.build_query);
+      };
+      auto a = std::async(std::launch::async, overlapped);
+      auto b = std::async(std::launch::async, overlapped);
+      for (auto* query : {&a, &b}) {
+        const core::RunReport report = query->get();
+        ASSERT_TRUE(report.status.ok()) << tag << ": " << report.status.to_string();
+        EXPECT_EQ(own_work(report), expected) << tag << " round " << round;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ TEST(ShuffleFilter, FilteredAssignDropsOnlyProvableNegatives) {
   for (const auto kind :
        {partition::PartitionerKind::kFixedGrid, partition::PartitionerKind::kStr}) {
     const auto scheme = partition::make_partitions(kind, sample, extent, 29);
-    const std::string tag = partition::partitioner_kind_name(kind);
+    const std::string tag = kind == partition::PartitionerKind::kFixedGrid ? "fixed-grid" : "str";
     // "Right side": clustered in the lower-left quadrant, marked exactly the
     // way the systems do — into every cell the envelope is assigned to.
     LoggedFilter lf(scheme.cells());
@@ -388,7 +388,7 @@ TEST(ShuffleFilter, SystemsBitIdenticalSurvivorPairs) {
       core::JoinQueryConfig query = bench.query;
       query.partitioner = kind;
       const std::string base =
-          bench.name + "/" + partition::partitioner_kind_name(kind);
+          bench.name + (kind == partition::PartitionerKind::kFixedGrid ? "/fixed-grid" : "/str");
       {
         systems::HadoopGisConfig off_cfg;
         off_cfg.policy.shuffle_filter = false;

@@ -399,6 +399,23 @@ TEST(SkewSummary, PercentilesAndStragglers) {
   EXPECT_NE(table.find("10.00"), std::string::npos) << table;
 }
 
+TEST(SkewSummary, PhaseSkewRatio) {
+  std::vector<trace::PhaseSkew> rows(3);
+  rows[0].phase = "local-join";
+  rows[0].p50_s = 2.0;
+  rows[0].max_s = 9.0;
+  rows[1].phase = "parse";
+  rows[1].p50_s = 0.0;
+  rows[1].max_s = 1.0;
+  rows[2].phase = "A.text.parse.join.local-join";
+  rows[2].p50_s = 1.0;
+  rows[2].max_s = 3.0;
+  EXPECT_DOUBLE_EQ(trace::phase_skew_ratio(rows, "local-join"), 4.5);  // exact match wins
+  EXPECT_DOUBLE_EQ(trace::phase_skew_ratio(rows, "join.local-join"), 3.0);  // suffix
+  EXPECT_DOUBLE_EQ(trace::phase_skew_ratio(rows, "parse"), 0.0);  // median 0
+  EXPECT_DOUBLE_EQ(trace::phase_skew_ratio(rows, "absent"), 0.0);
+}
+
 TEST(SkewSummary, RepartitionAndPlanFooters) {
   trace::TaskTimeline timeline;
   timeline.node_count = 1;
