@@ -43,10 +43,11 @@ int main() {
     std::fputs(report.metrics.to_string().c_str(), stdout);
 
     // DFS interaction summary: the crux of Fig. 1's comparison.
+    using cluster::PhaseReport;
     std::printf("DFS/disk bytes read: %s   written: %s   shuffled: %s\n\n",
-                format_bytes(report.metrics.total_bytes_read()).c_str(),
-                format_bytes(report.metrics.total_bytes_written()).c_str(),
-                format_bytes(report.metrics.total_bytes_shuffled()).c_str());
+                format_bytes(report.metrics.total(&PhaseReport::bytes_read)).c_str(),
+                format_bytes(report.metrics.total(&PhaseReport::bytes_written)).c_str(),
+                format_bytes(report.metrics.total(&PhaseReport::bytes_shuffled)).c_str());
   }
   return 0;
 }

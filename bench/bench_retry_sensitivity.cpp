@@ -123,10 +123,11 @@ int main() {
       if (!report.status.ok()) {
         row.push_back(report.status.to_string());
       } else {
-        row.push_back(format_seconds(report.total_seconds) + " (" +
-                      std::to_string(report.metrics.total_nodes_quarantined()) +
-                      "q, " + format_seconds(report.metrics.total_wasted_seconds()) +
-                      "w)");
+        using cluster::PhaseReport;
+        row.push_back(
+            format_seconds(report.total_seconds) + " (" +
+            std::to_string(report.metrics.total(&PhaseReport::nodes_quarantined)) + "q, " +
+            format_seconds(report.metrics.total(&PhaseReport::wasted_seconds)) + "w)");
       }
     }
     bl_table.add_row(std::move(row));

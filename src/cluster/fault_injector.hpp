@@ -98,17 +98,6 @@ struct FaultPlan {
   /// larger than the final attempt's headroom remain fatal, which is how
   /// the full-dataset runs still die exactly as in Tables 2-3.
   double pipe_retry_headroom = 0.5;
-
-  /// True when the plan can never perturb a run (no injected faults and no
-  /// retry budget beyond the first attempt) — engines skip the recovery
-  /// machinery entirely and stay byte-identical with the fault-free path.
-  bool trivial() const {
-    return task_crash_probability <= 0.0 && straggler_probability <= 0.0 &&
-           datanode_losses.empty() && max_attempts <= 1 &&
-           !speculative_execution && bad_node_probability <= 0.0 &&
-           malformed_rows == 0 && phase_timeout_s <= 0.0 &&
-           job_retry_budget == 0;
-  }
 };
 
 /// Stateless oracle over a FaultPlan. All queries hash (seed, phase, task,

@@ -65,71 +65,16 @@ class RunMetrics {
     return best;
   }
 
-  double total_seconds() const {
-    double total = 0.0;
-    for (const auto& p : phases_) total += p.sim_seconds;
-    return total;
+  /// One field summed over every phase in phase order, e.g.
+  /// total(&PhaseReport::bytes_read).
+  template <typename T>
+  T total(T PhaseReport::*field) const {
+    T sum{};
+    for (const auto& p : phases_) sum += p.*field;
+    return sum;
   }
 
-  std::uint64_t total_bytes_read() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.bytes_read;
-    return total;
-  }
-
-  std::uint64_t total_bytes_written() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.bytes_written;
-    return total;
-  }
-
-  std::uint64_t total_bytes_shuffled() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.bytes_shuffled;
-    return total;
-  }
-
-  std::uint64_t total_task_attempts() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.task_attempts;
-    return total;
-  }
-
-  std::uint64_t total_speculative_clones() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.speculative_clones;
-    return total;
-  }
-
-  double total_wasted_seconds() const {
-    double total = 0.0;
-    for (const auto& p : phases_) total += p.wasted_seconds;
-    return total;
-  }
-
-  std::uint64_t total_recomputed_partitions() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.recomputed_partitions;
-    return total;
-  }
-
-  std::uint64_t total_rereplicated_bytes() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.rereplicated_bytes;
-    return total;
-  }
-
-  std::uint64_t total_commits_rejected() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.commits_rejected;
-    return total;
-  }
-
-  std::uint64_t total_nodes_quarantined() const {
-    std::uint64_t total = 0;
-    for (const auto& p : phases_) total += p.nodes_quarantined;
-    return total;
-  }
+  double total_seconds() const { return total(&PhaseReport::sim_seconds); }
 
   /// Sums sim_seconds of phases whose name starts with `prefix` (phases are
   /// named "<stage>/<detail>", e.g. "indexA/map").

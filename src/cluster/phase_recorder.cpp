@@ -47,7 +47,7 @@ ScheduleOutcome PhaseRecorder::schedule(const std::string& name,
     span.bytes_out = tasks[a.task].disk_write;
     span.bytes_shuffled = tasks[a.task].network;
     span.outcome = a.outcome;
-    trace->record(std::move(span));
+    trace->spans.push_back(std::move(span));
   }
   // Zero-duration markers at the moment each node was blacklisted.
   for (const auto& q : outcome.quarantines) {
@@ -59,7 +59,7 @@ ScheduleOutcome PhaseRecorder::schedule(const std::string& name,
     span.sim_start = offset + q.time_s;
     span.sim_end = offset + q.time_s;
     span.outcome = trace::SpanOutcome::kQuarantined;
-    trace->record(std::move(span));
+    trace->spans.push_back(std::move(span));
   }
   return outcome;
 }
@@ -156,7 +156,7 @@ void PhaseRecorder::record_serial(const std::string& name, const SimTask& task,
     span.cpu_seconds = task.cpu_seconds;
     span.bytes_in = bytes_read;
     span.bytes_out = bytes_written;
-    trace->record(std::move(span));
+    trace->spans.push_back(std::move(span));
   }
   metrics->add_phase(std::move(phase));
 }

@@ -11,6 +11,11 @@
 // deadline and retry-budget checks, plus one-task serial phases (master
 // steps, DFS repairs) and fault-free lineage recomputes.
 //
+// The recorder books a phase on the thread driving the run, after the
+// phase's pool tasks have joined, so it is the one writer of the report's
+// metrics, counters and trace timeline: it appends spans to the timeline
+// directly, and the run's epilogue sorts them (core::finish_report).
+//
 // What stays with each engine is what really differs: the failure a dead
 // phase throws, whether datanode losses that came due apply before
 // (MapReduce) or after (Spark) the limit checks, and Spark's lineage.
@@ -48,8 +53,9 @@ class PhaseRecorder {
   RunMetrics* metrics;
   /// Optional named-counter sink (commit ledger, quarantine, budget).
   Counters* counters;
-  /// Optional per-task span sink. Tracing never changes what a phase charges.
-  trace::TraceCollector* trace = nullptr;
+  /// Optional per-task span sink: the report's timeline
+  /// (core::trace_sink). Tracing never changes what a phase charges.
+  trace::TaskTimeline* trace = nullptr;
 
   const FaultInjector& faults() const { return faults_; }
 

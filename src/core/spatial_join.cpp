@@ -44,16 +44,29 @@ double envelope_expansion(JoinPredicate predicate, double within_distance) {
   return predicate == JoinPredicate::kWithinDistance ? within_distance / 2.0 : 0.0;
 }
 
-void annotate_recovery(RunReport& report) {
-  std::uint64_t task_count = 0;
-  for (const auto& p : report.metrics.phases()) task_count += p.task_count;
-  report.attempts_used = report.metrics.total_task_attempts();
-  report.recovered =
-      report.status.ok() &&
-      (report.attempts_used > task_count ||
-       report.metrics.total_speculative_clones() > 0 ||
-       report.metrics.total_recomputed_partitions() > 0 ||
-       report.metrics.total_rereplicated_bytes() > 0);
+trace::TaskTimeline* trace_sink(RunReport& report, const ExecutionConfig& exec) {
+  if (!exec.trace) return nullptr;
+  report.trace.node_count = std::max<std::uint32_t>(1, exec.cluster.node_count);
+  report.trace.slots_per_node = std::max<std::uint32_t>(1, exec.cluster.node.cores);
+  return &report.trace;
+}
+
+void finish_report(RunReport& report, bool breakdown) {
+  const cluster::RunMetrics& m = report.metrics;
+  if (breakdown) {
+    report.index_a_seconds = m.seconds_with_prefix("A/");
+    report.index_b_seconds = m.seconds_with_prefix("B/");
+    report.join_seconds = m.seconds_with_prefix("join/");
+  }
+  report.total_seconds = m.total_seconds();
+  trace::sort_spans(report.trace);
+  using cluster::PhaseReport;
+  report.attempts_used = m.total(&PhaseReport::task_attempts);
+  report.recovered = report.status.ok() &&
+                     (report.attempts_used > m.total(&PhaseReport::task_count) ||
+                      m.total(&PhaseReport::speculative_clones) > 0 ||
+                      m.total(&PhaseReport::recomputed_partitions) > 0 ||
+                      m.total(&PhaseReport::rereplicated_bytes) > 0);
 }
 
 std::vector<std::string> check_invariants(const RunReport& report) {

@@ -87,7 +87,8 @@ struct ExecutionConfig {
   /// times and capacities are expressed at paper magnitude through this.
   double data_scale = 1000.0;
   /// Keep the joined (left_id, right_id) pairs in the report (tests); when
-  /// false only count and hash are kept (benches).
+  /// false only count and hash are kept (benches). Either way the run
+  /// charges the same modeled work.
   bool collect_pairs = false;
   /// Collect a per-task trace timeline (RunReport::trace): one TaskSpan per
   /// scheduled attempt, exportable as Chrome trace.json. Tracing is
@@ -182,10 +183,18 @@ double effective_sample_rate(double configured_rate, std::size_t dataset_size,
 /// expanded envelopes; 0 otherwise.
 double envelope_expansion(JoinPredicate predicate, double within_distance);
 
-/// Fills a report's recovery summary (`attempts_used`, `recovered`) from
-/// its accumulated phase metrics. Called by every system driver after the
-/// run; idempotent.
-void annotate_recovery(RunReport& report);
+/// The span sink of a run's phase recorder: `report.trace`, laid out as
+/// `exec.cluster`'s nodes and per-node slots, or null when the run is not
+/// traced. The recorder appends on the thread driving the run, so the
+/// timeline has one writer and no lock.
+trace::TaskTimeline* trace_sink(RunReport& report, const ExecutionConfig& exec);
+
+/// The epilogue every system driver's entry points end in, success or
+/// failure: with `breakdown`, the IA/IB/DJ columns from the "A/", "B/" and
+/// "join/" phases (the MapReduce systems' Table-3 breakdown); the
+/// end-to-end total; the trace in canonical order (trace::sort_spans); and
+/// the recovery summary (`attempts_used`, `recovered`).
+void finish_report(RunReport& report, bool breakdown);
 
 /// Every accounting invariant `report` violates, one line each; empty when
 /// it holds them all. A counter the report lacks counts as 0.

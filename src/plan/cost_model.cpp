@@ -62,7 +62,7 @@ std::string_view plan_kind_name(PlanKind kind) {
   return "unknown";
 }
 
-PlanDecision JoinCostModel::choose(const PlanInputs& in) const {
+PlanDecision choose_plan(const PlanInputs& in) {
   PlanDecision decision;
   if (in.left_records == 0 || in.right_records == 0 ||
       in.cluster.total_slots() == 0) {
@@ -212,10 +212,6 @@ FilterPrediction predict_filter(const FilterInputs& in) {
   out.saving_seconds *= scale;
   out.cost_seconds *= scale;
   return out;
-}
-
-PlanDecision choose_plan(const PlanInputs& inputs) {
-  return JoinCostModel{}.choose(inputs);
 }
 
 void record_plan_counters(const PlanDecision& decision,

@@ -1,4 +1,4 @@
-// JoinCostModel: cost-based choice between the broadcast-based and the
+// Cost-based choice between the broadcast-based and the
 // partition-based distributed join (SpatialSpark's two physical plans).
 //
 // The paper's Table 2/3 discussion shows the crossover empirically: the
@@ -67,12 +67,7 @@ struct PlanDecision {
   bool fallback = false;
 };
 
-class JoinCostModel {
- public:
-  PlanDecision choose(const PlanInputs& inputs) const;
-};
-
-/// Convenience wrapper: default-constructed model.
+/// Predicts both plans' costs and picks the cheaper feasible one.
 PlanDecision choose_plan(const PlanInputs& inputs);
 
 /// What the map-side shuffle filter would cost and save in one partitioned

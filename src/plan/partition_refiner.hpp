@@ -99,8 +99,13 @@ class PartitionRefiner {
   partition::PartitionerKind kind_;
 };
 
-/// Emits the repartition.* counter block (rounds/splits/cells/
-/// migrated_records/migrated_bytes) read back by the trace footer.
+/// Adds the repartition.* counter block (rounds/splits/cells/
+/// migrated_records/migrated_bytes) read back by the trace footer. The
+/// counters are run totals: they sum over every scheme a run refines, as
+/// partition.* sums SpatialHadoop's two partition jobs. SpatialHadoop refines
+/// A's and B's schemes, so its rounds lie in [2, 2 x kMaxRefineRounds] and
+/// its cells add both schemes'; HadoopGIS and SpatialSpark refine one joint
+/// scheme.
 void record_repartition_counters(const RefineResult& result,
                                  cluster::Counters& counters);
 

@@ -14,7 +14,9 @@
 //    "<stage>.recompute" phase) and keeps going on the surviving executors.
 //
 // Stages are booked through the runtime's cluster::PhaseRecorder, the same
-// one MapReduce phases go through. What is Spark's own: a stage whose task
+// one MapReduce phases go through, on the driver thread once a stage's tasks
+// have joined; with tracing on, the recorder appends each attempt's span to
+// the report's timeline. What is Spark's own: a stage whose task
 // exhausts its attempts throws TaskFailed right away, and datanode losses
 // that came due apply only after a stage passed its limit checks, followed
 // by the lineage recompute.
@@ -68,10 +70,10 @@ class SparkRuntime {
   /// Records collecting `bytes` back to the driver.
   void record_collect(const std::string& name, std::uint64_t bytes);
 
-  /// Attaches a per-task span sink: every stage task attempt, lineage
-  /// recompute and DFS repair lands on the run's trace timeline. Tracing
-  /// never changes what the stages charge.
-  void set_trace(trace::TraceCollector* trace) { recorder_.trace = trace; }
+  /// Attaches a per-task span sink (core::trace_sink): every stage task
+  /// attempt, lineage recompute and DFS repair is appended to the run's
+  /// trace timeline. Tracing never changes what the stages charge.
+  void set_trace(trace::TaskTimeline* trace) { recorder_.trace = trace; }
 
   /// Attaches a named-counter sink for commit/quarantine/budget accounting.
   void set_counters(cluster::Counters* counters) { recorder_.counters = counters; }

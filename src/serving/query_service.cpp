@@ -17,10 +17,10 @@ double seconds_between(std::chrono::steady_clock::time_point a,
 QueryService::QueryService(const ResidentCatalog& catalog, QueryServiceConfig config)
     : catalog_(&catalog),
       config_(config),
-      collector_(1, static_cast<std::uint32_t>(std::max<std::size_t>(1, config.workers))),
       epoch_(Clock::now()) {
   require(config_.workers > 0, "QueryService: workers must be > 0");
   require(config_.max_queue_depth > 0, "QueryService: max_queue_depth must be > 0");
+  timeline_.slots_per_node = static_cast<std::uint32_t>(config_.workers);
   workers_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
     workers_.emplace_back(
@@ -158,22 +158,6 @@ void QueryService::execute(Pending task, std::uint32_t slot) {
   result.service_seconds = seconds_between(start, end);
   result.latency_seconds = seconds_between(task.arrival, end);
 
-  if (config_.trace) {
-    trace::TaskSpan span;
-    span.phase = std::string(kTenantPhasePrefix) + task.tenant;
-    span.task = task.seq;
-    span.slot = slot;
-    // The span covers arrival -> completion on the service clock, so span
-    // duration == query latency and tenant_summary() summarizes exactly
-    // what the bench reports.
-    span.sim_start = seconds_between(epoch_, task.arrival);
-    span.sim_end = seconds_between(epoch_, end);
-    span.cpu_seconds = result.service_seconds;
-    span.outcome =
-        result.status.ok() ? trace::SpanOutcome::kOk : trace::SpanOutcome::kFailed;
-    collector_.record(std::move(span));
-  }
-
   {
     std::lock_guard<std::mutex> lock(mutex_);
     TenantStats& stats = tenants_[task.tenant].stats;
@@ -184,6 +168,20 @@ void QueryService::execute(Pending task, std::uint32_t slot) {
     }
     stats.queue_seconds += result.queue_seconds;
     stats.service_seconds += result.service_seconds;
+    if (config_.trace) {
+      trace::TaskSpan& span = timeline_.spans.emplace_back();
+      span.phase = std::string(kTenantPhasePrefix) + task.tenant;
+      span.task = task.seq;
+      span.slot = slot;
+      // The span covers arrival -> completion on the service clock, so span
+      // duration == query latency and tenant_summary() summarizes exactly
+      // what the bench reports.
+      span.sim_start = seconds_between(epoch_, task.arrival);
+      span.sim_end = seconds_between(epoch_, end);
+      span.cpu_seconds = result.service_seconds;
+      span.outcome =
+          result.status.ok() ? trace::SpanOutcome::kOk : trace::SpanOutcome::kFailed;
+    }
   }
 
   task.promise.set_value(std::move(result));
@@ -207,7 +205,15 @@ std::vector<TenantStats> QueryService::tenant_stats() const {
   return out;
 }
 
-trace::TaskTimeline QueryService::timeline() const { return collector_.merged(); }
+trace::TaskTimeline QueryService::timeline() const {
+  trace::TaskTimeline timeline;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    timeline = timeline_;
+  }
+  trace::sort_spans(timeline);
+  return timeline;
+}
 
 std::vector<trace::TenantSkew> QueryService::tenant_footer() const {
   return trace::tenant_summary(timeline(), kTenantPhasePrefix);

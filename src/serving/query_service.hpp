@@ -26,8 +26,10 @@
 //    "tenant/<name>", on the service's real-time clock: the queue wait is
 //    the span's start offset and the service time its duration, so
 //    trace::tenant_summary renders the per-tenant skew footer directly
-//    from the timeline. Per-tenant counters (submitted / rejected /
-//    completed / failed, queue and service seconds) are kept service-side.
+//    from the timeline. A worker appends its query's span under the
+//    service lock, where it also counts the query completed or failed.
+//    Per-tenant counters (submitted / rejected / completed / failed, queue
+//    and service seconds) are kept service-side.
 //
 // Every accepted query's future is eventually satisfied — on execution, on
 // failure (the Status travels in the result), and on service shutdown (the
@@ -142,8 +144,8 @@ class QueryService {
   /// Per-tenant counters, sorted by tenant name.
   std::vector<TenantStats> tenant_stats() const;
 
-  /// Merged per-query trace timeline (empty when config.trace is false).
-  /// Call after drain() for a complete picture.
+  /// A sorted copy of the per-query trace timeline (empty when
+  /// config.trace is false). Call after drain() for a complete picture.
   trace::TaskTimeline timeline() const;
 
   /// Per-tenant skew footer over the current timeline.
@@ -173,10 +175,10 @@ class QueryService {
 
   const ResidentCatalog* catalog_;
   const QueryServiceConfig config_;
-  trace::TraceCollector collector_;
   const Clock::time_point epoch_;
 
   mutable std::mutex mutex_;
+  trace::TaskTimeline timeline_;  // one node, one slot per worker
   std::condition_variable work_cv_;
   std::condition_variable drained_cv_;
   std::unordered_map<std::string, TenantState> tenants_;

@@ -107,11 +107,12 @@ std::vector<std::string> chaos_violations(const core::RunReport& report,
   for (auto& violation : core::check_invariants(report)) fail(std::move(violation));
 
   // 4. Rejected commits only ever come from losing speculative clones.
-  if (report.metrics.total_commits_rejected() >
-      report.metrics.total_speculative_clones()) {
+  using cluster::PhaseReport;
+  const std::uint64_t rejected = report.metrics.total(&PhaseReport::commits_rejected);
+  if (rejected > report.metrics.total(&PhaseReport::speculative_clones)) {
     fail("more rejected commits than speculative clones");
   }
-  if (!plan.speculative_execution && report.metrics.total_commits_rejected() > 0) {
+  if (!plan.speculative_execution && rejected > 0) {
     fail("rejected commits without speculative execution");
   }
 
@@ -135,7 +136,7 @@ std::vector<std::string> chaos_violations(const core::RunReport& report,
 
   // 7. Node quarantine never fires unless the plan enables blacklisting.
   if (plan.node_blacklist_threshold == 0 &&
-      report.metrics.total_nodes_quarantined() > 0) {
+      report.metrics.total(&PhaseReport::nodes_quarantined) > 0) {
     fail("nodes quarantined with blacklisting disabled");
   }
   return out;

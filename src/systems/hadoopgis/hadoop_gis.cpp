@@ -455,19 +455,6 @@ bool join_fits(const mapreduce::MrContext& ctx, const mapreduce::MrConfig& strea
   return largest <= limit;
 }
 
-/// Report epilogue shared by the cold and resident paths, success or
-/// failure: the IA/IB/DJ breakdown (IA and IB are 0 when no preprocessing
-/// phase ran), the total, the trace and the recovery summary.
-void finish_report(core::RunReport& report, const core::ExecutionConfig& exec,
-                   const trace::TraceCollector& collector) {
-  report.index_a_seconds = report.metrics.seconds_with_prefix("A/");
-  report.index_b_seconds = report.metrics.seconds_with_prefix("B/");
-  report.join_seconds = report.metrics.seconds_with_prefix("join/");
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
-}
-
 /// What a resident HadoopGIS entry keeps between queries: the join jobs'
 /// inputs and the counters preprocessing emitted, which every resident
 /// report replays so its counter set matches a cold batch run's.
@@ -485,7 +472,6 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
                                     const core::ExecutionConfig& exec,
                                     const HadoopGisConfig& config, ResidentState* capture) {
   core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   workload::RowQuarantine quarantine;
 
   try {
@@ -495,7 +481,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     dfs::SimDfs dfs(core::dfs_config(query, exec));
     mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &report.counters, config.faults);
-    if (exec.trace) ctx.trace = &collector;
+    ctx.trace = core::trace_sink(report, exec);
 
     const mapreduce::MrConfig streaming = make_streaming_config(exec, config);
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
@@ -613,7 +599,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
   }
 
   quarantine.flush_counters(report.counters);
-  finish_report(report, exec, collector);
+  core::finish_report(report, /*breakdown=*/true);
   return report;
 }
 
@@ -626,7 +612,6 @@ core::RunReport run_resident_query(const ResidentState& state,
                                    const HadoopGisConfig& config,
                                    geom::PreparedCache* shared_cache) {
   core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   workload::RowQuarantine quarantine;
 
   try {
@@ -635,7 +620,7 @@ core::RunReport run_resident_query(const ResidentState& state,
     dfs::SimDfs dfs(core::dfs_config(query, exec));
     mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &report.counters);
-    if (exec.trace) ctx.trace = &collector;
+    ctx.trace = core::trace_sink(report, exec);
     report.counters.merge(state.ingest_counters);
     core::record_result(report,
                         run_gis_join(ctx, make_streaming_config(exec, config), query, exec,
@@ -646,7 +631,7 @@ core::RunReport run_resident_query(const ResidentState& state,
   }
 
   quarantine.flush_counters(report.counters);
-  finish_report(report, exec, collector);
+  core::finish_report(report, /*breakdown=*/true);
   return report;
 }
 

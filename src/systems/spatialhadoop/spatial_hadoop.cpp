@@ -412,26 +412,6 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   return pairs;
 }
 
-void finalize_report(core::RunReport& report, std::vector<JoinPair> pairs,
-                     const core::ExecutionConfig& exec) {
-  core::record_result(report, std::move(pairs), exec);
-  report.index_a_seconds = report.metrics.seconds_with_prefix("A/");
-  report.index_b_seconds = report.metrics.seconds_with_prefix("B/");
-  report.join_seconds = report.metrics.seconds_with_prefix("join/");
-  report.total_seconds = report.metrics.total_seconds();
-  core::annotate_recovery(report);
-}
-
-/// SpatialHadoop has no intrinsic failure modes; injected faults (TaskFailed
-/// past the retry budget, lifecycle kills; a lost block fails no read),
-/// invalid fault plans and mismatched builds land here as a structured
-/// Status. IA/IB/DJ stay NaN.
-void fail_report(core::RunReport& report, const SjcError& e) {
-  report.status = status_from_exception(e);
-  report.total_seconds = report.metrics.total_seconds();
-  core::annotate_recovery(report);
-}
-
 /// What a resident SpatialHadoop entry keeps between queries: the datasets
 /// its partition blocks index into, both indexed partition directories, the
 /// envelope expansion their records were assigned with (a query must use
@@ -456,7 +436,6 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
                                         const SpatialHadoopConfig& config,
                                         ResidentState* capture) {
   core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
 
   try {
     // Fault-plan validation and DFS setup inside the try: a chaos-generated
@@ -464,7 +443,7 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     dfs::SimDfs dfs(core::dfs_config(query, exec));
     mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &report.counters, config.faults);
-    if (exec.trace) ctx.trace = &collector;
+    ctx.trace = core::trace_sink(report, exec);
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
 
     // ---- Preprocessing: index both inputs (IA, IB) -------------------------
@@ -521,11 +500,15 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
       capture->ingest_counters = report.counters;
     }
 
-    finalize_report(report, run_distributed_join(ctx, ia, ib, query, config), exec);
+    core::record_result(report, run_distributed_join(ctx, ia, ib, query, config), exec);
   } catch (const SjcError& e) {
-    fail_report(report, e);
+    // SpatialHadoop has no intrinsic failure modes: injected faults
+    // (TaskFailed past the retry budget, lifecycle kills; a lost block fails
+    // no read), invalid fault plans and, on the resident path, mismatched
+    // builds land here as a structured Status. IA/IB/DJ stay NaN.
+    report.status = status_from_exception(e);
   }
-  if (exec.trace) report.trace = collector.merged();
+  core::finish_report(report, /*breakdown=*/report.status.ok());
   return report;
 }
 
@@ -539,22 +522,21 @@ core::RunReport run_resident_query(const ResidentState& state,
                                    const SpatialHadoopConfig& config,
                                    geom::PreparedCache* shared_cache) {
   core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   try {
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
     plane.require_build_expansion(state.expand, "spatial_hadoop_resident");
     dfs::SimDfs dfs(core::dfs_config(query, exec));
     mapreduce::MrContext ctx(exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &report.counters);
-    if (exec.trace) ctx.trace = &collector;
+    ctx.trace = core::trace_sink(report, exec);
     report.counters.merge(state.ingest_counters);
-    finalize_report(report,
-                    run_distributed_join(ctx, state.ia, state.ib, query, config, shared_cache),
-                    exec);
+    core::record_result(
+        report, run_distributed_join(ctx, state.ia, state.ib, query, config, shared_cache),
+        exec);
   } catch (const SjcError& e) {
-    fail_report(report, e);
+    report.status = status_from_exception(e);
   }
-  if (exec.trace) report.trace = collector.merged();
+  core::finish_report(report, /*breakdown=*/report.status.ok());
   return report;
 }
 

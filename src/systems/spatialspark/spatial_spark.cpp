@@ -42,40 +42,33 @@ rdd::Sizer<JoinPair> make_pair_sizer() {
 /// Marks the run successful and records its result. Results are counted and
 /// digested distributively (SpatialSpark writes its result RDD out / counts
 /// it; it never funnels every pair through the driver) under the
-/// `aggregate_stage` name; only when the caller wants the pairs is a real
-/// collect paid.
+/// `aggregate_stage` name. A caller that wants the pairs gets a copy with no
+/// modeled charge, so collecting them never changes the report.
 void record_result(rdd::SparkRuntime& rt, const core::ExecutionConfig& exec,
                    const rdd::Rdd<JoinPair>& pairs_rdd,
                    const std::string& aggregate_stage, core::RunReport& report) {
   report.status = Status::Ok();
-  if (exec.collect_pairs) {
-    std::vector<JoinPair> pairs = pairs_rdd.collect();
-    report.result_count = pairs.size();
-    report.result_hash = core::hash_pairs_unordered(pairs);
-    report.pairs = std::move(pairs);
-  } else {
-    CpuStopwatch agg_cpu;
-    for (const auto& part : pairs_rdd.partitions()) {
-      report.result_count += part.size();
-      report.result_hash += core::hash_pairs_unordered(part);
-    }
-    rt.record_narrow_stage(aggregate_stage, {agg_cpu.seconds()});
-    rt.record_collect("result.aggregate", 16 * pairs_rdd.num_partitions());
+  CpuStopwatch agg_cpu;
+  for (const auto& part : pairs_rdd.partitions()) {
+    report.result_count += part.size();
+    report.result_hash += core::hash_pairs_unordered(part);
+  }
+  rt.record_narrow_stage(aggregate_stage, {agg_cpu.seconds()});
+  rt.record_collect("result.aggregate", 16 * pairs_rdd.num_partitions());
+  if (!exec.collect_pairs) return;
+  report.pairs.reserve(report.result_count);
+  for (const auto& part : pairs_rdd.partitions()) {
+    report.pairs.insert(report.pairs.end(), part.begin(), part.end());
   }
 }
 
-/// Report epilogue shared by every entry point, success or failure: peak
-/// executor memory (when the runtime got constructed), the end-to-end total,
-/// the trace and the recovery summary. The paper reports only end-to-end
-/// times for SpatialSpark (stages cannot be attributed cleanly under
-/// asynchronous execution), so IA/IB/DJ stay NaN.
-void finish_report(core::RunReport& report, std::optional<rdd::SparkRuntime>& rt,
-                   const core::ExecutionConfig& exec,
-                   const trace::TraceCollector& collector) {
+/// The epilogue of every entry point, success or failure: peak executor
+/// memory (when the runtime got constructed), then the core epilogue. The
+/// paper reports only end-to-end times for SpatialSpark (stages cannot be
+/// attributed cleanly under asynchronous execution), so IA/IB/DJ stay NaN.
+void finish_report(core::RunReport& report, std::optional<rdd::SparkRuntime>& rt) {
   if (rt) report.peak_memory_bytes = rt->memory().peak_paper_bytes();
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
+  core::finish_report(report, /*breakdown=*/false);
 }
 
 /// Bytes one shuffled copy of a record costs: a 4-byte partition key plus
@@ -557,12 +550,11 @@ std::uint32_t start_runtime(std::optional<dfs::SimDfs>& dfs,
                             std::optional<rdd::SparkRuntime>& rt,
                             const core::JoinQueryConfig& query,
                             const core::ExecutionConfig& exec,
-                            const SpatialSparkConfig& config, core::RunReport& report,
-                            trace::TraceCollector& collector) {
+                            const SpatialSparkConfig& config, core::RunReport& report) {
   dfs.emplace(core::dfs_config(query, exec));
   rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.faults);
   rt->set_counters(&report.counters);
-  if (exec.trace) rt->set_trace(&collector);
+  rt->set_trace(core::trace_sink(report, exec));
   return rt->default_parallelism() * 2;
 }
 
@@ -573,7 +565,6 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
                                        const SpatialSparkConfig& config,
                                        ResidentState* capture) {
   core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   workload::RowQuarantine quarantine;
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
@@ -586,7 +577,7 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
     // is finished, whether or not the run fails.
     core::LocalJoinStage stage(query, kLocalJoinAlgorithm, config.engine, report.counters);
     const std::uint32_t parallelism =
-        start_runtime(dfs, rt, query, exec, config, report, collector);
+        start_runtime(dfs, rt, query, exec, config, report);
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
     SparkInputs in = read_and_partition(left, right, query, plane, config, *rt, *dfs,
                                         parallelism, quarantine, report);
@@ -633,7 +624,7 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
     report.status = status_from_exception(e);
   }
   quarantine.flush_counters(report.counters);
-  finish_report(report, rt, exec, collector);
+  finish_report(report, rt);
   if (planned) plan::record_plan_actual(report.total_seconds, report.counters);
   return report;
 }
@@ -646,7 +637,6 @@ core::RunReport run_resident_query(const ResidentState& state,
                                    const SpatialSparkConfig& config,
                                    geom::PreparedCache* shared_cache) {
   core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
 
@@ -656,7 +646,7 @@ core::RunReport run_resident_query(const ResidentState& state,
     const core::PartitionPlane plane(query, exec.cluster, config.policy);
     plane.require_build_expansion(state.expand, "spatial_spark_resident");
     const std::uint32_t parallelism =
-        start_runtime(dfs, rt, query, exec, config, report, collector);
+        start_runtime(dfs, rt, query, exec, config, report);
     // Re-materialize the resident inputs as cached RDDs: the per-chunk
     // FeatureRef views captured at build time, charged at full modeled bytes
     // (the resident working set lives in executor memory). No read, no
@@ -680,7 +670,7 @@ core::RunReport run_resident_query(const ResidentState& state,
   } catch (const SjcError& e) {
     report.status = status_from_exception(e);
   }
-  finish_report(report, rt, exec, collector);
+  finish_report(report, rt);
   return report;
 }
 

@@ -185,12 +185,13 @@ std::string format_skew_table(const TaskTimeline& timeline,
   }
   // Repartition footer (present only when skew-aware refinement ran:
   // repartition.rounds is >= 1 whenever the probe executed, even if no cell
-  // was hot enough to split).
+  // was hot enough to split). The counts are run totals over every scheme
+  // the run refined (SpatialHadoop refines two).
   const std::uint64_t rounds = value("repartition.rounds");
   if (rounds != 0) {
     char line[256];
     std::snprintf(line, sizeof(line),
-                  "  repartition: %llu rounds | %llu splits -> %llu cells | "
+                  "  repartition (all schemes): %llu rounds | %llu splits -> %llu cells | "
                   "migrated %llu records / %llu bytes\n",
                   static_cast<unsigned long long>(rounds),
                   static_cast<unsigned long long>(value("repartition.splits")),

@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <unordered_map>
 
@@ -21,72 +20,7 @@ const char* span_outcome_name(SpanOutcome outcome) {
   return "unknown";
 }
 
-struct TraceCollector::Shard {
-  std::vector<TaskSpan> spans;
-};
-
-namespace {
-
-std::uint64_t next_collector_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Thread-local cache of "my shard inside collector with id X". Keyed by the
-/// collector's process-unique id, not its address, so a new collector
-/// allocated where a destroyed one lived cannot inherit stale shard
-/// pointers.
-struct ShardCache {
-  std::unordered_map<std::uint64_t, void*> by_collector;  // -> Shard*
-};
-
-ShardCache& local_cache() {
-  thread_local ShardCache cache;
-  return cache;
-}
-
-}  // namespace
-
-TraceCollector::TraceCollector(std::uint32_t node_count, std::uint32_t slots_per_node)
-    : id_(next_collector_id()),
-      node_count_(node_count == 0 ? 1 : node_count),
-      slots_per_node_(slots_per_node == 0 ? 1 : slots_per_node) {}
-
-TraceCollector::~TraceCollector() = default;
-
-TraceCollector::Shard& TraceCollector::local_shard() {
-  ShardCache& cache = local_cache();
-  const auto it = cache.by_collector.find(id_);
-  if (it != cache.by_collector.end()) return *static_cast<Shard*>(it->second);
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  cache.by_collector.emplace(id_, shard);
-  return *shard;
-}
-
-void TraceCollector::record(TaskSpan span) {
-  // Owner-only append: each shard is written by exactly one thread, so after
-  // the registration handshake there is no contention on the hot path.
-  local_shard().spans.push_back(std::move(span));
-}
-
-TaskTimeline TraceCollector::merged() const {
-  TaskTimeline timeline;
-  timeline.node_count = node_count_;
-  timeline.slots_per_node = slots_per_node_;
-  std::size_t total = 0;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& shard : shards_) total += shard->spans.size();
-    timeline.spans.reserve(total);
-    for (const auto& shard : shards_) {
-      timeline.spans.insert(timeline.spans.end(), shard->spans.begin(),
-                            shard->spans.end());
-    }
-  }
-  // Deterministic order: a pure function of span content, independent of
-  // which thread happened to record which span.
+void sort_spans(TaskTimeline& timeline) {
   std::stable_sort(timeline.spans.begin(), timeline.spans.end(),
                    [](const TaskSpan& a, const TaskSpan& b) {
                      if (a.sim_start != b.sim_start) return a.sim_start < b.sim_start;
@@ -95,49 +29,74 @@ TaskTimeline TraceCollector::merged() const {
                      if (a.attempt != b.attempt) return a.attempt < b.attempt;
                      return a.slot < b.slot;
                    });
-  return timeline;
 }
 
-std::vector<PhaseSkew> skew_summary(const TaskTimeline& timeline) {
-  std::vector<PhaseSkew> rows;
-  std::unordered_map<std::string, std::size_t> index;
-  std::vector<std::vector<double>> durations;
-  for (const auto& span : timeline.spans) {
-    auto [it, inserted] = index.emplace(span.phase, rows.size());
-    if (inserted) {
-      rows.push_back(PhaseSkew{});
-      rows.back().phase = span.phase;
-      durations.emplace_back();
-    }
-    PhaseSkew& row = rows[it->second];
-    if (span.outcome == SpanOutcome::kQuarantined) {
-      // Zero-duration blacklist markers are not attempts: count them but
-      // keep them out of the duration percentiles.
-      ++row.quarantined;
-      continue;
-    }
-    ++row.attempts;
-    if (span.outcome == SpanOutcome::kFailed) ++row.failed;
-    if (span.outcome == SpanOutcome::kSpeculativeLoser) ++row.spec_losers;
-    durations[it->second].push_back(std::max(0.0, span.sim_end - span.sim_start));
+namespace {
+
+double duration(const TaskSpan& span) { return std::max(0.0, span.sim_end - span.sim_start); }
+
+/// The spans sharing one summary key, and the ascending durations of those
+/// the summary times.
+struct SpanGroup {
+  std::string key;
+  std::vector<const TaskSpan*> spans;
+  std::vector<double> durations;
+
+  /// Nearest-rank percentile of the timed durations (which must not be
+  /// empty).
+  double percentile(double p) const {
+    const auto k = static_cast<std::size_t>(std::ceil(p * static_cast<double>(durations.size())));
+    return durations[k == 0 ? 0 : k - 1];
   }
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    auto& d = durations[r];
+};
+
+/// Groups the spans `key` names, in first-appearance order of the names; a
+/// span `key` maps to an empty name joins no group. `timed` picks the spans
+/// whose durations enter their group's percentiles.
+template <typename Key, typename Timed>
+std::vector<SpanGroup> group_spans(const TaskTimeline& timeline, Key key, Timed timed) {
+  std::vector<SpanGroup> groups;
+  std::unordered_map<std::string, std::size_t> index;
+  for (const auto& span : timeline.spans) {
+    std::string name = key(span);
+    if (name.empty()) continue;
+    const auto [it, inserted] = index.emplace(name, groups.size());
+    if (inserted) groups.push_back(SpanGroup{std::move(name), {}, {}});
+    SpanGroup& group = groups[it->second];
+    group.spans.push_back(&span);
+    if (timed(span)) group.durations.push_back(duration(span));
+  }
+  for (auto& group : groups) std::sort(group.durations.begin(), group.durations.end());
+  return groups;
+}
+
+}  // namespace
+
+std::vector<PhaseSkew> skew_summary(const TaskTimeline& timeline) {
+  // Zero-duration blacklist markers are not attempts: count them but keep
+  // them out of the duration percentiles.
+  const auto groups = group_spans(
+      timeline, [](const TaskSpan& span) { return span.phase; },
+      [](const TaskSpan& span) { return span.outcome != SpanOutcome::kQuarantined; });
+  std::vector<PhaseSkew> rows;
+  rows.reserve(groups.size());
+  for (const auto& group : groups) {
+    PhaseSkew& row = rows.emplace_back();
+    row.phase = group.key;
+    for (const TaskSpan* span : group.spans) {
+      row.quarantined += span->outcome == SpanOutcome::kQuarantined;
+      row.failed += span->outcome == SpanOutcome::kFailed;
+      row.spec_losers += span->outcome == SpanOutcome::kSpeculativeLoser;
+    }
+    const auto& d = group.durations;
+    row.attempts = d.size();
     if (d.empty()) continue;
-    std::sort(d.begin(), d.end());
-    const std::size_t n = d.size();
-    // Nearest-rank percentiles over the sorted attempt durations.
-    const auto rank = [n](double p) {
-      const std::size_t k =
-          static_cast<std::size_t>(std::ceil(p * static_cast<double>(n)));
-      return k == 0 ? 0 : k - 1;
-    };
-    rows[r].min_s = d.front();
-    rows[r].p50_s = d[rank(0.50)];
-    rows[r].p95_s = d[rank(0.95)];
-    rows[r].max_s = d.back();
+    row.min_s = d.front();
+    row.p50_s = group.percentile(0.50);
+    row.p95_s = group.percentile(0.95);
+    row.max_s = d.back();
     for (const double v : d) {
-      if (v > 1.5 * rows[r].p50_s) ++rows[r].stragglers;
+      if (v > 1.5 * row.p50_s) ++row.stragglers;
     }
   }
   return rows;
@@ -164,42 +123,28 @@ double phase_skew_ratio(const std::vector<PhaseSkew>& rows, std::string_view pha
 
 std::vector<TenantSkew> tenant_summary(const TaskTimeline& timeline,
                                        const std::string& prefix) {
+  const auto groups = group_spans(
+      timeline,
+      [&](const TaskSpan& span) {
+        return span.phase.compare(0, prefix.size(), prefix) == 0
+                   ? span.phase.substr(prefix.size())
+                   : std::string();
+      },
+      [](const TaskSpan&) { return true; });
   std::vector<TenantSkew> rows;
-  std::unordered_map<std::string, std::size_t> index;
-  std::vector<std::vector<double>> durations;
-  for (const auto& span : timeline.spans) {
-    if (span.phase.size() <= prefix.size() ||
-        span.phase.compare(0, prefix.size(), prefix) != 0) {
-      continue;
+  rows.reserve(groups.size());
+  for (const auto& group : groups) {
+    TenantSkew& row = rows.emplace_back();
+    row.tenant = group.key;
+    row.queries = group.spans.size();
+    for (const TaskSpan* span : group.spans) {
+      row.failed += span->outcome == SpanOutcome::kFailed;
+      row.total_s += duration(*span);
     }
-    const std::string tenant = span.phase.substr(prefix.size());
-    auto [it, inserted] = index.emplace(tenant, rows.size());
-    if (inserted) {
-      rows.push_back(TenantSkew{});
-      rows.back().tenant = tenant;
-      durations.emplace_back();
-    }
-    TenantSkew& row = rows[it->second];
-    ++row.queries;
-    if (span.outcome == SpanOutcome::kFailed) ++row.failed;
-    const double d = std::max(0.0, span.sim_end - span.sim_start);
-    row.total_s += d;
-    durations[it->second].push_back(d);
-  }
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    auto& d = durations[r];
-    if (d.empty()) continue;
-    std::sort(d.begin(), d.end());
-    const std::size_t n = d.size();
-    const auto rank = [n](double p) {
-      const std::size_t k =
-          static_cast<std::size_t>(std::ceil(p * static_cast<double>(n)));
-      return k == 0 ? 0 : k - 1;
-    };
-    rows[r].min_s = d.front();
-    rows[r].p50_s = d[rank(0.50)];
-    rows[r].p99_s = d[rank(0.99)];
-    rows[r].max_s = d.back();
+    row.min_s = group.durations.front();
+    row.p50_s = group.percentile(0.50);
+    row.p99_s = group.percentile(0.99);
+    row.max_s = group.durations.back();
   }
   return rows;
 }

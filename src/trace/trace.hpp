@@ -6,8 +6,11 @@
 // show. This module records one TaskSpan per scheduled attempt — map/reduce
 // tasks, RDD stage tasks, master-side serial steps, DFS re-replication,
 // lineage recomputes, retries and speculative clones — on the simulated
-// timeline the scheduler already computes, and merges them into the run's
-// TaskTimeline.
+// timeline the scheduler already computes, into the run's TaskTimeline.
+//
+// A timeline has one writer: a run's cluster::PhaseRecorder appends every
+// span on the thread driving the run (the serving layer appends under its
+// own lock), and sort_spans puts them in canonical order once the run ends.
 //
 // Tracing is accounting-neutral by construction: the scheduler runs the
 // same arithmetic whether or not a span sink is attached, so a traced run's
@@ -16,8 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,9 +52,9 @@ struct TaskSpan {
   SpanOutcome outcome = SpanOutcome::kOk;
 };
 
-/// The merged per-run timeline: every attempt of every phase, sorted by
-/// (sim_start, phase, task, attempt), plus the slot geometry needed to map
-/// global slot ids back onto simulated nodes.
+/// The per-run timeline: every attempt of every phase, plus the slot
+/// geometry needed to map global slot ids back onto simulated nodes. Its one
+/// writer appends spans in any order; sort_spans orders them.
 struct TaskTimeline {
   std::uint32_t node_count = 1;
   std::uint32_t slots_per_node = 1;
@@ -63,37 +64,9 @@ struct TaskTimeline {
   bool empty() const { return spans.empty(); }
 };
 
-/// Collects TaskSpans during a run. Appends go to a per-thread shard —
-/// lock-free after a thread's first record() (a mutex guards only shard
-/// registration) — so pool workers can emit spans without serializing on a
-/// shared sink. merged() must only be called once the run's parallel work
-/// has quiesced (the drivers call it after the last phase is recorded).
-class TraceCollector {
- public:
-  TraceCollector(std::uint32_t node_count, std::uint32_t slots_per_node);
-  ~TraceCollector();
-
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
-
-  /// Appends one span to the calling thread's shard.
-  void record(TaskSpan span);
-
-  /// Merges every shard into a deterministically ordered timeline: span
-  /// order is a pure function of span content, never of which thread
-  /// recorded what.
-  TaskTimeline merged() const;
-
- private:
-  struct Shard;
-  Shard& local_shard();
-
-  const std::uint64_t id_;  // process-unique; guards thread-local shard caches
-  std::uint32_t node_count_;
-  std::uint32_t slots_per_node_;
-  mutable std::mutex registry_mutex_;  // shard registration only
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
+/// Sorts the spans by (sim_start, phase, task, attempt, slot); spans equal
+/// on all five keep their append order.
+void sort_spans(TaskTimeline& timeline);
 
 /// Per-phase task-duration skew: the compact summary printed next to the
 /// report tables. Durations are per-attempt sim seconds; `stragglers`

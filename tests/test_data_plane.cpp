@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <random>
@@ -629,6 +630,40 @@ TEST(DataPlane, TracedRunReportsBitIdenticalToUntraced) {
       EXPECT_TRUE(untraced.trace.empty()) << tag;
       expect_timeline_sane(traced, tag);
     }
+  }
+}
+
+TEST(DataPlane, CollectedRunReportsBitIdenticalToCounted) {
+  // Asking for the pairs (ExecutionConfig::collect_pairs, as the tests and
+  // examples do) hands them back without changing what the run charges:
+  // each system's report matches the count-and-hash run the benches make,
+  // SpatialSpark's broadcast plan included.
+  const VirtualTimeGuard vt;
+  const PlaneBench b = PlaneBench::make();
+  core::ExecutionConfig collect_exec = b.exec;
+  collect_exec.collect_pairs = true;
+  systems::SpatialSparkConfig broadcast;
+  broadcast.join_plan = plan::PlanKind::kBroadcastJoin;
+  using Run = std::function<core::RunReport(const core::ExecutionConfig&)>;
+  std::vector<std::pair<std::string, Run>> runs;
+  for (const auto kind : {core::SystemKind::kHadoopGisSim, core::SystemKind::kSpatialHadoopSim,
+                          core::SystemKind::kSpatialSparkSim}) {
+    runs.emplace_back(core::system_kind_name(kind), [&b, kind](const core::ExecutionConfig& e) {
+      return core::run_spatial_join(kind, b.left, b.right, b.query, e);
+    });
+  }
+  runs.emplace_back("SpatialSpark-sim broadcast", [&](const core::ExecutionConfig& e) {
+    return systems::run_spatial_spark(b.left, b.right, b.query, e, broadcast);
+  });
+  for (const auto& [name, run] : runs) {
+    const std::string tag = "taxi-nycb/collected-vs-counted/" + name;
+    const core::RunReport counted = run(b.exec);
+    const core::RunReport collected = run(collect_exec);
+    ASSERT_TRUE(counted.status.ok()) << tag << ": " << counted.status.to_string();
+    expect_reports_identical(counted, collected, tag);
+    EXPECT_TRUE(counted.pairs.empty()) << tag;
+    EXPECT_EQ(collected.pairs.size(), collected.result_count) << tag;
+    EXPECT_EQ(core::hash_pairs_unordered(collected.pairs), collected.result_hash) << tag;
   }
 }
 

@@ -25,10 +25,8 @@ namespace {
 // FaultInjector: validation, determinism, recovery arithmetic
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjector, DefaultPlanIsTrivialAndInert) {
-  cluster::FaultPlan plan;
-  EXPECT_TRUE(plan.trivial());
-  const cluster::FaultInjector faults(plan);
+TEST(FaultInjector, DefaultPlanIsInert) {
+  const cluster::FaultInjector faults{cluster::FaultPlan{}};
   for (std::size_t task = 0; task < 8; ++task) {
     EXPECT_FALSE(faults.crashes(1, task, 1));
     EXPECT_DOUBLE_EQ(1.0, faults.slowdown(1, task));
@@ -399,7 +397,7 @@ TEST(SimDfsFailure, MrContextAppliesScheduledLossAsRepairPhase) {
     mapreduce::charge_master_step(ctx, "step", 0.001, 100, 100);
 
     EXPECT_EQ(3u, fs.live_datanode_count());
-    EXPECT_GT(metrics.total_rereplicated_bytes(), 0u);
+    EXPECT_GT(metrics.total(&cluster::PhaseReport::rereplicated_bytes), 0u);
     bool repair_phase = false;
     for (const auto& phase : metrics.phases()) {
       if (phase.name == "dfs/re-replicate[node1]") repair_phase = true;
@@ -465,7 +463,7 @@ TEST(SystemRecovery, HadoopGisRetriesRecoverPipeOverflow) {
   ASSERT_TRUE(retried.status.ok()) << retried.status.to_string();
   EXPECT_TRUE(retried.recovered);
   EXPECT_GT(retried.attempts_used, clean.attempts_used);
-  EXPECT_GT(retried.metrics.total_wasted_seconds(), 0.0);
+  EXPECT_GT(retried.metrics.total(&cluster::PhaseReport::wasted_seconds), 0.0);
   // Recovery changes timing, never results.
   EXPECT_EQ(clean.result_hash, retried.result_hash);
   EXPECT_EQ(clean.result_count, retried.result_count);
@@ -876,7 +874,7 @@ TEST(SystemRecovery, SparkExecutorLossTriggersLineageRecompute) {
   const auto lost = systems::run_spatial_spark(b.points, b.polys, b.query, exec, faulty);
   ASSERT_TRUE(lost.status.ok()) << lost.status.to_string();
   EXPECT_TRUE(lost.recovered);
-  EXPECT_GT(lost.metrics.total_recomputed_partitions(), 0u);
+  EXPECT_GT(lost.metrics.total(&cluster::PhaseReport::recomputed_partitions), 0u);
   EXPECT_EQ(clean.result_hash, lost.result_hash);
 
   bool recompute_phase = false;

@@ -227,7 +227,7 @@ TEST(PartitionRefiner, CountersRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// JoinCostModel
+// The join cost model (plan::choose_plan)
 // ---------------------------------------------------------------------------
 
 plan::PlanInputs base_inputs() {
@@ -711,6 +711,35 @@ TEST(RepartitionSystems, SkewedGridActuallySplits) {
   EXPECT_GT(report.counters.get("repartition.splits"), 0u);
   EXPECT_GT(report.counters.get("repartition.migrated_records"), 0u);
   EXPECT_GT(report.counters.get("repartition.migrated_bytes"), 0u);
+}
+
+TEST(RepartitionSystems, RoundsSumOverTheSchemesARunRefines) {
+  // repartition.* are run totals. SpatialHadoop refines A's scheme and B's,
+  // each for at least one round and at most kMaxRefineRounds, so its rounds
+  // add two refinements'; HadoopGIS and SpatialSpark refine one joint
+  // scheme.
+  Bench bench = make_bench(workload::DatasetId::kTaxi1m, workload::DatasetId::kNycb,
+                           2e-4, core::JoinPredicate::kWithin, "taxi-rounds");
+  bench.query.partitioner = partition::PartitionerKind::kFixedGrid;
+  systems::HadoopGisConfig gis;
+  gis.policy.repartition = true;
+  gis.pipe_capacity_fraction = 0.0;  // the join job would overflow its pipes here
+  systems::SpatialHadoopConfig hadoop;
+  hadoop.policy.repartition = true;
+  systems::SpatialSparkConfig spark;
+  spark.policy.repartition = true;
+  const core::RunReport reports[] = {
+      systems::run_hadoop_gis(bench.left, bench.right, bench.query, bench.exec, gis),
+      systems::run_spatial_hadoop(bench.left, bench.right, bench.query, bench.exec, hadoop),
+      systems::run_spatial_spark(bench.left, bench.right, bench.query, bench.exec, spark)};
+  const std::uint64_t schemes[] = {1, 2, 1};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const core::RunReport& r = reports[i];
+    ASSERT_TRUE(r.status.ok()) << i << ": " << r.status.to_string();
+    const std::uint64_t rounds = r.counters.get("repartition.rounds");
+    EXPECT_GE(rounds, schemes[i]) << i;
+    EXPECT_LE(rounds, schemes[i] * plan::kMaxRefineRounds) << i;
+  }
 }
 
 TEST(RepartitionSystems, ResidentPathCarriesTheRefinedScheme) {

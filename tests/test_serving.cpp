@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "serving/query_service.hpp"
@@ -525,6 +526,34 @@ TEST(QueryServiceInterleaving, TwoTenantsOnOnePoolMatchSerialRuns) {
     ASSERT_TRUE(r.report.status.ok()) << r.report.status.to_string();
     EXPECT_EQ(sorted_pairs(r.report), sorted_pairs(serial2));
     EXPECT_EQ(r.report.result_hash, serial2.result_hash);
+  }
+
+  // Both workers appended spans (tracing is on by default): the timeline
+  // holds exactly one tenant/<name> span per completed query, on the
+  // workers' slots and in canonical order, and the footer counts them.
+  service.drain();
+  const trace::TaskTimeline timeline = service.timeline();
+  EXPECT_EQ(timeline.total_slots(), 2u);
+  ASSERT_EQ(timeline.spans.size(), 6u);
+  std::map<std::string, std::set<std::uint64_t>> queries;  // phase -> query seqs
+  for (const auto& span : timeline.spans) {
+    queries[span.phase].insert(span.task);
+    EXPECT_LT(span.slot, timeline.total_slots());
+    EXPECT_EQ(span.outcome, trace::SpanOutcome::kOk);
+  }
+  EXPECT_EQ(queries.size(), 2u);
+  EXPECT_EQ(queries["tenant/tenant-a"].size(), 3u);
+  EXPECT_EQ(queries["tenant/tenant-b"].size(), 3u);
+  EXPECT_TRUE(std::is_sorted(timeline.spans.begin(), timeline.spans.end(),
+                             [](const trace::TaskSpan& a, const trace::TaskSpan& b) {
+                               return std::tie(a.sim_start, a.phase, a.task) <
+                                      std::tie(b.sim_start, b.phase, b.task);
+                             }));
+  const auto footer = service.tenant_footer();
+  ASSERT_EQ(footer.size(), 2u);
+  for (const auto& row : footer) {
+    EXPECT_EQ(row.queries, 3u) << row.tenant;
+    EXPECT_EQ(row.failed, 0u) << row.tenant;
   }
 }
 

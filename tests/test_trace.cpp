@@ -1,21 +1,22 @@
-// sjc::trace tests: collector determinism under concurrent recording,
-// scheduler span emission consistency (spans are an exact decomposition of
+// sjc::trace tests: the canonical span order (sort_spans), scheduler span
+// emission consistency (spans are an exact decomposition of
 // the schedule), Chrome trace-event export validity, and the skew summary's
 // percentile arithmetic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/fault_injector.hpp"
 #include "cluster/scheduler.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sjc {
 namespace {
@@ -154,7 +155,7 @@ class JsonChecker {
 };
 
 // ---------------------------------------------------------------------------
-// TraceCollector
+// sort_spans
 // ---------------------------------------------------------------------------
 
 trace::TaskSpan make_span(const std::string& phase, std::uint64_t task,
@@ -168,52 +169,51 @@ trace::TaskSpan make_span(const std::string& phase, std::uint64_t task,
   return s;
 }
 
-TEST(TraceCollector, ConcurrentRecordingMergesDeterministically) {
-  // Spans recorded from many pool threads in arbitrary order must merge
-  // into exactly the same sequence every time: sorted by span content, with
-  // nothing lost.
-  const auto run_once = [] {
-    trace::TraceCollector collector(2, 4);
-    ThreadPool::shared().parallel_for(64, [&](std::size_t i) {
-      for (int k = 0; k < 16; ++k) {
-        collector.record(make_span("phase" + std::to_string(i % 5),
-                                   i * 100 + static_cast<std::uint64_t>(k),
-                                   static_cast<double>(i), static_cast<double>(i) + 1,
-                                   static_cast<std::uint32_t>(i % 8)));
-      }
-    });
-    return collector.merged();
+TEST(SortSpans, AnyAppendOrderSortsToOneSequence) {
+  // A timeline's one writer may append spans in any order; sorted, they
+  // form one sequence ordered by (sim_start, phase, task, attempt, slot),
+  // with every key below the first exercised by ties on the keys above it.
+  std::vector<trace::TaskSpan> spans;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      trace::TaskSpan s = make_span("phase" + std::to_string(i % 5), i / 8,
+                                    static_cast<double>(i % 4), 5.0, (k * 7) % 3);
+      s.attempt = k + 1;
+      spans.push_back(s);
+    }
+  }
+  const auto key = [](const trace::TaskSpan& s) {
+    return std::tie(s.sim_start, s.phase, s.task, s.attempt, s.slot);
   };
-  const trace::TaskTimeline a = run_once();
-  const trace::TaskTimeline b = run_once();
-  ASSERT_EQ(a.spans.size(), 64u * 16u);
-  ASSERT_EQ(a.spans.size(), b.spans.size());
-  EXPECT_TRUE(std::is_sorted(a.spans.begin(), a.spans.end(),
-                             [](const trace::TaskSpan& x, const trace::TaskSpan& y) {
-                               if (x.sim_start != y.sim_start)
-                                 return x.sim_start < y.sim_start;
-                               return x.phase < y.phase ||
-                                      (x.phase == y.phase && x.task <= y.task);
-                             }));
-  for (std::size_t i = 0; i < a.spans.size(); ++i) {
-    EXPECT_EQ(a.spans[i].phase, b.spans[i].phase);
-    EXPECT_EQ(a.spans[i].task, b.spans[i].task);
-    EXPECT_EQ(a.spans[i].slot, b.spans[i].slot);
-    EXPECT_EQ(a.spans[i].sim_start, b.spans[i].sim_start);
+  std::vector<trace::TaskSpan> first;
+  for (std::uint32_t seed = 0; seed < 4; ++seed) {
+    trace::TaskTimeline timeline;
+    timeline.spans = spans;
+    std::shuffle(timeline.spans.begin(), timeline.spans.end(), std::mt19937(seed));
+    trace::sort_spans(timeline);
+    ASSERT_EQ(timeline.spans.size(), spans.size());
+    EXPECT_TRUE(std::is_sorted(
+        timeline.spans.begin(), timeline.spans.end(),
+        [&](const trace::TaskSpan& a, const trace::TaskSpan& b) { return key(a) < key(b); }));
+    if (seed == 0) {
+      first = timeline.spans;
+      continue;
+    }
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(key(timeline.spans[i]), key(first[i])) << "seed " << seed << " span " << i;
+    }
   }
-}
 
-TEST(TraceCollector, FreshCollectorDoesNotInheritThreadCaches) {
-  // Two collectors used back to back from the same threads (including pool
-  // workers) must keep their spans separate, even though a new collector
-  // may be allocated where a destroyed one lived.
-  for (int round = 0; round < 8; ++round) {
-    trace::TraceCollector collector(1, 4);
-    ThreadPool::shared().parallel_for(8, [&](std::size_t i) {
-      collector.record(make_span("r", i, 0.0, 1.0));
-    });
-    EXPECT_EQ(collector.merged().spans.size(), 8u) << "round " << round;
+  // Spans equal on all five keys keep their append order.
+  trace::TaskTimeline ties;
+  for (int n = 0; n < 3; ++n) {
+    ties.spans.push_back(make_span("p", 0, 1.0, 2.0));
+    ties.spans.back().cpu_seconds = static_cast<double>(n);
   }
+  ties.spans.insert(ties.spans.begin(), make_span("p", 0, 3.0, 4.0));
+  trace::sort_spans(ties);
+  for (int n = 0; n < 3; ++n) EXPECT_EQ(ties.spans[n].cpu_seconds, static_cast<double>(n));
+  EXPECT_EQ(ties.spans[3].sim_start, 3.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +440,7 @@ TEST(SkewSummary, RepartitionAndPlanFooters) {
   counters["plan.predicted_partitioned"] = 90;
   counters["plan.actual_cost"] = 45;
   table = trace::format_skew_table(timeline, counters);
-  EXPECT_NE(table.find("repartition: 2 rounds | 3 splits -> 25 cells"),
+  EXPECT_NE(table.find("repartition (all schemes): 2 rounds | 3 splits -> 25 cells"),
             std::string::npos)
       << table;
   EXPECT_NE(table.find("migrated 1200 records / 56000 bytes"), std::string::npos);
